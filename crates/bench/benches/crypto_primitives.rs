@@ -119,6 +119,35 @@ fn bench_key_derivation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The rekey tree's key schedule (EXPERIMENTS.md row S18): one fused tree
+/// level and the per-epoch group derivation, beside one reference
+/// extract-then-expand of the same size.
+fn bench_tree_schedule(c: &mut Criterion) {
+    use enclaves_crypto::{hkdf, treekdf};
+    let mut group = c.benchmark_group("tree_key_schedule");
+    let secret = [0x42u8; 32];
+    group.bench_function("treekdf::derive_step", |b| {
+        b.iter(|| treekdf::derive_step(black_box(&secret)));
+    });
+    group.bench_function("treekdf::derive_group", |b| {
+        b.iter(|| treekdf::derive_group(black_box(&secret), black_box(7)));
+    });
+    group.bench_function("hkdf::derive", |b| {
+        b.iter(|| {
+            let mut out = [0u8; 32];
+            hkdf::derive(
+                b"enclaves treekem v1",
+                black_box(&secret),
+                b"node key",
+                &mut out,
+            )
+            .unwrap();
+            out
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sha256,
@@ -127,6 +156,7 @@ criterion_group!(
     bench_poly1305,
     bench_aead,
     bench_x25519,
-    bench_key_derivation
+    bench_key_derivation,
+    bench_tree_schedule
 );
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use enclaves_crypto::rng::CryptoRng;
-use enclaves_crypto::treekdf::{derive_node_key, derive_path_secret};
+use enclaves_crypto::treekdf::{derive_node_key, derive_step};
 use enclaves_wire::ActorId;
 
 /// A 32-byte tree node key or path secret.
@@ -35,26 +35,31 @@ pub type NodeKey = [u8; 32];
 // Array tree math (RFC 9420 appendix C). `n` is the number of leaves.
 // ---------------------------------------------------------------------------
 
+/// Largest leaf count the tree math accepts: `node_width` and every shift
+/// in the parent walk stay inside `u32`. A leaf count read from the wire
+/// is checked against this before any walk.
+pub const MAX_LEAVES: u32 = 1 << 30;
+
 /// Number of array slots a tree with `n` leaves occupies (`2n - 1`).
 #[must_use]
 pub fn node_width(n: u32) -> u32 {
-    if n == 0 {
-        0
-    } else {
-        2 * n - 1
+    n.saturating_mul(2).saturating_sub(1)
+}
+
+/// Node index of the root of a tree with `n` leaves (0 for the empty
+/// tree, which has no nodes).
+#[must_use]
+pub fn root(n: u32) -> u32 {
+    match node_width(n) {
+        0 => 0,
+        width => (1 << (31 - width.leading_zeros())) - 1,
     }
 }
 
-fn log2_floor(x: u32) -> u32 {
-    debug_assert!(x > 0);
-    31 - x.leading_zeros()
-}
-
-/// Node index of the root of a tree with `n` leaves.
-#[must_use]
-pub fn root(n: u32) -> u32 {
-    debug_assert!(n > 0);
-    (1 << log2_floor(node_width(n))) - 1
+/// True when `x` is a node of a tree with `n` leaves that this module can
+/// walk.
+fn in_tree(x: u32, n: u32) -> bool {
+    (1..=MAX_LEAVES).contains(&n) && x < node_width(n)
 }
 
 /// Level of a node: leaves are level 0, a node's parent is one level up.
@@ -89,105 +94,79 @@ fn parent_step(x: u32) -> u32 {
     (x | (1 << k)) ^ (b << (k + 1))
 }
 
-/// Parent of node `x` in a tree with `n` leaves. `x` must not be the root.
+/// Parent of node `x` in a tree with `n` leaves; `None` for the root and
+/// for any `x` that is not a node of such a tree, so a walk by repeated
+/// `parent` ends after at most 31 steps whatever it is given.
 #[must_use]
-pub fn parent(x: u32, n: u32) -> u32 {
-    debug_assert_ne!(x, root(n), "root has no parent");
+pub fn parent(x: u32, n: u32) -> Option<u32> {
+    if !in_tree(x, n) || x == root(n) {
+        return None;
+    }
+    // In the full tree over the same root every ancestor chain reaches
+    // the root, which is in range, so the skip over out-of-range
+    // ancestors stops there at the latest.
     let mut p = parent_step(x);
     while p >= node_width(n) {
         p = parent_step(p);
     }
-    p
+    Some(p)
 }
 
 /// The direct path of node `x`: its ancestors from parent up to and
-/// including the root (empty when `x` is the root).
+/// including the root (empty when `x` is the root or not in the tree).
 #[must_use]
 pub fn direct_path(x: u32, n: u32) -> Vec<u32> {
-    let r = root(n);
-    let mut path = Vec::new();
-    let mut cur = x;
-    while cur != r {
-        cur = parent(cur, n);
-        path.push(cur);
-    }
-    path
+    std::iter::successors(parent(x, n), |&p| parent(p, n)).collect()
 }
 
-/// The child of `p` that is *not* an ancestor-or-self of `x` (the copath
-/// child at the step where `x`'s path crosses `p`).
-fn copath_child(p: u32, x: u32, n: u32) -> u32 {
-    let l = left(p);
-    let r = right(p, n);
-    // `x` is in the left subtree iff the left child is `x` or an ancestor.
-    if is_ancestor_or_self(l, x, n) {
-        r
+/// The sibling of `child` under its parent `p` (the copath node at the
+/// step where a direct path crosses `p`). `parent` skips out-of-range
+/// ancestors, so a node whose parent is `p` is exactly `left(p)` or
+/// `right(p, n)`.
+fn sibling(p: u32, child: u32, n: u32) -> u32 {
+    if left(p) == child {
+        right(p, n)
     } else {
-        debug_assert!(is_ancestor_or_self(r, x, n));
-        l
+        debug_assert_eq!(right(p, n), child);
+        left(p)
     }
 }
 
-fn is_ancestor_or_self(a: u32, x: u32, n: u32) -> bool {
-    if a == x {
-        return true;
-    }
-    if level(a) == 0 {
-        return false;
-    }
-    let r = root(n);
-    let mut cur = x;
-    while cur != r {
-        cur = parent(cur, n);
-        if cur == a {
-            return true;
-        }
-    }
-    false
-}
-
-/// Lowest common ancestor of two nodes.
+/// Lowest common ancestor of two nodes, or `None` when either is not a
+/// node of a tree with `n` leaves.
 #[must_use]
-pub fn lca(a: u32, b: u32, n: u32) -> u32 {
-    if a == b {
-        return a;
+pub fn lca(mut a: u32, mut b: u32, n: u32) -> Option<u32> {
+    if !in_tree(a, n) || !in_tree(b, n) {
+        return None;
     }
-    let r = root(n);
-    let mut ancestors = vec![a];
-    let mut cur = a;
-    while cur != r {
-        cur = parent(cur, n);
-        ancestors.push(cur);
-    }
-    let mut cur = b;
-    loop {
-        if ancestors.contains(&cur) {
-            return cur;
+    // Levels strictly increase along a direct path, so stepping whichever
+    // side is lower can never carry it past the common ancestor.
+    while a != b {
+        if level(a) <= level(b) {
+            a = parent(a, n)?;
+        } else {
+            b = parent(b, n)?;
         }
-        if cur == r {
-            return r;
-        }
-        cur = parent(cur, n);
     }
+    Some(a)
 }
 
 /// The node whose fresh path secret a member at `my_leaf` unseals when the
 /// leader refreshes the path of `updated_leaf` (both leaf *slots*): the
 /// lowest node shared by the two direct paths — or, when the member's own
 /// leaf was refreshed in place, its parent (the leaf itself in a one-leaf
-/// tree, where the leaf *is* the root).
+/// tree, where the leaf *is* the root). `None` when either slot is outside
+/// a `leaf_count`-leaf tree.
 #[must_use]
-pub fn update_secret_node(my_leaf: u32, updated_leaf: u32, leaf_count: u32) -> u32 {
+pub fn update_secret_node(my_leaf: u32, updated_leaf: u32, leaf_count: u32) -> Option<u32> {
+    if my_leaf >= leaf_count || updated_leaf >= leaf_count || leaf_count > MAX_LEAVES {
+        return None;
+    }
     let mine = 2 * my_leaf;
-    let theirs = 2 * updated_leaf;
-    if mine == theirs {
-        if mine == root(leaf_count) {
-            mine
-        } else {
-            parent(mine, leaf_count)
-        }
+    if my_leaf == updated_leaf {
+        Some(parent(mine, leaf_count).unwrap_or(mine))
     } else {
-        lca(mine, theirs, leaf_count)
+        lca(mine, 2 * updated_leaf, leaf_count)
     }
 }
 
@@ -504,9 +483,10 @@ impl KeyTree {
         // or the leaf itself in a one-leaf tree).
         let mut secret = match leaf_secret {
             Some(s0) => {
-                self.node_keys[leaf_node as usize] = Some(derive_node_key(&s0));
+                let (leaf_key, parent_secret) = derive_step(&s0);
+                self.node_keys[leaf_node as usize] = Some(leaf_key);
                 path_depth += 1;
-                derive_path_secret(&s0)
+                parent_secret
             }
             None => {
                 let mut s = [0u8; 32];
@@ -551,20 +531,26 @@ impl KeyTree {
             }
         }
 
+        let r = root(n);
         let mut below = leaf_node;
         for p in direct_path(leaf_node, n) {
             // Members under the copath child need this node's secret.
-            let c = copath_child(p, below, n);
-            for target in self.resolution(c) {
+            for target in self.resolution(sibling(p, below, n)) {
                 seals.push(CopathSeal {
                     node_index: target,
                     seal_key: self.node_keys[target as usize].expect("resolution nodes hold keys"),
                     path_secret: secret,
                 });
             }
-            self.node_keys[p as usize] = Some(derive_node_key(&secret));
             path_depth += 1;
-            secret = derive_path_secret(&secret);
+            // Nothing sits above the root, so its secret is not chained on.
+            self.node_keys[p as usize] = Some(if p == r {
+                derive_node_key(&secret)
+            } else {
+                let (key, parent_secret) = derive_step(&secret);
+                secret = parent_secret;
+                key
+            });
             below = p;
         }
 
@@ -572,7 +558,7 @@ impl KeyTree {
             updated_leaf: slot,
             leaf_count: n,
             seals,
-            root_key: self.node_keys[root(n) as usize].expect("root rewritten by refresh"),
+            root_key: self.node_keys[r as usize].expect("root rewritten by refresh"),
             path_depth,
         }
     }
@@ -610,7 +596,7 @@ impl MemberTree {
     /// `leaf_count`-leaf tree. Returns `None` on a malformed payload.
     #[must_use]
     pub fn from_sync(leaf_slot: u32, leaf_count: u32, path_keys: &[NodeKey]) -> Option<Self> {
-        if leaf_count == 0 || leaf_slot >= leaf_count {
+        if leaf_slot >= leaf_count || leaf_count > MAX_LEAVES {
             return None;
         }
         let leaf_node = 2 * leaf_slot;
@@ -654,17 +640,23 @@ impl MemberTree {
     /// the root, and returns the new root key.
     pub fn install_secret(&mut self, node: u32, secret: &NodeKey, leaf_count: u32) -> NodeKey {
         self.leaf_count = leaf_count;
-        let r = root(leaf_count);
         let mut s = *secret;
         let mut t = node;
         loop {
-            let key = derive_node_key(&s);
-            self.keys.insert(t, key);
-            if t == r {
-                return key;
+            match parent(t, leaf_count) {
+                Some(above) => {
+                    let (key, parent_secret) = derive_step(&s);
+                    self.keys.insert(t, key);
+                    s = parent_secret;
+                    t = above;
+                }
+                // The root: nothing above it needs a secret.
+                None => {
+                    let key = derive_node_key(&s);
+                    self.keys.insert(t, key);
+                    return key;
+                }
             }
-            s = derive_path_secret(&s);
-            t = parent(t, leaf_count);
         }
     }
 }
@@ -701,11 +693,43 @@ mod tests {
         assert_eq!(right(15, 11), 19);
         assert_eq!(right(19, 11), 20);
         // Parents.
-        assert_eq!(parent(0, 11), 1);
-        assert_eq!(parent(2, 11), 1);
-        assert_eq!(parent(20, 11), 19);
-        assert_eq!(parent(19, 11), 15);
-        assert_eq!(parent(7, 11), 15);
+        assert_eq!(parent(0, 11), Some(1));
+        assert_eq!(parent(2, 11), Some(1));
+        assert_eq!(parent(20, 11), Some(19));
+        assert_eq!(parent(19, 11), Some(15));
+        assert_eq!(parent(7, 11), Some(15));
+        assert_eq!(parent(15, 11), None);
+        assert_eq!(lca(0, 4, 11), Some(3));
+        assert_eq!(lca(6, 20, 11), Some(15));
+        assert_eq!(lca(16, 20, 11), Some(19));
+        assert_eq!(lca(3, 2, 11), Some(3));
+    }
+
+    // The walks are total: a shape no tree has (no leaves, a node beyond
+    // the width, a leaf count past the supported maximum) ends them with
+    // `None` instead of looping, so unauthenticated input cannot hang a
+    // caller that forgot to validate.
+    #[test]
+    fn tree_walks_are_total_on_impossible_shapes() {
+        for n in [0, 1, 2, 3, MAX_LEAVES, MAX_LEAVES + 1, u32::MAX] {
+            for x in [0, 1, 4, 5, u32::MAX - 1, u32::MAX] {
+                assert!(direct_path(x, n).len() <= 31, "x={x} n={n}");
+                let _ = lca(x, 0, n);
+                let _ = lca(4, x, n);
+            }
+            for slot in [0, 1, 2, u32::MAX] {
+                let _ = update_secret_node(2, slot, n);
+                let _ = update_secret_node(slot, 0, n);
+            }
+        }
+        assert_eq!(direct_path(4, 0), Vec::<u32>::new());
+        assert_eq!(direct_path(4, 2), Vec::<u32>::new());
+        assert_eq!(update_secret_node(2, 0, 0), None);
+        assert_eq!(update_secret_node(2, 0, 2), None);
+        assert_eq!(update_secret_node(0, 2, 2), None);
+        assert_eq!(update_secret_node(0, 0, MAX_LEAVES + 1), None);
+        assert_eq!(update_secret_node(0, 0, 1), Some(0));
+        assert_eq!(direct_path(0, MAX_LEAVES).len(), 30);
     }
 
     #[test]
@@ -771,7 +795,8 @@ mod tests {
                 Some(&seal.seal_key),
                 "{who}: seal key must match the member's stored node key"
             );
-            let target = update_secret_node(view.leaf_slot, plan.updated_leaf, plan.leaf_count);
+            let target = update_secret_node(view.leaf_slot, plan.updated_leaf, plan.leaf_count)
+                .expect("both leaves are in the tree");
             view.install_secret(target, &seal.path_secret, plan.leaf_count);
         }
     }

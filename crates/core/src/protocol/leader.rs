@@ -3249,25 +3249,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tree_forged_path_update_rejected_without_state_change() {
-        let users = names(3);
-        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
-        let mut w = TreeWorld::new(&refs);
-        for (i, u) in users.iter().enumerate() {
-            w.join(u, 900 + i as u64);
-        }
-        let epoch = w.l.epoch().unwrap();
-        // A forged PathUpdate claiming the next epoch, with garbage seals.
-        let forged = Envelope {
+    /// A forged `PathUpdate` with garbage seals addressed to nodes 0..5.
+    fn forged_path_update(epoch: u64, leaf_count: u32, updated_leaf: u32) -> Envelope {
+        Envelope {
             msg_type: MsgType::PathUpdate,
             sender: id("leader"),
             recipient: id("leader"),
             group: None,
             body: encode(&PathUpdateWire {
-                epoch: epoch + 1,
-                leaf_count: 3,
-                updated_leaf: 0,
+                epoch,
+                leaf_count,
+                updated_leaf,
                 ciphers: (0..5)
                     .map(|i| {
                         (
@@ -3280,7 +3272,20 @@ mod tests {
                     })
                     .collect(),
             }),
-        };
+        }
+    }
+
+    #[test]
+    fn tree_forged_path_update_rejected_without_state_change() {
+        let users = names(3);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 900 + i as u64);
+        }
+        let epoch = w.l.epoch().unwrap();
+        // A forged PathUpdate claiming the next epoch, with garbage seals.
+        let forged = forged_path_update(epoch + 1, 3, 0);
         let m0 = w.sessions.get_mut(&id("m0")).unwrap();
         assert!(
             m0.handle(&forged).is_err(),
@@ -3288,6 +3293,43 @@ mod tests {
         );
         assert_eq!(m0.group_epoch(), Some(epoch), "state unchanged");
         // The honest flow still works afterwards.
+        w.rekey();
+        w.assert_converged();
+    }
+
+    #[test]
+    fn tree_forged_path_update_with_impossible_shape_is_malformed() {
+        // The outer frame is unauthenticated and the next epoch number is
+        // readable from any multicast, so a tree shape that excludes the
+        // member's own leaf (or the updated one) must be refused before
+        // any tree walk runs on it: these shapes used to spin the walk
+        // forever in release builds.
+        let users = names(3);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 950 + i as u64);
+        }
+        let epoch = w.l.epoch().unwrap();
+        let m2 = w.sessions.get_mut(&id("m2")).unwrap();
+        for (leaf_count, updated_leaf) in [
+            (0, 0),
+            (1, 0),
+            (2, 0),
+            (2, 1),
+            (3, 3),
+            (3, u32::MAX),
+            (u32::MAX, 0),
+            ((1 << 30) + 1, 0),
+        ] {
+            assert_eq!(
+                m2.handle(&forged_path_update(epoch + 1, leaf_count, updated_leaf))
+                    .unwrap_err(),
+                CoreError::Rejected(RejectReason::Malformed),
+                "leaf_count {leaf_count}, updated_leaf {updated_leaf}"
+            );
+            assert_eq!(m2.group_epoch(), Some(epoch), "state unchanged");
+        }
         w.rekey();
         w.assert_converged();
     }

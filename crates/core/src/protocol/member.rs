@@ -863,6 +863,17 @@ impl MemberSession {
             // update. Leader-driven resync recovers us.
             return Err(CoreError::Rejected(RejectReason::WrongEpoch));
         }
+        // The frame is still unauthenticated here: bound its tree shape
+        // before any tree math runs on it. Honest updates never shrink
+        // the tree (a reinit travels by `PathSync`), and both leaf slots
+        // must lie inside it.
+        if wire.leaf_count < tree.leaf_count {
+            return Err(CoreError::Rejected(RejectReason::Malformed));
+        }
+        let Some(target) = update_secret_node(tree.leaf_slot, wire.updated_leaf, wire.leaf_count)
+        else {
+            return Err(CoreError::Rejected(RejectReason::Malformed));
+        };
         let path = tree.path_nodes(wire.leaf_count);
         let mut opened: Option<[u8; 32]> = None;
         for (node, sealed) in &wire.ciphers {
@@ -893,7 +904,6 @@ impl MemberSession {
             // desynced tree. Reject without touching state.
             return Err(CoreError::Rejected(RejectReason::BadSeal));
         };
-        let target = update_secret_node(tree.leaf_slot, wire.updated_leaf, wire.leaf_count);
         let root = tree.install_secret(target, &secret, wire.leaf_count);
         let (key, iv) = treekdf::derive_group(&root, wire.epoch);
         let epoch = wire.epoch;

@@ -21,6 +21,60 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; TAG_LEN] {
     HmacSha256::mac(salt, ikm)
 }
 
+/// A pseudorandom key, keyed for expansion: the HMAC pads of the PRK are
+/// absorbed once, so every [`expand`](Prk::expand) of the same key costs
+/// two compressions per output block instead of four.
+#[derive(Clone, Debug)]
+pub struct Prk(HmacSha256);
+
+impl Prk {
+    /// Keys an expansion state with an extracted pseudorandom key.
+    #[must_use]
+    pub fn new(prk: &[u8; TAG_LEN]) -> Self {
+        Prk(HmacSha256::new(prk))
+    }
+
+    /// HKDF-Extract under a salt whose HMAC state is already keyed:
+    /// `salt` must be `HmacSha256::new(salt_bytes)` with nothing absorbed
+    /// yet, which callers with a fixed salt build once and reuse.
+    #[must_use]
+    pub fn extract(salt: &HmacSha256, ikm: &[u8]) -> Self {
+        let mut mac = salt.clone();
+        mac.update(ikm);
+        Prk::new(&mac.finalize())
+    }
+
+    /// Expands into `out.len()` bytes of output keying material bound to
+    /// `info`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidLength`] if `out` is longer than
+    /// [`MAX_OUTPUT_LEN`].
+    pub fn expand(&self, info: &[u8], out: &mut [u8]) -> Result<(), CryptoError> {
+        if out.len() > MAX_OUTPUT_LEN {
+            return Err(CryptoError::InvalidLength {
+                what: "hkdf output",
+                expected: MAX_OUTPUT_LEN,
+                actual: out.len(),
+            });
+        }
+        let mut t = [0u8; TAG_LEN];
+        for (i, chunk) in out.chunks_mut(TAG_LEN).enumerate() {
+            let mut mac = self.0.clone();
+            if i > 0 {
+                mac.update(&t);
+            }
+            mac.update(info);
+            // At most 255 blocks, checked above.
+            mac.update(&[(i + 1) as u8]);
+            t = mac.finalize();
+            chunk.copy_from_slice(&t[..chunk.len()]);
+        }
+        Ok(())
+    }
+}
+
 /// Expands a pseudorandom key into `out.len()` bytes of output keying
 /// material bound to `info`.
 ///
@@ -29,29 +83,7 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; TAG_LEN] {
 /// Returns [`CryptoError::InvalidLength`] if `out` is longer than
 /// [`MAX_OUTPUT_LEN`].
 pub fn expand(prk: &[u8; TAG_LEN], info: &[u8], out: &mut [u8]) -> Result<(), CryptoError> {
-    if out.len() > MAX_OUTPUT_LEN {
-        return Err(CryptoError::InvalidLength {
-            what: "hkdf output",
-            expected: MAX_OUTPUT_LEN,
-            actual: out.len(),
-        });
-    }
-    let mut t: Vec<u8> = Vec::new();
-    let mut offset = 0usize;
-    let mut counter = 1u8;
-    while offset < out.len() {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&t);
-        mac.update(info);
-        mac.update(&[counter]);
-        let block = mac.finalize();
-        let take = (out.len() - offset).min(TAG_LEN);
-        out[offset..offset + take].copy_from_slice(&block[..take]);
-        t = block.to_vec();
-        offset += take;
-        counter = counter.wrapping_add(1);
-    }
-    Ok(())
+    Prk::new(prk).expand(info, out)
 }
 
 /// One-shot extract-then-expand.

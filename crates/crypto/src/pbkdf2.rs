@@ -46,15 +46,20 @@ pub fn pbkdf2(
         });
     }
 
+    // The password's HMAC pads are absorbed once; each iteration resumes
+    // from a copy of that state.
+    let keyed = HmacSha256::new(password);
     for (block_index, chunk) in out.chunks_mut(TAG_LEN).enumerate() {
         let i = (block_index as u32) + 1;
-        let mut mac = HmacSha256::new(password);
+        let mut mac = keyed.clone();
         mac.update(salt);
         mac.update(&i.to_be_bytes());
         let mut u = mac.finalize();
         let mut t = u;
         for _ in 1..iterations {
-            u = HmacSha256::mac(password, &u);
+            let mut mac = keyed.clone();
+            mac.update(&u);
+            u = mac.finalize();
             for (tb, ub) in t.iter_mut().zip(u.iter()) {
                 *tb ^= ub;
             }

@@ -79,112 +79,122 @@ impl Sha256 {
         let mut input = data;
 
         if self.buffer_len > 0 {
-            let need = BLOCK_LEN - self.buffer_len;
-            let take = need.min(input.len());
+            let take = (BLOCK_LEN - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
 
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut tmp = [0u8; BLOCK_LEN];
-            tmp.copy_from_slice(block);
-            self.compress(&tmp);
-            input = rest;
+        let mut blocks = input.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact yields whole blocks"),
+            );
         }
-
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        let rest = blocks.remainder();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Completes the hash and returns the 32-byte digest, consuming the
     /// hasher.
     #[must_use]
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian
+        // message length in bits — written into the block buffer whole,
+        // spilling into a second block when fewer than 9 bytes are free.
+        const LEN_OFFSET: usize = BLOCK_LEN - 8;
         let bit_len = self.total_len.wrapping_mul(8);
-
-        // Padding: 0x80, zeros, then the 64-bit big-endian message length.
-        self.raw_update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.raw_update(&[0]);
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= LEN_OFFSET {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[LEN_OFFSET..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Update that does not count toward the message length (used only for
-    /// padding bytes during finalization).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
+/// One round of the compression function with the working variables
+/// passed in rotated order, so the eight per-round register moves of the
+/// textbook formulation disappear.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add(($e & $f) ^ (!$e & $g))
+            .wrapping_add($kw);
+        $d = $d.wrapping_add(t1);
+        $h = t1
+            .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+    };
+}
+
+/// The FIPS 180-4 §6.2.2 compression function, all 64 rounds unrolled
+/// over a 16-word rolling message schedule (`W[t]` depends only on the
+/// sixteen words before it, so each is extended in place just before its
+/// round).
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4 bytes"));
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for t in 16..64 {
-            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-            w[t] = w[t - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7])
-                .wrapping_add(s1);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+    // `W[t]`: a block word for `t < 16`, afterwards computed into the slot
+    // of the word it retires (`W[t - 16]`). `t` is a literal at every use,
+    // so the branch and the index masks fold away.
+    macro_rules! w {
+        ($t:expr) => {{
+            if $t >= 16 {
+                let w15 = w[($t + 1) & 15];
+                let w2 = w[($t + 14) & 15];
+                w[$t & 15] = w[$t & 15]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[($t + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            }
+            w[$t & 15]
+        }};
+    }
+    macro_rules! rounds8 {
+        ($t:expr) => {
+            round!(a, b, c, d, e, f, g, h, K[$t].wrapping_add(w!($t)));
+            round!(h, a, b, c, d, e, f, g, K[$t + 1].wrapping_add(w!($t + 1)));
+            round!(g, h, a, b, c, d, e, f, K[$t + 2].wrapping_add(w!($t + 2)));
+            round!(f, g, h, a, b, c, d, e, K[$t + 3].wrapping_add(w!($t + 3)));
+            round!(e, f, g, h, a, b, c, d, K[$t + 4].wrapping_add(w!($t + 4)));
+            round!(d, e, f, g, h, a, b, c, K[$t + 5].wrapping_add(w!($t + 5)));
+            round!(c, d, e, f, g, h, a, b, K[$t + 6].wrapping_add(w!($t + 6)));
+            round!(b, c, d, e, f, g, h, a, K[$t + 7].wrapping_add(w!($t + 7)));
+        };
+    }
+    rounds8!(0);
+    rounds8!(8);
+    rounds8!(16);
+    rounds8!(24);
+    rounds8!(32);
+    rounds8!(40);
+    rounds8!(48);
+    rounds8!(56);
 
-        for t in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(big_s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -273,6 +283,43 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), one, "len {len}");
+        }
+    }
+
+    // Digests from an independent implementation (Python's hashlib) of
+    // `data[i] = (7 i + 3) mod 251` at the lengths where padding switches
+    // between one and two trailing blocks.
+    #[test]
+    fn known_answers_at_padding_boundaries() {
+        let expect = [
+            (
+                55usize,
+                "1deace58c745f3ecadde68a5923f494c3703fa73f0306483ccb898a5826e8d70",
+            ),
+            (
+                56,
+                "06dbe23685750e4d3881ded95047abaf93fa8f9c5d3501dc57c717a72ff1398e",
+            ),
+            (
+                63,
+                "47fb38b12335c9298d09280515c0666489a189d1554bb0ac1a0740806ce9d8b6",
+            ),
+            (
+                64,
+                "dfa798724b1a8014994f363e5da7474ed26ce3757fb29e07aa47ad5a9352d37b",
+            ),
+            (
+                119,
+                "c6e0f435df5d7d265baacca31e0602c00aa22fa6d3819aed664649294c743756",
+            ),
+            (
+                120,
+                "17eb8960823a644bde3065620bb9d45931fe8993fd8eb692a17aff0fd725db6a",
+            ),
+        ];
+        for (len, digest) in expect {
+            let data: Vec<u8> = (0..len).map(|i| ((i * 7 + 3) % 251) as u8).collect();
+            assert_eq!(hex(&sha256(&data)), digest, "len {len}");
         }
     }
 

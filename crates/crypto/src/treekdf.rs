@@ -16,8 +16,18 @@
 //! matching path node up to the root, while members outside that subtree
 //! learn nothing. All derivations are RFC 5869 HKDF-SHA-256 with distinct
 //! `info` labels, mirroring RFC 9420's `DeriveSecret` labels.
+//!
+//! Every derivation from one secret shares one extracted PRK: the
+//! `TREE_SALT` HMAC state is keyed once per process and the PRK's once
+//! per secret, so [`derive_step`] — one tree level — costs 8 SHA-256
+//! compressions (2 extract, 2 PRK keying, 2 per expand) where two
+//! independent [`crate::hkdf::derive`] calls cost 16. The outputs are
+//! exactly those calls' outputs.
 
-use crate::hkdf;
+use std::sync::OnceLock;
+
+use crate::hkdf::Prk;
+use crate::hmac::HmacSha256;
 
 /// Domain-separation salt for every tree derivation.
 const TREE_SALT: &[u8] = b"enclaves treekem v1";
@@ -25,23 +35,42 @@ const TREE_SALT: &[u8] = b"enclaves treekem v1";
 /// Size of path secrets and node keys.
 pub const SECRET_LEN: usize = 32;
 
+const NODE_KEY_INFO: &[u8] = b"node key";
+const PATH_SECRET_INFO: &[u8] = b"path secret";
+
+/// HKDF-Extract of `secret` under [`TREE_SALT`].
+fn tree_prk(secret: &[u8; SECRET_LEN]) -> Prk {
+    static SALT: OnceLock<HmacSha256> = OnceLock::new();
+    Prk::extract(SALT.get_or_init(|| HmacSha256::new(TREE_SALT)), secret)
+}
+
+fn expand<const N: usize>(prk: &Prk, info: &[u8]) -> [u8; N] {
+    let mut out = [0u8; N];
+    prk.expand(info, &mut out)
+        .expect("key-sized output is within HKDF bounds");
+    out
+}
+
+/// One tree level: the node key stored at a path node and the path secret
+/// of that node's parent, both from the node's own path secret. Equal to
+/// `(derive_node_key(s), derive_path_secret(s))` at half the cost.
+#[must_use]
+pub fn derive_step(path_secret: &[u8; SECRET_LEN]) -> ([u8; SECRET_LEN], [u8; SECRET_LEN]) {
+    let prk = tree_prk(path_secret);
+    (expand(&prk, NODE_KEY_INFO), expand(&prk, PATH_SECRET_INFO))
+}
+
 /// Derives the node key stored at a path node from that node's path secret.
 #[must_use]
 pub fn derive_node_key(path_secret: &[u8; SECRET_LEN]) -> [u8; SECRET_LEN] {
-    let mut out = [0u8; SECRET_LEN];
-    hkdf::derive(TREE_SALT, path_secret, b"node key", &mut out)
-        .expect("32-byte output is within HKDF bounds");
-    out
+    expand(&tree_prk(path_secret), NODE_KEY_INFO)
 }
 
 /// Derives the parent's path secret from a child's path secret (the
 /// "derive up" step members apply after unsealing their copath secret).
 #[must_use]
 pub fn derive_path_secret(path_secret: &[u8; SECRET_LEN]) -> [u8; SECRET_LEN] {
-    let mut out = [0u8; SECRET_LEN];
-    hkdf::derive(TREE_SALT, path_secret, b"path secret", &mut out)
-        .expect("32-byte output is within HKDF bounds");
-    out
+    expand(&tree_prk(path_secret), PATH_SECRET_INFO)
 }
 
 /// Derives the epoch group key and broadcast IV from the tree root key.
@@ -50,19 +79,20 @@ pub fn derive_path_secret(path_secret: &[u8; SECRET_LEN]) -> [u8; SECRET_LEN] {
 /// root under a new epoch (or vice versa) yields unrelated traffic keys.
 #[must_use]
 pub fn derive_group(root_key: &[u8; SECRET_LEN], epoch: u64) -> ([u8; SECRET_LEN], [u8; 12]) {
-    let mut info = Vec::with_capacity(24);
-    info.extend_from_slice(b"group key epoch ");
-    info.extend_from_slice(&epoch.to_be_bytes());
-    let mut key = [0u8; SECRET_LEN];
-    hkdf::derive(TREE_SALT, root_key, &info, &mut key)
-        .expect("32-byte output is within HKDF bounds");
-    info.clear();
-    info.extend_from_slice(b"group iv epoch ");
-    info.extend_from_slice(&epoch.to_be_bytes());
-    let mut iv = [0u8; 12];
-    hkdf::derive(TREE_SALT, root_key, &info, &mut iv)
-        .expect("12-byte output is within HKDF bounds");
-    (key, iv)
+    let prk = tree_prk(root_key);
+    (
+        expand(&prk, &epoch_info::<24>(b"group key epoch ", epoch)),
+        expand(&prk, &epoch_info::<23>(b"group iv epoch ", epoch)),
+    )
+}
+
+/// `label ‖ epoch` (big-endian) as a fixed-size `info` string.
+fn epoch_info<const N: usize>(label: &[u8], epoch: u64) -> [u8; N] {
+    let mut info = [0u8; N];
+    let (head, tail) = info.split_at_mut(N - 8);
+    head.copy_from_slice(label);
+    tail.copy_from_slice(&epoch.to_be_bytes());
+    info
 }
 
 #[cfg(test)]
@@ -135,5 +165,50 @@ mod tests {
             a2 = derive_path_secret(&a2);
         }
         assert_eq!(a, a2);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::hkdf;
+    use proptest::prelude::*;
+
+    fn reference<const N: usize>(secret: &[u8; SECRET_LEN], info: &[u8]) -> [u8; N] {
+        let mut out = [0u8; N];
+        hkdf::derive(TREE_SALT, secret, info, &mut out).unwrap();
+        out
+    }
+
+    proptest! {
+        // The fused, state-cached schedule is the RFC 5869 one: every
+        // output equals an independent extract-then-expand.
+        #[test]
+        fn fused_step_equals_reference_derives(
+            secret in proptest::array::uniform32(any::<u8>()),
+        ) {
+            let expect = (
+                reference(&secret, b"node key"),
+                reference(&secret, b"path secret"),
+            );
+            prop_assert_eq!(derive_step(&secret), expect);
+            prop_assert_eq!(derive_node_key(&secret), expect.0);
+            prop_assert_eq!(derive_path_secret(&secret), expect.1);
+        }
+
+        #[test]
+        fn group_derivation_equals_reference_derives(
+            root in proptest::array::uniform32(any::<u8>()),
+            epoch in any::<u64>(),
+        ) {
+            let mut key_info = b"group key epoch ".to_vec();
+            key_info.extend_from_slice(&epoch.to_be_bytes());
+            let mut iv_info = b"group iv epoch ".to_vec();
+            iv_info.extend_from_slice(&epoch.to_be_bytes());
+            prop_assert_eq!(
+                derive_group(&root, epoch),
+                (reference(&root, &key_info), reference(&root, &iv_info))
+            );
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::codec::{Decode, Encode, Reader, WireError, Writer};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum length of an actor identifier in bytes.
 pub const MAX_ACTOR_ID_LEN: usize = 64;
@@ -17,7 +18,7 @@ pub const MAX_ACTOR_ID_LEN: usize = 64;
 /// # Ok::<(), enclaves_wire::WireError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ActorId(String);
+pub struct ActorId(Arc<str>);
 
 impl ActorId {
     /// Creates an identifier after validating length and characters.
@@ -28,13 +29,15 @@ impl ActorId {
     /// than [`MAX_ACTOR_ID_LEN`] bytes, or contains control characters.
     pub fn new(name: impl Into<String>) -> Result<Self, WireError> {
         let name = name.into();
-        if name.is_empty() || name.len() > MAX_ACTOR_ID_LEN {
+        Self::validate(&name)?;
+        Ok(ActorId(name.into()))
+    }
+
+    fn validate(name: &str) -> Result<(), WireError> {
+        if name.is_empty() || name.len() > MAX_ACTOR_ID_LEN || name.chars().any(char::is_control) {
             return Err(WireError::InvalidActorId);
         }
-        if name.chars().any(char::is_control) {
-            return Err(WireError::InvalidActorId);
-        }
-        Ok(ActorId(name))
+        Ok(())
     }
 
     /// The identifier as a string slice.
@@ -74,7 +77,8 @@ impl Decode for ActorId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.take_bytes()?;
         let s = std::str::from_utf8(bytes).map_err(|_| WireError::InvalidActorId)?;
-        ActorId::new(s)
+        Self::validate(s)?;
+        Ok(ActorId(s.into()))
     }
 }
 

@@ -14,6 +14,7 @@
 
 use crate::codec::{Decode, Encode, Reader, WireError, Writer};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum length of a group identifier in bytes.
 pub const MAX_GROUP_ID_LEN: usize = 64;
@@ -29,7 +30,7 @@ pub const MAX_GROUP_ID_LEN: usize = 64;
 /// # Ok::<(), enclaves_wire::WireError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GroupId(String);
+pub struct GroupId(Arc<str>);
 
 impl GroupId {
     /// Creates an identifier after validating length and characters.
@@ -40,13 +41,15 @@ impl GroupId {
     /// than [`MAX_GROUP_ID_LEN`] bytes, or contains control characters.
     pub fn new(name: impl Into<String>) -> Result<Self, WireError> {
         let name = name.into();
-        if name.is_empty() || name.len() > MAX_GROUP_ID_LEN {
+        Self::validate(&name)?;
+        Ok(GroupId(name.into()))
+    }
+
+    fn validate(name: &str) -> Result<(), WireError> {
+        if name.is_empty() || name.len() > MAX_GROUP_ID_LEN || name.chars().any(char::is_control) {
             return Err(WireError::InvalidGroupId);
         }
-        if name.chars().any(char::is_control) {
-            return Err(WireError::InvalidGroupId);
-        }
-        Ok(GroupId(name))
+        Ok(())
     }
 
     /// The identifier as a string slice.
@@ -86,7 +89,8 @@ impl Decode for GroupId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let bytes = r.take_bytes()?;
         let s = std::str::from_utf8(bytes).map_err(|_| WireError::InvalidGroupId)?;
-        GroupId::new(s)
+        Self::validate(s)?;
+        Ok(GroupId(s.into()))
     }
 }
 

@@ -6,13 +6,16 @@
 //! mutates state), which lets one shared world absorb every generated
 //! case.
 
-use enclaves_bench::{member_id, ImprovedGroup};
+use enclaves_bench::{leader_id, member_id, FanoutGroup, ImprovedGroup};
 use enclaves_core::config::RekeyPolicy;
+use enclaves_core::protocol::MemberEvent;
 use enclaves_wire::codec::{decode, encode};
-use enclaves_wire::message::{Envelope, MsgType};
+use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, SealedBody};
 use enclaves_wire::ActorId;
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
 /// A joined 2-member world plus a captured valid AdminMsg and GroupData
 /// frame (as encoded bytes).
@@ -195,4 +198,78 @@ fn relabeled_and_readdressed_frames_rejected() {
         ..env
     };
     assert!(fx.world.members[1].handle(&readdressed).is_err());
+}
+
+/// Either a value near the 3-leaf fixture tree or anything at all.
+fn tree_u32() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..8, any::<u32>()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // Not a `#[test]`: `forged_path_updates_are_inert_and_bounded` runs it
+    // on a watched thread, because the failure it guards against is a hang.
+    //
+    // A tree-mode member at leaf 2 of a 3-leaf tree is fed `PathUpdate`
+    // frames whose cleartext shape — epoch, leaf count, updated leaf,
+    // addressed nodes — is attacker-chosen and whose seals are garbage.
+    // None may be accepted, and after each the member still holds the
+    // current epoch and key (a fresh leader broadcast opens).
+    fn forged_path_update_cases(
+        epoch_delta in 0u64..3,
+        leaf_count in tree_u32(),
+        updated_leaf in tree_u32(),
+        nodes in proptest::collection::vec(tree_u32(), 0..6),
+    ) {
+        let mut world = FanoutGroup::new_tree(3);
+        let epoch = world.leader.epoch().unwrap();
+        prop_assert_eq!(world.members[2].group_epoch(), Some(epoch));
+        let forged = Envelope {
+            msg_type: MsgType::PathUpdate,
+            sender: leader_id(),
+            recipient: leader_id(),
+            group: None,
+            body: encode(&PathUpdateWire {
+                epoch: epoch + epoch_delta,
+                leaf_count,
+                updated_leaf,
+                ciphers: nodes
+                    .into_iter()
+                    .map(|node| (node, SealedBody { nonce: [7; 12], ciphertext: vec![0x55; 48] }))
+                    .collect(),
+            }),
+        };
+        match world.members[2].handle(&forged) {
+            Ok(out) => prop_assert!(out.events.is_empty(), "forged path update took effect"),
+            Err(e) => prop_assert!(e.is_rejection(), "unexpected error class: {e}"),
+        }
+        prop_assert_eq!(world.members[2].group_epoch(), Some(epoch));
+        let probe: Envelope =
+            decode(&world.leader.broadcast_group_data(b"probe").unwrap().frame).unwrap();
+        let out = world.members[2].handle(&probe).expect("current key still opens");
+        prop_assert!(matches!(&out.events[..], [MemberEvent::Broadcast { data, .. }] if data == b"probe"));
+
+        // The honest flow still converges afterwards.
+        let update: Envelope = decode(&world.rekey_tree().frame).unwrap();
+        world.members[2].handle(&update).expect("honest path update accepted");
+        prop_assert_eq!(world.members[2].group_epoch(), world.leader.epoch());
+    }
+}
+
+/// Forged tree shapes never hang, never panic and never move state.
+#[test]
+fn forged_path_updates_are_inert_and_bounded() {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        forged_path_update_cases();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(120)) {
+        Err(RecvTimeoutError::Timeout) => panic!("a forged PathUpdate hung the member"),
+        // Finished, or panicked and dropped the sender: surface either.
+        _ => worker
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+    }
 }
