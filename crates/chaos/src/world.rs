@@ -20,7 +20,7 @@ use enclaves_net::Listener;
 use enclaves_obs::{EventStream, ProtocolEvent, Registry, Snapshot};
 use enclaves_verify::live::{check_trace, LiveEvent, Violation};
 use enclaves_verify::obs::obs_trace;
-use enclaves_wire::{ActorId, GroupId};
+use enclaves_wire::{ActorId, GroupId, Roster};
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -163,19 +163,19 @@ struct MemberSlot {
 /// execute/finalize machinery drives a single-group [`LeaderRuntime`] or
 /// one [`GroupHandle`] of a multi-enclave [`LeaderService`].
 trait LeaderOps {
-    fn roster(&self) -> Vec<ActorId>;
+    fn roster(&self) -> Roster;
     fn epoch(&self) -> Option<u64>;
     fn quiesced(&self) -> bool;
     fn expel(&self, user: &ActorId) -> Result<(), CoreError>;
     fn rekey(&self) -> Result<(), CoreError>;
-    fn broadcast(&self, data: &[u8]) -> Result<Vec<ActorId>, CoreError>;
+    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError>;
     fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError>;
     /// The enclave tag member sessions must join under.
     fn group(&self) -> Option<&GroupId>;
 }
 
 impl LeaderOps for LeaderRuntime {
-    fn roster(&self) -> Vec<ActorId> {
+    fn roster(&self) -> Roster {
         LeaderRuntime::roster(self)
     }
     fn epoch(&self) -> Option<u64> {
@@ -190,7 +190,7 @@ impl LeaderOps for LeaderRuntime {
     fn rekey(&self) -> Result<(), CoreError> {
         LeaderRuntime::rekey(self)
     }
-    fn broadcast(&self, data: &[u8]) -> Result<Vec<ActorId>, CoreError> {
+    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
         LeaderRuntime::broadcast(self, data)
     }
     fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
@@ -202,7 +202,7 @@ impl LeaderOps for LeaderRuntime {
 }
 
 impl LeaderOps for GroupHandle {
-    fn roster(&self) -> Vec<ActorId> {
+    fn roster(&self) -> Roster {
         GroupHandle::roster(self)
     }
     fn epoch(&self) -> Option<u64> {
@@ -217,7 +217,7 @@ impl LeaderOps for GroupHandle {
     fn rekey(&self) -> Result<(), CoreError> {
         GroupHandle::rekey(self)
     }
-    fn broadcast(&self, data: &[u8]) -> Result<Vec<ActorId>, CoreError> {
+    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
         GroupHandle::broadcast(self, data)
     }
     fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
@@ -1338,7 +1338,7 @@ fn finalize(
     // Clear slots of members the driver knows are gone (crashed, or a
     // departure whose Close was lost to the chaos): the leader would
     // otherwise retransmit to them forever and never quiesce.
-    let roster: Vec<ActorId> = leader.roster();
+    let roster = leader.roster();
     for slot in members.iter_mut() {
         let live = slot.runtime.is_some();
         if !live && roster.contains(&slot.id) {

@@ -9,8 +9,7 @@
 
 use enclaves_crypto::keys::GroupKey;
 use enclaves_crypto::rng::CryptoRng;
-use enclaves_wire::ActorId;
-use std::collections::BTreeSet;
+use enclaves_wire::{ActorId, Roster};
 
 /// The group key together with its epoch and initialization vector.
 #[derive(Clone, Debug)]
@@ -52,8 +51,9 @@ impl GroupEpoch {
 /// The leader's view of the group.
 #[derive(Debug)]
 pub struct GroupState {
-    /// Current members.
-    roster: BTreeSet<ActorId>,
+    /// Current members: the one snapshot every `Welcome`, recipient list
+    /// and accessor shares, replaced (never edited) on join and leave.
+    roster: Roster,
     /// Current key epoch (generated lazily when the first member joins,
     /// per Section 2.2: "the group leader generates a first group key when
     /// the first member is accepted").
@@ -76,18 +76,24 @@ impl GroupState {
     /// An empty group with no key yet.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_roster(Roster::new())
+    }
+
+    /// A group already holding `roster`, with no key yet.
+    #[must_use]
+    pub fn with_roster(roster: Roster) -> Self {
         GroupState {
-            roster: BTreeSet::new(),
+            roster,
             current: None,
             traffic_since_rekey: 0,
             broadcast_seq: 0,
         }
     }
 
-    /// The current members, sorted.
+    /// The current members, sorted: a shared snapshot, `O(1)` to take.
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
-        self.roster.iter().cloned().collect()
+    pub fn roster(&self) -> Roster {
+        self.roster.clone()
     }
 
     /// True if `user` is currently a member.
@@ -116,8 +122,8 @@ impl GroupState {
 
     /// Adds a member, creating the first group key if needed. Returns the
     /// epoch in force after the join (before any policy-driven rekey).
-    pub fn join<R: CryptoRng + ?Sized>(&mut self, user: ActorId, rng: &mut R) -> &GroupEpoch {
-        self.roster.insert(user);
+    pub fn join<R: CryptoRng + ?Sized>(&mut self, user: &ActorId, rng: &mut R) -> &GroupEpoch {
+        self.roster = self.roster.with(user);
         if self.current.is_none() {
             self.current = Some(GroupEpoch::first(rng));
         }
@@ -126,7 +132,9 @@ impl GroupState {
 
     /// Removes a member; returns whether it was present.
     pub fn leave(&mut self, user: &ActorId) -> bool {
-        self.roster.remove(user)
+        let present = self.roster.contains(user);
+        self.roster = self.roster.without(user);
+        present
     }
 
     /// Rotates the group key. Returns the new epoch.
@@ -259,7 +267,7 @@ mod tests {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
         assert!(g.current_epoch().is_none());
-        let epoch = g.join(id("alice"), &mut rng).epoch;
+        let epoch = g.join(&id("alice"), &mut rng).epoch;
         assert_eq!(epoch, 1);
         assert!(g.is_member(&id("alice")));
         assert_eq!(g.len(), 1);
@@ -269,8 +277,8 @@ mod tests {
     fn second_join_keeps_epoch() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
-        let epoch = g.join(id("bob"), &mut rng).epoch;
+        g.join(&id("alice"), &mut rng);
+        let epoch = g.join(&id("bob"), &mut rng).epoch;
         assert_eq!(epoch, 1, "join itself does not rekey; the policy does");
     }
 
@@ -278,7 +286,7 @@ mod tests {
     fn rekey_rotates_key_and_epoch() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        let k1 = g.join(id("alice"), &mut rng).key.clone();
+        let k1 = g.join(&id("alice"), &mut rng).key.clone();
         let e2 = g.rekey(&mut rng);
         assert_eq!(e2.epoch, 2);
         assert_ne!(&k1, &e2.key);
@@ -295,7 +303,7 @@ mod tests {
     fn leave_removes_member() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
+        g.join(&id("alice"), &mut rng);
         assert!(g.leave(&id("alice")));
         assert!(!g.leave(&id("alice")));
         assert!(g.is_empty());
@@ -307,7 +315,7 @@ mod tests {
     fn traffic_counter_resets_on_rekey() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
+        g.join(&id("alice"), &mut rng);
         assert_eq!(g.count_traffic(), 1);
         assert_eq!(g.count_traffic(), 2);
         g.rekey(&mut rng);
@@ -318,7 +326,7 @@ mod tests {
     fn broadcast_seq_resets_on_rekey() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
+        g.join(&id("alice"), &mut rng);
         assert_eq!(g.next_broadcast_seq(), 0);
         assert_eq!(g.next_broadcast_seq(), 1);
         assert_eq!(g.next_broadcast_seq(), 2);
@@ -349,7 +357,7 @@ mod tests {
     fn install_epoch_jumps_forward_only() {
         let mut rng = SeededRng::from_seed(3);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
+        g.join(&id("alice"), &mut rng);
         g.count_traffic();
         g.next_broadcast_seq();
         g.install_fresh_epoch(7, &mut rng);
@@ -364,7 +372,7 @@ mod tests {
     fn install_epoch_rejects_rewind() {
         let mut rng = SeededRng::from_seed(3);
         let mut g = GroupState::new();
-        g.join(id("alice"), &mut rng);
+        g.join(&id("alice"), &mut rng);
         g.install_fresh_epoch(5, &mut rng);
         g.install_fresh_epoch(5, &mut rng);
     }
@@ -387,9 +395,13 @@ mod tests {
     fn roster_is_sorted() {
         let mut rng = SeededRng::from_seed(1);
         let mut g = GroupState::new();
-        g.join(id("zed"), &mut rng);
-        g.join(id("alice"), &mut rng);
-        g.join(id("mid"), &mut rng);
-        assert_eq!(g.roster(), vec![id("alice"), id("mid"), id("zed")]);
+        g.join(&id("zed"), &mut rng);
+        g.join(&id("alice"), &mut rng);
+        g.join(&id("mid"), &mut rng);
+        assert_eq!(
+            g.roster().iter().collect::<Vec<_>>(),
+            ["alice", "mid", "zed"]
+        );
+        assert!(g.roster().ptr_eq(&g.roster()), "snapshots are shared");
     }
 }

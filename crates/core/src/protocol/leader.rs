@@ -23,7 +23,7 @@ use enclaves_wire::message::{
     AuthInitPlain, ClosePlain, Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain,
     KeyDistPlain, MsgType, NonceAckPlain, PathUpdateWire, SealedBody,
 };
-use enclaves_wire::{ActorId, GroupId};
+use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -222,8 +222,9 @@ impl LeaderObs {
 pub struct BroadcastFrame {
     /// The encoded envelope, ready for any link.
     pub frame: Arc<[u8]>,
-    /// The members the frame must be delivered to.
-    pub recipients: Vec<ActorId>,
+    /// The members the frame must be delivered to: the roster snapshot
+    /// the frame was built against, shared, not copied.
+    pub recipients: Roster,
     /// The group-key epoch the payload was sealed under.
     pub epoch: u64,
     /// The per-epoch broadcast sequence number.
@@ -242,12 +243,10 @@ pub struct SealJob {
     pub member: ActorId,
     session_key: SessionKey,
     seq: AeadNonce,
-    aad: Vec<u8>,
     plain: AdminPlain,
     leader_nonce: ProtocolNonce,
-    /// Enclave tag for the sealed envelope's header; must match the tag
-    /// baked into `aad` at stage time so the receiver's recomputed
-    /// header AAD agrees with the seal.
+    /// Enclave tag for the sealed envelope's header (and so for the AAD
+    /// the seal binds).
     group: Option<GroupId>,
 }
 
@@ -456,10 +455,23 @@ impl LeaderCore {
         self.enclave.as_ref()
     }
 
-    /// Current members.
+    /// Current members: the shared snapshot, `O(1)` to take.
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
+    pub fn roster(&self) -> Roster {
         self.group.roster()
+    }
+
+    /// The id under which roster member `name` holds a slot — a refcount
+    /// bump on the key the map already owns. `None` for a member without
+    /// a session (recovered from the journal, not yet re-admitted).
+    fn slot_id(&self, name: &str) -> Option<ActorId> {
+        self.slots.get_key_value(name).map(|(id, _)| id.clone())
+    }
+
+    /// True when one more member would no longer fit the group: the
+    /// configured size, capped by what a `Welcome` can carry.
+    fn roster_full(&self) -> bool {
+        self.group.len() >= self.config.max_members.min(MAX_ROSTER_LEN)
     }
 
     /// The current group-key epoch (None before the first join).
@@ -576,7 +588,7 @@ impl LeaderCore {
             }
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
         }
-        if self.group.len() >= self.config.max_members {
+        if self.roster_full() {
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
         }
         let Some(long_term) = self.directory.lookup(&user) else {
@@ -657,6 +669,13 @@ impl LeaderCore {
         if plain.acked_nonce != expected {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
+        // Handshakes admitted while there was still room can outnumber
+        // the room: the late one is turned away here, before any state
+        // it could never be welcomed into.
+        if self.roster_full() && !self.group.is_member(&user) {
+            self.slots.remove(&user);
+            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
+        }
 
         // The user is now a member (paper: "L accepts A as a member when
         // the system enters a state where lead_A(q) = Connected").
@@ -683,6 +702,11 @@ impl LeaderCore {
             ..LeaderOutput::default()
         };
 
+        // Everyone but the joiner: the snapshot from before the join (less
+        // the joiner itself on a re-admission, where the recovered roster
+        // already lists it).
+        let others = self.group.roster().without(&user);
+
         // Apply the membership transition over a recorded RNG tape, then
         // commit it to the journal *before* any frame is staged: a crash
         // after this point replays to exactly this state.
@@ -701,7 +725,7 @@ impl LeaderCore {
         let rekeyed = match outcome {
             JoinOutcome::Tree { plan, epoch } => {
                 self.obs.rekeys.inc();
-                output.merge(self.tree_join_fanout(&user, &plan, epoch)?);
+                output.merge(self.tree_join_fanout(&user, &plan, epoch, others)?);
                 return Ok(output);
             }
             JoinOutcome::Flat { rekeyed } => {
@@ -741,13 +765,10 @@ impl LeaderCore {
         // configuration (large benchmark groups).
         let notices = self.config.membership_notices;
         if notices || rekeyed {
-            let others: Vec<ActorId> = self
-                .group
-                .roster()
-                .into_iter()
-                .filter(|m| *m != user)
-                .collect();
-            for other in others {
+            for name in others.iter() {
+                let Some(other) = self.slot_id(name) else {
+                    continue;
+                };
                 if notices {
                     output.merge(self.enqueue_admin_connected(
                         &other,
@@ -776,6 +797,7 @@ impl LeaderCore {
         user: &ActorId,
         plan: &PathUpdatePlan,
         epoch: u64,
+        others: Roster,
     ) -> Result<LeaderOutput, CoreError> {
         let mut output = LeaderOutput::default();
         // The Welcome carries the fresh epoch's key so the joiner is live
@@ -796,19 +818,18 @@ impl LeaderCore {
         output.merge(self.stage_path_sync_serial(user)?);
 
         if self.config.membership_notices {
-            let others: Vec<ActorId> = self
-                .group
-                .roster()
-                .into_iter()
-                .filter(|m| m != user)
-                .collect();
-            for other in others {
+            for name in others.iter() {
+                let Some(other) = self.slot_id(name) else {
+                    continue;
+                };
                 output.merge(
                     self.enqueue_admin_connected(&other, AdminPayload::MemberJoined(user.clone()))?,
                 );
             }
         }
-        if let Some(frame) = self.build_path_update_frame(plan, epoch, Some(user)) {
+        // The joiner holds none of the sealing node keys (its `PathSync`
+        // covers it), so the update goes to everyone else.
+        if let Some(frame) = self.build_path_update_frame(plan, epoch, others) {
             output.broadcasts.push(frame);
         }
         self.obs.emit(|| EventKind::Rekeyed { epoch });
@@ -849,21 +870,13 @@ impl LeaderCore {
     /// Seals a path-refresh plan into a single `PathUpdate` multicast
     /// frame: one AEAD seal per copath resolution node (`O(log N)` on a
     /// dense tree), each bound by [`path_update_aad`]. Returns `None` when
-    /// nobody would receive it. `exclude` drops the refreshed member from
-    /// the recipient list on joins — the joiner holds none of the sealing
-    /// node keys; its `PathSync` covers it.
+    /// nobody would receive it.
     fn build_path_update_frame(
         &mut self,
         plan: &PathUpdatePlan,
         epoch: u64,
-        exclude: Option<&ActorId>,
+        recipients: Roster,
     ) -> Option<BroadcastFrame> {
-        let recipients: Vec<ActorId> = self
-            .group
-            .roster()
-            .into_iter()
-            .filter(|m| Some(m) != exclude)
-            .collect();
         if recipients.is_empty() {
             return None;
         }
@@ -1024,7 +1037,7 @@ impl LeaderCore {
             DepartOutcome::TreeEmpty => Ok(fanout),
             DepartOutcome::Tree { plan, epoch } => {
                 self.obs.rekeys.inc();
-                fanout.broadcast = self.build_path_update_frame(&plan, epoch, None);
+                fanout.broadcast = self.build_path_update_frame(&plan, epoch, self.group.roster());
                 self.obs.emit(|| EventKind::Rekeyed { epoch });
                 fanout.events.push(LeaderEvent::Rekeyed(epoch));
                 Ok(fanout)
@@ -1051,7 +1064,11 @@ impl LeaderCore {
 
                 let notices = self.config.membership_notices;
                 if notices || rekeyed {
-                    for other in self.group.roster() {
+                    let roster = self.group.roster();
+                    for name in roster.iter() {
+                        let Some(other) = self.slot_id(name) else {
+                            continue;
+                        };
                         if notices {
                             fanout.jobs.extend(self.stage_admin_connected(
                                 &other,
@@ -1087,7 +1104,11 @@ impl LeaderCore {
         epoch: u64,
         fanout: &mut AdminFanout,
     ) -> Result<(), CoreError> {
-        for member in self.group.roster() {
+        let roster = self.group.roster();
+        for name in roster.iter() {
+            let Some(member) = self.slot_id(name) else {
+                continue;
+            };
             let Some((e, payload)) = self.path_sync_payload(&member) else {
                 continue;
             };
@@ -1135,10 +1156,11 @@ impl LeaderCore {
         }
 
         let mut output = LeaderOutput::default();
-        for member in self.group.roster() {
-            if member == user {
+        let roster = self.group.roster();
+        for name in roster.iter().filter(|n| *n != user.as_str()) {
+            let Some(member) = self.slot_id(name) else {
                 continue;
-            }
+            };
             output.outgoing.push(Envelope {
                 msg_type: MsgType::GroupData,
                 sender: user.clone(),
@@ -1325,14 +1347,6 @@ impl LeaderCore {
         }
         let leader_nonce = ProtocolNonce::generate(self.rng.as_mut());
         let seq = channel.send_seq.next()?;
-        let aad = Envelope {
-            msg_type: MsgType::AdminMsg,
-            sender: leader.clone(),
-            recipient: user.clone(),
-            group: enclave.clone(),
-            body: Vec::new(),
-        }
-        .header_aad();
         let plain = AdminPlain {
             leader,
             user: user.clone(),
@@ -1355,7 +1369,6 @@ impl LeaderCore {
             member: user.clone(),
             session_key: channel.session_key.clone(),
             seq,
-            aad,
             plain,
             leader_nonce,
             group: enclave,
@@ -1372,8 +1385,9 @@ impl LeaderCore {
             group: job.group.clone(),
             body: Vec::new(),
         };
-        env.body = seal(job.session_key.as_bytes(), job.seq, &job.aad, &job.plain);
-        let frame: Arc<[u8]> = encode(&env).into();
+        let frame: Arc<[u8]> = env
+            .seal_body(job.session_key.as_bytes(), job.seq, &job.plain)
+            .into();
         SealedAdminFrame {
             member: job.member.clone(),
             leader_nonce: job.leader_nonce,
@@ -1674,7 +1688,7 @@ impl LeaderCore {
                 // seals, `O(log N)` AEAD work. The refreshed member follows
                 // from the broadcast too: its first seal targets its own
                 // leaf key.
-                fanout.broadcast = self.build_path_update_frame(&plan, epoch, None);
+                fanout.broadcast = self.build_path_update_frame(&plan, epoch, self.group.roster());
                 self.obs.emit(|| EventKind::Rekeyed { epoch });
                 fanout.events.push(LeaderEvent::Rekeyed(epoch));
             }
@@ -1686,7 +1700,11 @@ impl LeaderCore {
                     iv: epoch.iv,
                 };
                 let epoch_num = epoch.epoch;
-                for member in self.group.roster() {
+                let roster = self.group.roster();
+                for name in roster.iter() {
+                    let Some(member) = self.slot_id(name) else {
+                        continue;
+                    };
                     fanout
                         .jobs
                         .extend(self.stage_admin_connected(&member, payload.clone())?);
@@ -1724,9 +1742,12 @@ impl LeaderCore {
         let shared: Arc<[u8]> = data.into();
         let mut fanout = AdminFanout::default();
         let recipients = self.group.roster();
-        for member in &recipients {
+        for name in recipients.iter() {
+            let Some(member) = self.slot_id(name) else {
+                continue;
+            };
             fanout.jobs.extend(
-                self.stage_admin_connected(member, AdminPayload::AppData(Arc::clone(&shared)))?,
+                self.stage_admin_connected(&member, AdminPayload::AppData(Arc::clone(&shared)))?,
             );
         }
         self.obs.emit(|| EventKind::AdminSend {
@@ -1981,8 +2002,8 @@ impl LeaderCore {
     #[must_use]
     pub fn durable_digest(&self) -> [u8; 32] {
         let mut bytes = Vec::new();
-        for member in self.group.roster() {
-            bytes.extend_from_slice(member.as_str().as_bytes());
+        for name in self.group.roster().iter() {
+            bytes.extend_from_slice(name.as_bytes());
             bytes.push(0);
         }
         let stamp = stamp_of(&self.group);
@@ -2052,7 +2073,7 @@ fn apply_join(
     user: &ActorId,
     rng: &mut dyn CryptoRng,
 ) -> JoinOutcome {
-    group.join(user.clone(), rng);
+    group.join(user, rng);
     if let Some(tree) = tree.as_mut() {
         // A re-admission — the member survived in the recovered roster
         // and tree while its session died with the old leader — refreshes
@@ -2242,9 +2263,9 @@ mod tests {
         let events = pump(&mut l, &mut alice, init);
         assert!(events.contains(&MemberEvent::SessionEstablished));
         assert!(events.iter().any(
-            |e| matches!(e, MemberEvent::Welcomed { roster, .. } if roster == &vec![id("alice")])
+            |e| matches!(e, MemberEvent::Welcomed { roster, .. } if *roster == Roster::from_iter([id("alice")]))
         ));
-        assert_eq!(l.roster(), vec![id("alice")]);
+        assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
         assert_eq!(alice.group_epoch(), Some(1));
     }
 
@@ -2320,8 +2341,8 @@ mod tests {
             .any(|e| matches!(e, MemberEvent::Welcomed { epoch: 2, .. })));
         assert_eq!(alice.group_epoch(), Some(2));
         assert_eq!(bob.group_epoch(), Some(2));
-        assert_eq!(alice.roster(), vec![id("alice"), id("bob")]);
-        assert_eq!(bob.roster(), vec![id("alice"), id("bob")]);
+        assert_eq!(alice.roster(), Roster::from_iter([id("alice"), id("bob")]));
+        assert_eq!(bob.roster(), Roster::from_iter([id("alice"), id("bob")]));
     }
 
     #[test]
@@ -2334,7 +2355,7 @@ mod tests {
             l.handle(&init),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
-        assert_eq!(l.roster(), vec![id("alice")]);
+        assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
     }
 
     #[test]
@@ -2386,7 +2407,7 @@ mod tests {
         let close = bob.leave().unwrap();
         let out = l.handle(&close).unwrap();
         assert!(out.events.contains(&LeaderEvent::MemberLeft(id("bob"))));
-        assert_eq!(l.roster(), vec![id("alice")]);
+        assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
         assert_eq!(l.epoch(), Some(epoch_before + 1), "rekey on leave");
 
         // Alice receives MemberLeft + NewGroupKey.
@@ -2406,7 +2427,7 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, MemberEvent::GroupKeyChanged { .. })));
-        assert_eq!(alice.roster(), vec![id("alice")]);
+        assert_eq!(alice.roster(), Roster::from_iter([id("alice")]));
 
         // A replayed close is rejected (slot is gone).
         assert!(matches!(
@@ -2516,7 +2537,7 @@ mod tests {
 
         let out = l.expel(&id("bob")).unwrap();
         assert!(out.events.contains(&LeaderEvent::MemberLeft(id("bob"))));
-        assert_eq!(l.roster(), vec![id("alice")]);
+        assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
         assert!(matches!(
             l.expel(&id("bob")),
             Err(CoreError::UnknownUser(_))
@@ -2765,7 +2786,7 @@ mod tests {
         join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init_b);
 
         let bc = l.broadcast_group_data(b"fan out once").unwrap();
-        assert_eq!(bc.recipients, vec![id("alice"), id("bob")]);
+        assert_eq!(bc.recipients, Roster::from_iter([id("alice"), id("bob")]));
         assert_eq!(l.stats().data_seals, 1, "exactly one seal for N members");
         assert_eq!(l.stats().broadcasts, 1);
 
@@ -2928,8 +2949,72 @@ mod tests {
             admin_sent_before + 1,
             "only the welcome is sent when notices are suppressed"
         );
-        assert_eq!(l.roster(), vec![id("alice"), id("bob")]);
+        assert_eq!(l.roster(), Roster::from_iter([id("alice"), id("bob")]));
         assert_eq!(bob.group_epoch(), Some(1));
+    }
+
+    /// A leader whose group already holds `filler` members — seeded as a
+    /// `Roster`, no handshakes — with alice and bob still to come.
+    fn crowded_leader(filler: usize) -> LeaderCore {
+        let mut l = LeaderCore::with_rng(
+            id("leader"),
+            directory(&["alice", "bob"]),
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                membership_notices: false,
+                max_members: MAX_ROSTER_LEN + 100,
+                ..LeaderConfig::default()
+            },
+            Box::new(SeededRng::from_seed(1)),
+        );
+        l.group = GroupState::with_roster((0..filler).map(|i| id(&format!("m{i:05}"))).collect());
+        l
+    }
+
+    #[test]
+    fn a_member_that_could_never_be_welcomed_is_refused_at_auth_init() {
+        // `max_members` allows it; the wire does not.
+        let mut l = crowded_leader(MAX_ROSTER_LEN);
+        let before = l.roster();
+        let (_, init) = member("alice", 250);
+        assert!(matches!(
+            l.handle(&init),
+            Err(CoreError::Rejected(RejectReason::UnexpectedType))
+        ));
+        assert!(l.roster().ptr_eq(&before), "roster moved");
+        assert!(l.slots.is_empty(), "a slot was opened");
+        assert_eq!(l.epoch(), None);
+    }
+
+    #[test]
+    fn the_last_seat_goes_to_one_of_two_concurrent_handshakes() {
+        let mut l = crowded_leader(MAX_ROSTER_LEN - 1);
+        let (mut alice, init_a) = member("alice", 251);
+        let (mut bob, init_b) = member("bob", 252);
+        // One seat, and both requests arrive while it is still free.
+        let kd_a = l.handle(&init_a).unwrap().outgoing.remove(0);
+        let kd_b = l.handle(&init_b).unwrap().outgoing.remove(0);
+        let ack_a = alice.handle(&kd_a).unwrap().reply.unwrap();
+        let ack_b = bob.handle(&kd_b).unwrap().reply.unwrap();
+
+        // Alice takes it, and her Welcome — a roster at the bound — opens.
+        let out = l.handle(&ack_a).unwrap();
+        let events = alice.handle(&out.outgoing[0]).unwrap().events;
+        assert!(matches!(
+            &events[..],
+            [MemberEvent::Welcomed { roster, .. }] if roster.len() == MAX_ROSTER_LEN
+        ));
+
+        // Bob is turned away before the roster, the journal or the key
+        // moves, and his half-open slot is freed.
+        let (roster, epoch) = (l.roster(), l.epoch());
+        assert!(matches!(
+            l.handle(&ack_b),
+            Err(CoreError::Rejected(RejectReason::UnexpectedType))
+        ));
+        assert!(l.roster().ptr_eq(&roster));
+        assert_eq!(l.epoch(), epoch);
+        assert!(!l.slots.contains_key(&id("bob")));
     }
 
     #[test]
@@ -3033,10 +3118,13 @@ mod tests {
             }
             for b in out.broadcasts {
                 let env: Envelope = enclaves_wire::codec::decode(&b.frame).unwrap();
-                for r in &b.recipients {
+                for r in b.recipients.iter() {
                     if let Some(s) = self.sessions.get_mut(r) {
                         if let Ok(o) = s.handle(&env) {
-                            self.events.entry(r.clone()).or_default().extend(o.events);
+                            self.events
+                                .entry(s.user().clone())
+                                .or_default()
+                                .extend(o.events);
                             replies.extend(o.reply);
                         }
                     }
@@ -3189,7 +3277,7 @@ mod tests {
                 .broadcasts
                 .into_iter()
                 .map(|mut b| {
-                    b.recipients.retain(|r| *r != lost);
+                    b.recipients = b.recipients.without(&lost);
                     b
                 })
                 .collect(),

@@ -17,8 +17,7 @@ use enclaves_wire::message::{
     AuthInitPlain, Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain, KeyDistPlain,
     MsgType, NonceAckPlain, PathUpdateWire, SealedBody,
 };
-use enclaves_wire::{ActorId, GroupId};
-use std::collections::BTreeSet;
+use enclaves_wire::{ActorId, GroupId, Roster};
 
 /// The coarse phase of a member session (mirrors Figure 2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,8 +37,9 @@ pub enum MemberEvent {
     SessionEstablished,
     /// The leader delivered the initial roster and group key.
     Welcomed {
-        /// Current members.
-        roster: Vec<ActorId>,
+        /// Current members: the snapshot the `Welcome` carried, which
+        /// the session also keeps as its view.
+        roster: Roster,
         /// Group-key epoch installed.
         epoch: u64,
     },
@@ -182,7 +182,9 @@ struct Connected {
     /// an already-delivered frame stays rejected after a rekey.
     bcast_seen_prev: Option<u64>,
     group_seq: NonceSequence,
-    roster: BTreeSet<ActorId>,
+    /// This member's view of the roster: the snapshot decoded from the
+    /// `Welcome`, replaced on each join and leave notice.
+    roster: Roster,
     /// The most recently accepted admin message's leader nonce and the ack
     /// sent for it: a retransmitted duplicate gets the cached ack again
     /// (stop-and-wait ARQ), everything else stale is rejected.
@@ -433,10 +435,10 @@ impl MemberSession {
 
     /// The member's current view of the roster (empty before the welcome).
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
+    pub fn roster(&self) -> Roster {
         match &self.phase {
-            Phase::Connected(c) => c.roster.iter().cloned().collect(),
-            _ => Vec::new(),
+            Phase::Connected(c) => c.roster.clone(),
+            _ => Roster::new(),
         }
     }
 
@@ -582,7 +584,7 @@ impl MemberSession {
             bcast_seen_cur: None,
             bcast_seen_prev: None,
             group_seq: NonceSequence::new(group_seq_prefix(&self.user)),
-            roster: BTreeSet::new(),
+            roster: Roster::new(),
             last_ack: None,
             hb_seq: 0,
             tree: None,
@@ -657,7 +659,7 @@ impl MemberSession {
                 group_key,
                 iv,
             } => {
-                conn.roster = members.iter().cloned().collect();
+                conn.roster = members.clone();
                 conn.group = Some(MemberGroupView {
                     epoch,
                     key: GroupKey::from_bytes(group_key),
@@ -721,11 +723,11 @@ impl MemberSession {
                 }
             }
             AdminPayload::MemberJoined(m) => {
-                conn.roster.insert(m.clone());
+                conn.roster = conn.roster.with(&m);
                 events.push(MemberEvent::MemberJoined(m));
             }
             AdminPayload::MemberLeft(m) => {
-                conn.roster.remove(&m);
+                conn.roster = conn.roster.without(&m);
                 events.push(MemberEvent::MemberLeft(m));
             }
             AdminPayload::AppData(data) => {
@@ -1299,7 +1301,7 @@ mod tests {
             n3,
             ProtocolNonce::from_bytes([0xAB; 16]),
             AdminPayload::Welcome {
-                members: vec![id("alice"), id("bob")],
+                members: Roster::from_iter([id("alice"), id("bob")]),
                 epoch: 1,
                 group_key: [5; 32],
                 iv: [6; 12],
@@ -1307,7 +1309,10 @@ mod tests {
         );
         let out = session.handle(&env).unwrap();
         assert!(matches!(out.events[0], MemberEvent::Welcomed { .. }));
-        assert_eq!(session.roster(), vec![id("alice"), id("bob")]);
+        assert_eq!(
+            session.roster(),
+            Roster::from_iter([id("alice"), id("bob")])
+        );
         assert_eq!(session.group_epoch(), Some(1));
     }
 
@@ -1320,7 +1325,7 @@ mod tests {
             n3,
             ProtocolNonce::from_bytes([0xAB; 16]),
             AdminPayload::Welcome {
-                members: vec![id("alice")],
+                members: Roster::from_iter([id("alice")]),
                 epoch: 5,
                 group_key: [5; 32],
                 iv: [6; 12],
@@ -1351,7 +1356,7 @@ mod tests {
         // GroupData envelopes (as relayed by the leader).
         let (mut alice, sk_a, n3_a) = connect();
         let welcome = AdminPayload::Welcome {
-            members: vec![id("alice"), id("bob")],
+            members: Roster::from_iter([id("alice"), id("bob")]),
             epoch: 2,
             group_key: [7; 32],
             iv: [1; 12],
@@ -1420,7 +1425,7 @@ mod tests {
             user_nonce: ack.next_nonce,
             leader_nonce: ProtocolNonce::from_bytes([3; 16]),
             payload: AdminPayload::Welcome {
-                members: vec![id("alice"), id("bob")],
+                members: Roster::from_iter([id("alice"), id("bob")]),
                 epoch: 2,
                 group_key: [7; 32],
                 iv: [1; 12],
@@ -1458,7 +1463,7 @@ mod tests {
                 n3,
                 ProtocolNonce::from_bytes([1; 16]),
                 AdminPayload::Welcome {
-                    members: vec![id("alice")],
+                    members: Roster::from_iter([id("alice")]),
                     epoch: 2,
                     group_key: [7; 32],
                     iv: [1; 12],
@@ -1584,7 +1589,7 @@ mod tests {
                 n3,
                 ProtocolNonce::from_bytes([0xA1; 16]),
                 AdminPayload::Welcome {
-                    members: vec![id("alice")],
+                    members: Roster::from_iter([id("alice")]),
                     epoch,
                     group_key: key,
                     iv,

@@ -14,7 +14,7 @@ use crate::runtime::service::{GroupHandle, LeaderService, ServiceConfig};
 use crate::CoreError;
 use crossbeam_channel::Receiver;
 use enclaves_net::Listener;
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
 pub use crate::runtime::service::BroadcastReceipt;
@@ -63,7 +63,7 @@ impl LeaderRuntime {
 
     /// Current members.
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
+    pub fn roster(&self) -> Roster {
         self.handle.roster()
     }
 
@@ -115,7 +115,7 @@ impl LeaderRuntime {
     /// # Errors
     ///
     /// Propagates protocol errors.
-    pub fn broadcast(&self, data: &[u8]) -> Result<Vec<ActorId>, CoreError> {
+    pub fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
         self.handle.broadcast(data)
     }
 

@@ -11,7 +11,7 @@ use enclaves_net::{Frame, Link, NetError};
 use enclaves_obs::{EventKind, EventStream, Registry};
 use enclaves_wire::codec::{decode, encode};
 use enclaves_wire::message::Envelope;
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -266,7 +266,7 @@ impl MemberRuntime {
 
     /// The member's current roster view.
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
+    pub fn roster(&self) -> Roster {
         self.shared.session.lock().roster()
     }
 

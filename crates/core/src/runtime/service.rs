@@ -40,7 +40,7 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_net::{Frame, Link, Listener, MuxEndpoint, MuxEvent, MuxNet, MuxToken};
 use enclaves_wire::codec::{decode, encode};
 use enclaves_wire::message::Envelope;
-use enclaves_wire::{ActorId, GroupId};
+use enclaves_wire::{ActorId, GroupId, Roster};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
@@ -65,8 +65,8 @@ pub struct BroadcastReceipt {
     pub epoch: u64,
     /// Broadcast sequence number within the epoch.
     pub seq: u64,
-    /// The roster at seal time.
-    pub recipients: Vec<ActorId>,
+    /// The roster at seal time (the shared snapshot, not a copy).
+    pub recipients: Roster,
 }
 
 // ---------------------------------------------------------------------------
@@ -263,9 +263,9 @@ impl GroupEntry {
 
     /// Fans one shared frame out to every routed recipient: N refcount
     /// bumps, no per-recipient encoding or copying.
-    fn dispatch_shared(&self, frame: &Frame, recipients: &[ActorId]) {
+    fn dispatch_shared(&self, frame: &Frame, recipients: &Roster) {
         let routes = self.routes.lock();
-        for recipient in recipients {
+        for recipient in recipients.iter() {
             if let Some(sink) = routes.get(recipient) {
                 sink.send(Frame::clone(frame));
             }
@@ -878,9 +878,10 @@ impl GroupHandle {
         &self.events_rx
     }
 
-    /// Current members.
+    /// Current members: the core's shared snapshot, `O(1)` under the
+    /// lock.
     #[must_use]
-    pub fn roster(&self) -> Vec<ActorId> {
+    pub fn roster(&self) -> Roster {
         self.entry.core.lock().roster()
     }
 
@@ -937,7 +938,7 @@ impl GroupHandle {
     /// # Errors
     ///
     /// Propagates protocol errors.
-    pub fn broadcast(&self, data: &[u8]) -> Result<Vec<ActorId>, CoreError> {
+    pub fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
         let _order = self.entry.send_order.lock();
         let staged = Instant::now();
         let (fanout, recipients) = {

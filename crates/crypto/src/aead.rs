@@ -83,13 +83,21 @@ impl ChaCha20Poly1305 {
     /// allocation. The buffer is cleared first; on return it holds
     /// exactly `ciphertext || tag`.
     pub fn seal_into(&self, nonce: &AeadNonce, plaintext: &[u8], aad: &[u8], out: &mut Vec<u8>) {
-        let n = nonce.as_bytes();
         out.clear();
         out.reserve(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        chacha20::xor_in_place(&self.key, 1, n, out);
-        let tag = self.compute_tag(n, out, aad);
+        let tag = self.seal_in_place(nonce, aad, out);
         out.extend_from_slice(&tag);
+    }
+
+    /// Encrypts `data` where it lies and returns the tag, for a caller
+    /// that already holds the plaintext inside the buffer it will send:
+    /// `data || tag` is then exactly what [`seal`](Self::seal) returns.
+    #[must_use]
+    pub fn seal_in_place(&self, nonce: &AeadNonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
+        let n = nonce.as_bytes();
+        chacha20::xor_in_place(&self.key, 1, n, data);
+        self.compute_tag(n, data, aad)
     }
 
     /// Decrypts `sealed` (as produced by [`seal`](Self::seal)) bound to
@@ -189,6 +197,11 @@ mod tests {
 
         let opened = cipher.open(&nonce, &sealed, &aad).unwrap();
         assert_eq!(opened, plaintext);
+
+        let mut in_place = plaintext.to_vec();
+        let tag = cipher.seal_in_place(&nonce, &aad, &mut in_place);
+        assert_eq!(in_place, expected_ct);
+        assert_eq!(tag[..], expected_tag[..]);
     }
 
     #[test]

@@ -29,10 +29,10 @@
 //! L -> S   exit
 //! ```
 //!
-//! The explicit `left` / `rejoin` barrier exists because the wire format
-//! bounds `Welcome` rosters at 10 000 entries: at the 10k design point the
-//! churn cohort may only join after the leavers have actually left the
-//! roster.
+//! The explicit `left` / `rejoin` barrier exists because a roster holds at
+//! most `enclaves_wire::MAX_ROSTER_LEN` (10 000) names and the leader
+//! refuses a join past it: at the 10k design point the churn cohort may
+//! only join after the leavers have actually left the roster.
 //!
 //! Latency clocks: join/rejoin latencies are swarm-local (`Instant` from
 //! session start to `Welcomed`); broadcast latencies ride in-band (the
@@ -548,7 +548,7 @@ pub fn run_leader(
     expect(coord, "rekey done")?;
 
     // Churn: leavers must drain from the roster before the cohort joins
-    // (the wire bounds Welcome rosters at 10k entries).
+    // (the leader refuses a join once the roster holds MAX_ROSTER_LEN).
     coord.send_line(&format!("churn {}", cfg.churn))?;
     expect(coord, "left")?;
     let deadline = Instant::now() + PHASE_DEADLINE;

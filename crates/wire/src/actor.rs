@@ -1,6 +1,7 @@
 //! Actor identifiers.
 
 use crate::codec::{Decode, Encode, Reader, WireError, Writer};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -33,6 +34,18 @@ impl ActorId {
         Ok(ActorId(name.into()))
     }
 
+    /// [`validate`](Self::validate) for a name still in wire bytes (a
+    /// [`crate::Roster`] entry, which is checked but never built into an
+    /// id). Printable ASCII within the length bound passes the rules by
+    /// construction and is waved through; anything else is put to them.
+    pub(crate) fn validate_bytes(name: &[u8]) -> Result<(), WireError> {
+        let printable = name.iter().all(|b| (0x20..0x7f).contains(b));
+        if printable && !name.is_empty() && name.len() <= MAX_ACTOR_ID_LEN {
+            return Ok(());
+        }
+        Self::validate(std::str::from_utf8(name).map_err(|_| WireError::InvalidActorId)?)
+    }
+
     fn validate(name: &str) -> Result<(), WireError> {
         if name.is_empty() || name.len() > MAX_ACTOR_ID_LEN || name.chars().any(char::is_control) {
             return Err(WireError::InvalidActorId);
@@ -43,6 +56,15 @@ impl ActorId {
     /// The identifier as a string slice.
     #[must_use]
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Lets maps keyed by `ActorId` be probed with a borrowed name (a
+/// [`crate::Roster`] entry) without building an id; `Hash`, `Eq` and `Ord`
+/// are those of the string.
+impl Borrow<str> for ActorId {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }

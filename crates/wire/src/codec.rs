@@ -32,6 +32,9 @@ pub enum WireError {
     /// A group identifier was empty, too long, or contained control
     /// characters.
     InvalidGroupId,
+    /// A roster's names were not strictly ascending (unsorted or
+    /// duplicated).
+    RosterOrder,
     /// A frame exceeded the transport's maximum frame size.
     FrameTooLarge,
     /// An I/O error occurred while framing (message preserved as text).
@@ -47,6 +50,7 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes => write!(f, "trailing bytes after message"),
             WireError::InvalidActorId => write!(f, "invalid actor identifier"),
             WireError::InvalidGroupId => write!(f, "invalid group identifier"),
+            WireError::RosterOrder => write!(f, "roster names not strictly ascending"),
             WireError::FrameTooLarge => write!(f, "frame exceeds maximum size"),
             WireError::Io => write!(f, "i/o error during framing"),
         }
@@ -78,6 +82,18 @@ impl Writer {
     pub fn with_buffer(mut buf: Vec<u8>) -> Self {
         buf.clear();
         Writer { buf }
+    }
+
+    /// Bytes written so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True if nothing has been written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
     /// Appends a single byte.
@@ -208,6 +224,12 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(&self.buf[..N]);
         self.buf = &self.buf[N..];
         Ok(out)
+    }
+
+    /// The unread input, without consuming it.
+    #[must_use]
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
     }
 
     /// Asserts the input is fully consumed.

@@ -5,6 +5,7 @@
 //!
 //! * [`actor`] — actor (user/leader) identifiers.
 //! * [`group`] — enclave (group) identifiers for multi-enclave services.
+//! * [`roster`] — the shared, wire-encoded membership snapshot.
 //! * [`codec`] — a small deterministic binary codec (type-tagged,
 //!   length-prefixed) with no reflection and no external schema.
 //! * [`message`] — the improved protocol of Section 3.2: envelopes carrying
@@ -35,7 +36,9 @@ pub mod group;
 pub mod journal;
 pub mod legacy;
 pub mod message;
+pub mod roster;
 
 pub use actor::ActorId;
 pub use codec::WireError;
 pub use group::GroupId;
+pub use roster::{Roster, MAX_ROSTER_LEN};

@@ -8,10 +8,12 @@
 //! the encryption, which is what the verification of Section 5 relies on.
 
 use crate::actor::ActorId;
-use crate::codec::{decode, encode, Decode, Encode, Reader, WireError, Writer};
+use crate::codec::{decode, Decode, Encode, Reader, WireError, Writer, MAX_BYTES_LEN};
 use crate::group::GroupId;
+use crate::roster::{Roster, MAX_ROSTER_LEN};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::nonce::{AeadNonce, ProtocolNonce, AEAD_NONCE_LEN, PROTOCOL_NONCE_LEN};
+use enclaves_crypto::poly1305::TAG_LEN;
 use enclaves_crypto::CryptoError;
 use std::sync::Arc;
 
@@ -120,13 +122,37 @@ impl Envelope {
     #[must_use]
     pub fn header_aad(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u8(self.tag_byte());
-        self.sender.encode(&mut w);
-        self.recipient.encode(&mut w);
-        if let Some(group) = &self.group {
-            group.encode(&mut w);
-        }
+        self.put_header(&mut w);
         w.finish()
+    }
+
+    /// Everything of the encoding that precedes the body.
+    fn put_header(&self, w: &mut Writer) {
+        w.put_u8(self.tag_byte());
+        self.sender.encode(w);
+        self.recipient.encode(w);
+        if let Some(group) = &self.group {
+            group.encode(w);
+        }
+    }
+
+    /// Seals `value` under `key` as this envelope's body, bound to its
+    /// header, and returns the encoded frame. Header, length prefixes and
+    /// plaintext are written into the one buffer that becomes the frame
+    /// and encrypted where they lie; the bytes are those of
+    /// `self.body = seal(key, nonce, &self.header_aad(), value)` followed
+    /// by `encode(self)`.
+    pub fn seal_body<T: Encode>(&mut self, key: &[u8; 32], nonce: AeadNonce, value: &T) -> Vec<u8> {
+        let aad = self.header_aad();
+        let mut w = Writer::new();
+        w.put_array(&aad);
+        w.put_u32(0);
+        let body_at = w.len();
+        let mut frame = seal_onto(w, key, nonce, &aad, value);
+        let body_len = frame.len() - body_at;
+        patch_len(&mut frame, body_at, body_len);
+        self.body = frame[body_at..].to_vec();
+        frame
     }
 
     /// Reads only the group id out of an encoded envelope, without
@@ -154,12 +180,7 @@ impl Envelope {
 
 impl Encode for Envelope {
     fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag_byte());
-        self.sender.encode(w);
-        self.recipient.encode(w);
-        if let Some(group) = &self.group {
-            group.encode(w);
-        }
+        self.put_header(w);
         w.put_bytes(&self.body);
     }
 }
@@ -256,16 +277,40 @@ impl From<CryptoError> for OpenError {
     }
 }
 
-/// Seals an encodable plaintext under `key`, binding `aad`.
+/// Seals an encodable plaintext under `key`, binding `aad`; the result
+/// is the encoding of a [`SealedBody`].
 #[must_use]
 pub fn seal<T: Encode>(key: &[u8; 32], nonce: AeadNonce, aad: &[u8], value: &T) -> Vec<u8> {
-    let cipher = ChaCha20Poly1305::new(key);
-    let plain = encode(value);
-    let ciphertext = cipher.seal(&nonce, &plain, aad);
-    encode(&SealedBody {
-        nonce: *nonce.as_bytes(),
-        ciphertext,
-    })
+    seal_onto(Writer::new(), key, nonce, aad, value)
+}
+
+/// Appends the [`SealedBody`] of `value` to what `w` already holds, in
+/// that one buffer: nonce, length prefix, then the plaintext encoded in
+/// place, encrypted where it lies, and the tag.
+fn seal_onto<T: Encode>(
+    mut w: Writer,
+    key: &[u8; 32],
+    nonce: AeadNonce,
+    aad: &[u8],
+    value: &T,
+) -> Vec<u8> {
+    w.put_array(nonce.as_bytes());
+    w.put_u32(0);
+    let plain_at = w.len();
+    value.encode(&mut w);
+    let mut buf = w.finish();
+    let sealed_len = buf.len() - plain_at + TAG_LEN;
+    patch_len(&mut buf, plain_at, sealed_len);
+    let tag = ChaCha20Poly1305::new(key).seal_in_place(&nonce, aad, &mut buf[plain_at..]);
+    buf.extend_from_slice(&tag);
+    buf
+}
+
+/// Fills in the `u32` length prefix reserved just before `at`, once the
+/// length of what follows it is known.
+fn patch_len(buf: &mut [u8], at: usize, len: usize) {
+    debug_assert!(len <= MAX_BYTES_LEN);
+    buf[at - 4..at].copy_from_slice(&(len as u32).to_be_bytes());
 }
 
 /// Opens a sealed body under `key`, checking `aad`, and decodes the
@@ -276,10 +321,11 @@ pub fn seal<T: Encode>(key: &[u8; 32], nonce: AeadNonce, aad: &[u8], value: &T) 
 /// [`OpenError::Crypto`] if authentication fails; [`OpenError::Malformed`]
 /// if either layer fails to parse.
 pub fn open<T: Decode>(key: &[u8; 32], aad: &[u8], body: &[u8]) -> Result<T, OpenError> {
-    let sealed: SealedBody = decode(body)?;
-    let cipher = ChaCha20Poly1305::new(key);
-    let nonce = AeadNonce::from_bytes(sealed.nonce);
-    let plain = cipher.open(&nonce, &sealed.ciphertext, aad)?;
+    let mut r = Reader::new(body);
+    let nonce = AeadNonce::from_bytes(r.take_array()?);
+    let sealed = r.take_bytes()?;
+    r.expect_end()?;
+    let plain = ChaCha20Poly1305::new(key).open(&nonce, sealed, aad)?;
     Ok(decode(&plain)?)
 }
 
@@ -404,8 +450,9 @@ pub enum AdminPayload {
     MemberLeft(ActorId),
     /// Initial roster sent to a fresh member, with the current group key.
     Welcome {
-        /// Current members, including the recipient.
-        members: Vec<ActorId>,
+        /// Current members, including the recipient: the leader's roster
+        /// snapshot, copied to the wire as it stands.
+        members: Roster,
         /// Current group-key epoch.
         epoch: u64,
         /// The current group key.
@@ -469,10 +516,7 @@ impl Encode for AdminPayload {
                 iv,
             } => {
                 w.put_u8(TAG_WELCOME);
-                w.put_u32(members.len() as u32);
-                for m in members {
-                    m.encode(w);
-                }
+                members.encode(w);
                 w.put_u64(*epoch);
                 w.put_array(group_key);
                 w.put_array(iv);
@@ -510,22 +554,12 @@ impl Decode for AdminPayload {
             },
             TAG_MEMBER_JOINED => AdminPayload::MemberJoined(ActorId::decode(r)?),
             TAG_MEMBER_LEFT => AdminPayload::MemberLeft(ActorId::decode(r)?),
-            TAG_WELCOME => {
-                let n = r.take_u32()? as usize;
-                if n > 10_000 {
-                    return Err(WireError::LengthOverflow);
-                }
-                let mut members = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    members.push(ActorId::decode(r)?);
-                }
-                AdminPayload::Welcome {
-                    members,
-                    epoch: r.take_u64()?,
-                    group_key: r.take_array::<32>()?,
-                    iv: r.take_array::<12>()?,
-                }
-            }
+            TAG_WELCOME => AdminPayload::Welcome {
+                members: Roster::decode(r)?,
+                epoch: r.take_u64()?,
+                group_key: r.take_array::<32>()?,
+                iv: r.take_array::<12>()?,
+            },
             TAG_APP_DATA => AdminPayload::AppData(r.take_bytes()?.into()),
             TAG_PATH_SYNC => {
                 let epoch = r.take_u64()?;
@@ -731,8 +765,8 @@ pub struct PathUpdateWire {
 
 /// Upper bound on copath ciphers in one path update: a blank-heavy tree
 /// can push resolutions past `log N`, but never past the leaf count the
-/// `Welcome` roster bound already allows.
-const MAX_PATH_CIPHERS: usize = 10_000;
+/// roster bound already allows.
+const MAX_PATH_CIPHERS: usize = MAX_ROSTER_LEN;
 
 impl Encode for PathUpdateWire {
     fn encode(&self, w: &mut Writer) {
@@ -870,6 +904,7 @@ impl Decode for HeartbeatPlain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode;
 
     fn alice() -> ActorId {
         ActorId::new("alice").unwrap()
@@ -1186,7 +1221,7 @@ mod tests {
             AdminPayload::MemberJoined(alice()),
             AdminPayload::MemberLeft(leader()),
             AdminPayload::Welcome {
-                members: vec![alice(), leader()],
+                members: [alice(), leader()].into_iter().collect(),
                 epoch: 9,
                 group_key: [3; 32],
                 iv: [4; 12],
@@ -1194,7 +1229,7 @@ mod tests {
             AdminPayload::AppData(b"hello group"[..].into()),
             AdminPayload::AppData([][..].into()),
             AdminPayload::Welcome {
-                members: vec![],
+                members: Roster::new(),
                 epoch: 0,
                 group_key: [0; 32],
                 iv: [0; 12],
@@ -1319,6 +1354,108 @@ mod tests {
         assert_ne!(base, group_data_aad(&leader(), 3, None));
     }
 
+    /// The three-buffer composition `seal` used to be: encode the
+    /// plaintext, seal it into a second buffer, encode the `SealedBody`
+    /// into a third.
+    fn reference_seal<T: Encode>(key: &[u8; 32], n: AeadNonce, aad: &[u8], value: &T) -> Vec<u8> {
+        encode(&SealedBody {
+            nonce: *n.as_bytes(),
+            ciphertext: ChaCha20Poly1305::new(key).seal(&n, &encode(value), aad),
+        })
+    }
+
+    fn welcome_plain(members: Roster) -> AdminPlain {
+        AdminPlain {
+            leader: leader(),
+            user: alice(),
+            user_nonce: nonce(3),
+            leader_nonce: nonce(4),
+            payload: AdminPayload::Welcome {
+                members,
+                epoch: 7,
+                group_key: [5; 32],
+                iv: [6; 12],
+            },
+        }
+    }
+
+    #[test]
+    fn single_buffer_seal_matches_the_three_buffer_reference() {
+        let key = [0x33u8; 32];
+        let n = AeadNonce::from_bytes([4; 12]);
+        let close = ClosePlain {
+            user: alice(),
+            leader: leader(),
+        };
+        assert_eq!(
+            seal(&key, n, b"hdr", &close),
+            reference_seal(&key, n, b"hdr", &close)
+        );
+        let big = welcome_plain(
+            (0..300)
+                .map(|i| ActorId::new(format!("m{i:05}")).unwrap())
+                .collect(),
+        );
+        assert_eq!(seal(&key, n, b"", &big), reference_seal(&key, n, b"", &big));
+        let body = seal(&key, n, b"hdr", &big);
+        assert_eq!(open::<AdminPlain>(&key, b"hdr", &body).unwrap(), big);
+    }
+
+    #[test]
+    fn seal_body_matches_seal_then_encode() {
+        let key = [0x44u8; 32];
+        let n = AeadNonce::from_bytes([8; 12]);
+        let plain = welcome_plain([alice(), leader()].into_iter().collect());
+        for group in [None, Some(ops())] {
+            let mut env = Envelope {
+                msg_type: MsgType::AdminMsg,
+                sender: leader(),
+                recipient: alice(),
+                group,
+                body: Vec::new(),
+            };
+            let mut reference = env.clone();
+            reference.body = reference_seal(&key, n, &reference.header_aad(), &plain);
+            let frame = env.seal_body(&key, n, &plain);
+            assert_eq!(env, reference);
+            assert_eq!(frame, encode(&reference));
+            assert_eq!(decode::<Envelope>(&frame).unwrap(), env);
+        }
+    }
+
+    #[test]
+    fn welcome_encoding_is_frozen() {
+        // What `AdminPayload::Welcome { members: Vec<ActorId>, .. }`
+        // encoded to before the roster became one wire-encoded snapshot:
+        // tag, count, each id length-prefixed, epoch, key, iv.
+        let members = [alice(), ActorId::new("bob").unwrap(), leader()];
+        let mut w = Writer::new();
+        w.put_u8(TAG_WELCOME);
+        w.put_u32(members.len() as u32);
+        for m in &members {
+            m.encode(&mut w);
+        }
+        w.put_u64(7);
+        w.put_array(&[5; 32]);
+        w.put_array(&[6; 12]);
+        let frozen = w.finish();
+        assert_eq!(
+            frozen[..32],
+            [
+                4, 0, 0, 0, 3, 0, 0, 0, 5, b'a', b'l', b'i', b'c', b'e', 0, 0, 0, 3, b'b', b'o',
+                b'b', 0, 0, 0, 6, b'l', b'e', b'a', b'd', b'e', b'r', 0
+            ]
+        );
+        let welcome = AdminPayload::Welcome {
+            members: members.into_iter().collect(),
+            epoch: 7,
+            group_key: [5; 32],
+            iv: [6; 12],
+        };
+        assert_eq!(encode(&welcome), frozen);
+        assert_eq!(decode::<AdminPayload>(&frozen).unwrap(), welcome);
+    }
+
     #[test]
     fn open_rejects_garbage_body() {
         assert!(open::<ClosePlain>(&[0; 32], b"", &[1, 2, 3]).is_err());
@@ -1329,6 +1466,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::codec::encode;
     use proptest::prelude::*;
 
     fn arb_actor() -> impl Strategy<Value = ActorId> {

@@ -10,7 +10,7 @@ use enclaves_core::protocol::MemberEvent;
 use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
 use enclaves_net::sim::{Direction, SimConfig, SimNet};
 use enclaves_net::Link;
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -177,7 +177,7 @@ fn forged_close_does_not_expel() {
     );
     std::thread::sleep(Duration::from_millis(200));
 
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
     // And the session still works.
     world.leader.broadcast(b"alive").unwrap();
     alice

@@ -243,7 +243,7 @@ fn stale_journal_restore_is_fenced_not_rewound() {
     );
     assert_eq!(
         recovered.handle.roster(),
-        vec![alice],
+        enclaves_wire::Roster::from_iter([alice]),
         "the stale roster still recovers"
     );
     drop(recovered);

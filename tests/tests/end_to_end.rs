@@ -7,7 +7,7 @@ use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderEvent, MemberEvent, SessionPhase};
 use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
 use enclaves_net::sim::{SimConfig, SimNet};
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -74,8 +74,8 @@ fn single_member_lifecycle() {
     let world = world(&["alice"], RekeyPolicy::Manual);
     let alice = join(&world, "alice");
     assert_eq!(alice.phase(), SessionPhase::Connected);
-    assert_eq!(alice.roster(), vec![id("alice")]);
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(alice.roster(), Roster::from_iter([id("alice")]));
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
     assert_eq!(alice.group_epoch(), Some(1));
 
     alice.leave().unwrap();
@@ -96,7 +96,7 @@ fn five_member_group_converges() {
     sync_epochs(&world, &refs);
 
     // Everyone sees the same roster.
-    let expected: Vec<ActorId> = users.iter().map(|u| id(u)).collect();
+    let expected: Roster = users.iter().map(|u| id(u)).collect();
     assert_eq!(world.leader.roster(), expected);
     let deadline = std::time::Instant::now() + WAIT;
     loop {
@@ -193,7 +193,7 @@ fn leave_triggers_policy_rekey_and_notices() {
             .unwrap();
     }
     assert_eq!(world.leader.epoch(), Some(epoch_before + 1));
-    assert_eq!(world.leader.roster(), vec![id("a"), id("b")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("a"), id("b")]));
     world.leader.shutdown();
 }
 
@@ -214,7 +214,7 @@ fn expel_removes_member_and_rekeys() {
     assert_eq!(event, MemberEvent::MemberLeft(id("evil")));
     good.wait_event(WAIT, |e| matches!(e, MemberEvent::GroupKeyChanged { .. }))
         .unwrap();
-    assert_eq!(world.leader.roster(), vec![id("good")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("good")]));
     assert_eq!(world.leader.epoch(), Some(epoch_before + 1));
     world.leader.shutdown();
 }
@@ -232,7 +232,7 @@ fn member_can_rejoin_after_leaving() {
     // Rejoin with a fresh session (new link, new session key).
     let alice2 = join(&world, "alice");
     assert_eq!(alice2.phase(), SessionPhase::Connected);
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
     world.leader.shutdown();
 }
 
@@ -296,7 +296,7 @@ fn member_can_rejoin_after_crash_without_close() {
     let world = world(&["alice"], RekeyPolicy::Manual);
     let alice = join(&world, "alice");
     alice.abandon();
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
 
     // The ghost still occupies the slot: a rejoin attempt is shielded
     // (the leader cannot distinguish it from a replay).
@@ -306,7 +306,7 @@ fn member_can_rejoin_after_crash_without_close() {
     // Now the rejoin succeeds on a fresh link.
     let alice2 = join(&world, "alice");
     assert_eq!(alice2.phase(), SessionPhase::Connected);
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
 
     // And the new session is fully functional.
     world.leader.broadcast(b"welcome back").unwrap();

@@ -9,9 +9,9 @@
 use enclaves_bench::{leader_id, member_id, FanoutGroup, ImprovedGroup};
 use enclaves_core::config::RekeyPolicy;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_wire::codec::{decode, encode};
+use enclaves_wire::codec::{decode, encode, Decode, Reader};
 use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, SealedBody};
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, OnceLock};
@@ -49,7 +49,7 @@ fn fixture() -> &'static Mutex<Fixture> {
     })
 }
 
-fn snapshot(fx: &Fixture) -> (Vec<ActorId>, Option<u64>, Option<u64>) {
+fn snapshot(fx: &Fixture) -> (Roster, Option<u64>, Option<u64>) {
     (
         fx.world.leader.roster(),
         fx.world.leader.epoch(),
@@ -149,6 +149,42 @@ proptest! {
             // garbage cannot authenticate.
         }
         prop_assert_eq!(snapshot(&fx), before);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary bytes fed to `Roster::decode` never panic, and what a
+    /// successful decode keeps is bounded by the input: the buffer is a
+    /// prefix of it and the index has one `u32` per five input bytes at
+    /// most. The count is attacker-chosen from the whole `u32` range and
+    /// from just around what the body could hold, so a claim the bytes
+    /// cannot back is refused before anything is sized from it.
+    #[test]
+    fn roster_decode_is_total_and_bounded_by_its_input(
+        count in prop_oneof![0u32..64, any::<u32>()],
+        names in proptest::collection::vec("[a-c]{0,3}", 0..32),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        cut in 0usize..512,
+    ) {
+        let mut input = count.to_be_bytes().to_vec();
+        for name in &names {
+            input.extend_from_slice(&(name.len() as u32).to_be_bytes());
+            input.extend_from_slice(name.as_bytes());
+        }
+        input.extend_from_slice(&noise);
+        input.truncate(cut.min(input.len()));
+        for bytes in [&input[..], &noise[..]] {
+            let mut reader = Reader::new(bytes);
+            if let Ok(roster) = Roster::decode(&mut reader) {
+                let kept = encode(&roster);
+                prop_assert_eq!(&kept[..], &bytes[..kept.len()]);
+                prop_assert_eq!(reader.remaining(), bytes.len() - kept.len());
+                prop_assert!(roster.len() * 5 <= bytes.len());
+                prop_assert!(roster.iter().zip(roster.iter().skip(1)).all(|(a, b)| a < b));
+            }
+        }
     }
 }
 

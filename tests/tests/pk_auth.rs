@@ -8,7 +8,7 @@ use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_crypto::x25519::StaticSecret;
 use enclaves_net::sim::{SimConfig, SimNet};
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -100,7 +100,7 @@ fn pk_authenticated_group_works_end_to_end() {
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::MemberLeft(_)))
         .unwrap();
-    assert_eq!(world.leader.roster(), vec![id("alice")]);
+    assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
     world.leader.shutdown();
 }
 
@@ -179,6 +179,6 @@ fn pk_and_password_members_coexist() {
     .unwrap();
     bob.wait_joined(WAIT).unwrap();
 
-    assert_eq!(leader.roster(), vec![id("alice"), id("bob")]);
+    assert_eq!(leader.roster(), Roster::from_iter([id("alice"), id("bob")]));
     leader.shutdown();
 }

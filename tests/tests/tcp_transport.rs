@@ -13,7 +13,7 @@ use enclaves_core::protocol::MemberEvent;
 use enclaves_core::runtime::{LeaderRuntime, LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::tcp::{TcpAcceptor, TcpLink};
 use enclaves_net::{Link, Listener, MuxConfig, MuxNet};
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -122,7 +122,7 @@ fn group_over_loopback(backend: Backend) {
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::MemberLeft(_)))
         .unwrap();
-    assert_eq!(leader.roster(), vec![id("alice")]);
+    assert_eq!(leader.roster(), Roster::from_iter([id("alice")]));
 
     alice.leave().unwrap();
     leader.shutdown();
@@ -156,12 +156,12 @@ fn member_crash_does_not_break_group(backend: Backend) {
 
     // The group state is authoritative: bob is still a member until the
     // application expels him; the leader keeps serving alice.
-    assert_eq!(leader.roster(), vec![id("alice"), id("bob")]);
+    assert_eq!(leader.roster(), Roster::from_iter([id("alice"), id("bob")]));
     leader.expel(&id("bob")).unwrap();
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::MemberLeft(_)))
         .unwrap();
-    assert_eq!(leader.roster(), vec![id("alice")]);
+    assert_eq!(leader.roster(), Roster::from_iter([id("alice")]));
     leader.shutdown();
     finish(net);
 }
@@ -238,6 +238,14 @@ fn mixed_fleet_joins_one_readiness_loop_leader() {
 
     handle.wait_member(&id("threaded"), WAIT).unwrap();
     handle.wait_member(&id("looped"), WAIT).unwrap();
+
+    // Wait for epoch convergence (the second join rekeyed): a broadcast
+    // sealed under an epoch a member does not hold yet is dropped.
+    let deadline = std::time::Instant::now() + WAIT;
+    while threaded.group_epoch() != handle.epoch() || looped.group_epoch() != handle.epoch() {
+        assert!(std::time::Instant::now() < deadline, "epoch sync");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // Leader broadcast reaches both fleets.
     handle.broadcast_data(b"mixed fleet").unwrap();
