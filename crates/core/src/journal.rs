@@ -46,11 +46,31 @@
 //! byte-for-byte, and the stamp cross-check turns any divergence into a
 //! typed error instead of a silently wrong group key.
 //!
-//! A `<stem>.fence` file beside each stream records the highest epoch ever
-//! committed (rewritten atomically via temp-file rename). Recovery always
-//! advances strictly past the fence, so a *stale* journal (an old copy of
-//! the stream restored from backup) can never rewind members to a
-//! previously used epoch.
+//! # The fence: a leased upper bound
+//!
+//! A `<stem>.fence` file beside each stream holds a sealed epoch number
+//! that is **at least** every epoch any record of the stream has ever
+//! committed. It is a lease, not a mirror: when a record's epoch would
+//! exceed it, the writer first rewrites the fence [`FENCE_LEASE`] epochs
+//! ahead of that record (atomically, via temp-file rename) and only then
+//! appends the record — both before the transition's frames are
+//! dispatched. The next [`FENCE_LEASE`] transitions append without
+//! touching the fence, so the rename is paid once per lease, not once
+//! per transition.
+//!
+//! Recovery restarts strictly past `max(replayed epoch, fence)`. Because
+//! the fence is on disk before the record that needs it, this holds
+//! whatever a crash or a restore did to the stream: a torn tail, a
+//! record lost between the fence write and the append, or a *stale*
+//! stream (an old copy restored from backup behind the current fence)
+//! can never rewind members onto an epoch they have already seen. The
+//! price is an epoch gap of at most [`FENCE_LEASE`] after a restart,
+//! which members cannot observe as a fault: their sessions died with the
+//! leader, re-admission is by `Welcome` at whatever epoch the leader now
+//! serves, and "strictly newer" is the only rule an epoch must obey.
+//!
+//! Still open under ROADMAP item 3: an fsync policy (with group commit),
+//! compaction, and a `Storage` trait for injected disk faults.
 
 use crate::config::LeaderConfig;
 use crate::directory::Directory;
@@ -59,8 +79,9 @@ use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::crc::crc32;
 use enclaves_crypto::keys::{JournalKey, LongTermKey};
 use enclaves_crypto::nonce::AeadNonce;
+use enclaves_crypto::poly1305::TAG_LEN;
 use enclaves_crypto::rng::{CryptoRng, OsEntropyRng};
-use enclaves_wire::codec;
+use enclaves_wire::codec::{self, Encode as _};
 use enclaves_wire::journal::{
     JournalGenesis, JournalPayload, JournalTransition, LivenessWire, RekeyPolicyWire, JOURNAL_MAGIC,
 };
@@ -78,8 +99,16 @@ pub const MASTER_KEY_FILE: &str = "journal.key";
 /// with a real enclave tag.
 pub const SOLO_LABEL: &[u8] = b"\x00solo";
 
+/// How many epochs ahead of the record that crosses it the fence is
+/// written: one fence rewrite per this many transitions, and at most this
+/// large an epoch gap after a crash (see the module docs).
+pub const FENCE_LEASE: u64 = 64;
+
+/// Bytes of a record before its ciphertext: len + seq + crc + nonce.
+const RECORD_HEADER_LEN: usize = 4 + 8 + 4 + 12;
+
 /// Minimum body length of a record: seq + crc + nonce + AEAD tag.
-const MIN_BODY_LEN: u32 = 8 + 4 + 12 + 16;
+const MIN_BODY_LEN: u32 = (RECORD_HEADER_LEN - 4 + TAG_LEN) as u32;
 
 /// Ceiling on a single record body; anything larger is corruption.
 const MAX_BODY_LEN: u32 = 1 << 24;
@@ -245,16 +274,16 @@ impl CryptoRng for TapeRecorder<'_> {
 /// remainder is zero-filled and the underrun is flagged, so the caller can
 /// turn the mismatch into a typed [`JournalError::ReplayDivergence`]
 /// instead of a crash.
-pub struct TapePlayer {
-    tape: Vec<u8>,
+pub struct TapePlayer<'a> {
+    tape: &'a [u8],
     pos: usize,
     underrun: bool,
 }
 
-impl TapePlayer {
+impl<'a> TapePlayer<'a> {
     /// Replays `tape`.
     #[must_use]
-    pub fn new(tape: Vec<u8>) -> Self {
+    pub fn new(tape: &'a [u8]) -> Self {
         TapePlayer {
             tape,
             pos: 0,
@@ -275,7 +304,7 @@ impl TapePlayer {
     }
 }
 
-impl CryptoRng for TapePlayer {
+impl CryptoRng for TapePlayer<'_> {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let available = self.tape.len() - self.pos;
         let take = available.min(dest.len());
@@ -344,6 +373,15 @@ pub struct StreamInfo {
     pub path: PathBuf,
 }
 
+/// What [`JournalDir::streams`] found.
+#[derive(Debug, Clone, Default)]
+pub struct StreamScan {
+    /// Well-named streams, sorted by label.
+    pub streams: Vec<StreamInfo>,
+    /// `stream-*.wal` file names whose label is not hex, sorted.
+    pub misnamed: Vec<String>,
+}
+
 /// A journal directory: one master key, one stream per enclave.
 #[derive(Clone)]
 pub struct JournalDir {
@@ -410,14 +448,16 @@ impl JournalDir {
         self.root.join(stream_file_name(label))
     }
 
-    /// Lists every stream file in the directory.
+    /// Lists every stream file in the directory. A `stream-*.wal` file
+    /// whose name does not decode lands in [`StreamScan::misnamed`]
+    /// instead of failing the scan: one stray file must not hide the
+    /// enclaves beside it.
     ///
     /// # Errors
     ///
-    /// I/O failures, or [`JournalError::BadStreamName`] for an
-    /// undecodable name.
-    pub fn streams(&self) -> Result<Vec<StreamInfo>, JournalError> {
-        let mut found = Vec::new();
+    /// I/O failures reading the directory itself.
+    pub fn streams(&self) -> Result<StreamScan, JournalError> {
+        let mut scan = StreamScan::default();
         let entries = fs::read_dir(&self.root).map_err(|e| io_err("scan journal dir", &e))?;
         for entry in entries {
             let entry = entry.map_err(|e| io_err("scan journal dir", &e))?;
@@ -428,15 +468,18 @@ impl JournalDir {
             else {
                 continue;
             };
-            let label = from_hex(hex).ok_or(JournalError::BadStreamName { name })?;
-            found.push(StreamInfo {
-                label,
-                path: entry.path(),
-            });
+            match from_hex(hex) {
+                Some(label) => scan.streams.push(StreamInfo {
+                    label,
+                    path: entry.path(),
+                }),
+                None => scan.misnamed.push(name),
+            }
         }
         // Deterministic recovery order regardless of directory iteration.
-        found.sort_by(|a, b| a.label.cmp(&b.label));
-        Ok(found)
+        scan.streams.sort_by(|a, b| a.label.cmp(&b.label));
+        scan.misnamed.sort();
+        Ok(scan)
     }
 
     /// Creates a new stream whose first record is `genesis`, returning a
@@ -465,15 +508,7 @@ impl JournalDir {
                     io_err("create stream", &e)
                 }
             })?;
-        let mut writer = JournalWriter {
-            file,
-            cipher: ChaCha20Poly1305::new(self.stream_key(label).as_bytes()),
-            label: label.to_vec(),
-            next_seq: 1,
-            fence_path: self.root.join(fence_file_name(label)),
-            fenced: 0,
-            nonce_rng: OsEntropyRng::new(),
-        };
+        let mut writer = self.writer(label, file, 1, 0);
         writer.append(&JournalPayload::Genesis(genesis.clone()))?;
         Ok(writer)
     }
@@ -500,15 +535,33 @@ impl JournalDir {
             file.set_len(replay.valid_len)
                 .map_err(|e| io_err("truncate torn tail", &e))?;
         }
-        Ok(JournalWriter {
+        Ok(self.writer(
+            label,
+            file,
+            replay.next_seq,
+            replay.fenced_epoch.unwrap_or(0),
+        ))
+    }
+
+    /// The appender for `label` over an already opened `file`. Opening a
+    /// writer also clears a `.fence.tmp` a crash left between the fence's
+    /// write and its rename: the fence proper still holds the older bound,
+    /// and the record the new one was for was never appended.
+    fn writer(&self, label: &[u8], file: File, next_seq: u64, fenced: u64) -> JournalWriter {
+        let fence_path = self.root.join(fence_file_name(label));
+        let _ = fs::remove_file(fence_tmp_path(&fence_path));
+        JournalWriter {
             file,
             cipher: ChaCha20Poly1305::new(self.stream_key(label).as_bytes()),
+            aad: RecordAad::new(label),
+            record: Vec::new(),
             label: label.to_vec(),
-            next_seq: replay.next_seq,
-            fence_path: self.root.join(fence_file_name(label)),
-            fenced: replay.fenced_epoch.unwrap_or(0),
+            next_seq,
+            fence_path,
+            fenced,
+            fence_writes: 0,
             nonce_rng: OsEntropyRng::new(),
-        })
+        }
     }
 
     /// Reads and decodes a whole stream, including its fence.
@@ -570,13 +623,30 @@ fn fence_aad(label: &[u8]) -> Vec<u8> {
     aad
 }
 
-fn record_aad(label: &[u8], seq: u64, crc: u32) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(4 + label.len() + 12);
-    aad.extend_from_slice(JOURNAL_MAGIC);
-    aad.extend_from_slice(label);
-    aad.extend_from_slice(&seq.to_be_bytes());
-    aad.extend_from_slice(&crc.to_be_bytes());
-    aad
+fn fence_tmp_path(fence_path: &Path) -> PathBuf {
+    fence_path.with_extension("fence.tmp")
+}
+
+/// A stream's record AAD, `"EJR1" ‖ label ‖ seq_be ‖ crc_be`, in one
+/// buffer for the life of a writer or a decode pass: only the trailing
+/// twelve bytes differ between records.
+struct RecordAad(Vec<u8>);
+
+impl RecordAad {
+    fn new(label: &[u8]) -> Self {
+        let mut aad = Vec::with_capacity(4 + label.len() + 12);
+        aad.extend_from_slice(JOURNAL_MAGIC);
+        aad.extend_from_slice(label);
+        aad.extend_from_slice(&[0; 12]);
+        RecordAad(aad)
+    }
+
+    fn for_record(&mut self, seq: u64, crc: u32) -> &[u8] {
+        let at = self.0.len() - 12;
+        self.0[at..at + 8].copy_from_slice(&seq.to_be_bytes());
+        self.0[at + 8..].copy_from_slice(&crc.to_be_bytes());
+        &self.0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -587,10 +657,15 @@ fn record_aad(label: &[u8], seq: u64, crc: u32) -> Vec<u8> {
 pub struct JournalWriter {
     file: File,
     cipher: ChaCha20Poly1305,
+    aad: RecordAad,
+    /// The last record as written (ciphertext), for its allocation.
+    record: Vec<u8>,
     label: Vec<u8>,
     next_seq: u64,
     fence_path: PathBuf,
+    /// The bound in the fence file: at least every epoch appended so far.
     fenced: u64,
+    fence_writes: u64,
     nonce_rng: OsEntropyRng,
 }
 
@@ -611,48 +686,63 @@ impl JournalWriter {
         self.next_seq
     }
 
-    /// The highest epoch recorded in the fence so far.
+    /// The bound currently in the fence file: at least every epoch this
+    /// stream has committed, at most [`FENCE_LEASE`] past the record that
+    /// last crossed it (0 before the first transition).
     #[must_use]
     pub fn fenced_epoch(&self) -> u64 {
         self.fenced
     }
 
+    /// How many times this writer has rewritten the fence file.
+    #[must_use]
+    pub fn fence_writes(&self) -> u64 {
+        self.fence_writes
+    }
+
     /// Seals and appends one record, returning its sequence number and
-    /// the number of bytes written. Advances the fence when the record
-    /// commits a strictly higher epoch.
+    /// the number of bytes written. A record whose epoch exceeds the fence
+    /// first moves the fence [`FENCE_LEASE`] epochs past it, so the bound
+    /// is on disk before the record that needs it.
     ///
     /// # Errors
     ///
     /// I/O failures. The append is pushed to the OS before this returns,
     /// so a committed record survives process death.
     pub fn append(&mut self, payload: &JournalPayload) -> Result<(u64, u64), JournalError> {
-        let plaintext = codec::encode(payload);
-        let crc = crc32(&plaintext);
+        if let JournalPayload::Transition(t) = payload {
+            if t.stamp.epoch > self.fenced {
+                self.write_fence(t.stamp.epoch.saturating_add(FENCE_LEASE))?;
+            }
+        }
+        // One buffer, kept between appends, is the whole record: header,
+        // then the plaintext encoded where it is sealed, then the tag.
+        let mut w = codec::Writer::with_buffer(std::mem::take(&mut self.record));
+        w.put_array(&[0u8; RECORD_HEADER_LEN]);
+        payload.encode(&mut w);
+        let mut record = w.finish();
         let seq = self.next_seq;
+        let crc = crc32(&record[RECORD_HEADER_LEN..]);
+        let body_len = (record.len() - 4 + TAG_LEN) as u32;
         let mut nonce = [0u8; 12];
         self.nonce_rng.fill_bytes(&mut nonce);
-        let ct = self.cipher.seal(
+        record[..4].copy_from_slice(&body_len.to_be_bytes());
+        record[4..12].copy_from_slice(&seq.to_be_bytes());
+        record[12..16].copy_from_slice(&crc.to_be_bytes());
+        record[16..RECORD_HEADER_LEN].copy_from_slice(&nonce);
+        let tag = self.cipher.seal_in_place(
             &AeadNonce::from_bytes(nonce),
-            &plaintext,
-            &record_aad(&self.label, seq, crc),
+            self.aad.for_record(seq, crc),
+            &mut record[RECORD_HEADER_LEN..],
         );
-        let body_len = (8 + 4 + 12 + ct.len()) as u32;
-        let mut record = Vec::with_capacity(4 + body_len as usize);
-        record.extend_from_slice(&body_len.to_be_bytes());
-        record.extend_from_slice(&seq.to_be_bytes());
-        record.extend_from_slice(&crc.to_be_bytes());
-        record.extend_from_slice(&nonce);
-        record.extend_from_slice(&ct);
+        record.extend_from_slice(&tag);
         self.file
             .write_all(&record)
             .map_err(|e| io_err("append record", &e))?;
         self.next_seq += 1;
-        if let JournalPayload::Transition(t) = payload {
-            if t.stamp.epoch > self.fenced {
-                self.write_fence(t.stamp.epoch)?;
-            }
-        }
-        Ok((seq, record.len() as u64))
+        let written = record.len() as u64;
+        self.record = record;
+        Ok((seq, written))
     }
 
     fn write_fence(&mut self, epoch: u64) -> Result<(), JournalError> {
@@ -666,12 +756,13 @@ impl JournalWriter {
         let mut bytes = Vec::with_capacity(12 + ct.len());
         bytes.extend_from_slice(&nonce);
         bytes.extend_from_slice(&ct);
-        // Atomic replace: the fence is either the old epoch or the new one,
-        // never a torn mixture.
-        let tmp = self.fence_path.with_extension("fence.tmp");
+        // Atomic replace: the fence is either the old bound or the new
+        // one, never a torn mixture.
+        let tmp = fence_tmp_path(&self.fence_path);
         fs::write(&tmp, &bytes).map_err(|e| io_err("write fence", &e))?;
         fs::rename(&tmp, &self.fence_path).map_err(|e| io_err("commit fence", &e))?;
         self.fenced = epoch;
+        self.fence_writes += 1;
         Ok(())
     }
 }
@@ -715,6 +806,8 @@ pub fn decode_stream(
     mode: ReadMode,
 ) -> Result<ReplayedStream, JournalError> {
     let cipher = ChaCha20Poly1305::new(key.as_bytes());
+    let mut aad = RecordAad::new(label);
+    let mut plaintext = Vec::new();
     let mut genesis: Option<JournalGenesis> = None;
     let mut transitions = Vec::new();
     let mut records = 0u64;
@@ -752,11 +845,12 @@ pub fn decode_stream(
                 found: seq,
             });
         }
-        let plaintext = cipher
-            .open(
+        cipher
+            .open_into(
                 &AeadNonce::from_bytes(nonce),
                 ct,
-                &record_aad(label, seq, crc),
+                aad.for_record(seq, crc),
+                &mut plaintext,
             )
             .map_err(|_| JournalError::Corrupt {
                 seq,
@@ -980,7 +1074,7 @@ mod tests {
         assert_eq!(replay.transitions.len(), 3);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.next_seq, 5);
-        assert_eq!(replay.fenced_epoch, Some(3));
+        assert_eq!(replay.fenced_epoch, Some(1 + FENCE_LEASE));
         assert_eq!(replay.genesis, sample_genesis());
         assert_eq!(replay.transitions[2].stamp.epoch, 3);
     }
@@ -1063,7 +1157,7 @@ mod tests {
         let healed = dir.replay_stream(&label, ReadMode::Strict).unwrap();
         assert_eq!(healed.transitions.len(), 2);
         assert_eq!(healed.transitions[1].stamp.epoch, 5);
-        assert_eq!(healed.fenced_epoch, Some(5));
+        assert_eq!(healed.fenced_epoch, Some(1 + FENCE_LEASE));
     }
 
     #[test]
@@ -1160,11 +1254,115 @@ mod tests {
         let tagged = label_for(Some(&GroupId::new("alpha").unwrap()));
         dir.create_stream(&solo, &sample_genesis()).unwrap();
         dir.create_stream(&tagged, &sample_genesis()).unwrap();
-        let streams = dir.streams().unwrap();
-        let labels: Vec<&[u8]> = streams.iter().map(|s| s.label.as_slice()).collect();
-        assert_eq!(streams.len(), 2);
-        assert!(labels.contains(&solo.as_slice()));
-        assert!(labels.contains(&tagged.as_slice()));
+        // A stray file is reported by name; the streams beside it still
+        // list.
+        fs::write(dir.root().join("stream-not-hex.wal"), b"junk").unwrap();
+        let scan = dir.streams().unwrap();
+        let labels: Vec<&[u8]> = scan.streams.iter().map(|s| s.label.as_slice()).collect();
+        assert_eq!(labels, [solo.as_slice(), tagged.as_slice()]);
+        assert_eq!(scan.misnamed, ["stream-not-hex.wal"]);
+    }
+
+    fn fence_bytes(dir: &JournalDir, label: &[u8]) -> Vec<u8> {
+        fs::read(dir.root().join(fence_file_name(label))).unwrap()
+    }
+
+    /// Inside one lease the fence file is not touched at all: same bytes
+    /// (its nonce is fresh per write), same write count.
+    #[test]
+    fn appends_inside_a_lease_leave_the_fence_alone() {
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        assert_eq!(w.fence_writes(), 0, "a genesis commits no epoch");
+        w.append(&transition(1)).unwrap();
+        assert_eq!(w.fence_writes(), 1);
+        assert_eq!(w.fenced_epoch(), 1 + FENCE_LEASE);
+        let leased = fence_bytes(&dir, &label);
+        for epoch in 2..=1 + FENCE_LEASE {
+            w.append(&transition(epoch)).unwrap();
+        }
+        assert_eq!(w.fence_writes(), 1);
+        assert_eq!(fence_bytes(&dir, &label), leased);
+        assert_eq!(dir.read_fence(&label).unwrap(), Some(1 + FENCE_LEASE));
+    }
+
+    /// The record that crosses the lease rewrites the fence exactly once,
+    /// and the new bound is on disk before the record is: losing the
+    /// record (a crash between the two writes) leaves a fence that already
+    /// covers the epoch it would have committed.
+    #[test]
+    fn crossing_a_lease_fences_before_the_record() {
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        for epoch in 1..=1 + FENCE_LEASE {
+            w.append(&transition(epoch)).unwrap();
+        }
+        let path = dir.stream_path(&label);
+        let before = fs::metadata(&path).unwrap().len();
+        let crossing = 2 + FENCE_LEASE;
+        w.append(&transition(crossing)).unwrap();
+        assert_eq!(w.fence_writes(), 2);
+        assert_eq!(w.fenced_epoch(), crossing + FENCE_LEASE);
+        drop(w);
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(before)
+            .unwrap();
+        let replay = dir.replay_stream(&label, ReadMode::Strict).unwrap();
+        assert_eq!(replay.transitions.last().unwrap().stamp.epoch, crossing - 1);
+        assert!(replay.fenced_epoch.unwrap() >= crossing);
+    }
+
+    /// The order itself, not just the outcome: on a stream that refuses
+    /// the append (`/dev/full` answers every write with `ENOSPC`) the
+    /// crossing record fails, and the fence has already moved.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_refused_append_has_already_moved_the_fence() {
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        w.append(&transition(1)).unwrap();
+        drop(w);
+        let replay = dir.replay_stream(&label, ReadMode::Strict).unwrap();
+        let path = dir.stream_path(&label);
+        fs::remove_file(&path).unwrap();
+        std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+        let mut w = dir.open_writer(&label, &replay).unwrap();
+        let crossing = 2 + FENCE_LEASE;
+        assert!(matches!(
+            w.append(&transition(crossing)),
+            Err(JournalError::Io {
+                op: "append record",
+                ..
+            })
+        ));
+        assert_eq!(w.next_seq(), replay.next_seq, "nothing was committed");
+        assert_eq!(
+            dir.read_fence(&label).unwrap(),
+            Some(crossing + FENCE_LEASE)
+        );
+    }
+
+    /// A crash between the fence's write and its rename leaves a
+    /// `.fence.tmp`; the next writer on the stream removes it.
+    #[test]
+    fn opening_a_writer_clears_a_leftover_fence_tmp() {
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        w.append(&transition(1)).unwrap();
+        drop(w);
+        let tmp = fence_tmp_path(&dir.root().join(fence_file_name(&label)));
+        fs::write(&tmp, b"half a fence").unwrap();
+        let replay = dir.replay_stream(&label, ReadMode::Recover).unwrap();
+        let _w = dir.open_writer(&label, &replay).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(dir.read_fence(&label).unwrap(), Some(1 + FENCE_LEASE));
     }
 
     #[test]
@@ -1205,7 +1403,7 @@ mod tests {
             let _ = rec.next_u64();
         }
         assert_eq!(tape.len(), 57 + 8);
-        let mut player = TapePlayer::new(tape.clone());
+        let mut player = TapePlayer::new(&tape);
         let mut replayed = [0u8; 57];
         player.fill_bytes(&mut replayed[..20]);
         player.fill_bytes(&mut replayed[20..]);
@@ -1214,7 +1412,7 @@ mod tests {
         assert!(!player.underrun());
         assert_eq!(player.leftover(), 0);
         // Drawing past the end flags underrun instead of panicking.
-        let mut short = TapePlayer::new(vec![1, 2, 3]);
+        let mut short = TapePlayer::new(&[1, 2, 3]);
         let mut buf = [0u8; 8];
         short.fill_bytes(&mut buf);
         assert!(short.underrun());

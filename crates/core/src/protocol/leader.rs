@@ -152,6 +152,7 @@ struct LeaderObs {
     heartbeats: Counter,
     journal_appends: Counter,
     journal_bytes: Counter,
+    journal_fence_writes: Counter,
     seal_batch_ns: Histogram,
     lock_hold_batch_ns: Histogram,
     path_depth: Histogram,
@@ -178,6 +179,7 @@ impl LeaderObs {
             heartbeats: registry.counter("leader.heartbeats"),
             journal_appends: registry.counter("leader.journal.appends"),
             journal_bytes: registry.counter("leader.journal.bytes"),
+            journal_fence_writes: registry.counter("leader.journal.fence_writes"),
             seal_batch_ns: registry.histogram("leader.seal_batch_ns"),
             lock_hold_batch_ns: registry.histogram("leader.lock_hold_batch_ns"),
             path_depth: registry.histogram("leader.path_depth"),
@@ -1878,9 +1880,13 @@ impl LeaderCore {
             tape,
             stamp: stamp_of(&self.group),
         };
+        let fence_writes = writer.fence_writes();
         let (_, bytes) = writer.append(&JournalPayload::Transition(transition))?;
         self.obs.journal_appends.inc();
         self.obs.journal_bytes.add(bytes);
+        self.obs
+            .journal_fence_writes
+            .add(writer.fence_writes() - fence_writes);
         Ok(())
     }
 
@@ -1902,7 +1908,7 @@ impl LeaderCore {
         let mut core = LeaderCore::new(leader, directory, config);
         for (i, t) in replay.transitions.iter().enumerate() {
             let seq = i as u64 + 2; // record 1 is the genesis
-            let mut player = TapePlayer::new(t.tape.clone());
+            let mut player = TapePlayer::new(&t.tape);
             match &t.op {
                 JournalOp::Join(user) => {
                     apply_join(
@@ -3487,7 +3493,7 @@ mod tests {
 
     #[test]
     fn journaled_tree_core_recovers_and_advances_past_fence() {
-        use crate::journal::{genesis_for, label_for, JournalDir, ReadMode};
+        use crate::journal::{genesis_for, label_for, JournalDir, ReadMode, FENCE_LEASE};
         let tmp = TempJournal::new("tree");
         let dir = JournalDir::open_or_init(&tmp.0).unwrap();
         let users = names(6);
@@ -3506,11 +3512,14 @@ mod tests {
         let replay = dir
             .replay_stream(&label_for(None), ReadMode::Strict)
             .unwrap();
-        assert_eq!(
-            replay.fenced_epoch,
-            Some(live_epoch),
-            "the fence tracks the highest journaled epoch"
+        let fence = replay.fenced_epoch.expect("the joins fenced");
+        assert!(
+            (live_epoch..=live_epoch + FENCE_LEASE).contains(&fence),
+            "the fence leads the highest journaled epoch by at most one lease"
         );
+        let snap = w.l.obs_registry().snapshot();
+        assert_eq!(snap.counter("leader.journal.fence_writes"), 1);
+        assert!(snap.counter("leader.journal.appends") > 1);
         let mut recovered = LeaderCore::recover(&replay).unwrap();
         assert_eq!(recovered.durable_digest(), w.l.durable_digest());
 
@@ -3521,7 +3530,7 @@ mod tests {
             .recovery_advance(replay.fenced_epoch)
             .unwrap()
             .unwrap();
-        assert!(new_epoch > live_epoch);
+        assert!(new_epoch > fence, "recovery restarts past the lease");
         let replay2 = dir
             .replay_stream(&label_for(None), ReadMode::Strict)
             .unwrap();

@@ -30,7 +30,9 @@
 
 use crate::config::LeaderConfig;
 use crate::directory::Directory;
-use crate::journal::{genesis_for, label_for, JournalDir, JournalError, ReadMode, StreamInfo};
+use crate::journal::{
+    genesis_for, label_for, JournalDir, JournalError, ReadMode, StreamInfo, StreamScan,
+};
 use crate::liveness::{Clock, LivenessConfig, RealClock};
 use crate::protocol::{
     AdminFanout, LeaderCore, LeaderEvent, SealJob, SealedAdminFrame, SealedBatch,
@@ -44,13 +46,26 @@ use enclaves_wire::{ActorId, GroupId, Roster};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Below this many jobs a fan-out seals inline on the calling thread:
 /// the channel round-trip to the pool costs more than the seals.
 const POOL_SEAL_MIN_JOBS: usize = 32;
+
+/// Streams a recovery worker takes on before another is worth starting.
+/// A stream replays in about a millisecond, so below this a helper saves
+/// a few milliseconds of one start-up at best, and in exchange the open
+/// takes as long as the slower of two threads: its time would follow
+/// whatever else wants the second CPU.
+const STREAMS_PER_WORKER: usize = 8;
+
+/// Threads (the caller included) that share a cold open of `streams`
+/// streams on a host that runs `parallelism` threads at once.
+fn recovery_workers(parallelism: usize, streams: usize) -> usize {
+    parallelism.min(streams.div_ceil(STREAMS_PER_WORKER))
+}
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -449,6 +464,15 @@ pub struct FailedGroup {
     pub error: JournalError,
 }
 
+/// The I/O front-end a service runs on.
+enum FrontEnd {
+    /// Thread-per-link: an acceptor thread, then a handler thread per
+    /// connection.
+    Listener(Box<dyn Listener>),
+    /// Readiness loop: one handler thread per event shard.
+    Mux(MuxEndpoint),
+}
+
 /// A multi-enclave leader service: one listener, one ticker, one seal
 /// pool, any number of groups. See the module docs for the threading
 /// model.
@@ -474,7 +498,21 @@ impl LeaderService {
     /// [`LeaderService::add_group`].
     #[must_use]
     pub fn spawn(listener: Box<dyn Listener>, config: ServiceConfig) -> Self {
-        Self::spawn_journaled(listener, config, None)
+        Self::start(FrontEnd::Listener(listener), &config, None)
+    }
+
+    /// Spawns the service in readiness-loop mode on a [`MuxEndpoint`]
+    /// (from [`MuxNet::listen_events`]): no acceptor thread and no
+    /// thread-per-connection — one handler thread per event shard drains
+    /// accepted/frame/closed events for the connections pinned to it, so
+    /// the whole service runs at `shards + 2 + seal_threads` threads
+    /// regardless of how many members connect.
+    ///
+    /// The caller keeps the endpoint's [`MuxNet`] alive and shuts it down
+    /// *after* [`LeaderService::shutdown`].
+    #[must_use]
+    pub fn spawn_mux(endpoint: MuxEndpoint, config: ServiceConfig) -> Self {
+        Self::start(FrontEnd::Mux(endpoint), &config, None)
     }
 
     /// Reopens a durable service from its write-ahead journal directory:
@@ -485,7 +523,14 @@ impl LeaderService {
     /// with no operator intervention. Groups added later through
     /// [`LeaderService::add_group`] get their own journal streams.
     ///
-    /// A stream that fails to replay is reported in the returned
+    /// Streams are independent, so a directory of many is recovered side
+    /// by side: one thread per `STREAMS_PER_WORKER` (8) streams, at most
+    /// `available_parallelism` of them, the calling thread included. A
+    /// handful of streams is replayed by the caller alone. The report
+    /// lists them in label order regardless.
+    ///
+    /// A stream that fails to replay — or a `stream-*.wal` file whose
+    /// name is not a stream label at all — is reported in the returned
     /// [`RecoveryReport`] with its typed [`JournalError`] and *skipped*;
     /// one corrupt enclave never takes down its neighbours.
     ///
@@ -498,18 +543,92 @@ impl LeaderService {
         dir: &Path,
         config: ServiceConfig,
     ) -> Result<(Self, RecoveryReport), JournalError> {
+        Self::open_journaled(FrontEnd::Listener(listener), dir, &config)
+    }
+
+    /// [`LeaderService::open_with_journal`] in readiness-loop mode: the
+    /// production transport ([`LeaderService::spawn_mux`]) and the
+    /// production durability in one process.
+    ///
+    /// # Errors
+    ///
+    /// As [`LeaderService::open_with_journal`].
+    pub fn open_mux_with_journal(
+        endpoint: MuxEndpoint,
+        dir: &Path,
+        config: ServiceConfig,
+    ) -> Result<(Self, RecoveryReport), JournalError> {
+        Self::open_journaled(FrontEnd::Mux(endpoint), dir, &config)
+    }
+
+    fn open_journaled(
+        front: FrontEnd,
+        dir: &Path,
+        config: &ServiceConfig,
+    ) -> Result<(Self, RecoveryReport), JournalError> {
         let journal = JournalDir::open_or_init(dir)?;
-        let streams = journal.streams()?;
+        let scan = journal.streams()?;
+        let service = Self::start(front, config, Some(journal.clone()));
+        let parallelism =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = recovery_workers(parallelism, scan.streams.len());
+        let report = Self::recover_all(&service.shared, &journal, &scan, workers);
+        Ok((service, report))
+    }
+
+    /// Recovers every scanned stream on at most `workers` threads, the
+    /// caller's included: each pulls the next stream index until none is
+    /// left, and the outcomes are put back in scan (label) order, so the
+    /// report and the metrics do not depend on who recovered what.
+    fn recover_all(
+        shared: &Arc<ServiceShared>,
+        journal: &JournalDir,
+        scan: &StreamScan,
+        workers: usize,
+    ) -> RecoveryReport {
         let start = Instant::now();
-        let service = Self::spawn_journaled(listener, config, Some(journal.clone()));
+        let workers = workers.min(scan.streams.len());
+        // Relaxed: the index hands out work and publishes nothing else.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(info) = scan.streams.get(i) else {
+                    break done;
+                };
+                done.push((i, Self::recover_stream(shared, journal, info)));
+            }
+        };
+        let mut outcomes = std::thread::scope(|scope| {
+            // A helper that fails to spawn costs speed only: whoever is
+            // running drains the index.
+            let helpers: Vec<_> = (1..workers)
+                .filter_map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("enclaves-svc-recover-{i}"))
+                        .spawn_scoped(scope, work)
+                        .ok()
+                })
+                .collect();
+            let mut outcomes = work();
+            for helper in helpers {
+                outcomes.extend(helper.join().expect("recovery worker panicked"));
+            }
+            outcomes
+        });
+        outcomes.sort_unstable_by_key(|(i, _)| *i);
+
+        let obs = &shared.service_obs;
+        obs.gauge("recovery.workers")
+            .set(i64::try_from(workers).unwrap_or(i64::MAX));
         let mut report = RecoveryReport {
             recovered: Vec::new(),
             failed: Vec::new(),
             elapsed: Duration::ZERO,
         };
-        let obs = &service.shared.service_obs;
-        for info in streams {
-            match Self::recover_stream(&service.shared, &journal, &info) {
+        for (i, outcome) in outcomes {
+            match outcome {
                 Ok(group) => {
                     obs.counter("recovery.groups_ok").inc();
                     obs.counter("recovery.records_replayed").add(group.records);
@@ -522,10 +641,10 @@ impl LeaderService {
                     report.recovered.push(group);
                 }
                 Err(error) => {
-                    obs.counter("recovery.groups_failed").inc();
+                    let path = &scan.streams[i].path;
                     report.failed.push(FailedGroup {
-                        stream: info.path.file_name().map_or_else(
-                            || info.path.display().to_string(),
+                        stream: path.file_name().map_or_else(
+                            || path.display().to_string(),
                             |n| n.to_string_lossy().into_owned(),
                         ),
                         error,
@@ -533,10 +652,18 @@ impl LeaderService {
                 }
             }
         }
+        report
+            .failed
+            .extend(scan.misnamed.iter().map(|name| FailedGroup {
+                stream: name.clone(),
+                error: JournalError::BadStreamName { name: name.clone() },
+            }));
+        obs.counter("recovery.groups_failed")
+            .add(report.failed.len() as u64);
         report.elapsed = start.elapsed();
         obs.histogram("recovery.replay_ns")
             .record(elapsed_ns(start));
-        Ok((service, report))
+        report
     }
 
     /// Replays one stream into a registered group: decode (tolerating a
@@ -583,63 +710,49 @@ impl LeaderService {
         })
     }
 
-    fn spawn_journaled(
-        listener: Box<dyn Listener>,
-        config: ServiceConfig,
-        journal: Option<JournalDir>,
-    ) -> Self {
-        let shared = Self::build_shared(&config, journal);
-
-        let accept_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("enclaves-svc-acceptor".into())
-            .spawn(move || {
-                while accept_shared.running.load(Ordering::Relaxed) {
-                    match listener.accept_timeout(accept_shared.poll) {
-                        Ok(link) => {
-                            let link_shared = Arc::clone(&accept_shared);
-                            let _ = std::thread::Builder::new()
-                                .name("enclaves-svc-link".into())
-                                .spawn(move || link_loop(&link_shared, link));
+    /// The one constructor: shared state, the front-end's I/O threads,
+    /// the ticker.
+    fn start(front: FrontEnd, config: &ServiceConfig, journal: Option<JournalDir>) -> Self {
+        let shared = Self::build_shared(config, journal);
+        let io = match front {
+            FrontEnd::Listener(listener) => {
+                let accept_shared = Arc::clone(&shared);
+                let acceptor = std::thread::Builder::new()
+                    .name("enclaves-svc-acceptor".into())
+                    .spawn(move || {
+                        while accept_shared.running.load(Ordering::Relaxed) {
+                            match listener.accept_timeout(accept_shared.poll) {
+                                Ok(link) => {
+                                    let link_shared = Arc::clone(&accept_shared);
+                                    let _ = std::thread::Builder::new()
+                                        .name("enclaves-svc-link".into())
+                                        .spawn(move || link_loop(&link_shared, link));
+                                }
+                                Err(enclaves_net::NetError::Timeout) => continue,
+                                Err(_) => break,
+                            }
                         }
-                        Err(enclaves_net::NetError::Timeout) => continue,
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn service acceptor");
-
-        let ticker = Self::spawn_ticker(&shared);
-        LeaderService {
-            shared,
-            io: vec![acceptor],
-            ticker: Some(ticker),
-        }
-    }
-
-    /// Spawns the service in readiness-loop mode on a [`MuxEndpoint`]
-    /// (from [`MuxNet::listen_events`]): no acceptor thread and no
-    /// thread-per-connection — one handler thread per event shard drains
-    /// accepted/frame/closed events for the connections pinned to it, so
-    /// the whole service runs at `shards + 2 + seal_threads` threads
-    /// regardless of how many members connect.
-    ///
-    /// The caller keeps the endpoint's [`MuxNet`] alive and shuts it down
-    /// *after* [`LeaderService::shutdown`].
-    #[must_use]
-    pub fn spawn_mux(mut endpoint: MuxEndpoint, config: ServiceConfig) -> Self {
-        let shared = Self::build_shared(&config, None);
-        let net = endpoint.net();
-        let mut io = Vec::new();
-        for (i, shard_rx) in endpoint.take_shards().into_iter().enumerate() {
-            let shard_shared = Arc::clone(&shared);
-            let shard_net = net.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("enclaves-svc-shard-{i}"))
-                .spawn(move || shard_loop(&shard_shared, &shard_net, &shard_rx))
-                .expect("spawn service shard handler");
-            io.push(handle);
-        }
+                    })
+                    .expect("spawn service acceptor");
+                vec![acceptor]
+            }
+            FrontEnd::Mux(mut endpoint) => {
+                let net = endpoint.net();
+                endpoint
+                    .take_shards()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, shard_rx)| {
+                        let shard_shared = Arc::clone(&shared);
+                        let shard_net = net.clone();
+                        std::thread::Builder::new()
+                            .name(format!("enclaves-svc-shard-{i}"))
+                            .spawn(move || shard_loop(&shard_shared, &shard_net, &shard_rx))
+                            .expect("spawn service shard handler")
+                    })
+                    .collect()
+            }
+        };
         let ticker = Self::spawn_ticker(&shared);
         LeaderService {
             shared,
@@ -1601,5 +1714,221 @@ mod tests {
 
         service.shutdown();
         let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    /// A scratch directory removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let path =
+                std::env::temp_dir().join(format!("enclaves-svc-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            TempDir(path)
+        }
+
+        /// A file-by-file copy under a new tag.
+        fn copy(&self, tag: &str) -> Self {
+            let copy = TempDir::new(tag);
+            std::fs::create_dir_all(&copy.0).unwrap();
+            for entry in std::fs::read_dir(&self.0).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), copy.0.join(entry.file_name())).unwrap();
+            }
+            copy
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn quiet_service(journal: Option<JournalDir>) -> LeaderService {
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        LeaderService::start(
+            FrontEnd::Listener(Box::new(listener)),
+            &ServiceConfig::default(),
+            journal,
+        )
+    }
+
+    /// Everything a [`RecoveryReport`] says except how long it took, plus
+    /// a check that each recovered core is exactly what its own stream on
+    /// disk replays to (the post-recovery key is fresh per run, so the
+    /// digests are compared against the stream, not across runs).
+    fn summarize(journal: &JournalDir, report: &RecoveryReport) -> Vec<String> {
+        let mut lines = Vec::new();
+        for g in &report.recovered {
+            let label = label_for(g.group.as_ref());
+            let replay = journal.replay_stream(&label, ReadMode::Strict).unwrap();
+            assert_eq!(
+                g.handle.entry.core.lock().durable_digest(),
+                LeaderCore::recover(&replay).unwrap().durable_digest(),
+                "group {:?} is not what its stream replays to",
+                g.group
+            );
+            lines.push(format!(
+                "ok {:?} epoch {:?} members {} records {} torn {} fenced {} roster {:?}",
+                g.group,
+                g.epoch,
+                g.members,
+                g.records,
+                g.torn_bytes,
+                g.fenced,
+                g.handle.roster()
+            ));
+        }
+        for f in &report.failed {
+            lines.push(format!("failed {} {:?}", f.stream, f.error));
+        }
+        lines
+    }
+
+    /// Sixteen enclaves, one bit-flipped, one with a torn tail, plus a
+    /// stray misnamed file: however many workers recover them, the report
+    /// (order, counts, epochs, failures) and every recovered core are the
+    /// same as one worker's.
+    #[test]
+    fn parallel_open_reports_exactly_what_one_worker_does() {
+        let built = TempDir::new("par-built");
+        let tags: Vec<String> = (0..16).map(|g| format!("g{g:02}")).collect();
+        {
+            let net = SimNet::new(SimConfig::default());
+            let listener = net.listen("svc").unwrap();
+            let (service, _) = LeaderService::open_with_journal(
+                Box::new(listener),
+                &built.0,
+                ServiceConfig::default(),
+            )
+            .unwrap();
+            for (g, tag) in tags.iter().enumerate() {
+                let handle = service
+                    .add_group(
+                        id("leader"),
+                        directory(&["alice", "bob"]),
+                        LeaderConfig {
+                            tree_rekey: true,
+                            ..group_config(tag)
+                        },
+                    )
+                    .unwrap();
+                let _alice = join(&net, &format!("a-{tag}"), "alice", tag, &handle);
+                let _bob = join(&net, &format!("b-{tag}"), "bob", tag, &handle);
+                // Histories of different lengths, so a result filed under
+                // the wrong index would show.
+                for _ in 0..g % 4 {
+                    handle.rekey().unwrap();
+                }
+            }
+            service.shutdown();
+        }
+        let journal = JournalDir::open_or_init(&built.0).unwrap();
+        let path_of = |g: usize| journal.stream_path(&label_for(Some(&gid(&tags[g]))));
+        let mut flipped = std::fs::read(path_of(3)).unwrap();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x40;
+        std::fs::write(path_of(3), &flipped).unwrap();
+        let torn = std::fs::read(path_of(11)).unwrap();
+        std::fs::write(path_of(11), &torn[..torn.len() - 5]).unwrap();
+        assert!(matches!(
+            journal.replay_stream(&label_for(Some(&gid(&tags[11]))), ReadMode::Strict),
+            Err(JournalError::TornTail { .. })
+        ));
+        std::fs::write(built.0.join("stream-nothex.wal"), b"stray").unwrap();
+
+        let forced = |tag: &str, workers: usize| {
+            let dir = built.copy(tag);
+            let journal = JournalDir::open_or_init(&dir.0).unwrap();
+            let scan = journal.streams().unwrap();
+            let service = quiet_service(Some(journal.clone()));
+            let report = LeaderService::recover_all(&service.shared, &journal, &scan, workers);
+            let lines = summarize(&journal, &report);
+            assert_eq!(
+                service.snapshot().gauge("recovery.workers"),
+                workers.min(16) as i64
+            );
+            service.shutdown();
+            lines
+        };
+        let one = forced("par-one", 1);
+        assert_eq!(one.len(), 17);
+        assert_eq!(one.iter().filter(|l| l.starts_with("ok ")).count(), 15);
+        assert!(
+            one[10].contains("g11") && !one[10].contains("torn 0 "),
+            "{}",
+            one[10]
+        );
+        assert!(one[15].starts_with("failed stream-") && one[15].contains("Corrupt"));
+        assert!(one[16].starts_with("failed stream-nothex.wal BadStreamName"));
+        assert_eq!(forced("par-four", 4), one);
+        assert_eq!(forced("par-many", 64), one);
+
+        // And the public entry point, at whatever this host's parallelism is.
+        let dir = built.copy("par-public");
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        let (service, report) =
+            LeaderService::open_with_journal(Box::new(listener), &dir.0, ServiceConfig::default())
+                .unwrap();
+        let journal = JournalDir::open_or_init(&dir.0).unwrap();
+        assert_eq!(summarize(&journal, &report), one);
+        let snap = service.snapshot();
+        let parallelism =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(snap.gauge("recovery.workers"), parallelism.min(2) as i64);
+        assert_eq!(snap.counter("recovery.groups_ok"), 15);
+        assert_eq!(snap.counter("recovery.groups_failed"), 2);
+        assert_eq!(snap.counter("recovery.torn_tails"), 1);
+        service.shutdown();
+    }
+
+    /// A helper is started per eight streams, never more than the host
+    /// runs at once: small directories are the caller's alone.
+    #[test]
+    fn small_directories_get_one_recovery_worker() {
+        for (parallelism, streams, workers) in [
+            (8, 0, 0),
+            (8, 1, 1),
+            (8, 8, 1),
+            (8, 9, 2),
+            (8, 16, 2),
+            (2, 1000, 2),
+            (1, 1000, 1),
+            (64, 1000, 64),
+        ] {
+            assert_eq!(
+                recovery_workers(parallelism, streams),
+                workers,
+                "{parallelism} CPUs, {streams} streams"
+            );
+        }
+    }
+
+    /// With nothing or one stream to recover there is nobody to share the
+    /// work with: the caller is the only worker (helpers spawned =
+    /// `recovery.workers` − 1), however many were offered.
+    #[test]
+    fn empty_and_single_stream_opens_spawn_no_helper() {
+        let dir = TempDir::new("par-small");
+        let journal = JournalDir::open_or_init(&dir.0).unwrap();
+        let service = quiet_service(Some(journal.clone()));
+        let scan = journal.streams().unwrap();
+        let report = LeaderService::recover_all(&service.shared, &journal, &scan, 8);
+        assert!(report.recovered.is_empty() && report.failed.is_empty());
+        assert_eq!(service.snapshot().gauge("recovery.workers"), 0);
+        service
+            .add_group(id("leader"), directory(&["alice"]), group_config("red"))
+            .unwrap();
+        service.shutdown();
+
+        let service = quiet_service(Some(journal.clone()));
+        let scan = journal.streams().unwrap();
+        let report = LeaderService::recover_all(&service.shared, &journal, &scan, 8);
+        assert_eq!(report.recovered.len(), 1);
+        assert_eq!(service.snapshot().gauge("recovery.workers"), 1);
+        service.shutdown();
     }
 }

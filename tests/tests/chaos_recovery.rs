@@ -6,7 +6,9 @@
 //! anything the dead leader ever served, and the final AEAD probe opens
 //! for the whole cast. Plus the rewind defense: restoring a stale
 //! journal snapshot behind a newer fence must land past the fence, not
-//! back on epochs members have already seen.
+//! back on epochs members have already seen. And the wiring: the same
+//! restart with the leader in readiness-loop (event) mode over loopback
+//! TCP, the production transport on the production durability.
 
 use enclaves_chaos::{run_crash_restart, ChaosEvent, ChaosOptions, Schedule, SimFabric};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
@@ -14,8 +16,9 @@ use enclaves_core::directory::Directory;
 use enclaves_core::journal::{label_for, JournalDir};
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
+use enclaves_net::{MuxConfig, MuxNet};
 use enclaves_verify::live::LiveEvent;
-use enclaves_wire::ActorId;
+use enclaves_wire::{ActorId, GroupId};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -248,4 +251,115 @@ fn stale_journal_restore_is_fenced_not_rewound() {
     );
     drop(recovered);
     service.shutdown();
+}
+
+/// Event mode and the journal in one process: a journaled readiness-loop
+/// service admits eight members over loopback TCP and dies without a
+/// shutdown (its sockets close, nothing is flushed or said); a second one
+/// opened on the same directory finds the roster and re-admits all eight
+/// in epochs strictly past anything the first ever served.
+#[test]
+fn journaled_event_mode_service_restarts_from_its_directory() {
+    let dir = TempDir::new("mux");
+    let wait = Duration::from_secs(10);
+    let leader = ActorId::new("leader").expect("static name");
+    let group = GroupId::new("ops").expect("static tag");
+    let users: Vec<ActorId> = (0..8)
+        .map(|i| ActorId::new(format!("m{i}")).expect("static name"))
+        .collect();
+    let admit = |net: &MuxNet, addr, user: &ActorId| {
+        let rt = MemberRuntime::connect_with(
+            Box::new(net.connect(addr).expect("leader listening")),
+            user.clone(),
+            leader.clone(),
+            &format!("{user}-pw"),
+            MemberOptions {
+                group: Some(group.clone()),
+                ..MemberOptions::default()
+            },
+        )
+        .expect("handshake starts");
+        rt.wait_joined(wait).expect("welcome");
+        rt
+    };
+
+    // Generation 1.
+    let net = MuxNet::spawn(MuxConfig::default());
+    let endpoint = net
+        .listen_events("127.0.0.1:0".parse().expect("literal"), 2)
+        .expect("loopback bind");
+    let addr = endpoint.local_addr();
+    let (service, report) =
+        LeaderService::open_mux_with_journal(endpoint, &dir.0, ServiceConfig::default())
+            .expect("empty journal dir initializes");
+    assert!(report.recovered.is_empty() && report.failed.is_empty());
+    let mut directory = Directory::new();
+    for user in &users {
+        directory
+            .register_password(user, &format!("{user}-pw"))
+            .expect("fresh directory");
+    }
+    let handle = service
+        .add_group(
+            leader.clone(),
+            directory,
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                tree_rekey: true,
+                group: Some(group.clone()),
+                ..LeaderConfig::default()
+            },
+        )
+        .expect("fresh service");
+    let first: Vec<MemberRuntime> = users.iter().map(|u| admit(&net, addr, u)).collect();
+    for user in &users {
+        handle.wait_member(user, wait).expect("admitted");
+    }
+    let served = handle.epoch().expect("eight joins keyed the group");
+    let appends = service
+        .snapshot()
+        .counter("group.ops.leader.journal.appends");
+    assert_eq!(appends, 8, "one record per join, committed before dispatch");
+
+    // The kill.
+    for rt in first {
+        rt.abandon();
+    }
+    drop(handle);
+    drop(service);
+    net.shutdown();
+
+    // Generation 2, same directory, new sockets.
+    let net = MuxNet::spawn(MuxConfig::default());
+    let endpoint = net
+        .listen_events("127.0.0.1:0".parse().expect("literal"), 2)
+        .expect("loopback bind");
+    let addr = endpoint.local_addr();
+    let (service, mut report) =
+        LeaderService::open_mux_with_journal(endpoint, &dir.0, ServiceConfig::default())
+            .expect("the journal replays");
+    assert!(report.failed.is_empty(), "{:?}", report.failed);
+    assert_eq!(report.recovered.len(), 1);
+    let recovered = report.recovered.remove(0);
+    assert_eq!(recovered.group, Some(group.clone()));
+    assert_eq!(recovered.members, 8);
+    assert_eq!(recovered.records, 9);
+    let restarted = recovered.epoch.expect("the journal held an epoch");
+    assert!(restarted > served, "{restarted} must be past {served}");
+
+    let handle = recovered.handle;
+    for user in &users {
+        let rt = admit(&net, addr, user);
+        let epoch = rt.group_epoch().expect("welcomed into an epoch");
+        assert!(
+            epoch > served,
+            "{user} re-admitted at {epoch}, not past {served}"
+        );
+        rt.abandon();
+    }
+    assert_eq!(handle.roster().len(), 8, "re-admission adds nobody");
+    assert!(handle.epoch().expect("still keyed") > restarted);
+    drop(handle);
+    service.shutdown();
+    net.shutdown();
 }

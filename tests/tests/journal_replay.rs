@@ -5,11 +5,15 @@
 //! is byte-identical to the live one. And a stream cut mid-record (the
 //! torn tail a `kill -9` leaves behind) recovers to exactly the state
 //! after the last *complete* record, never to anything in between.
+//!
+//! And the epoch fence is a leased upper bound that is on disk before the
+//! record that needs it: whatever prefix of a history survives, recovery
+//! restarts strictly past every epoch any record ever committed.
 
 use enclaves_bench::{leader_id, member_id, member_key, pump, settle};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
-use enclaves_core::journal::{genesis_for, label_for, JournalDir, ReadMode};
+use enclaves_core::journal::{genesis_for, label_for, JournalDir, ReadMode, FENCE_LEASE};
 use enclaves_core::protocol::{LeaderCore, MemberSession};
 use enclaves_crypto::rng::SeededRng;
 use proptest::prelude::*;
@@ -61,15 +65,31 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The live world right after one record was committed.
+struct Mark {
+    /// Stream length.
+    len: u64,
+    /// The live core's durable digest.
+    digest: [u8; 32],
+    /// The live epoch (0 before the first key).
+    epoch: u64,
+    /// The fence file as it then was.
+    fence: Option<Vec<u8>>,
+}
+
 /// A live journaled world after `ops`, plus the journal handle and the
-/// digest marks: `marks[k]` = (stream length, live digest) after `k + 1`
-/// records were committed (`marks[0]` is the genesis).
+/// marks: `marks[k]` is the world after `k + 1` records were committed
+/// (`marks[0]` is the genesis).
 struct Driven {
     dir: TempDir,
     journal: JournalDir,
     label: Vec<u8>,
     leader: LeaderCore,
-    marks: Vec<(u64, [u8; 32])>,
+    marks: Vec<Mark>,
+}
+
+fn fence_path(journal: &JournalDir, label: &[u8]) -> PathBuf {
+    journal.stream_path(label).with_extension("fence")
 }
 
 fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
@@ -98,8 +118,14 @@ fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
     leader.attach_journal(writer);
 
     let stream_path = journal.stream_path(&label);
-    let stream_len = |path: &PathBuf| fs::metadata(path).map_or(0, |m| m.len());
-    let mut marks = vec![(stream_len(&stream_path), leader.durable_digest())];
+    let fence_path = fence_path(&journal, &label);
+    let mark = |leader: &LeaderCore| Mark {
+        len: fs::metadata(&stream_path).map_or(0, |m| m.len()),
+        digest: leader.durable_digest(),
+        epoch: leader.epoch().unwrap_or(0),
+        fence: fs::read(&fence_path).ok(),
+    };
+    let mut marks = vec![mark(&leader)];
 
     // Placeholder pre-handshake sessions so `pump` can index the cast;
     // a `Join` replaces the slot with a fresh session and pumps its init.
@@ -143,9 +169,9 @@ fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
                 }
             }
         }
-        let len = stream_len(&stream_path);
-        if len > marks.last().expect("genesis mark").0 {
-            marks.push((len, leader.durable_digest()));
+        let now = mark(&leader);
+        if now.len > marks.last().expect("genesis mark").len {
+            marks.push(now);
         }
     }
 
@@ -184,7 +210,7 @@ fn check_replay(ops: &[Op], tree: bool, seed: u64, cut_selector: u64) {
     // strict read must refuse the tail.
     if driven.marks.len() >= 2 {
         let j = 1 + (cut_selector as usize % (driven.marks.len() - 1));
-        let (lo, hi) = (driven.marks[j - 1].0, driven.marks[j].0);
+        let (lo, hi) = (driven.marks[j - 1].len, driven.marks[j].len);
         let cut = lo + 1 + (cut_selector % (hi - lo - 1).max(1));
         drop(driven.leader); // release the writer's file handle first
         let path = driven.journal.stream_path(&driven.label);
@@ -208,11 +234,94 @@ fn check_replay(ops: &[Op], tree: bool, seed: u64, cut_selector: u64) {
         let rebuilt = LeaderCore::recover(&torn).expect("torn replay rebuilds");
         prop_assert_eq!(
             rebuilt.durable_digest(),
-            driven.marks[j - 1].1,
+            driven.marks[j - 1].digest,
             "torn-tail recovery must land exactly on the last complete record"
         );
     }
     drop(driven.dir);
+}
+
+/// Recovers a planted (stream, fence) pair the way the service does —
+/// replay tolerating a torn tail, rebuild, reattach, advance — and returns
+/// the epoch the restarted leader would serve.
+fn recovered_epoch(driven: &Driven, stream: &[u8], fence: Option<&[u8]>) -> Option<u64> {
+    fs::write(driven.journal.stream_path(&driven.label), stream).expect("plant stream");
+    let fence_path = fence_path(&driven.journal, &driven.label);
+    match fence {
+        Some(bytes) => fs::write(&fence_path, bytes).expect("plant fence"),
+        None => drop(fs::remove_file(&fence_path)),
+    }
+    let replay = driven
+        .journal
+        .replay_stream(&driven.label, ReadMode::Recover)
+        .expect("a prefix of a valid stream replays");
+    let mut core = LeaderCore::recover(&replay).expect("a prefix rebuilds");
+    core.attach_journal(
+        driven
+            .journal
+            .open_writer(&driven.label, &replay)
+            .expect("reopen stream"),
+    );
+    core.recovery_advance(replay.fenced_epoch)
+        .expect("journal the recovery epoch")
+}
+
+/// Cuts a history — `burst` rekeys long enough to cross fence leases —
+/// at and inside every record, and restarts from each cut twice: with
+/// the fence of that moment (a crash: the record being appended may be
+/// lost, its fence is already there) and with the final fence (a stale
+/// stream restored behind it). Neither may re-issue an epoch.
+fn check_fence(ops: &[Op], tree: bool, seed: u64, burst: usize) {
+    let mut history = vec![Op::Join(0)];
+    history.extend(std::iter::repeat_n(Op::Rekey, burst));
+    history.extend_from_slice(ops);
+    let mut driven = drive(&history, tree, seed);
+    let marks = std::mem::take(&mut driven.marks);
+    let last = marks.last().expect("genesis mark");
+    let ever = last.epoch;
+    let full = fs::read(driven.journal.stream_path(&driven.label)).expect("read stream");
+    if burst as u64 > FENCE_LEASE {
+        prop_assert!(last.fence != marks[1].fence, "the burst must cross a lease");
+    }
+
+    for k in 1..marks.len() {
+        let (lo, hi) = (marks[k - 1].len as usize, marks[k].len as usize);
+        let then = &marks[k];
+        // The fence of that moment was written before record k.
+        prop_assert!(then.fence.is_some(), "record {k} committed unfenced");
+        // Record k lost whole (the crash fell between its fence write and
+        // its append) or torn in half, alternately.
+        let cut = lo + (k % 2) * (hi - lo) / 2;
+        let crashed = recovered_epoch(&driven, &full[..cut], then.fence.as_deref());
+        prop_assert!(
+            crashed.is_some_and(|e| e > then.epoch && e <= then.epoch + FENCE_LEASE + 1),
+            "crash in record {k} at byte {cut}: restarted at {crashed:?}, \
+             record committed {}",
+            then.epoch
+        );
+        let stale = recovered_epoch(&driven, &full[..cut], last.fence.as_deref());
+        prop_assert!(
+            stale.is_some_and(|e| e > ever),
+            "stale restore cut at byte {cut}: restarted at {stale:?}, \
+             members saw {ever}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Fence lease: no prefix of a history, with the fence of its moment
+    /// or a later one, recovers onto an epoch a record ever committed.
+    #[test]
+    fn recovery_lands_past_every_epoch_ever_appended(
+        ops in proptest::collection::vec(op_strategy(), 1..8),
+        tree in any::<bool>(),
+        seed in any::<u64>(),
+        burst in 0usize..100,
+    ) {
+        check_fence(&ops, tree, seed, burst);
+    }
 }
 
 proptest! {
