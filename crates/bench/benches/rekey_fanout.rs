@@ -1,15 +1,10 @@
-//! Rekey fan-out: serial sealing vs the staged out-of-lock parallel path
-//! (EXPERIMENTS.md row S11), and both against the MLS-style rekey tree
-//! (row S14).
+//! Rekey fan-out: the flat per-member rekey against the MLS-style rekey
+//! tree (EXPERIMENTS.md rows S11 and S14).
 //!
 //! A *flat* rekey is irreducibly O(N) AEAD seals on the admin channel —
 //! every member must receive the new group key under its own pairwise
-//! `K_a` — but the seals need not run serially under the leader's lock.
-//! The staged path draws all nonces under the lock in roster order, then
-//! shards the seals across `std::thread::scope` workers. Only the
-//! stage+seal+commit pipeline is timed (`iter_custom`); draining the
-//! stop-and-wait acknowledgments between rekeys happens off the clock, so
-//! the serial-vs-parallel difference is not washed out by ARQ traffic.
+//! `K_a`. Only the rekey call is timed (`iter_custom`); draining the
+//! stop-and-wait acknowledgments between rekeys happens off the clock.
 //!
 //! The *tree* rekey removes the O(N) term altogether: one leaf-to-root
 //! path refresh sealed once per copath resolution node — at most
@@ -22,12 +17,8 @@ use std::time::{Duration, Instant};
 
 const GROUP_SIZES: [usize; 4] = [8, 64, 512, 4096];
 
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn bench_rekey_serial(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rekey_fanout/serial");
+fn bench_rekey_flat(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rekey_fanout/flat");
     group.sample_size(10);
     for n in GROUP_SIZES {
         group.throughput(Throughput::Elements(n as u64));
@@ -37,30 +28,7 @@ fn bench_rekey_serial(c: &mut Criterion) {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     let start = Instant::now();
-                    let outgoing = world.rekey_serial();
-                    total += start.elapsed();
-                    world.settle(outgoing);
-                }
-                total
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_rekey_parallel(c: &mut Criterion) {
-    let threads = available_threads();
-    let mut group = c.benchmark_group("rekey_fanout/parallel");
-    group.sample_size(10);
-    for n in GROUP_SIZES {
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut world = FanoutGroup::new(n);
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    let start = Instant::now();
-                    let outgoing = world.rekey_parallel(threads);
+                    let outgoing = world.rekey_flat();
                     total += start.elapsed();
                     world.settle(outgoing);
                 }
@@ -93,10 +61,5 @@ fn bench_rekey_tree(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_rekey_serial,
-    bench_rekey_parallel,
-    bench_rekey_tree
-);
+criterion_group!(benches, bench_rekey_flat, bench_rekey_tree);
 criterion_main!(benches);

@@ -16,12 +16,10 @@
 //!
 //! With `--rekey` it measures the control-plane rekey fan-out experiments
 //! (EXPERIMENTS.md rows S11 and S14) and writes `BENCH_rekey.json`: the
-//! flat per-member fan-out (serial vs staged out-of-lock parallel
-//! sealing) against the MLS-style rekey tree. Two host-independent gates
-//! always run: tree-mode `seals_per_rekey ≤ 2·ceil(log2 N)+1` at every
-//! measured N, and tree-mode wall clock beating the flat N-seal path at
-//! N = 4096. The flat serial-vs-parallel ≥2× gate additionally arms on
-//! multicore hosts.
+//! flat per-member fan-out against the MLS-style rekey tree. Two
+//! host-independent gates run: tree-mode `seals_per_rekey ≤
+//! 2·ceil(log2 N)+1` at every measured N, and tree-mode wall clock
+//! beating the flat N-seal path at N = 4096.
 //!
 //! With `--multigroup` it measures the multi-enclave aggregate-throughput
 //! experiment (EXPERIMENTS.md row S15) and writes `BENCH_multigroup.json`:
@@ -52,7 +50,6 @@ use enclaves_bench::FanoutGroup;
 use enclaves_core::attacks;
 use enclaves_model::explore::Bounds;
 use enclaves_verify::runner;
-use enclaves_wire::message::Envelope;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -174,24 +171,19 @@ fn run_fanout() {
     println!("  single-seal invariant holds; >=10x at N=512; wrote BENCH_fanout.json");
 }
 
-/// One measured rekey fan-out size: the flat per-member fan-out (serial
-/// and out-of-lock parallel sealing) against the `O(log N)` rekey tree.
+/// One measured rekey fan-out size: the flat per-member fan-out against
+/// the `O(log N)` rekey tree.
 struct RekeyRow {
     n: usize,
-    serial_ns: u128,
-    parallel_ns: u128,
+    flat_ns: u128,
     tree_ns: u128,
     seals_per_rekey: u64,
     tree_seals_per_rekey: u64,
 }
 
 impl RekeyRow {
-    fn speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.parallel_ns as f64
-    }
-
     fn tree_speedup(&self) -> f64 {
-        self.serial_ns as f64 / self.tree_ns as f64
+        self.flat_ns as f64 / self.tree_ns as f64
     }
 
     /// The `O(log N)` acceptance bound: `2·ceil(log2 n) + 1` copath seals.
@@ -201,34 +193,21 @@ impl RekeyRow {
     }
 }
 
-/// Median-of-`iters` wall-clock time of the staged rekey pipeline alone:
-/// the stop-and-wait acknowledgments are drained *outside* the timed
-/// region so ARQ traffic does not wash out the serial-vs-parallel
-/// difference.
-fn median_rekey_ns(
-    world: &mut FanoutGroup,
-    iters: usize,
-    mut rekey: impl FnMut(&mut FanoutGroup) -> Vec<Envelope>,
-) -> u128 {
+fn measure_rekey(n: usize, iters: usize) -> RekeyRow {
+    // The stop-and-wait acknowledgments are drained *outside* the timed
+    // region, so the sample is the leader's rekey call alone.
+    let mut world = FanoutGroup::new(n);
+    let seals_before = world.leader.stats().admin_seals;
+    let rekeys_before = world.leader.stats().rekeys;
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let start = Instant::now();
-        let outgoing = rekey(world);
+        let outgoing = world.rekey_flat();
         samples.push(start.elapsed().as_nanos());
         world.settle(outgoing);
     }
     samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn measure_rekey(n: usize, iters: usize, threads: usize) -> RekeyRow {
-    let mut world = FanoutGroup::new(n);
-    let serial_ns = median_rekey_ns(&mut world, iters, FanoutGroup::rekey_serial);
-
-    let mut world = FanoutGroup::new(n);
-    let seals_before = world.leader.stats().admin_seals;
-    let rekeys_before = world.leader.stats().rekeys;
-    let parallel_ns = median_rekey_ns(&mut world, iters, |w| w.rekey_parallel(threads));
+    let flat_ns = samples[samples.len() / 2];
     let seals = world.leader.stats().admin_seals - seals_before;
     let rekeys = world.leader.stats().rekeys - rekeys_before;
     assert_eq!(
@@ -266,8 +245,7 @@ fn measure_rekey(n: usize, iters: usize, threads: usize) -> RekeyRow {
 
     RekeyRow {
         n,
-        serial_ns,
-        parallel_ns,
+        flat_ns,
         tree_ns,
         seals_per_rekey: seals / rekeys,
         tree_seals_per_rekey: tree_seals / tree_rekeys,
@@ -275,39 +253,24 @@ fn measure_rekey(n: usize, iters: usize, threads: usize) -> RekeyRow {
 }
 
 fn run_rekey() {
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    // The flat serial-vs-parallel ≥2× gate needs real cores to
-    // parallelize across, so it only arms on multicore. The headline
-    // acceptance gates are host-independent and always run: tree-mode
-    // seals_per_rekey ≤ 2·ceil(log2 N)+1 at every N, and tree-mode wall
-    // clock beating the flat N-seal path at N=4096 (an algorithmic win,
-    // not a parallelism win).
-    let flat_gate_armed = threads >= 4;
-    // ONE label, printed verbatim on the console and in the JSON, so the
-    // two outputs can never disagree about whether the gate was enforced.
-    let flat_gate_label = if flat_gate_armed {
-        "enforced (>=2x at N=4096)"
-    } else {
-        "informational (host has <4 cores; parallel seal falls back toward serial)"
-    };
-    println!("-- Rekey fan-out (rows S11/S14): flat serial/parallel vs tree --");
-    println!();
-    println!("  seal worker threads: {threads}");
+    // Both gates are host-independent: tree-mode seals_per_rekey ≤
+    // 2·ceil(log2 N)+1 at every N, and tree-mode wall clock beating the
+    // flat N-seal path at N=4096 (an algorithmic win).
+    println!("-- Rekey fan-out (rows S11/S14): flat vs tree --");
     println!();
     println!(
-        "  {:>6} {:>12} {:>12} {:>12} {:>8} {:>7} {:>11}",
-        "N", "serial", "parallel", "tree", "tree-x", "seals", "tree-seals"
+        "  {:>6} {:>12} {:>12} {:>8} {:>7} {:>11}",
+        "N", "flat", "tree", "tree-x", "seals", "tree-seals"
     );
     let rows: Vec<RekeyRow> = [8usize, 64, 512, 4096]
         .iter()
         .map(|&n| {
             let iters = if n >= 4096 { 5 } else { 11 };
-            let row = measure_rekey(n, iters, threads);
+            let row = measure_rekey(n, iters);
             println!(
-                "  {:>6} {:>10.2}us {:>10.2}us {:>10.2}us {:>7.1}x {:>7} {:>5} <= {:>2}",
+                "  {:>6} {:>10.2}us {:>10.2}us {:>7.1}x {:>7} {:>5} <= {:>2}",
                 row.n,
-                row.serial_ns as f64 / 1e3,
-                row.parallel_ns as f64 / 1e3,
+                row.flat_ns as f64 / 1e3,
                 row.tree_ns as f64 / 1e3,
                 row.tree_speedup(),
                 row.seals_per_rekey,
@@ -335,42 +298,31 @@ fn run_rekey() {
     let at_4096 = rows.iter().find(|r| r.n == 4096).expect("4096 is measured");
     // Always-run, host-independent: ~12 seals must beat 4096 seals.
     assert!(
-        at_4096.tree_ns < at_4096.serial_ns,
+        at_4096.tree_ns < at_4096.flat_ns,
         "tree rekey must beat the flat N-seal path at N=4096: {}ns vs {}ns",
         at_4096.tree_ns,
-        at_4096.serial_ns
+        at_4096.flat_ns
     );
-    if flat_gate_armed {
-        assert!(
-            at_4096.speedup() >= 2.0,
-            "expected >=2x at N=4096 with {threads} threads, got {:.1}x",
-            at_4096.speedup()
-        );
-    }
 
     let mut json = String::from("{\n  \"experiment\": \"rekey_fanout\",\n");
-    let _ = writeln!(json, "  \"seal_threads\": {threads},");
     let _ = writeln!(
         json,
         "  \"tree_seal_gate\": \"enforced (seals_per_rekey <= 2*ceil(log2 N)+1 at every N)\","
     );
     let _ = writeln!(
         json,
-        "  \"tree_speed_gate\": \"enforced (tree beats flat serial at N=4096)\","
+        "  \"tree_speed_gate\": \"enforced (tree beats flat at N=4096)\","
     );
-    let _ = writeln!(json, "  \"flat_parallel_gate\": \"{flat_gate_label}\",");
     json.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"serial_ns\": {}, \"parallel_ns\": {}, \"tree_ns\": {}, \
-             \"speedup\": {:.2}, \"tree_speedup\": {:.2}, \"seals_per_rekey\": {}, \
+            "    {{\"n\": {}, \"flat_ns\": {}, \"tree_ns\": {}, \
+             \"tree_speedup\": {:.2}, \"seals_per_rekey\": {}, \
              \"tree_seals_per_rekey\": {}, \"tree_seal_bound\": {}}}{}",
             row.n,
-            row.serial_ns,
-            row.parallel_ns,
+            row.flat_ns,
             row.tree_ns,
-            row.speedup(),
             row.tree_speedup(),
             row.seals_per_rekey,
             row.tree_seals_per_rekey,
@@ -382,10 +334,7 @@ fn run_rekey() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rekey.json");
     std::fs::write(path, json).expect("write BENCH_rekey.json");
     println!();
-    println!(
-        "  flat n-seal invariant holds; tree O(log N) gates enforced; \
-         flat parallel gate {flat_gate_label}; wrote BENCH_rekey.json"
-    );
+    println!("  flat n-seal invariant holds; tree O(log N) gates enforced; wrote BENCH_rekey.json");
 }
 
 /// The multi-enclave aggregate-throughput experiment (EXPERIMENTS.md row

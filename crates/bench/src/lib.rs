@@ -228,33 +228,15 @@ impl FanoutGroup {
         settle(&mut self.leader, &mut self.members, outgoing);
     }
 
-    /// Runs one staged rekey end to end — stage, seal, commit — sealing
-    /// on the calling thread. Returns the sealed envelopes so the caller
-    /// can [`FanoutGroup::settle`] the stop-and-wait acks outside any
-    /// timed region.
+    /// Runs one flat rekey: a `NewGroupKey` sealed per member. Returns
+    /// the sealed envelopes so the caller can [`FanoutGroup::settle`] the
+    /// stop-and-wait acks outside any timed region.
     ///
     /// # Panics
     ///
-    /// Panics if staging fails (a bug, not an input condition).
-    pub fn rekey_serial(&mut self) -> Vec<Envelope> {
-        let fanout = self.leader.begin_rekey().expect("rekey stages");
-        let batch = LeaderCore::seal_admin_jobs(&fanout.jobs);
-        self.leader.commit_admin_frames(&batch);
-        batch.frames.into_iter().map(|f| f.env).collect()
-    }
-
-    /// Runs one staged rekey end to end, sealing across `threads` scoped
-    /// workers (the runtime's out-of-lock path). Byte-identical output to
-    /// [`FanoutGroup::rekey_serial`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if staging fails (a bug, not an input condition).
-    pub fn rekey_parallel(&mut self, threads: usize) -> Vec<Envelope> {
-        let fanout = self.leader.begin_rekey().expect("rekey stages");
-        let batch = LeaderCore::seal_admin_jobs_parallel(&fanout.jobs, threads);
-        self.leader.commit_admin_frames(&batch);
-        batch.frames.into_iter().map(|f| f.env).collect()
+    /// Panics if the rekey fails (a bug, not an input condition).
+    pub fn rekey_flat(&mut self) -> Vec<Envelope> {
+        self.leader.rekey_now().expect("rekey succeeds").outgoing
     }
 
     /// Runs one tree-mode rekey: refreshes the next leaf path and builds
@@ -265,14 +247,17 @@ impl FanoutGroup {
     /// # Panics
     ///
     /// Panics if the world was not built with [`FanoutGroup::new_tree`]
-    /// or staging fails.
+    /// or the rekey fails.
     pub fn rekey_tree(&mut self) -> enclaves_core::protocol::BroadcastFrame {
-        let fanout = self.leader.begin_rekey().expect("rekey stages");
+        let out = self.leader.rekey_now().expect("rekey succeeds");
         assert!(
-            fanout.jobs.is_empty(),
-            "tree rekey must not stage admin seal jobs"
+            out.outgoing.is_empty(),
+            "tree rekey must not send per-member admin frames"
         );
-        fanout.broadcast.expect("tree rekey emits a PathUpdate")
+        out.broadcasts
+            .into_iter()
+            .next()
+            .expect("tree rekey emits a PathUpdate")
     }
 
     /// Delivers one shared single-seal broadcast frame to every member,

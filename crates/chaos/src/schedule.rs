@@ -96,10 +96,9 @@ impl Schedule {
     /// first) interleaved with admin/data traffic and join/leave/expel
     /// churn, all under partitions that alternate between asymmetric
     /// (one direction dark) and full cuts. This is the worst case for
-    /// the staged parallel control plane: every burst re-seals the whole
-    /// roster while some member cannot acknowledge, so staged frames,
-    /// cached retransmits, and pending queues all carry live traffic at
-    /// once. The final burst cuts a member off *mid path update* — a
+    /// the control plane: every burst re-seals the whole roster while
+    /// some member cannot acknowledge, so fresh frames, cached
+    /// retransmits, and pending queues all carry live traffic at once. The final burst cuts a member off *mid path update* — a
     /// rekey fires, the leader→member direction goes dark before the
     /// install settles, and three more rekeys land on the partition — so
     /// a tree-mode leader's `PathUpdate` multicasts are provably lossy
@@ -155,8 +154,8 @@ impl Schedule {
         ]);
 
         // Burst 3: the leader→m3 direction goes dark (m3 cannot see the
-        // new keys), then the leader expels it mid-storm — staged frames
-        // for a departed member must be dropped, not delivered.
+        // new keys), then the leader expels it mid-storm — frames in
+        // flight to a departed member must be dropped, not delivered.
         events.extend([
             Partition {
                 member: 3,
@@ -329,7 +328,7 @@ impl Schedule {
                         Settle(900),
                     ]),
                     // Rekey barrage: back-to-back epoch rotations under
-                    // traffic — seal-pool churn concentrated in one group.
+                    // traffic — seal churn concentrated in one group.
                     _ => events.extend([
                         Rekey,
                         AdminBroadcast(payload("admin", 1)),

@@ -11,16 +11,14 @@ use enclaves_core::directory::Directory;
 use enclaves_core::liveness::{Clock, LivenessConfig, VirtualClock};
 use enclaves_core::protocol::{LeaderEvent, MemberEvent};
 use enclaves_core::runtime::{
-    BroadcastReceipt, GroupHandle, LeaderRuntime, LeaderService, MemberOptions, MemberRuntime,
-    ServiceConfig,
+    GroupHandle, LeaderRuntime, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
-use enclaves_core::CoreError;
 use enclaves_net::sim::{SimListener, SimStats};
 use enclaves_net::Listener;
 use enclaves_obs::{EventStream, ProtocolEvent, Registry, Snapshot};
 use enclaves_verify::live::{check_trace, LiveEvent, Violation};
 use enclaves_verify::obs::obs_trace;
-use enclaves_wire::{ActorId, GroupId, Roster};
+use enclaves_wire::{ActorId, GroupId};
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -157,75 +155,6 @@ struct MemberSlot {
     /// One registry per session segment (handles stay valid after the
     /// runtime is gone, so crashed sessions still contribute counters).
     registries: Vec<Registry>,
-}
-
-/// The leader operations the driver needs, abstracted so the same
-/// execute/finalize machinery drives a single-group [`LeaderRuntime`] or
-/// one [`GroupHandle`] of a multi-enclave [`LeaderService`].
-trait LeaderOps {
-    fn roster(&self) -> Roster;
-    fn epoch(&self) -> Option<u64>;
-    fn quiesced(&self) -> bool;
-    fn expel(&self, user: &ActorId) -> Result<(), CoreError>;
-    fn rekey(&self) -> Result<(), CoreError>;
-    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError>;
-    fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError>;
-    /// The enclave tag member sessions must join under.
-    fn group(&self) -> Option<&GroupId>;
-}
-
-impl LeaderOps for LeaderRuntime {
-    fn roster(&self) -> Roster {
-        LeaderRuntime::roster(self)
-    }
-    fn epoch(&self) -> Option<u64> {
-        LeaderRuntime::epoch(self)
-    }
-    fn quiesced(&self) -> bool {
-        LeaderRuntime::quiesced(self)
-    }
-    fn expel(&self, user: &ActorId) -> Result<(), CoreError> {
-        LeaderRuntime::expel(self, user)
-    }
-    fn rekey(&self) -> Result<(), CoreError> {
-        LeaderRuntime::rekey(self)
-    }
-    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
-        LeaderRuntime::broadcast(self, data)
-    }
-    fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
-        LeaderRuntime::broadcast_data(self, data)
-    }
-    fn group(&self) -> Option<&GroupId> {
-        None
-    }
-}
-
-impl LeaderOps for GroupHandle {
-    fn roster(&self) -> Roster {
-        GroupHandle::roster(self)
-    }
-    fn epoch(&self) -> Option<u64> {
-        GroupHandle::epoch(self)
-    }
-    fn quiesced(&self) -> bool {
-        GroupHandle::quiesced(self)
-    }
-    fn expel(&self, user: &ActorId) -> Result<(), CoreError> {
-        GroupHandle::expel(self, user)
-    }
-    fn rekey(&self) -> Result<(), CoreError> {
-        GroupHandle::rekey(self)
-    }
-    fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
-        GroupHandle::broadcast(self, data)
-    }
-    fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
-        GroupHandle::broadcast_data(self, data)
-    }
-    fn group(&self) -> Option<&GroupId> {
-        self.group_id()
-    }
 }
 
 /// Shared, lock-ordered trace sink. `*Send` events are appended while the
@@ -545,7 +474,7 @@ struct GroupWorld {
 /// cast `g<g>m0..`, schedules interleave round-robin (event `k` of every
 /// group before event `k+1` of any), so partitions, crashes, and rekeys
 /// in one enclave land while its neighbours carry live traffic — all on
-/// the service's one shared ticker and one seal pool.
+/// the service's one shared ticker.
 ///
 /// Each group's trace and observability stream feed the same §5.4 oracle
 /// as a single-group run; on top, the cross-group check asserts no
@@ -1129,7 +1058,7 @@ fn start_join(
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn execute(
     fabric: &mut dyn Fabric,
-    leader: &dyn LeaderOps,
+    leader: &GroupHandle,
     leader_id: &ActorId,
     members: &mut [MemberSlot],
     sink: &Sink,
@@ -1155,7 +1084,7 @@ fn execute(
             start_join(
                 fabric,
                 leader_id,
-                leader.group(),
+                leader.group_id(),
                 slot,
                 sink,
                 obs_stream,
@@ -1303,7 +1232,7 @@ fn execute(
 /// drain, then send one probe broadcast and snapshot everyone's epoch.
 fn finalize(
     fabric: &mut dyn Fabric,
-    leader: &dyn LeaderOps,
+    leader: &GroupHandle,
     members: &mut [MemberSlot],
     sink: &Sink,
     liveness: bool,

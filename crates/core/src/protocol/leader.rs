@@ -8,6 +8,7 @@ use crate::group::GroupState;
 use crate::journal::{
     config_from_genesis, JournalError, JournalWriter, ReplayedStream, TapePlayer, TapeRecorder,
 };
+use crate::liveness::LivenessConfig;
 use crate::protocol::keytree::{KeyTree, NodeKey, PathUpdatePlan};
 use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
@@ -27,10 +28,6 @@ use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Below this many seal jobs the parallel path runs inline: spawning a
-/// worker pool costs more than sealing a handful of small frames.
-const PARALLEL_SEAL_MIN_JOBS: usize = 32;
 
 /// Events surfaced by the leader core.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -110,16 +107,16 @@ pub struct LeaderStats {
     /// bound that replaces the flat fan-out's n admin seals.
     pub rekey_seals: u64,
     /// Wall-clock nanoseconds spent in admin AEAD sealing + envelope
-    /// encoding. With the parallel fan-out this work runs *outside* the
-    /// runtime's core lock.
+    /// encoding, under whatever lock guards the core.
     pub admin_seal_ns: u64,
-    /// Wall-clock nanoseconds the runtime held the core lock for admin
-    /// fan-out staging and commit (the under-lock phases). Reported by the
-    /// runtime via [`LeaderCore::note_lock_hold`].
+    /// Wall-clock nanoseconds the runtime held the core lock across its
+    /// operator- and ticker-driven fan-outs (rekey, admin broadcast,
+    /// expel, evict), each a whole locked call. Reported by the runtime
+    /// via [`LeaderCore::note_lock_hold`].
     pub lock_hold_ns: u64,
-    /// Frames handed to the retransmission timer by
-    /// [`LeaderCore::retransmit_frames`] (handshake replies and
-    /// unacknowledged admin messages re-sent after a timeout).
+    /// Frames [`LeaderCore::tick`] found due for retransmission
+    /// (handshake replies and unacknowledged admin messages re-sent after
+    /// a timeout).
     pub retransmits: u64,
     /// Members evicted by the liveness layer (timeout-driven `Oops(Ka)`:
     /// ARQ budget exhausted or heartbeat deadline missed).
@@ -130,10 +127,9 @@ pub struct LeaderStats {
 
 /// Registry-backed leader instrumentation. [`LeaderStats`] remains the
 /// public read-side view; the counters themselves live in an
-/// `enclaves-obs` [`Registry`] so concurrent writers (seal workers, the
-/// retransmit ticker) record through atomics and external observers can
-/// snapshot or merge them. The event stream is optional: a detached core
-/// pays one branch per would-be event.
+/// `enclaves-obs` [`Registry`] so external observers can snapshot or merge
+/// them without the core lock. The event stream is optional: a detached
+/// core pays one branch per would-be event.
 struct LeaderObs {
     registry: Registry,
     accepted: Counter,
@@ -233,64 +229,47 @@ pub struct BroadcastFrame {
     pub seq: u64,
 }
 
-/// One per-recipient admin seal job, emitted under the core lock by the
-/// staging phase ([`LeaderCore::stage_admin`] and the `begin_*` fan-out
-/// entry points). All ordering material — the AEAD sequence nonce, the
-/// leader's protocol nonce, and the member's expected nonce inside
-/// `plain` — is already fixed, so sealing is a pure function of this
-/// struct and can run on any thread, in any order, out of lock.
-#[derive(Clone, Debug)]
-pub struct SealJob {
-    /// The recipient.
-    pub member: ActorId,
-    session_key: SessionKey,
-    seq: AeadNonce,
-    plain: AdminPlain,
-    leader_nonce: ProtocolNonce,
-    /// Enclave tag for the sealed envelope's header (and so for the AAD
-    /// the seal binds).
-    group: Option<GroupId>,
+/// A frame awaiting its acknowledgment — the handshake reply or one
+/// member's admin message (stop-and-wait, as the paper's state machine
+/// prescribes). Sealed and encoded exactly once; [`LeaderCore::tick`]
+/// redelivers the same refcounted bytes until the nonce comes back.
+struct InFlight {
+    /// The leader nonce the acknowledgment must echo.
+    nonce: ProtocolNonce,
+    frame: Arc<[u8]>,
+    /// Retransmits so far.
+    attempts: u32,
+    /// When the next retransmit is due, on the core clock.
+    retransmit_at: Duration,
 }
 
-/// A sealed, encoded admin frame produced from a [`SealJob`].
-#[derive(Clone, Debug)]
-pub struct SealedAdminFrame {
-    /// The recipient.
-    pub member: ActorId,
-    /// The leader nonce the frame carries (matched against the channel's
-    /// outstanding slot at commit time).
-    leader_nonce: ProtocolNonce,
-    /// The decoded envelope (for serial callers that transmit envelopes).
-    pub env: Envelope,
-    /// The encoded frame, ready for any link and for the retransmit cache.
-    pub frame: Arc<[u8]>,
-}
+impl InFlight {
+    /// A frame sent at `now`, its first retransmit one base interval out.
+    fn sent(
+        nonce: ProtocolNonce,
+        frame: Vec<u8>,
+        now: Duration,
+        liveness: &LivenessConfig,
+        tag: u64,
+    ) -> Self {
+        InFlight {
+            nonce,
+            frame: frame.into(),
+            attempts: 0,
+            retransmit_at: now + liveness.jittered_delay(0, tag),
+        }
+    }
 
-/// The under-lock half of an admin fan-out: the seal jobs to run (one per
-/// recipient whose channel was free) and the events the operation
-/// produced. Recipients with an in-flight admin message had their payload
-/// queued instead and appear in no job.
-#[derive(Debug, Default)]
-pub struct AdminFanout {
-    /// Seal jobs, in roster order.
-    pub jobs: Vec<SealJob>,
-    /// A sealed-once multicast frame (a tree-rekey `PathUpdate`), built
-    /// while staging: its `O(log N)` copath seals are cheap enough to run
-    /// under the lock, and the runtime fans the refcounted bytes out with
-    /// the rest of the batch.
-    pub broadcast: Option<BroadcastFrame>,
-    /// Events for the operator (e.g. `Rekeyed`, `MemberLeft`).
-    pub events: Vec<LeaderEvent>,
-}
-
-/// The out-of-lock half of an admin fan-out: the sealed frames (in job
-/// order) and how long the sealing took.
-#[derive(Debug)]
-pub struct SealedBatch {
-    /// Sealed frames, in the same order as the jobs they came from.
-    pub frames: Vec<SealedAdminFrame>,
-    /// Wall-clock nanoseconds spent sealing + encoding.
-    pub seal_ns: u64,
+    /// The frame, if its retransmit deadline has passed — counted against
+    /// the ARQ budget and rescheduled with backoff.
+    fn due(&mut self, now: Duration, liveness: &LivenessConfig, tag: u64) -> Option<Arc<[u8]>> {
+        if now < self.retransmit_at {
+            return None;
+        }
+        self.attempts += 1;
+        self.retransmit_at = now + liveness.jittered_delay(self.attempts, tag);
+        Some(Arc::clone(&self.frame))
+    }
 }
 
 /// Per-member connection state.
@@ -299,23 +278,12 @@ struct Channel {
     /// Latest nonce received from the member (`N_{2i+1}`).
     user_nonce: ProtocolNonce,
     send_seq: NonceSequence,
-    /// Leader nonce of the in-flight admin message, if any (stop-and-wait
-    /// per member, as the paper's state machine prescribes).
-    outstanding: Option<ProtocolNonce>,
-    /// The in-flight admin frame, encoded exactly once; the runtime's
-    /// retransmission timer redelivers the same refcounted bytes. `None`
-    /// while a staged message is being sealed out of lock (the ticker
-    /// simply skips it until the commit lands).
-    outstanding_frame: Option<Arc<[u8]>>,
+    /// The in-flight admin message, if any.
+    outstanding: Option<InFlight>,
     /// Queued payloads awaiting the acknowledgment of the in-flight one.
     pending: VecDeque<AdminPayload>,
     /// Payloads dropped due to queue overflow.
     dropped_admin: u64,
-    /// Retransmits of the current outstanding frame (reset on ack).
-    arq_attempts: u32,
-    /// When the next retransmit of the outstanding frame is due, on the
-    /// core clock. `None` when nothing is in flight.
-    retransmit_at: Option<Duration>,
     /// Last time an authenticated message arrived from this member (ack,
     /// heartbeat, close, or relayed data) — the liveness deadline anchor.
     last_heard: Duration,
@@ -331,17 +299,11 @@ struct Channel {
 enum Slot {
     WaitingForKeyAck {
         session_key: SessionKey,
-        leader_nonce: ProtocolNonce,
         /// The request body answered, for duplicate detection.
         request_body: Vec<u8>,
-        /// The reply sent, encoded exactly once; re-sent verbatim (as the
-        /// same refcounted bytes) on a duplicate request and by the
-        /// retransmission timer (stop-and-wait ARQ for the handshake).
-        cached_frame: Arc<[u8]>,
-        /// Retransmits of the cached reply so far.
-        arq_attempts: u32,
-        /// When the next handshake retransmit is due, on the core clock.
-        retransmit_at: Duration,
+        /// The `AuthKeyDist` reply: re-sent verbatim on a duplicate
+        /// request and by the retransmission timer.
+        reply: InFlight,
     },
     Connected(Channel),
 }
@@ -359,8 +321,7 @@ enum Departure {
 
 /// Output of one [`LeaderCore::tick`]: frames whose retransmit deadline
 /// passed, and members whose ARQ budget or liveness deadline expired and
-/// who must now be evicted (via [`LeaderCore::begin_evict`] or
-/// [`LeaderCore::evict_now`]).
+/// who must now be evicted (via [`LeaderCore::evict`]).
 #[derive(Debug, Default)]
 pub struct LeaderTick {
     /// Due retransmissions, as refcounted encoded frames.
@@ -388,10 +349,15 @@ pub struct LeaderCore {
     tree: Option<KeyTree>,
     /// The attached write-ahead journal writer (`None` for an ephemeral
     /// core). When present, every membership/epoch transition is sealed
-    /// into the journal *before* its frames are staged or dispatched, so
-    /// a crash never loses a transition members may have observed.
+    /// into the journal *before* any of its frames is sealed or
+    /// dispatched, so a crash never loses a transition members may have
+    /// observed.
     journal: Option<JournalWriter>,
     obs: LeaderObs,
+    /// Admin frames sealed, and the time that took, since the last
+    /// [`LeaderCore::record_seal_batch`].
+    batch_frames: u64,
+    batch_seal_ns: u64,
     /// Scratch buffer reused across data-plane broadcasts so a steady
     /// stream of them does not reallocate the envelope encoding each time.
     frame_buf: Vec<u8>,
@@ -440,6 +406,8 @@ impl LeaderCore {
             tree,
             journal: None,
             obs: LeaderObs::new(),
+            batch_frames: 0,
+            batch_seal_ns: 0,
             frame_buf: Vec::new(),
             now: Duration::ZERO,
         }
@@ -513,6 +481,7 @@ impl LeaderCore {
     /// claimed senders.
     pub fn handle(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
         let result = self.handle_inner(env);
+        self.record_seal_batch();
         match &result {
             Ok(_) => self.obs.accepted.inc(),
             Err(_) => self.obs.rejected.inc(),
@@ -576,12 +545,12 @@ impl LeaderCore {
             // replay and is ignored until the session closes.
             if let Slot::WaitingForKeyAck {
                 request_body,
-                cached_frame,
+                reply,
                 ..
             } = slot
             {
                 if *request_body == env.body {
-                    let reply: Envelope = enclaves_wire::codec::decode(cached_frame)?;
+                    let reply: Envelope = enclaves_wire::codec::decode(&reply.frame)?;
                     return Ok(LeaderOutput {
                         outgoing: vec![reply],
                         ..LeaderOutput::default()
@@ -629,20 +598,19 @@ impl LeaderCore {
         self.obs.emit(|| EventKind::AuthAccepted {
             member: user.to_string(),
         });
-        let retransmit_at = self.now
-            + self
-                .config
-                .liveness
-                .jittered_delay(0, Self::channel_tag(&user));
+        let in_flight = InFlight::sent(
+            leader_nonce,
+            encode(&reply),
+            self.now,
+            &self.config.liveness,
+            Self::channel_tag(&user),
+        );
         self.slots.insert(
             user,
             Slot::WaitingForKeyAck {
                 session_key,
-                leader_nonce,
                 request_body: env.body.clone(),
-                cached_frame: encode(&reply).into(),
-                arq_attempts: 0,
-                retransmit_at,
+                reply: in_flight,
             },
         );
         Ok(LeaderOutput {
@@ -654,15 +622,13 @@ impl LeaderCore {
     fn accept_key_ack(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
         let user = env.sender.clone();
         let Some(Slot::WaitingForKeyAck {
-            session_key,
-            leader_nonce,
-            ..
+            session_key, reply, ..
         }) = self.slots.get(&user)
         else {
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
         };
         let session_key = session_key.clone();
-        let expected = *leader_nonce;
+        let expected = reply.nonce;
 
         let plain: NonceAckPlain = open(session_key.as_bytes(), &env.header_aad(), &env.body)?;
         if plain.user != user || plain.leader != self.leader {
@@ -688,18 +654,22 @@ impl LeaderCore {
                 user_nonce: plain.next_nonce,
                 send_seq: NonceSequence::new(SEQ_LEADER),
                 outstanding: None,
-                outstanding_frame: None,
                 pending: VecDeque::new(),
                 dropped_admin: 0,
-                arq_attempts: 0,
-                retransmit_at: None,
                 last_heard: self.now,
                 hb_seq: 0,
                 synced_epoch: 0,
             }),
         );
+        self.join(&user)
+    }
 
-        let mut output = LeaderOutput {
+    /// Admits a freshly connected `user`: the roster/epoch transition,
+    /// then its fan-out — `Welcome` (and, in tree mode, the `PathSync`
+    /// riding behind it) to the joiner, the join notice and the new key
+    /// material to everyone else.
+    fn join(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
+        let mut out = LeaderOutput {
             events: vec![LeaderEvent::MemberJoined(user.clone())],
             ..LeaderOutput::default()
         };
@@ -707,10 +677,10 @@ impl LeaderCore {
         // Everyone but the joiner: the snapshot from before the join (less
         // the joiner itself on a re-admission, where the recovered roster
         // already lists it).
-        let others = self.group.roster().without(&user);
+        let others = self.group.roster().without(user);
 
         // Apply the membership transition over a recorded RNG tape, then
-        // commit it to the journal *before* any frame is staged: a crash
+        // commit it to the journal *before* any frame is sealed: a crash
         // after this point replays to exactly this state.
         let mut tape = Vec::new();
         let outcome = {
@@ -719,96 +689,22 @@ impl LeaderCore {
                 &mut self.group,
                 &mut self.tree,
                 &self.config,
-                &user,
+                user,
                 &mut rec,
             )
         };
         self.journal_commit(JournalOp::Join(user.clone()), tape)?;
-        let rekeyed = match outcome {
-            JoinOutcome::Tree { plan, epoch } => {
-                self.obs.rekeys.inc();
-                output.merge(self.tree_join_fanout(&user, &plan, epoch, others)?);
-                return Ok(output);
-            }
-            JoinOutcome::Flat { rekeyed } => {
-                if rekeyed {
-                    self.obs.rekeys.inc();
-                }
-                rekeyed
-            }
-        };
 
-        // Welcome the new member with the roster and the (possibly fresh)
-        // group key.
-        let epoch = self
+        // The Welcome carries the roster and the (possibly fresh) group
+        // key, so the joiner is live on the data plane immediately.
+        let e = self
             .group
             .current_epoch()
             .expect("group key exists after join");
+        let epoch = e.epoch;
         let welcome = AdminPayload::Welcome {
             members: self.group.roster(),
-            epoch: epoch.epoch,
-            group_key: *epoch.key.as_bytes(),
-            iv: epoch.iv,
-        };
-        let epoch_num = epoch.epoch;
-        let new_key_payload = AdminPayload::NewGroupKey {
-            epoch: epoch_num,
-            key: *epoch.key.as_bytes(),
-            iv: epoch.iv,
-        };
-        self.obs.emit(|| EventKind::MemberJoined {
-            member: user.to_string(),
-            epoch: epoch_num,
-        });
-        output.merge(self.enqueue_admin(&user, welcome)?);
-
-        // Tell everyone else; distribute the new key if we rotated. Key
-        // material always goes out; the join notice is skippable by
-        // configuration (large benchmark groups).
-        let notices = self.config.membership_notices;
-        if notices || rekeyed {
-            for name in others.iter() {
-                let Some(other) = self.slot_id(name) else {
-                    continue;
-                };
-                if notices {
-                    output.merge(self.enqueue_admin_connected(
-                        &other,
-                        AdminPayload::MemberJoined(user.clone()),
-                    )?);
-                }
-                if rekeyed {
-                    output.merge(self.enqueue_admin_connected(&other, new_key_payload.clone())?);
-                }
-            }
-        }
-        if rekeyed {
-            self.obs.emit(|| EventKind::Rekeyed { epoch: epoch_num });
-            output.events.push(LeaderEvent::Rekeyed(epoch_num));
-        }
-        Ok(output)
-    }
-
-    /// Tree-mode join fan-out: the member was already placed in the rekey
-    /// tree and the epoch advanced (and journaled) by [`apply_join`]. The
-    /// joiner learns its direct path from an admin `PathSync` riding
-    /// behind its `Welcome`; everyone else learns the rewritten keys from
-    /// the `O(log N)` `PathUpdate` broadcast.
-    fn tree_join_fanout(
-        &mut self,
-        user: &ActorId,
-        plan: &PathUpdatePlan,
-        epoch: u64,
-        others: Roster,
-    ) -> Result<LeaderOutput, CoreError> {
-        let mut output = LeaderOutput::default();
-        // The Welcome carries the fresh epoch's key so the joiner is live
-        // on the data plane immediately; the PathSync behind it seeds its
-        // member tree for future PathUpdate broadcasts.
-        let e = self.group.current_epoch().expect("epoch just advanced");
-        let welcome = AdminPayload::Welcome {
-            members: self.group.roster(),
-            epoch: e.epoch,
+            epoch,
             group_key: *e.key.as_bytes(),
             iv: e.iv,
         };
@@ -816,57 +712,80 @@ impl LeaderCore {
             member: user.to_string(),
             epoch,
         });
-        output.merge(self.enqueue_admin(user, welcome)?);
-        output.merge(self.stage_path_sync_serial(user)?);
+        self.send_admin(&mut out, user, welcome)?;
+        // Tree mode: seeds the joiner's member tree for future PathUpdate
+        // broadcasts.
+        self.send_path_sync(&mut out, user)?;
 
+        // Tell everyone else; distribute the new key if we rotated. Key
+        // material always goes out; the join notice is skippable by
+        // configuration (large benchmark groups).
         if self.config.membership_notices {
-            for name in others.iter() {
-                let Some(other) = self.slot_id(name) else {
-                    continue;
-                };
-                output.merge(
-                    self.enqueue_admin_connected(&other, AdminPayload::MemberJoined(user.clone()))?,
-                );
+            self.send_admin_all(&mut out, &others, &AdminPayload::MemberJoined(user.clone()))?;
+        }
+        let rekeyed = match outcome {
+            // The joiner holds none of the sealing node keys (its
+            // `PathSync` covers it), so the update goes to everyone else.
+            JoinOutcome::Tree { plan } => {
+                out.broadcasts
+                    .extend(self.build_path_update_frame(&plan, epoch, others));
+                true
             }
+            JoinOutcome::Flat { rekeyed } => {
+                if rekeyed {
+                    let (_, new_key) = self.new_key_payload();
+                    self.send_admin_all(&mut out, &others, &new_key)?;
+                }
+                rekeyed
+            }
+        };
+        if rekeyed {
+            self.rekeyed(&mut out, epoch);
         }
-        // The joiner holds none of the sealing node keys (its `PathSync`
-        // covers it), so the update goes to everyone else.
-        if let Some(frame) = self.build_path_update_frame(plan, epoch, others) {
-            output.broadcasts.push(frame);
-        }
+        Ok(out)
+    }
+
+    /// The current epoch and its key material as an admin payload. The
+    /// caller guarantees a non-empty group.
+    fn new_key_payload(&self) -> (u64, AdminPayload) {
+        let e = self.group.current_epoch().expect("nonempty group has key");
+        let payload = AdminPayload::NewGroupKey {
+            epoch: e.epoch,
+            key: *e.key.as_bytes(),
+            iv: e.iv,
+        };
+        (e.epoch, payload)
+    }
+
+    /// Accounts for a completed rotation to `epoch`.
+    fn rekeyed(&mut self, out: &mut LeaderOutput, epoch: u64) {
+        self.obs.rekeys.inc();
         self.obs.emit(|| EventKind::Rekeyed { epoch });
-        output.events.push(LeaderEvent::Rekeyed(epoch));
-        Ok(output)
+        out.events.push(LeaderEvent::Rekeyed(epoch));
     }
 
-    /// The `PathSync` payload carrying `user`'s current direct path, with
-    /// the epoch it is valid for. `None` outside tree mode or when the
-    /// member has no tree leaf.
-    fn path_sync_payload(&self, user: &ActorId) -> Option<(u64, AdminPayload)> {
-        let tree = self.tree.as_ref()?;
-        let (leaf_index, path_keys) = tree.path_keys(user)?;
+    /// Sends `user` its current direct path over its reliable admin
+    /// channel, recording the epoch on the channel so heartbeat-driven
+    /// resyncs do not repeat it. Nothing to send outside tree mode or to a
+    /// member without a tree leaf.
+    fn send_path_sync(&mut self, out: &mut LeaderOutput, user: &ActorId) -> Result<(), CoreError> {
+        let Some(tree) = self.tree.as_ref() else {
+            return Ok(());
+        };
+        let Some((leaf_index, path_keys)) = tree.path_keys(user) else {
+            return Ok(());
+        };
         let epoch = self.group.current_epoch().map_or(0, |e| e.epoch);
-        Some((
+        let payload = AdminPayload::PathSync {
             epoch,
-            AdminPayload::PathSync {
-                epoch,
-                leaf_index,
-                leaf_count: tree.leaf_count(),
-                path_keys,
-            },
-        ))
-    }
-
-    /// Queues a `PathSync` to one member (serial path), recording the
-    /// epoch on its channel so heartbeat-driven resyncs do not repeat it.
-    fn stage_path_sync_serial(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
-        let Some((epoch, payload)) = self.path_sync_payload(user) else {
-            return Ok(LeaderOutput::default());
+            leaf_index,
+            leaf_count: tree.leaf_count(),
+            path_keys,
         };
         if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
             channel.synced_epoch = channel.synced_epoch.max(epoch);
         }
-        self.enqueue_admin(user, payload)
+        self.send_admin(out, user, payload)
     }
 
     /// Seals a path-refresh plan into a single `PathUpdate` multicast
@@ -939,27 +858,22 @@ impl LeaderCore {
         if plain.user != user || plain.leader != self.leader {
             return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
-        let Some(expected) = channel.outstanding else {
-            return Err(CoreError::Rejected(RejectReason::StaleNonce));
-        };
-        if plain.acked_nonce != expected {
+        if channel.outstanding.as_ref().map(|m| m.nonce) != Some(plain.acked_nonce) {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
         channel.outstanding = None;
-        channel.outstanding_frame = None;
         channel.user_nonce = plain.next_nonce;
-        channel.arq_attempts = 0;
-        channel.retransmit_at = None;
         channel.last_heard = self.now;
         self.obs.emit(|| EventKind::AdminAcked {
             member: user.to_string(),
         });
 
         // Drain the next pending payload, if any.
+        let mut out = LeaderOutput::default();
         if let Some(next) = channel.pending.pop_front() {
-            return self.enqueue_admin(&user, next);
+            self.send_admin(&mut out, &user, next)?;
         }
-        Ok(LeaderOutput::default())
+        Ok(out)
     }
 
     fn accept_close(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -977,25 +891,20 @@ impl LeaderCore {
         }
         // Close: discard the session key; no further messages to the user.
         self.slots.remove(&user);
-        self.member_departed(&user)
+        self.depart(&user, Departure::Close)
     }
 
-    /// Common departure handling (voluntary close and expulsion): roster
-    /// update, notices, policy rekey.
-    fn member_departed(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
-        let fanout = self.depart_fanout(user, Departure::Close)?;
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// The under-lock staging half of a departure: roster update, member
-    /// notices, policy rekey — as seal jobs, not sealed frames.
-    /// `kind` flavours the operator event and the observability event;
-    /// the protocol handling is identical for all three paths (the paper's
-    /// `Oops(Ka)` close is one transition however it was triggered).
-    fn depart_fanout(&mut self, user: &ActorId, kind: Departure) -> Result<AdminFanout, CoreError> {
-        let mut fanout = AdminFanout::default();
+    /// A member's departure — voluntary close, expulsion or timeout
+    /// eviction, the caller having already dropped its session: the
+    /// roster/epoch transition, then its fan-out (leave notice, new key
+    /// material). `kind` flavours the journal record, the operator event
+    /// and the observability event; the protocol handling is identical
+    /// for all three (the paper's `Oops(Ka)` close is one transition
+    /// however it was triggered).
+    fn depart(&mut self, user: &ActorId, kind: Departure) -> Result<LeaderOutput, CoreError> {
+        let mut out = LeaderOutput::default();
         // Apply the transition over a recorded RNG tape; journal it before
-        // staging a single frame. A non-member is not a transition and is
+        // sealing a single frame. A non-member is not a transition and is
         // not journaled.
         let mut tape = Vec::new();
         let outcome = {
@@ -1009,7 +918,7 @@ impl LeaderCore {
             )
         };
         if matches!(outcome, DepartOutcome::NotMember) {
-            return Ok(fanout);
+            return Ok(out);
         }
         let op = match kind {
             Departure::Close => JournalOp::Leave(user.clone()),
@@ -1017,7 +926,7 @@ impl LeaderCore {
             Departure::Evict => JournalOp::Evict(user.clone()),
         };
         self.journal_commit(op, tape)?;
-        fanout.events.push(match kind {
+        out.events.push(match kind {
             Departure::Close | Departure::Expel => LeaderEvent::MemberLeft(user.clone()),
             Departure::Evict => LeaderEvent::MemberEvicted(user.clone()),
         });
@@ -1033,97 +942,43 @@ impl LeaderCore {
             }
         });
 
+        // Every remaining member's view must drop the departed one,
+        // however the new key then reaches it.
+        let remaining = self.group.roster();
+        if self.config.membership_notices {
+            self.send_admin_all(
+                &mut out,
+                &remaining,
+                &AdminPayload::MemberLeft(user.clone()),
+            )?;
+        }
         match outcome {
             DepartOutcome::NotMember => unreachable!("handled above"),
-            // The tree (and group) is now empty: nobody left to rekey.
-            DepartOutcome::TreeEmpty => Ok(fanout),
+            // Nobody left to rekey, or no rekey on a leave by policy.
+            DepartOutcome::TreeEmpty | DepartOutcome::Flat { rekeyed: false } => {}
             DepartOutcome::Tree { plan, epoch } => {
-                self.obs.rekeys.inc();
-                fanout.broadcast = self.build_path_update_frame(&plan, epoch, self.group.roster());
-                self.obs.emit(|| EventKind::Rekeyed { epoch });
-                fanout.events.push(LeaderEvent::Rekeyed(epoch));
-                Ok(fanout)
+                out.broadcasts
+                    .extend(self.build_path_update_frame(&plan, epoch, remaining));
+                self.rekeyed(&mut out, epoch);
             }
+            // A full tree reinit: resync every member's direct path over
+            // its reliable admin channel — `O(N)` admin seals once,
+            // restoring the `O(log N)` bound for every later path update.
             DepartOutcome::TreeReinit { epoch } => {
-                self.obs.rekeys.inc();
-                self.tree_resync_fanout(epoch, &mut fanout)?;
-                Ok(fanout)
-            }
-            DepartOutcome::Flat { rekeyed } => {
-                if rekeyed {
-                    self.obs.rekeys.inc();
-                }
-                let new_key_payload = self.group.current_epoch().map(|e| {
-                    (
-                        e.epoch,
-                        AdminPayload::NewGroupKey {
-                            epoch: e.epoch,
-                            key: *e.key.as_bytes(),
-                            iv: e.iv,
-                        },
-                    )
-                });
-
-                let notices = self.config.membership_notices;
-                if notices || rekeyed {
-                    let roster = self.group.roster();
-                    for name in roster.iter() {
-                        let Some(other) = self.slot_id(name) else {
-                            continue;
-                        };
-                        if notices {
-                            fanout.jobs.extend(self.stage_admin_connected(
-                                &other,
-                                AdminPayload::MemberLeft(user.clone()),
-                            )?);
-                        }
-                        if rekeyed {
-                            if let Some((_, payload)) = &new_key_payload {
-                                fanout
-                                    .jobs
-                                    .extend(self.stage_admin_connected(&other, payload.clone())?);
-                            }
-                        }
+                for name in remaining.iter() {
+                    if let Some(member) = self.slot_id(name) {
+                        self.send_path_sync(&mut out, &member)?;
                     }
                 }
-                if rekeyed {
-                    if let Some((epoch, _)) = new_key_payload {
-                        self.obs.emit(|| EventKind::Rekeyed { epoch });
-                        fanout.events.push(LeaderEvent::Rekeyed(epoch));
-                    }
-                }
-                Ok(fanout)
+                self.rekeyed(&mut out, epoch);
+            }
+            DepartOutcome::Flat { rekeyed: true } => {
+                let (epoch, new_key) = self.new_key_payload();
+                self.send_admin_all(&mut out, &remaining, &new_key)?;
+                self.rekeyed(&mut out, epoch);
             }
         }
-    }
-
-    /// The fan-out half of a full tree reinit: resync every member's
-    /// direct path over its reliable admin channel — `O(N)` admin seals
-    /// once, restoring the `O(log N)` bound for every subsequent path
-    /// update.
-    fn tree_resync_fanout(
-        &mut self,
-        epoch: u64,
-        fanout: &mut AdminFanout,
-    ) -> Result<(), CoreError> {
-        let roster = self.group.roster();
-        for name in roster.iter() {
-            let Some(member) = self.slot_id(name) else {
-                continue;
-            };
-            let Some((e, payload)) = self.path_sync_payload(&member) else {
-                continue;
-            };
-            if let Some(Slot::Connected(channel)) = self.slots.get_mut(&member) {
-                channel.synced_epoch = channel.synced_epoch.max(e);
-            }
-            fanout
-                .jobs
-                .extend(self.stage_admin_connected(&member, payload)?);
-        }
-        self.obs.emit(|| EventKind::Rekeyed { epoch });
-        fanout.events.push(LeaderEvent::Rekeyed(epoch));
-        Ok(())
+        Ok(out)
     }
 
     fn relay_group_data(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -1205,8 +1060,12 @@ impl LeaderCore {
         }
         channel.hb_seq = plain.seq;
         channel.last_heard = now;
-        let member_epoch = plain.epoch;
         let leader_epoch = self.group.current_epoch().map_or(0, |e| e.epoch);
+        // A lagging epoch in an authenticated ping is evidence of a missed
+        // PathUpdate broadcast. Resync stays leader-driven — the member
+        // cannot request one, so forged traffic elicits no state change —
+        // and is deduped per epoch via the channel marker.
+        let missed_update = plain.epoch < leader_epoch && channel.synced_epoch < leader_epoch;
 
         // Pong: echo the ping's sequence, sealed under the session key.
         let mut reply = Envelope {
@@ -1233,274 +1092,106 @@ impl LeaderCore {
             outgoing: vec![reply],
             ..LeaderOutput::default()
         };
-        // A lagging epoch in an authenticated ping is evidence of a missed
-        // PathUpdate broadcast. Resync stays leader-driven — the member
-        // cannot request one, so forged traffic elicits no state change —
-        // and is deduped per epoch via the channel marker.
-        if member_epoch < leader_epoch {
-            output.merge(self.begin_path_resync(&user, leader_epoch)?);
+        if missed_update {
+            self.send_path_sync(&mut output, &user)?;
         }
         Ok(output)
     }
 
-    /// Queues a `PathSync` for a member whose authenticated heartbeat
-    /// showed a stale epoch, at most once per epoch per channel. Flat mode
-    /// has no tree to sync and returns nothing — the reliable admin ARQ
-    /// already guarantees `NewGroupKey` delivery there.
-    fn begin_path_resync(&mut self, user: &ActorId, epoch: u64) -> Result<LeaderOutput, CoreError> {
-        if self.tree.is_none() {
-            return Ok(LeaderOutput::default());
-        }
-        match self.slots.get_mut(user) {
-            Some(Slot::Connected(channel)) if channel.synced_epoch < epoch => {
-                channel.synced_epoch = epoch;
-            }
-            _ => return Ok(LeaderOutput::default()),
-        }
-        let Some((_, payload)) = self.path_sync_payload(user) else {
-            return Ok(LeaderOutput::default());
-        };
-        self.enqueue_admin(user, payload)
-    }
-
-    /// Fan-out variant of [`LeaderCore::stage_admin`]: a roster member
-    /// with no connected channel is skipped (`Ok(None)`) instead of an
-    /// error. After a journal recovery the whole roster is sessionless
-    /// until each member re-authenticates, and a fan-out triggered by the
-    /// first re-admission must not abort on the members still in flight —
-    /// they learn the current roster and key material from their own
+    /// The one admin send path (§3.2: one stop-and-wait exchange per
+    /// member under `K_a`). In one step, under whatever lock guards the
+    /// core: queue `payload` behind an in-flight message, or draw the
+    /// leader nonce and the AEAD sequence number, seal, and cache the
+    /// encoded frame for retransmission. A roster member with no
+    /// connected channel is skipped: after a journal recovery the whole
+    /// roster is sessionless until each member re-authenticates, and each
+    /// learns the current roster and key material from its own
     /// re-admission `Welcome`.
-    fn stage_admin_connected(
+    fn send_admin(
         &mut self,
+        out: &mut LeaderOutput,
         user: &ActorId,
         payload: AdminPayload,
-    ) -> Result<Option<SealJob>, CoreError> {
-        match self.stage_admin(user, payload) {
-            Err(CoreError::UnknownUser(_)) => Ok(None),
-            other => other,
-        }
-    }
-
-    /// [`LeaderCore::enqueue_admin`] with the same skip-if-absent rule as
-    /// [`LeaderCore::stage_admin_connected`], for serial fan-out loops.
-    fn enqueue_admin_connected(
-        &mut self,
-        user: &ActorId,
-        payload: AdminPayload,
-    ) -> Result<LeaderOutput, CoreError> {
-        match self.enqueue_admin(user, payload) {
-            Err(CoreError::UnknownUser(_)) => Ok(LeaderOutput::default()),
-            other => other,
-        }
-    }
-
-    /// Queues (or immediately sends) an admin payload to one member — the
-    /// serial convenience wrapper over [`stage → seal → commit`]. Callers
-    /// that fan out to many members should use the staged entry points
-    /// (`begin_*`) and run the sealing out of lock instead.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownUser`] if the user has no connected channel.
-    pub fn enqueue_admin(
-        &mut self,
-        user: &ActorId,
-        payload: AdminPayload,
-    ) -> Result<LeaderOutput, CoreError> {
-        let fanout = AdminFanout {
-            jobs: self.stage_admin(user, payload)?.into_iter().collect(),
-            ..AdminFanout::default()
-        };
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// The under-lock staging phase for one recipient: allocate the
-    /// per-member ordering material (AEAD sequence nonce, leader protocol
-    /// nonce) and mark the channel's stop-and-wait slot as occupied, but
-    /// perform no cryptography. Returns `None` when the channel already
-    /// has an in-flight message and the payload was queued instead.
-    ///
-    /// Because the nonces are drawn here, under the lock and in call
-    /// order, the eventual seal is a pure function of the returned job:
-    /// running jobs on worker threads produces byte-identical frames to
-    /// sealing them inline.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownUser`] if the user has no connected channel.
-    pub fn stage_admin(
-        &mut self,
-        user: &ActorId,
-        payload: AdminPayload,
-    ) -> Result<Option<SealJob>, CoreError> {
-        let max_pending = self.config.max_pending_admin;
-        let leader = self.leader.clone();
-        let enclave = self.enclave.clone();
+    ) -> Result<(), CoreError> {
         let Some(Slot::Connected(channel)) = self.slots.get_mut(user) else {
-            return Err(CoreError::UnknownUser(user.to_string()));
+            return Ok(());
         };
         if channel.outstanding.is_some() {
-            if channel.pending.len() >= max_pending {
+            if channel.pending.len() >= self.config.max_pending_admin {
                 channel.pending.pop_front();
                 channel.dropped_admin += 1;
             }
             channel.pending.push_back(payload);
-            return Ok(None);
+            return Ok(());
         }
-        let leader_nonce = ProtocolNonce::generate(self.rng.as_mut());
+        let nonce = ProtocolNonce::generate(self.rng.as_mut());
         let seq = channel.send_seq.next()?;
         let plain = AdminPlain {
-            leader,
+            leader: self.leader.clone(),
             user: user.clone(),
             user_nonce: channel.user_nonce,
-            leader_nonce,
+            leader_nonce: nonce,
             payload,
         };
-        // The slot is reserved now; the frame arrives at commit time. The
-        // window is invisible to the member: it cannot acknowledge a nonce
-        // it has never seen, and the retransmit ticker skips frameless
-        // slots.
-        channel.outstanding = Some(leader_nonce);
-        channel.outstanding_frame = None;
-        channel.arq_attempts = 0;
-        let liveness = &self.config.liveness;
-        channel.retransmit_at =
-            Some(self.now + liveness.jittered_delay(0, Self::channel_tag(user)));
-        self.obs.admin_sent.inc();
-        Ok(Some(SealJob {
-            member: user.clone(),
-            session_key: channel.session_key.clone(),
-            seq,
-            plain,
-            leader_nonce,
-            group: enclave,
-        }))
-    }
-
-    /// Seals one job: AEAD seal of the admin plaintext plus envelope
-    /// encoding. Pure — no leader state is read or written.
-    fn seal_job(job: &SealJob) -> SealedAdminFrame {
         let mut env = Envelope {
             msg_type: MsgType::AdminMsg,
-            sender: job.plain.leader.clone(),
-            recipient: job.member.clone(),
-            group: job.group.clone(),
+            sender: self.leader.clone(),
+            recipient: user.clone(),
+            group: self.enclave.clone(),
             body: Vec::new(),
         };
-        let frame: Arc<[u8]> = env
-            .seal_body(job.session_key.as_bytes(), job.seq, &job.plain)
-            .into();
-        SealedAdminFrame {
-            member: job.member.clone(),
-            leader_nonce: job.leader_nonce,
-            env,
+        let sealing = Instant::now();
+        let frame = env.seal_body(channel.session_key.as_bytes(), seq, &plain);
+        self.batch_seal_ns += u64::try_from(sealing.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.batch_frames += 1;
+        channel.outstanding = Some(InFlight::sent(
+            nonce,
             frame,
-        }
+            self.now,
+            &self.config.liveness,
+            Self::channel_tag(user),
+        ));
+        self.obs.admin_sent.inc();
+        out.outgoing.push(env);
+        Ok(())
     }
 
-    /// Seals a batch of jobs serially on the calling thread — the
-    /// reference implementation the parallel path must match byte for
-    /// byte.
-    #[must_use]
-    pub fn seal_admin_jobs(jobs: &[SealJob]) -> SealedBatch {
-        let start = Instant::now();
-        let frames = jobs.iter().map(Self::seal_job).collect();
-        SealedBatch {
-            frames,
-            seal_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        }
-    }
-
-    /// Seals a batch of jobs across `threads` scoped worker threads,
-    /// sharded over members. Falls back to the serial path when the batch
-    /// is small or only one thread is available. Output order and bytes
-    /// are identical to [`LeaderCore::seal_admin_jobs`] — sealing is pure,
-    /// the jobs carry all ordering material, and each worker writes its
-    /// own disjoint slice of the output (debug builds re-seal serially
-    /// and assert frame-for-frame equality).
-    #[must_use]
-    pub fn seal_admin_jobs_parallel(jobs: &[SealJob], threads: usize) -> SealedBatch {
-        if threads <= 1 || jobs.len() < PARALLEL_SEAL_MIN_JOBS {
-            return Self::seal_admin_jobs(jobs);
-        }
-        let start = Instant::now();
-        let workers = threads.min(jobs.len());
-        let chunk = jobs.len().div_ceil(workers);
-        let mut frames: Vec<Option<SealedAdminFrame>> = Vec::new();
-        frames.resize_with(jobs.len(), || None);
-        std::thread::scope(|scope| {
-            for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(frames.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (job, out) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(Self::seal_job(job));
-                    }
-                });
-            }
-        });
-        let batch = SealedBatch {
-            frames: frames
-                .into_iter()
-                .map(|f| f.expect("every chunk sealed its slice"))
-                .collect(),
-            seal_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        };
-        #[cfg(debug_assertions)]
-        {
-            let serial = Self::seal_admin_jobs(jobs);
-            debug_assert!(
-                batch
-                    .frames
-                    .iter()
-                    .zip(serial.frames.iter())
-                    .all(|(p, s)| p.frame == s.frame && p.member == s.member),
-                "parallel seal diverged from the serial reference"
-            );
-        }
-        batch
-    }
-
-    /// The under-lock commit phase: cache each sealed frame in its
-    /// channel's retransmit slot and account for the seals. A frame whose
-    /// channel no longer awaits its nonce (the member acked, departed, or
-    /// was expelled between stage and commit) is skipped — its stop-and-
-    /// wait exchange is already over.
-    pub fn commit_admin_frames(&mut self, batch: &SealedBatch) {
-        for sealed in &batch.frames {
-            if let Some(Slot::Connected(channel)) = self.slots.get_mut(&sealed.member) {
-                if channel.outstanding == Some(sealed.leader_nonce) {
-                    channel.outstanding_frame = Some(Arc::clone(&sealed.frame));
-                }
+    /// [`LeaderCore::send_admin`] of one payload to every member of
+    /// `recipients`, in roster order.
+    fn send_admin_all(
+        &mut self,
+        out: &mut LeaderOutput,
+        recipients: &Roster,
+        payload: &AdminPayload,
+    ) -> Result<(), CoreError> {
+        for name in recipients.iter() {
+            if let Some(member) = self.slot_id(name) {
+                self.send_admin(out, &member, payload.clone())?;
             }
         }
-        if !batch.frames.is_empty() {
-            self.obs.admin_seals.add(batch.frames.len() as u64);
-            self.obs.admin_seal_ns.add(batch.seal_ns);
-            // The seal time was measured by the sealing phase; recording
-            // it here adds no clock reads to the hot path.
-            self.obs.seal_batch_ns.record(batch.seal_ns);
-            self.obs.emit(|| EventKind::SealBatch {
-                frames: batch.frames.len() as u64,
-                elapsed_ns: batch.seal_ns,
-            });
-        }
+        Ok(())
     }
 
-    /// Completes a staged fan-out inline (seal on this thread, then
-    /// commit) — the serial path used by the sans-I/O compatibility
-    /// wrappers and by callers that do not care about lock scope.
-    fn finish_serial(&mut self, fanout: AdminFanout) -> LeaderOutput {
-        let batch = Self::seal_admin_jobs(&fanout.jobs);
-        self.commit_admin_frames(&batch);
-        LeaderOutput {
-            outgoing: batch.frames.into_iter().map(|f| f.env).collect(),
-            broadcasts: fanout.broadcast.into_iter().collect(),
-            events: fanout.events,
+    /// Accounts for the admin frames sealed since the last call as one
+    /// batch: every entry point that can send ends with this, so a batch
+    /// is one join, departure, rekey or broadcast. (An entry point that
+    /// bails out part-way leaves its frames to the next batch.)
+    fn record_seal_batch(&mut self) {
+        let (frames, elapsed_ns) = (self.batch_frames, self.batch_seal_ns);
+        if frames == 0 {
+            return;
         }
+        (self.batch_frames, self.batch_seal_ns) = (0, 0);
+        self.obs.admin_seals.add(frames);
+        self.obs.admin_seal_ns.add(elapsed_ns);
+        self.obs.seal_batch_ns.record(elapsed_ns);
+        self.obs
+            .emit(|| EventKind::SealBatch { frames, elapsed_ns });
     }
 
     /// Records nanoseconds the runtime spent holding its core lock for
-    /// admin staging/commit, so lock pressure is observable next to
-    /// [`LeaderStats::admin_seal_ns`].
+    /// one operator- or ticker-driven fan-out, so lock pressure is
+    /// observable next to [`LeaderStats::admin_seal_ns`].
     pub fn note_lock_hold(&mut self, ns: u64) {
         self.obs.lock_hold_ns.add(ns);
         self.obs.lock_hold_batch_ns.record(ns);
@@ -1519,96 +1210,43 @@ impl LeaderCore {
             .count()
     }
 
-    /// Returns the in-flight frames (handshake replies and unacknowledged
-    /// admin messages) for the runtime's retransmission timer, as
-    /// refcounted encoded bytes — redelivery clones a pointer, not a
-    /// frame. Re-delivery is safe: recipients treat duplicates as replays
-    /// (admin) or re-acknowledge idempotently (handshake, last-ack
-    /// cache), so retransmission cannot violate the ordering properties.
-    /// A staged-but-uncommitted admin message has no frame yet and is
-    /// skipped until its commit lands.
-    #[must_use]
-    pub fn retransmit_frames(&self) -> Vec<(ActorId, Arc<[u8]>)> {
-        let mut out = Vec::new();
-        for (user, slot) in &self.slots {
-            match slot {
-                Slot::WaitingForKeyAck { cached_frame, .. } => {
-                    out.push((user.clone(), Arc::clone(cached_frame)));
-                }
-                Slot::Connected(channel) => {
-                    if let Some(frame) = &channel.outstanding_frame {
-                        out.push((user.clone(), Arc::clone(frame)));
-                    }
-                }
-            }
-        }
-        if !out.is_empty() {
-            // Counting here (the collection point) covers every caller of
-            // the retransmission timer; counters are atomic, so `&self`
-            // suffices.
-            self.obs.retransmits.add(out.len() as u64);
-            self.obs.emit(|| EventKind::Retransmit {
-                actor: self.leader.to_string(),
-                frames: out.len() as u64,
-            });
-        }
-        out
-    }
-
     /// Advances the liveness layer to `now`: collects the in-flight
     /// frames whose (backoff-scheduled) retransmit deadline passed —
     /// bumping each channel's attempt counter and rescheduling it — and
     /// names the members whose ARQ budget is exhausted or whose liveness
     /// deadline (no authenticated traffic for
     /// [`LivenessConfig::liveness_timeout`]) was missed. The caller
-    /// transmits the frames and drives [`LeaderCore::begin_evict`] (or
-    /// [`LeaderCore::evict_now`]) for each named member.
+    /// transmits the frames and drives [`LeaderCore::evict`] for each
+    /// named member. Re-delivery is safe: recipients treat duplicates as
+    /// replays (admin) or re-acknowledge idempotently (handshake, last-ack
+    /// cache), so retransmission cannot violate the ordering properties.
     ///
     /// Under the default [`LivenessConfig`] this reproduces the historical
     /// behaviour: a flat retransmit cadence, no eviction ever.
     pub fn tick(&mut self, now: Duration) -> LeaderTick {
         self.now = self.now.max(now);
         let now = self.now;
-        let liveness = self.config.liveness.clone();
+        let liveness = &self.config.liveness;
         let mut tick = LeaderTick::default();
         for (user, slot) in &mut self.slots {
-            match slot {
-                Slot::WaitingForKeyAck {
-                    cached_frame,
-                    arq_attempts,
-                    retransmit_at,
-                    ..
-                } => {
-                    if liveness.exhausted(*arq_attempts) {
-                        tick.evict.push(user.clone());
-                    } else if now >= *retransmit_at {
-                        tick.frames.push((user.clone(), Arc::clone(cached_frame)));
-                        *arq_attempts += 1;
-                        *retransmit_at =
-                            now + liveness.jittered_delay(*arq_attempts, Self::channel_tag(user));
-                    }
-                }
-                Slot::Connected(channel) => {
-                    let silent = liveness
+            let (in_flight, silent) = match slot {
+                Slot::WaitingForKeyAck { reply, .. } => (Some(reply), false),
+                Slot::Connected(channel) => (
+                    channel.outstanding.as_mut(),
+                    liveness
                         .liveness_timeout
-                        .is_some_and(|t| now > channel.last_heard + t);
-                    if liveness.exhausted(channel.arq_attempts) || silent {
-                        tick.evict.push(user.clone());
-                        continue;
-                    }
-                    if let (Some(frame), Some(due)) =
-                        (&channel.outstanding_frame, channel.retransmit_at)
-                    {
-                        if now >= due {
-                            tick.frames.push((user.clone(), Arc::clone(frame)));
-                            channel.arq_attempts += 1;
-                            channel.retransmit_at = Some(
-                                now + liveness
-                                    .jittered_delay(channel.arq_attempts, Self::channel_tag(user)),
-                            );
-                        }
-                    }
-                }
+                        .is_some_and(|t| now > channel.last_heard + t),
+                ),
+            };
+            let exhausted = in_flight
+                .as_ref()
+                .is_some_and(|m| liveness.exhausted(m.attempts));
+            if silent || exhausted {
+                tick.evict.push(user.clone());
+            } else if let Some(frame) =
+                in_flight.and_then(|m| m.due(now, liveness, Self::channel_tag(user)))
+            {
+                tick.frames.push((user.clone(), frame));
             }
         }
         if !tick.frames.is_empty() {
@@ -1621,60 +1259,52 @@ impl LeaderCore {
         tick
     }
 
-    /// The under-lock staging half of a timeout eviction: drops the
-    /// presumed-dead member's session (freeing its outstanding slot) and
-    /// stages the same departure fan-out as an expel — the Fig. 3
-    /// `Oops(Ka)` path, driven by the liveness layer instead of the
-    /// operator. A half-open handshake slot is freed silently (the user
-    /// never became a member, so there is nothing to announce).
+    /// Evicts a member the liveness layer presumed dead: drops its
+    /// session (freeing its outstanding slot) and runs the same departure
+    /// as an expel — the Fig. 3 `Oops(Ka)` path, driven by a timeout
+    /// instead of the operator. A half-open handshake slot is freed
+    /// silently (the user never became a member, so there is nothing to
+    /// announce).
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownUser`] if the user has no slot (already gone).
-    pub fn begin_evict(&mut self, user: &ActorId) -> Result<AdminFanout, CoreError> {
+    pub fn evict(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
+        self.drop_session(user, Departure::Evict)
+    }
+
+    /// Expels a member: drops its session immediately and notifies the
+    /// rest ("a variation of this protocol can be used to expel some
+    /// members of the group").
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownUser`] if the user is not connected.
+    pub fn expel(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
+        self.drop_session(user, Departure::Expel)
+    }
+
+    fn drop_session(&mut self, user: &ActorId, kind: Departure) -> Result<LeaderOutput, CoreError> {
         if self.slots.remove(user).is_none() {
             return Err(CoreError::UnknownUser(user.to_string()));
         }
-        self.depart_fanout(user, Departure::Evict)
+        let out = self.depart(user, kind)?;
+        self.record_seal_batch();
+        Ok(out)
     }
 
-    /// Evicts a member inline (staging + sealing + commit on this
-    /// thread) — the serial convenience wrapper over
-    /// [`LeaderCore::begin_evict`].
+    /// Rotates the group key now and distributes it to every member: in
+    /// tree mode one multicast `PathUpdate` (zero admin seals, `O(log N)`
+    /// AEAD work), in flat mode a `NewGroupKey` per member. An empty
+    /// group yields an empty output and no rekey.
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnknownUser`] if the user has no slot.
-    pub fn evict_now(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
-        let fanout = self.begin_evict(user)?;
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// Rotates the group key now and distributes it to every member
-    /// (staging + sealing + commit all inline on this thread).
-    ///
-    /// # Errors
-    ///
-    /// Propagates admin-queueing failures.
+    /// Propagates journal and admin-send failures.
     pub fn rekey_now(&mut self) -> Result<LeaderOutput, CoreError> {
-        let fanout = self.begin_rekey()?;
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// The under-lock staging half of a rekey: rotates the group key and
-    /// stages a `NewGroupKey` message per member, drawing every nonce in
-    /// roster order. Seal the returned jobs (on any threads) with
-    /// [`LeaderCore::seal_admin_jobs_parallel`], then apply
-    /// [`LeaderCore::commit_admin_frames`] under the lock again. An empty
-    /// group yields an empty fan-out and no rekey.
-    ///
-    /// # Errors
-    ///
-    /// Propagates admin-queueing failures.
-    pub fn begin_rekey(&mut self) -> Result<AdminFanout, CoreError> {
-        let mut fanout = AdminFanout::default();
+        let mut out = LeaderOutput::default();
         if self.group.is_empty() {
-            return Ok(fanout);
+            return Ok(out);
         }
         let mut tape = Vec::new();
         let outcome = {
@@ -1682,81 +1312,46 @@ impl LeaderCore {
             apply_rekey(&mut self.group, &mut self.tree, &mut rec)
         };
         self.journal_commit(JournalOp::Rekey, tape)?;
-        self.obs.rekeys.inc();
-        match outcome {
+        let roster = self.group.roster();
+        let epoch = match outcome {
+            // One leaf-to-root path was refreshed (rotating over the
+            // roster). The refreshed member follows from the broadcast
+            // too: its first seal targets its own leaf key.
             RekeyOutcome::Tree { plan, epoch } => {
-                // Tree mode: one leaf-to-root path was refreshed (rotating
-                // over the roster); multicast the copath seals — zero admin
-                // seals, `O(log N)` AEAD work. The refreshed member follows
-                // from the broadcast too: its first seal targets its own
-                // leaf key.
-                fanout.broadcast = self.build_path_update_frame(&plan, epoch, self.group.roster());
-                self.obs.emit(|| EventKind::Rekeyed { epoch });
-                fanout.events.push(LeaderEvent::Rekeyed(epoch));
+                out.broadcasts
+                    .extend(self.build_path_update_frame(&plan, epoch, roster));
+                epoch
             }
             RekeyOutcome::Flat => {
-                let epoch = self.group.current_epoch().expect("nonempty group has key");
-                let payload = AdminPayload::NewGroupKey {
-                    epoch: epoch.epoch,
-                    key: *epoch.key.as_bytes(),
-                    iv: epoch.iv,
-                };
-                let epoch_num = epoch.epoch;
-                let roster = self.group.roster();
-                for name in roster.iter() {
-                    let Some(member) = self.slot_id(name) else {
-                        continue;
-                    };
-                    fanout
-                        .jobs
-                        .extend(self.stage_admin_connected(&member, payload.clone())?);
-                }
-                self.obs.emit(|| EventKind::Rekeyed { epoch: epoch_num });
-                fanout.events.push(LeaderEvent::Rekeyed(epoch_num));
+                let (epoch, new_key) = self.new_key_payload();
+                self.send_admin_all(&mut out, &roster, &new_key)?;
+                epoch
             }
-        }
-        Ok(fanout)
+        };
+        self.rekeyed(&mut out, epoch);
+        self.record_seal_batch();
+        Ok(out)
     }
 
     /// Broadcasts application data to every member over the authenticated
-    /// admin channel (one seal and one stop-and-wait exchange per
-    /// recipient, all inline on this thread).
+    /// admin channel: one seal and one stop-and-wait exchange per
+    /// recipient, all sharing one payload allocation (each queue entry is
+    /// a refcount bump, not a copy). The per-member seal is what
+    /// [`LeaderCore::broadcast_group_data`] eliminates.
     ///
     /// # Errors
     ///
-    /// Propagates admin-queueing failures.
+    /// Propagates admin-send failures.
     pub fn broadcast_admin_data(&mut self, data: &[u8]) -> Result<LeaderOutput, CoreError> {
-        let fanout = self.begin_admin_broadcast(data)?;
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// The under-lock staging half of an admin-channel broadcast: one
-    /// staged `AppData` message per member, sharing one payload
-    /// allocation (each queue entry is a refcount bump, not a copy). The
-    /// seal is still per member — that is what
-    /// [`LeaderCore::broadcast_group_data`] eliminates — but it runs out
-    /// of lock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates admin-queueing failures.
-    pub fn begin_admin_broadcast(&mut self, data: &[u8]) -> Result<AdminFanout, CoreError> {
-        let shared: Arc<[u8]> = data.into();
-        let mut fanout = AdminFanout::default();
+        let mut out = LeaderOutput::default();
         let recipients = self.group.roster();
-        for name in recipients.iter() {
-            let Some(member) = self.slot_id(name) else {
-                continue;
-            };
-            fanout.jobs.extend(
-                self.stage_admin_connected(&member, AdminPayload::AppData(Arc::clone(&shared)))?,
-            );
-        }
+        self.send_admin_all(&mut out, &recipients, &AdminPayload::AppData(data.into()))?;
         self.obs.emit(|| EventKind::AdminSend {
             payload: data.to_vec(),
             recipients: recipients.iter().map(ToString::to_string).collect(),
         });
-        Ok(fanout)
+        self.record_seal_batch();
+        Ok(out)
     }
 
     /// Seals `data` exactly once under the current group key and returns a
@@ -1828,43 +1423,11 @@ impl LeaderCore {
         })
     }
 
-    /// Expels a member: drops its session immediately and notifies the
-    /// rest ("a variation of this protocol can be used to expel some
-    /// members of the group"). Staging + sealing + commit all inline.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownUser`] if the user is not connected.
-    pub fn expel(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
-        let fanout = self.begin_expel(user)?;
-        Ok(self.finish_serial(fanout))
-    }
-
-    /// The under-lock staging half of an expulsion: drops the session and
-    /// stages the departure fan-out (notices and, per policy, the new
-    /// group key).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownUser`] if the user is not connected.
-    pub fn begin_expel(&mut self, user: &ActorId) -> Result<AdminFanout, CoreError> {
-        if self.slots.remove(user).is_none() {
-            return Err(CoreError::UnknownUser(user.to_string()));
-        }
-        self.depart_fanout(user, Departure::Expel)
-    }
-
     /// Attaches a write-ahead journal writer. Every subsequent
     /// membership/epoch transition is sealed into the journal *before*
-    /// its frames are staged or dispatched.
+    /// any of its frames is sealed or dispatched.
     pub fn attach_journal(&mut self, writer: JournalWriter) {
         self.journal = Some(writer);
-    }
-
-    /// True if a journal writer is attached.
-    #[must_use]
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
     }
 
     /// Seals one transition record — the operation, its RNG tape, and the
@@ -2034,7 +1597,7 @@ enum JoinOutcome {
     Flat { rekeyed: bool },
     /// Tree mode: the member holds a (fresh or refreshed) leaf and the
     /// epoch advanced to the new root's derivation.
-    Tree { plan: PathUpdatePlan, epoch: u64 },
+    Tree { plan: PathUpdatePlan },
 }
 
 /// Outcome of the departure transition ([`apply_depart`]).
@@ -2091,8 +1654,8 @@ fn apply_join(
         } else {
             tree.add(user.clone(), rng)
         };
-        let epoch = advance_tree_epoch(group, &plan.root_key);
-        return JoinOutcome::Tree { plan, epoch };
+        advance_tree_epoch(group, &plan.root_key);
+        return JoinOutcome::Tree { plan };
     }
     let rekeyed = config.rekey_policy.rekey_on_join() && group.len() > 1;
     if rekeyed {
@@ -2197,6 +1760,7 @@ mod tests {
     use crate::protocol::member::{MemberEvent, MemberSession};
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
+    use enclaves_crypto::sha256::Sha256;
 
     fn id(s: &str) -> ActorId {
         ActorId::new(s).unwrap()
@@ -2226,11 +1790,16 @@ mod tests {
     }
 
     fn member(user: &str, seed: u64) -> (MemberSession, Envelope) {
-        MemberSession::start_with_key(
+        member_in(user, seed, None)
+    }
+
+    fn member_in(user: &str, seed: u64, group: Option<GroupId>) -> (MemberSession, Envelope) {
+        MemberSession::start_with_key_in_group(
             id(user),
             id("leader"),
             LongTermKey::derive_from_password(&format!("pw-{user}"), user).unwrap(),
             Box::new(SeededRng::from_seed(seed)),
+            group,
         )
     }
 
@@ -2568,9 +2137,9 @@ mod tests {
         ));
     }
 
-    /// Decodes retransmit frames back to envelopes for comparison.
-    fn retransmit_envelopes(l: &LeaderCore) -> Vec<Envelope> {
-        l.retransmit_frames()
+    /// Decodes the frames a tick found due back to envelopes.
+    fn due_envelopes(tick: &LeaderTick) -> Vec<Envelope> {
+        tick.frames
             .iter()
             .map(|(_, frame)| enclaves_wire::codec::decode(frame).unwrap())
             .collect()
@@ -2579,108 +2148,45 @@ mod tests {
     #[test]
     fn retransmit_frames_cover_handshakes_and_admin() {
         let mut l = leader(&["alice"], RekeyPolicy::Manual);
-        // Pending handshake → one retransmittable frame, addressed to the
-        // joining user and byte-identical on every tick (same allocation).
+        let base = l.config.liveness.retransmit_base;
+        // Pending handshake → once its deadline passes, one frame due,
+        // addressed to the joining user and byte-identical to the reply.
         let (mut alice, init) = member("alice", 110);
         let out = l.handle(&init).unwrap();
         assert_eq!(l.outstanding_count(), 1);
-        assert_eq!(retransmit_envelopes(&l), out.outgoing);
-        assert_eq!(l.retransmit_frames()[0].0, id("alice"));
+        assert!(l.tick(base / 2).frames.is_empty(), "not due yet");
+        let tick = l.tick(base);
+        assert_eq!(due_envelopes(&tick), out.outgoing);
+        assert_eq!(tick.frames[0].0, id("alice"));
 
-        // Complete the join; the welcome admin message is now in flight.
+        // Complete the join; the welcome admin message is now in flight,
+        // on a deadline of its own.
         let alice_out = alice.handle(&out.outgoing[0]).unwrap();
         let welcome_out = l.handle(alice_out.reply.as_ref().unwrap()).unwrap();
-        assert_eq!(retransmit_envelopes(&l), welcome_out.outgoing);
+        assert!(l.tick(base).frames.is_empty(), "not due yet");
+        assert_eq!(due_envelopes(&l.tick(base * 2)), welcome_out.outgoing);
 
-        // Acknowledge it: nothing left to retransmit.
+        // Acknowledge it: nothing left to retransmit, however late.
         let a_out = alice.handle(&welcome_out.outgoing[0]).unwrap();
         l.handle(a_out.reply.as_ref().unwrap()).unwrap();
-        assert!(l.retransmit_frames().is_empty());
+        assert!(l.tick(base * 8).frames.is_empty());
         assert_eq!(l.outstanding_count(), 0);
     }
 
     #[test]
     fn retransmit_frame_is_cached_not_recloned() {
         let mut l = leader(&["alice"], RekeyPolicy::Manual);
+        let base = l.config.liveness.retransmit_base;
         let (mut alice, init) = member("alice", 111);
         pump(&mut l, &mut alice, init);
         l.broadcast_admin_data(b"in flight").unwrap();
-        let first = l.retransmit_frames();
-        let second = l.retransmit_frames();
+        let first = l.tick(base).frames;
+        let second = l.tick(base * 2).frames;
         assert_eq!(first.len(), 1);
         assert!(
             Arc::ptr_eq(&first[0].1, &second[0].1),
             "successive ticks must share one encoded allocation"
         );
-    }
-
-    #[test]
-    fn staged_rekey_parallel_matches_serial_bytes() {
-        // Two leaders driven by identical seeded RNGs through identical
-        // histories stage identical jobs; sealing them serially vs in
-        // parallel must produce byte-identical frames in the same order.
-        let mk = || {
-            let mut l = LeaderCore::with_rng(
-                id("leader"),
-                directory(&["alice", "bob", "carol"]),
-                LeaderConfig {
-                    rekey_policy: RekeyPolicy::Manual,
-                    // Notices off so each join is a self-contained welcome
-                    // exchange and every channel is free at rekey time.
-                    membership_notices: false,
-                    ..LeaderConfig::default()
-                },
-                Box::new(SeededRng::from_seed(9)),
-            );
-            for (i, name) in ["alice", "bob", "carol"].iter().enumerate() {
-                let (mut s, init) = member(name, 300 + i as u64);
-                pump(&mut l, &mut s, init);
-            }
-            l
-        };
-        let mut serial = mk();
-        let mut parallel = mk();
-
-        let fan_s = serial.begin_rekey().unwrap();
-        let fan_p = parallel.begin_rekey().unwrap();
-        assert_eq!(fan_s.jobs.len(), 3, "one job per member");
-        assert_eq!(fan_s.events, vec![LeaderEvent::Rekeyed(2)]);
-
-        let batch_s = LeaderCore::seal_admin_jobs(&fan_s.jobs);
-        let batch_p = LeaderCore::seal_admin_jobs_parallel(&fan_p.jobs, 4);
-        for (s, p) in batch_s.frames.iter().zip(batch_p.frames.iter()) {
-            assert_eq!(s.member, p.member);
-            assert_eq!(s.env, p.env);
-            assert_eq!(s.frame, p.frame, "parallel frame bytes diverged");
-        }
-        serial.commit_admin_frames(&batch_s);
-        parallel.commit_admin_frames(&batch_p);
-        assert_eq!(serial.stats().admin_seals, parallel.stats().admin_seals);
-        // Slot iteration order is per-instance hash order; compare the
-        // cached retransmit frames keyed by recipient instead.
-        let sorted = |l: &LeaderCore| {
-            let mut v = l.retransmit_frames();
-            v.sort_by_key(|a| a.0.to_string());
-            v
-        };
-        assert_eq!(sorted(&serial), sorted(&parallel));
-
-        // Exercise the actual worker pool (the 3-job batch above falls
-        // back to serial below the small-batch threshold): widen the job
-        // list past the threshold and demand byte equality per slot.
-        let wide: Vec<SealJob> = fan_p
-            .jobs
-            .iter()
-            .cycle()
-            .take(PARALLEL_SEAL_MIN_JOBS + 7)
-            .cloned()
-            .collect();
-        let wide_serial = LeaderCore::seal_admin_jobs(&wide);
-        let wide_parallel = LeaderCore::seal_admin_jobs_parallel(&wide, 4);
-        assert_eq!(wide_serial.frames.len(), wide_parallel.frames.len());
-        for (s, p) in wide_serial.frames.iter().zip(wide_parallel.frames.iter()) {
-            assert_eq!(s.frame, p.frame, "threaded seal diverged from serial");
-        }
     }
 
     #[test]
@@ -2700,25 +2206,6 @@ mod tests {
             "a rekey over n members costs exactly n admin seals"
         );
         assert!(l.stats().admin_seal_ns > 0, "seal time is accounted");
-    }
-
-    #[test]
-    fn commit_skips_frames_for_departed_or_acked_channels() {
-        let mut l = leader(&["alice", "bob"], RekeyPolicy::Manual);
-        let (mut alice, init_a) = member("alice", 320);
-        pump(&mut l, &mut alice, init_a);
-        let (mut bob, init_b) = member("bob", 321);
-        join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init_b);
-
-        let fanout = l.begin_rekey().unwrap();
-        let batch = LeaderCore::seal_admin_jobs(&fanout.jobs);
-        // Bob departs between stage and commit: his exchange is over, so
-        // his frame must not enter the retransmit cache.
-        l.expel(&id("bob")).unwrap();
-        l.commit_admin_frames(&batch);
-        let frames = l.retransmit_frames();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].0, id("alice"));
     }
 
     #[test]
@@ -3056,28 +2543,38 @@ mod tests {
         l: LeaderCore,
         sessions: HashMap<ActorId, MemberSession>,
         events: HashMap<ActorId, Vec<MemberEvent>>,
+        /// Everything the leader put on the wire, in order.
+        wire: Sha256,
     }
 
     impl TreeWorld {
         fn new(users: &[&str]) -> Self {
+            Self::with_config(
+                users,
+                LeaderConfig {
+                    rekey_policy: RekeyPolicy::Manual,
+                    tree_rekey: true,
+                    ..LeaderConfig::default()
+                },
+            )
+        }
+
+        fn with_config(users: &[&str], config: LeaderConfig) -> Self {
             TreeWorld {
                 l: LeaderCore::with_rng(
                     id("leader"),
                     directory(users),
-                    LeaderConfig {
-                        rekey_policy: RekeyPolicy::Manual,
-                        tree_rekey: true,
-                        ..LeaderConfig::default()
-                    },
+                    config,
                     Box::new(SeededRng::from_seed(1)),
                 ),
                 sessions: HashMap::new(),
                 events: HashMap::new(),
+                wire: Sha256::new(),
             }
         }
 
         fn join(&mut self, user: &str, seed: u64) {
-            let (session, init) = member(user, seed);
+            let (session, init) = member_in(user, seed, self.l.group_id().cloned());
             self.sessions.insert(id(user), session);
             self.drive(vec![init]);
         }
@@ -3088,8 +2585,19 @@ mod tests {
             self.drive(vec![env]);
         }
 
+        fn expel(&mut self, user: &str) {
+            self.sessions.remove(&id(user));
+            let out = self.l.expel(&id(user)).unwrap();
+            self.settle(out);
+        }
+
         fn rekey(&mut self) {
             let out = self.l.rekey_now().unwrap();
+            self.settle(out);
+        }
+
+        /// Delivers one leader output and pumps until quiescent.
+        fn settle(&mut self, out: LeaderOutput) {
             let replies = self.deliver_collect(out);
             self.drive(replies);
         }
@@ -3110,6 +2618,13 @@ mod tests {
         /// Hands one leader output to the member sessions and returns the
         /// replies bound for the leader.
         fn deliver_collect(&mut self, out: LeaderOutput) -> Vec<Envelope> {
+            for env in &out.outgoing {
+                self.wire.update(&encode(env));
+            }
+            for b in &out.broadcasts {
+                self.wire.update(&b.frame);
+                self.wire.update(&encode(&b.recipients));
+            }
             let mut replies = Vec::new();
             for env in out.outgoing {
                 if let Some(s) = self.sessions.get_mut(&env.recipient) {
@@ -3139,10 +2654,15 @@ mod tests {
             replies
         }
 
+        /// Every session is in the leader's epoch and — unless notices
+        /// are configured off — holds the leader's view of the membership.
         fn assert_converged(&self) {
             let epoch = self.l.epoch();
             for (who, s) in &self.sessions {
                 assert_eq!(s.group_epoch(), epoch, "{who} diverged from the leader");
+                if self.l.config.membership_notices {
+                    assert_eq!(s.roster(), self.l.roster(), "{who} holds a stale view");
+                }
             }
         }
     }
@@ -3165,6 +2685,15 @@ mod tests {
         let before = w.l.epoch().unwrap();
         w.leave("m4");
         assert!(w.l.epoch().unwrap() > before, "leave advances the epoch");
+        w.assert_converged();
+        let before = w.l.epoch().unwrap();
+        w.expel("m7");
+        assert!(w.l.epoch().unwrap() > before, "expel advances the epoch");
+        w.assert_converged();
+        // A timeout eviction is the same departure.
+        w.sessions.remove(&id("m1"));
+        let out = w.l.evict(&id("m1")).unwrap();
+        w.settle(out);
         w.assert_converged();
         // Manual rekeys rotate a different leaf each time; all converge.
         for _ in 0..4 {
@@ -3241,8 +2770,7 @@ mod tests {
             .iter()
             .map(|b| enclaves_wire::codec::decode(&b.frame).unwrap())
             .collect();
-        let replies = w.deliver_collect(out);
-        w.drive(replies);
+        w.settle(out);
         w.rekey();
         let out2 = w.l.rekey_now().unwrap();
         let mut sniffed2: Vec<Envelope> = out2
@@ -3251,9 +2779,14 @@ mod tests {
             .map(|b| enclaves_wire::codec::decode(&b.frame).unwrap())
             .collect();
         sniffed2.extend(sniffed);
-        let replies = w.deliver_collect(out2);
-        w.drive(replies);
+        w.settle(out2);
         w.assert_converged();
+        for who in w.sessions.keys() {
+            assert!(
+                w.events[who].contains(&MemberEvent::MemberLeft(id("m2"))),
+                "{who} never learned m2 was expelled"
+            );
+        }
         // None of the sniffed updates let the expelled member advance: no
         // seal in them targets a key it holds.
         for env in &sniffed2 {
@@ -3289,8 +2822,7 @@ mod tests {
                 .collect(),
             events: out.events,
         };
-        let replies = w.deliver_collect(filtered);
-        w.drive(replies);
+        w.settle(filtered);
         assert!(
             w.sessions[&lost].group_epoch() < w.l.epoch(),
             "m1 must be stale for this test"
@@ -3310,37 +2842,6 @@ mod tests {
         w.drive(vec![ping]);
         assert_eq!(w.l.stats().admin_sent, admin_before);
         w.assert_converged();
-    }
-
-    #[test]
-    fn tree_path_update_frame_identical_across_seal_paths() {
-        // The PathUpdate multicast is staged under the lock, so the frame
-        // must be byte-identical whether the admin jobs around it seal
-        // serially or across the worker pool.
-        let build = |parallel: bool| {
-            let users = names(6);
-            let refs: Vec<&str> = users.iter().map(String::as_str).collect();
-            let mut w = TreeWorld::new(&refs);
-            for (i, u) in users.iter().enumerate() {
-                w.join(u, 800 + i as u64);
-            }
-            let fanout = w.l.begin_rekey().unwrap();
-            let batch = if parallel {
-                LeaderCore::seal_admin_jobs_parallel(&fanout.jobs, 4)
-            } else {
-                LeaderCore::seal_admin_jobs(&fanout.jobs)
-            };
-            w.l.commit_admin_frames(&batch);
-            fanout
-                .broadcast
-                .expect("tree rekey emits a broadcast")
-                .frame
-        };
-        assert_eq!(
-            build(false),
-            build(true),
-            "PathUpdate bytes must not depend on the seal path"
-        );
     }
 
     /// A forged `PathUpdate` with garbage seals addressed to nodes 0..5.
@@ -3537,6 +3038,79 @@ mod tests {
         let recovered2 = LeaderCore::recover(&replay2).unwrap();
         assert_eq!(recovered2.epoch(), Some(new_epoch));
         assert_eq!(recovered2.durable_digest(), recovered.durable_digest());
+    }
+
+    /// Runs one fixed history on a seeded leader and returns the SHA-256
+    /// (hex) of every byte it put on the wire, retransmits included.
+    fn seeded_script(config: LeaderConfig, journal: Option<&str>) -> String {
+        use crate::journal::{genesis_for, label_for, JournalDir};
+        let users = names(6);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::with_config(&refs, config);
+        let _tmp = journal.map(|tag| {
+            let tmp = TempJournal::new(tag);
+            let dir = JournalDir::open_or_init(&tmp.0).unwrap();
+            let genesis = genesis_for(w.l.leader_id(), &w.l.directory, &w.l.config);
+            let label = label_for(w.l.group_id());
+            w.l.attach_journal(dir.create_stream(&label, &genesis).unwrap());
+            tmp
+        });
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 1000 + i as u64);
+        }
+        w.leave("m2");
+        w.expel("m4");
+        w.rekey();
+        // An admin broadcast whose acks are late: every member's frame
+        // comes due once, out of the retransmit cache, before they land.
+        let out = w.l.broadcast_admin_data(b"seeded script").unwrap();
+        assert_eq!(out.outgoing.len(), 4);
+        let mut due = w.l.tick(w.l.config.liveness.retransmit_base).frames;
+        assert_eq!(due.len(), 4);
+        // Slot iteration is in per-instance hash order.
+        due.sort_by_key(|(user, _)| user.to_string());
+        for (_, frame) in &due {
+            w.wire.update(frame);
+        }
+        w.settle(out);
+        w.assert_converged();
+        assert_eq!(w.l.outstanding_count(), 0);
+        w.wire
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// The digests were computed by this same test body at the commit
+    /// before the stage/seal/commit pipeline was collapsed into
+    /// `send_admin`: wire bytes, RNG draw order and retransmit-cache
+    /// contents are what they were.
+    #[test]
+    fn seeded_script_wire_bytes_are_pinned() {
+        let flat = LeaderConfig {
+            rekey_policy: RekeyPolicy::OnJoinAndLeave,
+            ..LeaderConfig::default()
+        };
+        // The benchmark's settings.
+        let tree = LeaderConfig {
+            rekey_policy: RekeyPolicy::Manual,
+            membership_notices: false,
+            tree_rekey: true,
+            group: Some(GroupId::new("bench").unwrap()),
+            ..LeaderConfig::default()
+        };
+        // The journal draws nothing from the leader's RNG, so it must not
+        // move a byte either.
+        const FLAT: &str = "ba35ce5dd1257f729a49cf99f02199f5d716ebcfc768b96ee4b29d270b07339e";
+        const TREE: &str = "1189689d63301f44e9e5eb44fd94a35e3f2e2c34ce83cbadcbbd14f51f4f52f1";
+        for (name, config, journal, digest) in [
+            ("flat", flat, None, FLAT),
+            ("tree", tree.clone(), None, TREE),
+            ("tree, journaled", tree, Some("script"), TREE),
+        ] {
+            assert_eq!(seeded_script(config, journal), digest, "{name}");
+        }
     }
 
     #[test]

@@ -2,15 +2,14 @@
 //! `enclaves-net` transport.
 //!
 //! * [`LeaderService`] — the multi-enclave leader service: one acceptor,
-//!   one shared liveness ticker, one shared seal-worker pool, and a
-//!   registry of per-group [`crate::protocol::LeaderCore`]s keyed by
-//!   enclave tag. Incoming frames demultiplex by the envelope's group
-//!   tag; each group is operated through its [`GroupHandle`].
-//! * [`LeaderRuntime`] — the single-group facade over [`LeaderService`]:
-//!   identical API to the pre-multigroup runtime, backed by a service
-//!   hosting exactly one group. Outgoing envelopes are routed to the link
-//!   currently bound to their recipient; links become bound to an
-//!   identity only after the improved protocol authenticates it.
+//!   one shared liveness ticker, and a registry of per-group
+//!   [`crate::protocol::LeaderCore`]s keyed by enclave tag. Incoming
+//!   frames demultiplex by the envelope's group tag; each group is
+//!   operated through its [`GroupHandle`]. Outgoing envelopes are routed
+//!   to the link currently bound to their recipient; links become bound
+//!   to an identity only after the improved protocol authenticates it.
+//! * [`LeaderRuntime`] — a constructor for a [`LeaderService`] hosting
+//!   exactly one group; it derefs to that group's [`GroupHandle`].
 //! * [`MemberRuntime`] — a receive loop thread around a
 //!   [`crate::protocol::MemberSession`], exposing an event channel and
 //!   blocking convenience waiters.

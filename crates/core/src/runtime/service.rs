@@ -8,10 +8,15 @@
 //! - one acceptor thread (plus one handler thread per *connection*, as
 //!   before — connections, not groups, are the unit of I/O concurrency),
 //! - one shared liveness ticker driving every group's ARQ retransmits,
-//!   heartbeat deadlines, and timeout evictions,
-//! - one shared [`SealPool`] of persistent AEAD workers that all groups'
-//!   admin fan-outs (rekey, broadcast, expel, evict) borrow instead of
-//!   spawning scoped threads per operation.
+//!   heartbeat deadlines, and timeout evictions.
+//!
+//! Whoever drives a group's core — a connection handler with a frame, an
+//! operator through a [`GroupHandle`], the ticker with an eviction — does
+//! the same three things: call the core under its lock (which seals
+//! whatever it sends, where it stands), then emit the events and route
+//! the frames. Admin frames are small and a production (tree-rekey)
+//! operation seals a handful, so no second path seals them anywhere
+//! else, and none has to be kept in step with this one.
 //!
 //! Incoming frames are demultiplexed by the envelope's group tag
 //! ([`enclaves_wire::message::Envelope::group`]): each frame is routed to
@@ -21,9 +26,9 @@
 //! bound into the AEAD header AAD — isolation holds even against a
 //! registry-bypassing adversary.
 //!
-//! The single-group [`super::LeaderRuntime`] is a thin facade over this
-//! service, so every existing integration test exercises the shared
-//! machinery.
+//! The single-group [`super::LeaderRuntime`] is a one-group instance of
+//! this service, so every integration test driving one exercises the
+//! shared machinery.
 //!
 //! Lock order: `registry` → `send_order` → `core` → `routes`. Nothing
 //! acquires an earlier lock while holding a later one.
@@ -34,9 +39,7 @@ use crate::journal::{
     genesis_for, label_for, JournalDir, JournalError, ReadMode, StreamInfo, StreamScan,
 };
 use crate::liveness::{Clock, LivenessConfig, RealClock};
-use crate::protocol::{
-    AdminFanout, LeaderCore, LeaderEvent, SealJob, SealedAdminFrame, SealedBatch,
-};
+use crate::protocol::{LeaderCore, LeaderEvent, LeaderOutput};
 use crate::CoreError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_net::{Frame, Link, Listener, MuxEndpoint, MuxEvent, MuxNet, MuxToken};
@@ -49,10 +52,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Below this many jobs a fan-out seals inline on the calling thread:
-/// the channel round-trip to the pool costs more than the seals.
-const POOL_SEAL_MIN_JOBS: usize = 32;
 
 /// Streams a recovery worker takes on before another is worth starting.
 /// A stream replays in about a millisecond, so below this a helper saves
@@ -82,115 +81,6 @@ pub struct BroadcastReceipt {
     pub seq: u64,
     /// The roster at seal time (the shared snapshot, not a copy).
     pub recipients: Roster,
-}
-
-// ---------------------------------------------------------------------------
-// Shared seal pool
-// ---------------------------------------------------------------------------
-
-struct SealTask {
-    /// An owned chunk of jobs ([`SealJob`] carries all ordering material,
-    /// so sealing is pure and order-free across workers).
-    jobs: Vec<SealJob>,
-    /// Index of the chunk's first job in the originating batch.
-    offset: usize,
-    reply: Sender<(usize, Vec<SealedAdminFrame>)>,
-}
-
-/// A fixed set of persistent AEAD workers shared by every group in the
-/// service. Replaces the per-operation scoped threads of
-/// [`LeaderCore::seal_admin_jobs_parallel`]: under a thousand groups,
-/// spawning threads per rekey would thrash; here the workers are spawned
-/// once and fan-outs from any group borrow them via a channel.
-pub(crate) struct SealPool {
-    tx: Mutex<Option<Sender<SealTask>>>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    threads: usize,
-}
-
-impl SealPool {
-    fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = unbounded::<SealTask>();
-        let mut workers = Vec::new();
-        if threads > 1 {
-            for i in 0..threads {
-                let rx: Receiver<SealTask> = rx.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("enclaves-seal-{i}"))
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            let batch = LeaderCore::seal_admin_jobs(&task.jobs);
-                            // The submitter may have given up (pool raced
-                            // with shutdown); a dead reply channel is fine.
-                            let _ = task.reply.send((task.offset, batch.frames));
-                        }
-                    })
-                    .expect("spawn seal worker");
-                workers.push(handle);
-            }
-        }
-        SealPool {
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
-            threads,
-        }
-    }
-
-    /// Seals a batch across the pool. Byte-identical to the serial
-    /// reference [`LeaderCore::seal_admin_jobs`]; small batches (or a
-    /// single-threaded pool) seal inline on the calling thread.
-    fn seal(&self, jobs: &[SealJob]) -> SealedBatch {
-        if self.threads <= 1 || jobs.len() < POOL_SEAL_MIN_JOBS {
-            return LeaderCore::seal_admin_jobs(jobs);
-        }
-        let Some(tx) = self.tx.lock().clone() else {
-            // Pool already shut down (late fan-out during teardown).
-            return LeaderCore::seal_admin_jobs(jobs);
-        };
-        let start = Instant::now();
-        let workers = self.threads.min(jobs.len());
-        let chunk = jobs.len().div_ceil(workers);
-        let (reply_tx, reply_rx) = unbounded();
-        let mut sent = 0usize;
-        for (i, jobs_chunk) in jobs.chunks(chunk).enumerate() {
-            let task = SealTask {
-                jobs: jobs_chunk.to_vec(),
-                offset: i * chunk,
-                reply: reply_tx.clone(),
-            };
-            if tx.send(task).is_err() {
-                // Workers gone: seal everything inline instead.
-                return LeaderCore::seal_admin_jobs(jobs);
-            }
-            sent += 1;
-        }
-        drop(reply_tx);
-        let mut frames: Vec<Option<SealedAdminFrame>> = Vec::new();
-        frames.resize_with(jobs.len(), || None);
-        for _ in 0..sent {
-            let Ok((offset, sealed)) = reply_rx.recv() else {
-                return LeaderCore::seal_admin_jobs(jobs);
-            };
-            for (i, frame) in sealed.into_iter().enumerate() {
-                frames[offset + i] = Some(frame);
-            }
-        }
-        SealedBatch {
-            frames: frames
-                .into_iter()
-                .map(|f| f.expect("every chunk sealed its slice"))
-                .collect(),
-            seal_ns: elapsed_ns(start),
-        }
-    }
-
-    fn shutdown(&self) {
-        drop(self.tx.lock().take());
-        for handle in self.workers.lock().drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,10 +143,11 @@ struct GroupEntry {
     /// on the paired condvar instead of sleep-polling.
     roster_gen: Mutex<u64>,
     roster_cv: Condvar,
-    /// Serializes the emit+dispatch tail of admin fan-outs (rekey,
-    /// broadcast, expel) so an observer always sees the operation's events
-    /// before any member can see its frames. Per group: fan-outs in
-    /// different enclaves never contend.
+    /// Serializes operator- and ticker-driven fan-outs (rekey, broadcast,
+    /// expel, evict) from the core call to the last dispatch, so an
+    /// observer always sees an operation's events before any member can
+    /// see its frames. Per group: fan-outs in different enclaves never
+    /// contend.
     send_order: Mutex<()>,
 }
 
@@ -317,49 +208,37 @@ impl GroupEntry {
         }
     }
 
-    /// The out-of-lock tail of an admin fan-out: seal across the shared
-    /// pool, re-enter the core lock to commit the frames into the
-    /// retransmit caches, then emit the operation's events *before*
-    /// dispatching its frames (all still under this group's send-order
-    /// lock), so no observer can record a delivery before its send.
-    fn finish_fanout(&self, pool: &SealPool, fanout: AdminFanout, stage_ns: u64) {
-        let batch = pool.seal(&fanout.jobs);
-        {
-            let committed = Instant::now();
+    /// One operator- or ticker-driven fan-out: runs `op` on the core,
+    /// then emits its events *before* dispatching its frames (all under
+    /// this group's send-order lock), so no observer can record a
+    /// delivery before its send. `sever` names a member `op` removes: its
+    /// route goes before any dispatch, so it cannot receive
+    /// post-departure frames.
+    fn fan_out(
+        &self,
+        sever: Option<&ActorId>,
+        op: impl FnOnce(&mut LeaderCore) -> Result<LeaderOutput, CoreError>,
+    ) -> Result<(), CoreError> {
+        let _order = self.send_order.lock();
+        let output = {
+            let locked = Instant::now();
             let mut core = self.core.lock();
-            core.commit_admin_frames(&batch);
-            core.note_lock_hold(stage_ns + elapsed_ns(committed));
+            let output = op(&mut core);
+            core.note_lock_hold(elapsed_ns(locked));
+            output?
+        };
+        if let Some(user) = sever {
+            self.routes.lock().remove(user);
         }
-        self.emit(fanout.events);
-        self.dispatch_frames(
-            batch
-                .frames
-                .iter()
-                .map(|f| (f.member.clone(), Frame::clone(&f.frame))),
-        );
+        self.emit(output.events);
+        self.dispatch(output.outgoing, None);
         // A tree-rekey PathUpdate rides the same send-order window: one
         // sealed frame, fanned out as refcount bumps.
-        if let Some(b) = &fanout.broadcast {
+        for b in &output.broadcasts {
             self.dispatch_shared(&b.frame, &b.recipients);
         }
+        Ok(())
     }
-}
-
-/// The timeout-driven `Oops(Ka)` path (Figure 3): frees the presumed-dead
-/// member's slot, severs its route, and runs the departure fan-out
-/// (notices, policy rekey) through the same staged out-of-lock seal
-/// pipeline as an expel.
-fn evict(entry: &GroupEntry, pool: &SealPool, user: &ActorId) {
-    let _order = entry.send_order.lock();
-    let staged = Instant::now();
-    let Ok(fanout) = entry.core.lock().begin_evict(user) else {
-        // The member departed on its own between the tick decision and
-        // this call; nothing to do.
-        return;
-    };
-    let stage_ns = elapsed_ns(staged);
-    entry.routes.lock().remove(user);
-    entry.finish_fanout(pool, fanout, stage_ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +254,6 @@ struct ServiceShared {
     clock: Arc<dyn Clock>,
     /// Acceptor/ticker/link poll cadence.
     poll: Duration,
-    seal: SealPool,
     running: AtomicBool,
     /// Frames whose group tag matched no registered enclave (dropped).
     unroutable: AtomicU64,
@@ -389,16 +267,14 @@ struct ServiceShared {
 }
 
 /// Tuning for a [`LeaderService`] — the *service-wide* knobs (clock, poll
-/// cadence, seal-worker count). Per-group protocol policy stays in each
-/// group's [`LeaderConfig`].
+/// cadence). Per-group protocol policy stays in each group's
+/// [`LeaderConfig`].
 #[derive(Clone)]
 pub struct ServiceConfig {
     /// Liveness clock driving every hosted group. `None` = real time.
     pub clock: Option<Arc<dyn Clock>>,
     /// Ticker/acceptor/link poll cadence.
     pub poll: Duration,
-    /// Seal-pool worker count. `None` = available parallelism.
-    pub seal_threads: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -406,7 +282,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             clock: None,
             poll: LivenessConfig::default().poll,
-            seal_threads: None,
         }
     }
 }
@@ -416,7 +291,6 @@ impl std::fmt::Debug for ServiceConfig {
         f.debug_struct("ServiceConfig")
             .field("clock", &self.clock.as_ref().map(|_| "<clock>"))
             .field("poll", &self.poll)
-            .field("seal_threads", &self.seal_threads)
             .finish()
     }
 }
@@ -473,9 +347,8 @@ enum FrontEnd {
     Mux(MuxEndpoint),
 }
 
-/// A multi-enclave leader service: one listener, one ticker, one seal
-/// pool, any number of groups. See the module docs for the threading
-/// model.
+/// A multi-enclave leader service: one listener, one ticker, any number
+/// of groups. See the module docs for the threading model.
 pub struct LeaderService {
     shared: Arc<ServiceShared>,
     /// I/O threads: the acceptor (thread-per-link mode) or the fixed
@@ -493,8 +366,8 @@ impl std::fmt::Debug for LeaderService {
 }
 
 impl LeaderService {
-    /// Spawns the service on a listener: one acceptor thread, one shared
-    /// liveness ticker, and the shared seal pool. Groups are added with
+    /// Spawns the service on a listener: one acceptor thread and one
+    /// shared liveness ticker. Groups are added with
     /// [`LeaderService::add_group`].
     #[must_use]
     pub fn spawn(listener: Box<dyn Listener>, config: ServiceConfig) -> Self {
@@ -505,8 +378,8 @@ impl LeaderService {
     /// (from [`MuxNet::listen_events`]): no acceptor thread and no
     /// thread-per-connection — one handler thread per event shard drains
     /// accepted/frame/closed events for the connections pinned to it, so
-    /// the whole service runs at `shards + 2 + seal_threads` threads
-    /// regardless of how many members connect.
+    /// the whole service runs at `shards + 2` threads (the loop's own and
+    /// the ticker included) regardless of how many members connect.
     ///
     /// The caller keeps the endpoint's [`MuxNet`] alive and shuts it down
     /// *after* [`LeaderService::shutdown`].
@@ -766,14 +639,10 @@ impl LeaderService {
             .clock
             .clone()
             .unwrap_or_else(|| Arc::new(RealClock::new()));
-        let seal_threads = config.seal_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
         Arc::new(ServiceShared {
             registry: RwLock::new(HashMap::new()),
             clock,
             poll: config.poll,
-            seal: SealPool::new(seal_threads),
             running: AtomicBool::new(true),
             unroutable: AtomicU64::new(0),
             journal,
@@ -804,8 +673,11 @@ impl LeaderService {
                     for entry in entries {
                         let tick = entry.core.lock().tick(now);
                         entry.dispatch_frames(tick.frames);
+                        // The timeout-driven `Oops(Ka)` path (Figure 3).
+                        // An error means the member departed on its own
+                        // between the tick and this call.
                         for user in &tick.evict {
-                            evict(&entry, &tick_shared.seal, user);
+                            let _ = entry.fan_out(Some(user), |core| core.evict(user));
                         }
                     }
                 }
@@ -875,7 +747,6 @@ impl LeaderService {
         registry.insert(key.clone(), Arc::clone(&entry));
         drop(registry);
         Ok(GroupHandle {
-            shared: Arc::clone(shared),
             entry,
             events_rx,
             group: key,
@@ -941,8 +812,7 @@ impl LeaderService {
         merged
     }
 
-    /// Stops the I/O threads (acceptor or shard handlers), ticker, and
-    /// seal workers.
+    /// Stops the I/O threads (acceptor or shard handlers) and the ticker.
     pub fn shutdown(mut self) {
         self.shared.running.store(false, Ordering::Relaxed);
         for h in self.io.drain(..) {
@@ -951,7 +821,6 @@ impl LeaderService {
         if let Some(h) = self.ticker.take() {
             let _ = h.join();
         }
-        self.shared.seal.shutdown();
     }
 }
 
@@ -959,11 +828,10 @@ impl LeaderService {
 // Per-group handle
 // ---------------------------------------------------------------------------
 
-/// Operator handle to one group inside a [`LeaderService`]: the same API
-/// surface as the single-group [`super::LeaderRuntime`], scoped to this
-/// enclave.
+/// Operator handle to one group inside a [`LeaderService`], scoped to
+/// this enclave. The single-group [`super::LeaderRuntime`] derefs to its
+/// one handle.
 pub struct GroupHandle {
-    shared: Arc<ServiceShared>,
     entry: Arc<GroupEntry>,
     events_rx: Receiver<LeaderEvent>,
     group: Option<GroupId>,
@@ -1018,51 +886,36 @@ impl GroupHandle {
     }
 
     /// Attaches a protocol event stream to the core: every subsequent
-    /// protocol action (join, rekey, broadcast, retransmit, seal commit)
+    /// protocol action (join, rekey, broadcast, retransmit, seal batch)
     /// is emitted in happened-before order. Sends are emitted under the
     /// core lock, before their frames reach any link.
     pub fn attach_event_stream(&self, events: enclaves_obs::EventStream) {
         self.entry.core.lock().set_event_stream(events);
     }
 
-    /// Rotates the group key now. The core lock is held only to stage the
-    /// fan-out (nonce draws + slot bookkeeping) and to commit the sealed
-    /// frames; the n AEAD seals run out of lock on the shared pool.
+    /// Rotates the group key now.
     ///
     /// # Errors
     ///
     /// Propagates protocol errors.
     pub fn rekey(&self) -> Result<(), CoreError> {
-        let _order = self.entry.send_order.lock();
-        let staged = Instant::now();
-        let fanout = self.entry.core.lock().begin_rekey()?;
-        let stage_ns = elapsed_ns(staged);
-        self.entry
-            .finish_fanout(&self.shared.seal, fanout, stage_ns);
-        Ok(())
+        self.entry.fan_out(None, LeaderCore::rekey_now)
     }
 
     /// Broadcasts application data over the authenticated admin channel,
     /// returning the exact roster the broadcast was addressed to (captured
     /// under the core lock, so a concurrent join/leave cannot blur it —
-    /// the chaos oracle needs the precise recipient set). Seals run out of
-    /// lock, like [`GroupHandle::rekey`].
+    /// the chaos oracle needs the precise recipient set).
     ///
     /// # Errors
     ///
     /// Propagates protocol errors.
     pub fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
-        let _order = self.entry.send_order.lock();
-        let staged = Instant::now();
-        let (fanout, recipients) = {
-            let mut core = self.entry.core.lock();
-            let fanout = core.begin_admin_broadcast(data)?;
-            let recipients = core.roster();
-            (fanout, recipients)
-        };
-        let stage_ns = elapsed_ns(staged);
-        self.entry
-            .finish_fanout(&self.shared.seal, fanout, stage_ns);
+        let mut recipients = Roster::default();
+        self.entry.fan_out(None, |core| {
+            recipients = core.roster();
+            core.broadcast_admin_data(data)
+        })?;
         Ok(recipients)
     }
 
@@ -1096,24 +949,13 @@ impl GroupHandle {
         self.entry.core.lock().outstanding_count() == 0
     }
 
-    /// Expels a member. The departure fan-out (notices, policy rekey)
-    /// takes the same staged out-of-lock seal path as
-    /// [`GroupHandle::rekey`].
+    /// Expels a member and runs the departure fan-out (notices, rekey).
     ///
     /// # Errors
     ///
     /// [`CoreError::UnknownUser`] if not connected.
     pub fn expel(&self, user: &ActorId) -> Result<(), CoreError> {
-        let _order = self.entry.send_order.lock();
-        let staged = Instant::now();
-        let fanout = self.entry.core.lock().begin_expel(user)?;
-        let stage_ns = elapsed_ns(staged);
-        // Sever the route before any dispatch so the expelled member
-        // cannot receive post-expulsion frames.
-        self.entry.routes.lock().remove(user);
-        self.entry
-            .finish_fanout(&self.shared.seal, fanout, stage_ns);
-        Ok(())
+        self.entry.fan_out(Some(user), |core| core.expel(user))
     }
 
     /// Waits until `user` appears in the roster.
@@ -1340,10 +1182,8 @@ fn shard_loop(
 mod tests {
     use super::*;
     use crate::config::{LeaderConfig, RekeyPolicy};
-    use crate::protocol::{MemberEvent, MemberSession};
+    use crate::protocol::MemberEvent;
     use crate::runtime::{MemberOptions, MemberRuntime};
-    use enclaves_crypto::keys::LongTermKey;
-    use enclaves_crypto::rng::SeededRng;
     use enclaves_net::sim::{SimConfig, SimNet};
 
     const WAIT: Duration = Duration::from_secs(5);
@@ -1514,19 +1354,13 @@ mod tests {
     }
 
     /// One process hosts a thousand registered groups with a bounded
-    /// thread complement (acceptor + ticker + seal pool, not one thread
-    /// per group), and a group deep in the registry still serves members.
+    /// thread complement (acceptor + ticker, not one thread per group),
+    /// and a group deep in the registry still serves members.
     #[test]
     fn thousand_groups_bounded_threads() {
         let net = SimNet::new(SimConfig::default());
         let listener = net.listen("svc").unwrap();
-        let service = LeaderService::spawn(
-            Box::new(listener),
-            ServiceConfig {
-                seal_threads: Some(2),
-                ..ServiceConfig::default()
-            },
-        );
+        let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
         for i in 0..1000 {
             let tag = format!("g{i:04}");
             let dir = if i == 937 {
@@ -1574,80 +1408,6 @@ mod tests {
         .unwrap();
         member.wait_joined(WAIT).unwrap();
         service.shutdown();
-    }
-
-    /// The shared pool's output is byte-identical to the serial reference
-    /// seal, including after shutdown (inline fallback).
-    #[test]
-    fn seal_pool_matches_serial_reference() {
-        let users: Vec<String> = (0..40).map(|i| format!("m{i:02}")).collect();
-        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
-        let mut dir = Directory::new();
-        for u in &refs {
-            dir.register_key(
-                &id(u),
-                LongTermKey::derive_from_password(&format!("pw-{u}"), u).unwrap(),
-            );
-        }
-        let mut leader = LeaderCore::with_rng(
-            id("leader"),
-            dir,
-            LeaderConfig {
-                rekey_policy: RekeyPolicy::Manual,
-                ..LeaderConfig::default()
-            },
-            Box::new(SeededRng::from_seed(7)),
-        );
-        let mut sessions: HashMap<ActorId, MemberSession> = HashMap::new();
-        for (i, u) in refs.iter().enumerate() {
-            let (session, init) = MemberSession::start_with_key(
-                id(u),
-                id("leader"),
-                LongTermKey::derive_from_password(&format!("pw-{u}"), u).unwrap(),
-                Box::new(SeededRng::from_seed(100 + i as u64)),
-            );
-            sessions.insert(id(u), session);
-            // Pump to quiescence across ALL sessions so the join notices
-            // to earlier members get acked and every channel is free to
-            // stage a job in the wide fan-out below.
-            let mut to_leader = vec![init];
-            while !to_leader.is_empty() {
-                let mut to_members = Vec::new();
-                for env in to_leader.drain(..) {
-                    if let Ok(out) = leader.handle(&env) {
-                        to_members.extend(out.outgoing);
-                    }
-                }
-                for env in to_members {
-                    if let Some(session) = sessions.get_mut(&env.recipient) {
-                        if let Ok(out) = session.handle(&env) {
-                            to_leader.extend(out.reply);
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(leader.roster().len(), 40);
-        assert_eq!(leader.outstanding_count(), 0, "all channels free");
-        // An admin broadcast fans one job out per member (a tree rekey
-        // would stage only O(log N) jobs and dodge the pool).
-        let fanout = leader.begin_admin_broadcast(b"wide fanout").unwrap();
-        assert!(fanout.jobs.len() >= POOL_SEAL_MIN_JOBS);
-
-        let serial = LeaderCore::seal_admin_jobs(&fanout.jobs);
-        let pool = SealPool::new(4);
-        let pooled = pool.seal(&fanout.jobs);
-        assert_eq!(pooled.frames.len(), serial.frames.len());
-        for (p, s) in pooled.frames.iter().zip(serial.frames.iter()) {
-            assert_eq!(p.member, s.member);
-            assert_eq!(p.frame, s.frame, "pooled seal diverged for {}", p.member);
-        }
-
-        pool.shutdown();
-        let after = pool.seal(&fanout.jobs);
-        for (p, s) in after.frames.iter().zip(serial.frames.iter()) {
-            assert_eq!(p.frame, s.frame, "inline fallback diverged");
-        }
     }
 
     /// A journaled service restarts from its journal directory: the

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod demux;
 pub mod link;
 pub mod mux;
 pub mod sim;
@@ -32,7 +31,6 @@ pub mod tcp;
 
 mod error;
 
-pub use demux::GroupDemux;
 pub use error::NetError;
 pub use link::{Frame, Link, Listener};
 pub use mux::{

@@ -64,7 +64,7 @@ pub enum EventKind {
         /// The new epoch.
         epoch: u64,
     },
-    /// The leader staged an admin-channel application broadcast.
+    /// The leader sent an admin-channel application broadcast.
     AdminSend {
         /// Application payload.
         payload: Vec<u8>,
@@ -139,7 +139,8 @@ pub enum EventKind {
         /// How many frames went out.
         frames: u64,
     },
-    /// The leader committed a batch of out-of-lock admin seals.
+    /// The admin frames one leader operation sealed (a join, departure,
+    /// rekey, admin broadcast or ack-drain), as one batch.
     SealBatch {
         /// Frames sealed in the batch.
         frames: u64,

@@ -3,8 +3,8 @@
 //!
 //! Handles are `Arc`s onto atomic cells: cloning a handle is cheap,
 //! recording through one is a single relaxed atomic RMW, and concurrent
-//! writers — e.g. seal workers committing from several threads — can never
-//! lose an increment the way a plain `u64 += 1` read-modify-write can.
+//! writers can never lose an increment the way a plain `u64 += 1`
+//! read-modify-write can.
 
 use crate::snapshot::{HistogramSnapshot, Snapshot};
 use std::collections::BTreeMap;
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn concurrent_increments_are_never_lost() {
         // The bug this registry exists to prevent: plain `u64 += 1`
-        // read-modify-writes from concurrent seal workers drop updates.
+        // read-modify-writes from concurrent writers drop updates.
         let registry = Registry::new();
         let c = registry.counter("seals");
         std::thread::scope(|scope| {

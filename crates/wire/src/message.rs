@@ -154,28 +154,6 @@ impl Envelope {
         self.body = frame[body_at..].to_vec();
         frame
     }
-
-    /// Reads only the group id out of an encoded envelope, without
-    /// copying the body — the cheap header peek a multi-enclave service
-    /// uses to demux an incoming frame to its group before any
-    /// cryptography runs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`WireError`] from the header fields (the body is not
-    /// validated).
-    pub fn peek_group(bytes: &[u8]) -> Result<Option<GroupId>, WireError> {
-        let mut r = Reader::new(bytes);
-        let tag = r.take_u8()?;
-        MsgType::from_u8(tag & !GROUP_TAG_FLAG)?;
-        let _sender = ActorId::decode(&mut r)?;
-        let _recipient = ActorId::decode(&mut r)?;
-        if tag & GROUP_TAG_FLAG != 0 {
-            Ok(Some(GroupId::decode(&mut r)?))
-        } else {
-            Ok(None)
-        }
-    }
 }
 
 impl Encode for Envelope {
@@ -966,34 +944,6 @@ mod tests {
         leader().encode(&mut w);
         w.put_bytes(&[9, 8, 7]);
         assert_eq!(encode(&env), w.finish());
-    }
-
-    #[test]
-    fn peek_group_reads_header_only() {
-        let grouped = Envelope {
-            msg_type: MsgType::Heartbeat,
-            sender: alice(),
-            recipient: leader(),
-            group: Some(ops()),
-            // Deliberately *not* a valid length-prefixed body: the peek
-            // must not look at it.
-            body: vec![],
-        };
-        let mut bytes = encode(&grouped);
-        // Truncate into the body's length prefix; the header is intact.
-        bytes.truncate(bytes.len() - 2);
-        assert_eq!(Envelope::peek_group(&bytes).unwrap(), Some(ops()));
-
-        let plain = Envelope {
-            msg_type: MsgType::Heartbeat,
-            sender: alice(),
-            recipient: leader(),
-            group: None,
-            body: vec![1, 2, 3],
-        };
-        assert_eq!(Envelope::peek_group(&encode(&plain)).unwrap(), None);
-        assert!(Envelope::peek_group(&[]).is_err());
-        assert!(Envelope::peek_group(&[0x80]).is_err());
     }
 
     #[test]

@@ -98,6 +98,9 @@ fn crash_storm_evicts_and_rejoins() {
         env!("CARGO_MANIFEST_DIR"),
         "/../target/chaos-liveness-snapshot.json"
     );
+    // A fresh checkout built with CARGO_TARGET_DIR elsewhere has no target/.
+    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/../target"))
+        .expect("create target dir");
     std::fs::write(path, outcome.snapshot.to_json()).expect("write chaos liveness snapshot");
 }
 

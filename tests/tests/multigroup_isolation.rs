@@ -174,8 +174,11 @@ proptest! {
         }
 
         // Tree-rekey `PathUpdate` multicast.
-        let fanout = a.leader.begin_rekey().expect("manual rekey");
-        let path = fanout.broadcast.expect("tree mode rekeys by PathUpdate");
+        let rekey = a.leader.rekey_now().expect("manual rekey");
+        let path = rekey
+            .broadcasts
+            .first()
+            .expect("tree mode rekeys by PathUpdate");
         let path_env: Envelope = decode(&path.frame).expect("self-produced frame");
         for member in &mut b.members {
             assert_member_rejects(member, &path_env, "PathUpdate");

@@ -124,7 +124,6 @@ fn scenario(filler: usize) -> (u64, u64) {
         Box::new(listener),
         ServiceConfig {
             clock: Some(Arc::new(clock.clone()) as Arc<dyn Clock>),
-            seal_threads: Some(1),
             ..ServiceConfig::default()
         },
     );
