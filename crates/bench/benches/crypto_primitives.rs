@@ -119,11 +119,12 @@ fn bench_key_derivation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The rekey tree's key schedule (EXPERIMENTS.md row S18): one fused tree
-/// level and the per-epoch group derivation, beside one reference
-/// extract-then-expand of the same size.
+/// The rekey tree's key schedule (EXPERIMENTS.md rows S18, S22): one tree
+/// level and the per-epoch group derivation, beside the one ChaCha20 block
+/// each of them is and one extract-then-expand of the same size, which is
+/// what a level cost (twice over) before S22.
 fn bench_tree_schedule(c: &mut Criterion) {
-    use enclaves_crypto::{hkdf, treekdf};
+    use enclaves_crypto::{chacha20, hkdf, treekdf};
     let mut group = c.benchmark_group("tree_key_schedule");
     let secret = [0x42u8; 32];
     group.bench_function("treekdf::derive_step", |b| {
@@ -131,6 +132,9 @@ fn bench_tree_schedule(c: &mut Criterion) {
     });
     group.bench_function("treekdf::derive_group", |b| {
         b.iter(|| treekdf::derive_group(black_box(&secret), black_box(7)));
+    });
+    group.bench_function("chacha20::block", |b| {
+        b.iter(|| chacha20::block(black_box(&secret), 0, black_box(b"enclave-step")));
     });
     group.bench_function("hkdf::derive", |b| {
         b.iter(|| {

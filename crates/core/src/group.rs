@@ -239,17 +239,11 @@ pub struct MemberGroupView {
 }
 
 impl MemberGroupView {
-    /// Installs a newer key. Returns `false` (and changes nothing) if
-    /// `epoch` does not strictly increase — the rollback defense the legacy
-    /// protocol lacks.
-    pub fn install(&mut self, epoch: u64, key: GroupKey, iv: [u8; 12]) -> bool {
-        if epoch <= self.epoch {
-            return false;
-        }
-        self.epoch = epoch;
-        self.key = key;
-        self.iv = iv;
-        true
+    /// Installs a newer key and returns the view it retires. Returns
+    /// `None` (and changes nothing) if `epoch` does not strictly increase —
+    /// the rollback defense the legacy protocol lacks.
+    pub fn install(&mut self, epoch: u64, key: GroupKey, iv: [u8; 12]) -> Option<Self> {
+        (epoch > self.epoch).then(|| std::mem::replace(self, MemberGroupView { epoch, key, iv }))
     }
 }
 
@@ -345,11 +339,11 @@ mod tests {
             key: k1,
             iv: [0; 12],
         };
-        assert!(view.install(2, k2.clone(), [1; 12]));
+        assert!(view.install(2, k2.clone(), [1; 12]).is_some());
         assert_eq!(view.epoch, 2);
         // Equal or older epochs are rejected — no rollback.
-        assert!(!view.install(2, old.clone(), [2; 12]));
-        assert!(!view.install(1, old, [3; 12]));
+        assert!(view.install(2, old.clone(), [2; 12]).is_none());
+        assert!(view.install(1, old, [3; 12]).is_none());
         assert_eq!(view.key, k2);
     }
 

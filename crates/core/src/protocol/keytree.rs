@@ -22,7 +22,7 @@
 //! the tree pathologically sparse the leader falls back to
 //! [`KeyTree::reinit`], which rebuilds a compact tree from scratch.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use enclaves_crypto::rng::CryptoRng;
 use enclaves_crypto::treekdf::{derive_node_key, derive_step};
@@ -114,9 +114,23 @@ pub fn parent(x: u32, n: u32) -> Option<u32> {
 
 /// The direct path of node `x`: its ancestors from parent up to and
 /// including the root (empty when `x` is the root or not in the tree).
+pub fn direct_path(x: u32, n: u32) -> impl Iterator<Item = u32> {
+    std::iter::successors(parent(x, n), move |&p| parent(p, n))
+}
+
+/// Levels a tree of at most [`MAX_LEAVES`] leaves can have: the leaves'
+/// 0 up to the root's 30. Levels strictly increase along a direct path,
+/// so a level names at most one node of it.
+pub const MAX_LEVELS: usize = 31;
+
+/// True when `x` is the leaf of `leaf_slot` or a node of its direct path
+/// in a tree with `n` leaves. `parent` keeps every in-range ancestor of
+/// the full tree, and the level-`k` ancestor of a leaf is the one node
+/// that agrees with it above bit `k`.
 #[must_use]
-pub fn direct_path(x: u32, n: u32) -> Vec<u32> {
-    std::iter::successors(parent(x, n), |&p| parent(p, n)).collect()
+pub fn on_direct_path(x: u32, leaf_slot: u32, n: u32) -> bool {
+    // `in_tree` first: it bounds `x` below 2^31 - 1, so the shift is < 32.
+    leaf_slot < n && in_tree(x, n) && x >> (level(x) + 1) == (2 * leaf_slot) >> (level(x) + 1)
 }
 
 /// The sibling of `child` under its parent `p` (the copath node at the
@@ -221,6 +235,9 @@ pub struct KeyTree {
     node_keys: Vec<Option<NodeKey>>,
     /// Indexed by leaf slot.
     occupants: Vec<Option<ActorId>>,
+    /// The slots of `occupants` that are `None`, so a join finds the
+    /// lowest one without scanning the roster.
+    blanks: BTreeSet<u32>,
     leaf_of: HashMap<ActorId, u32>,
     /// Rotating pointer so manual/traffic rekeys spread refreshes over
     /// the roster instead of hammering one leaf.
@@ -250,6 +267,7 @@ impl KeyTree {
             leaf_count: 0,
             node_keys: Vec::new(),
             occupants: Vec::new(),
+            blanks: BTreeSet::new(),
             leaf_of: HashMap::new(),
             next_refresh: 0,
         }
@@ -318,10 +336,10 @@ impl KeyTree {
     pub fn path_keys(&self, member: &ActorId) -> Option<(u32, Vec<NodeKey>)> {
         let slot = self.leaf_of(member)?;
         let node = 2 * slot;
-        let mut keys = vec![self.node_keys[node as usize]?];
-        for p in direct_path(node, self.leaf_count) {
-            keys.push(self.node_keys[p as usize]?);
-        }
+        let keys = std::iter::once(node)
+            .chain(direct_path(node, self.leaf_count))
+            .map(|p| self.node_keys[p as usize])
+            .collect::<Option<Vec<NodeKey>>>()?;
         Some((slot, keys))
     }
 
@@ -335,19 +353,22 @@ impl KeyTree {
         self.node_keys[root(self.leaf_count) as usize]
     }
 
-    /// Maximal non-blank descendants of `x` ("resolution" in RFC 9420):
-    /// the minimal set of keys that together cover every occupied leaf
-    /// under `x`.
-    fn resolution(&self, x: u32) -> Vec<u32> {
-        if self.node_keys[x as usize].is_some() {
-            return vec![x];
+    /// Appends one seal of `path_secret` per maximal non-blank descendant
+    /// of `x` ("resolution" in RFC 9420): the minimal set of keys that
+    /// together cover every occupied leaf under `x`, left to right.
+    fn seal_to_resolution(&self, x: u32, path_secret: &NodeKey, seals: &mut Vec<CopathSeal>) {
+        if let Some(seal_key) = self.node_keys[x as usize] {
+            seals.push(CopathSeal {
+                node_index: x,
+                seal_key,
+                path_secret: *path_secret,
+            });
+        } else if level(x) > 0 {
+            // A blank leaf has nobody to reach; a blank interior node
+            // hands the job to its children.
+            self.seal_to_resolution(left(x), path_secret, seals);
+            self.seal_to_resolution(right(x, self.leaf_count), path_secret, seals);
         }
-        if level(x) == 0 {
-            return Vec::new(); // blank leaf: nobody to reach
-        }
-        let mut out = self.resolution(left(x));
-        out.extend(self.resolution(right(x, self.leaf_count)));
-        out
     }
 
     /// Adds a member, reusing the first blank leaf or extending the tree,
@@ -363,8 +384,8 @@ impl KeyTree {
             !self.leaf_of.contains_key(&member),
             "member already in tree"
         );
-        let slot = match self.occupants.iter().position(Option::is_none) {
-            Some(blank) => u32::try_from(blank).expect("leaf slots fit u32"),
+        let slot = match self.blanks.pop_first() {
+            Some(blank) => blank,
             None => {
                 let slot = self.leaf_count;
                 self.leaf_count += 1;
@@ -391,6 +412,7 @@ impl KeyTree {
     ) -> Option<PathUpdatePlan> {
         let slot = self.leaf_of.remove(member)?;
         self.occupants[slot as usize] = None;
+        self.blanks.insert(slot);
         self.node_keys[(2 * slot) as usize] = None;
         if self.leaf_of.is_empty() {
             *self = KeyTree::new();
@@ -535,13 +557,7 @@ impl KeyTree {
         let mut below = leaf_node;
         for p in direct_path(leaf_node, n) {
             // Members under the copath child need this node's secret.
-            for target in self.resolution(sibling(p, below, n)) {
-                seals.push(CopathSeal {
-                    node_index: target,
-                    seal_key: self.node_keys[target as usize].expect("resolution nodes hold keys"),
-                    path_secret: secret,
-                });
-            }
+            self.seal_to_resolution(sibling(p, below, n), &secret, &mut seals);
             path_depth += 1;
             // Nothing sits above the root, so its secret is not chained on.
             self.node_keys[p as usize] = Some(if p == r {
@@ -577,7 +593,10 @@ pub struct MemberTree {
     pub leaf_slot: u32,
     /// Leaf slots in the tree as last seen.
     pub leaf_count: u32,
-    keys: HashMap<u32, NodeKey>,
+    /// The key held for the path node at each level, leaf first, up to
+    /// the root's level. A level the path skips (the tree is not full
+    /// there) holds nothing until a join grows the tree through it.
+    keys: Vec<Option<NodeKey>>,
 }
 
 impl std::fmt::Debug for MemberTree {
@@ -585,7 +604,7 @@ impl std::fmt::Debug for MemberTree {
         f.debug_struct("MemberTree")
             .field("leaf_slot", &self.leaf_slot)
             .field("leaf_count", &self.leaf_count)
-            .field("keys_held", &self.keys.len())
+            .field("keys_held", &self.keys.iter().flatten().count())
             .finish_non_exhaustive()
     }
 }
@@ -600,60 +619,69 @@ impl MemberTree {
             return None;
         }
         let leaf_node = 2 * leaf_slot;
-        let mut nodes = vec![leaf_node];
-        nodes.extend(direct_path(leaf_node, leaf_count));
-        if nodes.len() != path_keys.len() {
-            return None;
+        let mut keys = vec![None; level(root(leaf_count)) as usize + 1];
+        let mut synced = path_keys.iter();
+        for node in std::iter::once(leaf_node).chain(direct_path(leaf_node, leaf_count)) {
+            keys[level(node) as usize] = Some(*synced.next()?);
         }
-        Some(MemberTree {
+        synced.next().is_none().then_some(MemberTree {
             leaf_slot,
             leaf_count,
-            keys: nodes.into_iter().zip(path_keys.iter().copied()).collect(),
+            keys,
         })
     }
 
-    /// The nodes on this member's direct path (leaf included) under a
-    /// possibly-grown tree of `leaf_count` leaves.
+    /// True when `node` is this member's leaf or on its direct path under
+    /// a possibly-grown tree of `leaf_count` leaves.
     #[must_use]
-    pub fn path_nodes(&self, leaf_count: u32) -> Vec<u32> {
-        let leaf_node = 2 * self.leaf_slot;
-        let mut nodes = vec![leaf_node];
-        nodes.extend(direct_path(leaf_node, leaf_count));
-        nodes
+    pub fn on_path(&self, node: u32, leaf_count: u32) -> bool {
+        on_direct_path(node, self.leaf_slot, leaf_count)
     }
 
     /// The key this member holds for `node`, if any.
     #[must_use]
     pub fn key_of(&self, node: u32) -> Option<&NodeKey> {
-        self.keys.get(&node)
+        if self.on_path(node, MAX_LEAVES) {
+            self.keys.get(level(node) as usize)?.as_ref()
+        } else {
+            None
+        }
     }
 
     /// The root key under the current `leaf_count`.
     #[must_use]
     pub fn root_key(&self) -> Option<&NodeKey> {
-        self.keys.get(&root(self.leaf_count))
+        self.keys
+            .get(level(root(self.leaf_count)) as usize)?
+            .as_ref()
     }
 
     /// Applies an unsealed path secret belonging to `node` (per
-    /// [`update_secret_node`]) after a path update extended the tree to
-    /// `leaf_count` leaves: derives and stores every key from `node` up to
-    /// the root, and returns the new root key.
+    /// [`update_secret_node`], so on this member's path) after a path
+    /// update extended the tree to `leaf_count` leaves: derives and stores
+    /// every key from `node` up to the root, and returns the new root key.
     pub fn install_secret(&mut self, node: u32, secret: &NodeKey, leaf_count: u32) -> NodeKey {
         self.leaf_count = leaf_count;
+        // A join that adds a level on top is the only time this grows.
+        let levels = level(root(leaf_count)) as usize + 1;
+        if self.keys.len() < levels {
+            self.keys.resize(levels, None);
+        }
         let mut s = *secret;
         let mut t = node;
         loop {
+            let held = &mut self.keys[level(t) as usize];
             match parent(t, leaf_count) {
                 Some(above) => {
                     let (key, parent_secret) = derive_step(&s);
-                    self.keys.insert(t, key);
+                    *held = Some(key);
                     s = parent_secret;
                     t = above;
                 }
                 // The root: nothing above it needs a secret.
                 None => {
                     let key = derive_node_key(&s);
-                    self.keys.insert(t, key);
+                    *held = Some(key);
                     return key;
                 }
             }
@@ -713,7 +741,8 @@ mod tests {
     fn tree_walks_are_total_on_impossible_shapes() {
         for n in [0, 1, 2, 3, MAX_LEAVES, MAX_LEAVES + 1, u32::MAX] {
             for x in [0, 1, 4, 5, u32::MAX - 1, u32::MAX] {
-                assert!(direct_path(x, n).len() <= 31, "x={x} n={n}");
+                assert!(direct_path(x, n).count() < MAX_LEVELS, "x={x} n={n}");
+                let _ = on_direct_path(x, 0, n);
                 let _ = lca(x, 0, n);
                 let _ = lca(4, x, n);
             }
@@ -722,14 +751,41 @@ mod tests {
                 let _ = update_secret_node(slot, 0, n);
             }
         }
-        assert_eq!(direct_path(4, 0), Vec::<u32>::new());
-        assert_eq!(direct_path(4, 2), Vec::<u32>::new());
+        assert_eq!(direct_path(4, 0).count(), 0);
+        assert_eq!(direct_path(4, 2).count(), 0);
         assert_eq!(update_secret_node(2, 0, 0), None);
         assert_eq!(update_secret_node(2, 0, 2), None);
         assert_eq!(update_secret_node(0, 2, 2), None);
         assert_eq!(update_secret_node(0, 0, MAX_LEAVES + 1), None);
         assert_eq!(update_secret_node(0, 0, 1), Some(0));
-        assert_eq!(direct_path(0, MAX_LEAVES).len(), 30);
+        assert_eq!(direct_path(0, MAX_LEAVES).count(), MAX_LEVELS - 1);
+    }
+
+    // The closed form a member uses on unauthenticated node indices is
+    // the walk: a node is on a leaf's path exactly when repeated `parent`
+    // from the leaf reaches it.
+    #[test]
+    fn on_direct_path_agrees_with_the_parent_walk() {
+        for n in 0u32..40 {
+            for slot in 0..n + 2 {
+                let walked: Vec<u32> = if slot < n {
+                    std::iter::once(2 * slot)
+                        .chain(direct_path(2 * slot, n))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                for x in (0..node_width(n) + 3).chain([u32::MAX - 1, u32::MAX]) {
+                    assert_eq!(
+                        on_direct_path(x, slot, n),
+                        walked.contains(&x),
+                        "x={x} slot={slot} n={n}"
+                    );
+                }
+                let levels: Vec<u32> = walked.iter().map(|&x| level(x)).collect();
+                assert!(levels.windows(2).all(|w| w[0] < w[1]), "slot={slot} n={n}");
+            }
+        }
     }
 
     #[test]
@@ -777,11 +833,13 @@ mod tests {
     /// root key each member derives.
     fn apply_plan(views: &mut HashMap<ActorId, MemberTree>, plan: &PathUpdatePlan) {
         for (who, view) in views.iter_mut() {
-            let path: Vec<u32> = view.path_nodes(plan.leaf_count);
             let mine: Vec<&CopathSeal> = plan
                 .seals
                 .iter()
-                .filter(|s| path.contains(&s.node_index) && view.key_of(s.node_index).is_some())
+                .filter(|s| {
+                    view.on_path(s.node_index, plan.leaf_count)
+                        && view.key_of(s.node_index).is_some()
+                })
                 .collect();
             assert_eq!(
                 mine.len(),
@@ -973,7 +1031,39 @@ mod tests {
         assert_eq!(tree.leaf_of(&victim), Some(2));
         // And the rejoined member's path is fully keyed.
         let (_, keys) = tree.path_keys(&victim).unwrap();
-        assert_eq!(keys.len(), 1 + direct_path(4, 6).len());
+        assert_eq!(keys.len(), 1 + direct_path(4, 6).count());
+    }
+
+    // With several blanks a join takes the lowest one, as the scan over
+    // `occupants` it replaced did: tree shapes, and so journals and tapes,
+    // depend on it.
+    #[test]
+    fn joins_fill_the_lowest_blank_leaf_first() {
+        let mut rng = SeededRng::from_seed(37);
+        let mut tree = KeyTree::new();
+        let members: Vec<ActorId> = (0..12).map(|i| id(&format!("m{i}"))).collect();
+        for m in &members {
+            tree.add(m.clone(), &mut rng);
+        }
+        for slot in [9usize, 2, 7, 4] {
+            tree.remove(&members[slot], &mut rng).unwrap();
+        }
+        for (i, expect) in [2u32, 4, 7, 9, 12].into_iter().enumerate() {
+            let scanned = tree.occupants.iter().position(Option::is_none);
+            assert_eq!(
+                scanned.map_or(tree.leaf_count(), |s| s as u32),
+                expect,
+                "join {i}"
+            );
+            assert_eq!(
+                tree.add(id(&format!("n{i}")), &mut rng).updated_leaf,
+                expect
+            );
+        }
+        // A reinit compacts the blank away and leaves none behind.
+        tree.remove(&members[0], &mut rng).unwrap();
+        tree.reinit(&mut rng).unwrap();
+        assert_eq!(tree.add(id("late"), &mut rng).updated_leaf, 12);
     }
 
     #[test]

@@ -13,16 +13,16 @@ use crate::protocol::keytree::{KeyTree, NodeKey, PathUpdatePlan};
 use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::keys::{GroupKey, SessionKey};
-use enclaves_crypto::nonce::{AeadNonce, NonceSequence, ProtocolNonce};
+use enclaves_crypto::nonce::{NonceSequence, ProtocolNonce};
 use enclaves_crypto::rng::{CryptoRng, OsEntropyRng};
 use enclaves_crypto::treekdf;
 use enclaves_obs::{Counter, EventKind, EventStream, Histogram, Registry};
 use enclaves_wire::codec::{encode, encode_into};
 use enclaves_wire::journal::{EpochStamp, JournalOp, JournalPayload, JournalTransition};
 use enclaves_wire::message::{
-    group_broadcast_aad, group_data_aad, open, path_update_aad, seal, AdminPayload, AdminPlain,
+    group_broadcast_aad, group_data_aad, open, path_update_frame, seal, AdminPayload, AdminPlain,
     AuthInitPlain, ClosePlain, Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain,
-    KeyDistPlain, MsgType, NonceAckPlain, PathUpdateWire, SealedBody,
+    KeyDistPlain, MsgType, NonceAckPlain, PathSeal, PathUpdateHead,
 };
 use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
 use std::collections::{HashMap, VecDeque};
@@ -344,8 +344,9 @@ pub struct LeaderCore {
     /// other enclave — or untagged — are rejected before dispatch.
     enclave: Option<GroupId>,
     /// The MLS-style rekey tree (`Some` iff `config.tree_rekey`): leaves
-    /// hold per-member channel secrets, interior keys are HKDF-derived
-    /// from children, and the root feeds `treekdf::derive_group`.
+    /// hold per-member channel secrets, interior keys are derived from
+    /// children (`treekdf::derive_step`), and the root feeds
+    /// `treekdf::derive_group`.
     tree: Option<KeyTree>,
     /// The attached write-ahead journal writer (`None` for an ephemeral
     /// core). When present, every membership/epoch transition is sealed
@@ -790,7 +791,8 @@ impl LeaderCore {
 
     /// Seals a path-refresh plan into a single `PathUpdate` multicast
     /// frame: one AEAD seal per copath resolution node (`O(log N)` on a
-    /// dense tree), each bound by [`path_update_aad`]. Returns `None` when
+    /// dense tree), each bound by [`PathUpdateAad`](enclaves_wire::message::PathUpdateAad)
+    /// and written straight into the frame buffer. Returns `None` when
     /// nobody would receive it.
     fn build_path_update_frame(
         &mut self,
@@ -801,45 +803,33 @@ impl LeaderCore {
         if recipients.is_empty() {
             return None;
         }
-        let mut ciphers = Vec::with_capacity(plan.seals.len());
-        for cs in &plan.seals {
-            let aad = path_update_aad(
-                &self.leader,
-                epoch,
-                plan.leaf_count,
-                plan.updated_leaf,
-                cs.node_index,
-                self.enclave.as_ref(),
-            );
-            let mut nonce = [0u8; 12];
-            self.rng.fill_bytes(&mut nonce);
-            let mut ciphertext = Vec::new();
-            ChaCha20Poly1305::new(&cs.seal_key).seal_into(
-                &AeadNonce::from_bytes(nonce),
-                &cs.path_secret,
-                &aad,
-                &mut ciphertext,
-            );
-            ciphers.push((cs.node_index, SealedBody { nonce, ciphertext }));
-        }
         self.obs.rekey_seals.add(plan.seals.len() as u64);
         self.obs.path_depth.record(u64::from(plan.path_depth));
-        let env = Envelope {
-            msg_type: MsgType::PathUpdate,
-            sender: self.leader.clone(),
-            // Multicast convention (see broadcast_group_data): identical
-            // bytes reach every member, so the recipient field names the
-            // leader and members skip the recipient check for this type.
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: encode(&PathUpdateWire {
-                epoch,
-                leaf_count: plan.leaf_count,
-                updated_leaf: plan.updated_leaf,
-                ciphers,
-            }),
+        let head = PathUpdateHead {
+            epoch,
+            leaf_count: plan.leaf_count,
+            updated_leaf: plan.updated_leaf,
         };
-        encode_into(&env, &mut self.frame_buf);
+        let seals = plan.seals.iter().map(|cs| {
+            let mut nonce = [0u8; 12];
+            self.rng.fill_bytes(&mut nonce);
+            PathSeal {
+                node: cs.node_index,
+                key: &cs.seal_key,
+                nonce,
+                secret: &cs.path_secret,
+            }
+        });
+        // Multicast convention (see broadcast_group_data): identical bytes
+        // reach every member, so the frame is from and to the leader and
+        // members skip the recipient check for this type.
+        self.frame_buf = path_update_frame(
+            std::mem::take(&mut self.frame_buf),
+            &self.leader,
+            self.enclave.as_ref(),
+            head,
+            seals,
+        );
         Some(BroadcastFrame {
             frame: self.frame_buf.as_slice().into(),
             recipients,
@@ -1761,6 +1751,7 @@ mod tests {
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
+    use enclaves_wire::message::{PathUpdateWire, SealedBody};
 
     fn id(s: &str) -> ActorId {
         ActorId::new(s).unwrap()
@@ -2929,6 +2920,129 @@ mod tests {
         w.assert_converged();
     }
 
+    /// What a forged frame can cost a member before it is refused: the
+    /// ciphers are noted per node of the member's own path and a node named
+    /// twice is `Malformed` before anything is opened, so the 10 000-cipher
+    /// frame that used to buy 10 000 AEAD opens (and `BadSeal`) buys none.
+    /// Every row leaves epoch and tree alone, and the honest update the
+    /// rows were cut from still lands afterwards.
+    #[test]
+    fn tree_path_update_naming_a_path_node_twice_is_malformed_before_any_open() {
+        use crate::protocol::keytree::on_direct_path;
+        let users = names(5);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 970 + i as u64);
+        }
+        let epoch = w.l.epoch().unwrap();
+        let out = w.l.rekey_now().unwrap();
+        let honest_env: Envelope = enclaves_wire::codec::decode(&out.broadcasts[0].frame).unwrap();
+        let honest: PathUpdateWire = enclaves_wire::codec::decode(&honest_env.body).unwrap();
+        // m0 sits at leaf slot 0; exactly one honest cipher is on its path.
+        let on_path = |node: u32| on_direct_path(node, 0, honest.leaf_count);
+        let mine: Vec<_> = honest
+            .ciphers
+            .iter()
+            .filter(|(node, _)| on_path(*node))
+            .cloned()
+            .collect();
+        assert_eq!(mine.len(), 1);
+        let (my_node, my_cipher) = mine[0].clone();
+        let garbage = SealedBody {
+            nonce: [7; 12],
+            ciphertext: vec![0x55; 48],
+        };
+        let off_path = (0..).find(|n| !on_path(*n)).unwrap();
+        let with = |ciphers: Vec<(u32, SealedBody)>| {
+            encode(&PathUpdateWire {
+                ciphers,
+                ..honest.clone()
+            })
+        };
+        let malformed = CoreError::Rejected(RejectReason::Malformed);
+        let bad_seal = CoreError::Rejected(RejectReason::BadSeal);
+        let rows: Vec<(&str, Vec<u8>, &CoreError)> = vec![
+            (
+                "the honest cipher twice",
+                with(vec![
+                    (my_node, my_cipher.clone()),
+                    (my_node, my_cipher.clone()),
+                ]),
+                &malformed,
+            ),
+            (
+                "the honest cipher, then garbage for its node",
+                with(vec![
+                    (my_node, my_cipher.clone()),
+                    (my_node, garbage.clone()),
+                ]),
+                &malformed,
+            ),
+            (
+                "garbage for a path node, then the honest cipher",
+                with(vec![
+                    (my_node, garbage.clone()),
+                    (my_node, my_cipher.clone()),
+                ]),
+                &malformed,
+            ),
+            (
+                "10 000 ciphers for one path node",
+                with(vec![(0, garbage.clone()); 10_000]),
+                &malformed,
+            ),
+            (
+                "10 000 ciphers for a node off the path",
+                with(vec![(off_path, garbage.clone()); 10_000]),
+                &bad_seal,
+            ),
+            (
+                "one garbage cipher per path node",
+                with(vec![
+                    (0, garbage.clone()),
+                    (1, garbage.clone()),
+                    (3, garbage.clone()),
+                ]),
+                &bad_seal,
+            ),
+            (
+                "bytes after the last cipher",
+                {
+                    let mut body = encode(&honest);
+                    body.push(0);
+                    body
+                },
+                &malformed,
+            ),
+            (
+                "fewer ciphers than claimed",
+                {
+                    let mut body = encode(&honest);
+                    body.truncate(body.len() - 1);
+                    body
+                },
+                &malformed,
+            ),
+        ];
+        let m0 = w.sessions.get_mut(&id("m0")).unwrap();
+        for (name, body, expect) in rows {
+            let forged = Envelope {
+                body,
+                ..honest_env.clone()
+            };
+            assert_eq!(&m0.handle(&forged).unwrap_err(), expect, "{name}");
+            assert_eq!(m0.group_epoch(), Some(epoch), "{name}: state unchanged");
+        }
+        // The update the rows were cut from is still the next one m0 takes,
+        // and the tree it left behind follows the one after.
+        w.settle(out);
+        w.assert_converged();
+        assert_eq!(w.l.epoch(), Some(epoch + 1));
+        w.rekey();
+        w.assert_converged();
+    }
+
     // -----------------------------------------------------------------
     // Write-ahead journal: live core vs recovered core.
     // -----------------------------------------------------------------
@@ -3082,10 +3196,13 @@ mod tests {
             .collect()
     }
 
-    /// The digests were computed by this same test body at the commit
-    /// before the stage/seal/commit pipeline was collapsed into
-    /// `send_admin`: wire bytes, RNG draw order and retransmit-cache
-    /// contents are what they were.
+    /// `FLAT` was computed by this same test body at the commit before the
+    /// stage/seal/commit pipeline was collapsed into `send_admin`: wire
+    /// bytes, RNG draw order and retransmit-cache contents are what they
+    /// were. `TREE` was re-pinned once, when the tree key schedule became
+    /// one ChaCha20 block a level: same frames, same sizes, same draws,
+    /// different key material inside the seals (with the old schedule
+    /// swapped back in, that commit's code still produced the old digest).
     #[test]
     fn seeded_script_wire_bytes_are_pinned() {
         let flat = LeaderConfig {
@@ -3103,7 +3220,7 @@ mod tests {
         // The journal draws nothing from the leader's RNG, so it must not
         // move a byte either.
         const FLAT: &str = "ba35ce5dd1257f729a49cf99f02199f5d716ebcfc768b96ee4b29d270b07339e";
-        const TREE: &str = "1189689d63301f44e9e5eb44fd94a35e3f2e2c34ce83cbadcbbd14f51f4f52f1";
+        const TREE: &str = "ac813c87293bb4de4d50c7b112f8d0f30d736188c85764969591dc307e619cf1";
         for (name, config, journal, digest) in [
             ("flat", flat, None, FLAT),
             ("tree", tree.clone(), None, TREE),

@@ -3,19 +3,19 @@
 
 use crate::error::{CoreError, RejectReason};
 use crate::group::MemberGroupView;
-use crate::protocol::keytree::{update_secret_node, MemberTree};
+use crate::protocol::keytree::{level, update_secret_node, MemberTree, MAX_LEVELS};
 use crate::protocol::{broadcast_nonce, group_seq_prefix, SEQ_MEMBER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::keys::{GroupKey, LongTermKey, SessionKey};
 use enclaves_crypto::nonce::{AeadNonce, NonceSequence, ProtocolNonce};
 use enclaves_crypto::rng::{CryptoRng, OsEntropyRng};
-use enclaves_crypto::treekdf;
+use enclaves_crypto::treekdf::{self, SECRET_LEN};
 use enclaves_obs::{Counter, EventKind, EventStream, Registry};
 use enclaves_wire::codec::encode;
 use enclaves_wire::message::{
-    group_broadcast_aad, group_data_aad, open, path_update_aad, seal, AdminPayload, AdminPlain,
-    AuthInitPlain, Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain, KeyDistPlain,
-    MsgType, NonceAckPlain, PathUpdateWire, SealedBody,
+    group_broadcast_aad, group_data_aad, open, seal, AdminPayload, AdminPlain, AuthInitPlain,
+    Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain, KeyDistPlain, MsgType,
+    NonceAckPlain, PathCipher, PathUpdateAad, PathUpdateView, SealedBody,
 };
 use enclaves_wire::{ActorId, GroupId, Roster};
 
@@ -205,16 +205,15 @@ impl Connected {
     /// the `NewGroupKey`, `PathSync`, and `PathUpdate` install paths.
     fn install_epoch(&mut self, epoch: u64, key: GroupKey, iv: [u8; 12]) -> bool {
         match &mut self.group {
-            Some(view) => {
-                let old = view.clone();
-                let ok = view.install(epoch, key, iv);
-                if ok {
-                    self.prev_group = Some(old);
+            Some(view) => match view.install(epoch, key, iv) {
+                Some(retired) => {
+                    self.prev_group = Some(retired);
                     self.bcast_seen_prev = self.bcast_seen_cur;
                     self.bcast_seen_cur = None;
+                    true
                 }
-                ok
-            }
+                None => false,
+            },
             none => {
                 *none = Some(MemberGroupView { epoch, key, iv });
                 true
@@ -845,14 +844,22 @@ impl MemberSession {
     /// epoch is a silent no-op (multicast duplicates are normal), a
     /// skipped epoch or an unopenable cipher set is rejected (heartbeat
     /// resync recovers the former; forgery is the latter).
+    ///
+    /// It also bounds what a forger can make us do. The ciphers are read
+    /// where they lie in the frame, the ones addressed to our path are
+    /// noted by tree level on the stack, and an honest plan names a node
+    /// once: a second cipher for a path node is `Malformed` before
+    /// anything is opened, so a frame costs at most one AEAD open per
+    /// node of our path however many ciphers it claims.
     fn accept_path_update(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+        const MALFORMED: CoreError = CoreError::Rejected(RejectReason::Malformed);
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
         };
-        let wire: PathUpdateWire = enclaves_wire::codec::decode(&env.body)
-            .map_err(|_| CoreError::Rejected(RejectReason::Malformed))?;
+        let mut wire = PathUpdateView::parse(&env.body).map_err(|_| MALFORMED)?;
+        let head = wire.head;
         let current = conn.group.as_ref().map_or(0, |g| g.epoch);
-        if wire.epoch <= current {
+        if head.epoch <= current {
             return Ok(MemberOutput::default());
         }
         let Some(tree) = &mut conn.tree else {
@@ -860,7 +867,7 @@ impl MemberSession {
             // leader notices our stale heartbeat epoch and resyncs us.
             return Ok(MemberOutput::default());
         };
-        if wire.epoch != current + 1 {
+        if head.epoch != current + 1 {
             // We missed an epoch: our stored node keys cannot open this
             // update. Leader-driven resync recovers us.
             return Err(CoreError::Rejected(RejectReason::WrongEpoch));
@@ -869,46 +876,46 @@ impl MemberSession {
         // before any tree math runs on it. Honest updates never shrink
         // the tree (a reinit travels by `PathSync`), and both leaf slots
         // must lie inside it.
-        if wire.leaf_count < tree.leaf_count {
-            return Err(CoreError::Rejected(RejectReason::Malformed));
+        if head.leaf_count < tree.leaf_count {
+            return Err(MALFORMED);
         }
-        let Some(target) = update_secret_node(tree.leaf_slot, wire.updated_leaf, wire.leaf_count)
+        let Some(target) = update_secret_node(tree.leaf_slot, head.updated_leaf, head.leaf_count)
         else {
-            return Err(CoreError::Rejected(RejectReason::Malformed));
+            return Err(MALFORMED);
         };
-        let path = tree.path_nodes(wire.leaf_count);
-        let mut opened: Option<[u8; 32]> = None;
-        for (node, sealed) in &wire.ciphers {
-            if !path.contains(node) {
-                continue;
-            }
-            let Some(key) = tree.key_of(*node) else {
-                continue;
-            };
-            let aad = path_update_aad(
-                &self.leader,
-                wire.epoch,
-                wire.leaf_count,
-                wire.updated_leaf,
-                *node,
-                self.enclave.as_ref(),
-            );
-            let nonce = AeadNonce::from_bytes(sealed.nonce);
-            if let Ok(plain) = ChaCha20Poly1305::new(key).open(&nonce, &sealed.ciphertext, &aad) {
-                if let Ok(secret) = <[u8; 32]>::try_from(plain.as_slice()) {
-                    opened = Some(secret);
-                    break;
+        let mut mine: [Option<PathCipher<'_>>; MAX_LEVELS] = [None; MAX_LEVELS];
+        while let Some(cipher) = wire.next_cipher().map_err(|_| MALFORMED)? {
+            if tree.on_path(cipher.node, head.leaf_count) {
+                let seen = &mut mine[level(cipher.node) as usize];
+                if seen.is_some() {
+                    return Err(MALFORMED);
                 }
+                *seen = Some(cipher);
             }
         }
+        let mut aad = PathUpdateAad::new(&self.leader, head, self.enclave.as_ref());
+        let opened = mine.iter().flatten().find_map(|cipher| {
+            let key = tree.key_of(cipher.node)?;
+            let (sealed, tag) = cipher.sealed.split_at_checked(SECRET_LEN)?;
+            let mut secret: [u8; SECRET_LEN] = sealed.try_into().expect("split at that length");
+            ChaCha20Poly1305::new(key)
+                .open_in_place(
+                    &AeadNonce::from_bytes(cipher.nonce),
+                    aad.for_node(cipher.node),
+                    &mut secret,
+                    tag,
+                )
+                .ok()
+                .map(|()| secret)
+        });
         let Some(secret) = opened else {
             // Nothing on our path opened: a forgery, a corrupt frame, or a
             // desynced tree. Reject without touching state.
             return Err(CoreError::Rejected(RejectReason::BadSeal));
         };
-        let root = tree.install_secret(target, &secret, wire.leaf_count);
-        let (key, iv) = treekdf::derive_group(&root, wire.epoch);
-        let epoch = wire.epoch;
+        let root = tree.install_secret(target, &secret, head.leaf_count);
+        let epoch = head.epoch;
+        let (key, iv) = treekdf::derive_group(&root, epoch);
         if conn.install_epoch(epoch, GroupKey::from_bytes(key), iv) {
             self.obs.emit(|| EventKind::KeyChanged {
                 member: self.user.to_string(),
@@ -1088,6 +1095,7 @@ impl MemberSession {
 mod tests {
     use super::*;
     use enclaves_crypto::rng::SeededRng;
+    use enclaves_wire::message::{path_update_aad, PathUpdateWire};
     use proptest::prelude::*;
 
     fn id(s: &str) -> ActorId {

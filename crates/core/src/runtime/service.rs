@@ -1476,6 +1476,86 @@ mod tests {
         let _ = std::fs::remove_dir_all(&tmp);
     }
 
+    /// A tree-mode stream whose stamps were computed by a different key
+    /// schedule — what a journal written before the schedule became one
+    /// ChaCha20 block a level looks like to this code: same operation, same
+    /// tape, same epoch number, other key material. The stamp cross-check
+    /// exists for exactly "the journal and the code disagree", so replay
+    /// refuses the stream at that transition with the typed divergence and
+    /// its enclave is reported failed; its neighbours recover. There is no
+    /// compatibility path.
+    #[test]
+    fn tree_stream_with_a_foreign_schedules_stamp_is_refused_alone() {
+        use crate::journal::{genesis_for, JournalError};
+        use enclaves_wire::journal::{JournalOp, JournalPayload};
+        let tmp = TempDir::new("foreign-stamp");
+        let tree_config = |tag: &str| LeaderConfig {
+            tree_rekey: true,
+            ..group_config(tag)
+        };
+        {
+            let net = SimNet::new(SimConfig::default());
+            let listener = net.listen("svc").unwrap();
+            let (service, _) = LeaderService::open_with_journal(
+                Box::new(listener),
+                &tmp.0,
+                ServiceConfig::default(),
+            )
+            .unwrap();
+            let red = service
+                .add_group(id("leader"), directory(&["alice"]), tree_config("red"))
+                .unwrap();
+            let blue = service
+                .add_group(id("leader"), directory(&["bob"]), group_config("blue"))
+                .unwrap();
+            let _alice = join(&net, "a-red", "alice", "red", &red);
+            let _bob = join(&net, "b-blue", "bob", "blue", &blue);
+            service.shutdown();
+        }
+
+        // Hand-build the third stream from red's own first transition: a
+        // tree join whose tape replays cleanly here.
+        let dir = JournalDir::open_or_init(&tmp.0).unwrap();
+        let red_stream = dir
+            .replay_stream(&label_for(Some(&gid("red"))), ReadMode::Strict)
+            .unwrap();
+        let mut join_record = red_stream.transitions[0].clone();
+        assert!(matches!(join_record.op, JournalOp::Join(_)));
+        for b in &mut join_record.stamp.key {
+            *b ^= 0x5a;
+        }
+        let old_config = tree_config("old");
+        let genesis = genesis_for(&id("leader"), &directory(&["alice"]), &old_config);
+        dir.create_stream(&label_for(old_config.group.as_ref()), &genesis)
+            .unwrap()
+            .append(&JournalPayload::Transition(join_record))
+            .unwrap();
+
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        let (service, report) =
+            LeaderService::open_with_journal(Box::new(listener), &tmp.0, ServiceConfig::default())
+                .unwrap();
+        let mut recovered: Vec<_> = report.recovered.iter().map(|g| g.group.clone()).collect();
+        recovered.sort();
+        assert_eq!(recovered, [Some(gid("blue")), Some(gid("red"))]);
+        assert!(report.recovered.iter().all(|g| g.members == 1));
+        assert_eq!(report.failed.len(), 1);
+        let old_file = dir.stream_path(&label_for(old_config.group.as_ref()));
+        assert_eq!(
+            Some(report.failed[0].stream.as_str()),
+            old_file.file_name().and_then(|n| n.to_str())
+        );
+        match &report.failed[0].error {
+            JournalError::ReplayDivergence { seq: 2, detail } => {
+                assert_eq!(detail, "regenerated key material differs from the stamp");
+            }
+            other => panic!("expected a replay divergence at record 2, got {other:?}"),
+        }
+        assert_eq!(service.group_count(), 2);
+        service.shutdown();
+    }
+
     /// A scratch directory removed on drop.
     struct TempDir(std::path::PathBuf);
 

@@ -140,14 +140,37 @@ impl ChaCha20Poly1305 {
         if sealed.len() < TAG_LEN {
             return Err(CryptoError::TruncatedCiphertext);
         }
-        let n = nonce.as_bytes();
         let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = self.compute_tag(n, ciphertext, aad);
-        if !ct_eq(&expected, tag) {
+        out.extend_from_slice(ciphertext);
+        let opened = self.open_in_place(nonce, aad, out, tag);
+        if opened.is_err() {
+            out.clear();
+        }
+        opened
+    }
+
+    /// Authenticates `data || tag` bound to `aad` and, only if the tag
+    /// holds, decrypts `data` where it lies: the inverse of
+    /// [`seal_in_place`](Self::seal_in_place), for a caller whose
+    /// ciphertext already sits in the buffer the plaintext should end up
+    /// in (a fixed-size secret on the stack, say).
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::TagMismatch`] if authentication fails; `data` is then
+    /// left as it was.
+    pub fn open_in_place(
+        &self,
+        nonce: &AeadNonce,
+        aad: &[u8],
+        data: &mut [u8],
+        tag: &[u8],
+    ) -> Result<(), CryptoError> {
+        let n = nonce.as_bytes();
+        if !ct_eq(&self.compute_tag(n, data, aad), tag) {
             return Err(CryptoError::TagMismatch);
         }
-        out.extend_from_slice(ciphertext);
-        chacha20::xor_in_place(&self.key, 1, n, out);
+        chacha20::xor_in_place(&self.key, 1, n, data);
         Ok(())
     }
 }
@@ -202,6 +225,20 @@ mod tests {
         let tag = cipher.seal_in_place(&nonce, &aad, &mut in_place);
         assert_eq!(in_place, expected_ct);
         assert_eq!(tag[..], expected_tag[..]);
+
+        // And back where it lies; a wrong or short tag leaves the
+        // ciphertext untouched.
+        for bad in [&[0u8; TAG_LEN][..], &tag[..TAG_LEN - 1]] {
+            assert_eq!(
+                cipher.open_in_place(&nonce, &aad, &mut in_place, bad),
+                Err(CryptoError::TagMismatch)
+            );
+            assert_eq!(in_place, expected_ct);
+        }
+        cipher
+            .open_in_place(&nonce, &aad, &mut in_place, &tag)
+            .unwrap();
+        assert_eq!(in_place, plaintext);
     }
 
     #[test]

@@ -34,16 +34,6 @@ impl Prk {
         Prk(HmacSha256::new(prk))
     }
 
-    /// HKDF-Extract under a salt whose HMAC state is already keyed:
-    /// `salt` must be `HmacSha256::new(salt_bytes)` with nothing absorbed
-    /// yet, which callers with a fixed salt build once and reuse.
-    #[must_use]
-    pub fn extract(salt: &HmacSha256, ikm: &[u8]) -> Self {
-        let mut mac = salt.clone();
-        mac.update(ikm);
-        Prk::new(&mac.finalize())
-    }
-
     /// Expands into `out.len()` bytes of output keying material bound to
     /// `info`.
     ///

@@ -21,9 +21,9 @@
 //! * [`nonce`] — 96-bit AEAD nonces and monotone nonce sequences, plus the
 //!   128-bit *protocol* nonces (`N_1`, `N_2`, ...) the paper threads through
 //!   its messages.
-//! * [`treekdf`] — the HKDF key schedule for the MLS-style rekey tree
-//!   (node keys, chained path secrets, and the per-epoch group key/IV
-//!   derived from the tree root).
+//! * [`treekdf`] — the key schedule for the MLS-style rekey tree, one
+//!   ChaCha20 block per derivation (node keys, chained path secrets, and
+//!   the per-epoch group key/IV derived from the tree root).
 //! * [`constant_time`] — constant-time comparison helpers.
 //! * [`crc`] — CRC-32 (IEEE) for journal record fast-fail framing.
 //! * [`rng`] — a seedable CSPRNG abstraction so simulations are

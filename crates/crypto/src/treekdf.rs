@@ -1,5 +1,6 @@
-//! Key-schedule for the MLS-style rekey tree (RFC 9420 §7 adapted to the
-//! Enclaves star topology).
+//! Key schedule for the MLS-style rekey tree (RFC 9420 §7 adapted to the
+//! Enclaves star topology): a fast-key-erasure chain, one ChaCha20 block
+//! per derivation.
 //!
 //! The leader maintains a left-balanced binary tree whose leaves hold
 //! per-member channel secrets and whose interior node keys are derived from
@@ -7,92 +8,88 @@
 //! secret `s_1` and chains upward with
 //!
 //! ```text
-//! K(p_i)  = derive_node_key(s_i)          // key stored at path node p_i
-//! s_{i+1} = derive_path_secret(s_i)       // secret for the parent of p_i
-//! (K_g, IV_g) = derive_group(root_key, epoch)
+//! K(p_i) ‖ s_{i+1} = ChaCha20(key = s_i,  counter = 0, nonce = "enclave-step")
+//! K_g ‖ IV_g ‖ …   = ChaCha20(key = root, counter = 0, nonce = "grp:" ‖ epoch_be64)
 //! ```
 //!
-//! so a member that unseals a single `s_i` can derive every key from the
-//! matching path node up to the root, while members outside that subtree
-//! learn nothing. All derivations are RFC 5869 HKDF-SHA-256 with distinct
-//! `info` labels, mirroring RFC 9420's `DeriveSecret` labels.
+//! `K(p_i)` is the key stored at path node `p_i`, `s_{i+1}` the secret of
+//! its parent; `root` is the key stored at the root and `(K_g, IV_g)` the
+//! epoch's group key and broadcast IV (the block's first 44 bytes). A
+//! member that unseals a single `s_i` derives every key from the matching
+//! path node up to the root, while members outside that subtree learn
+//! nothing.
 //!
-//! Every derivation from one secret shares one extracted PRK: the
-//! `TREE_SALT` HMAC state is keyed once per process and the PRK's once
-//! per secret, so [`derive_step`] — one tree level — costs 8 SHA-256
-//! compressions (2 extract, 2 PRK keying, 2 per expand) where two
-//! independent [`crate::hkdf::derive`] calls cost 16. The outputs are
-//! exactly those calls' outputs.
+//! The one assumption is the one every seal in the system already makes:
+//! ChaCha20 is a PRF under a uniformly random key (RFC 8439 §2.6 derives
+//! the Poly1305 key from exactly such a block). Under it the two halves of
+//! a block are independent and neither reveals its key, so holding `K(p_i)`
+//! says nothing about `s_{i+1}` (a past member's retained keys and observed
+//! copath seals open nothing newer), and one root yields unrelated traffic
+//! keys per epoch because distinct epochs are distinct nonces. The two
+//! labels differ in their first four bytes, so no epoch's group block is a
+//! step block.
+//!
+//! That argument needs each key to feed one kind of block. Path secrets
+//! are used for nothing but derivation — they never key an AEAD — and node
+//! keys only ever seal, with one exception: in a one-leaf tree the leaf is
+//! the root, so its key both derives the group key and, on a manual rekey,
+//! seals the next secret to its occupant (`seal_to_self`). The AEAD takes
+//! its Poly1305 key from counter 0 under a uniformly random 96-bit nonce,
+//! which coincides with a given epoch's group nonce with probability 2⁻⁹⁶
+//! per seal.
 
-use std::sync::OnceLock;
-
-use crate::hkdf::Prk;
-use crate::hmac::HmacSha256;
-
-/// Domain-separation salt for every tree derivation.
-const TREE_SALT: &[u8] = b"enclaves treekem v1";
+use crate::chacha20;
+use crate::constant_time::zeroize;
 
 /// Size of path secrets and node keys.
 pub const SECRET_LEN: usize = 32;
 
-const NODE_KEY_INFO: &[u8] = b"node key";
-const PATH_SECRET_INFO: &[u8] = b"path secret";
+/// Nonce of the step block.
+const STEP_LABEL: [u8; chacha20::NONCE_LEN] = *b"enclave-step";
 
-/// HKDF-Extract of `secret` under [`TREE_SALT`].
-fn tree_prk(secret: &[u8; SECRET_LEN]) -> Prk {
-    static SALT: OnceLock<HmacSha256> = OnceLock::new();
-    Prk::extract(SALT.get_or_init(|| HmacSha256::new(TREE_SALT)), secret)
-}
+/// First four nonce bytes of a group block; the epoch fills the other eight.
+const GROUP_LABEL: [u8; 4] = *b"grp:";
 
-fn expand<const N: usize>(prk: &Prk, info: &[u8]) -> [u8; N] {
-    let mut out = [0u8; N];
-    prk.expand(info, &mut out)
-        .expect("key-sized output is within HKDF bounds");
-    out
+/// The first 32 bytes of a keystream block and the `N` that follow.
+fn split<const N: usize>(mut block: [u8; chacha20::BLOCK_LEN]) -> ([u8; SECRET_LEN], [u8; N]) {
+    let mut head = [0u8; SECRET_LEN];
+    let mut tail = [0u8; N];
+    head.copy_from_slice(&block[..SECRET_LEN]);
+    tail.copy_from_slice(&block[SECRET_LEN..SECRET_LEN + N]);
+    zeroize(&mut block);
+    (head, tail)
 }
 
 /// One tree level: the node key stored at a path node and the path secret
-/// of that node's parent, both from the node's own path secret. Equal to
-/// `(derive_node_key(s), derive_path_secret(s))` at half the cost.
+/// of that node's parent, both from the node's own path secret.
 #[must_use]
 pub fn derive_step(path_secret: &[u8; SECRET_LEN]) -> ([u8; SECRET_LEN], [u8; SECRET_LEN]) {
-    let prk = tree_prk(path_secret);
-    (expand(&prk, NODE_KEY_INFO), expand(&prk, PATH_SECRET_INFO))
+    split(chacha20::block(path_secret, 0, &STEP_LABEL))
 }
 
 /// Derives the node key stored at a path node from that node's path secret.
 #[must_use]
 pub fn derive_node_key(path_secret: &[u8; SECRET_LEN]) -> [u8; SECRET_LEN] {
-    expand(&tree_prk(path_secret), NODE_KEY_INFO)
+    derive_step(path_secret).0
 }
 
 /// Derives the parent's path secret from a child's path secret (the
 /// "derive up" step members apply after unsealing their copath secret).
 #[must_use]
 pub fn derive_path_secret(path_secret: &[u8; SECRET_LEN]) -> [u8; SECRET_LEN] {
-    expand(&tree_prk(path_secret), PATH_SECRET_INFO)
+    derive_step(path_secret).1
 }
 
 /// Derives the epoch group key and broadcast IV from the tree root key.
 ///
-/// The epoch number is bound into the `info` string so re-deriving an old
+/// The epoch number is the nonce's last eight bytes, so re-deriving an old
 /// root under a new epoch (or vice versa) yields unrelated traffic keys.
 #[must_use]
 pub fn derive_group(root_key: &[u8; SECRET_LEN], epoch: u64) -> ([u8; SECRET_LEN], [u8; 12]) {
-    let prk = tree_prk(root_key);
-    (
-        expand(&prk, &epoch_info::<24>(b"group key epoch ", epoch)),
-        expand(&prk, &epoch_info::<23>(b"group iv epoch ", epoch)),
-    )
-}
-
-/// `label ‖ epoch` (big-endian) as a fixed-size `info` string.
-fn epoch_info<const N: usize>(label: &[u8], epoch: u64) -> [u8; N] {
-    let mut info = [0u8; N];
-    let (head, tail) = info.split_at_mut(N - 8);
-    head.copy_from_slice(label);
-    tail.copy_from_slice(&epoch.to_be_bytes());
-    info
+    let mut nonce = [0u8; chacha20::NONCE_LEN];
+    nonce[..4].copy_from_slice(&GROUP_LABEL);
+    nonce[4..].copy_from_slice(&epoch.to_be_bytes());
+    split(chacha20::block(root_key, 0, &nonce))
 }
 
 #[cfg(test)]
@@ -104,25 +101,50 @@ mod tests {
     }
 
     // Golden vectors freeze the wire-compatible key schedule: any change to
-    // salts, labels, or derivation order breaks interop between a leader and
-    // members built from different revisions.
+    // labels, counter or split breaks interop between a leader and members
+    // built from different revisions, and makes `LeaderCore::recover`
+    // refuse a tree journal written by the other one. The values come from
+    // an independent ChaCha20 written for the purpose, not from this crate.
     #[test]
     fn golden_vectors_are_stable() {
         let s = [0x42u8; 32];
         assert_eq!(
             hex(&derive_node_key(&s)),
-            "2019dd99e32bf8cc1bcc5aac2d3e55af14767506adb66ce49ae1d7209a6f5dcb"
+            "8cbc505abcf707a4d06fb3855cd600954383b513f72043ac01f952873f292cf9"
         );
         assert_eq!(
             hex(&derive_path_secret(&s)),
-            "c4c91ed657da49d950e6b37726f9332b39806433d3eecc251e959cd9feca5bca"
+            "212bfdf91a7d6ec135aa43c94b6cfb9e806e01d4009151088b0974741b39d3b8"
         );
         let (key, iv) = derive_group(&s, 7);
         assert_eq!(
             hex(&key),
-            "3c9a69b108aded2cbeed530ca78f542d1d2f5e988ff678ceb4c6ec8ecf73c7ed"
+            "3e1471fd3afc28d094df36cf15fb4f3e9165434c05d0b099e4fd658ed3884870"
         );
-        assert_eq!(hex(&iv), "b1e1a2738c3f106ed2e10147");
+        assert_eq!(hex(&iv), "c5433b642ba04db3277a359d");
+    }
+
+    // The primitive under the schedule, pinned where the schedule uses it:
+    // RFC 8439 §2.3.2 (the block function's own vector, counter 1) and
+    // §2.6.2 (counter 0, the Poly1305 key generation the PRF assumption is
+    // borrowed from), whose nonce carries eight trailing bytes exactly as
+    // a group nonce carries its epoch.
+    #[test]
+    fn rfc8439_vectors_hold_for_the_block_the_schedule_calls() {
+        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let nonce = [0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+        assert_eq!(
+            hex(&chacha20::block(&key, 1, &nonce)),
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
+             d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        );
+        let key: [u8; 32] = core::array::from_fn(|i| 0x80 + i as u8);
+        let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
+        let (poly_key, _) = split::<12>(chacha20::block(&key, 0, &nonce));
+        assert_eq!(
+            hex(&poly_key),
+            "8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646"
+        );
     }
 
     #[test]
@@ -135,6 +157,9 @@ mod tests {
         assert_ne!(node, group);
         assert_ne!(path, group);
         assert_ne!(node, s);
+        // Whatever the epoch, a group nonce differs from the step nonce in
+        // its label bytes.
+        assert_ne!(STEP_LABEL[..4], GROUP_LABEL);
     }
 
     #[test]
@@ -171,44 +196,50 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::hkdf;
     use proptest::prelude::*;
 
-    fn reference<const N: usize>(secret: &[u8; SECRET_LEN], info: &[u8]) -> [u8; N] {
-        let mut out = [0u8; N];
-        hkdf::derive(TREE_SALT, secret, info, &mut out).unwrap();
-        out
-    }
-
     proptest! {
-        // The fused, state-cached schedule is the RFC 5869 one: every
-        // output equals an independent extract-then-expand.
+        // The schedule is its definition: a step is the two halves of the
+        // counter-0 block keyed by the secret under the step label.
         #[test]
-        fn fused_step_equals_reference_derives(
+        fn step_is_the_split_of_one_block(
             secret in proptest::array::uniform32(any::<u8>()),
         ) {
-            let expect = (
-                reference(&secret, b"node key"),
-                reference(&secret, b"path secret"),
-            );
-            prop_assert_eq!(derive_step(&secret), expect);
-            prop_assert_eq!(derive_node_key(&secret), expect.0);
-            prop_assert_eq!(derive_path_secret(&secret), expect.1);
+            let block = chacha20::block(&secret, 0, b"enclave-step");
+            let (key, parent) = derive_step(&secret);
+            prop_assert_eq!(&key[..], &block[..32]);
+            prop_assert_eq!(&parent[..], &block[32..]);
+            prop_assert_eq!(derive_node_key(&secret), key);
+            prop_assert_eq!(derive_path_secret(&secret), parent);
         }
 
+        // The group key and IV are the first 44 bytes of the counter-0
+        // block keyed by the root under `"grp:" ‖ epoch` (big-endian).
         #[test]
-        fn group_derivation_equals_reference_derives(
+        fn group_is_the_split_of_one_block(
             root in proptest::array::uniform32(any::<u8>()),
             epoch in any::<u64>(),
         ) {
-            let mut key_info = b"group key epoch ".to_vec();
-            key_info.extend_from_slice(&epoch.to_be_bytes());
-            let mut iv_info = b"group iv epoch ".to_vec();
-            iv_info.extend_from_slice(&epoch.to_be_bytes());
-            prop_assert_eq!(
-                derive_group(&root, epoch),
-                (reference(&root, &key_info), reference(&root, &iv_info))
-            );
+            let mut nonce = *b"grp:\0\0\0\0\0\0\0\0";
+            nonce[4..].copy_from_slice(&epoch.to_be_bytes());
+            let block = chacha20::block(&root, 0, &nonce);
+            let (key, iv) = derive_group(&root, epoch);
+            prop_assert_eq!(&key[..], &block[..32]);
+            prop_assert_eq!(&iv[..], &block[32..44]);
+            // Not a step block, whatever the epoch.
+            prop_assert_ne!(derive_step(&root).0, key);
+        }
+
+        #[test]
+        fn distinct_epochs_give_distinct_group_material(
+            root in proptest::array::uniform32(any::<u8>()),
+            epoch in any::<u64>(),
+            delta in 1u64..u64::MAX,
+        ) {
+            let (ka, iva) = derive_group(&root, epoch);
+            let (kb, ivb) = derive_group(&root, epoch ^ delta);
+            prop_assert_ne!(ka, kb);
+            prop_assert_ne!(iva, ivb);
         }
     }
 }

@@ -105,17 +105,6 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// The wire tag byte: the message type, with [`GROUP_TAG_FLAG`] set
-    /// when a group id follows the recipient.
-    fn tag_byte(&self) -> u8 {
-        let tag = self.msg_type as u8;
-        if self.group.is_some() {
-            tag | GROUP_TAG_FLAG
-        } else {
-            tag
-        }
-    }
-
     /// The header bytes bound as AEAD associated data: re-labeling,
     /// re-addressing, or re-homing a sealed message into another enclave
     /// breaks authentication.
@@ -128,12 +117,13 @@ impl Envelope {
 
     /// Everything of the encoding that precedes the body.
     fn put_header(&self, w: &mut Writer) {
-        w.put_u8(self.tag_byte());
-        self.sender.encode(w);
-        self.recipient.encode(w);
-        if let Some(group) = &self.group {
-            group.encode(w);
-        }
+        put_envelope_header(
+            w,
+            self.msg_type,
+            &self.sender,
+            &self.recipient,
+            self.group.as_ref(),
+        );
     }
 
     /// Seals `value` under `key` as this envelope's body, bound to its
@@ -153,6 +143,29 @@ impl Envelope {
         patch_len(&mut frame, body_at, body_len);
         self.body = frame[body_at..].to_vec();
         frame
+    }
+}
+
+/// The envelope encoding up to the body: the tag byte (the message type,
+/// with [`GROUP_TAG_FLAG`] set when a group id follows the recipient),
+/// sender, recipient and group.
+fn put_envelope_header(
+    w: &mut Writer,
+    msg_type: MsgType,
+    sender: &ActorId,
+    recipient: &ActorId,
+    group: Option<&GroupId>,
+) {
+    let tag = msg_type as u8;
+    w.put_u8(if group.is_some() {
+        tag | GROUP_TAG_FLAG
+    } else {
+        tag
+    });
+    sender.encode(w);
+    recipient.encode(w);
+    if let Some(group) = group {
+        group.encode(w);
     }
 }
 
@@ -748,10 +761,12 @@ const MAX_PATH_CIPHERS: usize = MAX_ROSTER_LEN;
 
 impl Encode for PathUpdateWire {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.epoch);
-        w.put_u32(self.leaf_count);
-        w.put_u32(self.updated_leaf);
-        w.put_u32(self.ciphers.len() as u32);
+        let head = PathUpdateHead {
+            epoch: self.epoch,
+            leaf_count: self.leaf_count,
+            updated_leaf: self.updated_leaf,
+        };
+        head.put(w, self.ciphers.len());
         for (node, sealed) in &self.ciphers {
             w.put_u32(*node);
             sealed.encode(w);
@@ -761,24 +776,119 @@ impl Encode for PathUpdateWire {
 
 impl Decode for PathUpdateWire {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let epoch = r.take_u64()?;
-        let leaf_count = r.take_u32()?;
-        let updated_leaf = r.take_u32()?;
+        let (head, n) = PathUpdateHead::take(r)?;
+        let mut ciphers = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            let c = PathCipher::take(r)?;
+            let sealed = SealedBody {
+                nonce: c.nonce,
+                ciphertext: c.sealed.to_vec(),
+            };
+            ciphers.push((c.node, sealed));
+        }
+        Ok(PathUpdateWire {
+            epoch: head.epoch,
+            leaf_count: head.leaf_count,
+            updated_leaf: head.updated_leaf,
+            ciphers,
+        })
+    }
+}
+
+/// The plaintext claims at the front of a `PathUpdate` body.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathUpdateHead {
+    /// The epoch the refreshed tree root derives (previous epoch + 1).
+    pub epoch: u64,
+    /// Leaf slots in the tree after the refresh.
+    pub leaf_count: u32,
+    /// The leaf slot whose path was refreshed.
+    pub updated_leaf: u32,
+}
+
+impl PathUpdateHead {
+    /// Writes the head and the cipher count that follows it.
+    fn put(&self, w: &mut Writer, ciphers: usize) {
+        w.put_u64(self.epoch);
+        w.put_u32(self.leaf_count);
+        w.put_u32(self.updated_leaf);
+        w.put_u32(ciphers as u32);
+    }
+
+    /// Reads the head and the bounded cipher count that follows it.
+    fn take(r: &mut Reader<'_>) -> Result<(Self, usize), WireError> {
+        let head = PathUpdateHead {
+            epoch: r.take_u64()?,
+            leaf_count: r.take_u32()?,
+            updated_leaf: r.take_u32()?,
+        };
         let n = r.take_u32()? as usize;
         if n > MAX_PATH_CIPHERS {
             return Err(WireError::LengthOverflow);
         }
-        let mut ciphers = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let node = r.take_u32()?;
-            ciphers.push((node, SealedBody::decode(r)?));
-        }
-        Ok(PathUpdateWire {
-            epoch,
-            leaf_count,
-            updated_leaf,
-            ciphers,
+        Ok((head, n))
+    }
+}
+
+/// One cipher of a `PathUpdate` body, borrowed from the frame.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathCipher<'a> {
+    /// The copath resolution node whose key sealed it.
+    pub node: u32,
+    /// The AEAD nonce the leader used.
+    pub nonce: [u8; AEAD_NONCE_LEN],
+    /// `ciphertext || tag`.
+    pub sealed: &'a [u8],
+}
+
+impl<'a> PathCipher<'a> {
+    fn take(r: &mut Reader<'a>) -> Result<Self, WireError> {
+        Ok(PathCipher {
+            node: r.take_u32()?,
+            nonce: r.take_array()?,
+            sealed: r.take_bytes()?,
         })
+    }
+}
+
+/// A [`PathUpdateWire`] read where it lies: the head decoded, the ciphers
+/// handed out one at a time as borrows of the body, nothing allocated. A
+/// member walks it before authenticating anything, so the walk costs a
+/// few loads per cipher and accepts exactly what the owning decoder does.
+#[derive(Debug)]
+pub struct PathUpdateView<'a> {
+    /// The plaintext claims.
+    pub head: PathUpdateHead,
+    remaining: usize,
+    r: Reader<'a>,
+}
+
+impl<'a> PathUpdateView<'a> {
+    /// Reads the head of a `PathUpdate` body.
+    ///
+    /// # Errors
+    ///
+    /// As `decode::<PathUpdateWire>`: a short head, or a claimed cipher
+    /// count past the cap.
+    pub fn parse(body: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = Reader::new(body);
+        let (head, remaining) = PathUpdateHead::take(&mut r)?;
+        Ok(PathUpdateView { head, remaining, r })
+    }
+
+    /// The next cipher, or `None` once the claimed count has been read
+    /// and the body ends there.
+    ///
+    /// # Errors
+    ///
+    /// A cipher that runs past the body, or bytes after the last one.
+    pub fn next_cipher(&mut self) -> Result<Option<PathCipher<'a>>, WireError> {
+        if self.remaining == 0 {
+            self.r.expect_end()?;
+            return Ok(None);
+        }
+        self.remaining -= 1;
+        PathCipher::take(&mut self.r).map(Some)
     }
 }
 
@@ -788,6 +898,42 @@ impl Decode for PathUpdateWire {
 /// `updated_leaf` would silently change the member's derive-up walk, so
 /// both are authenticated here rather than trusted from the plaintext
 /// outer frame. The enclave is bound last, like the other multicast AADs.
+///
+/// Only the node index differs between the seals of one update, so the
+/// bytes are built once per update and the index patched per seal.
+#[derive(Debug)]
+pub struct PathUpdateAad {
+    bytes: Vec<u8>,
+    node_at: usize,
+}
+
+impl PathUpdateAad {
+    /// The AAD of one update's seals, its node index still to be set.
+    #[must_use]
+    pub fn new(leader: &ActorId, head: PathUpdateHead, group: Option<&GroupId>) -> Self {
+        let mut w = Writer::new();
+        w.put_u8(MsgType::PathUpdate as u8);
+        leader.encode(&mut w);
+        w.put_u64(head.epoch);
+        w.put_u32(head.leaf_count);
+        w.put_u32(head.updated_leaf);
+        let node_at = w.len();
+        w.put_u32(0);
+        put_group(&mut w, group);
+        PathUpdateAad {
+            bytes: w.finish(),
+            node_at,
+        }
+    }
+
+    /// The AAD of the seal addressed to `node_index`.
+    pub fn for_node(&mut self, node_index: u32) -> &[u8] {
+        self.bytes[self.node_at..self.node_at + 4].copy_from_slice(&node_index.to_be_bytes());
+        &self.bytes
+    }
+}
+
+/// [`PathUpdateAad`] for a single seal.
 #[must_use]
 pub fn path_update_aad(
     leader: &ActorId,
@@ -797,15 +943,65 @@ pub fn path_update_aad(
     node_index: u32,
     group: Option<&GroupId>,
 ) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(MsgType::PathUpdate as u8);
-    leader.encode(&mut w);
-    w.put_u64(epoch);
-    w.put_u32(leaf_count);
-    w.put_u32(updated_leaf);
-    w.put_u32(node_index);
-    put_group(&mut w, group);
-    w.finish()
+    let head = PathUpdateHead {
+        epoch,
+        leaf_count,
+        updated_leaf,
+    };
+    let mut aad = PathUpdateAad::new(leader, head, group);
+    aad.for_node(node_index);
+    aad.bytes
+}
+
+/// One seal of a `PathUpdate` frame about to be written: `secret` sealed
+/// under `key` with `nonce`, addressed to `node`.
+#[derive(Clone, Copy)]
+pub struct PathSeal<'a> {
+    /// The copath resolution node whose key seals this cipher.
+    pub node: u32,
+    /// The key stored at `node`.
+    pub key: &'a [u8; 32],
+    /// The AEAD nonce, drawn by the caller.
+    pub nonce: [u8; AEAD_NONCE_LEN],
+    /// The path secret being conveyed.
+    pub secret: &'a [u8; 32],
+}
+
+/// Writes a whole `PathUpdate` multicast frame into `buf` (cleared first,
+/// its allocation reused): envelope header, body head, and each secret
+/// sealed where it lies. The bytes are those of an [`Envelope`] from and
+/// to `leader` (the multicast convention) whose body is the encoded
+/// [`PathUpdateWire`] of the same seals.
+pub fn path_update_frame<'a>(
+    buf: Vec<u8>,
+    leader: &ActorId,
+    group: Option<&GroupId>,
+    head: PathUpdateHead,
+    seals: impl ExactSizeIterator<Item = PathSeal<'a>>,
+) -> Vec<u8> {
+    let mut w = Writer::with_buffer(buf);
+    put_envelope_header(&mut w, MsgType::PathUpdate, leader, leader, group);
+    w.put_u32(0);
+    let body_at = w.len();
+    head.put(&mut w, seals.len());
+    let mut aad = PathUpdateAad::new(leader, head, group);
+    let mut frame = w.finish();
+    for seal in seals {
+        frame.extend_from_slice(&seal.node.to_be_bytes());
+        frame.extend_from_slice(&seal.nonce);
+        frame.extend_from_slice(&((seal.secret.len() + TAG_LEN) as u32).to_be_bytes());
+        let secret_at = frame.len();
+        frame.extend_from_slice(seal.secret);
+        let tag = ChaCha20Poly1305::new(seal.key).seal_in_place(
+            &AeadNonce::from_bytes(seal.nonce),
+            aad.for_node(seal.node),
+            &mut frame[secret_at..],
+        );
+        frame.extend_from_slice(&tag);
+    }
+    let body_len = frame.len() - body_at;
+    patch_len(&mut frame, body_at, body_len);
+    frame
 }
 
 /// Plaintext of `ReqClose`: `{A, L}` (sealed under `K_a`).
@@ -1251,6 +1447,43 @@ mod tests {
         };
         let bytes = encode(&wire);
         assert_eq!(decode::<PathUpdateWire>(&bytes).unwrap(), wire);
+        // The borrowed view reads the same body to the same fields, and
+        // refuses what the owning decoder refuses.
+        let mut view = PathUpdateView::parse(&bytes).unwrap();
+        assert_eq!(
+            (
+                view.head.epoch,
+                view.head.leaf_count,
+                view.head.updated_leaf
+            ),
+            (8, 70, 33)
+        );
+        for (node, sealed) in &wire.ciphers {
+            let c = view.next_cipher().unwrap().unwrap();
+            assert_eq!(
+                (c.node, c.nonce, c.sealed),
+                (*node, sealed.nonce, &sealed.ciphertext[..])
+            );
+        }
+        assert_eq!(view.next_cipher().unwrap(), None);
+        for cut in 0..bytes.len() {
+            let walked = PathUpdateView::parse(&bytes[..cut]).and_then(|mut v| {
+                while v.next_cipher()?.is_some() {}
+                Ok(())
+            });
+            assert_eq!(
+                walked.is_err(),
+                decode::<PathUpdateWire>(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+            assert!(walked.is_err(), "cut {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let mut view = PathUpdateView::parse(&trailing).unwrap();
+        view.next_cipher().unwrap();
+        view.next_cipher().unwrap();
+        assert_eq!(view.next_cipher(), Err(WireError::TrailingBytes));
         // Empty cipher list is legal (a one-member tree join).
         let empty = PathUpdateWire {
             epoch: 1,
@@ -1265,10 +1498,68 @@ mod tests {
         w.put_u32(4096);
         w.put_u32(0);
         w.put_u32(1_000_000);
+        let capped = w.finish();
         assert!(matches!(
-            decode::<PathUpdateWire>(&w.finish()),
+            decode::<PathUpdateWire>(&capped),
             Err(WireError::LengthOverflow)
         ));
+        assert!(matches!(
+            PathUpdateView::parse(&capped),
+            Err(WireError::LengthOverflow)
+        ));
+    }
+
+    // The frame the leader writes in one pass is the frame the layered
+    // encoders produce — `Envelope` around `PathUpdateWire` around
+    // `SealedBody`s sealed under `path_update_aad` — byte for byte.
+    #[test]
+    fn path_update_frame_is_the_layered_encoding() {
+        let ops = GroupId::new("ops").unwrap();
+        let head = PathUpdateHead {
+            epoch: 9,
+            leaf_count: 6,
+            updated_leaf: 2,
+        };
+        let keys = [[0x11u8; 32], [0x22; 32], [0x33; 32]];
+        let secrets = [[0xa1u8; 32], [0xa1; 32], [0xb2; 32]];
+        let nodes = [4u32, 1, 9];
+        for group in [None, Some(&ops)] {
+            for n in 0..=nodes.len() {
+                let seals = (0..n).map(|i| PathSeal {
+                    node: nodes[i],
+                    key: &keys[i],
+                    nonce: [i as u8 + 1; 12],
+                    secret: &secrets[i],
+                });
+                // A dirty buffer is cleared, not appended to.
+                let frame = path_update_frame(vec![0xee; 7], &leader(), group, head, seals);
+                let ciphers = (0..n)
+                    .map(|i| {
+                        let aad = path_update_aad(&leader(), 9, 6, 2, nodes[i], group);
+                        let nonce = [i as u8 + 1; 12];
+                        let ciphertext = ChaCha20Poly1305::new(&keys[i]).seal(
+                            &AeadNonce::from_bytes(nonce),
+                            &secrets[i],
+                            &aad,
+                        );
+                        (nodes[i], SealedBody { nonce, ciphertext })
+                    })
+                    .collect();
+                let layered = Envelope {
+                    msg_type: MsgType::PathUpdate,
+                    sender: leader(),
+                    recipient: leader(),
+                    group: group.cloned(),
+                    body: encode(&PathUpdateWire {
+                        epoch: 9,
+                        leaf_count: 6,
+                        updated_leaf: 2,
+                        ciphers,
+                    }),
+                };
+                assert_eq!(frame, encode(&layered), "{n} seals, group {group:?}");
+            }
+        }
     }
 
     #[test]
@@ -1448,7 +1739,12 @@ mod proptests {
             let _ = decode::<Envelope>(&bytes);
             let _ = decode::<AdminPayload>(&bytes);
             let _ = decode::<SealedBody>(&bytes);
-            let _ = decode::<PathUpdateWire>(&bytes);
+            // The borrowed walk and the owning decoder agree on every input.
+            let walked = PathUpdateView::parse(&bytes).and_then(|mut v| {
+                while v.next_cipher()?.is_some() {}
+                Ok(())
+            });
+            prop_assert_eq!(walked.is_ok(), decode::<PathUpdateWire>(&bytes).is_ok());
         }
     }
 }
