@@ -587,6 +587,12 @@ impl LeaderService {
     /// the ticker.
     fn start(front: FrontEnd, config: &ServiceConfig, journal: Option<JournalDir>) -> Self {
         let shared = Self::build_shared(config, journal);
+        // Which ChaCha20 kernel this host runs (1 = scalar), so a join
+        // that is slower here than on the next host explains itself.
+        shared
+            .service_obs
+            .gauge("crypto.chacha20_lanes")
+            .set(i64::try_from(enclaves_crypto::chacha20::lanes()).unwrap_or(i64::MAX));
         let io = match front {
             FrontEnd::Listener(listener) => {
                 let accept_shared = Arc::clone(&shared);
@@ -804,8 +810,8 @@ impl LeaderService {
                 .merge_from(&part)
                 .expect("per-group metric names are disjoint");
         }
-        // Service-level recovery metrics ride along under their own
-        // (`recovery.*`) names, disjoint from every `leader.*` name.
+        // Service-level metrics ride along under their own names
+        // (`recovery.*`, `crypto.*`), disjoint from every `leader.*` name.
         merged
             .merge_from(&self.shared.service_obs.snapshot())
             .expect("service metric names are disjoint");
@@ -1722,6 +1728,20 @@ mod tests {
         assert_eq!(snap.counter("recovery.groups_ok"), 15);
         assert_eq!(snap.counter("recovery.groups_failed"), 2);
         assert_eq!(snap.counter("recovery.torn_tails"), 1);
+        service.shutdown();
+    }
+
+    /// The snapshot alone says which ChaCha20 kernel this process runs:
+    /// the gauge is the detection the dispatch itself reads.
+    #[test]
+    fn snapshot_names_the_chacha20_kernel() {
+        let service = quiet_service(None);
+        let lanes = service.snapshot().gauge("crypto.chacha20_lanes");
+        assert_eq!(lanes, enclaves_crypto::chacha20::lanes() as i64);
+        assert!(
+            [1, 8, 16].contains(&lanes),
+            "scalar, AVX2 or AVX-512, got {lanes}"
+        );
         service.shutdown();
     }
 

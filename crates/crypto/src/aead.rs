@@ -303,6 +303,41 @@ mod tests {
         assert_eq!(cipher.open(&nonce, &sealed, b"").unwrap(), Vec::<u8>::new());
     }
 
+    /// A Welcome-sized body crosses every chunk of the wide cipher path and
+    /// every group of the four-block MAC path: a flipped bit in any chunk
+    /// is refused before a byte is decrypted.
+    #[test]
+    fn ten_kib_roundtrip_and_a_bitflip_in_every_chunk() {
+        const LEN: usize = 10 * 1024;
+        const CHUNK: usize = 512;
+        let cipher = ChaCha20Poly1305::new(&[0x5c; 32]);
+        let nonce = AeadNonce::from_bytes([3; 12]);
+        let plaintext: Vec<u8> = (0..LEN).map(|i| (i * 7 % 253) as u8).collect();
+
+        let mut data = plaintext.clone();
+        let tag = cipher.seal_in_place(&nonce, b"welcome", &mut data);
+        let sealed = data.clone();
+        assert_ne!(sealed, plaintext);
+
+        for chunk in 0..LEN / CHUNK {
+            let at = chunk * CHUNK + (chunk * 37) % CHUNK;
+            data[at] ^= 1 << (chunk % 8);
+            let tampered = data.clone();
+            assert_eq!(
+                cipher.open_in_place(&nonce, b"welcome", &mut data, &tag),
+                Err(CryptoError::TagMismatch),
+                "flip at byte {at}"
+            );
+            assert!(data == tampered, "buffer touched after a refusal at {at}");
+            data[at] = sealed[at];
+        }
+
+        cipher
+            .open_in_place(&nonce, b"welcome", &mut data, &tag)
+            .unwrap();
+        assert!(data == plaintext);
+    }
+
     #[test]
     fn roundtrip_various_lengths() {
         let cipher = ChaCha20Poly1305::new(&[9; 32]);

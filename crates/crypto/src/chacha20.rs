@@ -2,6 +2,49 @@
 //!
 //! The concrete cipher behind the paper's `{X}_K` encryption. Validated
 //! against the RFC 8439 §2.3.2/§2.4.2 test vectors.
+//!
+//! # One kernel source, one selection
+//!
+//! [`block`] and the scalar path of [`xor_in_place`] compute one 64-byte
+//! block at a time. They serve every message under 512 bytes (a broadcast
+//! payload, a journal record, a tree cipher, the Poly1305 key, the tree
+//! key schedule), the tail of every longer one, and every CPU without the
+//! features below.
+//!
+//! The lane kernel, `xor_lanes::<L>`, computes `L` consecutive blocks side
+//! by side in the *vertical* layout: each of the sixteen state words is an
+//! `[u32; L]`, lane `l` belonging to block `counter + l`, and a
+//! quarter-round is the scalar quarter-round applied to every lane. It is
+//! safe, generic Rust with no intrinsics, so it compiles for any target
+//! and the tests call it directly; built for the baseline `x86_64` target
+//! it is no faster than the scalar path (eight lanes are sixteen 128-bit
+//! halves and most of them spill), which is why it is not used there.
+//! `xor_lanes_avx2` is that same source instantiated at eight lanes inside
+//! a `#[target_feature(enable = "avx2")]` function, where each lane-wise
+//! operation becomes one 256-bit instruction; `xor_lanes_avx512` is it at
+//! sixteen lanes under `avx512f`. [`xor_in_place`] hands the whole
+//! 1024-byte chunks of a message to the second and the whole 512-byte
+//! chunk that may be left to the first, each only where
+//! `is_x86_feature_detected!` finds its feature ([`lanes`] reports the
+//! widest). The output is byte for byte the scalar path's: the choice
+//! depends on the CPU and the message length and on nothing a caller, a
+//! build flag or the environment can set.
+//!
+//! Every path is constant-time in the key, the nonce and the data: they
+//! consist of 32-bit additions, XORs and rotations by fixed amounts, and
+//! no branch or memory index depends on anything but the message length.
+//!
+//! # The one `unsafe` block
+//!
+//! Calling a `#[target_feature]` function from code compiled without the
+//! feature is `unsafe`, because executing AVX2 or AVX-512 instructions on
+//! a CPU that lacks them is undefined behaviour. The call in `xor_wide` is
+//! the only `unsafe` block in the workspace's crates. Its whole safety
+//! condition is that a kernel runs only where the feature it was compiled
+//! for was detected, and `kernels()`, a few lines above it, is the one
+//! table that pairs the two. On any architecture but `x86_64` the table is
+//! empty, the two `#[target_feature]` functions are compiled out and every
+//! message takes the scalar path.
 
 /// The ChaCha20 key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -77,15 +120,76 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// Keystream blocks generated per batch on the bulk path.
-const BATCH: usize = 4;
+/// The narrowest lane kernel's chunk, and so the shortest message any of
+/// them is tried on: eight blocks.
+const WIDE_MIN: usize = 8 * BLOCK_LEN;
+
+/// A lane kernel compiled for one CPU feature. The type is `unsafe fn`
+/// because that is the only kind of pointer a `#[target_feature]` function
+/// coerces to: it may be called only where its feature has been detected.
+type Kernel = unsafe fn(&mut [u32; 16], &mut [u8]);
+
+/// The lane kernels this build has, widest first: whether this CPU has
+/// the feature the kernel was compiled for, the kernel's lane count, and
+/// the kernel. This table is the one place that pairs a kernel with the
+/// detection that makes calling it sound.
+#[cfg(target_arch = "x86_64")]
+fn kernels() -> [(bool, usize, Kernel); 2] {
+    [
+        (
+            std::arch::is_x86_feature_detected!("avx512f"),
+            16,
+            xor_lanes_avx512,
+        ),
+        (
+            std::arch::is_x86_feature_detected!("avx2"),
+            8,
+            xor_lanes_avx2,
+        ),
+    ]
+}
+
+/// No lane kernel is compiled for this architecture yet.
+#[cfg(not(target_arch = "x86_64"))]
+fn kernels() -> [(bool, usize, Kernel); 0] {
+    []
+}
+
+/// [`xor_lanes`] at sixteen lanes, compiled with AVX-512F switched on so
+/// each lane-wise operation is one 512-bit instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn xor_lanes_avx512(state: &mut [u32; 16], data: &mut [u8]) {
+    xor_lanes::<16>(state, data);
+}
+
+/// [`xor_lanes`] at eight lanes, compiled with AVX2 switched on so each
+/// lane-wise operation is one 256-bit instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn xor_lanes_avx2(state: &mut [u32; 16], data: &mut [u8]) {
+    xor_lanes::<8>(state, data);
+}
+
+/// The most blocks [`xor_in_place`] computes side by side on this CPU for
+/// a message long enough to fill them: 16 where AVX-512F is detected, 8
+/// where AVX2 is, 1 (the scalar path) everywhere else. It reads the table
+/// the dispatch walks and nothing else, so it is also what an operator is
+/// shown.
+#[must_use]
+pub fn lanes() -> usize {
+    kernels()
+        .into_iter()
+        .find(|(detected, ..)| *detected)
+        .map_or(1, |(_, lanes, _)| lanes)
+}
 
 /// Encrypts or decrypts `data` in place with the keystream starting at block
 /// `counter` (the operation is its own inverse).
 ///
-/// The 16-word initial state is built once — only word 12 (the block
-/// counter) changes between blocks — and the bulk of the message is
-/// processed four keystream blocks per loop iteration.
+/// From 512 bytes up, whole chunks go through the widest lane kernel this
+/// CPU has, what is left through the next, and the tail, like every
+/// shorter message, through the scalar path one block at a time.
 ///
 /// # Panics
 ///
@@ -99,33 +203,122 @@ pub fn xor_in_place(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], 
         "chacha20 block counter overflow"
     );
     let mut state = initial_state(key, counter, nonce);
-    let mut ctr = counter;
+    let wide = if data.len() >= WIDE_MIN {
+        xor_wide(&mut state, data)
+    } else {
+        0
+    };
+    xor_scalar(&mut state, &mut data[wide..]);
+}
 
-    let mut batches = data.chunks_exact_mut(BLOCK_LEN * BATCH);
-    let mut keystream = [0u8; BLOCK_LEN * BATCH];
-    for batch in &mut batches {
-        for b in 0..BATCH {
-            state[12] = ctr.wrapping_add(b as u32);
-            let out: &mut [u8; BLOCK_LEN] = (&mut keystream[b * BLOCK_LEN..(b + 1) * BLOCK_LEN])
-                .try_into()
-                .expect("batch slot is one block");
-            permute_into(&state, out);
-        }
-        ctr = ctr.wrapping_add(BATCH as u32);
-        for (d, k) in batch.iter_mut().zip(keystream.iter()) {
+/// The scalar path: XORs the keystream from `state`'s block counter on
+/// into `data`, one block per iteration, and leaves the counter on the
+/// next unused block.
+fn xor_scalar(state: &mut [u32; 16], data: &mut [u8]) {
+    let mut keystream = [0u8; BLOCK_LEN];
+    for chunk in data.chunks_mut(BLOCK_LEN) {
+        permute_into(state, &mut keystream);
+        state[12] = state[12].wrapping_add(1);
+        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
             *d ^= k;
         }
     }
+}
 
-    let mut ks = [0u8; BLOCK_LEN];
-    for chunk in batches.into_remainder().chunks_mut(BLOCK_LEN) {
-        state[12] = ctr;
-        ctr = ctr.wrapping_add(1);
-        permute_into(&state, &mut ks);
-        for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-            *d ^= k;
+/// The run-time dispatch: runs each lane kernel this CPU has, widest
+/// first, over the whole chunks of its size at the front of what is left
+/// of `data`, and returns how many bytes that covered (0 where there is no
+/// kernel for this CPU).
+#[allow(unsafe_code)]
+fn xor_wide(state: &mut [u32; 16], data: &mut [u8]) -> usize {
+    let mut done = 0;
+    for (detected, lanes, kernel) in kernels() {
+        let rest = &mut data[done..];
+        let whole = rest.len() - rest.len() % (lanes * BLOCK_LEN);
+        if detected && whole > 0 {
+            // SAFETY: every kernel in `kernels()` is a safe function whose
+            // only requirement is the CPU feature it was compiled for
+            // (`avx512f` or `avx2`), and `detected` is what
+            // `is_x86_feature_detected!` said about that very feature on
+            // this CPU.
+            unsafe { kernel(state, &mut rest[..whole]) };
+            done += whole;
         }
     }
+    done
+}
+
+/// One word of the state across `L` blocks.
+type Lanes<const L: usize> = [u32; L];
+
+#[inline(always)]
+fn add<const L: usize>(a: Lanes<L>, b: Lanes<L>) -> Lanes<L> {
+    core::array::from_fn(|l| a[l].wrapping_add(b[l]))
+}
+
+#[inline(always)]
+fn xor_rotl<const L: usize>(a: Lanes<L>, b: Lanes<L>, n: u32) -> Lanes<L> {
+    core::array::from_fn(|l| (a[l] ^ b[l]).rotate_left(n))
+}
+
+#[inline(always)]
+fn lane_quarter_round<const L: usize>(
+    x: &mut [Lanes<L>; 16],
+    a: usize,
+    b: usize,
+    c: usize,
+    d: usize,
+) {
+    x[a] = add(x[a], x[b]);
+    x[d] = xor_rotl(x[d], x[a], 16);
+    x[c] = add(x[c], x[d]);
+    x[b] = xor_rotl(x[b], x[c], 12);
+    x[a] = add(x[a], x[b]);
+    x[d] = xor_rotl(x[d], x[a], 8);
+    x[c] = add(x[c], x[d]);
+    x[b] = xor_rotl(x[b], x[c], 7);
+}
+
+/// The lane kernel: XORs the keystream from `state`'s block counter on
+/// into `data`, `L` blocks per iteration, and leaves the counter on the
+/// next unused block. `data` must be whole chunks of `L` blocks.
+///
+/// The layout is vertical: each of the sixteen state words is held as
+/// `L` lanes, lane `l` belonging to block `counter + l`, so a quarter-round
+/// is the scalar one applied lane by lane and no lane ever reads another.
+// Off `x86_64` nothing but the tests instantiates it yet.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn xor_lanes<const L: usize>(state: &mut [u32; 16], data: &mut [u8]) {
+    assert_eq!(data.len() % (L * BLOCK_LEN), 0, "whole chunks only");
+    let mut initial: [Lanes<L>; 16] = state.map(|word| [word; L]);
+    initial[12] = core::array::from_fn(|l| state[12].wrapping_add(l as u32));
+    for chunk in data.chunks_exact_mut(L * BLOCK_LEN) {
+        let mut x = initial;
+        for _ in 0..10 {
+            // Column rounds.
+            lane_quarter_round(&mut x, 0, 4, 8, 12);
+            lane_quarter_round(&mut x, 1, 5, 9, 13);
+            lane_quarter_round(&mut x, 2, 6, 10, 14);
+            lane_quarter_round(&mut x, 3, 7, 11, 15);
+            // Diagonal rounds.
+            lane_quarter_round(&mut x, 0, 5, 10, 15);
+            lane_quarter_round(&mut x, 1, 6, 11, 12);
+            lane_quarter_round(&mut x, 2, 7, 8, 13);
+            lane_quarter_round(&mut x, 3, 4, 9, 14);
+        }
+        for (word, first) in x.iter_mut().zip(initial.iter()) {
+            *word = add(*word, *first);
+        }
+        for (l, block) in chunk.chunks_exact_mut(BLOCK_LEN).enumerate() {
+            for (bytes, word) in block.chunks_exact_mut(4).zip(x.iter()) {
+                let keyed = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) ^ word[l];
+                bytes.copy_from_slice(&keyed.to_le_bytes());
+            }
+        }
+        initial[12] = add(initial[12], [L as u32; L]);
+    }
+    state[12] = initial[12][0];
 }
 
 /// Encrypts `plaintext`, returning a fresh ciphertext vector.
@@ -249,17 +442,16 @@ mod tests {
 
 #[cfg(test)]
 mod multiblock_vectors {
-    //! Multi-block keystream vectors locking in the batched
-    //! (four-blocks-per-iteration, hoisted-initial-state) refactor of
-    //! [`xor_in_place`].
+    //! Multi-block keystream vectors for [`xor_in_place`], written when its
+    //! bulk path first computed more than one block per iteration.
     //!
     //! Inputs for the first vector follow RFC 8439 A.2 #2 (key
     //! `00..0001`, nonce `00..0002`, initial counter 1); the expected
     //! ciphertexts were produced by the scalar one-block-at-a-time
     //! implementation that the RFC 8439 §2.3.2/§2.4.2 vectors validate.
-    //! Each vector exercises a shape the batched path must get right:
-    //! a 4-block batch plus a partial tail, an exact block multiple with
-    //! a counter near wrap, and a tail that is itself several blocks.
+    //! Each vector exercises a shape a multi-block path must get right:
+    //! whole blocks plus a partial tail, an exact block multiple with a
+    //! counter near wrap, and a tail that is itself several blocks.
 
     use super::tests::unhex;
     use super::*;
@@ -359,6 +551,164 @@ mod multiblock_vectors {
                 }
                 assert_eq!(fast, slow, "counter={counter} len={len}");
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod lane_kernel {
+    //! The dispatch, the scalar path and the lane kernel agree byte for
+    //! byte. `xor_lanes::<8>` and `::<16>` are called directly, as the
+    //! baseline builds of the very source `xor_lanes_avx2` and
+    //! `xor_lanes_avx512` instantiate, so these tests pin every path
+    //! whatever CPU runs them.
+
+    use super::*;
+
+    const KEY: [u8; KEY_LEN] = [
+        0x1c, 0x92, 0x40, 0xa5, 0xeb, 0x55, 0xd3, 0x8a, 0xf3, 0x33, 0x88, 0x86, 0x04, 0xf6, 0xb5,
+        0xf0, 0x47, 0x39, 0x17, 0xc1, 0x40, 0x2b, 0x80, 0x09, 0x9d, 0xca, 0x5c, 0xbc, 0x20, 0x70,
+        0x75, 0xc0,
+    ];
+    const NONCE: [u8; NONCE_LEN] = [0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8];
+
+    /// The eight-lane kernel's chunk.
+    const CHUNK: usize = 8 * BLOCK_LEN;
+
+    fn message(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 % 251) as u8).collect()
+    }
+
+    fn scalar(counter: u32, data: &mut [u8]) {
+        xor_scalar(&mut initial_state(&KEY, counter, &NONCE), data);
+    }
+
+    /// What the dispatch does on a CPU with kernels of these widths (widest
+    /// first), from their baseline builds: each takes the whole chunks of
+    /// its size from what is left, the scalar path takes the tail, and one
+    /// block counter runs through all of them.
+    fn kernels_then_scalar(widths: &[usize], counter: u32, data: &mut [u8]) {
+        let mut state = initial_state(&KEY, counter, &NONCE);
+        let mut done = 0;
+        for &lanes in widths {
+            let rest = &mut data[done..];
+            let whole = rest.len() - rest.len() % (lanes * BLOCK_LEN);
+            match lanes {
+                1 => xor_lanes::<1>(&mut state, &mut rest[..whole]),
+                2 => xor_lanes::<2>(&mut state, &mut rest[..whole]),
+                4 => xor_lanes::<4>(&mut state, &mut rest[..whole]),
+                8 => xor_lanes::<8>(&mut state, &mut rest[..whole]),
+                16 => xor_lanes::<16>(&mut state, &mut rest[..whole]),
+                other => panic!("no test instantiation at {other} lanes"),
+            }
+            done += whole;
+        }
+        xor_scalar(&mut state, &mut data[done..]);
+    }
+
+    /// Scalar only, AVX2 only, AVX-512 and AVX2, and whatever this CPU
+    /// dispatches to: one ciphertext.
+    fn assert_every_path_agrees(counter: u32, len: usize) {
+        let plain = message(len);
+        let mut by_scalar = plain.clone();
+        scalar(counter, &mut by_scalar);
+        for widths in [&[8][..], &[16, 8]] {
+            let mut by_kernels = plain.clone();
+            kernels_then_scalar(widths, counter, &mut by_kernels);
+            assert!(
+                by_kernels == by_scalar,
+                "lanes {widths:?} != scalar: counter={counter} len={len}"
+            );
+        }
+        let mut dispatched = plain;
+        xor_in_place(&KEY, counter, &NONCE, &mut dispatched);
+        assert!(
+            dispatched == by_scalar,
+            "dispatch != scalar: counter={counter} len={len}"
+        );
+    }
+
+    #[test]
+    fn dispatch_scalar_and_lanes_agree_at_every_length() {
+        // 20 655 is the Welcome body of the benchmark's largest roster.
+        let lengths = (0..=2600usize).chain([4096, 10_240, 20_655]);
+        for len in lengths {
+            for counter in [0, 1, u32::MAX - 40] {
+                let fits = u64::from(counter) + len.div_ceil(BLOCK_LEN) as u64 <= 1 << 32;
+                if fits {
+                    assert_every_path_agrees(counter, len);
+                }
+            }
+        }
+    }
+
+    /// One byte either side of one eight-lane chunk, of two (one
+    /// sixteen-lane chunk) and of three (one of each): the last message
+    /// the scalar path takes alone, the first a kernel takes whole, the
+    /// first with a scalar tail, and the hand-over between kernels.
+    #[test]
+    fn chunk_boundaries() {
+        assert_eq!((WIDE_MIN, CHUNK), (512, 512));
+        for len in [511, 512, 513, 1023, 1024, 1025, 1535, 1536, 1537] {
+            for counter in [0, 1, 7, u32::MAX - 24] {
+                assert_every_path_agrees(counter, len);
+            }
+        }
+    }
+
+    /// The kernel leaves the counter on the next unused block, so a caller
+    /// can go on from where it stopped; and the last block before the
+    /// 32-bit counter would wrap is reachable through it.
+    #[test]
+    fn kernel_advances_the_counter_and_reaches_the_last_block() {
+        let mut state = initial_state(&KEY, u32::MAX - 7, &NONCE);
+        let mut data = message(CHUNK);
+        xor_lanes::<8>(&mut state, &mut data);
+        assert_eq!(state[12], 0, "eight blocks from 2^32 - 8 end on the wrap");
+        let mut expected = message(CHUNK);
+        scalar(u32::MAX - 7, &mut expected);
+        assert_eq!(data, expected);
+    }
+
+    /// The kernel is one function of its width: any lane count gives the
+    /// scalar keystream.
+    #[test]
+    fn any_lane_count_gives_the_scalar_keystream() {
+        let mut expected = message(2048 + 100);
+        scalar(3, &mut expected);
+        for lanes in [1, 2, 4, 8, 16] {
+            let mut data = message(2048 + 100);
+            kernels_then_scalar(&[lanes], 3, &mut data);
+            assert!(data == expected, "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "counter overflow")]
+    fn counter_overflow_panics_on_the_wide_path() {
+        // Two chunks are sixteen blocks; fifteen are left.
+        let mut data = vec![0u8; 2 * CHUNK];
+        xor_in_place(&KEY, u32::MAX - 14, &NONCE, &mut data);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole chunks only")]
+    fn kernel_refuses_a_partial_chunk() {
+        let mut state = initial_state(&KEY, 0, &NONCE);
+        xor_lanes::<8>(&mut state, &mut [0u8; CHUNK + BLOCK_LEN]);
+    }
+
+    /// `lanes()` is the widest kernel the dispatch will run; with or
+    /// without a wider one, three eight-lane chunks and five bytes leave
+    /// five bytes and 24 blocks behind, or everything on a scalar-only CPU.
+    #[test]
+    fn lanes_reports_the_path_the_dispatch_takes() {
+        let mut state = initial_state(&KEY, 0, &NONCE);
+        let taken = xor_wide(&mut state, &mut [0u8; 3 * CHUNK + 5]);
+        match lanes() {
+            1 => assert_eq!((taken, state[12]), (0, 0)),
+            8 | 16 => assert_eq!((taken, state[12]), (3 * CHUNK, 24)),
+            other => panic!("no kernel has {other} lanes"),
         }
     }
 }

@@ -232,11 +232,16 @@ impl OutFrame {
 
 /// Frame-reassembly state: a length prefix then a payload, filled across
 /// arbitrary read boundaries.
+///
+/// The prefix is a claim by a peer that may have proved nothing yet, so
+/// it sizes no allocation beyond one scratch read: `body` holds the bytes
+/// that have arrived and grows with them.
 struct ReadState {
     hdr: [u8; 4],
     hdr_got: usize,
+    /// The body length the completed prefix claims.
+    body_len: usize,
     body: Vec<u8>,
-    body_got: usize,
 }
 
 impl ReadState {
@@ -244,8 +249,8 @@ impl ReadState {
         ReadState {
             hdr: [0; 4],
             hdr_got: 0,
+            body_len: 0,
             body: Vec::new(),
-            body_got: 0,
         }
     }
 }
@@ -1014,7 +1019,13 @@ fn read_conn(
         match conn.stream.read(scratch) {
             Ok(0) => return false, // EOF
             Ok(n) => {
-                if !feed_read(obs, conn, token, &scratch[..n]) {
+                let alive = feed_read(obs, &mut conn.read, &scratch[..n], |frame| {
+                    match &conn.delivery {
+                        Delivery::Channel(tx) => tx.send(frame).is_ok(),
+                        Delivery::Events(tx) => tx.send(MuxEvent::Frame { token, frame }).is_ok(),
+                    }
+                });
+                if !alive {
                     return false;
                 }
                 if n < scratch.len() {
@@ -1029,12 +1040,16 @@ fn read_conn(
     true // fairness bound hit; level-triggered poll re-reports the rest
 }
 
-/// Feeds raw bytes through the frame-reassembly state machine,
-/// delivering every completed frame. Returns `false` on a framing
-/// violation or a dead consumer.
-fn feed_read(obs: &MuxObs, conn: &mut Conn, token: MuxToken, mut buf: &[u8]) -> bool {
+/// Feeds raw bytes through the frame-reassembly state machine, handing
+/// every completed frame to `deliver`. Returns `false` on a framing
+/// violation or when `deliver` reports a dead consumer.
+fn feed_read(
+    obs: &MuxObs,
+    read: &mut ReadState,
+    mut buf: &[u8],
+    mut deliver: impl FnMut(Frame) -> bool,
+) -> bool {
     loop {
-        let read = &mut conn.read;
         if read.hdr_got < 4 {
             if buf.is_empty() {
                 return true;
@@ -1052,26 +1067,19 @@ fn feed_read(obs: &MuxObs, conn: &mut Conn, token: MuxToken, mut buf: &[u8]) -> 
                 obs.oversize_frames.inc();
                 return false;
             }
-            read.body = vec![0u8; len];
-            read.body_got = 0;
+            read.body_len = len;
+            read.body.reserve(len.min(SCRATCH_LEN));
         }
-        let need = read.body.len() - read.body_got;
-        let take = need.min(buf.len());
-        read.body[read.body_got..read.body_got + take].copy_from_slice(&buf[..take]);
-        read.body_got += take;
+        let take = (read.body_len - read.body.len()).min(buf.len());
+        read.body.extend_from_slice(&buf[..take]);
         buf = &buf[take..];
-        if read.body_got < read.body.len() {
+        if read.body.len() < read.body_len {
             return true; // body incomplete; buf exhausted
         }
         let frame: Frame = std::mem::take(&mut read.body).into();
         read.hdr_got = 0;
-        read.body_got = 0;
         obs.frames_in.inc();
-        let alive = match &conn.delivery {
-            Delivery::Channel(tx) => tx.send(frame).is_ok(),
-            Delivery::Events(tx) => tx.send(MuxEvent::Frame { token, frame }).is_ok(),
-        };
-        if !alive {
+        if !deliver(frame) {
             return false;
         }
     }
@@ -1092,6 +1100,60 @@ mod tests {
             probe_poller: probe,
             ..MuxConfig::default()
         })
+    }
+
+    /// ROADMAP item 3's pre-authentication memory bound: a length prefix
+    /// is a claim from a peer that has proved nothing, so 64 connections
+    /// that each claim 1 MiB and then send one byte pin at most one scratch
+    /// read apiece (they used to pin 64 MiB) — and a claim that is then
+    /// honoured, in pieces that straddle every growth step, still arrives
+    /// as one intact frame.
+    #[test]
+    fn a_claimed_length_reserves_no_more_than_one_scratch_read() {
+        let obs = MuxObs::new(&Registry::new());
+        let claim = (MAX_FRAME_LEN as u32).to_be_bytes();
+        let mut conns: Vec<ReadState> = (0..64).map(|_| ReadState::new()).collect();
+        for read in &mut conns {
+            assert!(feed_read(&obs, read, &claim, |_| panic!("no frame yet")));
+            assert!(feed_read(&obs, read, &[0xab], |_| panic!("no frame yet")));
+        }
+        let pinned: usize = conns.iter().map(|read| read.body.capacity()).sum();
+        assert!(
+            pinned <= 64 * SCRATCH_LEN,
+            "{pinned} bytes reserved for 64 bytes received"
+        );
+
+        let rest: Vec<u8> = (1..MAX_FRAME_LEN).map(|i| (i % 251) as u8).collect();
+        let mut frames = Vec::new();
+        for piece in rest.chunks(SCRATCH_LEN - 7) {
+            assert!(feed_read(&obs, &mut conns[0], piece, |frame| {
+                frames.push(frame);
+                true
+            }));
+        }
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].len(), MAX_FRAME_LEN);
+        assert_eq!(frames[0][0], 0xab);
+        assert!(frames[0][1..] == rest[..]);
+        assert_eq!(obs.frames_in.get(), 1);
+
+        // The state is back at a header boundary: a small frame follows,
+        // and an oversize claim is still refused before any reservation.
+        assert!(feed_read(
+            &obs,
+            &mut conns[0],
+            &[0, 0, 0, 2, 7, 9],
+            |frame| {
+                frames.push(frame);
+                true
+            }
+        ));
+        assert_eq!(&frames[1][..], &[7, 9]);
+        let oversize = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        let mut fresh = ReadState::new();
+        assert!(!feed_read(&obs, &mut fresh, &oversize, |_| true));
+        assert_eq!(fresh.body.capacity(), 0);
+        assert_eq!(obs.oversize_frames.get(), 1);
     }
 
     /// One accepted/connected pair on a fresh net.

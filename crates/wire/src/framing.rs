@@ -11,6 +11,10 @@ use std::io::{Read, Write};
 /// ends before any allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
+/// The most [`read_frame`] reserves on the strength of a length prefix
+/// alone; beyond it the buffer grows with the bytes that arrive.
+const FIRST_RESERVATION: usize = 64 * 1024;
+
 /// Writes one frame to `w`. A `&mut W` also works since `Write` is
 /// implemented for mutable references.
 ///
@@ -32,6 +36,10 @@ pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> Result<(), WireError> 
 /// Reads one frame from `r`. A `&mut R` also works since `Read` is
 /// implemented for mutable references.
 ///
+/// The length prefix is a claim by a peer that may have proved nothing,
+/// so it sizes no allocation beyond 64 KiB: a sender that claims 1 MiB
+/// and then stalls pins what it sent, not what it claimed.
+///
 /// # Errors
 ///
 /// [`WireError::FrameTooLarge`] if the header promises more than
@@ -44,8 +52,14 @@ pub fn read_frame<R: Read>(mut r: R) -> Result<Vec<u8>, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge);
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|_| WireError::Io)?;
+    let mut payload = Vec::with_capacity(len.min(FIRST_RESERVATION));
+    let got = r
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|_| WireError::Io)?;
+    if got < len {
+        return Err(WireError::Io); // closed mid-frame
+    }
     Ok(payload)
 }
 
@@ -98,6 +112,34 @@ mod tests {
         buf.extend_from_slice(&10u32.to_be_bytes());
         buf.extend_from_slice(b"abc");
         assert_eq!(read_frame(Cursor::new(&buf)), Err(WireError::Io));
+    }
+
+    /// A reader that hands out its bytes `step` at a time.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// 200 kB is past the first reservation, so the buffer grows while the
+    /// frame arrives, whatever the size of the reads.
+    #[test]
+    fn frame_is_reassembled_across_arbitrary_read_boundaries() {
+        let payload: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        for step in [1usize << 16, 4097, 7] {
+            let got = read_frame(Trickle { bytes: &buf, step }).unwrap();
+            assert!(got == payload, "step {step}");
+        }
     }
 
     #[test]

@@ -83,9 +83,10 @@ fn run_leader(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     let acceptor = TcpAcceptor::bind(listen.parse()?)?;
     println!(
-        "leader listening on {} ({} registered users)",
+        "leader listening on {} ({} registered users, chacha20 lanes: {})",
         acceptor.local_addr(),
-        directory.len()
+        directory.len(),
+        enclaves_crypto::chacha20::lanes()
     );
     let leader = LeaderRuntime::spawn(
         Box::new(acceptor),
