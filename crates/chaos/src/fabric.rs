@@ -2,14 +2,13 @@
 //! runs on, with two implementations — the in-process simulator (full
 //! fault matrix: drops, duplicates, reorders, corruption, delay,
 //! asymmetric partitions, kills) and real TCP sockets behind an
-//! adversarial proxy (transport parity: the oracle must pass on the real
-//! transport too, not just the simulator).
+//! adversarial proxy (transport parity: the oracle must pass on the
+//! readiness loop every real-socket leader runs, not just the simulator).
 
 use crate::schedule::Schedule;
-use enclaves_core::runtime::Reconnector;
-use enclaves_net::sim::{Direction, SimConfig, SimListener, SimNet, SimStats};
-use enclaves_net::tcp::{TcpAcceptor, TcpLink};
-use enclaves_net::{Link, NetError};
+use enclaves_core::runtime::{LeaderService, Reconnector, ServiceConfig};
+use enclaves_net::sim::{Direction, SimConfig, SimNet, SimStats};
+use enclaves_net::{Link, MuxConfig, MuxEndpoint, MuxNet, NetError};
 use enclaves_wire::framing::{read_frame, write_frame};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -19,9 +18,18 @@ use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// A network a chaos schedule can be executed against.
 pub trait Fabric {
+    /// Starts the leader service on this fabric's own front end: the
+    /// simulator's listener, or the readiness loop behind the proxy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fabric already started one.
+    fn spawn_service(&mut self, config: ServiceConfig) -> LeaderService;
+
     /// Opens a fresh connection from `name` toward the leader.
     ///
     /// # Errors
@@ -89,36 +97,32 @@ pub struct SimFabric {
 }
 
 impl SimFabric {
-    /// Builds a simulator fabric carrying `config` faults and returns it
-    /// with the leader's listener.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator refuses the listener (fresh net: it won't).
+    /// Builds a simulator fabric carrying `config` faults. The leader
+    /// listens on it as `"leader"`.
     #[must_use]
-    pub fn new(config: SimConfig) -> (Self, SimListener) {
-        let net = SimNet::new(config);
-        let listener = net.listen("leader").expect("fresh SimNet");
-        (
-            SimFabric {
-                net,
-                seed: config.seed,
-                conns: Arc::new(Mutex::new(HashMap::new())),
-                downed: Arc::new(Mutex::new(HashSet::new())),
-            },
-            listener,
-        )
+    pub fn new(config: SimConfig) -> Self {
+        SimFabric {
+            net: SimNet::new(config),
+            seed: config.seed,
+            conns: Arc::new(Mutex::new(HashMap::new())),
+            downed: Arc::new(Mutex::new(HashSet::new())),
+        }
     }
 
     /// A fabric for `schedule` with the full probabilistic fault matrix
     /// seeded from the schedule's seed.
     #[must_use]
-    pub fn chaotic(schedule: &Schedule) -> (Self, SimListener) {
+    pub fn chaotic(schedule: &Schedule) -> Self {
         Self::new(SimConfig::chaotic(schedule.seed))
     }
 }
 
 impl Fabric for SimFabric {
+    fn spawn_service(&mut self, config: ServiceConfig) -> LeaderService {
+        let listener = self.net.listen("leader").expect("one leader per fabric");
+        LeaderService::spawn(Box::new(listener), config)
+    }
+
     fn connect(&mut self, name: &str) -> Result<Box<dyn Link>, NetError> {
         let link = self.net.connect(name, "leader")?;
         self.conns.lock().insert(name.to_string(), link.conn_id());
@@ -208,43 +212,60 @@ struct ProxyShared {
     /// connection (the driver serializes connects, so FIFO matching is
     /// exact).
     pending: Mutex<VecDeque<String>>,
-    /// Live socket pairs per member name, for [`Fabric::kill`].
+    /// Every socket pair the proxy has relayed, per member name (a
+    /// reconnect adds its pair), for [`Fabric::kill`] and for the drop.
     socks: Mutex<HashMap<String, Vec<TcpStream>>>,
+    /// Set when the fabric is dropped: the acceptor relays no more.
+    stop: AtomicBool,
+    /// The relay threads, joined when the fabric is dropped.
+    pumps: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// Real TCP through a fault-injecting man-in-the-middle: each member
-/// connection is terminated at the proxy, which re-frames it to the real
-/// leader socket while dropping or duplicating whole frames under a
-/// seeded RNG. Partitions are not supported (a TCP byte stream cannot
-/// half-vanish without killing the connection); kills are.
+/// connection is terminated at the proxy, which re-frames it to the
+/// leader's readiness loop ([`LeaderService::spawn_mux`]) while dropping
+/// or duplicating whole frames under a seeded RNG. Members dial from a
+/// second readiness loop. Partitions are not supported (a TCP byte stream
+/// cannot half-vanish without killing the connection); kills are.
+///
+/// Dropping the fabric stops the proxy's threads and both loops, so
+/// shut the service down first.
 pub struct TcpProxyFabric {
     shared: Arc<ProxyShared>,
     proxy_addr: SocketAddr,
+    acceptor: Option<JoinHandle<()>>,
+    /// The leader's loop, and its listener until the service takes it.
+    leader_net: MuxNet,
+    endpoint: Option<MuxEndpoint>,
+    /// The loop every member link lives on.
+    member_net: MuxNet,
 }
 
 impl TcpProxyFabric {
-    /// Binds the real leader acceptor and the proxy in front of it,
-    /// returning the fabric and the listener to spawn the leader on.
-    /// `seed` drives the proxy's fault decisions; `drop_prob` /
+    /// Binds the leader's readiness-loop listener and the proxy in front
+    /// of it. `seed` drives the proxy's fault decisions; `drop_prob` /
     /// `duplicate_prob` are per relayed frame.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn new(
-        seed: u64,
-        drop_prob: f64,
-        duplicate_prob: f64,
-    ) -> Result<(Self, TcpAcceptor), NetError> {
+    pub fn new(seed: u64, drop_prob: f64, duplicate_prob: f64) -> Result<Self, NetError> {
         let ephemeral: SocketAddr = "127.0.0.1:0".parse().expect("literal addr");
-        let acceptor = TcpAcceptor::bind(ephemeral)?;
-        let leader_addr = acceptor.local_addr();
-
         let proxy_listener = std::net::TcpListener::bind(ephemeral)
             .map_err(|e| NetError::AcceptFailed(e.to_string()))?;
         let proxy_addr = proxy_listener
             .local_addr()
             .map_err(|e| NetError::AcceptFailed(e.to_string()))?;
+
+        let leader_net = MuxNet::spawn(MuxConfig::default());
+        let endpoint = match leader_net.listen_events(ephemeral, 1) {
+            Ok(endpoint) => endpoint,
+            Err(e) => {
+                leader_net.shutdown();
+                return Err(e);
+            }
+        };
+        let leader_addr = endpoint.local_addr();
 
         let shared = Arc::new(ProxyShared {
             rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x7C9_F417)),
@@ -253,16 +274,20 @@ impl TcpProxyFabric {
             duplicate_prob,
             pending: Mutex::new(VecDeque::new()),
             socks: Mutex::new(HashMap::new()),
+            stop: AtomicBool::new(false),
+            pumps: Mutex::new(Vec::new()),
         });
 
         let accept_shared = Arc::clone(&shared);
-        std::thread::Builder::new()
+        let acceptor = std::thread::Builder::new()
             .name("chaos-tcp-proxy".into())
             .spawn(move || {
-                // The proxy lives as long as connections keep coming; it
-                // leaks with the test process when the run ends (accept
-                // blocks forever) — acceptable for test support.
+                // Blocks in `accept` until the next member connects, or
+                // until the fabric's drop sets `stop` and connects once.
                 for stream in proxy_listener.incoming() {
+                    if accept_shared.stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let Ok(member_side) = stream else { continue };
                     let Ok(leader_side) = TcpStream::connect(leader_addr) else {
                         continue;
@@ -272,44 +297,80 @@ impl TcpProxyFabric {
                         .lock()
                         .pop_front()
                         .unwrap_or_else(|| "?".to_string());
-                    let handles: Vec<TcpStream> = [&member_side, &leader_side]
-                        .iter()
-                        .filter_map(|s| s.try_clone().ok())
-                        .collect();
-                    accept_shared.socks.lock().insert(name, handles);
-                    spawn_pump(&accept_shared, &member_side, &leader_side, true);
-                    spawn_pump(&accept_shared, &leader_side, &member_side, false);
+                    let handles = [&member_side, &leader_side]
+                        .into_iter()
+                        .filter_map(|s| s.try_clone().ok());
+                    accept_shared
+                        .socks
+                        .lock()
+                        .entry(name)
+                        .or_default()
+                        .extend(handles);
+                    spawn_pump(&accept_shared, &member_side, &leader_side);
+                    spawn_pump(&accept_shared, &leader_side, &member_side);
                 }
             })
             .expect("spawn proxy acceptor");
 
-        Ok((TcpProxyFabric { shared, proxy_addr }, acceptor))
+        Ok(TcpProxyFabric {
+            shared,
+            proxy_addr,
+            acceptor: Some(acceptor),
+            leader_net,
+            endpoint: Some(endpoint),
+            member_net: MuxNet::spawn(MuxConfig::default()),
+        })
+    }
+}
+
+impl Drop for TcpProxyFabric {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        // Wake the acceptor out of `accept` so it sees the flag.
+        let _ = TcpStream::connect(self.proxy_addr);
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        // No pair can be added now: end every relay.
+        for sock in self
+            .shared
+            .socks
+            .lock()
+            .drain()
+            .flat_map(|(_, socks)| socks)
+        {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+        for pump in self.shared.pumps.lock().drain(..) {
+            let _ = pump.join();
+        }
+        self.member_net.shutdown();
+        self.leader_net.shutdown();
     }
 }
 
 /// Relays length-prefixed frames from `src` to `dst`, applying the
-/// proxy's drop/duplicate faults. Faults only hit the member→leader
-/// direction's *data* equally with leader→member; both directions share
-/// the one seeded RNG, so a fixed seed reproduces the fault pattern for a
-/// fixed frame sequence.
-fn spawn_pump(shared: &Arc<ProxyShared>, src: &TcpStream, dst: &TcpStream, _uplink: bool) {
+/// proxy's drop/duplicate faults. Both directions share the one seeded
+/// RNG, so a fixed seed reproduces the fault pattern for a fixed frame
+/// sequence.
+fn spawn_pump(shared: &Arc<ProxyShared>, src: &TcpStream, dst: &TcpStream) {
     let (Ok(src), Ok(dst)) = (src.try_clone(), dst.try_clone()) else {
         return;
     };
-    let shared = Arc::clone(shared);
-    let _ = std::thread::Builder::new()
+    let faults = Arc::clone(shared);
+    let pump = std::thread::Builder::new()
         .name("chaos-tcp-pump".into())
         .spawn(move || {
             let mut src = std::io::BufReader::new(src);
             let mut dst = std::io::BufWriter::new(dst);
             while let Ok(frame) = read_frame(&mut src) {
-                let (drop_it, dup_it) = if shared.calm.load(Ordering::Relaxed) {
+                let (drop_it, dup_it) = if faults.calm.load(Ordering::Relaxed) {
                     (false, false)
                 } else {
-                    let mut rng = shared.rng.lock();
+                    let mut rng = faults.rng.lock();
                     (
-                        rng.gen::<f64>() < shared.drop_prob,
-                        rng.gen::<f64>() < shared.duplicate_prob,
+                        rng.gen::<f64>() < faults.drop_prob,
+                        rng.gen::<f64>() < faults.duplicate_prob,
                     )
                 };
                 if drop_it {
@@ -333,12 +394,20 @@ fn spawn_pump(shared: &Arc<ProxyShared>, src: &TcpStream, dst: &TcpStream, _upli
                 let _ = d.shutdown(Shutdown::Both);
             }
         });
+    if let Ok(pump) = pump {
+        shared.pumps.lock().push(pump);
+    }
 }
 
 impl Fabric for TcpProxyFabric {
+    fn spawn_service(&mut self, config: ServiceConfig) -> LeaderService {
+        let endpoint = self.endpoint.take().expect("one leader per fabric");
+        LeaderService::spawn_mux(endpoint, config)
+    }
+
     fn connect(&mut self, name: &str) -> Result<Box<dyn Link>, NetError> {
         self.shared.pending.lock().push_back(name.to_string());
-        let link = TcpLink::connect(self.proxy_addr)?;
+        let link = self.member_net.connect(self.proxy_addr)?;
         Ok(Box::new(link))
     }
 

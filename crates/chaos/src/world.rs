@@ -11,10 +11,9 @@ use enclaves_core::directory::Directory;
 use enclaves_core::liveness::{Clock, LivenessConfig, VirtualClock};
 use enclaves_core::protocol::{LeaderEvent, MemberEvent};
 use enclaves_core::runtime::{
-    GroupHandle, LeaderRuntime, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
+    GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
-use enclaves_net::sim::{SimListener, SimStats};
-use enclaves_net::Listener;
+use enclaves_net::sim::SimStats;
 use enclaves_obs::{EventStream, ProtocolEvent, Registry, Snapshot};
 use enclaves_verify::live::{check_trace, LiveEvent, Violation};
 use enclaves_verify::obs::obs_trace;
@@ -84,6 +83,15 @@ const PUMP_TICK: Duration = Duration::from_millis(1);
 struct LivenessWiring {
     clock: VirtualClock,
     seed: u64,
+}
+
+/// The service-wide knobs of a run's leader: the wiring's virtual clock
+/// when the liveness layer is armed, real time otherwise.
+fn service_config(wiring: Option<&LivenessWiring>) -> ServiceConfig {
+    ServiceConfig {
+        clock: wiring.map(|w| Arc::new(w.clock.clone()) as Arc<dyn Clock>),
+        ..ServiceConfig::default()
+    }
 }
 
 /// Aggressive liveness knobs for chaos runs, in *virtual* milliseconds:
@@ -258,14 +266,12 @@ fn spawn_leader_collector(
 }
 
 /// Executes `schedule` against a live leader + member cast on `fabric`,
-/// then replays the recorded trace through the §5.4 live oracle.
-///
-/// The listener must come from the same fabric (see
-/// [`crate::fabric::SimFabric::new`] / [`crate::fabric::TcpProxyFabric::new`]).
+/// then replays the recorded trace through the §5.4 live oracle. The
+/// leader is a one-group service on the fabric's own front end
+/// ([`Fabric::spawn_service`]).
 #[must_use]
 pub fn run_schedule(
     fabric: &mut dyn Fabric,
-    listener: Box<dyn Listener>,
     schedule: &Schedule,
     options: &ChaosOptions,
 ) -> ChaosOutcome {
@@ -313,10 +319,12 @@ pub fn run_schedule(
     if let Some(w) = &wiring {
         leader_config.liveness = chaos_liveness(w.seed);
         leader_config.liveness.auto_rejoin = false; // member-side knob
-        leader_config.clock = Some(Arc::new(w.clock.clone()));
     }
 
-    let leader = LeaderRuntime::spawn(listener, leader_id.clone(), directory, leader_config);
+    let service = fabric.spawn_service(service_config(wiring.as_ref()));
+    let leader = service
+        .add_group(leader_id.clone(), directory, leader_config)
+        .expect("fresh service");
     leader.attach_event_stream(obs_stream.clone());
     let stop = Arc::new(AtomicBool::new(false));
     let collector = spawn_leader_collector(&sink, leader.events().clone(), Arc::clone(&stop));
@@ -357,7 +365,7 @@ pub fn run_schedule(
     let leader_registry = leader.obs_registry();
 
     // Teardown: leader first (stops retransmissions), then the members.
-    leader.shutdown();
+    service.shutdown();
     for slot in &mut members {
         if let Some(rt) = slot.runtime.take() {
             rt.abandon();
@@ -482,7 +490,6 @@ struct GroupWorld {
 #[must_use]
 pub fn run_multigroup(
     fabric: &mut dyn Fabric,
-    listener: Box<dyn Listener>,
     schedules: &[Schedule],
     options: &ChaosOptions,
 ) -> MultigroupOutcome {
@@ -494,15 +501,7 @@ pub fn run_multigroup(
         clock: VirtualClock::new(),
         seed: schedules.first().map_or(0, |s| s.seed),
     });
-    let service = LeaderService::spawn(
-        listener,
-        ServiceConfig {
-            clock: wiring
-                .as_ref()
-                .map(|w| Arc::new(w.clock.clone()) as Arc<dyn Clock>),
-            ..ServiceConfig::default()
-        },
-    );
+    let service = fabric.spawn_service(service_config(wiring.as_ref()));
 
     let mut worlds: Vec<GroupWorld> = Vec::new();
     let stop = Arc::new(AtomicBool::new(false));
@@ -726,11 +725,10 @@ pub struct CrashRestartOutcome {
 ///
 /// Panics if `options.liveness` is off (without auto-rejoin no member
 /// could survive the leader's death), or if the simulated network
-/// refuses the restart listener.
+/// refuses either generation's listener.
 #[must_use]
 pub fn run_crash_restart(
     fabric: &mut SimFabric,
-    listener: SimListener,
     schedule: &Schedule,
     post_events: &[ChaosEvent],
     options: &ChaosOptions,
@@ -781,13 +779,11 @@ pub fn run_crash_restart(
     leader_config.liveness.auto_rejoin = false; // member-side knob
 
     // Generation 1: a journaled service on a fresh (or empty) directory.
+    let listener = fabric.net.listen("leader").expect("fresh fabric");
     let (service, _) = LeaderService::open_with_journal(
         Box::new(listener),
         journal_dir,
-        ServiceConfig {
-            clock: Some(Arc::new(wiring.clock.clone()) as Arc<dyn Clock>),
-            ..ServiceConfig::default()
-        },
+        service_config(Some(&wiring)),
     )
     .expect("journal directory must initialize");
     let handle = service
@@ -871,10 +867,7 @@ pub fn run_crash_restart(
     let (service, mut report) = LeaderService::open_with_journal(
         Box::new(listener),
         journal_dir,
-        ServiceConfig {
-            clock: Some(Arc::new(wiring.clock.clone()) as Arc<dyn Clock>),
-            ..ServiceConfig::default()
-        },
+        service_config(Some(&wiring)),
     )
     .expect("journal must replay after a crash");
     let failed_streams: Vec<String> = report.failed.iter().map(|f| f.stream.clone()).collect();

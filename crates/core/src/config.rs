@@ -1,8 +1,7 @@
 //! Leader configuration: rekey policy, limits, and liveness.
 
-use crate::liveness::{Clock, LivenessConfig};
+use crate::liveness::LivenessConfig;
 use enclaves_wire::GroupId;
-use std::sync::Arc;
 
 /// When the leader generates and distributes a new group key (Section 2.1:
 //  "new keys can be generated when new members join, when members leave, or
@@ -42,8 +41,10 @@ impl RekeyPolicy {
     }
 }
 
-/// Leader configuration.
-#[derive(Clone)]
+/// Leader configuration: the per-group protocol policy. The clock and
+/// poll cadence are service-wide, in
+/// [`crate::runtime::ServiceConfig`].
+#[derive(Clone, Debug)]
 pub struct LeaderConfig {
     /// Rekey policy.
     pub rekey_policy: RekeyPolicy,
@@ -62,10 +63,6 @@ pub struct LeaderConfig {
     /// budget, heartbeat deadlines. The default reproduces the historical
     /// flat 400ms retry-forever cadence with no failure detection.
     pub liveness: LivenessConfig,
-    /// Time source for retransmit and liveness deadlines. `None` uses a
-    /// real monotonic clock; tests inject a
-    /// [`crate::liveness::VirtualClock`] for deterministic fast runs.
-    pub clock: Option<Arc<dyn Clock>>,
     /// Distribute group keys through the MLS-style rekey tree instead of
     /// per-member `NewGroupKey` admin seals. In tree mode every membership
     /// change refreshes one leaf-to-root path and fans the copath seals
@@ -84,21 +81,6 @@ pub struct LeaderConfig {
     pub group: Option<GroupId>,
 }
 
-impl std::fmt::Debug for LeaderConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LeaderConfig")
-            .field("rekey_policy", &self.rekey_policy)
-            .field("max_members", &self.max_members)
-            .field("max_pending_admin", &self.max_pending_admin)
-            .field("membership_notices", &self.membership_notices)
-            .field("liveness", &self.liveness)
-            .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
-            .field("tree_rekey", &self.tree_rekey)
-            .field("group", &self.group)
-            .finish()
-    }
-}
-
 impl Default for LeaderConfig {
     /// Rekey on join and leave (the conservative policy), up to 1024
     /// members, 256 queued admin messages per member, historical timing.
@@ -109,7 +91,6 @@ impl Default for LeaderConfig {
             max_pending_admin: 256,
             membership_notices: true,
             liveness: LivenessConfig::default(),
-            clock: None,
             tree_rekey: false,
             group: None,
         }
@@ -153,7 +134,6 @@ mod tests {
             LivenessConfig::default(),
             "default timing is the historical cadence"
         );
-        assert!(c.clock.is_none(), "real clock unless injected");
         assert!(!c.tree_rekey, "flat fan-out unless opted in");
         assert!(c.group.is_none(), "single-group legacy wire by default");
     }

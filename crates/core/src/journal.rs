@@ -961,8 +961,8 @@ fn liveness_from_wire(w: &LivenessWire) -> LivenessConfig {
 }
 
 /// Builds the genesis record for a new stream from the leader's identity,
-/// directory, and configuration. The clock is deliberately not captured —
-/// it is an injection point, re-supplied at recovery.
+/// directory, and configuration. The clock is not part of it: it belongs
+/// to the service, which supplies its own at recovery.
 #[must_use]
 pub fn genesis_for(
     leader: &ActorId,
@@ -990,7 +990,7 @@ pub fn genesis_for(
 }
 
 /// Rebuilds `(leader, directory, config)` from a genesis record. The
-/// returned config has no clock; the recovering service injects its own.
+/// clock is the recovering service's own.
 #[must_use]
 #[allow(clippy::cast_possible_truncation)]
 pub fn config_from_genesis(genesis: &JournalGenesis) -> (ActorId, Directory, LeaderConfig) {
@@ -1004,7 +1004,6 @@ pub fn config_from_genesis(genesis: &JournalGenesis) -> (ActorId, Directory, Lea
         max_pending_admin: genesis.max_pending_admin as usize,
         membership_notices: genesis.membership_notices,
         liveness: liveness_from_wire(&genesis.liveness),
-        clock: None,
         tree_rekey: genesis.tree_rekey,
         group: genesis.group.clone(),
     };
@@ -1388,7 +1387,6 @@ mod tests {
             Some(Duration::from_millis(200))
         );
         assert_eq!(config2.liveness.jitter_seed, 99);
-        assert!(config2.clock.is_none());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`legacy`] — the same, for the original protocol, vulnerabilities
 //!   faithfully included.
 //! * [`runtime`] — threaded leader/member event loops binding the protocol
-//!   cores to any `enclaves-net` transport (simulated or TCP).
+//!   cores to an `enclaves-net` transport: the leader service on the
+//!   readiness loop (real sockets) or on the simulator.
 //! * [`attacks`] — scripted Dolev-Yao attacks run through the
 //!   `enclaves-net` adversary tap: each returns whether it succeeded, so
 //!   the same script demonstrates the vulnerability on the legacy protocol
@@ -36,7 +37,7 @@
 //! ```
 //! use enclaves_core::config::LeaderConfig;
 //! use enclaves_core::directory::Directory;
-//! use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+//! use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 //! use enclaves_net::sim::{SimConfig, SimNet};
 //! use enclaves_wire::ActorId;
 //!
@@ -47,12 +48,8 @@
 //! let mut directory = Directory::new();
 //! directory.register_password(&ActorId::new("alice")?, "alice-pw")?;
 //!
-//! let leader = LeaderRuntime::spawn(
-//!     Box::new(listener),
-//!     ActorId::new("leader")?,
-//!     directory,
-//!     LeaderConfig::default(),
-//! );
+//! let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+//! let leader = service.add_group(ActorId::new("leader")?, directory, LeaderConfig::default())?;
 //!
 //! let alice = MemberRuntime::connect(
 //!     Box::new(net.connect("alice", "leader")?),
@@ -61,8 +58,9 @@
 //!     "alice-pw",
 //! )?;
 //! alice.wait_joined(std::time::Duration::from_secs(2))?;
+//! leader.wait_member(&ActorId::new("alice")?, std::time::Duration::from_secs(2))?;
 //! alice.leave()?;
-//! leader.shutdown();
+//! service.shutdown();
 //! # Ok(())
 //! # }
 //! ```

@@ -99,7 +99,9 @@ impl Clock for VirtualClock {
 /// exhausted after that many retransmits and the peer is presumed dead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LivenessConfig {
-    /// Event-loop poll cadence (how often timers are checked).
+    /// Event-loop poll cadence (how often timers are checked) of a
+    /// [`crate::runtime::MemberRuntime`]. A leader's timers are checked by
+    /// its service's ticker, at [`crate::runtime::ServiceConfig::poll`].
     pub poll: Duration,
     /// First retransmit fires this long after the original send.
     pub retransmit_base: Duration,

@@ -1,15 +1,17 @@
-//! Threaded runtimes binding the sans-I/O protocol cores to any
+//! Threaded runtimes binding the sans-I/O protocol cores to an
 //! `enclaves-net` transport.
 //!
-//! * [`LeaderService`] — the multi-enclave leader service: one acceptor,
-//!   one shared liveness ticker, and a registry of per-group
-//!   [`crate::protocol::LeaderCore`]s keyed by enclave tag. Incoming
-//!   frames demultiplex by the envelope's group tag; each group is
-//!   operated through its [`GroupHandle`]. Outgoing envelopes are routed
-//!   to the link currently bound to their recipient; links become bound
-//!   to an identity only after the improved protocol authenticates it.
-//! * [`LeaderRuntime`] — a constructor for a [`LeaderService`] hosting
-//!   exactly one group; it derefs to that group's [`GroupHandle`].
+//! * [`LeaderService`] — the leader: one front end, one shared liveness
+//!   ticker, and a registry of per-group [`crate::protocol::LeaderCore`]s
+//!   keyed by enclave tag. Real sockets go through
+//!   [`LeaderService::spawn_mux`] (the readiness loop); the simulator's
+//!   listener through [`LeaderService::spawn`]. Either way a group is added
+//!   with [`LeaderService::add_group`] and operated through its
+//!   [`GroupHandle`], with the clock and poll cadence given once in
+//!   [`ServiceConfig`]. Incoming frames demultiplex by the envelope's
+//!   group tag. Outgoing envelopes are routed to the link currently bound
+//!   to their recipient; links become bound to an identity only after the
+//!   improved protocol authenticates it.
 //! * [`MemberRuntime`] — a receive loop thread around a
 //!   [`crate::protocol::MemberSession`], exposing an event channel and
 //!   blocking convenience waiters.
@@ -17,11 +19,9 @@
 //! All runtimes drop (and count) rejected traffic instead of dying — the
 //! operational face of intrusion tolerance.
 
-mod leader;
 mod member;
 mod service;
 
-pub use leader::LeaderRuntime;
 pub use member::{MemberOptions, MemberRuntime, Reconnector};
 pub use service::{
     BroadcastReceipt, FailedGroup, GroupHandle, LeaderService, RecoveredGroup, RecoveryReport,

@@ -2,11 +2,16 @@
 //! threads.
 //!
 //! A [`LeaderService`] hosts any number of independent enclaves (groups)
-//! behind **one** listener, with a fixed thread complement that does not
+//! behind **one** front end, with a fixed thread complement that does not
 //! grow with the group count:
 //!
-//! - one acceptor thread (plus one handler thread per *connection*, as
-//!   before — connections, not groups, are the unit of I/O concurrency),
+//! - on real sockets ([`LeaderService::spawn_mux`]), one handler thread
+//!   per event shard of a readiness loop that owns every socket — so the
+//!   thread count does not grow with the connection count either;
+//! - on the simulator ([`LeaderService::spawn`]), one acceptor thread plus
+//!   one handler thread per simulated connection. This thread-per-link
+//!   front end serves the simulator only, until the simulated network
+//!   gains the loop's event face;
 //! - one shared liveness ticker driving every group's ARQ retransmits,
 //!   heartbeat deadlines, and timeout evictions.
 //!
@@ -26,9 +31,8 @@
 //! bound into the AEAD header AAD — isolation holds even against a
 //! registry-bypassing adversary.
 //!
-//! The single-group [`super::LeaderRuntime`] is a one-group instance of
-//! this service, so every integration test driving one exercises the
-//! shared machinery.
+//! A single-group leader is this service with one group added, so every
+//! integration test exercises the shared machinery.
 //!
 //! Lock order: `registry` → `send_order` → `core` → `routes`. Nothing
 //! acquires an earlier lock while holding a later one.
@@ -88,12 +92,12 @@ pub struct BroadcastReceipt {
 // ---------------------------------------------------------------------------
 
 /// Where frames routed to one authenticated member go: the per-link
-/// outbound channel of a threaded connection, or a connection token on a
+/// outbound channel of a simulated connection, or a connection token on a
 /// readiness-loop [`MuxNet`]. The routing tables and the dispatch paths
-/// are identical for both transports.
+/// are identical for both front ends.
 #[derive(Clone)]
 enum RouteSink {
-    /// Thread-per-link backend: a channel drained by that link's handler
+    /// Simulator front end: a channel drained by that link's handler
     /// thread.
     Channel(Sender<Frame>),
     /// Readiness-loop backend: frames are enqueued on the loop's bounded
@@ -340,8 +344,8 @@ pub struct FailedGroup {
 
 /// The I/O front-end a service runs on.
 enum FrontEnd {
-    /// Thread-per-link: an acceptor thread, then a handler thread per
-    /// connection.
+    /// The simulator's listener: an acceptor thread, then a handler thread
+    /// per connection.
     Listener(Box<dyn Listener>),
     /// Readiness loop: one handler thread per event shard.
     Mux(MuxEndpoint),
@@ -351,8 +355,8 @@ enum FrontEnd {
 /// of groups. See the module docs for the threading model.
 pub struct LeaderService {
     shared: Arc<ServiceShared>,
-    /// I/O threads: the acceptor (thread-per-link mode) or the fixed
-    /// shard handlers (readiness-loop mode).
+    /// I/O threads: the acceptor (simulator) or the fixed shard handlers
+    /// (readiness loop).
     io: Vec<std::thread::JoinHandle<()>>,
     ticker: Option<std::thread::JoinHandle<()>>,
 }
@@ -366,9 +370,11 @@ impl std::fmt::Debug for LeaderService {
 }
 
 impl LeaderService {
-    /// Spawns the service on a listener: one acceptor thread and one
-    /// shared liveness ticker. Groups are added with
-    /// [`LeaderService::add_group`].
+    /// Spawns the service on a simulated network's listener
+    /// ([`enclaves_net::sim::SimListener`]): one acceptor thread, a handler
+    /// thread per connection, and one shared liveness ticker. Groups are
+    /// added with [`LeaderService::add_group`]. Real sockets go through
+    /// [`LeaderService::spawn_mux`].
     #[must_use]
     pub fn spawn(listener: Box<dyn Listener>, config: ServiceConfig) -> Self {
         Self::start(FrontEnd::Listener(listener), &config, None)
@@ -394,7 +400,9 @@ impl LeaderService {
     /// strictly past the journal fence, and registered — members then
     /// re-admit themselves through the liveness layer's auto-rejoin path
     /// with no operator intervention. Groups added later through
-    /// [`LeaderService::add_group`] get their own journal streams.
+    /// [`LeaderService::add_group`] get their own journal streams. Like
+    /// [`LeaderService::spawn`], this runs on the simulator's listener;
+    /// [`LeaderService::open_mux_with_journal`] is the real-socket twin.
     ///
     /// Streams are independent, so a directory of many is recovered side
     /// by side: one thread per `STREAMS_PER_WORKER` (8) streams, at most
@@ -835,8 +843,7 @@ impl LeaderService {
 // ---------------------------------------------------------------------------
 
 /// Operator handle to one group inside a [`LeaderService`], scoped to
-/// this enclave. The single-group [`super::LeaderRuntime`] derefs to its
-/// one handle.
+/// this enclave: what [`LeaderService::add_group`] returns.
 pub struct GroupHandle {
     entry: Arc<GroupEntry>,
     events_rx: Receiver<LeaderEvent>,
@@ -990,7 +997,7 @@ impl GroupHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Connection handling (shared by both transports)
+// Connection handling (shared by both front ends)
 // ---------------------------------------------------------------------------
 
 /// Per-connection ingestion state, transport-independent: where replies
@@ -1112,8 +1119,8 @@ impl ConnCtx {
     }
 }
 
-/// Thread-per-link handler: pumps one link's inbound frames through a
-/// [`ConnCtx`] and flushes its outbound channel.
+/// Thread-per-link handler of the simulator front end: pumps one link's
+/// inbound frames through a [`ConnCtx`] and flushes its outbound channel.
 fn link_loop(shared: &Arc<ServiceShared>, link: Box<dyn Link>) {
     let (out_tx, out_rx) = unbounded::<Frame>();
     let mut ctx = ConnCtx::new(RouteSink::Channel(out_tx));

@@ -9,17 +9,15 @@
 //!   configurable fault injection and a Dolev-Yao [`sim::Adversary`] tap
 //!   that observes every frame and can inject arbitrary frames. All attack
 //!   demonstrations run on this substrate.
-//! * [`tcp`] — a real TCP transport (threads + length-prefixed frames) for
-//!   the runnable examples.
-//! * [`mux`] — a real TCP transport where **one** readiness-loop thread
-//!   owns every socket (vendored mio-style poller): bounded thread count
-//!   independent of connection count, bounded outbound queues with an
-//!   explicit slow-consumer policy. This is the backend the 10k-member
-//!   load rig runs on.
+//! * [`mux`] — the real TCP transport: **one** readiness-loop thread owns
+//!   every socket (vendored mio-style poller), so the thread count does
+//!   not grow with the connection count, and outbound queues are bounded
+//!   with an explicit slow-consumer policy. Every real-socket leader, the
+//!   CLI example and the 10k-member load rig run on it.
 //!
-//! All of them implement the [`link::Link`] / [`link::Listener`] traits
-//! consumed by the runtime in `enclaves-core`, so the same leader/member
-//! code runs on any backend.
+//! Members consume either through the [`link::Link`] trait (a simulated
+//! link, or a [`MuxLink`]). A leader takes the simulator's
+//! [`link::Listener`] or a readiness-loop [`MuxEndpoint`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,12 +25,9 @@
 pub mod link;
 pub mod mux;
 pub mod sim;
-pub mod tcp;
 
 mod error;
 
 pub use error::NetError;
 pub use link::{Frame, Link, Listener};
-pub use mux::{
-    MuxAcceptor, MuxConfig, MuxEndpoint, MuxEvent, MuxLink, MuxNet, MuxOverflow, MuxToken,
-};
+pub use mux::{MuxConfig, MuxEndpoint, MuxEvent, MuxLink, MuxNet, MuxOverflow, MuxToken};

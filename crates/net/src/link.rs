@@ -2,10 +2,11 @@
 //!
 //! Enclaves uses a star topology (Figure 1): every member holds one
 //! bidirectional point-to-point link to the leader. A [`Link`] is one end
-//! of such a connection; a [`Listener`] is the leader-side acceptor. Both
-//! the deterministic simulator ([`crate::sim`]) and the TCP transport
-//! ([`crate::tcp`]) implement these traits, so the protocol runtime is
-//! transport-agnostic.
+//! of such a connection; a [`Listener`] is the leader-side acceptor. The
+//! deterministic simulator ([`crate::sim`]) implements both; the
+//! readiness-loop transport implements [`Link`] for its client side
+//! ([`crate::MuxLink`]), so a member runtime is transport-agnostic. A
+//! real-socket leader takes the loop's events instead of a [`Listener`].
 
 use crate::NetError;
 use std::sync::Arc;

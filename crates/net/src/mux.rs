@@ -1,11 +1,9 @@
 //! Readiness-loop TCP transport: every socket owned by **one** event-loop
 //! thread.
 //!
-//! The threaded backend in [`crate::tcp`] spends a reader thread per
-//! connection, which caps realistic scale far below what the protocol
-//! benchmarks measure in-process. This module replaces thread-per-link
-//! with a nonblocking readiness loop over a vendored mio-style poller
-//! (`polling`: epoll on Linux, a portable probe fallback elsewhere):
+//! A nonblocking readiness loop over a vendored mio-style poller
+//! (`polling`: epoll on Linux, a portable probe fallback elsewhere), so
+//! the thread count does not grow with the connection count:
 //!
 //! * one loop thread owns every socket (connections *and* listeners),
 //! * per-connection state machines reassemble length-prefixed frames
@@ -18,26 +16,23 @@
 //!   wakeup token ([`polling::Poller::notify`]), coalesced so a burst of
 //!   sends costs one wakeup.
 //!
-//! Two consumption modes:
-//!
-//! * **Link mode** — [`MuxNet::connect`] / [`MuxNet::listen`] return
-//!   [`MuxLink`] / [`MuxAcceptor`] implementing the same [`Link`] /
-//!   [`Listener`] contract as the threaded transport, so
-//!   `LeaderRuntime`, `MemberRuntime`, and the chaos fabrics run
-//!   unchanged on either backend.
-//! * **Event mode** — [`MuxNet::listen_events`] delivers
-//!   [`MuxEvent`]s into a fixed set of sharded channels (one shard per
-//!   connection, chosen by token, so per-connection frame order is
-//!   preserved) for consumers that must stay at a bounded thread count
-//!   regardless of connection count: the multi-enclave leader service's
-//!   event-driven mode and the 10k-member load-test swarm.
+//! Every connection delivers [`MuxEvent`]s — its frames, then one
+//! [`MuxEvent::Closed`] — on a channel; outbound goes through
+//! [`MuxNet::send_to`]. [`MuxNet::listen_events`] spreads accepted
+//! connections over a fixed set of such channels (one shard per
+//! connection, chosen by token, so per-connection frame order is
+//! preserved): the leader service's shard handlers and the load-test
+//! swarm stay at a bounded thread count regardless of connection count.
+//! [`MuxNet::connect_routed`] dials out onto a caller's channel, and
+//! [`MuxNet::connect`] wraps that in a [`MuxLink`]: the client adapter
+//! implementing the [`Link`] contract `MemberRuntime` consumes.
 //!
 //! Loop health is observable through `enclaves-obs` as `net.loop.*`:
 //! poll iterations, readiness events, wakeups, frames in/out, partial
 //! writes, queue depth, and the overflow counters backing the
 //! slow-consumer policy.
 
-use crate::{Frame, Link, Listener, NetError};
+use crate::{Frame, Link, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_obs::{Counter, Gauge, Registry};
 use enclaves_wire::framing::MAX_FRAME_LEN;
@@ -150,11 +145,11 @@ impl MuxObs {
     }
 }
 
-/// An event from the loop, delivered on a shard channel in event mode.
-/// All events for one connection arrive on one shard in wire order.
+/// An event from the loop, delivered on the connection's channel. All
+/// events for one connection arrive on one channel in wire order.
 #[derive(Clone, Debug)]
 pub enum MuxEvent {
-    /// A listener in event mode accepted a connection.
+    /// A listener accepted a connection.
     Accepted {
         /// The new connection's token.
         token: MuxToken,
@@ -176,37 +171,21 @@ pub enum MuxEvent {
     },
 }
 
-/// Where a connection's inbound frames go.
-enum Delivery {
-    /// Link mode: a per-connection channel drained by
-    /// [`MuxLink::recv_timeout`].
-    Channel(Sender<Frame>),
-    /// Event mode: the shard channel this connection was assigned to.
-    Events(Sender<MuxEvent>),
-}
-
-/// How a listener hands out accepted connections.
-enum AcceptMode {
-    /// Link mode: accepted connections become [`MuxLink`]s on this queue.
-    Links(Sender<MuxLink>),
-    /// Event mode: accepted connections are announced and delivered on
-    /// `shards[token % shards.len()]`.
-    Shards(Vec<Sender<MuxEvent>>),
-}
-
 /// Commands from runtime threads to the loop.
 enum Cmd {
-    /// Adopt an already-connected nonblocking stream.
+    /// Adopt an already-connected nonblocking stream, delivering its
+    /// events on `events`.
     Register {
         token: MuxToken,
         stream: TcpStream,
-        delivery: Delivery,
+        events: Sender<MuxEvent>,
     },
-    /// Adopt a nonblocking listener.
+    /// Adopt a nonblocking listener whose accepted connections are
+    /// announced and delivered on `shards[token % shards.len()]`.
     Listen {
         token: MuxToken,
         listener: TcpListener,
-        accept: AcceptMode,
+        shards: Vec<Sender<MuxEvent>>,
     },
     /// Enqueue one frame on a connection's outbound queue.
     Send { token: MuxToken, frame: Frame },
@@ -257,7 +236,8 @@ impl ReadState {
 
 struct Conn {
     stream: TcpStream,
-    delivery: Delivery,
+    /// Where this connection's frames and its close go.
+    events: Sender<MuxEvent>,
     read: ReadState,
     out: VecDeque<OutFrame>,
     out_bytes: usize,
@@ -266,11 +246,25 @@ struct Conn {
     closing_since: Option<Instant>,
 }
 
+impl Conn {
+    fn new(stream: TcpStream, events: Sender<MuxEvent>) -> Self {
+        Conn {
+            stream,
+            events,
+            read: ReadState::new(),
+            out: VecDeque::new(),
+            out_bytes: 0,
+            writable_interest: false,
+            closing_since: None,
+        }
+    }
+}
+
 enum Entry {
     Conn(Conn),
     Listener {
         listener: TcpListener,
-        accept: AcceptMode,
+        shards: Vec<Sender<MuxEvent>>,
     },
 }
 
@@ -358,52 +352,40 @@ impl MuxNet {
         self.shared.next_token.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn prepare_stream(addr: SocketAddr) -> Result<(TcpStream, SocketAddr), NetError> {
+    fn prepare_stream(addr: SocketAddr) -> Result<TcpStream, NetError> {
         let stream = TcpStream::connect(addr).map_err(|e| NetError::Io(e.to_string()))?;
-        let peer = stream
-            .peer_addr()
-            .map_err(|e| NetError::Io(e.to_string()))?;
         stream
             .set_nodelay(true)
             .map_err(|e| NetError::Io(e.to_string()))?;
         stream
             .set_nonblocking(true)
             .map_err(|e| NetError::Io(e.to_string()))?;
-        Ok((stream, peer))
+        Ok(stream)
     }
 
-    /// Connects to `addr` in Link mode: the returned [`MuxLink`] speaks
-    /// the same [`Link`] contract as [`crate::tcp::TcpLink`], with the
-    /// socket owned by the loop instead of a reader thread.
+    /// Connects to `addr` as a [`Link`]: the returned [`MuxLink`] is a
+    /// [`MuxNet::connect_routed`] connection on a private channel, with
+    /// the socket owned by the loop instead of a reader thread.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on connection failure, [`NetError::Disconnected`]
     /// if the loop has shut down.
     pub fn connect(&self, addr: SocketAddr) -> Result<MuxLink, NetError> {
-        if !self.shared.running.load(Ordering::Relaxed) {
-            return Err(NetError::Disconnected);
-        }
-        let (stream, peer) = Self::prepare_stream(addr)?;
-        let token = self.alloc_token();
         let (tx, rx) = unbounded();
-        self.shared.push_cmd(Cmd::Register {
-            token,
-            stream,
-            delivery: Delivery::Channel(tx),
-        });
+        let token = self.connect_routed(addr, &tx)?;
         Ok(MuxLink {
             net: self.clone(),
             token,
             incoming: rx,
-            peer,
+            peer: addr,
         })
     }
 
-    /// Connects to `addr` in event mode: frames and the close arrive as
-    /// [`MuxEvent`]s on `events`, outbound goes through
-    /// [`MuxNet::send_to`]. Used by consumers multiplexing many
-    /// connections onto few threads (the load-test swarm).
+    /// Connects to `addr`: frames and the close arrive as [`MuxEvent`]s
+    /// on `events`, outbound goes through [`MuxNet::send_to`]. Used by
+    /// consumers multiplexing many connections onto few threads (the
+    /// load-test swarm).
     ///
     /// # Errors
     ///
@@ -417,12 +399,12 @@ impl MuxNet {
         if !self.shared.running.load(Ordering::Relaxed) {
             return Err(NetError::Disconnected);
         }
-        let (stream, _peer) = Self::prepare_stream(addr)?;
+        let stream = Self::prepare_stream(addr)?;
         let token = self.alloc_token();
         self.shared.push_cmd(Cmd::Register {
             token,
             stream,
-            delivery: Delivery::Events(events.clone()),
+            events: events.clone(),
         });
         Ok(token)
     }
@@ -438,28 +420,7 @@ impl MuxNet {
         Ok((listener, local))
     }
 
-    /// Binds a Link-mode listener: accepted connections surface as
-    /// boxed [`MuxLink`]s through the [`Listener`] contract.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] if the bind fails.
-    pub fn listen(&self, addr: SocketAddr) -> Result<MuxAcceptor, NetError> {
-        let (listener, local) = Self::bind(addr)?;
-        let token = self.alloc_token();
-        let (tx, rx) = unbounded();
-        self.shared.push_cmd(Cmd::Listen {
-            token,
-            listener,
-            accept: AcceptMode::Links(tx),
-        });
-        Ok(MuxAcceptor {
-            accepted: rx,
-            local,
-        })
-    }
-
-    /// Binds an event-mode listener with `shards` delivery channels.
+    /// Binds a listener with `shards` delivery channels.
     /// Every connection is pinned to `shards[token % shards]`, so one
     /// shard sees all of a connection's events in order; a fixed pool of
     /// consumer threads (one per shard) therefore serves any number of
@@ -482,7 +443,7 @@ impl MuxNet {
         self.shared.push_cmd(Cmd::Listen {
             token,
             listener,
-            accept: AcceptMode::Shards(txs),
+            shards: txs,
         });
         Ok(MuxEndpoint {
             net: self.clone(),
@@ -491,8 +452,7 @@ impl MuxNet {
         })
     }
 
-    /// Enqueues `frame` on `token`'s outbound queue (event-mode sends;
-    /// Link mode goes through [`MuxLink::send`]). Fire-and-forget past
+    /// Enqueues `frame` on `token`'s outbound queue. Fire-and-forget past
     /// the loop-liveness check: backpressure is enforced *inside* the
     /// loop by the configured [`MuxOverflow`] policy.
     ///
@@ -509,7 +469,7 @@ impl MuxNet {
 
     /// Requests a graceful close of `token`: pending outbound frames are
     /// flushed (bounded grace), then the socket drops and a
-    /// [`MuxEvent::Closed`] / channel disconnect is delivered.
+    /// [`MuxEvent::Closed`] is delivered.
     pub fn close(&self, token: MuxToken) {
         self.shared.push_cmd(Cmd::Close { token });
     }
@@ -536,12 +496,12 @@ impl MuxNet {
     }
 }
 
-/// A duplex link whose socket lives on the [`MuxNet`] event loop —
+/// A duplex client link whose socket lives on the [`MuxNet`] event loop —
 /// no per-connection threads.
 pub struct MuxLink {
     net: MuxNet,
     token: MuxToken,
-    incoming: Receiver<Frame>,
+    incoming: Receiver<MuxEvent>,
     peer: SocketAddr,
 }
 
@@ -568,10 +528,14 @@ impl Link for MuxLink {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        self.incoming.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+        match self.incoming.recv_timeout(timeout) {
+            Ok(MuxEvent::Frame { frame, .. }) => Ok(frame),
+            // The loop drops the channel's sender right after `Closed`,
+            // so every later call lands on `Disconnected` too.
+            Ok(MuxEvent::Closed { .. } | MuxEvent::Accepted { .. })
+            | Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+        }
     }
 
     fn peer_hint(&self) -> Option<String> {
@@ -581,45 +545,13 @@ impl Link for MuxLink {
 
 impl Drop for MuxLink {
     fn drop(&mut self) {
-        // Mirror TcpLink: dropping the handle closes the connection
-        // (after the loop drains anything already queued).
+        // Dropping the handle closes the connection (after the loop
+        // drains anything already queued).
         self.net.close(self.token);
     }
 }
 
-/// Link-mode acceptor over a loop-owned listener.
-pub struct MuxAcceptor {
-    accepted: Receiver<MuxLink>,
-    local: SocketAddr,
-}
-
-impl std::fmt::Debug for MuxAcceptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxAcceptor")
-            .field("local", &self.local)
-            .finish()
-    }
-}
-
-impl MuxAcceptor {
-    /// The bound address (useful with ephemeral ports).
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-}
-
-impl Listener for MuxAcceptor {
-    fn accept_timeout(&self, timeout: Duration) -> Result<Box<dyn Link>, NetError> {
-        match self.accepted.recv_timeout(timeout) {
-            Ok(link) => Ok(Box::new(link)),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        }
-    }
-}
-
-/// An event-mode endpoint: the bound address plus the sharded event
+/// A listener's endpoint: the bound address plus the sharded event
 /// receivers. Outbound frames go through [`MuxEndpoint::net`] /
 /// [`MuxNet::send_to`].
 pub struct MuxEndpoint {
@@ -693,7 +625,7 @@ fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfi
         for ev in events.drain(..) {
             match entries.get_mut(&ev.key) {
                 Some(Entry::Listener { .. }) if ev.readable => {
-                    accept_ready(shared, &obs, &mut entries, ev.key, config);
+                    accept_ready(shared, &obs, &mut entries, ev.key);
                 }
                 Some(Entry::Listener { .. }) => {}
                 Some(Entry::Conn(conn)) => {
@@ -702,7 +634,7 @@ fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfi
                         dead = !write_conn(shared, &obs, conn, ev.key, &mut scratch);
                     }
                     if !dead && ev.readable && conn.closing_since.is_none() {
-                        dead = !read_conn(shared, &obs, conn, ev.key, &mut scratch);
+                        dead = !read_conn(&obs, conn, ev.key, &mut scratch);
                     }
                     if !dead && conn.closing_since.is_some() && conn.out.is_empty() {
                         dead = true;
@@ -733,8 +665,8 @@ fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfi
         }
     }
 
-    // Shutdown: best-effort flush, then drop everything (channel senders
-    // drop with the map, surfacing disconnects to link holders).
+    // Shutdown: best-effort flush, then close everything (each
+    // connection's consumer gets its `Closed`).
     let tokens: Vec<MuxToken> = entries.keys().copied().collect();
     for token in tokens {
         if let Some(Entry::Conn(conn)) = entries.get_mut(&token) {
@@ -757,35 +689,24 @@ fn apply_cmd(
         Cmd::Register {
             token,
             stream,
-            delivery,
+            events,
         } => {
             if shared.poller.add(&stream, Event::readable(token)).is_err() {
                 // Registration failed (fd exhaustion): surface as an
                 // immediate close.
-                deliver_closed(&delivery, token);
+                let _ = events.send(MuxEvent::Closed { token });
                 return true;
             }
-            entries.insert(
-                token,
-                Entry::Conn(Conn {
-                    stream,
-                    delivery,
-                    read: ReadState::new(),
-                    out: VecDeque::new(),
-                    out_bytes: 0,
-                    writable_interest: false,
-                    closing_since: None,
-                }),
-            );
+            entries.insert(token, Entry::Conn(Conn::new(stream, events)));
             obs.conns.add(1);
         }
         Cmd::Listen {
             token,
             listener,
-            accept,
+            shards,
         } => {
             if shared.poller.add(&listener, Event::readable(token)).is_ok() {
-                entries.insert(token, Entry::Listener { listener, accept });
+                entries.insert(token, Entry::Listener { listener, shards });
             }
         }
         Cmd::Send { token, frame } => {
@@ -825,14 +746,6 @@ fn apply_cmd(
     true
 }
 
-fn deliver_closed(delivery: &Delivery, token: MuxToken) {
-    if let Delivery::Events(tx) = delivery {
-        let _ = tx.send(MuxEvent::Closed { token });
-    }
-    // Channel mode: dropping the sender (with the conn) disconnects the
-    // receiver, which is the Link-contract close signal.
-}
-
 fn close_entry(
     shared: &Arc<MuxShared>,
     obs: &MuxObs,
@@ -849,7 +762,7 @@ fn close_entry(
             obs.conns.sub(1);
             obs.closed.inc();
             obs.queued_bytes.sub(conn.out_bytes as i64);
-            deliver_closed(&conn.delivery, token);
+            let _ = conn.events.send(MuxEvent::Closed { token });
         }
         Entry::Listener { listener, .. } => {
             let _ = shared.poller.delete(&listener);
@@ -864,11 +777,10 @@ fn accept_ready(
     obs: &MuxObs,
     entries: &mut HashMap<MuxToken, Entry>,
     listener_token: MuxToken,
-    _config: &MuxConfig,
 ) {
     // Take the listener out while accepting so new connections can be
     // inserted into the same map.
-    let Some(Entry::Listener { listener, accept }) = entries.remove(&listener_token) else {
+    let Some(Entry::Listener { listener, shards }) = entries.remove(&listener_token) else {
         return;
     };
     loop {
@@ -879,46 +791,14 @@ fn accept_ready(
                     continue;
                 }
                 let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-                let delivery = match &accept {
-                    AcceptMode::Links(tx) => {
-                        let (frame_tx, frame_rx) = unbounded();
-                        let link = MuxLink {
-                            net: MuxNet {
-                                shared: Arc::clone(shared),
-                            },
-                            token,
-                            incoming: frame_rx,
-                            peer,
-                        };
-                        if tx.send(link).is_err() {
-                            // Acceptor dropped: refuse the connection.
-                            continue;
-                        }
-                        Delivery::Channel(frame_tx)
-                    }
-                    AcceptMode::Shards(txs) => {
-                        let tx = txs[token % txs.len()].clone();
-                        let _ = tx.send(MuxEvent::Accepted { token, peer });
-                        Delivery::Events(tx)
-                    }
-                };
+                let events = shards[token % shards.len()].clone();
+                let _ = events.send(MuxEvent::Accepted { token, peer });
                 if shared.poller.add(&stream, Event::readable(token)).is_err() {
                     obs.accept_errors.inc();
-                    deliver_closed(&delivery, token);
+                    let _ = events.send(MuxEvent::Closed { token });
                     continue;
                 }
-                entries.insert(
-                    token,
-                    Entry::Conn(Conn {
-                        stream,
-                        delivery,
-                        read: ReadState::new(),
-                        out: VecDeque::new(),
-                        out_bytes: 0,
-                        writable_interest: false,
-                        closing_since: None,
-                    }),
-                );
+                entries.insert(token, Entry::Conn(Conn::new(stream, events)));
                 obs.conns.add(1);
                 obs.accepted.inc();
             }
@@ -930,7 +810,7 @@ fn accept_ready(
             }
         }
     }
-    entries.insert(listener_token, Entry::Listener { listener, accept });
+    entries.insert(listener_token, Entry::Listener { listener, shards });
 }
 
 /// Updates the poller interest to match `conn`'s outbound state.
@@ -1007,23 +887,13 @@ fn write_conn(
 /// Reads and reassembles frames until `WouldBlock` (bounded per event
 /// for fairness). Returns `false` if the connection died or violated
 /// framing.
-fn read_conn(
-    shared: &Arc<MuxShared>,
-    obs: &MuxObs,
-    conn: &mut Conn,
-    token: MuxToken,
-    scratch: &mut [u8],
-) -> bool {
-    let _ = shared;
+fn read_conn(obs: &MuxObs, conn: &mut Conn, token: MuxToken, scratch: &mut [u8]) -> bool {
     for _ in 0..READS_PER_EVENT {
         match conn.stream.read(scratch) {
             Ok(0) => return false, // EOF
             Ok(n) => {
                 let alive = feed_read(obs, &mut conn.read, &scratch[..n], |frame| {
-                    match &conn.delivery {
-                        Delivery::Channel(tx) => tx.send(frame).is_ok(),
-                        Delivery::Events(tx) => tx.send(MuxEvent::Frame { token, frame }).is_ok(),
-                    }
+                    conn.events.send(MuxEvent::Frame { token, frame }).is_ok()
                 });
                 if !alive {
                     return false;
@@ -1063,7 +933,7 @@ fn feed_read(
             }
             let len = u32::from_be_bytes(read.hdr) as usize;
             if len > MAX_FRAME_LEN {
-                // Reject before allocating, like the threaded reader.
+                // Reject before allocating, like `read_frame`.
                 obs.oversize_frames.inc();
                 return false;
             }
@@ -1156,13 +1026,44 @@ mod tests {
         assert_eq!(obs.oversize_frames.get(), 1);
     }
 
-    /// One accepted/connected pair on a fresh net.
-    fn pair(net: &MuxNet) -> (MuxLink, Box<dyn Link>) {
-        let acceptor = net.listen(loopback()).unwrap();
-        let addr = acceptor.local_addr();
-        let client = net.connect(addr).unwrap();
-        let server = acceptor.accept_timeout(TO).unwrap();
-        (client, server)
+    /// The accepted end of a [`pair`]: its token and its listener's one
+    /// event shard.
+    struct Server {
+        net: MuxNet,
+        token: MuxToken,
+        rx: Receiver<MuxEvent>,
+    }
+
+    impl Server {
+        fn send(&self, frame: Frame) -> Result<(), NetError> {
+            self.net.send_to(self.token, frame)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
+            match self.rx.recv_timeout(timeout) {
+                Ok(MuxEvent::Frame { token, frame }) if token == self.token => Ok(frame),
+                Ok(MuxEvent::Closed { token }) if token == self.token => {
+                    Err(NetError::Disconnected)
+                }
+                Ok(other) => panic!("unexpected event {other:?}"),
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                    Err(NetError::Disconnected)
+                }
+            }
+        }
+    }
+
+    /// One client link and the connection the listener accepted for it.
+    fn pair(net: &MuxNet) -> (MuxLink, Server) {
+        let mut endpoint = net.listen_events(loopback(), 1).unwrap();
+        let client = net.connect(endpoint.local_addr()).unwrap();
+        let rx = endpoint.take_shards().pop().unwrap();
+        let Ok(MuxEvent::Accepted { token, .. }) = rx.recv_timeout(TO) else {
+            panic!("the listener accepted nothing");
+        };
+        let net = net.clone();
+        (client, Server { net, token, rx })
     }
 
     fn exchange_on(probe: bool) {
@@ -1183,18 +1084,6 @@ mod tests {
     #[test]
     fn connect_and_exchange_probe_backend() {
         exchange_on(true);
-    }
-
-    #[test]
-    fn accept_times_out() {
-        let net = spawn_net(false);
-        let acceptor = net.listen(loopback()).unwrap();
-        let err = match acceptor.accept_timeout(Duration::from_millis(50)) {
-            Ok(_) => panic!("unexpected accept"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, NetError::Timeout));
-        net.shutdown();
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! ```
 //!
 //! Leader stdin commands: `rekey`, `expel <user>`, `say <text>` (admin
-//! broadcast), `roster`, `quit`.
+//! broadcast), `cast <text>` (data plane), `roster`, `stats` (the
+//! service's and the socket loop's metric snapshots), `quit`.
 
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderEvent, MemberEvent};
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
-use enclaves_net::tcp::{TcpAcceptor, TcpLink};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
+use enclaves_net::{MuxConfig, MuxNet};
 use enclaves_wire::ActorId;
 use std::io::BufRead;
 use std::time::Duration;
@@ -81,15 +82,18 @@ fn run_leader(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Err("register at least one --user NAME:PASSWORD".into());
     }
 
-    let acceptor = TcpAcceptor::bind(listen.parse()?)?;
+    // Every member socket lives on one readiness loop, whose health its
+    // registry keeps as `net.loop.*`.
+    let net = MuxNet::spawn(MuxConfig::default());
+    let endpoint = net.listen_events(listen.parse()?, 1)?;
     println!(
         "leader listening on {} ({} registered users, chacha20 lanes: {})",
-        acceptor.local_addr(),
+        endpoint.local_addr(),
         directory.len(),
         enclaves_crypto::chacha20::lanes()
     );
-    let leader = LeaderRuntime::spawn(
-        Box::new(acceptor),
+    let service = LeaderService::spawn_mux(endpoint, ServiceConfig::default());
+    let leader = service.add_group(
         ActorId::new("leader")?,
         directory,
         LeaderConfig {
@@ -97,7 +101,7 @@ fn run_leader(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             tree_rekey,
             ..LeaderConfig::default()
         },
-    );
+    )?;
 
     // Event printer thread.
     let events = leader.events().clone();
@@ -150,11 +154,16 @@ fn run_leader(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 Ok(_) => {}
                 Err(e) => println!("cannot cast: {e}"),
             }
+        } else if line == "stats" {
+            print!("{}{}", service.snapshot(), net.obs_registry().snapshot());
         } else if !line.is_empty() {
-            println!("commands: rekey | roster | expel <user> | say <text> | cast <text> | quit");
+            println!(
+                "commands: rekey | roster | expel <user> | say <text> | cast <text> | stats | quit"
+            );
         }
     }
-    leader.shutdown();
+    service.shutdown();
+    net.shutdown();
     Ok(())
 }
 
@@ -163,7 +172,8 @@ fn run_member(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let user = flag_value(args, "--user").ok_or("--user required")?;
     let password = flag_value(args, "--password").ok_or("--password required")?;
 
-    let link = TcpLink::connect(connect.parse()?)?;
+    let net = MuxNet::spawn(MuxConfig::default());
+    let link = net.connect(connect.parse()?)?;
     let member = MemberRuntime::connect(
         Box::new(link),
         ActorId::new(user)?,
@@ -216,6 +226,7 @@ fn run_member(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     member.leave()?;
+    net.shutdown();
     println!("left the group");
     Ok(())
 }

@@ -16,7 +16,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
 use std::time::Duration;
@@ -41,15 +41,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for user in users {
         directory.register_password(&ActorId::new(user)?, &format!("{user}-pw"))?;
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service.add_group(
         ActorId::new("leader")?,
         directory,
         LeaderConfig {
             rekey_policy: RekeyPolicy::Manual,
             ..LeaderConfig::default()
         },
-    );
+    )?;
 
     let mut members = Vec::new();
     for user in users {
@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for member in members {
         member.leave()?;
     }
-    leader.shutdown();
+    service.shutdown();
     println!("\nthe group stayed consistent under duplication and reordering.");
     Ok(())
 }

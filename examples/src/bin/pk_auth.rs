@@ -15,7 +15,7 @@
 use enclaves_core::config::LeaderConfig;
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_crypto::rng::OsEntropyRng;
 use enclaves_crypto::x25519::StaticSecret;
 use enclaves_net::sim::{SimConfig, SimNet};
@@ -55,12 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let net = SimNet::new(SimConfig::default());
     let listener = net.listen("leader")?;
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        leader_id.clone(),
-        directory,
-        LeaderConfig::default(),
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service.add_group(leader_id.clone(), directory, LeaderConfig::default())?;
 
     // Members join with their key pairs — no password anywhere.
     let mut members = Vec::new();
@@ -124,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for member in members {
         member.leave()?;
     }
-    leader.shutdown();
+    service.shutdown();
     println!("pk_auth complete");
     Ok(())
 }

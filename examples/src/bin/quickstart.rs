@@ -12,7 +12,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
 use std::time::Duration;
@@ -33,15 +33,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         directory.register_password(&ActorId::new(user)?, &format!("{user}-password"))?;
     }
 
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
+    // One leader service on the listener, hosting this group.
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service.add_group(
         ActorId::new("leader")?,
         directory,
         LeaderConfig {
             rekey_policy: RekeyPolicy::OnJoinAndLeave,
             ..LeaderConfig::default()
         },
-    );
+    )?;
     println!("leader up; members join one by one\n");
 
     // 3. Members join over the improved 3-message protocol.
@@ -116,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         members[0].group_epoch()
     );
 
-    leader.shutdown();
+    service.shutdown();
     println!("\nquickstart complete");
     Ok(())
 }

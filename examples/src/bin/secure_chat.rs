@@ -14,37 +14,41 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
-use enclaves_net::tcp::{TcpAcceptor, TcpLink};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
+use enclaves_net::{MuxConfig, MuxNet};
 use enclaves_wire::ActorId;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(10);
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0".parse()?)?;
-    let addr = acceptor.local_addr();
+    // The leader's sockets live on one readiness loop; the participants
+    // dial from a second one, as separate processes would.
+    let server = MuxNet::spawn(MuxConfig::default());
+    let endpoint = server.listen_events("127.0.0.1:0".parse()?, 1)?;
+    let addr = endpoint.local_addr();
     println!("leader listening on {addr}");
+    let service = LeaderService::spawn_mux(endpoint, ServiceConfig::default());
+    let client = MuxNet::spawn(MuxConfig::default());
 
     let users = ["alice", "bob", "carol", "dave"];
     let mut directory = Directory::new();
     for user in users {
         directory.register_password(&ActorId::new(user)?, &format!("{user}-secret"))?;
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(acceptor),
+    let leader = service.add_group(
         ActorId::new("leader")?,
         directory,
         LeaderConfig {
             rekey_policy: RekeyPolicy::OnLeave,
             ..LeaderConfig::default()
         },
-    );
+    )?;
 
     // Everyone joins over TCP.
     let mut members = Vec::new();
     for user in users {
-        let link = TcpLink::connect(addr)?;
+        let link = client.connect(addr)?;
         let member = MemberRuntime::connect(
             Box::new(link),
             ActorId::new(user)?,
@@ -109,7 +113,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for member in members {
         member.leave()?;
     }
-    leader.shutdown();
+    service.shutdown();
+    server.shutdown();
+    client.shutdown();
     println!("\nchat ended cleanly");
     Ok(())
 }

@@ -7,7 +7,7 @@ use enclaves_core::attacks;
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{GroupHandle, LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{Direction, SimConfig, SimNet};
 use enclaves_net::Link;
 use enclaves_wire::{ActorId, Roster};
@@ -21,7 +21,8 @@ fn id(s: &str) -> ActorId {
 
 struct World {
     net: SimNet,
-    leader: LeaderRuntime,
+    service: LeaderService,
+    leader: GroupHandle,
 }
 
 fn world(users: &[&str]) -> World {
@@ -33,16 +34,22 @@ fn world(users: &[&str]) -> World {
             .register_password(&id(user), &format!("{user}-pw"))
             .unwrap();
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig {
-            rekey_policy: RekeyPolicy::Manual,
-            ..LeaderConfig::default()
-        },
-    );
-    World { net, leader }
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(
+            id("leader"),
+            directory,
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                ..LeaderConfig::default()
+            },
+        )
+        .unwrap();
+    World {
+        net,
+        service,
+        leader,
+    }
 }
 
 fn join(world: &World, user: &str) -> MemberRuntime {
@@ -102,7 +109,7 @@ fn wholesale_replay_of_all_frames_is_harmless() {
         rejected > 0,
         "replays must be rejected, not silently accepted"
     );
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 /// A garbage flood (random bytes, malformed envelopes) must not kill any
@@ -137,7 +144,7 @@ fn garbage_flood_does_not_break_sessions() {
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::AdminData(_)))
         .unwrap();
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 /// A forged `ReqClose` (valid envelope, attacker-chosen key) must not
@@ -183,7 +190,7 @@ fn forged_close_does_not_expel() {
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::AdminData(_)))
         .unwrap();
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 /// A replayed rekey admin message must not roll the member's group key
@@ -221,7 +228,7 @@ fn replayed_rekey_frame_does_not_roll_back() {
         "group key must not roll back"
     );
     assert!(alice.stats().rejected > 0, "replays must be counted");
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 /// The attack matrix from the envelope-level scripts, re-asserted here as
@@ -271,5 +278,5 @@ fn replayed_frame_from_foreign_link_cannot_capture_route() {
         .expect("alice must still be routable after the replay attempt");
     assert_eq!(event, MemberEvent::AdminData(b"post-attack".to_vec()));
     drop(attacker_link);
-    world.leader.shutdown();
+    world.service.shutdown();
 }

@@ -10,7 +10,7 @@ use enclaves_bench::{cheap_member_key, member_id};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
@@ -29,19 +29,22 @@ fn broadcast_reaches_512_members_with_one_seal() {
     for i in 0..N {
         directory.register_key(&member_id(i), cheap_member_key(i));
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        leader_id.clone(),
-        directory,
-        LeaderConfig {
-            // Manual policy + suppressed join/leave notices: joining 512
-            // members must not trigger 512 rekeys or an O(N²) notice storm.
-            rekey_policy: RekeyPolicy::Manual,
-            max_members: N,
-            membership_notices: false,
-            ..LeaderConfig::default()
-        },
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(
+            leader_id.clone(),
+            directory,
+            LeaderConfig {
+                // Manual policy + suppressed join/leave notices: joining 512
+                // members must not trigger 512 rekeys or an O(N²) notice
+                // storm.
+                rekey_policy: RekeyPolicy::Manual,
+                max_members: N,
+                membership_notices: false,
+                ..LeaderConfig::default()
+            },
+        )
+        .unwrap();
 
     let members: Vec<MemberRuntime> = (0..N)
         .map(|i| {
@@ -79,5 +82,5 @@ fn broadcast_reaches_512_members_with_one_seal() {
     assert_eq!(leader.stats().broadcasts, 1);
 
     drop(members);
-    leader.shutdown();
+    service.shutdown();
 }

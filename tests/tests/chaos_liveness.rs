@@ -30,8 +30,7 @@ fn liveness_options() -> ChaosOptions {
 }
 
 fn run_sim(schedule: &Schedule, options: &ChaosOptions) -> ChaosOutcome {
-    let (mut fabric, listener) = SimFabric::chaotic(schedule);
-    run_schedule(&mut fabric, Box::new(listener), schedule, options)
+    run_schedule(&mut SimFabric::chaotic(schedule), schedule, options)
 }
 
 fn violations(outcome: &ChaosOutcome) -> String {

@@ -76,11 +76,11 @@ fn crash_restart_converges(seed: u64) {
         liveness: true,
         ..ChaosOptions::default()
     };
-    let (mut fabric, listener) = SimFabric::new(SimConfig {
+    let mut fabric = SimFabric::new(SimConfig {
         seed,
         ..SimConfig::default()
     });
-    let verdict = run_crash_restart(&mut fabric, listener, &schedule, &post, &options, &dir.0);
+    let verdict = run_crash_restart(&mut fabric, &schedule, &post, &options, &dir.0);
 
     if std::env::var_os("CHAOS_RECOVERY_TRACE").is_some() {
         for (i, event) in verdict.outcome.trace.iter().enumerate() {

@@ -74,8 +74,7 @@ fn stormy_schedule(seed: u64) -> Schedule {
 }
 
 fn run_sim(schedule: &Schedule, options: &ChaosOptions) -> ChaosOutcome {
-    let (mut fabric, listener) = SimFabric::chaotic(schedule);
-    run_schedule(&mut fabric, Box::new(listener), schedule, options)
+    run_schedule(&mut SimFabric::chaotic(schedule), schedule, options)
 }
 
 /// The fixed-seed acceptance scenario: partitions + crash + rekey under
@@ -233,10 +232,8 @@ fn planted_watermark_violation_is_caught_and_shrunk() {
 
     // Control: the same duplicating network with the watermark armed is
     // clean — duplicates are absorbed, the oracle passes.
-    let (mut fabric, listener) = SimFabric::new(config);
     let control = run_schedule(
-        &mut fabric,
-        Box::new(listener),
+        &mut SimFabric::new(config),
         &schedule,
         &ChaosOptions::default(),
     );
@@ -258,12 +255,12 @@ fn planted_watermark_violation_is_caught_and_shrunk() {
         ..ChaosOptions::default()
     };
     let run_sabotaged = |s: &Schedule| {
-        let (mut fabric, listener) = SimFabric::new(SimConfig {
+        let mut fabric = SimFabric::new(SimConfig {
             duplicate_prob: 0.9,
             seed: 7,
             ..SimConfig::default()
         });
-        run_schedule(&mut fabric, Box::new(listener), s, &sabotage)
+        run_schedule(&mut fabric, s, &sabotage)
     };
     let outcome = run_sabotaged(&schedule);
     assert!(
@@ -307,9 +304,25 @@ fn planted_watermark_violation_is_caught_and_shrunk() {
     );
 }
 
+/// Names of this process's live threads that start with `prefix`
+/// (`/proc/self/task/*/comm`).
+fn threads_named(prefix: &str) -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with(prefix))
+        .collect()
+}
+
 /// Transport parity: a fixed-seed chaos scenario over real TCP sockets
 /// through the adversarial proxy (frame drops + duplicates; no partitions
-/// — a byte stream cannot half-vanish). The same oracle must pass.
+/// — a byte stream cannot half-vanish), with the leader on the readiness
+/// loop every real-socket leader runs. The same oracle must pass, and
+/// dropping the fabric stops every proxy thread (this is the only test
+/// in the binary that starts them).
 #[test]
 fn tcp_proxy_parity_passes_the_oracle() {
     use ChaosEvent::{AdminBroadcast, Crash, DataBroadcast, Join, Leave, Reconnect, Rekey, Settle};
@@ -336,14 +349,25 @@ fn tcp_proxy_parity_passes_the_oracle() {
             AdminBroadcast(b"tcp-hello-2".to_vec()),
         ],
     );
-    let (mut fabric, acceptor) =
-        TcpProxyFabric::new(schedule.seed, 0.08, 0.08).expect("bind proxy");
-    let outcome = run_schedule(
-        &mut fabric,
-        Box::new(acceptor),
-        &schedule,
-        &ChaosOptions::default(),
+    let mut fabric = TcpProxyFabric::new(schedule.seed, 0.08, 0.08).expect("bind proxy");
+    let outcome = run_schedule(&mut fabric, &schedule, &ChaosOptions::default());
+    assert!(
+        !threads_named("chaos-tcp-").is_empty(),
+        "the proxy relayed nothing"
     );
+    drop(fabric);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    loop {
+        let left = threads_named("chaos-tcp-");
+        if left.is_empty() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "proxy threads outlived the fabric: {left:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
     assert!(
         outcome.passed(),
         "oracle violations over TCP:\n{}",

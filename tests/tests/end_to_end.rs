@@ -5,7 +5,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderEvent, MemberEvent, SessionPhase};
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{GroupHandle, LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
@@ -18,7 +18,8 @@ fn id(s: &str) -> ActorId {
 
 struct World {
     net: SimNet,
-    leader: LeaderRuntime,
+    service: LeaderService,
+    leader: GroupHandle,
 }
 
 fn world(users: &[&str], policy: RekeyPolicy) -> World {
@@ -30,16 +31,22 @@ fn world(users: &[&str], policy: RekeyPolicy) -> World {
             .register_password(&id(user), &format!("{user}-pw"))
             .unwrap();
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig {
-            rekey_policy: policy,
-            ..LeaderConfig::default()
-        },
-    );
-    World { net, leader }
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(
+            id("leader"),
+            directory,
+            LeaderConfig {
+                rekey_policy: policy,
+                ..LeaderConfig::default()
+            },
+        )
+        .unwrap();
+    World {
+        net,
+        service,
+        leader,
+    }
 }
 
 fn join(world: &World, user: &str) -> MemberRuntime {
@@ -84,7 +91,7 @@ fn single_member_lifecycle() {
         assert!(std::time::Instant::now() < deadline, "leave not processed");
         std::thread::sleep(Duration::from_millis(5));
     }
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -109,7 +116,7 @@ fn five_member_group_converges() {
     }
     // 5 joins under rekey-on-join (first join no rekey) → epoch 5.
     assert_eq!(world.leader.epoch(), Some(5));
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -143,7 +150,7 @@ fn group_data_fans_out_to_everyone_but_the_sender() {
             MemberEvent::GroupData { .. }
         ))
         .is_err());
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -167,7 +174,7 @@ fn admin_broadcast_reaches_all_members_in_order() {
             );
         }
     }
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -194,7 +201,7 @@ fn leave_triggers_policy_rekey_and_notices() {
     }
     assert_eq!(world.leader.epoch(), Some(epoch_before + 1));
     assert_eq!(world.leader.roster(), Roster::from_iter([id("a"), id("b")]));
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -216,7 +223,7 @@ fn expel_removes_member_and_rekeys() {
         .unwrap();
     assert_eq!(world.leader.roster(), Roster::from_iter([id("good")]));
     assert_eq!(world.leader.epoch(), Some(epoch_before + 1));
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -233,7 +240,7 @@ fn member_can_rejoin_after_leaving() {
     let alice2 = join(&world, "alice");
     assert_eq!(alice2.phase(), SessionPhase::Connected);
     assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -258,7 +265,7 @@ fn leader_events_reflect_lifecycle() {
     let stats = world.leader.stats();
     assert!(stats.accepted >= 4, "{stats:?}");
     assert_eq!(stats.rejected, 0);
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -270,7 +277,7 @@ fn unknown_user_cannot_join() {
     assert!(mallory.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     mallory.abandon();
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -283,7 +290,7 @@ fn wrong_password_cannot_join() {
     assert!(imposter.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     imposter.abandon();
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -314,5 +321,5 @@ fn member_can_rejoin_after_crash_without_close() {
         .wait_event(WAIT, |e| matches!(e, MemberEvent::AdminData(_)))
         .unwrap();
     assert_eq!(event, MemberEvent::AdminData(b"welcome back".to_vec()));
-    world.leader.shutdown();
+    world.service.shutdown();
 }

@@ -6,7 +6,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
 use std::time::Duration;
@@ -32,15 +32,17 @@ fn run_under_loss(drop_prob: f64, seed: u64) {
             .register_password(&id(user), &format!("{user}-pw"))
             .unwrap();
     }
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig {
-            rekey_policy: RekeyPolicy::Manual,
-            ..LeaderConfig::default()
-        },
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(
+            id("leader"),
+            directory,
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                ..LeaderConfig::default()
+            },
+        )
+        .unwrap();
 
     // Joins complete despite losses (handshake ARQ).
     let alice = MemberRuntime::connect(
@@ -85,7 +87,7 @@ fn run_under_loss(drop_prob: f64, seed: u64) {
         stats.dropped > 0,
         "the network must actually have dropped frames: {stats:?}"
     );
-    leader.shutdown();
+    service.shutdown();
 }
 
 #[test]
@@ -112,12 +114,10 @@ fn retransmission_does_not_weaken_replay_defense() {
     directory
         .register_password(&id("alice"), "alice-pw")
         .unwrap();
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig::default(),
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(id("leader"), directory, LeaderConfig::default())
+        .unwrap();
     let alice = MemberRuntime::connect(
         Box::new(net.connect("alice", "leader").unwrap()),
         id("alice"),
@@ -155,5 +155,5 @@ fn retransmission_does_not_weaken_replay_defense() {
         .wait_event(WAIT, |e| matches!(e, MemberEvent::AdminData(_)))
         .unwrap();
     assert_eq!(event, MemberEvent::AdminData(b"two".to_vec()));
-    leader.shutdown();
+    service.shutdown();
 }

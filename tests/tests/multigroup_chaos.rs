@@ -46,10 +46,8 @@ fn multigroup_storm_keeps_every_group_green_and_isolated() {
     let schedules = Schedule::multigroup_storm(0x9161, GROUPS, MEMBERS);
     assert_eq!(schedules.len(), GROUPS);
 
-    let (mut fabric, listener) = SimFabric::chaotic(&schedules[0]);
     let outcome = run_multigroup(
-        &mut fabric,
-        Box::new(listener),
+        &mut SimFabric::chaotic(&schedules[0]),
         &schedules,
         &storm_options(),
     );

@@ -16,7 +16,6 @@ use enclaves_core::protocol::{MemberEvent, MemberSession};
 use enclaves_core::runtime::{LeaderService, ServiceConfig};
 use enclaves_crypto::keys::LongTermKey;
 use enclaves_crypto::rng::OsEntropyRng;
-use enclaves_net::tcp::TcpLink;
 use enclaves_net::{MuxConfig, MuxNet, MuxOverflow};
 use enclaves_obs::Registry;
 use enclaves_wire::codec::{decode, encode};
@@ -106,8 +105,11 @@ fn slow_consumer_is_disconnected_not_obeyed() {
         )
         .unwrap();
 
+    // The healthy member dials from its own default-config loop, so the
+    // leader loop's cap and registry count only the leader's queues.
+    let client = MuxNet::spawn(MuxConfig::default());
     let healthy = enclaves_core::runtime::MemberRuntime::connect(
-        Box::new(TcpLink::connect(addr).unwrap()),
+        Box::new(client.connect(addr).unwrap()),
         id("healthy"),
         id("leader"),
         "healthy-pw",
@@ -181,6 +183,7 @@ fn slow_consumer_is_disconnected_not_obeyed() {
     healthy.leave().unwrap();
     service.shutdown();
     net.shutdown();
+    client.shutdown();
 }
 
 /// The drop-newest policy variant: the stalled consumer's frames are
@@ -219,8 +222,11 @@ fn drop_newest_sheds_frames_but_keeps_the_connection() {
         )
         .unwrap();
 
+    // The healthy member dials from its own default-config loop, so the
+    // leader loop's cap and registry count only the leader's queues.
+    let client = MuxNet::spawn(MuxConfig::default());
     let healthy = enclaves_core::runtime::MemberRuntime::connect(
-        Box::new(TcpLink::connect(addr).unwrap()),
+        Box::new(client.connect(addr).unwrap()),
         id("healthy"),
         id("leader"),
         "healthy-pw",
@@ -258,4 +264,5 @@ fn drop_newest_sheds_frames_but_keeps_the_connection() {
     healthy.leave().unwrap();
     service.shutdown();
     net.shutdown();
+    client.shutdown();
 }

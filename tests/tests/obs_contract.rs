@@ -11,7 +11,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderEvent, MemberEvent};
-use enclaves_core::runtime::{LeaderRuntime, MemberOptions, MemberRuntime};
+use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_model::explore::{Bounds, Explorer, TransitionChecker};
 use enclaves_model::leader::LeaderMove;
 use enclaves_model::system::{GlobalMove, Scenario, SystemState};
@@ -156,15 +156,17 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
     directory
         .register_password(&id("alice"), "alice-pw")
         .unwrap();
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig {
-            rekey_policy: RekeyPolicy::Manual,
-            ..LeaderConfig::default()
-        },
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(
+            id("leader"),
+            directory,
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                ..LeaderConfig::default()
+            },
+        )
+        .unwrap();
     let stream = EventStream::new();
     leader.attach_event_stream(stream.clone());
 
@@ -208,7 +210,7 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
             ),
         }
     }
-    leader.shutdown();
+    service.shutdown();
 
     let emitted: BTreeSet<&'static str> = stream.events().iter().map(|e| e.kind.name()).collect();
     // The image of the model mapping (pinned against the model by

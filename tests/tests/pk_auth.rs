@@ -4,7 +4,7 @@
 use enclaves_core::config::LeaderConfig;
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderRuntime, MemberRuntime};
+use enclaves_core::runtime::{GroupHandle, LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_crypto::x25519::StaticSecret;
 use enclaves_net::sim::{SimConfig, SimNet};
@@ -19,7 +19,8 @@ fn id(s: &str) -> ActorId {
 
 struct PkWorld {
     net: SimNet,
-    leader: LeaderRuntime,
+    service: LeaderService,
+    leader: GroupHandle,
     leader_public: enclaves_crypto::x25519::PublicKey,
     secrets: Vec<(String, StaticSecret)>,
 }
@@ -44,14 +45,13 @@ fn world(users: &[&str], seed: u64) -> PkWorld {
     }
     let net = SimNet::new(SimConfig::default());
     let listener = net.listen("leader").unwrap();
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig::default(),
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(id("leader"), directory, LeaderConfig::default())
+        .unwrap();
     PkWorld {
         net,
+        service,
         leader,
         leader_public,
         secrets,
@@ -101,7 +101,7 @@ fn pk_authenticated_group_works_end_to_end() {
         .wait_event(WAIT, |e| matches!(e, MemberEvent::MemberLeft(_)))
         .unwrap();
     assert_eq!(world.leader.roster(), Roster::from_iter([id("alice")]));
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn wrong_keypair_impostor_rejected() {
     assert!(impostor.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     impostor.abandon();
-    world.leader.shutdown();
+    world.service.shutdown();
 }
 
 #[test]
@@ -148,12 +148,10 @@ fn pk_and_password_members_coexist() {
 
     let net = SimNet::new(SimConfig::default());
     let listener = net.listen("leader").unwrap();
-    let leader = LeaderRuntime::spawn(
-        Box::new(listener),
-        id("leader"),
-        directory,
-        LeaderConfig::default(),
-    );
+    let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+    let leader = service
+        .add_group(id("leader"), directory, LeaderConfig::default())
+        .unwrap();
 
     let (session, init) = MemberSession::start_with_static_keys(
         id("alice"),
@@ -180,5 +178,5 @@ fn pk_and_password_members_coexist() {
     bob.wait_joined(WAIT).unwrap();
 
     assert_eq!(leader.roster(), Roster::from_iter([id("alice"), id("bob")]));
-    leader.shutdown();
+    service.shutdown();
 }
