@@ -171,14 +171,29 @@ impl GroupEntry {
         }
     }
 
-    /// Fans one shared frame out to every routed recipient: N refcount
-    /// bumps, no per-recipient encoding or copying.
+    /// Fans one shared frame out to every routed recipient: no
+    /// per-recipient encoding or copying. Readiness-loop recipients are
+    /// collected into one [`MuxNet::multicast`] — one command and at most
+    /// one wakeup for the whole roster; a service has one front end, so
+    /// every `Mux` route names the same loop. Simulator channels are sent
+    /// to one by one.
     fn dispatch_shared(&self, frame: &Frame, recipients: &Roster) {
         let routes = self.routes.lock();
+        let mut mux: Option<(&MuxNet, Vec<MuxToken>)> = None;
         for recipient in recipients.iter() {
-            if let Some(sink) = routes.get(recipient) {
-                sink.send(Frame::clone(frame));
+            match routes.get(recipient) {
+                Some(RouteSink::Mux { net, token }) => {
+                    mux.get_or_insert_with(|| (net, Vec::with_capacity(recipients.len())))
+                        .1
+                        .push(*token);
+                }
+                Some(sink) => sink.send(Frame::clone(frame)),
+                None => {}
             }
+        }
+        if let Some((net, tokens)) = mux {
+            // A stopped loop drops the frame, as `RouteSink::send` does.
+            let _ = net.multicast(tokens, Frame::clone(frame));
         }
     }
 

@@ -14,27 +14,31 @@
 //!   queue cap instead of wedging the loop or other connections,
 //! * runtime threads enqueue frames through a command channel plus a
 //!   wakeup token ([`polling::Poller::notify`]), coalesced so a burst of
-//!   sends costs one wakeup.
+//!   sends costs one wakeup; a broadcast is one command however many
+//!   recipients it has ([`MuxNet::multicast`]),
+//! * listeners accept at the host's maximum backlog, so a roster dialling
+//!   at once is not throttled by dropped SYNs.
 //!
 //! Every connection delivers [`MuxEvent`]s — its frames, then one
 //! [`MuxEvent::Closed`] — on a channel; outbound goes through
-//! [`MuxNet::send_to`]. [`MuxNet::listen_events`] spreads accepted
-//! connections over a fixed set of such channels (one shard per
-//! connection, chosen by token, so per-connection frame order is
-//! preserved): the leader service's shard handlers and the load-test
-//! swarm stay at a bounded thread count regardless of connection count.
+//! [`MuxNet::send_to`] or [`MuxNet::multicast`].
+//! [`MuxNet::listen_events`] spreads accepted connections over a fixed
+//! set of such channels (one shard per connection, chosen by token, so
+//! per-connection frame order is preserved): the leader service's shard
+//! handlers and the load-test swarm stay at a bounded thread count
+//! regardless of connection count.
 //! [`MuxNet::connect_routed`] dials out onto a caller's channel, and
 //! [`MuxNet::connect`] wraps that in a [`MuxLink`]: the client adapter
 //! implementing the [`Link`] contract `MemberRuntime` consumes.
 //!
 //! Loop health is observable through `enclaves-obs` as `net.loop.*`:
 //! poll iterations, readiness events, wakeups, frames in/out, partial
-//! writes, queue depth, and the overflow counters backing the
-//! slow-consumer policy.
+//! writes, multicasts and their fan-out time, queue depth, and the
+//! overflow counters backing the slow-consumer policy.
 
 use crate::{Frame, Link, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use enclaves_obs::{Counter, Gauge, Registry};
+use enclaves_obs::{Counter, Gauge, Histogram, Registry};
 use enclaves_wire::framing::MAX_FRAME_LEN;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
@@ -120,6 +124,9 @@ struct MuxObs {
     overflow_disconnects: Counter,
     overflow_drops: Counter,
     oversize_frames: Counter,
+    multicasts: Counter,
+    /// Per multicast: command pop to the last write of its fan-out.
+    fanout_ns: Histogram,
     conns: Gauge,
     queued_bytes: Gauge,
 }
@@ -139,6 +146,8 @@ impl MuxObs {
             overflow_disconnects: registry.counter("net.loop.overflow_disconnects"),
             overflow_drops: registry.counter("net.loop.overflow_drops"),
             oversize_frames: registry.counter("net.loop.oversize_frames"),
+            multicasts: registry.counter("net.loop.multicasts"),
+            fanout_ns: registry.histogram("net.loop.fanout_ns"),
             conns: registry.gauge("net.loop.conns"),
             queued_bytes: registry.gauge("net.loop.queued_bytes"),
         }
@@ -189,6 +198,9 @@ enum Cmd {
     },
     /// Enqueue one frame on a connection's outbound queue.
     Send { token: MuxToken, frame: Frame },
+    /// Enqueue one shared frame on every listed connection's outbound
+    /// queue, each exactly as a [`Cmd::Send`] would.
+    Multicast { tokens: Vec<MuxToken>, frame: Frame },
     /// Gracefully close: drain outbound (bounded by [`CLOSING_GRACE`]),
     /// then drop the socket.
     Close { token: MuxToken },
@@ -417,6 +429,9 @@ impl MuxNet {
         listener
             .set_nonblocking(true)
             .map_err(|e| NetError::Io(e.to_string()))?;
+        // A leader is dialled by a whole roster at once: std's backlog of
+        // 128 drops the rest of a burst's SYNs, which retry a second later.
+        polling::listen_max_backlog(&listener).map_err(|e| NetError::Io(e.to_string()))?;
         Ok((listener, local))
     }
 
@@ -464,6 +479,23 @@ impl MuxNet {
             return Err(NetError::Disconnected);
         }
         self.shared.push_cmd(Cmd::Send { token, frame });
+        Ok(())
+    }
+
+    /// Enqueues one shared `frame` on every connection in `tokens`: one
+    /// command and at most one wakeup, however many recipients. The loop
+    /// admits it to each queue exactly as [`MuxNet::send_to`] would, in
+    /// list order, under the same cap and [`MuxOverflow`] policy; a
+    /// closed or unknown token is skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] if the loop has shut down.
+    pub fn multicast(&self, tokens: Vec<MuxToken>, frame: Frame) -> Result<(), NetError> {
+        if !self.shared.running.load(Ordering::Relaxed) {
+            return Err(NetError::Disconnected);
+        }
+        self.shared.push_cmd(Cmd::Multicast { tokens, frame });
         Ok(())
     }
 
@@ -709,27 +741,23 @@ fn apply_cmd(
                 entries.insert(token, Entry::Listener { listener, shards });
             }
         }
-        Cmd::Send { token, frame } => {
-            let Some(Entry::Conn(conn)) = entries.get_mut(&token) else {
-                return true; // connection already gone: drop silently
-            };
-            let size = 4 + frame.len();
-            if !conn.out.is_empty() && conn.out_bytes + size > config.max_outbound_bytes {
-                match config.overflow {
-                    MuxOverflow::Disconnect => {
-                        obs.overflow_disconnects.inc();
-                        close_entry(shared, obs, entries, token);
-                    }
-                    MuxOverflow::DropNewest => obs.overflow_drops.inc(),
-                }
-                return true;
+        Cmd::Send { token, frame } => enqueue(shared, obs, entries, scratch, config, token, frame),
+        Cmd::Multicast { tokens, frame } => {
+            let popped = Instant::now();
+            obs.multicasts.inc();
+            for token in tokens {
+                enqueue(
+                    shared,
+                    obs,
+                    entries,
+                    scratch,
+                    config,
+                    token,
+                    Frame::clone(&frame),
+                );
             }
-            conn.out.push_back(OutFrame { frame, written: 0 });
-            conn.out_bytes += size;
-            obs.queued_bytes.add(size as i64);
-            if !write_conn(shared, obs, conn, token, scratch) {
-                close_entry(shared, obs, entries, token);
-            }
+            obs.fanout_ns
+                .record(u64::try_from(popped.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         Cmd::Close { token } => {
             let Some(Entry::Conn(conn)) = entries.get_mut(&token) else {
@@ -744,6 +772,41 @@ fn apply_cmd(
         Cmd::Shutdown => return false,
     }
     true
+}
+
+/// Admits `frame` to `token`'s outbound queue and flushes what the socket
+/// takes: the one backpressure path, for [`Cmd::Send`] and every
+/// recipient of a [`Cmd::Multicast`]. A queue at its cap applies the
+/// configured [`MuxOverflow`]; an empty queue admits any one frame.
+fn enqueue(
+    shared: &Arc<MuxShared>,
+    obs: &MuxObs,
+    entries: &mut HashMap<MuxToken, Entry>,
+    scratch: &mut [u8],
+    config: &MuxConfig,
+    token: MuxToken,
+    frame: Frame,
+) {
+    let Some(Entry::Conn(conn)) = entries.get_mut(&token) else {
+        return; // connection already gone: drop silently
+    };
+    let size = 4 + frame.len();
+    if !conn.out.is_empty() && conn.out_bytes + size > config.max_outbound_bytes {
+        match config.overflow {
+            MuxOverflow::Disconnect => {
+                obs.overflow_disconnects.inc();
+                close_entry(shared, obs, entries, token);
+            }
+            MuxOverflow::DropNewest => obs.overflow_drops.inc(),
+        }
+        return;
+    }
+    conn.out.push_back(OutFrame { frame, written: 0 });
+    conn.out_bytes += size;
+    obs.queued_bytes.add(size as i64);
+    if !write_conn(shared, obs, conn, token, scratch) {
+        close_entry(shared, obs, entries, token);
+    }
 }
 
 fn close_entry(
@@ -1318,6 +1381,176 @@ mod tests {
     #[test]
     fn event_mode_roundtrip_probe_backend() {
         event_mode_on(true);
+    }
+
+    /// A one-shard listener on `net`: its address and its shard.
+    fn listen(net: &MuxNet) -> (SocketAddr, Receiver<MuxEvent>) {
+        let mut endpoint = net.listen_events(loopback(), 1).unwrap();
+        (endpoint.local_addr(), endpoint.take_shards().pop().unwrap())
+    }
+
+    /// Links on `net` to `addr`, each having sent its index as a one-byte
+    /// hello frame.
+    fn hello_links(net: &MuxNet, addr: SocketAddr, n: u8) -> Vec<MuxLink> {
+        (0..n)
+            .map(|i| {
+                let link = net.connect(addr).unwrap();
+                link.send(Frame::from(&[i][..])).unwrap();
+                link
+            })
+            .collect()
+    }
+
+    /// Reads `shard` until the indices `0..n` have each said hello and
+    /// returns the accepted tokens in index order, so a test matches the
+    /// server's ends to its clients by content rather than accept order.
+    fn tokens_by_hello(shard: &Receiver<MuxEvent>, n: u8) -> Vec<MuxToken> {
+        let mut tokens = vec![None; usize::from(n)];
+        while tokens.iter().any(Option::is_none) {
+            match shard.recv_timeout(TO).expect("every client says hello") {
+                MuxEvent::Frame { token, frame } => tokens[usize::from(frame[0])] = Some(token),
+                MuxEvent::Accepted { .. } => {}
+                MuxEvent::Closed { token } => panic!("{token} closed before its hello"),
+            }
+        }
+        tokens.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn multicast_delivers_one_frame_to_every_listed_connection() {
+        let registry = Registry::new();
+        let net = MuxNet::spawn_with_registry(MuxConfig::default(), &registry);
+        let (addr, shard) = listen(&net);
+        let links = hello_links(&net, addr, 4);
+        let tokens = tokens_by_hello(&shard, 4);
+
+        net.send_to(tokens[0], Frame::from(&b"first"[..])).unwrap();
+        let frame: Frame = (0..5000u32)
+            .map(|i| (i % 251) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        net.multicast(tokens, Frame::clone(&frame)).unwrap();
+
+        // The earlier send keeps its place ahead of the multicast.
+        assert_eq!(&*links[0].recv_timeout(TO).unwrap(), b"first");
+        for link in &links {
+            assert_eq!(&*link.recv_timeout(TO).unwrap(), &*frame);
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("net.loop.multicasts"), 1);
+        assert_eq!(snap.histograms["net.loop.fanout_ns"].count, 1);
+        net.shutdown();
+    }
+
+    #[test]
+    fn multicast_skips_closed_and_unknown_tokens() {
+        let net = spawn_net(false);
+        let (addr, shard) = listen(&net);
+        let links = hello_links(&net, addr, 3);
+        let tokens = tokens_by_hello(&shard, 3);
+        net.close(tokens[1]);
+        loop {
+            if let MuxEvent::Closed { token } = shard.recv_timeout(TO).unwrap() {
+                assert_eq!(token, tokens[1]);
+                break;
+            }
+        }
+
+        let unknown = 999_999;
+        net.multicast(
+            vec![tokens[0], tokens[1], unknown, tokens[2]],
+            Frame::from(&b"to whoever is left"[..]),
+        )
+        .unwrap();
+        for i in [0, 2] {
+            assert_eq!(&*links[i].recv_timeout(TO).unwrap(), b"to whoever is left");
+        }
+        assert!(matches!(
+            links[1].recv_timeout(TO).unwrap_err(),
+            NetError::Disconnected
+        ));
+        net.shutdown();
+    }
+
+    /// Multicasts 32 KiB frames to two reading links and one raw socket
+    /// that never reads, until the stalled queue trips `overflow`, then
+    /// eight more. The readers take every frame in step, so only the
+    /// stalled queue can reach the cap. Returns the loop's metrics.
+    fn multicast_past_a_stalled_reader(overflow: MuxOverflow) -> enclaves_obs::Snapshot {
+        let registry = Registry::new();
+        let net = MuxNet::spawn_with_registry(
+            MuxConfig {
+                max_outbound_bytes: 64 * 1024,
+                overflow,
+                ..MuxConfig::default()
+            },
+            &registry,
+        );
+        let (addr, shard) = listen(&net);
+        let readers = hello_links(&net, addr, 2);
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(&[0, 0, 0, 1, 2]).unwrap();
+        let tokens = tokens_by_hello(&shard, 3);
+
+        let chunk: Frame = vec![0x5a; 32 * 1024].into();
+        let multicast = || {
+            net.multicast(tokens.clone(), Frame::clone(&chunk)).unwrap();
+            // Both readers are served by this loop, which takes no read
+            // before it has applied the whole command.
+            for reader in &readers {
+                assert_eq!(&*reader.recv_timeout(TO).unwrap(), &*chunk);
+            }
+        };
+        let tripped = |snap: &enclaves_obs::Snapshot| {
+            snap.counter("net.loop.overflow_disconnects") + snap.counter("net.loop.overflow_drops")
+                > 0
+        };
+        let mut sent = 0u64;
+        while !tripped(&registry.snapshot()) {
+            assert!(sent < 4096, "the stalled reader never reached the cap");
+            multicast();
+            sent += 1;
+        }
+        for _ in 0..8 {
+            multicast();
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("net.loop.multicasts"), sent + 8);
+        drop(stalled);
+        net.shutdown();
+        snap
+    }
+
+    #[test]
+    fn multicast_cuts_a_stalled_reader_under_disconnect() {
+        let snap = multicast_past_a_stalled_reader(MuxOverflow::Disconnect);
+        // Cut once; later multicasts skip its token.
+        assert_eq!(snap.counter("net.loop.overflow_disconnects"), 1);
+        assert_eq!(snap.counter("net.loop.overflow_drops"), 0);
+    }
+
+    #[test]
+    fn multicast_sheds_for_a_stalled_reader_under_drop_newest() {
+        let snap = multicast_past_a_stalled_reader(MuxOverflow::DropNewest);
+        assert_eq!(snap.counter("net.loop.overflow_disconnects"), 0);
+        // Still connected, so each of the eight later frames is shed too.
+        assert!(snap.counter("net.loop.overflow_drops") >= 9);
+    }
+
+    /// A leader is dialled by its whole roster at once. At std's backlog
+    /// of 128, dial #130 of a burst nobody accepts from yet has its SYN
+    /// dropped and retries only after a second.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_listener_queues_a_dial_burst_past_std_backlog() {
+        let (_listener, addr) = MuxNet::bind(loopback()).unwrap();
+        let dials: Vec<TcpStream> = (0..300)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(250))
+                    .unwrap_or_else(|e| panic!("dial #{i}: {e}"))
+            })
+            .collect();
+        assert_eq!(dials.len(), 300);
     }
 
     #[test]

@@ -95,14 +95,40 @@ fn group_over_loopback_readiness_loop() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // One sealed frame, fanned out to every member's socket.
-    leader.broadcast_data(b"to everyone").unwrap();
+    // One sealed frame, handed to the leader's loop as one multicast and
+    // written once to every member's socket. With every admin exchange
+    // acknowledged, nothing else is in flight to move the counters.
+    while !leader.quiesced() {
+        assert!(std::time::Instant::now() < deadline, "quiesce");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let loop_metrics = world.server.obs_registry();
+    let before = loop_metrics.snapshot();
+    let receipt = leader.broadcast_data(b"to everyone").unwrap();
     for member in [&alice, &bob] {
         let event = member
             .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
             .unwrap();
         assert!(matches!(event, MemberEvent::Broadcast { data, .. } if data == b"to everyone"));
     }
+    // A member can read its copy before the leader's loop has counted
+    // the write; `fanout_ns` is recorded once the last one returned.
+    let fanouts = |snap: &enclaves_obs::Snapshot| snap.histograms["net.loop.fanout_ns"].count;
+    let after = loop {
+        let snap = loop_metrics.snapshot();
+        if fanouts(&snap) > fanouts(&before) {
+            break snap;
+        }
+        assert!(std::time::Instant::now() < deadline, "fan-out recorded");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(fanouts(&after) - fanouts(&before), 1);
+    assert_eq!(delta("net.loop.multicasts"), 1);
+    assert_eq!(
+        delta("net.loop.frames_out"),
+        receipt.recipients.len() as u64
+    );
 
     // Bidirectional group data over TCP.
     alice.send_group_data(b"over tcp").unwrap();
