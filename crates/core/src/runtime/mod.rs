@@ -5,13 +5,14 @@
 //!   ticker, and a registry of per-group [`crate::protocol::LeaderCore`]s
 //!   keyed by enclave tag. Real sockets go through
 //!   [`LeaderService::spawn_mux`] (the readiness loop); the simulator's
-//!   listener through [`LeaderService::spawn`]. Either way a group is added
-//!   with [`LeaderService::add_group`] and operated through its
-//!   [`GroupHandle`], with the clock and poll cadence given once in
-//!   [`ServiceConfig`]. Incoming frames demultiplex by the envelope's
-//!   group tag. Outgoing envelopes are routed to the link currently bound
-//!   to their recipient; links become bound to an identity only after the
-//!   improved protocol authenticates it.
+//!   listener through [`LeaderService::spawn`]; both run the same service
+//!   loop. Either way a group is added with [`LeaderService::add_group`]
+//!   and operated through its [`GroupHandle`], with the clock and poll
+//!   cadence given once in [`ServiceConfig`]. Incoming frames demultiplex
+//!   by the envelope's group tag. Outgoing envelopes are routed to the
+//!   connection currently bound to their recipient; a connection becomes
+//!   bound to an identity only after the improved protocol authenticates
+//!   it.
 //! * [`MemberRuntime`] — a receive loop thread around a
 //!   [`crate::protocol::MemberSession`], exposing an event channel and
 //!   blocking convenience waiters.

@@ -2,26 +2,32 @@
 //! threads.
 //!
 //! A [`LeaderService`] hosts any number of independent enclaves (groups)
-//! behind **one** front end, with a fixed thread complement that does not
-//! grow with the group count:
+//! behind **one** front end, a [`Listener`]: the readiness loop's
+//! [`MuxEndpoint`] on real sockets, a simulated network's
+//! [`enclaves_net::sim::SimListener`] in tests and batteries. Its thread
+//! complement grows with neither the group count nor the connection
+//! count:
 //!
-//! - on real sockets ([`LeaderService::spawn_mux`]), one handler thread
-//!   per event shard of a readiness loop that owns every socket — so the
-//!   thread count does not grow with the connection count either;
-//! - on the simulator ([`LeaderService::spawn`]), one acceptor thread plus
-//!   one handler thread per simulated connection. This thread-per-link
-//!   front end serves the simulator only, until the simulated network
-//!   gains the loop's event face;
+//! - one handler thread per event shard of the front end, running
+//!   `shard_loop`, the one service loop: it keeps a small context per
+//!   connection and hands each frame to the group its tag names;
 //! - one shared liveness ticker driving every group's ARQ retransmits,
 //!   heartbeat deadlines, and timeout evictions.
 //!
-//! Whoever drives a group's core — a connection handler with a frame, an
-//! operator through a [`GroupHandle`], the ticker with an eviction — does
-//! the same three things: call the core under its lock (which seals
-//! whatever it sends, where it stands), then emit the events and route
-//! the frames. Admin frames are small and a production (tree-rekey)
-//! operation seals a handful, so no second path seals them anywhere
-//! else, and none has to be kept in step with this one.
+//! Every frame a group sends leaves through that front end, addressed by
+//! connection token: a route binds an authenticated identity to the
+//! token of the connection that proved it, and a broadcast is one
+//! multicast of one sealed frame to its recipients' tokens.
+//!
+//! Whoever drives a group's core — the service loop with a member's
+//! frame, an operator through a [`GroupHandle`], the ticker with an
+//! eviction — goes through one function, `GroupEntry::fan_out`, which
+//! does the same three things under the group's send-order lock: call the
+//! core under its lock (which seals whatever it sends, where it stands),
+//! then emit the events, then route the frames. Admin frames are small
+//! and a production (tree-rekey) operation seals a handful, so no second
+//! path seals them anywhere else, and none has to be kept in step with
+//! this one.
 //!
 //! Incoming frames are demultiplexed by the envelope's group tag
 //! ([`enclaves_wire::message::Envelope::group`]): each frame is routed to
@@ -34,8 +40,9 @@
 //! A single-group leader is this service with one group added, so every
 //! integration test exercises the shared machinery.
 //!
-//! Lock order: `registry` → `send_order` → `core` → `routes`. Nothing
-//! acquires an earlier lock while holding a later one.
+//! Lock order: `registry` → `send_order` → `core` → `routes`, then the
+//! front end's own. Nothing acquires an earlier lock while holding a
+//! later one.
 
 use crate::config::LeaderConfig;
 use crate::directory::Directory;
@@ -46,14 +53,14 @@ use crate::liveness::{Clock, LivenessConfig, RealClock};
 use crate::protocol::{LeaderCore, LeaderEvent, LeaderOutput};
 use crate::CoreError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use enclaves_net::{Frame, Link, Listener, MuxEndpoint, MuxEvent, MuxNet, MuxToken};
+use enclaves_net::{Frame, Listener, MuxEndpoint, MuxEvent, MuxToken};
 use enclaves_wire::codec::{decode, encode};
-use enclaves_wire::message::Envelope;
+use enclaves_wire::message::{Envelope, MsgType};
 use enclaves_wire::{ActorId, GroupId, Roster};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,51 +95,6 @@ pub struct BroadcastReceipt {
 }
 
 // ---------------------------------------------------------------------------
-// Route sinks
-// ---------------------------------------------------------------------------
-
-/// Where frames routed to one authenticated member go: the per-link
-/// outbound channel of a simulated connection, or a connection token on a
-/// readiness-loop [`MuxNet`]. The routing tables and the dispatch paths
-/// are identical for both front ends.
-#[derive(Clone)]
-enum RouteSink {
-    /// Simulator front end: a channel drained by that link's handler
-    /// thread.
-    Channel(Sender<Frame>),
-    /// Readiness-loop backend: frames are enqueued on the loop's bounded
-    /// outbound queue for this connection.
-    Mux { net: MuxNet, token: MuxToken },
-}
-
-impl RouteSink {
-    fn send(&self, frame: Frame) {
-        match self {
-            // A dead link (receiver gone) or a severed mux connection
-            // drops the frame, as before: the transport guarantees
-            // nothing, the ARQ layer recovers.
-            RouteSink::Channel(tx) => {
-                let _ = tx.send(frame);
-            }
-            RouteSink::Mux { net, token } => {
-                let _ = net.send_to(*token, frame);
-            }
-        }
-    }
-
-    /// Whether both sinks refer to the same underlying connection — the
-    /// guard that keeps a late cleanup of a dead link from severing the
-    /// route a reconnected member rebound on a newer one.
-    fn same_conn(&self, other: &RouteSink) -> bool {
-        match (self, other) {
-            (RouteSink::Channel(a), RouteSink::Channel(b)) => a.same_channel(b),
-            (RouteSink::Mux { token: a, .. }, RouteSink::Mux { token: b, .. }) => a == b,
-            _ => false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Per-group state
 // ---------------------------------------------------------------------------
 
@@ -140,72 +102,65 @@ impl RouteSink {
 /// signalling state the runtime keeps per group.
 struct GroupEntry {
     core: Mutex<LeaderCore>,
-    /// Links bound to authenticated identities *within this group*.
-    routes: Mutex<HashMap<ActorId, RouteSink>>,
+    /// Connections bound to authenticated identities *within this group*.
+    routes: Mutex<HashMap<ActorId, MuxToken>>,
+    /// The service's front end, the one way out for this group's frames.
+    /// A stopped transport or a closed connection drops a frame: the
+    /// transport guarantees nothing, the ARQ layer recovers.
+    front: Arc<dyn Listener>,
     events_tx: Sender<LeaderEvent>,
     /// Bumped on every roster change; [`GroupHandle::wait_member`] blocks
     /// on the paired condvar instead of sleep-polling.
     roster_gen: Mutex<u64>,
     roster_cv: Condvar,
-    /// Serializes operator- and ticker-driven fan-outs (rekey, broadcast,
-    /// expel, evict) from the core call to the last dispatch, so an
-    /// observer always sees an operation's events before any member can
-    /// see its frames. Per group: fan-outs in different enclaves never
+    /// Serializes every [`GroupEntry::fan_out`] from the core call to the
+    /// last dispatch. Per group: fan-outs in different enclaves never
     /// contend.
     send_order: Mutex<()>,
 }
 
+/// What a member's frame, accepted on one connection, decides about that
+/// connection.
+struct Reply {
+    /// The connection the frame arrived on: where a reply goes when its
+    /// recipient has no route.
+    token: MuxToken,
+    /// The identity whose route now binds to `token`, if the frame proved
+    /// its freshness and the route is not already this connection's.
+    bind: Option<ActorId>,
+    /// A handshake request: every reply returns on `token`, route or no
+    /// route. The requester is not (or no longer) route-bound, and a stale
+    /// route from a previous session must not swallow the reply.
+    handshake: bool,
+}
+
 impl GroupEntry {
-    /// Routes envelopes to their recipients' links; unroutable envelopes
-    /// are handed back to the caller-supplied fallback (the current link,
-    /// during authentication).
-    fn dispatch(&self, outgoing: Vec<Envelope>, fallback: Option<&RouteSink>) {
-        let routes = self.routes.lock();
-        for env in outgoing {
-            let frame: Frame = encode(&env).into();
-            if let Some(sink) = routes.get(&env.recipient) {
-                sink.send(frame);
-            } else if let Some(fb) = fallback {
-                fb.send(frame);
-            }
-        }
-    }
-
-    /// Fans one shared frame out to every routed recipient: no
-    /// per-recipient encoding or copying. Readiness-loop recipients are
-    /// collected into one [`MuxNet::multicast`] — one command and at most
-    /// one wakeup for the whole roster; a service has one front end, so
-    /// every `Mux` route names the same loop. Simulator channels are sent
-    /// to one by one.
-    fn dispatch_shared(&self, frame: &Frame, recipients: &Roster) {
-        let routes = self.routes.lock();
-        let mut mux: Option<(&MuxNet, Vec<MuxToken>)> = None;
-        for recipient in recipients.iter() {
-            match routes.get(recipient) {
-                Some(RouteSink::Mux { net, token }) => {
-                    mux.get_or_insert_with(|| (net, Vec::with_capacity(recipients.len())))
-                        .1
-                        .push(*token);
-                }
-                Some(sink) => sink.send(Frame::clone(frame)),
-                None => {}
-            }
-        }
-        if let Some((net, tokens)) = mux {
-            // A stopped loop drops the frame, as `RouteSink::send` does.
-            let _ = net.multicast(tokens, Frame::clone(frame));
-        }
-    }
-
-    /// Routes pre-encoded frames to their recipients' links; unroutable
-    /// frames (e.g. handshake retransmits for members not yet bound) are
-    /// dropped — the peer's own ARQ covers them.
-    fn dispatch_frames<I: IntoIterator<Item = (ActorId, Frame)>>(&self, frames: I) {
+    /// Sends frames to their recipients' connections. A recipient with no
+    /// route goes to `fallback` (the connection a frame arrived on, during
+    /// authentication), or is dropped: e.g. a handshake retransmit for a
+    /// member not yet bound, which the peer's own ARQ covers.
+    fn dispatch<I: IntoIterator<Item = (ActorId, Frame)>>(
+        &self,
+        frames: I,
+        fallback: Option<MuxToken>,
+    ) {
         let routes = self.routes.lock();
         for (recipient, frame) in frames {
-            if let Some(sink) = routes.get(&recipient) {
-                sink.send(frame);
+            if let Some(token) = routes.get(&recipient).copied().or(fallback) {
+                let _ = self.front.send_to(token, frame);
             }
+        }
+    }
+
+    /// Fans one shared frame out to every routed recipient as one
+    /// multicast: no per-recipient encoding or copying, and on the
+    /// readiness loop one command and at most one wakeup for the roster.
+    fn dispatch_shared(&self, frame: &Frame, recipients: &Roster) {
+        let routes = self.routes.lock();
+        let mut tokens = Vec::with_capacity(recipients.len());
+        tokens.extend(recipients.iter().filter_map(|r| routes.get(r).copied()));
+        if !tokens.is_empty() {
+            let _ = self.front.multicast(tokens, Frame::clone(frame));
         }
     }
 
@@ -227,15 +182,18 @@ impl GroupEntry {
         }
     }
 
-    /// One operator- or ticker-driven fan-out: runs `op` on the core,
-    /// then emits its events *before* dispatching its frames (all under
-    /// this group's send-order lock), so no observer can record a
-    /// delivery before its send. `sever` names a member `op` removes: its
-    /// route goes before any dispatch, so it cannot receive
-    /// post-departure frames.
+    /// One drive of the core, whoever drives it — the service loop with a
+    /// member's frame (`reply`), an operator, the ticker with an eviction.
+    /// Under this group's send-order lock it runs `op` on the core, binds
+    /// `reply`'s route, severs the route of every member the output
+    /// removes (so none receives a post-departure frame), emits the events
+    /// *before* dispatching any frame (so no observer can record a
+    /// delivery before its send), then dispatches. So one group's frames
+    /// reach the front end in the order its core made them: a join's
+    /// `PathUpdate` cannot fall behind a concurrent rekey's.
     fn fan_out(
         &self,
-        sever: Option<&ActorId>,
+        reply: Option<&Reply>,
         op: impl FnOnce(&mut LeaderCore) -> Result<LeaderOutput, CoreError>,
     ) -> Result<(), CoreError> {
         let _order = self.send_order.lock();
@@ -246,11 +204,31 @@ impl GroupEntry {
             core.note_lock_hold(elapsed_ns(locked));
             output?
         };
-        if let Some(user) = sever {
-            self.routes.lock().remove(user);
+        {
+            let mut routes = self.routes.lock();
+            if let Some(Reply {
+                token,
+                bind: Some(user),
+                ..
+            }) = reply
+            {
+                routes.insert(user.clone(), *token);
+            }
+            for event in &output.events {
+                if let LeaderEvent::MemberLeft(user) | LeaderEvent::MemberEvicted(user) = event {
+                    routes.remove(user);
+                }
+            }
         }
         self.emit(output.events);
-        self.dispatch(output.outgoing, None);
+        match reply {
+            Some(reply) if reply.handshake => {
+                for (_, frame) in addressed(output.outgoing) {
+                    let _ = self.front.send_to(reply.token, frame);
+                }
+            }
+            _ => self.dispatch(addressed(output.outgoing), reply.map(|r| r.token)),
+        }
         // A tree-rekey PathUpdate rides the same send-order window: one
         // sealed frame, fanned out as refcount bumps.
         for b in &output.broadcasts {
@@ -258,6 +236,14 @@ impl GroupEntry {
         }
         Ok(())
     }
+}
+
+/// Each envelope encoded as one frame, addressed to its recipient.
+fn addressed(outgoing: Vec<Envelope>) -> impl Iterator<Item = (ActorId, Frame)> {
+    outgoing.into_iter().map(|env| {
+        let frame = encode(&env).into();
+        (env.recipient, frame)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -268,21 +254,24 @@ struct ServiceShared {
     /// Registered groups, keyed by their wire tag. `None` is the single
     /// legacy untagged group (byte-compatible pre-multigroup wire format).
     registry: RwLock<HashMap<Option<GroupId>, Arc<GroupEntry>>>,
+    /// The front end every group sends through (each entry holds a clone).
+    front: Arc<dyn Listener>,
     /// The liveness clock shared by every group: real time by default,
     /// virtual under test.
     clock: Arc<dyn Clock>,
-    /// Acceptor/ticker/link poll cadence.
+    /// Shard-handler and ticker poll cadence.
     poll: Duration,
     running: AtomicBool,
-    /// Frames whose group tag matched no registered enclave (dropped).
-    unroutable: AtomicU64,
     /// The write-ahead journal directory, when this service is durable:
     /// every `add_group` creates a sealed stream and every hosted core
     /// journals its transitions.
     journal: Option<JournalDir>,
-    /// Service-level metrics (`recovery.*`) — not owned by any one
-    /// group's core — merged into [`LeaderService::snapshot`].
+    /// Service-level metrics (`recovery.*`, `service.*`) — not owned by
+    /// any one group's core — merged into [`LeaderService::snapshot`].
     service_obs: enclaves_obs::Registry,
+    /// `service.unroutable_frames`: frames whose group tag matched no
+    /// registered enclave (dropped).
+    unroutable: enclaves_obs::Counter,
 }
 
 /// Tuning for a [`LeaderService`] — the *service-wide* knobs (clock, poll
@@ -292,7 +281,8 @@ struct ServiceShared {
 pub struct ServiceConfig {
     /// Liveness clock driving every hosted group. `None` = real time.
     pub clock: Option<Arc<dyn Clock>>,
-    /// Ticker/acceptor/link poll cadence.
+    /// Ticker and shard-handler poll cadence: how often the ticker sweeps,
+    /// and how soon the handlers notice a shutdown.
     pub poll: Duration,
 }
 
@@ -357,22 +347,12 @@ pub struct FailedGroup {
     pub error: JournalError,
 }
 
-/// The I/O front-end a service runs on.
-enum FrontEnd {
-    /// The simulator's listener: an acceptor thread, then a handler thread
-    /// per connection.
-    Listener(Box<dyn Listener>),
-    /// Readiness loop: one handler thread per event shard.
-    Mux(MuxEndpoint),
-}
-
-/// A multi-enclave leader service: one listener, one ticker, any number
+/// A multi-enclave leader service: one front end, one ticker, any number
 /// of groups. See the module docs for the threading model.
 pub struct LeaderService {
     shared: Arc<ServiceShared>,
-    /// I/O threads: the acceptor (simulator) or the fixed shard handlers
-    /// (readiness loop).
-    io: Vec<std::thread::JoinHandle<()>>,
+    /// One handler per shard of the front end.
+    shards: Vec<std::thread::JoinHandle<()>>,
     ticker: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -385,28 +365,26 @@ impl std::fmt::Debug for LeaderService {
 }
 
 impl LeaderService {
-    /// Spawns the service on a simulated network's listener
-    /// ([`enclaves_net::sim::SimListener`]): one acceptor thread, a handler
-    /// thread per connection, and one shared liveness ticker. Groups are
-    /// added with [`LeaderService::add_group`]. Real sockets go through
-    /// [`LeaderService::spawn_mux`].
+    /// Spawns the service on a front end — a simulated network's
+    /// [`enclaves_net::sim::SimListener`] or a readiness-loop
+    /// [`MuxEndpoint`]: one handler thread per event shard drains the
+    /// accepted/frame/closed events of the connections pinned to it, and
+    /// one shared liveness ticker runs beside them, however many members
+    /// connect. Groups are added with [`LeaderService::add_group`].
     #[must_use]
     pub fn spawn(listener: Box<dyn Listener>, config: ServiceConfig) -> Self {
-        Self::start(FrontEnd::Listener(listener), &config, None)
+        Self::start(listener, &config, None)
     }
 
-    /// Spawns the service in readiness-loop mode on a [`MuxEndpoint`]
-    /// (from [`MuxNet::listen_events`]): no acceptor thread and no
-    /// thread-per-connection — one handler thread per event shard drains
-    /// accepted/frame/closed events for the connections pinned to it, so
-    /// the whole service runs at `shards + 2` threads (the loop's own and
-    /// the ticker included) regardless of how many members connect.
+    /// [`LeaderService::spawn`] on a [`MuxEndpoint`] (from
+    /// [`enclaves_net::MuxNet::listen_events`]): the whole service runs at
+    /// `shards + 2` threads, the loop's own and the ticker included.
     ///
-    /// The caller keeps the endpoint's [`MuxNet`] alive and shuts it down
+    /// The caller keeps the endpoint's `MuxNet` alive and shuts it down
     /// *after* [`LeaderService::shutdown`].
     #[must_use]
     pub fn spawn_mux(endpoint: MuxEndpoint, config: ServiceConfig) -> Self {
-        Self::start(FrontEnd::Mux(endpoint), &config, None)
+        Self::spawn(Box::new(endpoint), config)
     }
 
     /// Reopens a durable service from its write-ahead journal directory:
@@ -415,9 +393,8 @@ impl LeaderService {
     /// strictly past the journal fence, and registered — members then
     /// re-admit themselves through the liveness layer's auto-rejoin path
     /// with no operator intervention. Groups added later through
-    /// [`LeaderService::add_group`] get their own journal streams. Like
-    /// [`LeaderService::spawn`], this runs on the simulator's listener;
-    /// [`LeaderService::open_mux_with_journal`] is the real-socket twin.
+    /// [`LeaderService::add_group`] get their own journal streams. The
+    /// front end is taken as in [`LeaderService::spawn`].
     ///
     /// Streams are independent, so a directory of many is recovered side
     /// by side: one thread per `STREAMS_PER_WORKER` (8) streams, at most
@@ -439,12 +416,18 @@ impl LeaderService {
         dir: &Path,
         config: ServiceConfig,
     ) -> Result<(Self, RecoveryReport), JournalError> {
-        Self::open_journaled(FrontEnd::Listener(listener), dir, &config)
+        let journal = JournalDir::open_or_init(dir)?;
+        let scan = journal.streams()?;
+        let service = Self::start(listener, &config, Some(journal.clone()));
+        let parallelism =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = recovery_workers(parallelism, scan.streams.len());
+        let report = Self::recover_all(&service.shared, &journal, &scan, workers);
+        Ok((service, report))
     }
 
-    /// [`LeaderService::open_with_journal`] in readiness-loop mode: the
-    /// production transport ([`LeaderService::spawn_mux`]) and the
-    /// production durability in one process.
+    /// [`LeaderService::open_with_journal`] on a [`MuxEndpoint`]: the
+    /// production transport and the production durability in one process.
     ///
     /// # Errors
     ///
@@ -454,22 +437,7 @@ impl LeaderService {
         dir: &Path,
         config: ServiceConfig,
     ) -> Result<(Self, RecoveryReport), JournalError> {
-        Self::open_journaled(FrontEnd::Mux(endpoint), dir, &config)
-    }
-
-    fn open_journaled(
-        front: FrontEnd,
-        dir: &Path,
-        config: &ServiceConfig,
-    ) -> Result<(Self, RecoveryReport), JournalError> {
-        let journal = JournalDir::open_or_init(dir)?;
-        let scan = journal.streams()?;
-        let service = Self::start(front, config, Some(journal.clone()));
-        let parallelism =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let workers = recovery_workers(parallelism, scan.streams.len());
-        let report = Self::recover_all(&service.shared, &journal, &scan, workers);
-        Ok((service, report))
+        Self::open_with_journal(Box::new(endpoint), dir, config)
     }
 
     /// Recovers every scanned stream on at most `workers` threads, the
@@ -606,77 +574,50 @@ impl LeaderService {
         })
     }
 
-    /// The one constructor: shared state, the front-end's I/O threads,
-    /// the ticker.
-    fn start(front: FrontEnd, config: &ServiceConfig, journal: Option<JournalDir>) -> Self {
-        let shared = Self::build_shared(config, journal);
+    /// The one constructor: shared state, a handler thread per shard of
+    /// the front end, the ticker.
+    fn start(
+        mut front: Box<dyn Listener>,
+        config: &ServiceConfig,
+        journal: Option<JournalDir>,
+    ) -> Self {
+        let shards = front.take_shards();
+        let service_obs = enclaves_obs::Registry::new();
         // Which ChaCha20 kernel this host runs (1 = scalar), so a join
         // that is slower here than on the next host explains itself.
-        shared
-            .service_obs
+        service_obs
             .gauge("crypto.chacha20_lanes")
             .set(i64::try_from(enclaves_crypto::chacha20::lanes()).unwrap_or(i64::MAX));
-        let io = match front {
-            FrontEnd::Listener(listener) => {
-                let accept_shared = Arc::clone(&shared);
-                let acceptor = std::thread::Builder::new()
-                    .name("enclaves-svc-acceptor".into())
-                    .spawn(move || {
-                        while accept_shared.running.load(Ordering::Relaxed) {
-                            match listener.accept_timeout(accept_shared.poll) {
-                                Ok(link) => {
-                                    let link_shared = Arc::clone(&accept_shared);
-                                    let _ = std::thread::Builder::new()
-                                        .name("enclaves-svc-link".into())
-                                        .spawn(move || link_loop(&link_shared, link));
-                                }
-                                Err(enclaves_net::NetError::Timeout) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                    })
-                    .expect("spawn service acceptor");
-                vec![acceptor]
-            }
-            FrontEnd::Mux(mut endpoint) => {
-                let net = endpoint.net();
-                endpoint
-                    .take_shards()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, shard_rx)| {
-                        let shard_shared = Arc::clone(&shared);
-                        let shard_net = net.clone();
-                        std::thread::Builder::new()
-                            .name(format!("enclaves-svc-shard-{i}"))
-                            .spawn(move || shard_loop(&shard_shared, &shard_net, &shard_rx))
-                            .expect("spawn service shard handler")
-                    })
-                    .collect()
-            }
-        };
+        let shared = Arc::new(ServiceShared {
+            registry: RwLock::new(HashMap::new()),
+            front: Arc::from(front),
+            clock: config
+                .clock
+                .clone()
+                .unwrap_or_else(|| Arc::new(RealClock::new())),
+            poll: config.poll,
+            running: AtomicBool::new(true),
+            journal,
+            unroutable: service_obs.counter("service.unroutable_frames"),
+            service_obs,
+        });
+        let shards = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard_rx)| {
+                let shard_shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("enclaves-svc-shard-{i}"))
+                    .spawn(move || shard_loop(&shard_shared, &shard_rx))
+                    .expect("spawn service shard handler")
+            })
+            .collect();
         let ticker = Self::spawn_ticker(&shared);
         LeaderService {
             shared,
-            io,
+            shards,
             ticker: Some(ticker),
         }
-    }
-
-    fn build_shared(config: &ServiceConfig, journal: Option<JournalDir>) -> Arc<ServiceShared> {
-        let clock: Arc<dyn Clock> = config
-            .clock
-            .clone()
-            .unwrap_or_else(|| Arc::new(RealClock::new()));
-        Arc::new(ServiceShared {
-            registry: RwLock::new(HashMap::new()),
-            clock,
-            poll: config.poll,
-            running: AtomicBool::new(true),
-            unroutable: AtomicU64::new(0),
-            journal,
-            service_obs: enclaves_obs::Registry::new(),
-        })
     }
 
     /// One liveness timer for the whole service: every poll interval it
@@ -701,12 +642,12 @@ impl LeaderService {
                         tick_shared.registry.read().values().cloned().collect();
                     for entry in entries {
                         let tick = entry.core.lock().tick(now);
-                        entry.dispatch_frames(tick.frames);
+                        entry.dispatch(tick.frames, None);
                         // The timeout-driven `Oops(Ka)` path (Figure 3).
                         // An error means the member departed on its own
                         // between the tick and this call.
                         for user in &tick.evict {
-                            let _ = entry.fan_out(Some(user), |core| core.evict(user));
+                            let _ = entry.fan_out(None, |core| core.evict(user));
                         }
                     }
                 }
@@ -761,6 +702,7 @@ impl LeaderService {
         let entry = Arc::new(GroupEntry {
             core: Mutex::new(core),
             routes: Mutex::new(HashMap::new()),
+            front: Arc::clone(&shared.front),
             events_tx,
             roster_gen: Mutex::new(0),
             roster_cv: Condvar::new(),
@@ -801,10 +743,10 @@ impl LeaderService {
     }
 
     /// Frames dropped because their group tag matched no registered
-    /// enclave.
+    /// enclave: the snapshot's `service.unroutable_frames`.
     #[must_use]
     pub fn unroutable_frames(&self) -> u64 {
-        self.shared.unroutable.load(Ordering::Relaxed)
+        self.shared.unroutable.get()
     }
 
     /// One merged metric snapshot for the whole service: each group's
@@ -834,17 +776,18 @@ impl LeaderService {
                 .expect("per-group metric names are disjoint");
         }
         // Service-level metrics ride along under their own names
-        // (`recovery.*`, `crypto.*`), disjoint from every `leader.*` name.
+        // (`recovery.*`, `crypto.*`, `service.*`), disjoint from every
+        // `leader.*` name.
         merged
             .merge_from(&self.shared.service_obs.snapshot())
             .expect("service metric names are disjoint");
         merged
     }
 
-    /// Stops the I/O threads (acceptor or shard handlers) and the ticker.
+    /// Stops the shard handlers and the ticker.
     pub fn shutdown(mut self) {
         self.shared.running.store(false, Ordering::Relaxed);
-        for h in self.io.drain(..) {
+        for h in self.shards.drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.ticker.take() {
@@ -983,7 +926,7 @@ impl GroupHandle {
     ///
     /// [`CoreError::UnknownUser`] if not connected.
     pub fn expel(&self, user: &ActorId) -> Result<(), CoreError> {
-        self.entry.fan_out(Some(user), |core| core.expel(user))
+        self.entry.fan_out(None, |core| core.expel(user))
     }
 
     /// Waits until `user` appears in the roster.
@@ -993,10 +936,10 @@ impl GroupHandle {
     /// [`CoreError::Timeout`] if the deadline passes first.
     pub fn wait_member(&self, user: &ActorId, timeout: Duration) -> Result<(), CoreError> {
         let deadline = Instant::now() + timeout;
-        // Block on the roster condvar instead of sleep-polling: the link
-        // threads notify it on every join/leave, so the wait wakes the
-        // moment the roster changes (plus spurious wakeups, handled by the
-        // re-check loop).
+        // Block on the roster condvar instead of sleep-polling: every
+        // fan-out that emits a join or departure notifies it, so the wait
+        // wakes the moment the roster changes (plus spurious wakeups,
+        // handled by the re-check loop).
         let mut gen = self.entry.roster_gen.lock();
         loop {
             if self.entry.core.lock().roster().contains(user) {
@@ -1012,30 +955,31 @@ impl GroupHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Connection handling (shared by both front ends)
+// Connection handling
 // ---------------------------------------------------------------------------
 
-/// Per-connection ingestion state, transport-independent: where replies
-/// to this connection go, and which routes it has bound (one per
-/// (group, identity) whose freshness was proven on it) for cleanup.
+/// Per-connection ingestion state: the connection's token, and which
+/// routes it has bound (one per (group, identity) whose freshness was
+/// proven on it) for cleanup.
 struct ConnCtx {
-    sink: RouteSink,
+    token: MuxToken,
     bound: Vec<(Arc<GroupEntry>, ActorId)>,
 }
 
 impl ConnCtx {
-    fn new(sink: RouteSink) -> Self {
+    fn new(token: MuxToken) -> Self {
         ConnCtx {
-            sink,
+            token,
             bound: Vec::new(),
         }
     }
 
     /// Ingests one inbound frame: decodes it, demultiplexes to the entry
-    /// registered under the envelope's group tag, pumps it into that
-    /// group's core, and routes the resulting frames. One connection can
-    /// in principle carry traffic for several groups (each binding its
-    /// own route), though honest members speak for one.
+    /// registered under the envelope's group tag, and drives that group's
+    /// core with it through [`GroupEntry::fan_out`], like any other
+    /// driver. One connection can in principle carry traffic for several
+    /// groups (each binding its own route), though honest members speak
+    /// for one.
     fn handle_frame(&mut self, shared: &ServiceShared, frame: &Frame) {
         let Ok(env) = decode::<Envelope>(frame) else {
             return; // malformed frame: drop
@@ -1046,75 +990,42 @@ impl ConnCtx {
         // plus the AEAD binding.
         let entry = shared.registry.read().get(&env.group).cloned();
         let Some(entry) = entry else {
-            shared.unroutable.fetch_add(1, Ordering::Relaxed);
+            shared.unroutable.inc();
             return;
         };
-        let sender = env.sender.clone();
-        // Read the clock before taking the core lock so the liveness
+        // Bind this connection to the claimed identity only on messages
+        // whose acceptance proves *freshness* (AuthAckKey/Ack echo a
+        // one-time nonce under the session key). Accepted-but-replayable
+        // messages (GroupData, duplicate AuthInitReq answered from the ARQ
+        // cache) must NOT bind, or an attacker replaying a captured frame
+        // from its own connection could capture the member's route — a
+        // denial of service.
+        let proves_freshness = matches!(env.msg_type, MsgType::AuthAckKey | MsgType::Ack);
+        let bound = self
+            .bound
+            .iter()
+            .any(|(e, u)| Arc::ptr_eq(e, &entry) && u == &env.sender);
+        let reply = Reply {
+            token: self.token,
+            bind: (proves_freshness && !bound).then(|| env.sender.clone()),
+            handshake: env.msg_type == MsgType::AuthInitReq,
+        };
+        // Read the clock before taking any lock so the liveness
         // bookkeeping sees arrival time, not lock-grant time.
         let now = shared.clock.now();
-        let result = entry.core.lock().handle_at(&env, now);
-        match result {
-            Ok(output) => {
-                // Bind this connection to the claimed identity only on
-                // messages whose acceptance proves *freshness*
-                // (AuthAckKey/Ack echo a one-time nonce under the
-                // session key). Accepted-but-replayable messages
-                // (GroupData, duplicate AuthInitReq answered from the
-                // ARQ cache) must NOT bind, or an attacker replaying a
-                // captured frame from its own connection could capture
-                // the member's route — a denial of service.
-                let proves_freshness = matches!(
-                    env.msg_type,
-                    enclaves_wire::message::MsgType::AuthAckKey
-                        | enclaves_wire::message::MsgType::Ack
-                );
-                let already = self
-                    .bound
-                    .iter()
-                    .any(|(e, u)| Arc::ptr_eq(e, &entry) && u == &sender);
-                if proves_freshness && !already {
-                    entry
-                        .routes
-                        .lock()
-                        .insert(sender.clone(), self.sink.clone());
-                    self.bound.push((Arc::clone(&entry), sender.clone()));
+        match entry.fan_out(Some(&reply), |core| core.handle_at(&env, now)) {
+            Ok(()) => {
+                if let Some(user) = reply.bind {
+                    self.bound.push((entry, user));
                 }
-                // A departing member's route is dropped so a later
-                // rejoin (possibly on a new connection) starts clean.
-                for event in &output.events {
-                    if let LeaderEvent::MemberLeft(user) | LeaderEvent::MemberEvicted(user) = event
-                    {
-                        entry.routes.lock().remove(user);
-                    }
-                }
-                if env.msg_type == enclaves_wire::message::MsgType::AuthInitReq {
-                    // Handshake replies always return on the connection
-                    // the request arrived on: the requester is not (or no
-                    // longer) route-bound, and any stale route from a
-                    // previous session must not swallow the reply.
-                    for out_env in output.outgoing {
-                        self.sink.send(encode(&out_env).into());
-                    }
-                } else {
-                    entry.dispatch(output.outgoing, Some(&self.sink));
-                }
-                // Tree-rekey PathUpdates are sealed once and fanned out
-                // as refcount bumps, like data-plane broadcasts.
-                for b in &output.broadcasts {
-                    entry.dispatch_shared(&b.frame, &b.recipients);
-                }
-                entry.emit(output.events);
             }
-            Err(e) => {
-                entry.emit(vec![LeaderEvent::Rejected {
-                    from: sender,
-                    reason: match e {
-                        CoreError::Rejected(r) => r,
-                        _ => crate::error::RejectReason::Malformed,
-                    },
-                }]);
-            }
+            Err(e) => entry.emit(vec![LeaderEvent::Rejected {
+                from: env.sender,
+                reason: match e {
+                    CoreError::Rejected(r) => r,
+                    _ => crate::error::RejectReason::Malformed,
+                },
+            }]),
         }
     }
 
@@ -1127,70 +1038,28 @@ impl ConnCtx {
     fn cleanup(&self) {
         for (entry, user) in &self.bound {
             let mut routes = entry.routes.lock();
-            if routes.get(user).is_some_and(|s| s.same_conn(&self.sink)) {
+            if routes.get(user) == Some(&self.token) {
                 routes.remove(user);
             }
         }
     }
 }
 
-/// Thread-per-link handler of the simulator front end: pumps one link's
-/// inbound frames through a [`ConnCtx`] and flushes its outbound channel.
-fn link_loop(shared: &Arc<ServiceShared>, link: Box<dyn Link>) {
-    let (out_tx, out_rx) = unbounded::<Frame>();
-    let mut ctx = ConnCtx::new(RouteSink::Channel(out_tx));
-
-    while shared.running.load(Ordering::Relaxed) {
-        // Flush anything routed to this link.
-        while let Ok(frame) = out_rx.try_recv() {
-            if link.send(frame).is_err() {
-                ctx.cleanup();
-                return;
-            }
-        }
-        match link.recv_timeout(shared.poll) {
-            Ok(frame) => ctx.handle_frame(shared, &frame),
-            Err(enclaves_net::NetError::Timeout) => continue,
-            Err(_) => {
-                ctx.cleanup();
-                return;
-            }
-        }
-    }
-}
-
-/// Readiness-loop shard handler: drains one event shard, maintaining a
-/// [`ConnCtx`] per connection pinned to this shard. The loop thread owns
-/// the sockets; this thread only runs protocol work, so the service's
-/// thread count is `shards`, not `connections`.
-fn shard_loop(
-    shared: &Arc<ServiceShared>,
-    net: &MuxNet,
-    shard_rx: &crossbeam_channel::Receiver<MuxEvent>,
-) {
+/// The one service loop: drains one event shard of the front end,
+/// keeping a [`ConnCtx`] per connection pinned to it. The transport owns
+/// the connections; this thread only runs protocol work, so the
+/// service's thread count is `shards`, not `connections`.
+fn shard_loop(shared: &Arc<ServiceShared>, shard_rx: &Receiver<MuxEvent>) {
     let mut conns: HashMap<MuxToken, ConnCtx> = HashMap::new();
     while shared.running.load(Ordering::Relaxed) {
         match shard_rx.recv_timeout(shared.poll) {
-            Ok(MuxEvent::Accepted { token, .. }) => {
-                conns.insert(
-                    token,
-                    ConnCtx::new(RouteSink::Mux {
-                        net: net.clone(),
-                        token,
-                    }),
-                );
-            }
+            // A connection's context starts with its first frame.
+            Ok(MuxEvent::Accepted { .. }) => {}
             Ok(MuxEvent::Frame { token, frame }) => {
-                // Insert on demand too: delivery is in order per
-                // connection, but an endpoint restart could replay
-                // frames without their Accepted.
-                let ctx = conns.entry(token).or_insert_with(|| {
-                    ConnCtx::new(RouteSink::Mux {
-                        net: net.clone(),
-                        token,
-                    })
-                });
-                ctx.handle_frame(shared, &frame);
+                conns
+                    .entry(token)
+                    .or_insert_with(|| ConnCtx::new(token))
+                    .handle_frame(shared, &frame);
             }
             Ok(MuxEvent::Closed { token }) => {
                 if let Some(ctx) = conns.remove(&token) {
@@ -1212,7 +1081,8 @@ mod tests {
     use crate::config::{LeaderConfig, RekeyPolicy};
     use crate::protocol::MemberEvent;
     use crate::runtime::{MemberOptions, MemberRuntime};
-    use enclaves_net::sim::{SimConfig, SimNet};
+    use enclaves_net::sim::{Direction, SimConfig, SimNet};
+    use enclaves_net::Link;
 
     const WAIT: Duration = Duration::from_secs(5);
 
@@ -1323,8 +1193,29 @@ mod tests {
         service.shutdown();
     }
 
+    /// A frame tagged for the enclave "ghost", which no test registers.
+    fn ghost_frame() -> Frame {
+        encode(&Envelope {
+            msg_type: MsgType::GroupData,
+            sender: id("alice"),
+            recipient: id("leader"),
+            group: Some(gid("ghost")),
+            body: vec![0xAB; 24],
+        })
+        .into()
+    }
+
+    /// Waits until `service` has dropped `n` unroutable frames.
+    fn wait_unroutable(service: &LeaderService, n: u64) {
+        let deadline = Instant::now() + WAIT;
+        while service.unroutable_frames() < n {
+            assert!(Instant::now() < deadline, "unroutable frames not counted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// A frame tagged for an unregistered enclave is dropped and counted,
-    /// and never perturbs registered groups.
+    /// in the snapshot as well, and never perturbs registered groups.
     #[test]
     fn unregistered_group_tag_is_counted_and_dropped() {
         let net = SimNet::new(SimConfig::default());
@@ -1334,21 +1225,12 @@ mod tests {
             .add_group(id("leader"), directory(&["alice"]), group_config("red"))
             .unwrap();
         let alice = join(&net, "a-red", "alice", "red", &red);
+        assert_eq!(service.snapshot().counter("service.unroutable_frames"), 0);
 
-        let ghost = Envelope {
-            msg_type: enclaves_wire::message::MsgType::GroupData,
-            sender: id("alice"),
-            recipient: id("leader"),
-            group: Some(gid("ghost")),
-            body: vec![0xAB; 24],
-        };
         let link = net.connect("ghost-conn", "svc").unwrap();
-        link.send(encode(&ghost).into()).unwrap();
-        let deadline = Instant::now() + WAIT;
-        while service.unroutable_frames() == 0 {
-            assert!(Instant::now() < deadline, "unroutable frame not counted");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        link.send(ghost_frame()).unwrap();
+        wait_unroutable(&service, 1);
+        assert_eq!(service.snapshot().counter("service.unroutable_frames"), 1);
         assert_eq!(red.stats().rejected, 0, "drop happens before any core");
 
         // The registered group still works.
@@ -1382,7 +1264,7 @@ mod tests {
     }
 
     /// One process hosts a thousand registered groups with a bounded
-    /// thread complement (acceptor + ticker, not one thread per group),
+    /// thread complement (shard handler + ticker, not one thread per group),
     /// and a group deep in the registry still serves members.
     #[test]
     fn thousand_groups_bounded_threads() {
@@ -1407,14 +1289,7 @@ mod tests {
 
         #[cfg(target_os = "linux")]
         {
-            let status = std::fs::read_to_string("/proc/self/status").unwrap();
-            let threads: usize = status
-                .lines()
-                .find_map(|l| l.strip_prefix("Threads:"))
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap();
+            let threads = process_threads();
             assert!(
                 threads < 256,
                 "thread count must not scale with group count, got {threads}"
@@ -1435,6 +1310,123 @@ mod tests {
         )
         .unwrap();
         member.wait_joined(WAIT).unwrap();
+        service.shutdown();
+    }
+
+    /// Live threads of this process.
+    #[cfg(target_os = "linux")]
+    fn process_threads() -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
+    /// A simulated service spends no thread on a connection: 256
+    /// connections, each served (one unroutable frame apiece), leave the
+    /// thread count where it was, give or take what the tests running
+    /// beside this one start and stop.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn simulated_connections_add_no_threads() {
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+        let before = process_threads();
+        let links: Vec<_> = (0..256)
+            .map(|i| {
+                let link = net.connect(&format!("m{i}"), "svc").unwrap();
+                link.send(ghost_frame()).unwrap();
+                link
+            })
+            .collect();
+        wait_unroutable(&service, 256);
+        let after = process_threads();
+        assert!(
+            after < before + 64,
+            "{} connections took the thread count from {before} to {after}",
+            links.len()
+        );
+        service.shutdown();
+    }
+
+    /// Every driver of a core puts its frames on the wire in the order
+    /// the core made them. Joins (frames handled by the service loop)
+    /// race a loop of operator rekeys; each one is a tree `PathUpdate` at
+    /// the next epoch, so on every connection the epochs the tap saw
+    /// leave the leader must strictly rise. A member that saw e+2 before
+    /// e+1 would reject e+2 as `WrongEpoch` and wait for heartbeat
+    /// resync.
+    #[test]
+    fn path_updates_leave_in_epoch_order_under_concurrent_rekeys() {
+        const JOINS: usize = 24;
+        let names: Vec<String> = (0..JOINS).map(|i| format!("m{i:02}")).collect();
+        let users: Vec<&str> = names.iter().map(String::as_str).collect();
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+        let red = service
+            .add_group(
+                id("leader"),
+                directory(&users),
+                LeaderConfig {
+                    tree_rekey: true,
+                    ..group_config("red")
+                },
+            )
+            .unwrap();
+        /// Stops the rekey loop however the joins end.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let done = AtomicBool::new(false);
+        let members = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    // An empty group has nothing to rekey yet.
+                    let _ = red.rekey();
+                }
+            });
+            let _stop = Stop(&done);
+            users
+                .iter()
+                .enumerate()
+                .map(|(i, user)| join(&net, &format!("c{i}"), user, "red", &red))
+                .collect::<Vec<MemberRuntime>>()
+        });
+
+        let mut last: HashMap<usize, u64> = HashMap::new();
+        let mut updates = 0;
+        for tapped in net.adversary().observed() {
+            if tapped.dir != Direction::ToConnector {
+                continue;
+            }
+            let env = decode::<Envelope>(&tapped.frame).unwrap();
+            if env.msg_type != MsgType::PathUpdate {
+                continue;
+            }
+            let epoch = enclaves_wire::message::PathUpdateView::parse(&env.body)
+                .unwrap()
+                .head
+                .epoch;
+            if let Some(prev) = last.insert(tapped.conn, epoch) {
+                assert!(
+                    epoch > prev,
+                    "connection {} got epoch {epoch} after {prev}",
+                    tapped.conn
+                );
+            }
+            updates += 1;
+        }
+        assert!(updates > JOINS, "only {updates} path updates were sent");
+        drop(members);
         service.shutdown();
     }
 
@@ -1616,11 +1608,7 @@ mod tests {
     fn quiet_service(journal: Option<JournalDir>) -> LeaderService {
         let net = SimNet::new(SimConfig::default());
         let listener = net.listen("svc").unwrap();
-        LeaderService::start(
-            FrontEnd::Listener(Box::new(listener)),
-            &ServiceConfig::default(),
-            journal,
-        )
+        LeaderService::start(Box::new(listener), &ServiceConfig::default(), journal)
     }
 
     /// Everything a [`RecoveryReport`] says except how long it took, plus

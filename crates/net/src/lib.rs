@@ -15,9 +15,11 @@
 //!   with an explicit slow-consumer policy. Every real-socket leader, the
 //!   CLI example and the 10k-member load rig run on it.
 //!
-//! Members consume either through the [`link::Link`] trait (a simulated
-//! link, or a [`MuxLink`]). A leader takes the simulator's
-//! [`link::Listener`] or a readiness-loop [`MuxEndpoint`].
+//! Both present the same two faces. A member holds a [`link::Link`] (a
+//! simulated link, or a [`MuxLink`]). A leader holds a [`link::Listener`]
+//! (a simulated listener, or a readiness-loop [`MuxEndpoint`]): the
+//! loop's [`MuxEvent`]s on shard channels, sends by connection token. So
+//! one service loop serves every leader, simulated or not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,17 @@
-//! Transport abstraction: duplex links and listeners.
+//! Transport abstraction: member links and the leader's front end.
 //!
 //! Enclaves uses a star topology (Figure 1): every member holds one
-//! bidirectional point-to-point link to the leader. A [`Link`] is one end
-//! of such a connection; a [`Listener`] is the leader-side acceptor. The
-//! deterministic simulator ([`crate::sim`]) implements both; the
-//! readiness-loop transport implements [`Link`] for its client side
-//! ([`crate::MuxLink`]), so a member runtime is transport-agnostic. A
-//! real-socket leader takes the loop's events instead of a [`Listener`].
+//! bidirectional point-to-point link to the leader. A [`Link`] is the
+//! member's end of such a connection; a [`Listener`] is the leader's end
+//! of all of them at once, as the readiness loop presents them: every
+//! connection's [`MuxEvent`]s on a fixed set of shard channels, and
+//! sends addressed by connection token. The deterministic simulator
+//! ([`crate::sim`]) and the readiness-loop transport ([`crate::mux`])
+//! implement both, so the member runtime and the leader service are
+//! transport-agnostic.
 
-use crate::NetError;
+use crate::{MuxEvent, MuxToken, NetError};
+use crossbeam_channel::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,22 +43,34 @@ pub trait Link: Send {
     /// [`NetError::Timeout`] if nothing arrived, [`NetError::Disconnected`]
     /// if the peer is gone.
     fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError>;
-
-    /// A transport-level hint about who the peer is (e.g. the name used at
-    /// connect time, or a TCP address). Untrusted — authentication happens
-    /// in the protocol.
-    fn peer_hint(&self) -> Option<String>;
 }
 
-/// A leader-side acceptor of new links.
-pub trait Listener: Send {
-    /// Accepts one new link, waiting up to `timeout`.
+/// The leader-side front end: every connection made to one listening
+/// name or address.
+///
+/// Each connection's events arrive on one shard, in order: `Accepted`,
+/// its frames, then at most one `Closed`. Outbound frames are addressed
+/// by the connection's token and, like a [`Link`]'s, guaranteed nothing:
+/// a frame to a closed connection is dropped.
+pub trait Listener: Send + Sync {
+    /// Takes the shard receivers (once; later calls return none). A
+    /// consumer runs one thread per shard.
+    fn take_shards(&mut self) -> Vec<Receiver<MuxEvent>>;
+
+    /// Sends one frame to connection `token`.
     ///
     /// # Errors
     ///
-    /// [`NetError::Timeout`] if no connection arrived,
-    /// [`NetError::AcceptFailed`] if the transport cannot accept.
-    fn accept_timeout(&self, timeout: Duration) -> Result<Box<dyn Link>, NetError>;
+    /// [`NetError::Disconnected`] if the transport has shut down.
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError>;
+
+    /// Sends one shared frame to every connection in `tokens`, in list
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] if the transport has shut down.
+    fn multicast(&self, tokens: Vec<MuxToken>, frame: Frame) -> Result<(), NetError>;
 }
 
 impl Link for Box<dyn Link> {
@@ -65,9 +80,5 @@ impl Link for Box<dyn Link> {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
         (**self).recv_timeout(timeout)
-    }
-
-    fn peer_hint(&self) -> Option<String> {
-        (**self).peer_hint()
     }
 }

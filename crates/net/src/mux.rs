@@ -24,7 +24,8 @@
 //! [`MuxNet::send_to`] or [`MuxNet::multicast`].
 //! [`MuxNet::listen_events`] spreads accepted connections over a fixed
 //! set of such channels (one shard per connection, chosen by token, so
-//! per-connection frame order is preserved): the leader service's shard
+//! per-connection frame order is preserved) and returns them as a
+//! [`MuxEndpoint`], the loop's [`Listener`]: the leader service's shard
 //! handlers and the load-test swarm stay at a bounded thread count
 //! regardless of connection count.
 //! [`MuxNet::connect_routed`] dials out onto a caller's channel, and
@@ -36,7 +37,7 @@
 //! writes, multicasts and their fan-out time, queue depth, and the
 //! overflow counters backing the slow-consumer policy.
 
-use crate::{Frame, Link, NetError};
+use crate::{Frame, Link, Listener, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_obs::{Counter, Gauge, Histogram, Registry};
 use enclaves_wire::framing::MAX_FRAME_LEN;
@@ -162,8 +163,6 @@ pub enum MuxEvent {
     Accepted {
         /// The new connection's token.
         token: MuxToken,
-        /// The peer address (untrusted routing hint).
-        peer: SocketAddr,
     },
     /// A complete frame arrived.
     Frame {
@@ -390,7 +389,6 @@ impl MuxNet {
             net: self.clone(),
             token,
             incoming: rx,
-            peer: addr,
         })
     }
 
@@ -534,14 +532,12 @@ pub struct MuxLink {
     net: MuxNet,
     token: MuxToken,
     incoming: Receiver<MuxEvent>,
-    peer: SocketAddr,
 }
 
 impl std::fmt::Debug for MuxLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxLink")
             .field("token", &self.token)
-            .field("peer", &self.peer)
             .finish()
     }
 }
@@ -569,10 +565,6 @@ impl Link for MuxLink {
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
         }
     }
-
-    fn peer_hint(&self) -> Option<String> {
-        Some(self.peer.to_string())
-    }
 }
 
 impl Drop for MuxLink {
@@ -584,8 +576,7 @@ impl Drop for MuxLink {
 }
 
 /// A listener's endpoint: the bound address plus the sharded event
-/// receivers. Outbound frames go through [`MuxEndpoint::net`] /
-/// [`MuxNet::send_to`].
+/// receivers. As a [`Listener`] it sends through its [`MuxNet`].
 pub struct MuxEndpoint {
     net: MuxNet,
     local: SocketAddr,
@@ -607,17 +598,19 @@ impl MuxEndpoint {
     pub fn local_addr(&self) -> SocketAddr {
         self.local
     }
+}
 
-    /// A handle to the owning loop (for sends and shutdown).
-    #[must_use]
-    pub fn net(&self) -> MuxNet {
-        self.net.clone()
+impl Listener for MuxEndpoint {
+    fn take_shards(&mut self) -> Vec<Receiver<MuxEvent>> {
+        std::mem::take(&mut self.shards)
     }
 
-    /// Takes the shard receivers (once); consumers spawn one thread per
-    /// shard.
-    pub fn take_shards(&mut self) -> Vec<Receiver<MuxEvent>> {
-        std::mem::take(&mut self.shards)
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError> {
+        self.net.send_to(token, frame)
+    }
+
+    fn multicast(&self, tokens: Vec<MuxToken>, frame: Frame) -> Result<(), NetError> {
+        self.net.multicast(tokens, frame)
     }
 }
 
@@ -848,14 +841,14 @@ fn accept_ready(
     };
     loop {
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((stream, _)) => {
                 if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
                     obs.accept_errors.inc();
                     continue;
                 }
                 let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
                 let events = shards[token % shards.len()].clone();
-                let _ = events.send(MuxEvent::Accepted { token, peer });
+                let _ = events.send(MuxEvent::Accepted { token });
                 if shared.poller.add(&stream, Event::readable(token)).is_err() {
                     obs.accept_errors.inc();
                     let _ = events.send(MuxEvent::Closed { token });
@@ -1122,7 +1115,7 @@ mod tests {
         let mut endpoint = net.listen_events(loopback(), 1).unwrap();
         let client = net.connect(endpoint.local_addr()).unwrap();
         let rx = endpoint.take_shards().pop().unwrap();
-        let Ok(MuxEvent::Accepted { token, .. }) = rx.recv_timeout(TO) else {
+        let Ok(MuxEvent::Accepted { token }) = rx.recv_timeout(TO) else {
             panic!("the listener accepted nothing");
         };
         let net = net.clone();
@@ -1342,7 +1335,7 @@ mod tests {
             for shard in &shards {
                 while let Ok(ev) = shard.try_recv() {
                     match ev {
-                        MuxEvent::Accepted { token, .. } => server_token = Some(token),
+                        MuxEvent::Accepted { token } => server_token = Some(token),
                         MuxEvent::Frame { frame, .. } => {
                             assert_eq!(&*frame, b"hello");
                             got_frame = true;

@@ -1,10 +1,14 @@
 //! Deterministic simulated network with fault injection and a Dolev-Yao
 //! adversary tap.
 //!
-//! A [`SimNet`] hosts named endpoints. A member connects to a listener by
-//! name; each connection becomes a pair of [`SimLink`]s joined by two
-//! fault-injecting directed "wires". All frames (including dropped ones)
-//! are copied to the [`Adversary`], which can also inject arbitrary frames
+//! A [`SimNet`] hosts named listeners. A member connects to one by name
+//! and holds a [`SimLink`]; the leader holds the [`SimListener`], which
+//! presents every connection the way the readiness loop does: an
+//! `Accepted` event, the connection's frames, and one `Closed` when it is
+//! killed, all on one shard, with sends addressed by connection token
+//! ([`crate::Listener`]). Each connection is two fault-injecting directed
+//! "wires". All frames (including dropped ones) are copied to the
+//! [`Adversary`], which can also inject arbitrary frames
 //! into either end of any connection — exactly the attacker of
 //! Section 3.1: "compromised participants and outsiders can read all the
 //! messages exchanged, replay old messages, and send arbitrary messages
@@ -17,8 +21,9 @@
 //! * **asymmetric partitions** — [`SimNet::set_blocked`] silences one
 //!   direction of one connection until healed; frames sent into the
 //!   outage are observed on the tap but never delivered;
-//! * **endpoint kill** — [`SimNet::kill`] severs a connection: both ends
-//!   see [`NetError::Disconnected`], held frames are discarded, and
+//! * **endpoint kill** — [`SimNet::kill`] severs a connection: the member
+//!   sees [`NetError::Disconnected`] and the listener one `Closed`, each
+//!   after the frames already delivered; held frames are discarded, and
 //!   nothing ever flows again (a crash mid-handshake or mid-session).
 //!
 //! Determinism: all fault decisions come from a single seeded RNG, and
@@ -29,11 +34,12 @@
 //! than wall-clock time, which keeps runs seed-reproducible.
 //!
 //! Held-back frames (reorder holdbacks and delayed frames) are flushed to
-//! their receiver when the sending link is dropped or when
-//! [`SimNet::flush_all`] is called, so the tail frame of a burst is never
-//! stranded behind a fault that only releases on the next send.
+//! their receiver when the sending end — the member's link or the
+//! leader's listener — is dropped, or when [`SimNet::flush_all`] is
+//! called, so the tail frame of a burst is never stranded behind a fault
+//! that only releases on the next send.
 
-use crate::{Frame, Link, Listener, NetError};
+use crate::{Frame, Link, Listener, MuxEvent, MuxToken, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender, TrySendError};
 use enclaves_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
@@ -204,7 +210,9 @@ impl NetObs {
 }
 
 struct Wire {
-    tx: Sender<Frame>,
+    /// The receiving end's channel: the member's, or the listener's shard.
+    /// Every delivery is a [`MuxEvent::Frame`] naming the connection.
+    tx: Sender<MuxEvent>,
     /// Held-back frame for pairwise reordering.
     holdback: Option<Frame>,
     /// Frames under virtual delay, each with its remaining tick count.
@@ -214,7 +222,7 @@ struct Wire {
 }
 
 impl Wire {
-    fn new(tx: Sender<Frame>) -> Self {
+    fn new(tx: Sender<MuxEvent>) -> Self {
         Wire {
             tx,
             holdback: None,
@@ -230,6 +238,20 @@ impl Wire {
         held.extend(self.holdback.take());
         held
     }
+
+    /// Hands `frames` of connection `conn` to the receiving end until it
+    /// is found gone; returns how many it took.
+    fn deliver(&self, conn: usize, frames: Vec<Frame>) -> usize {
+        let mut delivered = 0;
+        for frame in frames {
+            let event = MuxEvent::Frame { token: conn, frame };
+            if let Err(TrySendError::Disconnected(_)) = self.tx.try_send(event) {
+                break;
+            }
+            delivered += 1;
+        }
+        delivered
+    }
 }
 
 struct Connection {
@@ -239,9 +261,6 @@ struct Connection {
     to_connector: Wire,
     /// Whether the connection has been severed by [`SimNet::kill`].
     killed: bool,
-    /// Untrusted peer name given at connect time (kept for diagnostics).
-    #[allow(dead_code)]
-    connector_name: String,
 }
 
 impl Connection {
@@ -257,7 +276,8 @@ struct SimInner {
     config: SimConfig,
     rng: StdRng,
     connections: Vec<Connection>,
-    listeners: std::collections::HashMap<String, Sender<PendingAccept>>,
+    /// Each listener's one shard, by name.
+    listeners: std::collections::HashMap<String, Sender<MuxEvent>>,
     tap: Vec<TappedFrame>,
     stats: SimStats,
     obs: Option<NetObs>,
@@ -275,25 +295,13 @@ impl SimInner {
         let wire = connection.wire_mut(dir);
         let held = wire.take_held();
         let released = held.len();
-        let tx = wire.tx.clone();
-        let mut delivered = 0;
-        for frame in held {
-            if let Err(TrySendError::Disconnected(_)) = tx.try_send(frame) {
-                break;
-            }
-            delivered += 1;
-        }
+        let delivered = wire.deliver(conn, held);
         self.stats.delivered += delivered;
         if let Some(obs) = &self.obs {
             obs.delivered.add(delivered as u64);
             obs.holdback_depth.sub(released as i64);
         }
     }
-}
-
-struct PendingAccept {
-    conn: usize,
-    link: SimLink,
 }
 
 /// A deterministic in-process network.
@@ -329,7 +337,8 @@ impl SimNet {
         }
     }
 
-    /// Registers a named listener (the leader).
+    /// Registers a named listener (the leader): a front end with one
+    /// shard.
     ///
     /// # Errors
     ///
@@ -342,10 +351,11 @@ impl SimNet {
             )));
         }
         let (tx, rx) = unbounded();
-        inner.listeners.insert(name.to_string(), tx);
+        inner.listeners.insert(name.to_string(), tx.clone());
         Ok(SimListener {
-            incoming: rx,
             net: self.clone(),
+            events: tx,
+            shards: vec![rx],
         })
     }
 
@@ -359,47 +369,34 @@ impl SimNet {
         self.inner.lock().listeners.remove(name).is_some()
     }
 
-    /// Connects `from_name` to the listener `to_name`, returning the
-    /// member-side link.
+    /// Connects to the listener `to_name`, returning the member-side link;
+    /// the listener sees `Accepted` with the connection index as token.
+    /// `_from_name` is the connector's name, untrusted and not kept.
     ///
     /// # Errors
     ///
-    /// [`NetError::UnknownPeer`] if no such listener exists.
-    pub fn connect(&self, from_name: &str, to_name: &str) -> Result<SimLink, NetError> {
+    /// [`NetError::UnknownPeer`] if no such listener exists,
+    /// [`NetError::Disconnected`] if its front end has stopped reading.
+    pub fn connect(&self, _from_name: &str, to_name: &str) -> Result<SimLink, NetError> {
         let mut inner = self.inner.lock();
-        let Some(accept_tx) = inner.listeners.get(to_name).cloned() else {
+        let Some(listener) = inner.listeners.get(to_name).cloned() else {
             return Err(NetError::UnknownPeer(to_name.to_string()));
         };
-        let (to_listener_tx, to_listener_rx) = unbounded();
-        let (to_connector_tx, to_connector_rx) = unbounded();
         let conn = inner.connections.len();
+        listener
+            .send(MuxEvent::Accepted { token: conn })
+            .map_err(|_| NetError::Disconnected)?;
+        let (to_connector_tx, to_connector_rx) = unbounded();
         inner.connections.push(Connection {
-            to_listener: Wire::new(to_listener_tx),
+            to_listener: Wire::new(listener),
             to_connector: Wire::new(to_connector_tx),
             killed: false,
-            connector_name: from_name.to_string(),
         });
-        let member_link = SimLink {
+        Ok(SimLink {
             net: self.clone(),
             conn,
-            send_dir: Direction::ToListener,
             rx: to_connector_rx,
-            peer: to_name.to_string(),
-        };
-        let leader_link = SimLink {
-            net: self.clone(),
-            conn,
-            send_dir: Direction::ToConnector,
-            rx: to_listener_rx,
-            peer: from_name.to_string(),
-        };
-        accept_tx
-            .send(PendingAccept {
-                conn,
-                link: leader_link,
-            })
-            .map_err(|_| NetError::Disconnected)?;
-        Ok(member_link)
+        })
     }
 
     /// Replaces the fault configuration at runtime (the RNG stream is
@@ -430,10 +427,11 @@ impl SimNet {
         }
     }
 
-    /// Severs connection `conn` permanently: both endpoints observe
-    /// [`NetError::Disconnected`] once their receive queues drain, held
-    /// frames are discarded, and all future sends vanish. Models an
-    /// endpoint crash or a connection reset mid-handshake or mid-session.
+    /// Severs connection `conn` permanently: once their receive queues
+    /// drain, the member observes [`NetError::Disconnected`] and the
+    /// listener one `Closed`; held frames are discarded, and all future
+    /// sends vanish. Models an endpoint crash or a connection reset
+    /// mid-handshake or mid-session.
     pub fn kill(&self, conn: usize) {
         let mut inner = self.inner.lock();
         let Some(connection) = inner.connections.get_mut(conn) else {
@@ -443,16 +441,21 @@ impl SimNet {
             return;
         }
         connection.killed = true;
+        let _ = connection
+            .to_listener
+            .tx
+            .send(MuxEvent::Closed { token: conn });
+        // Replace both senders with one whose receiver is already gone:
+        // the member's channel loses its last sender, so its receive loop
+        // sees Disconnected after draining.
+        let (dead_tx, _) = unbounded();
         let mut discarded = 0usize;
         for dir in [Direction::ToListener, Direction::ToConnector] {
             let wire = connection.wire_mut(dir);
             discarded += wire.delayed.len() + usize::from(wire.holdback.is_some());
             wire.holdback = None;
             wire.delayed.clear();
-            // Replace the sender with one whose receiver is already gone:
-            // the endpoint's receive loop sees Disconnected after draining.
-            let (dead_tx, _) = unbounded();
-            wire.tx = dead_tx;
+            wire.tx = dead_tx.clone();
         }
         inner.stats.killed += 1;
         if let Some(obs) = &inner.obs {
@@ -682,18 +685,9 @@ impl SimNet {
                 .add((parked + reordered) as i64 - released as i64);
         }
 
-        let wire = match dir {
-            Direction::ToListener => &inner.connections[conn].to_listener,
-            Direction::ToConnector => &inner.connections[conn].to_connector,
-        };
-        let tx = wire.tx.clone();
-        let mut delivered = 0;
-        for d in deliveries {
-            if let Err(TrySendError::Disconnected(_)) = tx.try_send(d) {
-                break;
-            }
-            delivered += 1;
-        }
+        let delivered = inner.connections[conn]
+            .wire_mut(dir)
+            .deliver(conn, deliveries);
         inner.stats.delivered += delivered;
         if let Some(obs) = &inner.obs {
             obs.delivered.add(delivered as u64);
@@ -701,22 +695,16 @@ impl SimNet {
     }
 }
 
-/// One end of a simulated connection.
+/// The member's end of a simulated connection.
 pub struct SimLink {
     net: SimNet,
     conn: usize,
-    send_dir: Direction,
-    rx: Receiver<Frame>,
-    peer: String,
+    rx: Receiver<MuxEvent>,
 }
 
 impl std::fmt::Debug for SimLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimLink")
-            .field("conn", &self.conn)
-            .field("send_dir", &self.send_dir)
-            .field("peer", &self.peer)
-            .finish()
+        f.debug_struct("SimLink").field("conn", &self.conn).finish()
     }
 }
 
@@ -735,33 +723,39 @@ impl Drop for SimLink {
     /// committed to the wire before the close, so the network eventually
     /// delivers them rather than stranding the tail of a burst.
     fn drop(&mut self) {
-        self.net.inner.lock().flush_wire(self.conn, self.send_dir);
+        self.net
+            .inner
+            .lock()
+            .flush_wire(self.conn, Direction::ToListener);
     }
 }
 
 impl Link for SimLink {
     fn send(&self, frame: Frame) -> Result<(), NetError> {
-        self.net.transmit(self.conn, self.send_dir, frame, false);
+        self.net
+            .transmit(self.conn, Direction::ToListener, frame, false);
         Ok(())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
-    }
-
-    fn peer_hint(&self) -> Option<String> {
-        Some(self.peer.clone())
+        match self.rx.recv_timeout(timeout) {
+            Ok(MuxEvent::Frame { frame, .. }) => Ok(frame),
+            // Only frames are sent here; a kill drops the last sender.
+            Ok(MuxEvent::Accepted { .. } | MuxEvent::Closed { .. })
+            | Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+        }
     }
 }
 
-/// The leader-side acceptor for a [`SimNet`] listener.
+/// The leader's front end on a [`SimNet`] listener name: one shard,
+/// sends by connection index.
 pub struct SimListener {
-    incoming: Receiver<PendingAccept>,
-    #[allow(dead_code)]
     net: SimNet,
+    /// The shard's sender, which every connection's listener-bound wire
+    /// clones: how a connection is known to be this listener's.
+    events: Sender<MuxEvent>,
+    shards: Vec<Receiver<MuxEvent>>,
 }
 
 impl std::fmt::Debug for SimListener {
@@ -771,13 +765,38 @@ impl std::fmt::Debug for SimListener {
 }
 
 impl Listener for SimListener {
-    fn accept_timeout(&self, timeout: Duration) -> Result<Box<dyn Link>, NetError> {
-        let pending = self.incoming.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam_channel::RecvTimeoutError::Timeout => NetError::Timeout,
-            crossbeam_channel::RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })?;
-        let _ = pending.conn;
-        Ok(Box::new(pending.link))
+    fn take_shards(&mut self) -> Vec<Receiver<MuxEvent>> {
+        std::mem::take(&mut self.shards)
+    }
+
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError> {
+        self.net
+            .transmit(token, Direction::ToConnector, frame, false);
+        Ok(())
+    }
+
+    fn multicast(&self, tokens: Vec<MuxToken>, frame: Frame) -> Result<(), NetError> {
+        for token in tokens {
+            self.send_to(token, Frame::clone(&frame))?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for SimListener {
+    /// Closing the front end flushes the frames it sent that a fault was
+    /// still holding, as a member's [`SimLink`] does for its own.
+    fn drop(&mut self) {
+        let mut inner = self.net.inner.lock();
+        for conn in 0..inner.connections.len() {
+            if inner.connections[conn]
+                .to_listener
+                .tx
+                .same_channel(&self.events)
+            {
+                inner.flush_wire(conn, Direction::ToConnector);
+            }
+        }
     }
 }
 
@@ -854,6 +873,58 @@ mod tests {
         SimNet::new(SimConfig::default())
     }
 
+    /// A listener named "leader" with its one shard, as a service holds
+    /// it.
+    struct Leader {
+        listener: SimListener,
+        shard: Receiver<MuxEvent>,
+    }
+
+    impl Leader {
+        fn new(net: &SimNet) -> Self {
+            let mut listener = net.listen("leader").unwrap();
+            let shard = listener.take_shards().pop().unwrap();
+            Leader { listener, shard }
+        }
+
+        /// The listener's end of the next accepted connection.
+        fn accept(&self) -> Server<'_> {
+            match self.shard.recv_timeout(TO) {
+                Ok(MuxEvent::Accepted { token }) => Server {
+                    leader: self,
+                    token,
+                },
+                other => panic!("expected an accept, got {other:?}"),
+            }
+        }
+    }
+
+    /// One connection as the listener sees it.
+    struct Server<'a> {
+        leader: &'a Leader,
+        token: MuxToken,
+    }
+
+    impl Server<'_> {
+        fn send(&self, frame: Frame) -> Result<(), NetError> {
+            self.leader.listener.send_to(self.token, frame)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
+            match self.leader.shard.recv_timeout(timeout) {
+                Ok(MuxEvent::Frame { token, frame }) if token == self.token => Ok(frame),
+                Ok(MuxEvent::Closed { token }) if token == self.token => {
+                    Err(NetError::Disconnected)
+                }
+                Ok(other) => panic!("unexpected event {other:?}"),
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                    Err(NetError::Disconnected)
+                }
+            }
+        }
+    }
+
     #[test]
     fn registry_mirrors_stats_exactly() {
         let net = SimNet::new(SimConfig {
@@ -867,9 +938,9 @@ mod tests {
         });
         let registry = Registry::default();
         net.attach_registry(&registry);
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         for i in 0..200u8 {
             member.send(vec![i; 16].into()).unwrap();
             leader_side.send(vec![i; 16].into()).unwrap();
@@ -894,9 +965,9 @@ mod tests {
     #[test]
     fn registry_attached_mid_run_seeds_current_totals() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"before"[..].into()).unwrap();
         let registry = Registry::default();
         net.attach_registry(&registry);
@@ -919,9 +990,9 @@ mod tests {
         });
         let registry = Registry::default();
         net.attach_registry(&registry);
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let _leader_side = listener.accept_timeout(TO).unwrap();
+        let _leader_side = leader.accept();
         member.send(b"a"[..].into()).unwrap();
         member.send(b"b"[..].into()).unwrap();
         assert!(registry.snapshot().gauge("net.holdback_depth") > 0);
@@ -934,16 +1005,14 @@ mod tests {
     #[test]
     fn connect_and_exchange() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
 
         member.send(b"hello"[..].into()).unwrap();
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"hello");
         leader_side.send(b"welcome"[..].into()).unwrap();
         assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"welcome");
-        assert_eq!(leader_side.peer_hint().as_deref(), Some("alice"));
-        assert_eq!(member.peer_hint().as_deref(), Some("leader"));
     }
 
     #[test]
@@ -979,9 +1048,9 @@ mod tests {
     #[test]
     fn adversary_observes_everything() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         let adv = net.adversary();
 
         member.send(b"secret-looking"[..].into()).unwrap();
@@ -1001,9 +1070,9 @@ mod tests {
     #[test]
     fn adversary_injects_and_replays() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let _leader_side = listener.accept_timeout(TO).unwrap();
+        let _leader_side = leader.accept();
         let adv = net.adversary();
 
         adv.inject(0, Direction::ToConnector, b"forged"[..].into());
@@ -1022,9 +1091,9 @@ mod tests {
             drop_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"doomed"[..].into()).unwrap();
         assert_eq!(
             leader_side
@@ -1048,9 +1117,9 @@ mod tests {
             duplicate_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"twice"[..].into()).unwrap();
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"twice");
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"twice");
@@ -1063,9 +1132,9 @@ mod tests {
             reorder_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"first"[..].into()).unwrap();
         member.send(b"second"[..].into()).unwrap();
         // With reorder_prob = 1.0, frame 1 is held and frame 2 triggers the
@@ -1082,9 +1151,9 @@ mod tests {
                 seed,
                 ..SimConfig::default()
             });
-            let listener = net.listen("leader").unwrap();
+            let leader = Leader::new(&net);
             let member = net.connect("alice", "leader").unwrap();
-            let _l = listener.accept_timeout(TO).unwrap();
+            let _l = leader.accept();
             for i in 0..32u8 {
                 member.send(vec![i].into()).unwrap();
             }
@@ -1100,18 +1169,16 @@ mod tests {
     #[test]
     fn multiple_members_multiplex() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let alice = net.connect("alice", "leader").unwrap();
         let bob = net.connect("bob", "leader").unwrap();
-        let l_alice = listener.accept_timeout(TO).unwrap();
-        let l_bob = listener.accept_timeout(TO).unwrap();
+        let l_alice = leader.accept();
+        let l_bob = leader.accept();
 
         alice.send(b"from-alice"[..].into()).unwrap();
         bob.send(b"from-bob"[..].into()).unwrap();
         assert_eq!(&l_alice.recv_timeout(TO).unwrap()[..], b"from-alice");
         assert_eq!(&l_bob.recv_timeout(TO).unwrap()[..], b"from-bob");
-        assert_eq!(l_alice.peer_hint().as_deref(), Some("alice"));
-        assert_eq!(l_bob.peer_hint().as_deref(), Some("bob"));
     }
 
     #[test]
@@ -1120,9 +1187,9 @@ mod tests {
             corrupt_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         let original = b"pristine bytes".to_vec();
         member.send(original.clone().into()).unwrap();
         let received = leader_side.recv_timeout(TO).unwrap();
@@ -1146,9 +1213,9 @@ mod tests {
             max_delay_ticks: 1,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
 
         // Every frame is delayed one tick: frame N is released by the
         // transmission of frame N+1 (which itself parks).
@@ -1164,9 +1231,9 @@ mod tests {
     #[test]
     fn asymmetric_partition_blocks_one_direction_until_healed() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
 
         // Block member → leader only; the reverse direction still works.
         net.set_blocked(0, Direction::ToListener, true);
@@ -1187,9 +1254,9 @@ mod tests {
     #[test]
     fn kill_severs_both_ends() {
         let net = reliable();
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"pre-kill"[..].into()).unwrap();
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"pre-kill");
 
@@ -1218,9 +1285,9 @@ mod tests {
             reorder_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
 
         // A one-frame "burst": the frame goes straight into the holdback
         // slot and nothing is deliverable.
@@ -1238,9 +1305,9 @@ mod tests {
             reorder_prob: 1.0,
             ..SimConfig::default()
         });
-        let listener = net.listen("leader").unwrap();
+        let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
-        let leader_side = listener.accept_timeout(TO).unwrap();
+        let leader_side = leader.accept();
         member.send(b"stuck"[..].into()).unwrap();
         assert!(leader_side.recv_timeout(Duration::from_millis(20)).is_err());
         net.flush_all();
@@ -1266,5 +1333,75 @@ mod tests {
         let b = net.connect("bob", "leader").unwrap();
         assert_eq!(a.conn_id(), 0);
         assert_eq!(b.conn_id(), 1);
+    }
+
+    /// A kill reaches the listener as exactly one `Closed`, behind the
+    /// frames it had already delivered; held frames are not among them.
+    #[test]
+    fn kill_closes_the_listener_side_once_after_delivered_frames() {
+        let net = reliable();
+        let leader = Leader::new(&net);
+        let member = net.connect("alice", "leader").unwrap();
+        member.send(b"one"[..].into()).unwrap();
+        member.send(b"two"[..].into()).unwrap();
+        net.set_config(SimConfig {
+            reorder_prob: 1.0,
+            ..SimConfig::default()
+        });
+        member.send(b"held"[..].into()).unwrap();
+        net.kill(member.conn_id());
+        net.kill(member.conn_id());
+        member.send(b"after"[..].into()).unwrap();
+        drop(member);
+
+        let events: Vec<String> = leader
+            .shard
+            .try_iter()
+            .map(|e| match e {
+                MuxEvent::Accepted { token } => format!("accepted {token}"),
+                MuxEvent::Frame { token, frame } => {
+                    format!("{token} {}", String::from_utf8_lossy(&frame))
+                }
+                MuxEvent::Closed { token } => format!("closed {token}"),
+            })
+            .collect();
+        assert_eq!(events, ["accepted 0", "0 one", "0 two", "closed 0"]);
+    }
+
+    /// Closing the front end flushes what it sent that a fault still held.
+    #[test]
+    fn dropping_the_listener_flushes_its_held_frames() {
+        let net = SimNet::new(SimConfig {
+            reorder_prob: 1.0,
+            ..SimConfig::default()
+        });
+        let leader = Leader::new(&net);
+        let member = net.connect("alice", "leader").unwrap();
+        leader.accept().send(b"tail"[..].into()).unwrap();
+        assert!(member.recv_timeout(Duration::from_millis(20)).is_err());
+        drop(leader);
+        assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"tail");
+    }
+
+    /// A multicast is one transmission per token, in list order, each
+    /// under the wire's faults like any send.
+    #[test]
+    fn multicast_transmits_in_list_order() {
+        let net = reliable();
+        let leader = Leader::new(&net);
+        let members: Vec<SimLink> = ["a", "b", "c"]
+            .iter()
+            .map(|name| net.connect(name, "leader").unwrap())
+            .collect();
+        leader
+            .listener
+            .multicast(vec![2, 0, 1], b"all"[..].into())
+            .unwrap();
+        let order: Vec<usize> = net.adversary().observed().iter().map(|t| t.conn).collect();
+        assert_eq!(order, [2, 0, 1]);
+        for member in &members {
+            assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"all");
+        }
+        assert_eq!(net.stats().sent, 3);
     }
 }

@@ -1,5 +1,5 @@
 //! Multi-enclave chaos: eight groups co-hosted in ONE [`LeaderService`]
-//! — one acceptor, one shared liveness ticker — driven
+//! — one service loop, one shared liveness ticker — driven
 //! through interleaved per-group schedules of partitions, silent wire
 //! crashes, and rekey barrages while their neighbours carry calm
 //! traffic.
