@@ -90,24 +90,18 @@ fn measure_fanout(n: usize, iters: usize) -> FanoutRow {
     });
 
     let mut world = FanoutGroup::new(n);
-    let seals_before = world.leader.stats().data_seals;
-    let broadcasts_before = world.leader.stats().broadcasts;
+    let seals_before = world.counter("leader.data_seals");
+    let broadcasts_before = world.counter("leader.broadcasts");
     let single_seal_ns = median_ns(iters, || {
         let bc = world.leader.broadcast_group_data(&payload).unwrap();
         std::hint::black_box(&bc.frame);
     });
-    let seals = world.leader.stats().data_seals - seals_before;
-    let broadcasts = world.leader.stats().broadcasts - broadcasts_before;
+    let seals = world.counter("leader.data_seals") - seals_before;
+    let broadcasts = world.counter("leader.broadcasts") - broadcasts_before;
     assert_eq!(
         seals, broadcasts,
         "single-seal invariant: exactly one AEAD seal per broadcast"
     );
-    // The compatibility stats view is a projection of the atomic
-    // registry; any drift between them is an instrumentation bug.
-    let stats = world.leader.stats();
-    let snap = world.leader.obs_registry().snapshot();
-    assert_eq!(snap.counter("leader.data_seals"), stats.data_seals);
-    assert_eq!(snap.counter("leader.broadcasts"), stats.broadcasts);
 
     FanoutRow {
         n,
@@ -197,8 +191,8 @@ fn measure_rekey(n: usize, iters: usize) -> RekeyRow {
     // The stop-and-wait acknowledgments are drained *outside* the timed
     // region, so the sample is the leader's rekey call alone.
     let mut world = FanoutGroup::new(n);
-    let seals_before = world.leader.stats().admin_seals;
-    let rekeys_before = world.leader.stats().rekeys;
+    let seals_before = world.counter("leader.admin_seals");
+    let rekeys_before = world.counter("leader.rekeys");
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let start = Instant::now();
@@ -208,39 +202,29 @@ fn measure_rekey(n: usize, iters: usize) -> RekeyRow {
     }
     samples.sort_unstable();
     let flat_ns = samples[samples.len() / 2];
-    let seals = world.leader.stats().admin_seals - seals_before;
-    let rekeys = world.leader.stats().rekeys - rekeys_before;
+    let seals = world.counter("leader.admin_seals") - seals_before;
+    let rekeys = world.counter("leader.rekeys") - rekeys_before;
     assert_eq!(
         seals,
         rekeys * n as u64,
         "control-plane invariant: exactly n admin seals per rekey (n={n})"
     );
-    let stats = world.leader.stats();
-    let snap = world.leader.obs_registry().snapshot();
-    assert_eq!(snap.counter("leader.admin_seals"), stats.admin_seals);
-    assert_eq!(snap.counter("leader.rekeys"), stats.rekeys);
-    assert_eq!(snap.counter("leader.admin_seal_ns"), stats.admin_seal_ns);
 
     // Tree mode: same roster, O(log N) copath seals, no admin traffic.
     let mut world = FanoutGroup::new_tree(n);
-    let tree_seals_before = world.leader.stats().rekey_seals;
-    let tree_rekeys_before = world.leader.stats().rekeys;
-    let tree_admin_before = world.leader.stats().admin_seals;
+    let tree_seals_before = world.counter("leader.rekey_seals");
+    let tree_rekeys_before = world.counter("leader.rekeys");
+    let tree_admin_before = world.counter("leader.admin_seals");
     let tree_ns = median_ns(iters, || {
         let frame = world.rekey_tree();
         std::hint::black_box(&frame);
     });
-    let tree_seals = world.leader.stats().rekey_seals - tree_seals_before;
-    let tree_rekeys = world.leader.stats().rekeys - tree_rekeys_before;
+    let tree_seals = world.counter("leader.rekey_seals") - tree_seals_before;
+    let tree_rekeys = world.counter("leader.rekeys") - tree_rekeys_before;
     assert_eq!(
-        world.leader.stats().admin_seals,
+        world.counter("leader.admin_seals"),
         tree_admin_before,
         "tree rekeys must stay off the per-member admin plane (n={n})"
-    );
-    let snap = world.leader.obs_registry().snapshot();
-    assert_eq!(
-        snap.counter("leader.rekey_seals"),
-        world.leader.stats().rekey_seals
     );
 
     RekeyRow {
@@ -361,7 +345,7 @@ fn run_multigroup() {
         .collect();
     let mut large = FanoutGroup::new(LARGE);
 
-    let multi_seals_before: u64 = small.iter().map(|w| w.leader.stats().data_seals).sum();
+    let multi_seals_before: u64 = small.iter().map(|w| w.counter("leader.data_seals")).sum();
     let mut multi_frame_bytes = 0usize;
     let multi_ns = median_ns(iters, || {
         for w in &mut small {
@@ -372,7 +356,7 @@ fn run_multigroup() {
     });
     let multi_seals: u64 = small
         .iter()
-        .map(|w| w.leader.stats().data_seals)
+        .map(|w| w.counter("leader.data_seals"))
         .sum::<u64>()
         - multi_seals_before;
     assert_eq!(
@@ -381,7 +365,7 @@ fn run_multigroup() {
         "one seal per enclave per round"
     );
 
-    let single_seals_before = large.leader.stats().data_seals;
+    let single_seals_before = large.counter("leader.data_seals");
     let mut single_frame_bytes = 0usize;
     let single_ns = median_ns(iters, || {
         for _ in 0..GROUPS {
@@ -390,7 +374,7 @@ fn run_multigroup() {
             std::hint::black_box(&bc.frame);
         }
     });
-    let single_seals = large.leader.stats().data_seals - single_seals_before;
+    let single_seals = large.counter("leader.data_seals") - single_seals_before;
     assert_eq!(
         single_seals,
         (GROUPS * iters) as u64,

@@ -222,6 +222,12 @@ impl FanoutGroup {
         FanoutGroup { leader, members }
     }
 
+    /// The value of the leader's counter `name` (`leader.*`).
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        self.leader.obs_registry().snapshot().counter(name)
+    }
+
     /// Drains admin-path acks (needed between legacy broadcasts — the
     /// stop-and-wait channel queues the next payload otherwise).
     pub fn settle(&mut self, outgoing: Vec<Envelope>) {
@@ -474,20 +480,20 @@ mod tests {
     fn fanout_group_tree_rekey_costs_log_seals() {
         let mut g = FanoutGroup::new_tree(33);
         assert_eq!(g.leader.roster().len(), 33);
-        let admin_before = g.leader.stats().admin_seals;
-        let seals_before = g.leader.stats().rekey_seals;
+        let admin_before = g.counter("leader.admin_seals");
+        let seals_before = g.counter("leader.rekey_seals");
         for _ in 0..3 {
             let b = g.leader.rekey_now().unwrap();
             std::hint::black_box(&b);
         }
-        let per_rekey = (g.leader.stats().rekey_seals - seals_before) / 3;
+        let per_rekey = (g.counter("leader.rekey_seals") - seals_before) / 3;
         // 2*ceil(log2 33) + 1 = 13.
         assert!(
             per_rekey <= 13,
             "tree rekey at n=33 took {per_rekey} seals, bound is 13"
         );
         assert_eq!(
-            g.leader.stats().admin_seals,
+            g.counter("leader.admin_seals"),
             admin_before,
             "tree rekeys stay off the admin plane"
         );
@@ -503,14 +509,14 @@ mod tests {
         let payloads = g.deliver_broadcast(&bc.frame);
         assert_eq!(payloads.len(), 17);
         assert!(payloads.iter().all(|p| p == b"one seal"));
-        assert_eq!(g.leader.stats().data_seals, 1);
+        assert_eq!(g.counter("leader.data_seals"), 1);
         // Legacy path still works in the same world (for the comparison
         // bench) and costs one seal per member.
         let out = g.leader.broadcast_admin_data(b"n seals").unwrap();
         assert_eq!(out.outgoing.len(), 17);
         g.settle(out.outgoing);
         assert_eq!(
-            g.leader.stats().data_seals,
+            g.counter("leader.data_seals"),
             1,
             "admin path is control plane"
         );

@@ -7,8 +7,9 @@
 
 use crate::schedule::Schedule;
 use enclaves_core::runtime::{LeaderService, Reconnector, ServiceConfig};
-use enclaves_net::sim::{Direction, SimConfig, SimNet, SimStats};
+use enclaves_net::sim::{Direction, SimConfig, SimNet};
 use enclaves_net::{Link, MuxConfig, MuxEndpoint, MuxNet, NetError};
+use enclaves_obs::Snapshot;
 use enclaves_wire::framing::{read_frame, write_frame};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -71,14 +72,11 @@ pub trait Fabric {
         None
     }
 
-    /// Simulator statistics, if this fabric has them.
-    fn sim_stats(&self) -> Option<SimStats> {
-        None
+    /// The fabric's transport counters (`net.*` names). Default: the
+    /// fabric keeps none, so the snapshot is empty.
+    fn net_snapshot(&self) -> Snapshot {
+        Snapshot::default()
     }
-
-    /// Mirrors the fabric's transport counters into `registry` (`net.*`
-    /// names). Default: the fabric has no counters to mirror.
-    fn attach_registry(&mut self, _registry: &enclaves_obs::Registry) {}
 }
 
 /// The in-process simulator fabric.
@@ -190,12 +188,8 @@ impl Fabric for SimFabric {
         }))
     }
 
-    fn sim_stats(&self) -> Option<SimStats> {
-        Some(self.net.stats())
-    }
-
-    fn attach_registry(&mut self, registry: &enclaves_obs::Registry) {
-        self.net.attach_registry(registry);
+    fn net_snapshot(&self) -> Snapshot {
+        self.net.obs_registry().snapshot()
     }
 }
 

@@ -105,7 +105,6 @@ mod tests {
                     Vec::new()
                 },
                 trace: Vec::new(),
-                net_stats: None,
                 snapshot: enclaves_obs::Snapshot::default(),
                 obs_events: Vec::new(),
                 obs_violations: Vec::new(),
@@ -136,7 +135,6 @@ mod tests {
         assert!(shrink_failure(&schedule, |_| ChaosOutcome {
             violations: Vec::new(),
             trace: Vec::new(),
-            net_stats: None,
             snapshot: enclaves_obs::Snapshot::default(),
             obs_events: Vec::new(),
             obs_violations: Vec::new(),

@@ -13,7 +13,6 @@ use enclaves_core::protocol::{LeaderEvent, MemberEvent};
 use enclaves_core::runtime::{
     GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
-use enclaves_net::sim::SimStats;
 use enclaves_obs::{EventStream, ProtocolEvent, Registry, Snapshot};
 use enclaves_verify::live::{check_trace, LiveEvent, Violation};
 use enclaves_verify::obs::obs_trace;
@@ -120,11 +119,10 @@ pub struct ChaosOutcome {
     pub violations: Vec<Violation>,
     /// The full live trace.
     pub trace: Vec<LiveEvent>,
-    /// Simulator network counters, when the fabric was the simulator.
-    pub net_stats: Option<SimStats>,
     /// Merged metrics from every component of the run: the fabric's
-    /// `net.*` counters, the leader's `leader.*` registry, and every
-    /// member session's `member.*` registry (across reconnects).
+    /// `net.*` counters ([`Fabric::net_snapshot`], empty on a fabric that
+    /// keeps none), the leader's `leader.*` registry, and every member
+    /// session's `member.*` registry (across reconnects).
     pub snapshot: Snapshot,
     /// The run's own observability stream (leader + every member emit
     /// onto one shared, totally ordered stream).
@@ -265,31 +263,13 @@ fn spawn_leader_collector(
         .expect("spawn chaos leader collector")
 }
 
-/// Executes `schedule` against a live leader + member cast on `fabric`,
-/// then replays the recorded trace through the §5.4 live oracle. The
-/// leader is a one-group service on the fabric's own front end
-/// ([`Fabric::spawn_service`]).
-#[must_use]
-pub fn run_schedule(
-    fabric: &mut dyn Fabric,
-    schedule: &Schedule,
-    options: &ChaosOptions,
-) -> ChaosOutcome {
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-    let leader_id = ActorId::new("leader").expect("static name");
-
-    // One metrics registry for the fabric, one protocol-event stream
-    // shared by the leader and every member: emissions interleave under a
-    // single buffer lock, so the stream order is a happened-before order
-    // across the whole world.
-    let net_registry = Registry::default();
-    fabric.attach_registry(&net_registry);
-    let obs_stream = EventStream::new();
-
+/// The cast `<prefix>0`, `<prefix>1`, … of `n` members, each registered
+/// in the returned directory under the password `<name>-pw`.
+fn cast(prefix: &str, n: usize) -> (Directory, Vec<MemberSlot>) {
     let mut directory = Directory::new();
-    let mut members: Vec<MemberSlot> = (0..schedule.members)
+    let members = (0..n)
         .map(|i| {
-            let name = format!("m{i}");
+            let name = format!("{prefix}{i}");
             let id = ActorId::new(&name).expect("generated name");
             let password = format!("{name}-pw");
             directory
@@ -306,45 +286,133 @@ pub fn run_schedule(
             }
         })
         .collect();
+    (directory, members)
+}
+
+/// A run's leader configuration: the options' rekey mode in enclave
+/// `group`, with the chaos liveness knobs when the layer is armed.
+fn leader_config(
+    options: &ChaosOptions,
+    wiring: Option<&LivenessWiring>,
+    group: Option<GroupId>,
+) -> LeaderConfig {
+    let mut config = LeaderConfig {
+        rekey_policy: options.rekey_policy,
+        tree_rekey: options.tree_rekey,
+        group,
+        ..LeaderConfig::default()
+    };
+    if let Some(w) = wiring {
+        config.liveness = chaos_liveness(w.seed);
+        config.liveness.auto_rejoin = false; // member-side knob
+    }
+    config
+}
+
+/// The time pump: virtual time flows in small steps at ~5× real time,
+/// so deadline order is preserved (no member can be evicted because the
+/// clock leapt over its heartbeat window). Runs until `stop` is set.
+fn spawn_time_pump(clock: &VirtualClock, stop: &Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
+    let clock = clock.clone();
+    let stop = Arc::clone(stop);
+    std::thread::Builder::new()
+        .name("chaos-time-pump".into())
+        .spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(PUMP_TICK);
+                clock.advance(PUMP_STEP);
+            }
+        })
+        .expect("spawn chaos time pump")
+}
+
+/// Stops every member runtime without a `Close` and joins its forwarder.
+fn abandon_all(members: &mut [MemberSlot]) {
+    for slot in members {
+        if let Some(rt) = slot.runtime.take() {
+            rt.abandon();
+        }
+        if let Some(h) = slot.forwarder.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A finished run's verdict. `parts` (the fabric's and the leaders'
+/// snapshots) and every member session's registry merge into one
+/// run-level snapshot; all histograms use the shared default bounds, so
+/// merging cannot fail. Then both ingestion paths meet the same oracle:
+/// the recorded trace, and the run's own event stream projected onto the
+/// live vocabulary, which borrows the trace's end-of-run ground truth
+/// (only [`finalize`] records `Final`).
+fn outcome(
+    sink: Sink,
+    parts: Vec<Snapshot>,
+    members: &[MemberSlot],
+    obs_stream: &EventStream,
+) -> ChaosOutcome {
+    let trace = Arc::try_unwrap(sink)
+        .map(Mutex::into_inner)
+        .unwrap_or_default();
+    let sessions = members
+        .iter()
+        .flat_map(|slot| &slot.registries)
+        .map(Registry::snapshot);
+    let mut snapshot = Snapshot::default();
+    for part in parts.into_iter().chain(sessions) {
+        snapshot
+            .merge_from(&part)
+            .expect("uniform histogram bounds");
+    }
+    let obs_events = obs_stream.events();
+    let mut obs_live = obs_trace(&obs_events);
+    if let Some(last @ LiveEvent::Final { .. }) = trace.last() {
+        obs_live.push(last.clone());
+    }
+    ChaosOutcome {
+        violations: check_trace(&trace),
+        obs_violations: check_trace(&obs_live),
+        trace,
+        snapshot,
+        obs_events,
+    }
+}
+
+/// Executes `schedule` against a live leader + member cast on `fabric`,
+/// then replays the recorded trace through the §5.4 live oracle. The
+/// leader is a one-group service on the fabric's own front end
+/// ([`Fabric::spawn_service`]).
+#[must_use]
+pub fn run_schedule(
+    fabric: &mut dyn Fabric,
+    schedule: &Schedule,
+    options: &ChaosOptions,
+) -> ChaosOutcome {
+    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
+    let leader_id = ActorId::new("leader").expect("static name");
+
+    // One protocol-event stream shared by the leader and every member:
+    // emissions interleave under a single buffer lock, so the stream order
+    // is a happened-before order across the whole world.
+    let obs_stream = EventStream::new();
+    let (directory, mut members) = cast("m", schedule.members);
 
     let wiring = options.liveness.then(|| LivenessWiring {
         clock: VirtualClock::new(),
         seed: schedule.seed,
     });
-    let mut leader_config = LeaderConfig {
-        rekey_policy: options.rekey_policy,
-        tree_rekey: options.tree_rekey,
-        ..LeaderConfig::default()
-    };
-    if let Some(w) = &wiring {
-        leader_config.liveness = chaos_liveness(w.seed);
-        leader_config.liveness.auto_rejoin = false; // member-side knob
-    }
-
     let service = fabric.spawn_service(service_config(wiring.as_ref()));
     let leader = service
-        .add_group(leader_id.clone(), directory, leader_config)
+        .add_group(
+            leader_id.clone(),
+            directory,
+            leader_config(options, wiring.as_ref(), None),
+        )
         .expect("fresh service");
     leader.attach_event_stream(obs_stream.clone());
     let stop = Arc::new(AtomicBool::new(false));
     let collector = spawn_leader_collector(&sink, leader.events().clone(), Arc::clone(&stop));
-
-    // The time pump: virtual time flows in small steps at ~5× real time,
-    // so deadline order is preserved (no member can be evicted because
-    // the clock leapt over its heartbeat window).
-    let pump = wiring.as_ref().map(|w| {
-        let clock = w.clock.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("chaos-time-pump".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(PUMP_TICK);
-                    clock.advance(PUMP_STEP);
-                }
-            })
-            .expect("spawn chaos time pump")
-    });
+    let pump = wiring.as_ref().map(|w| spawn_time_pump(&w.clock, &stop));
 
     for event in &schedule.events {
         execute(
@@ -366,56 +434,19 @@ pub fn run_schedule(
 
     // Teardown: leader first (stops retransmissions), then the members.
     service.shutdown();
-    for slot in &mut members {
-        if let Some(rt) = slot.runtime.take() {
-            rt.abandon();
-        }
-        if let Some(h) = slot.forwarder.take() {
-            let _ = h.join();
-        }
-    }
+    abandon_all(&mut members);
     stop.store(true, Ordering::Relaxed);
     let _ = collector.join();
     if let Some(pump) = pump {
         let _ = pump.join();
     }
 
-    let trace = Arc::try_unwrap(sink)
-        .map(Mutex::into_inner)
-        .unwrap_or_default();
-
-    // Merge every component's registry into one run-level snapshot. All
-    // histograms use the shared default bounds, so merging cannot fail.
-    let mut snapshot = net_registry.snapshot();
-    snapshot
-        .merge_from(&leader_registry.snapshot())
-        .expect("uniform histogram bounds");
-    for slot in &members {
-        for registry in &slot.registries {
-            snapshot
-                .merge_from(&registry.snapshot())
-                .expect("uniform histogram bounds");
-        }
-    }
-
-    // Second ingestion path: project the run's own event stream onto the
-    // live vocabulary, borrow the driver's end-of-run ground truth
-    // (`Final` is driver-only knowledge), and replay the same oracle.
-    let obs_events = obs_stream.events();
-    let mut obs_live = obs_trace(&obs_events);
-    if let Some(last @ LiveEvent::Final { .. }) = trace.last() {
-        obs_live.push(last.clone());
-    }
-    let obs_violations = check_trace(&obs_live);
-
-    ChaosOutcome {
-        violations: check_trace(&trace),
-        trace,
-        net_stats: fabric.sim_stats(),
-        snapshot,
-        obs_events,
-        obs_violations,
-    }
+    outcome(
+        sink,
+        vec![fabric.net_snapshot(), leader_registry.snapshot()],
+        &members,
+        &obs_stream,
+    )
 }
 
 /// The verdict of a multi-enclave chaos run: every group's own outcome
@@ -431,8 +462,6 @@ pub struct MultigroupOutcome {
     /// The service's merged labeled snapshot (`group.<tag>.leader.*`),
     /// taken after finalization.
     pub service_snapshot: Snapshot,
-    /// Simulator network counters, when the fabric was the simulator.
-    pub net_stats: Option<SimStats>,
 }
 
 impl MultigroupOutcome {
@@ -494,9 +523,6 @@ pub fn run_multigroup(
     options: &ChaosOptions,
 ) -> MultigroupOutcome {
     let leader_id = ActorId::new("leader").expect("static name");
-    let net_registry = Registry::default();
-    fabric.attach_registry(&net_registry);
-
     let wiring = options.liveness.then(|| LivenessWiring {
         clock: VirtualClock::new(),
         seed: schedules.first().map_or(0, |s| s.seed),
@@ -508,38 +534,14 @@ pub fn run_multigroup(
     for (g, schedule) in schedules.iter().enumerate() {
         let tag = format!("g{g}");
         let cast_prefix = format!("{tag}m");
-        let mut directory = Directory::new();
-        let members: Vec<MemberSlot> = (0..schedule.members)
-            .map(|i| {
-                let name = format!("{cast_prefix}{i}");
-                let id = ActorId::new(&name).expect("generated name");
-                let password = format!("{name}-pw");
-                directory
-                    .register_password(&id, &password)
-                    .expect("fresh directory");
-                MemberSlot {
-                    name,
-                    id,
-                    password,
-                    state: MemberState::Absent,
-                    runtime: None,
-                    forwarder: None,
-                    registries: Vec::new(),
-                }
-            })
-            .collect();
-        let mut leader_config = LeaderConfig {
-            rekey_policy: options.rekey_policy,
-            tree_rekey: options.tree_rekey,
-            group: Some(GroupId::new(&tag).expect("generated tag")),
-            ..LeaderConfig::default()
-        };
-        if let Some(w) = &wiring {
-            leader_config.liveness = chaos_liveness(w.seed);
-            leader_config.liveness.auto_rejoin = false; // member-side knob
-        }
+        let (directory, members) = cast(&cast_prefix, schedule.members);
+        let group = GroupId::new(&tag).expect("generated tag");
         let handle = service
-            .add_group(leader_id.clone(), directory, leader_config)
+            .add_group(
+                leader_id.clone(),
+                directory,
+                leader_config(options, wiring.as_ref(), Some(group)),
+            )
             .expect("fresh tag");
         let sink: Sink = Arc::new(Mutex::new(Vec::new()));
         let obs_stream = EventStream::new();
@@ -555,20 +557,7 @@ pub fn run_multigroup(
             collector: Some(collector),
         });
     }
-
-    let pump = wiring.as_ref().map(|w| {
-        let clock = w.clock.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("chaos-time-pump".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(PUMP_TICK);
-                    clock.advance(PUMP_STEP);
-                }
-            })
-            .expect("spawn chaos time pump")
-    });
+    let pump = wiring.as_ref().map(|w| spawn_time_pump(&w.clock, &stop));
 
     // Round-robin interleave: every group advances one event per round.
     let rounds = schedules.iter().map(|s| s.events.len()).max().unwrap_or(0);
@@ -605,14 +594,7 @@ pub fn run_multigroup(
     service.shutdown();
     stop.store(true, Ordering::Relaxed);
     for world in &mut worlds {
-        for slot in &mut world.members {
-            if let Some(rt) = slot.runtime.take() {
-                rt.abandon();
-            }
-            if let Some(h) = slot.forwarder.take() {
-                let _ = h.join();
-            }
-        }
+        abandon_all(&mut world.members);
         if let Some(h) = world.collector.take() {
             let _ = h.join();
         }
@@ -624,13 +606,15 @@ pub fn run_multigroup(
     let mut cross_group_violations = Vec::new();
     let mut groups = Vec::new();
     for (world, leader_registry) in worlds.into_iter().zip(leader_registries) {
-        let trace = Arc::try_unwrap(world.sink)
-            .map(Mutex::into_inner)
-            .unwrap_or_default();
-
+        let outcome = outcome(
+            world.sink,
+            vec![leader_registry.snapshot()],
+            &world.members,
+            &world.obs_stream,
+        );
         // Cross-group isolation: every member this group's record names
         // must belong to this group's cast.
-        for (i, event) in trace.iter().enumerate() {
+        for (i, event) in outcome.trace.iter().enumerate() {
             for member in event_members(event) {
                 if !member.starts_with(&world.cast_prefix) {
                     cross_group_violations.push(format!(
@@ -640,39 +624,13 @@ pub fn run_multigroup(
                 }
             }
         }
-
-        let mut snapshot = leader_registry.snapshot();
-        for slot in &world.members {
-            for registry in &slot.registries {
-                snapshot
-                    .merge_from(&registry.snapshot())
-                    .expect("uniform histogram bounds");
-            }
-        }
-        let obs_events = world.obs_stream.events();
-        let mut obs_live = obs_trace(&obs_events);
-        if let Some(last @ LiveEvent::Final { .. }) = trace.last() {
-            obs_live.push(last.clone());
-        }
-        let obs_violations = check_trace(&obs_live);
-        groups.push((
-            world.tag,
-            ChaosOutcome {
-                violations: check_trace(&trace),
-                trace,
-                net_stats: None,
-                snapshot,
-                obs_events,
-                obs_violations,
-            },
-        ));
+        groups.push((world.tag, outcome));
     }
 
     MultigroupOutcome {
         groups,
         cross_group_violations,
         service_snapshot,
-        net_stats: fabric.sim_stats(),
     }
 }
 
@@ -741,42 +699,12 @@ pub fn run_crash_restart(
     );
     let sink: Sink = Arc::new(Mutex::new(Vec::new()));
     let leader_id = ActorId::new("leader").expect("static name");
-    let net_registry = Registry::default();
-    fabric.attach_registry(&net_registry);
     let obs_stream = EventStream::new();
-
-    let mut directory = Directory::new();
-    let mut members: Vec<MemberSlot> = (0..schedule.members)
-        .map(|i| {
-            let name = format!("m{i}");
-            let id = ActorId::new(&name).expect("generated name");
-            let password = format!("{name}-pw");
-            directory
-                .register_password(&id, &password)
-                .expect("fresh directory");
-            MemberSlot {
-                name,
-                id,
-                password,
-                state: MemberState::Absent,
-                runtime: None,
-                forwarder: None,
-                registries: Vec::new(),
-            }
-        })
-        .collect();
-
+    let (directory, mut members) = cast("m", schedule.members);
     let wiring = LivenessWiring {
         clock: VirtualClock::new(),
         seed: schedule.seed,
     };
-    let mut leader_config = LeaderConfig {
-        rekey_policy: options.rekey_policy,
-        tree_rekey: options.tree_rekey,
-        ..LeaderConfig::default()
-    };
-    leader_config.liveness = chaos_liveness(wiring.seed);
-    leader_config.liveness.auto_rejoin = false; // member-side knob
 
     // Generation 1: a journaled service on a fresh (or empty) directory.
     let listener = fabric.net.listen("leader").expect("fresh fabric");
@@ -787,7 +715,11 @@ pub fn run_crash_restart(
     )
     .expect("journal directory must initialize");
     let handle = service
-        .add_group(leader_id.clone(), directory, leader_config)
+        .add_group(
+            leader_id.clone(),
+            directory,
+            leader_config(options, Some(&wiring), None),
+        )
         .expect("fresh service");
     handle.attach_event_stream(obs_stream.clone());
     let stop = Arc::new(AtomicBool::new(false));
@@ -797,19 +729,7 @@ pub fn run_crash_restart(
         Arc::clone(&stop),
     )];
 
-    let pump = {
-        let clock = wiring.clock.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("chaos-time-pump".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(PUMP_TICK);
-                    clock.advance(PUMP_STEP);
-                }
-            })
-            .expect("spawn chaos time pump")
-    };
+    let pump = spawn_time_pump(&wiring.clock, &stop);
 
     for event in &schedule.events {
         execute(
@@ -923,54 +843,23 @@ pub fn run_crash_restart(
     drop(handle);
     service.shutdown();
     stop.store(true, Ordering::Relaxed);
-    for slot in &mut members {
-        if let Some(rt) = slot.runtime.take() {
-            rt.abandon();
-        }
-        if let Some(h) = slot.forwarder.take() {
-            let _ = h.join();
-        }
-    }
+    abandon_all(&mut members);
     for collector in collectors {
         let _ = collector.join();
     }
     let _ = pump.join();
 
-    let trace = Arc::try_unwrap(sink)
-        .map(Mutex::into_inner)
-        .unwrap_or_default();
-
-    let mut snapshot = net_registry.snapshot();
-    snapshot
-        .merge_from(&gen1_registry.snapshot())
-        .expect("uniform histogram bounds");
-    snapshot
-        .merge_from(&gen2_snapshot)
-        .expect("uniform histogram bounds");
-    for slot in &members {
-        for registry in &slot.registries {
-            snapshot
-                .merge_from(&registry.snapshot())
-                .expect("uniform histogram bounds");
-        }
-    }
-
-    let obs_events = obs_stream.events();
-    let mut obs_live = obs_trace(&obs_events);
-    if let Some(last @ LiveEvent::Final { .. }) = trace.last() {
-        obs_live.push(last.clone());
-    }
-    let obs_violations = check_trace(&obs_live);
-
     CrashRestartOutcome {
-        outcome: ChaosOutcome {
-            violations: check_trace(&trace),
-            trace,
-            net_stats: fabric.sim_stats(),
-            snapshot,
-            obs_events,
-            obs_violations,
-        },
+        outcome: outcome(
+            sink,
+            vec![
+                fabric.net_snapshot(),
+                gen1_registry.snapshot(),
+                gen2_snapshot,
+            ],
+            &members,
+            &obs_stream,
+        ),
         pre_crash_epoch,
         recovered_epoch: recovered.epoch,
         final_epoch,

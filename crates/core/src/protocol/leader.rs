@@ -77,59 +77,10 @@ impl LeaderOutput {
     }
 }
 
-/// Counters describing leader activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LeaderStats {
-    /// Messages accepted.
-    pub accepted: u64,
-    /// Messages rejected.
-    pub rejected: u64,
-    /// Admin messages sent.
-    pub admin_sent: u64,
-    /// Group-data frames relayed.
-    pub relayed: u64,
-    /// Rekeys performed.
-    pub rekeys: u64,
-    /// Data-plane broadcasts emitted via
-    /// [`LeaderCore::broadcast_group_data`].
-    pub broadcasts: u64,
-    /// AEAD seal operations performed by the data plane. With the
-    /// single-seal fan-out this advances in lockstep with `broadcasts` —
-    /// exactly one seal per broadcast, independent of group size.
-    pub data_seals: u64,
-    /// AEAD seal operations performed by the admin control plane (one per
-    /// recipient frame actually sealed). A rekey over an n-member group
-    /// advances this by exactly n.
-    pub admin_seals: u64,
-    /// AEAD seal operations performed by tree-mode path updates (one per
-    /// copath resolution node). A tree rekey over a dense n-member group
-    /// advances this by at most `2·ceil(log2 n) + 1` — the `O(log N)`
-    /// bound that replaces the flat fan-out's n admin seals.
-    pub rekey_seals: u64,
-    /// Wall-clock nanoseconds spent in admin AEAD sealing + envelope
-    /// encoding, under whatever lock guards the core.
-    pub admin_seal_ns: u64,
-    /// Wall-clock nanoseconds the runtime held the core lock across its
-    /// operator- and ticker-driven fan-outs (rekey, admin broadcast,
-    /// expel, evict), each a whole locked call. Reported by the runtime
-    /// via [`LeaderCore::note_lock_hold`].
-    pub lock_hold_ns: u64,
-    /// Frames [`LeaderCore::tick`] found due for retransmission
-    /// (handshake replies and unacknowledged admin messages re-sent after
-    /// a timeout).
-    pub retransmits: u64,
-    /// Members evicted by the liveness layer (timeout-driven `Oops(Ka)`:
-    /// ARQ budget exhausted or heartbeat deadline missed).
-    pub evictions: u64,
-    /// Heartbeat pings accepted (each one answered with a pong).
-    pub heartbeats: u64,
-}
-
-/// Registry-backed leader instrumentation. [`LeaderStats`] remains the
-/// public read-side view; the counters themselves live in an
-/// `enclaves-obs` [`Registry`] so external observers can snapshot or merge
-/// them without the core lock. The event stream is optional: a detached
-/// core pays one branch per would-be event.
+/// Registry-backed leader instrumentation: the counters live in an
+/// `enclaves-obs` [`Registry`], the one read path, so external observers
+/// can snapshot or merge them without the core lock. The event stream is
+/// optional: a detached core pays one branch per would-be event.
 struct LeaderObs {
     registry: Registry,
     accepted: Counter,
@@ -189,25 +140,6 @@ impl LeaderObs {
     fn emit(&self, kind: impl FnOnce() -> EventKind) {
         if let Some(events) = &self.events {
             events.emit(kind());
-        }
-    }
-
-    fn stats(&self) -> LeaderStats {
-        LeaderStats {
-            accepted: self.accepted.get(),
-            rejected: self.rejected.get(),
-            admin_sent: self.admin_sent.get(),
-            relayed: self.relayed.get(),
-            rekeys: self.rekeys.get(),
-            broadcasts: self.broadcasts.get(),
-            data_seals: self.data_seals.get(),
-            admin_seals: self.admin_seals.get(),
-            rekey_seals: self.rekey_seals.get(),
-            admin_seal_ns: self.admin_seal_ns.get(),
-            lock_hold_ns: self.lock_hold_ns.get(),
-            retransmits: self.retransmits.get(),
-            evictions: self.evictions.get(),
-            heartbeats: self.heartbeats.get(),
         }
     }
 }
@@ -374,7 +306,6 @@ impl std::fmt::Debug for LeaderCore {
         f.debug_struct("LeaderCore")
             .field("leader", &self.leader)
             .field("members", &self.group.roster())
-            .field("stats", &self.obs.stats())
             .finish()
     }
 }
@@ -449,13 +380,6 @@ impl LeaderCore {
     #[must_use]
     pub fn epoch(&self) -> Option<u64> {
         self.group.current_epoch().map(|e| e.epoch)
-    }
-
-    /// Leader statistics — a compatibility view assembled from the
-    /// registry-backed counters.
-    #[must_use]
-    pub fn stats(&self) -> LeaderStats {
-        self.obs.stats()
     }
 
     /// The metric registry this core records into (`leader.*` names).
@@ -1181,7 +1105,7 @@ impl LeaderCore {
 
     /// Records nanoseconds the runtime spent holding its core lock for
     /// one operator- or ticker-driven fan-out, so lock pressure is
-    /// observable next to [`LeaderStats::admin_seal_ns`].
+    /// observable next to the `leader.admin_seal_ns` counter.
     pub fn note_lock_hold(&mut self, ns: u64) {
         self.obs.lock_hold_ns.add(ns);
         self.obs.lock_hold_batch_ns.record(ns);
@@ -1753,6 +1677,11 @@ mod tests {
     use enclaves_crypto::sha256::Sha256;
     use enclaves_wire::message::{PathUpdateWire, SealedBody};
 
+    /// The value of the leader's counter `name`.
+    fn count(l: &LeaderCore, name: &str) -> u64 {
+        l.obs_registry().snapshot().counter(name)
+    }
+
     fn id(s: &str) -> ActorId {
         ActorId::new(s).unwrap()
     }
@@ -2053,7 +1982,7 @@ mod tests {
             l.handle(&env),
             Err(CoreError::Rejected(RejectReason::BadSeal))
         ));
-        assert_eq!(l.stats().relayed, 0);
+        assert_eq!(count(&l, "leader.relayed"), 0);
     }
 
     #[test]
@@ -2188,15 +2117,18 @@ mod tests {
         let (mut bob, init_b) = member("bob", 311);
         join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init_b);
 
-        let before = l.stats().admin_seals;
+        let before = count(&l, "leader.admin_seals");
         let out = l.rekey_now().unwrap();
         assert_eq!(out.outgoing.len(), 2);
         assert_eq!(
-            l.stats().admin_seals,
+            count(&l, "leader.admin_seals"),
             before + 2,
             "a rekey over n members costs exactly n admin seals"
         );
-        assert!(l.stats().admin_seal_ns > 0, "seal time is accounted");
+        assert!(
+            count(&l, "leader.admin_seal_ns") > 0,
+            "seal time is accounted"
+        );
     }
 
     #[test]
@@ -2271,8 +2203,12 @@ mod tests {
 
         let bc = l.broadcast_group_data(b"fan out once").unwrap();
         assert_eq!(bc.recipients, Roster::from_iter([id("alice"), id("bob")]));
-        assert_eq!(l.stats().data_seals, 1, "exactly one seal for N members");
-        assert_eq!(l.stats().broadcasts, 1);
+        assert_eq!(
+            count(&l, "leader.data_seals"),
+            1,
+            "exactly one seal for N members"
+        );
+        assert_eq!(count(&l, "leader.broadcasts"), 1);
 
         // Both members decode and decrypt the *same* frame bytes.
         let env: Envelope = enclaves_wire::codec::decode(&bc.frame).unwrap();
@@ -2405,7 +2341,7 @@ mod tests {
             l.broadcast_group_data(b"x"),
             Err(CoreError::BadPhase { .. })
         ));
-        assert_eq!(l.stats().data_seals, 0);
+        assert_eq!(count(&l, "leader.data_seals"), 0);
     }
 
     #[test]
@@ -2422,14 +2358,14 @@ mod tests {
         );
         let (mut alice, init_a) = member("alice", 240);
         pump(&mut l, &mut alice, init_a);
-        let admin_sent_before = l.stats().admin_sent;
+        let admin_sent_before = count(&l, "leader.admin_sent");
 
         // Bob joins: alice gets no MemberJoined notice (Manual policy, so
         // no key distribution either); only bob's welcome goes out.
         let (mut bob, init_b) = member("bob", 241);
         join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init_b);
         assert_eq!(
-            l.stats().admin_sent,
+            count(&l, "leader.admin_sent"),
             admin_sent_before + 1,
             "only the welcome is sent when notices are suppressed"
         );
@@ -2520,7 +2456,7 @@ mod tests {
         }
         assert_eq!(l.roster(), roster);
         assert_eq!(l.epoch(), epoch);
-        assert_eq!(l.stats().rejected, 10);
+        assert_eq!(count(&l, "leader.rejected"), 10);
     }
 
     // -----------------------------------------------------------------
@@ -2701,14 +2637,15 @@ mod tests {
         for (i, u) in users.iter().enumerate() {
             w.join(u, 400 + i as u64);
         }
-        let before = w.l.stats();
+        let before = w.l.obs_registry().snapshot();
         w.rekey();
-        let after = w.l.stats();
+        let after = w.l.obs_registry().snapshot();
         assert_eq!(
-            after.admin_seals, before.admin_seals,
+            after.counter("leader.admin_seals"),
+            before.counter("leader.admin_seals"),
             "tree rekey must not touch the per-member admin plane"
         );
-        let seals = after.rekey_seals - before.rekey_seals;
+        let seals = after.counter("leader.rekey_seals") - before.counter("leader.rekey_seals");
         // 2·ceil(log2 8) + 1 = 7.
         assert!(
             (1..=7).contains(&seals),
@@ -2821,17 +2758,17 @@ mod tests {
 
         // An authenticated heartbeat reveals the stale epoch; the leader
         // pushes exactly one PathSync over the reliable admin channel.
-        let admin_before = w.l.stats().admin_sent;
+        let admin_before = count(&w.l, "leader.admin_sent");
         let ping = w.sessions.get_mut(&lost).unwrap().heartbeat().unwrap();
         w.drive(vec![ping]);
         assert_eq!(w.sessions[&lost].group_epoch(), w.l.epoch());
-        assert_eq!(w.l.stats().admin_sent, admin_before + 1);
+        assert_eq!(count(&w.l, "leader.admin_sent"), admin_before + 1);
 
         // A second stale-free heartbeat does not resync again.
-        let admin_before = w.l.stats().admin_sent;
+        let admin_before = count(&w.l, "leader.admin_sent");
         let ping = w.sessions.get_mut(&lost).unwrap().heartbeat().unwrap();
         w.drive(vec![ping]);
-        assert_eq!(w.l.stats().admin_sent, admin_before);
+        assert_eq!(count(&w.l, "leader.admin_sent"), admin_before);
         w.assert_converged();
     }
 
@@ -3091,7 +3028,7 @@ mod tests {
         l.rekey_now().unwrap();
         let env = alice.leave().unwrap();
         l.handle(&env).unwrap();
-        assert!(l.stats().rekeys >= 3);
+        assert!(count(&l, "leader.rekeys") >= 3);
 
         let replay = dir
             .replay_stream(&label_for(None), ReadMode::Strict)

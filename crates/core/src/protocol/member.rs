@@ -90,29 +90,9 @@ pub struct MemberOutput {
     pub events: Vec<MemberEvent>,
 }
 
-/// Counters describing what the session has seen.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Messages accepted.
-    pub accepted: u64,
-    /// Messages rejected (attack traffic or corruption).
-    pub rejected: u64,
-    /// Admin messages accepted.
-    pub admin_accepted: u64,
-    /// Handshake frames re-sent by the runtime's ARQ timer, reported via
-    /// [`MemberSession::note_retransmit`].
-    pub retransmits: u64,
-    /// Heartbeat pings sent via [`MemberSession::heartbeat`].
-    pub heartbeats: u64,
-    /// Fresh sessions started by the runtime's auto-rejoin after leader
-    /// loss, reported via [`MemberSession::note_rejoin`].
-    pub rejoins: u64,
-}
-
-/// Registry-backed member instrumentation. [`SessionStats`] remains the
-/// public read-side view; counters live in an `enclaves-obs` [`Registry`]
-/// (atomic, snapshot-able) and protocol actions optionally emit onto a
-/// shared [`EventStream`].
+/// Registry-backed member instrumentation: counters live in an
+/// `enclaves-obs` [`Registry`] (atomic, snapshot-able), the one read path,
+/// and protocol actions optionally emit onto a shared [`EventStream`].
 struct MemberObs {
     registry: Registry,
     accepted: Counter,
@@ -147,17 +127,6 @@ impl MemberObs {
     fn emit(&self, kind: impl FnOnce() -> EventKind) {
         if let Some(events) = &self.events {
             events.emit(kind());
-        }
-    }
-
-    fn stats(&self) -> SessionStats {
-        SessionStats {
-            accepted: self.accepted.get(),
-            rejected: self.rejected.get(),
-            admin_accepted: self.admin_accepted.get(),
-            retransmits: self.retransmits.get(),
-            heartbeats: self.heartbeats.get(),
-            rejoins: self.rejoins.get(),
         }
     }
 }
@@ -260,7 +229,6 @@ impl std::fmt::Debug for MemberSession {
             .field("user", &self.user)
             .field("leader", &self.leader)
             .field("phase", &self.phase())
-            .field("stats", &self.obs.stats())
             .finish()
     }
 }
@@ -448,13 +416,6 @@ impl MemberSession {
             Phase::Connected(c) => c.group.as_ref().map(|g| g.epoch),
             _ => None,
         }
-    }
-
-    /// Session statistics — a compatibility view assembled from the
-    /// registry-backed counters.
-    #[must_use]
-    pub fn stats(&self) -> SessionStats {
-        self.obs.stats()
     }
 
     /// The metric registry this session records into (`member.*` names).
@@ -1284,7 +1245,13 @@ mod tests {
             Some(&reply.body),
             "cached ack must be byte-identical"
         );
-        assert_eq!(session.stats().admin_accepted, 1);
+        assert_eq!(
+            session
+                .obs_registry()
+                .snapshot()
+                .counter("member.admin_accepted"),
+            1
+        );
 
         // A *different* stale message (not the last accepted one) is
         // rejected outright.
@@ -1298,7 +1265,10 @@ mod tests {
             session.handle(&stale),
             Err(CoreError::Rejected(RejectReason::StaleNonce))
         ));
-        assert_eq!(session.stats().rejected, 1);
+        assert_eq!(
+            session.obs_registry().snapshot().counter("member.rejected"),
+            1
+        );
     }
 
     #[test]
@@ -1551,7 +1521,10 @@ mod tests {
         }
         assert_eq!(session.phase(), SessionPhase::Connected);
         assert_eq!(session.group_epoch(), before_epoch);
-        assert_eq!(session.stats().rejected, 20);
+        assert_eq!(
+            session.obs_registry().snapshot().counter("member.rejected"),
+            20
+        );
         // The genuine message still works.
         let env = admin_env(
             &sk,

@@ -18,7 +18,7 @@ pub mod keytree;
 pub mod leader;
 pub mod member;
 
-pub use leader::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput, LeaderStats, LeaderTick};
+pub use leader::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput, LeaderTick};
 pub use member::{MemberEvent, MemberOutput, MemberSession, SessionPhase};
 
 use enclaves_crypto::nonce::AeadNonce;

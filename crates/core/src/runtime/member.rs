@@ -276,12 +276,6 @@ impl MemberRuntime {
         self.shared.session.lock().group_epoch()
     }
 
-    /// Session statistics snapshot.
-    #[must_use]
-    pub fn stats(&self) -> crate::protocol::member::SessionStats {
-        self.shared.session.lock().stats()
-    }
-
     /// The session's metric registry (`member.*` names); snapshots taken
     /// from it see the live counters. Rejoin sessions re-home onto the
     /// same registry, so the counters accumulate across generations.
@@ -504,8 +498,8 @@ impl Worker {
                             self.forward(e);
                         }
                     }
-                    // Rejected traffic is dropped; the stats counter in
-                    // the session records it.
+                    // Rejected traffic is dropped; the session's
+                    // `member.rejected` counter records it.
                 }
                 Err(NetError::Timeout) => continue,
                 Err(_) => return LoopExit::LinkFailed,

@@ -843,12 +843,6 @@ impl GroupHandle {
         self.entry.core.lock().epoch()
     }
 
-    /// Leader statistics snapshot.
-    #[must_use]
-    pub fn stats(&self) -> crate::protocol::LeaderStats {
-        self.entry.core.lock().stats()
-    }
-
     /// The core's metric registry (`leader.*` names); snapshots taken from
     /// it see the live counters without taking the core lock again.
     #[must_use]
@@ -1231,7 +1225,11 @@ mod tests {
         link.send(ghost_frame()).unwrap();
         wait_unroutable(&service, 1);
         assert_eq!(service.snapshot().counter("service.unroutable_frames"), 1);
-        assert_eq!(red.stats().rejected, 0, "drop happens before any core");
+        assert_eq!(
+            red.obs_registry().snapshot().counter("leader.rejected"),
+            0,
+            "drop happens before any core"
+        );
 
         // The registered group still works.
         red.broadcast(b"fine").unwrap();

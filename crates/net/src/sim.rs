@@ -143,39 +143,11 @@ pub struct TappedFrame {
     pub delivered: bool,
 }
 
-/// Counters describing what the network did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Frames submitted by endpoints.
-    pub sent: usize,
-    /// Frames delivered (including duplicates).
-    pub delivered: usize,
-    /// Frames dropped by the probabilistic loss fault.
-    pub dropped: usize,
-    /// Extra deliveries due to duplication.
-    pub duplicated: usize,
-    /// Frames that were held back for reordering.
-    pub reordered: usize,
-    /// Frames with a corrupted bit.
-    pub corrupted: usize,
-    /// Frames parked by the virtual-delay fault.
-    pub delayed: usize,
-    /// Frames swallowed by an active partition.
-    pub partitioned: usize,
-    /// Frames swallowed by a severed (killed) connection.
-    pub severed: usize,
-    /// Connections severed by [`SimNet::kill`].
-    pub killed: usize,
-    /// Frames injected by the adversary.
-    pub injected: usize,
-}
-
-/// Registry mirrors of [`SimStats`], attached via
-/// [`SimNet::attach_registry`]. Every bump of a stats field bumps its
-/// `net.*` counter in the same critical section, so the two views can
-/// never diverge — a chaos test asserts exactly that. The gauge tracks
-/// frames currently held by the reorder/delay faults.
+/// The net's own registry: one `net.*` counter per fault outcome and the
+/// `net.holdback_depth` gauge (frames currently parked by the
+/// reorder/delay faults), all registered when the net is created.
 struct NetObs {
+    registry: Registry,
     sent: Counter,
     delivered: Counter,
     dropped: Counter,
@@ -191,7 +163,8 @@ struct NetObs {
 }
 
 impl NetObs {
-    fn new(registry: &Registry) -> Self {
+    fn new() -> Self {
+        let registry = Registry::new();
         NetObs {
             sent: registry.counter("net.sent"),
             delivered: registry.counter("net.delivered"),
@@ -205,6 +178,7 @@ impl NetObs {
             killed: registry.counter("net.killed"),
             injected: registry.counter("net.injected"),
             holdback_depth: registry.gauge("net.holdback_depth"),
+            registry,
         }
     }
 }
@@ -279,8 +253,7 @@ struct SimInner {
     /// Each listener's one shard, by name.
     listeners: std::collections::HashMap<String, Sender<MuxEvent>>,
     tap: Vec<TappedFrame>,
-    stats: SimStats,
-    obs: Option<NetObs>,
+    obs: NetObs,
 }
 
 impl SimInner {
@@ -296,11 +269,8 @@ impl SimInner {
         let held = wire.take_held();
         let released = held.len();
         let delivered = wire.deliver(conn, held);
-        self.stats.delivered += delivered;
-        if let Some(obs) = &self.obs {
-            obs.delivered.add(delivered as u64);
-            obs.holdback_depth.sub(released as i64);
-        }
+        self.obs.delivered.add(delivered as u64);
+        self.obs.holdback_depth.sub(released as i64);
     }
 }
 
@@ -315,8 +285,7 @@ impl std::fmt::Debug for SimNet {
         let inner = self.inner.lock();
         f.debug_struct("SimNet")
             .field("connections", &inner.connections.len())
-            .field("stats", &inner.stats)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -331,8 +300,7 @@ impl SimNet {
                 connections: Vec::new(),
                 listeners: std::collections::HashMap::new(),
                 tap: Vec::new(),
-                stats: SimStats::default(),
-                obs: None,
+                obs: NetObs::new(),
             })),
         }
     }
@@ -457,11 +425,8 @@ impl SimNet {
             wire.delayed.clear();
             wire.tx = dead_tx.clone();
         }
-        inner.stats.killed += 1;
-        if let Some(obs) = &inner.obs {
-            obs.killed.inc();
-            obs.holdback_depth.sub(discarded as i64);
-        }
+        inner.obs.killed.inc();
+        inner.obs.holdback_depth.sub(discarded as i64);
     }
 
     /// Delivers every held-back frame (reorder holdbacks and delayed
@@ -482,71 +447,34 @@ impl SimNet {
         Adversary { net: self.clone() }
     }
 
-    /// Snapshot of network counters.
+    /// The registry the `net.*` counters and the `net.holdback_depth`
+    /// gauge are written to. Clones share the metrics, so a snapshot taken
+    /// from the clone sees the live values.
     #[must_use]
-    pub fn stats(&self) -> SimStats {
-        self.inner.lock().stats
-    }
-
-    /// Mirrors every [`SimStats`] field into `registry` as a `net.*`
-    /// counter, plus a `net.holdback_depth` gauge tracking frames
-    /// currently parked by the reorder/delay faults. Mirrors attached
-    /// mid-run are seeded from the current totals, so the registry view
-    /// and [`SimNet::stats`] agree from the moment of attachment.
-    pub fn attach_registry(&self, registry: &Registry) {
-        let mut inner = self.inner.lock();
-        let obs = NetObs::new(registry);
-        let stats = inner.stats;
-        obs.sent.add(stats.sent as u64);
-        obs.delivered.add(stats.delivered as u64);
-        obs.dropped.add(stats.dropped as u64);
-        obs.duplicated.add(stats.duplicated as u64);
-        obs.reordered.add(stats.reordered as u64);
-        obs.corrupted.add(stats.corrupted as u64);
-        obs.delayed.add(stats.delayed as u64);
-        obs.partitioned.add(stats.partitioned as u64);
-        obs.severed.add(stats.severed as u64);
-        obs.killed.add(stats.killed as u64);
-        obs.injected.add(stats.injected as u64);
-        let held: usize = inner
-            .connections
-            .iter()
-            .filter(|c| !c.killed)
-            .map(|c| {
-                c.to_listener.delayed.len()
-                    + usize::from(c.to_listener.holdback.is_some())
-                    + c.to_connector.delayed.len()
-                    + usize::from(c.to_connector.holdback.is_some())
-            })
-            .sum();
-        obs.holdback_depth.set(held as i64);
-        inner.obs = Some(obs);
+    pub fn obs_registry(&self) -> Registry {
+        self.inner.lock().obs.registry.clone()
     }
 
     /// Transmits a frame over connection `conn` in direction `dir`,
     /// applying fault injection. `forced` bypasses faults — including
     /// partitions — and is used by the adversary, whose injections are not
     /// subject to the lossy wire (only a severed connection stops it:
-    /// there is no wire left to inject into).
+    /// there is no wire left to inject into). A `conn` the net never
+    /// issued names no wire: nothing is counted, tapped or delivered.
     fn transmit(&self, conn: usize, dir: Direction, frame: Frame, forced: bool) {
         let mut inner = self.inner.lock();
-        inner.stats.sent += usize::from(!forced);
-        if let Some(obs) = &inner.obs {
-            if forced {
-                obs.injected.inc();
-            } else {
-                obs.sent.inc();
-            }
-        }
+        let Some(connection) = inner.connections.get(conn) else {
+            return;
+        };
+        let killed = connection.killed;
         if forced {
-            inner.stats.injected += 1;
+            inner.obs.injected.inc();
+        } else {
+            inner.obs.sent.inc();
         }
 
-        if inner.connections[conn].killed {
-            inner.stats.severed += 1;
-            if let Some(obs) = &inner.obs {
-                obs.severed.inc();
-            }
+        if killed {
+            inner.obs.severed.inc();
             inner.tap.push(TappedFrame {
                 conn,
                 dir,
@@ -574,16 +502,9 @@ impl SimNet {
         let dropped = !forced && drop_roll < config.drop_prob;
         if blocked || dropped {
             if blocked {
-                inner.stats.partitioned += 1;
+                inner.obs.partitioned.inc();
             } else {
-                inner.stats.dropped += 1;
-            }
-            if let Some(obs) = &inner.obs {
-                if blocked {
-                    obs.partitioned.inc();
-                } else {
-                    obs.dropped.inc();
-                }
+                inner.obs.dropped.inc();
             }
             inner.tap.push(TappedFrame {
                 conn,
@@ -601,10 +522,7 @@ impl SimNet {
             let idx = inner.rng.gen_range(0..bytes.len());
             let bit = inner.rng.gen_range(0..8u32);
             bytes[idx] ^= 1 << bit;
-            inner.stats.corrupted += 1;
-            if let Some(obs) = &inner.obs {
-                obs.corrupted.inc();
-            }
+            inner.obs.corrupted.inc();
             Frame::from(bytes)
         } else {
             frame
@@ -627,12 +545,12 @@ impl SimNet {
         // Collect deliveries first to keep the borrow on `wire` short.
         // Each entry is a refcount bump, not a copy.
         let mut deliveries: Vec<Frame> = Vec::with_capacity(3);
-        let mut reordered = 0usize;
-        let mut duplicated = 0usize;
-        let mut parked = 0usize;
+        let mut reordered = 0;
+        let mut duplicated = 0;
+        let mut parked = 0;
         // Previously-held frames (delayed or reorder-holdback) released by
         // this transmission; they leave the holdback-depth gauge.
-        let mut released = 0usize;
+        let mut released = 0;
         {
             let wire = inner.connections[conn].wire_mut(dir);
             // Age every delayed frame by one tick; expired ones ride along
@@ -671,27 +589,21 @@ impl SimNet {
                     duplicated = 1;
                 }
             }
-            released += expired.len();
+            released += expired.len() as i64;
             deliveries.extend(expired);
         }
-        inner.stats.reordered += reordered;
-        inner.stats.duplicated += duplicated;
-        inner.stats.delayed += parked;
-        if let Some(obs) = &inner.obs {
-            obs.reordered.add(reordered as u64);
-            obs.duplicated.add(duplicated as u64);
-            obs.delayed.add(parked as u64);
-            obs.holdback_depth
-                .add((parked + reordered) as i64 - released as i64);
-        }
+        inner.obs.reordered.add(reordered);
+        inner.obs.duplicated.add(duplicated);
+        inner.obs.delayed.add(parked);
+        inner
+            .obs
+            .holdback_depth
+            .add((parked + reordered) as i64 - released);
 
         let delivered = inner.connections[conn]
             .wire_mut(dir)
             .deliver(conn, deliveries);
-        inner.stats.delivered += delivered;
-        if let Some(obs) = &inner.obs {
-            obs.delivered.add(delivered as u64);
-        }
+        inner.obs.delivered.add(delivered as u64);
     }
 }
 
@@ -925,8 +837,13 @@ mod tests {
         }
     }
 
+    /// The value of the net's counter `name`.
+    fn count(net: &SimNet, name: &str) -> u64 {
+        net.obs_registry().snapshot().counter(name)
+    }
+
     #[test]
-    fn registry_mirrors_stats_exactly() {
+    fn registry_counts_every_fault_outcome() {
         let net = SimNet::new(SimConfig {
             seed: 7,
             drop_prob: 0.2,
@@ -936,8 +853,6 @@ mod tests {
             delay_prob: 0.2,
             max_delay_ticks: 3,
         });
-        let registry = Registry::default();
-        net.attach_registry(&registry);
         let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
         let leader_side = leader.accept();
@@ -946,38 +861,24 @@ mod tests {
             leader_side.send(vec![i; 16].into()).unwrap();
         }
         net.flush_all();
-        let stats = net.stats();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("net.sent"), stats.sent as u64);
-        assert_eq!(snap.counter("net.delivered"), stats.delivered as u64);
-        assert_eq!(snap.counter("net.dropped"), stats.dropped as u64);
-        assert_eq!(snap.counter("net.duplicated"), stats.duplicated as u64);
-        assert_eq!(snap.counter("net.reordered"), stats.reordered as u64);
-        assert_eq!(snap.counter("net.corrupted"), stats.corrupted as u64);
-        assert_eq!(snap.counter("net.delayed"), stats.delayed as u64);
+        let snap = net.obs_registry().snapshot();
         // Fault probabilities are high enough that a 400-frame exchange
         // exercises every branch with this seed.
-        assert!(stats.dropped > 0 && stats.reordered > 0 && stats.delayed > 0);
+        for fault in ["dropped", "duplicated", "reordered", "corrupted", "delayed"] {
+            assert!(
+                snap.counter(&format!("net.{fault}")) > 0,
+                "no frame {fault}"
+            );
+        }
+        // With every held frame flushed, each frame sent is either dropped
+        // or delivered once, and each duplicate is one delivery more.
+        assert_eq!(snap.counter("net.sent"), 400);
+        assert_eq!(
+            snap.counter("net.delivered"),
+            400 - snap.counter("net.dropped") + snap.counter("net.duplicated")
+        );
         // flush_all released every held frame.
         assert_eq!(snap.gauge("net.holdback_depth"), 0);
-    }
-
-    #[test]
-    fn registry_attached_mid_run_seeds_current_totals() {
-        let net = reliable();
-        let leader = Leader::new(&net);
-        let member = net.connect("alice", "leader").unwrap();
-        let leader_side = leader.accept();
-        member.send(b"before"[..].into()).unwrap();
-        let registry = Registry::default();
-        net.attach_registry(&registry);
-        member.send(b"after"[..].into()).unwrap();
-        let _ = leader_side;
-        let stats = net.stats();
-        let snap = registry.snapshot();
-        assert_eq!(stats.sent, 2);
-        assert_eq!(snap.counter("net.sent"), 2);
-        assert_eq!(snap.counter("net.delivered"), stats.delivered as u64);
     }
 
     #[test]
@@ -988,13 +889,12 @@ mod tests {
             max_delay_ticks: 10,
             ..SimConfig::default()
         });
-        let registry = Registry::default();
-        net.attach_registry(&registry);
         let leader = Leader::new(&net);
         let member = net.connect("alice", "leader").unwrap();
         let _leader_side = leader.accept();
         member.send(b"a"[..].into()).unwrap();
         member.send(b"b"[..].into()).unwrap();
+        let registry = net.obs_registry();
         assert!(registry.snapshot().gauge("net.holdback_depth") > 0);
         net.kill(member.conn_id());
         let snap = registry.snapshot();
@@ -1082,7 +982,7 @@ mod tests {
         adv.replay(0, Direction::ToConnector, 0).unwrap();
         assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"forged");
         assert!(adv.replay(0, Direction::ToConnector, 99).is_err());
-        assert_eq!(net.stats().injected, 2);
+        assert_eq!(count(&net, "net.injected"), 2);
     }
 
     #[test]
@@ -1105,7 +1005,7 @@ mod tests {
         let tapped = adv.observed();
         assert_eq!(tapped.len(), 1);
         assert!(!tapped[0].delivered);
-        assert_eq!(net.stats().dropped, 1);
+        assert_eq!(count(&net, "net.dropped"), 1);
         // The adversary can resurrect a dropped frame.
         adv.inject(0, Direction::ToListener, tapped[0].frame.clone());
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"doomed");
@@ -1123,7 +1023,7 @@ mod tests {
         member.send(b"twice"[..].into()).unwrap();
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"twice");
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"twice");
-        assert_eq!(net.stats().duplicated, 1);
+        assert_eq!(count(&net, "net.duplicated"), 1);
     }
 
     #[test]
@@ -1157,12 +1057,12 @@ mod tests {
             for i in 0..32u8 {
                 member.send(vec![i].into()).unwrap();
             }
-            net.stats().dropped
+            count(&net, "net.dropped")
         };
         assert_eq!(run(7), run(7));
         // Different seeds should (overwhelmingly) differ somewhere; allow
         // equality of counts but check a couple of seeds.
-        let counts: Vec<usize> = (0..4).map(run).collect();
+        let counts: Vec<u64> = (0..4).map(run).collect();
         assert!(counts.iter().any(|&c| c != counts[0]) || counts[0] > 0);
     }
 
@@ -1200,7 +1100,7 @@ mod tests {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(flipped, 1, "exactly one bit differs");
-        assert_eq!(net.stats().corrupted, 1);
+        assert_eq!(count(&net, "net.corrupted"), 1);
         // The tap observed the corrupted copy, not the original.
         let tapped = net.adversary().observed();
         assert_eq!(tapped[0].frame, received);
@@ -1225,7 +1125,7 @@ mod tests {
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"one");
         member.send(b"three"[..].into()).unwrap();
         assert_eq!(&leader_side.recv_timeout(TO).unwrap()[..], b"two");
-        assert_eq!(net.stats().delayed, 3);
+        assert_eq!(count(&net, "net.delayed"), 3);
     }
 
     #[test]
@@ -1241,7 +1141,7 @@ mod tests {
         assert!(leader_side.recv_timeout(Duration::from_millis(20)).is_err());
         leader_side.send(b"downstream ok"[..].into()).unwrap();
         assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"downstream ok");
-        assert_eq!(net.stats().partitioned, 1);
+        assert_eq!(count(&net, "net.partitioned"), 1);
         // Partitioned frames are still on the public wire.
         assert!(!net.adversary().observed()[0].delivered);
 
@@ -1270,7 +1170,7 @@ mod tests {
             NetError::Disconnected
         );
         assert_eq!(member.recv_timeout(TO).unwrap_err(), NetError::Disconnected);
-        assert_eq!(net.stats().severed, 2);
+        assert_eq!(count(&net, "net.severed"), 2);
         // Idempotent.
         net.kill(0);
     }
@@ -1402,6 +1302,31 @@ mod tests {
         for member in &members {
             assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"all");
         }
-        assert_eq!(net.stats().sent, 3);
+        assert_eq!(count(&net, "net.sent"), 3);
+    }
+
+    /// A token the net never issued names no connection: a multicast
+    /// skips it, as the readiness loop does, and still reaches every
+    /// member; an injection into it is not even tapped.
+    #[test]
+    fn multicast_skips_unknown_tokens() {
+        let net = reliable();
+        let leader = Leader::new(&net);
+        let members: Vec<SimLink> = ["a", "b"]
+            .iter()
+            .map(|name| net.connect(name, "leader").unwrap())
+            .collect();
+        leader
+            .listener
+            .multicast(vec![0, 999_999, 1], b"to whoever exists"[..].into())
+            .unwrap();
+        for member in &members {
+            assert_eq!(&member.recv_timeout(TO).unwrap()[..], b"to whoever exists");
+        }
+        net.adversary()
+            .inject(2, Direction::ToConnector, b"nowhere"[..].into());
+        assert_eq!(count(&net, "net.sent"), 2);
+        assert_eq!(count(&net, "net.injected"), 0);
+        assert_eq!(net.adversary().observed().len(), 2);
     }
 }

@@ -74,7 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // A burst of admin broadcasts and group data through the faulty wires.
-    let baseline = members[1].stats().admin_accepted;
+    let bob = members[1].obs_registry();
+    let admin_accepted = || bob.snapshot().counter("member.admin_accepted");
+    let baseline = admin_accepted();
     for i in 0..BURST {
         leader.broadcast(&[i as u8])?;
         // Both members chat, so every wire keeps flowing (a held-back
@@ -86,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Keep the faults on until at least half the burst crossed the wire,
     // so duplication/reordering demonstrably hit live traffic.
     let deadline = std::time::Instant::now() + WAIT;
-    while members[1].stats().admin_accepted < baseline + (BURST as u64) / 2 {
+    while admin_accepted() < baseline + (BURST as u64) / 2 {
         if std::time::Instant::now() > deadline {
             return Err("burst stalled under faults".into());
         }
@@ -119,15 +121,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = net.stats();
-    let bob = members[1].stats();
-    println!("network counters: {stats:?}");
+    println!("network counters:\n{}", net.obs_registry().snapshot());
     println!(
         "bob applied {admin_heard}/{} admin broadcasts exactly once \
          (duplicates rejected as replays: {} rejections) and received \
          {data_heard} group-data frames (duplicates visible to the app)",
         BURST + 1,
-        bob.rejected
+        bob.snapshot().counter("member.rejected")
     );
     assert_eq!(
         admin_heard,

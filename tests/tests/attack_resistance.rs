@@ -104,7 +104,12 @@ fn wholesale_replay_of_all_frames_is_harmless() {
     assert_eq!(event, MemberEvent::AdminData(b"tock".to_vec()));
 
     // Replays were rejected (counted) somewhere.
-    let rejected = world.leader.stats().rejected + alice.stats().rejected;
+    let rejected = world
+        .leader
+        .obs_registry()
+        .snapshot()
+        .counter("leader.rejected")
+        + alice.obs_registry().snapshot().counter("member.rejected");
     assert!(
         rejected > 0,
         "replays must be rejected, not silently accepted"
@@ -227,7 +232,10 @@ fn replayed_rekey_frame_does_not_roll_back() {
         Some(epoch),
         "group key must not roll back"
     );
-    assert!(alice.stats().rejected > 0, "replays must be counted");
+    assert!(
+        alice.obs_registry().snapshot().counter("member.rejected") > 0,
+        "replays must be counted"
+    );
     world.service.shutdown();
 }
 

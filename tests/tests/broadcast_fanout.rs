@@ -62,7 +62,8 @@ fn broadcast_reaches_512_members_with_one_seal() {
         .collect();
     assert_eq!(leader.roster().len(), N);
 
-    let seals_before = leader.stats().data_seals;
+    let registry = leader.obs_registry();
+    let seals_before = registry.snapshot().counter("leader.data_seals");
     let payload = b"state sync: epoch snapshot #7";
     leader.broadcast_data(payload).unwrap();
 
@@ -78,8 +79,9 @@ fn broadcast_reaches_512_members_with_one_seal() {
     }
 
     // The whole fan-out cost exactly one AEAD seal on the leader.
-    assert_eq!(leader.stats().data_seals - seals_before, 1);
-    assert_eq!(leader.stats().broadcasts, 1);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("leader.data_seals") - seals_before, 1);
+    assert_eq!(snap.counter("leader.broadcasts"), 1);
 
     drop(members);
     service.shutdown();

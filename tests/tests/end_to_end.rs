@@ -262,9 +262,9 @@ fn leader_events_reflect_lifecycle() {
     }
     assert_eq!(joined, vec![id("alice"), id("bob")]);
 
-    let stats = world.leader.stats();
-    assert!(stats.accepted >= 4, "{stats:?}");
-    assert_eq!(stats.rejected, 0);
+    let snap = world.leader.obs_registry().snapshot();
+    assert!(snap.counter("leader.accepted") >= 4, "{snap}");
+    assert_eq!(snap.counter("leader.rejected"), 0);
     world.service.shutdown();
 }
 

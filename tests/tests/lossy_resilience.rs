@@ -82,10 +82,10 @@ fn run_under_loss(drop_prob: f64, seed: u64) {
         .expect("rekey under loss");
     assert_eq!(alice.group_epoch(), Some(before + 1));
 
-    let stats = net.stats();
+    let snap = net.obs_registry().snapshot();
     assert!(
-        stats.dropped > 0,
-        "the network must actually have dropped frames: {stats:?}"
+        snap.counter("net.dropped") > 0,
+        "the network must actually have dropped frames: {snap}"
     );
     service.shutdown();
 }

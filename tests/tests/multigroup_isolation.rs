@@ -99,14 +99,16 @@ fn enclave(tag: &str, n: usize, seed: u64) -> Enclave {
 /// cross-enclave traffic, no events, no epoch movement.
 fn assert_member_rejects(member: &mut MemberSession, env: &Envelope, what: &str) {
     let epoch_before = member.group_epoch();
-    let rejected_before = member.stats().rejected;
+    let registry = member.obs_registry();
+    let rejected = || registry.snapshot().counter("member.rejected");
+    let rejected_before = rejected();
     match member.handle(env) {
         Err(CoreError::Rejected(RejectReason::WrongEnclave)) => {}
         other => panic!("{what}: expected WrongEnclave rejection, got {other:?}"),
     }
     assert_eq!(member.group_epoch(), epoch_before, "{what}: epoch moved");
     assert_eq!(
-        member.stats().rejected,
+        rejected(),
         rejected_before + 1,
         "{what}: rejection not counted"
     );

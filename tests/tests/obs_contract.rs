@@ -6,11 +6,13 @@
 //!   injections unobservable);
 //! * implementation side — a full runtime honest flow actually emits
 //!   every event kind the model mapping names, in a stream order
-//!   consistent with causality.
+//!   consistent with causality;
+//! * names — the README's metric glossary lists exactly the metrics the
+//!   leader, member and simulator registries declare.
 
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
-use enclaves_core::protocol::{LeaderEvent, MemberEvent};
+use enclaves_core::protocol::{LeaderCore, LeaderEvent, MemberEvent, MemberSession};
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_model::explore::{Bounds, Explorer, TransitionChecker};
 use enclaves_model::leader::LeaderMove;
@@ -261,4 +263,67 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
     assert!(first_index("AdminSend") < first_index("AdminDeliver"));
     assert!(first_index("DataSend") < first_index("DataDeliver"));
     assert!(first_index("Rekeyed") < first_index("KeyChanged"));
+}
+
+/// Every metric a fresh `LeaderCore`, `MemberSession` or `SimNet`
+/// registers has a row in the README's metric glossary, and every
+/// `leader.*`, `member.*` or `net.*` name the glossary's first column
+/// lists is registered by one of them (the readiness loop's `net.loop.*`
+/// names belong to `MuxNet`, not checked here). Counters are read by name
+/// and an absent name reads 0, so this is the one checked list of names.
+#[test]
+fn readme_glossary_names_exactly_the_registered_metrics() {
+    let covered = |name: &str| {
+        ["leader.", "member.", "net."]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+            && !name.starts_with("net.loop.")
+    };
+    let readme = include_str!("../../README.md");
+    let (_, glossary) = readme
+        .split_once("Metric glossary")
+        .expect("README has a metric glossary");
+    let glossary: BTreeSet<&str> = glossary
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| row.split('|').nth(1))
+        .flat_map(|names| names.split('`').skip(1).step_by(2))
+        .filter(|name| covered(name))
+        .collect();
+
+    let (session, _) = MemberSession::start(id("m0"), id("leader"), "m0-pw").unwrap();
+    let leader = LeaderCore::new(id("leader"), Directory::new(), LeaderConfig::default());
+    let net = SimNet::new(SimConfig::default());
+    let registered: BTreeSet<String> = [
+        leader.obs_registry(),
+        session.obs_registry(),
+        net.obs_registry(),
+    ]
+    .iter()
+    .flat_map(|registry| {
+        let snap = registry.snapshot();
+        snap.counters
+            .into_keys()
+            .chain(snap.gauges.into_keys())
+            .chain(snap.histograms.into_keys())
+    })
+    .collect();
+
+    let unlisted: Vec<&String> = registered
+        .iter()
+        .filter(|name| !glossary.contains(name.as_str()))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "registered, but no README glossary row: {unlisted:?}"
+    );
+    let unregistered: Vec<&&str> = glossary
+        .iter()
+        .filter(|name| !registered.contains(**name))
+        .collect();
+    assert!(
+        unregistered.is_empty(),
+        "README glossary rows naming no registered metric: {unregistered:?}"
+    );
 }

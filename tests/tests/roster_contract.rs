@@ -362,8 +362,9 @@ fn malformed_rosters_are_rejected_after_the_seal_with_no_state_change() {
             "{what}"
         );
     }
-    assert_eq!(p.session.stats().rejected, 2 * cases.len() as u64);
-    assert_eq!(p.session.stats().admin_accepted, 0);
+    let snap = p.session.obs_registry().snapshot();
+    assert_eq!(snap.counter("member.rejected"), 2 * cases.len() as u64);
+    assert_eq!(snap.counter("member.admin_accepted"), 0);
 
     // The nonce the rejected frames echoed was never consumed: an honest
     // Welcome built on it is accepted, and installs the snapshot.
