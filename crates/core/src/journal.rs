@@ -52,11 +52,14 @@
 //! that is **at least** every epoch any record of the stream has ever
 //! committed. It is a lease, not a mirror: when a record's epoch would
 //! exceed it, the writer first rewrites the fence [`FENCE_LEASE`] epochs
-//! ahead of that record (atomically, via temp-file rename) and only then
-//! appends the record — both before the transition's frames are
-//! dispatched. The next [`FENCE_LEASE`] transitions append without
-//! touching the fence, so the rename is paid once per lease, not once
-//! per transition.
+//! ahead of that record and only then appends the record — both before
+//! the transition's frames are dispatched. The next [`FENCE_LEASE`]
+//! transitions append without touching the fence, so the rewrite is paid
+//! once per lease, not once per transition. It is one 36-byte `write` at
+//! offset 0 of the same file, which under the crash model below is applied
+//! whole or not at all: the old bound or the new one, with no directory
+//! operation. An empty fence (a first creation cut before its write) reads
+//! as none; the record that needed it comes after it and was never written.
 //!
 //! Recovery restarts strictly past `max(replayed epoch, fence)`. Because
 //! the fence is on disk before the record that needs it, this holds
@@ -69,7 +72,7 @@
 //! leader, re-admission is by `Welcome` at whatever epoch the leader now
 //! serves, and "strictly newer" is the only rule an epoch must obey.
 //!
-//! Still open under ROADMAP item 3: an fsync policy (with group commit),
+//! Still open under ROADMAP item 5: an fsync policy (with group commit),
 //! compaction, and a `Storage` trait for injected disk faults.
 
 use crate::config::LeaderConfig;
@@ -87,7 +90,7 @@ use enclaves_wire::journal::{
 };
 use enclaves_wire::{ActorId, GroupId};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -103,6 +106,9 @@ pub const SOLO_LABEL: &[u8] = b"\x00solo";
 /// written: one fence rewrite per this many transitions, and at most this
 /// large an epoch gap after a crash (see the module docs).
 pub const FENCE_LEASE: u64 = 64;
+
+/// Bytes of the fence file: nonce + sealed epoch + tag.
+const FENCE_LEN: usize = 12 + 8 + TAG_LEN;
 
 /// Bytes of a record before its ciphertext: len + seq + crc + nonce.
 const RECORD_HEADER_LEN: usize = 4 + 8 + 4 + 12;
@@ -191,9 +197,7 @@ impl std::fmt::Display for JournalError {
             JournalError::StreamExists { stream } => {
                 write!(f, "journal stream {stream} already exists")
             }
-            JournalError::MissingGenesis => {
-                write!(f, "journal stream has no genesis record")
-            }
+            JournalError::MissingGenesis => write!(f, "journal stream has no genesis record"),
             JournalError::DuplicateGenesis { seq } => {
                 write!(f, "genesis record repeated at sequence {seq}")
             }
@@ -324,18 +328,11 @@ impl CryptoRng for TapePlayer<'_> {
 /// The stream label for a group tag (`None` → [`SOLO_LABEL`]).
 #[must_use]
 pub fn label_for(group: Option<&GroupId>) -> Vec<u8> {
-    match group {
-        Some(g) => g.as_str().as_bytes().to_vec(),
-        None => SOLO_LABEL.to_vec(),
-    }
+    group.map_or(SOLO_LABEL, |g| g.as_str().as_bytes()).to_vec()
 }
 
 fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn from_hex(s: &str) -> Option<Vec<u8>> {
@@ -356,7 +353,7 @@ fn stream_file_name(label: &[u8]) -> String {
     format!("stream-{}.wal", to_hex(label))
 }
 
-fn fence_file_name(label: &[u8]) -> String {
+pub(crate) fn fence_file_name(label: &[u8]) -> String {
     format!("stream-{}.fence", to_hex(label))
 }
 
@@ -380,6 +377,12 @@ pub struct StreamScan {
     pub streams: Vec<StreamInfo>,
     /// `stream-*.wal` file names whose label is not hex, sorted.
     pub misnamed: Vec<String>,
+}
+
+impl StreamScan {
+    fn has_any(&self) -> bool {
+        !self.streams.is_empty() || !self.misnamed.is_empty()
+    }
 }
 
 /// A journal directory: one master key, one stream per enclave.
@@ -411,23 +414,33 @@ impl JournalDir {
     /// # Errors
     ///
     /// I/O failures, or [`JournalError::BadMasterKey`] if an existing key
-    /// file has the wrong size.
+    /// file has the wrong size (an empty one beside no stream, a first open
+    /// cut before its write, is replaced).
     pub fn open_or_init(root: &Path) -> Result<Self, JournalError> {
         fs::create_dir_all(root).map_err(|e| io_err("create journal dir", &e))?;
         let key_path = root.join(MASTER_KEY_FILE);
-        let master: [u8; 32] = if key_path.exists() {
-            let bytes = fs::read(&key_path).map_err(|e| io_err("read master key", &e))?;
-            bytes.try_into().map_err(|_| JournalError::BadMasterKey)?
-        } else {
-            let mut key = [0u8; 32];
-            OsEntropyRng::new().fill_bytes(&mut key);
-            fs::write(&key_path, key).map_err(|e| io_err("write master key", &e))?;
-            key
-        };
-        Ok(JournalDir {
+        let mut dir = JournalDir {
             root: root.to_path_buf(),
-            master,
-        })
+            master: [0; 32],
+        };
+        match read_at_most(&key_path, 32) {
+            Ok(key) if !key.is_empty() || dir.streams()?.has_any() => {
+                dir.master = key.try_into().map_err(|_| JournalError::BadMasterKey)?;
+                return Ok(dir);
+            }
+            Ok(_) => fs::remove_file(&key_path).map_err(|e| io_err("remove empty key", &e))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err("read master key", &e)),
+        }
+        OsEntropyRng::new().fill_bytes(&mut dir.master);
+        // `create_new`: a racing init never replaces a key.
+        OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&key_path)
+            .and_then(|mut file| file.write_all(&dir.master))
+            .map_err(|e| io_err("write master key", &e))?;
+        Ok(dir)
     }
 
     /// The directory path.
@@ -543,13 +556,8 @@ impl JournalDir {
         ))
     }
 
-    /// The appender for `label` over an already opened `file`. Opening a
-    /// writer also clears a `.fence.tmp` a crash left between the fence's
-    /// write and its rename: the fence proper still holds the older bound,
-    /// and the record the new one was for was never appended.
+    /// The appender for `label` over an already opened `file`.
     fn writer(&self, label: &[u8], file: File, next_seq: u64, fenced: u64) -> JournalWriter {
-        let fence_path = self.root.join(fence_file_name(label));
-        let _ = fs::remove_file(fence_tmp_path(&fence_path));
         JournalWriter {
             file,
             cipher: ChaCha20Poly1305::new(self.stream_key(label).as_bytes()),
@@ -557,7 +565,7 @@ impl JournalDir {
             record: Vec::new(),
             label: label.to_vec(),
             next_seq,
-            fence_path,
+            fence_path: self.root.join(fence_file_name(label)),
             fenced,
             fence_writes: 0,
             nonce_rng: OsEntropyRng::new(),
@@ -582,7 +590,7 @@ impl JournalDir {
         Ok(replay)
     }
 
-    /// Reads the fence epoch for a stream, if a fence file exists.
+    /// Reads the fence epoch for a stream, if a non-empty fence file exists.
     ///
     /// # Errors
     ///
@@ -590,41 +598,32 @@ impl JournalDir {
     /// size; I/O failures other than absence.
     pub fn read_fence(&self, label: &[u8]) -> Result<Option<u64>, JournalError> {
         let path = self.root.join(fence_file_name(label));
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
+        let fence: [u8; FENCE_LEN] = match read_at_most(&path, FENCE_LEN) {
+            Ok(b) if b.is_empty() => return Ok(None),
+            Ok(b) => b.try_into().map_err(|_| JournalError::BadFence)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err("read fence", &e)),
         };
-        if bytes.len() != 12 + 8 + 16 {
-            return Err(JournalError::BadFence);
-        }
-        let nonce: [u8; 12] = bytes[..12].try_into().expect("length checked");
-        let cipher = ChaCha20Poly1305::new(self.stream_key(label).as_bytes());
-        let pt = cipher
-            .open(
-                &AeadNonce::from_bytes(nonce),
-                &bytes[12..],
-                &fence_aad(label),
-            )
+        let nonce = AeadNonce::from_bytes(fence[..12].try_into().expect("12 bytes"));
+        let epoch = ChaCha20Poly1305::new(self.stream_key(label).as_bytes())
+            .open(&nonce, &fence[12..], &fence_aad(label))
             .map_err(|_| JournalError::BadFence)?;
-        let epoch: [u8; 8] = pt
-            .as_slice()
-            .try_into()
-            .map_err(|_| JournalError::BadFence)?;
-        Ok(Some(u64::from_be_bytes(epoch)))
+        Ok(Some(u64::from_be_bytes(epoch.try_into().expect("8 bytes"))))
     }
 }
 
 fn fence_aad(label: &[u8]) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(4 + label.len() + 5);
-    aad.extend_from_slice(JOURNAL_MAGIC);
-    aad.extend_from_slice(label);
-    aad.extend_from_slice(b"fence");
-    aad
+    [JOURNAL_MAGIC.as_slice(), label, b"fence"].concat()
 }
 
-fn fence_tmp_path(fence_path: &Path) -> PathBuf {
-    fence_path.with_extension("fence.tmp")
+/// Reads a file that should hold at most `max` bytes, and one byte more if
+/// it is longer, so an oversized file is told without being read whole.
+fn read_at_most(path: &Path, max: usize) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(max + 1);
+    File::open(path)?
+        .take(max as u64 + 1)
+        .read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// A stream's record AAD, `"EJR1" ‖ label ‖ seq_be ‖ crc_be`, in one
@@ -634,11 +633,7 @@ struct RecordAad(Vec<u8>);
 
 impl RecordAad {
     fn new(label: &[u8]) -> Self {
-        let mut aad = Vec::with_capacity(4 + label.len() + 12);
-        aad.extend_from_slice(JOURNAL_MAGIC);
-        aad.extend_from_slice(label);
-        aad.extend_from_slice(&[0; 12]);
-        RecordAad(aad)
+        RecordAad([JOURNAL_MAGIC.as_slice(), label, &[0; 12]].concat())
     }
 
     fn for_record(&mut self, seq: u64, crc: u32) -> &[u8] {
@@ -745,22 +740,26 @@ impl JournalWriter {
         Ok((seq, written))
     }
 
+    /// Rewrites the fence in place; a short write is an error, not a retry.
     fn write_fence(&mut self, epoch: u64) -> Result<(), JournalError> {
         let mut nonce = [0u8; 12];
         self.nonce_rng.fill_bytes(&mut nonce);
-        let ct = self.cipher.seal(
+        let sealed = self.cipher.seal(
             &AeadNonce::from_bytes(nonce),
             &epoch.to_be_bytes(),
             &fence_aad(&self.label),
         );
-        let mut bytes = Vec::with_capacity(12 + ct.len());
-        bytes.extend_from_slice(&nonce);
-        bytes.extend_from_slice(&ct);
-        // Atomic replace: the fence is either the old bound or the new
-        // one, never a torn mixture.
-        let tmp = fence_tmp_path(&self.fence_path);
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write fence", &e))?;
-        fs::rename(&tmp, &self.fence_path).map_err(|e| io_err("commit fence", &e))?;
+        let fence = [&nonce[..], &sealed].concat();
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&self.fence_path)
+            .and_then(|mut file| match file.write(&fence)? {
+                FENCE_LEN => Ok(()),
+                _ => Err(std::io::ErrorKind::WriteZero.into()),
+            })
+            .map_err(|e| io_err("write fence", &e))?;
         self.fenced = epoch;
         self.fence_writes += 1;
         Ok(())
@@ -1263,7 +1262,7 @@ mod tests {
     }
 
     fn fence_bytes(dir: &JournalDir, label: &[u8]) -> Vec<u8> {
-        fs::read(dir.root().join(fence_file_name(label))).unwrap()
+        fs::read(fence_path(dir, label)).unwrap()
     }
 
     /// Inside one lease the fence file is not touched at all: same bytes
@@ -1347,21 +1346,155 @@ mod tests {
         );
     }
 
-    /// A crash between the fence's write and its rename leaves a
-    /// `.fence.tmp`; the next writer on the stream removes it.
+    fn fence_path(dir: &JournalDir, label: &[u8]) -> PathBuf {
+        dir.root().join(fence_file_name(label))
+    }
+
+    /// Every name in the journal directory, sorted.
+    fn entries(dir: &JournalDir) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The fence is the same file for the life of the stream: a lease
+    /// crossing and a cold open's recovery epoch both rewrite it where it
+    /// is, and no other name ever appears beside the stream, the fence and
+    /// the key.
     #[test]
-    fn opening_a_writer_clears_a_leftover_fence_tmp() {
+    #[cfg(unix)]
+    fn the_fence_is_rewritten_in_place() {
+        use std::os::unix::fs::MetadataExt as _;
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let expected = [
+            MASTER_KEY_FILE.to_string(),
+            fence_file_name(&label),
+            stream_file_name(&label),
+        ];
+        let inode = || fs::metadata(fence_path(&dir, &label)).unwrap().ino();
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        w.append(&transition(1)).unwrap();
+        let first = inode();
+        for epoch in 2..=2 + FENCE_LEASE {
+            w.append(&transition(epoch)).unwrap();
+            assert_eq!(entries(&dir), expected, "after epoch {epoch}");
+        }
+        assert_eq!(w.fence_writes(), 2, "the last append crossed the lease");
+        assert_eq!(inode(), first, "a lease crossing renames nothing");
+        drop(w);
+
+        // A cold open: replay, reopen, and journal the recovery epoch past
+        // `max(replayed, fence)`, which moves the fence once more.
+        let dir = JournalDir::open_or_init(dir.root()).unwrap();
+        let replay = dir.replay_stream(&label, ReadMode::Recover).unwrap();
+        let fenced = replay.fenced_epoch.unwrap();
+        assert_eq!(fenced, 2 + 2 * FENCE_LEASE);
+        let mut w = dir.open_writer(&label, &replay).unwrap();
+        w.append(&transition(fenced + 1)).unwrap();
+        assert_eq!(w.fence_writes(), 1);
+        assert_eq!(
+            dir.read_fence(&label).unwrap(),
+            Some(fenced + 1 + FENCE_LEASE)
+        );
+        assert_eq!(inode(), first, "a cold open renames nothing");
+        assert_eq!(entries(&dir), expected);
+    }
+
+    /// A zero-length fence is a first creation cut before its write: it
+    /// reads as no fence, and the next crossing record fills it in place.
+    #[test]
+    fn an_empty_fence_reads_as_none() {
         let (dir, _guard) = open_dir();
         let label = label_for(None);
         let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
         w.append(&transition(1)).unwrap();
         drop(w);
-        let tmp = fence_tmp_path(&dir.root().join(fence_file_name(&label)));
-        fs::write(&tmp, b"half a fence").unwrap();
+        File::create(fence_path(&dir, &label)).unwrap();
+        assert_eq!(dir.read_fence(&label).unwrap(), None);
         let replay = dir.replay_stream(&label, ReadMode::Recover).unwrap();
-        let _w = dir.open_writer(&label, &replay).unwrap();
-        assert!(!tmp.exists());
-        assert_eq!(dir.read_fence(&label).unwrap(), Some(1 + FENCE_LEASE));
+        assert_eq!(replay.fenced_epoch, None);
+        let mut w = dir.open_writer(&label, &replay).unwrap();
+        assert_eq!(w.fenced_epoch(), 0);
+        w.append(&transition(2)).unwrap();
+        assert_eq!(dir.read_fence(&label).unwrap(), Some(2 + FENCE_LEASE));
+    }
+
+    /// Only exactly 36 bytes (or none) are a fence: every shorter length,
+    /// one byte more, and a sparse 64 GiB file, which is refused by its
+    /// length without being read.
+    #[test]
+    fn a_fence_of_any_other_length_is_bad() {
+        let (dir, _guard) = open_dir();
+        let label = label_for(None);
+        let mut w = dir.create_stream(&label, &sample_genesis()).unwrap();
+        w.append(&transition(1)).unwrap();
+        let path = fence_path(&dir, &label);
+        let good = fs::read(&path).unwrap();
+        assert_eq!(good.len(), FENCE_LEN);
+        for len in (1..FENCE_LEN).chain([FENCE_LEN + 1]) {
+            let mut bytes = good.clone();
+            bytes.resize(len, 0);
+            fs::write(&path, &bytes).unwrap();
+            assert_eq!(
+                dir.read_fence(&label),
+                Err(JournalError::BadFence),
+                "{len} bytes"
+            );
+        }
+        File::create(&path).unwrap().set_len(64 << 30).unwrap();
+        assert_eq!(dir.read_fence(&label), Err(JournalError::BadFence));
+    }
+
+    /// A sparse 64 GiB key file is a malformed key, told by its length.
+    #[test]
+    fn an_oversized_master_key_is_bad() {
+        let (dir, _guard) = open_dir();
+        let key = dir.root().join(MASTER_KEY_FILE);
+        File::create(&key).unwrap().set_len(64 << 30).unwrap();
+        assert_eq!(
+            JournalDir::open_or_init(dir.root()).unwrap_err(),
+            JournalError::BadMasterKey
+        );
+    }
+
+    /// An empty key beside no stream is a first open cut before its write:
+    /// the next open writes a fresh key and the directory works.
+    #[test]
+    fn an_empty_key_in_a_fresh_directory_is_replaced() {
+        let (dir, _guard) = open_dir();
+        let key = dir.root().join(MASTER_KEY_FILE);
+        File::create(&key).unwrap();
+        let dir = JournalDir::open_or_init(dir.root()).unwrap();
+        assert_eq!(fs::read(&key).unwrap().len(), 32);
+        let label = label_for(None);
+        dir.create_stream(&label, &sample_genesis()).unwrap();
+        let reopened = JournalDir::open_or_init(dir.root()).unwrap();
+        assert!(reopened.replay_stream(&label, ReadMode::Strict).is_ok());
+    }
+
+    /// Beside a stream an empty key is a lost key, and stays an error: a
+    /// fresh one could open nothing that was sealed.
+    #[test]
+    fn an_empty_key_beside_a_stream_is_bad() {
+        let (dir, _guard) = open_dir();
+        dir.create_stream(&label_for(None), &sample_genesis())
+            .unwrap();
+        File::create(dir.root().join(MASTER_KEY_FILE)).unwrap();
+        assert_eq!(
+            JournalDir::open_or_init(dir.root()).unwrap_err(),
+            JournalError::BadMasterKey
+        );
+        // A stray, undecodable stream name counts as a stream too.
+        fs::remove_file(dir.stream_path(&label_for(None))).unwrap();
+        fs::write(dir.root().join("stream-not-hex.wal"), b"junk").unwrap();
+        assert_eq!(
+            JournalDir::open_or_init(dir.root()).unwrap_err(),
+            JournalError::BadMasterKey
+        );
     }
 
     #[test]

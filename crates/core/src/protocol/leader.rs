@@ -3091,6 +3091,42 @@ mod tests {
         assert_eq!(recovered2.durable_digest(), recovered.durable_digest());
     }
 
+    /// A zero-length fence (a first creation cut before its write) reads
+    /// as no fence, and recovery still lands past the replayed epoch.
+    #[test]
+    fn journaled_core_over_an_empty_fence_recovers_past_the_replayed_epoch() {
+        use crate::journal::FENCE_LEASE;
+        use crate::journal::{fence_file_name, genesis_for, label_for, JournalDir, ReadMode};
+        let tmp = TempJournal::new("empty-fence");
+        let dir = JournalDir::open_or_init(&tmp.0).unwrap();
+        let label = label_for(None);
+        let users = names(3);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        let genesis = genesis_for(w.l.leader_id(), &w.l.directory, &w.l.config);
+        w.l.attach_journal(dir.create_stream(&label, &genesis).unwrap());
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 540 + i as u64);
+        }
+        w.rekey();
+        let live_epoch = w.l.epoch().unwrap();
+        std::fs::File::create(tmp.0.join(fence_file_name(&label))).unwrap();
+
+        let replay = dir.replay_stream(&label, ReadMode::Recover).unwrap();
+        assert_eq!(replay.fenced_epoch, None);
+        let mut recovered = LeaderCore::recover(&replay).unwrap();
+        recovered.attach_journal(dir.open_writer(&label, &replay).unwrap());
+        let new_epoch = recovered.recovery_advance(None).unwrap().unwrap();
+        assert!(
+            new_epoch > live_epoch,
+            "{new_epoch} is not past {live_epoch}"
+        );
+        assert_eq!(
+            dir.read_fence(&label).unwrap(),
+            Some(new_epoch + FENCE_LEASE)
+        );
+    }
+
     /// Runs one fixed history on a seeded leader and returns the SHA-256
     /// (hex) of every byte it put on the wire, retransmits included.
     fn seeded_script(config: LeaderConfig, journal: Option<&str>) -> String {
