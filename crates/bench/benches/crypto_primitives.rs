@@ -13,9 +13,17 @@ use enclaves_crypto::sha256::sha256;
 use std::hint::black_box;
 
 /// Where production sizes are: 64 B is a broadcast payload, 256 B the
-/// Poly1305 four-block threshold, 512 B the ChaCha20 lane kernel's chunk
+/// Poly1305 four-block threshold, 512 B the ChaCha20 wide path's chunk
 /// (the dispatch threshold), 10 240 B a Welcome at N of about 1 000.
 const SIZES: [usize; 6] = [64, 256, 512, 1024, 8192, 10_240];
+
+/// The AEAD's short path besides: 32 to 192 B fold the one-time key into
+/// a four-lane pass, 448 B (the longest fold) into an eight-lane one.
+const AEAD_SIZES: [usize; 10] = [32, 64, 128, 192, 256, 448, 512, 1024, 8192, 10_240];
+
+/// Poly1305 besides: 128 B is one lane-kernel chunk, still single blocks;
+/// from 256 B the IFMA lanes run, or the four-block path without IFMA.
+const POLY1305_SIZES: [usize; 7] = [64, 128, 256, 512, 1024, 8192, 10_240];
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -59,7 +67,7 @@ fn bench_chacha20(c: &mut Criterion) {
 fn bench_poly1305(c: &mut Criterion) {
     let mut group = c.benchmark_group("poly1305");
     let key = [3u8; 32];
-    for size in SIZES {
+    for size in POLY1305_SIZES {
         let data = vec![0x55u8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, data| {
@@ -73,7 +81,7 @@ fn bench_aead(c: &mut Criterion) {
     let mut group = c.benchmark_group("chacha20poly1305");
     let cipher = ChaCha20Poly1305::new(&[5u8; 32]);
     let nonce = AeadNonce::from_bytes([0; 12]);
-    for size in SIZES {
+    for size in AEAD_SIZES {
         let data = vec![0u8; size];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::new("seal", size), &data, |b, data| {

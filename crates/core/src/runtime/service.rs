@@ -594,11 +594,17 @@ impl LeaderService {
     ) -> Self {
         let shards = front.take_shards();
         let service_obs = enclaves_obs::Registry::new();
-        // Which ChaCha20 kernel this host runs (1 = scalar), so a join
-        // that is slower here than on the next host explains itself.
-        service_obs
-            .gauge("crypto.chacha20_lanes")
-            .set(i64::try_from(enclaves_crypto::chacha20::lanes()).unwrap_or(i64::MAX));
+        // Which ChaCha20 and Poly1305 kernels this host runs (1 = scalar),
+        // so a join that is slower here than on the next host explains
+        // itself.
+        for (name, lanes) in [
+            ("crypto.chacha20_lanes", enclaves_crypto::chacha20::lanes()),
+            ("crypto.poly1305_lanes", enclaves_crypto::poly1305::lanes()),
+        ] {
+            service_obs
+                .gauge(name)
+                .set(i64::try_from(lanes).unwrap_or(i64::MAX));
+        }
         let shared = Arc::new(ServiceShared {
             registry: RwLock::new(HashMap::new()),
             front: Arc::from(front),
@@ -1798,17 +1804,21 @@ mod tests {
         service.shutdown();
     }
 
-    /// The snapshot alone says which ChaCha20 kernel this process runs:
-    /// the gauge is the detection the dispatch itself reads.
+    /// The snapshot alone says which ChaCha20 and Poly1305 kernels this
+    /// process runs: each gauge is the detection the dispatch itself reads.
     #[test]
     fn snapshot_names_the_chacha20_kernel() {
         let service = quiet_service(None);
-        let lanes = service.snapshot().gauge("crypto.chacha20_lanes");
+        let snapshot = service.snapshot();
+        let lanes = snapshot.gauge("crypto.chacha20_lanes");
         assert_eq!(lanes, enclaves_crypto::chacha20::lanes() as i64);
         assert!(
             [1, 8, 16].contains(&lanes),
             "scalar, AVX2 or AVX-512, got {lanes}"
         );
+        let lanes = snapshot.gauge("crypto.poly1305_lanes");
+        assert_eq!(lanes, enclaves_crypto::poly1305::lanes() as i64);
+        assert!([1, 8].contains(&lanes), "scalar or IFMA, got {lanes}");
         service.shutdown();
     }
 

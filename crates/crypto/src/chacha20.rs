@@ -3,13 +3,11 @@
 //! The concrete cipher behind the paper's `{X}_K` encryption. Validated
 //! against the RFC 8439 §2.3.2/§2.4.2 test vectors.
 //!
-//! # One kernel source, one selection
+//! # One kernel source, two paths
 //!
 //! [`block`] and the scalar path of [`xor_in_place`] compute one 64-byte
-//! block at a time. They serve every message under 512 bytes (a broadcast
-//! payload, a journal record, a tree cipher, the Poly1305 key, the tree
-//! key schedule), the tail of every longer one, and every CPU without the
-//! features below.
+//! block at a time. They serve one-block messages, the tree key schedule,
+//! and every message on a CPU without the features below.
 //!
 //! The lane kernel, `xor_lanes::<L>`, computes `L` consecutive blocks side
 //! by side in the *vertical* layout: each of the sixteen state words is an
@@ -18,33 +16,46 @@
 //! safe, generic Rust with no intrinsics, so it compiles for any target
 //! and the tests call it directly; built for the baseline `x86_64` target
 //! it is no faster than the scalar path (eight lanes are sixteen 128-bit
-//! halves and most of them spill), which is why it is not used there.
-//! `xor_lanes_avx2` is that same source instantiated at eight lanes inside
-//! a `#[target_feature(enable = "avx2")]` function, where each lane-wise
-//! operation becomes one 256-bit instruction; `xor_lanes_avx512` is it at
-//! sixteen lanes under `avx512f`. [`xor_in_place`] hands the whole
-//! 1024-byte chunks of a message to the second and the whole 512-byte
-//! chunk that may be left to the first, each only where
-//! `is_x86_feature_detected!` finds its feature ([`lanes`] reports the
-//! widest). The output is byte for byte the scalar path's: the choice
-//! depends on the CPU and the message length and on nothing a caller, a
-//! build flag or the environment can set.
+//! halves and most of them spill), which is why it is not used there. It
+//! is instantiated inside `#[target_feature]` functions, where each
+//! lane-wise operation becomes one vector instruction: at sixteen lanes
+//! under `avx512f` (zmm), at eight under `avx512f,avx512vl` (ymm, with 32
+//! registers and one-instruction rotates) and under `avx2`, and at four
+//! under `avx512f,avx512vl`, where LLVM packs four state words of four
+//! lanes into each zmm register, so a step of the column round is one
+//! instruction for the whole row (EXPERIMENTS.md S27 has the disassembly).
+//! [`crate::dispatch`] pairs each with its features and calls it only
+//! where they are detected.
+//!
+//! [`xor_in_place`] runs two paths. The *wide* path hands a message's
+//! whole 1024-byte chunks to the sixteen-lane kernel and the 512-byte
+//! chunk that may be left to the eight-lane one. The *short* path takes
+//! what is left, under 512 bytes — all of a short message: where the CPU
+//! has AVX-512VL, two blocks or more go through the narrowest VL kernel
+//! that holds them with at most half its lanes idle (four lanes for two
+//! to four blocks, eight for five to eight), in one pass over a 512-byte
+//! stack buffer whose keystream is then XORed in. One block, and every
+//! short message on a CPU without AVX-512VL, takes the scalar path: the
+//! AVX2 eight-lane build has 16 registers for a 16-word state and spills
+//! it (EXPERIMENTS.md S27), and no measurement shows it beating scalar
+//! blocks at five to eight of them. [`lanes`] reports the widest kernel.
+//! `Fold` is the short path over zeros from counter 0: the AEAD takes its
+//! Poly1305 key (block 0) from the same lane pass as the message's
+//! keystream.
+//!
+//! The output is byte for byte the scalar path's: the choice depends on
+//! the CPU and the message length and on nothing a caller, a build flag or
+//! the environment can set. A padded pass also computes keystream for the
+//! lanes past the message (whose counters may wrap) and throws it away.
 //!
 //! Every path is constant-time in the key, the nonce and the data: they
 //! consist of 32-bit additions, XORs and rotations by fixed amounts, and
 //! no branch or memory index depends on anything but the message length.
-//!
-//! # The one `unsafe` block
-//!
-//! Calling a `#[target_feature]` function from code compiled without the
-//! feature is `unsafe`, because executing AVX2 or AVX-512 instructions on
-//! a CPU that lacks them is undefined behaviour. The call in `xor_wide` is
-//! the only `unsafe` block in the workspace's crates. Its whole safety
-//! condition is that a kernel runs only where the feature it was compiled
-//! for was detected, and `kernels()`, a few lines above it, is the one
-//! table that pairs the two. On any architecture but `x86_64` the table is
-//! empty, the two `#[target_feature]` functions are compiled out and every
-//! message takes the scalar path.
+//! Off `x86_64` the dispatch table is empty, the `#[target_feature]`
+//! instantiations are compiled out and every message takes the scalar
+//! path.
+
+use crate::dispatch::{self, ChaCha20Kernel, Detected};
 
 /// The ChaCha20 key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -120,76 +131,68 @@ pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8;
     out
 }
 
-/// The narrowest lane kernel's chunk, and so the shortest message any of
-/// them is tried on: eight blocks.
-const WIDE_MIN: usize = 8 * BLOCK_LEN;
+/// The eight-lane kernel's chunk: the shortest message the wide path is
+/// tried on, and the longest the short path takes.
+const SHORT_MAX: usize = 8 * BLOCK_LEN;
 
-/// A lane kernel compiled for one CPU feature. The type is `unsafe fn`
-/// because that is the only kind of pointer a `#[target_feature]` function
-/// coerces to: it may be called only where its feature has been detected.
-type Kernel = unsafe fn(&mut [u32; 16], &mut [u8]);
+/// The wide path's kernels, widest first: each takes the whole chunks of
+/// its size from what the one before left.
+const WIDE_LANES: [usize; 2] = [16, 8];
 
-/// The lane kernels this build has, widest first: whether this CPU has
-/// the feature the kernel was compiled for, the kernel's lane count, and
-/// the kernel. This table is the one place that pairs a kernel with the
-/// detection that makes calling it sound.
-#[cfg(target_arch = "x86_64")]
-fn kernels() -> [(bool, usize, Kernel); 2] {
-    [
-        (
-            std::arch::is_x86_feature_detected!("avx512f"),
-            16,
-            xor_lanes_avx512,
-        ),
-        (
-            std::arch::is_x86_feature_detected!("avx2"),
-            8,
-            xor_lanes_avx2,
-        ),
-    ]
-}
-
-/// No lane kernel is compiled for this architecture yet.
-#[cfg(not(target_arch = "x86_64"))]
-fn kernels() -> [(bool, usize, Kernel); 0] {
-    []
-}
+/// The short path's kernels, narrowest first.
+const SHORT_LANES: [usize; 2] = [4, 8];
 
 /// [`xor_lanes`] at sixteen lanes, compiled with AVX-512F switched on so
 /// each lane-wise operation is one 512-bit instruction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn xor_lanes_avx512(state: &mut [u32; 16], data: &mut [u8]) {
+pub(crate) fn xor_lanes_avx512(state: &mut [u32; 16], data: &mut [u8]) {
     xor_lanes::<16>(state, data);
+}
+
+/// [`xor_lanes`] at eight lanes on ymm registers with AVX-512VL: 32 of
+/// them instead of AVX2's 16, and a rotate is one `vprold`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+pub(crate) fn xor_lanes_vl8(state: &mut [u32; 16], data: &mut [u8]) {
+    xor_lanes::<8>(state, data);
 }
 
 /// [`xor_lanes`] at eight lanes, compiled with AVX2 switched on so each
 /// lane-wise operation is one 256-bit instruction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn xor_lanes_avx2(state: &mut [u32; 16], data: &mut [u8]) {
+pub(crate) fn xor_lanes_avx2(state: &mut [u32; 16], data: &mut [u8]) {
     xor_lanes::<8>(state, data);
+}
+
+/// [`xor_lanes`] at four lanes with AVX-512VL: the short path's two to
+/// four blocks in one pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+pub(crate) fn xor_lanes_vl4(state: &mut [u32; 16], data: &mut [u8]) {
+    xor_lanes::<4>(state, data);
 }
 
 /// The most blocks [`xor_in_place`] computes side by side on this CPU for
 /// a message long enough to fill them: 16 where AVX-512F is detected, 8
 /// where AVX2 is, 1 (the scalar path) everywhere else. It reads the table
-/// the dispatch walks and nothing else, so it is also what an operator is
+/// the dispatch reads and nothing else, so it is also what an operator is
 /// shown.
 #[must_use]
 pub fn lanes() -> usize {
-    kernels()
+    WIDE_LANES
         .into_iter()
-        .find(|(detected, ..)| *detected)
-        .map_or(1, |(_, lanes, _)| lanes)
+        .find(|&lanes| dispatch::chacha20(lanes).is_some())
+        .unwrap_or(1)
 }
 
 /// Encrypts or decrypts `data` in place with the keystream starting at block
 /// `counter` (the operation is its own inverse).
 ///
 /// From 512 bytes up, whole chunks go through the widest lane kernel this
-/// CPU has, what is left through the next, and the tail, like every
-/// shorter message, through the scalar path one block at a time.
+/// CPU has and what is left through the next; the rest, like every
+/// shorter message, takes the short path (module docs).
 ///
 /// # Panics
 ///
@@ -203,12 +206,92 @@ pub fn xor_in_place(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN], 
         "chacha20 block counter overflow"
     );
     let mut state = initial_state(key, counter, nonce);
-    let wide = if data.len() >= WIDE_MIN {
+    let wide = if data.len() >= SHORT_MAX {
         xor_wide(&mut state, data)
     } else {
         0
     };
-    xor_scalar(&mut state, &mut data[wide..]);
+    xor_short(&mut state, &mut data[wide..]);
+}
+
+/// The longest message whose AEAD one-time key (block 0) comes out of the
+/// same short-path pass as its keystream: block 0 and the message fill at
+/// most [`SHORT_MAX`].
+pub(crate) const FOLD_MAX: usize = SHORT_MAX - BLOCK_LEN;
+
+/// Block 0 and the keystream from block 1 on for a message of up to
+/// [`FOLD_MAX`] bytes, from one short-path pass over zeros at counter 0:
+/// the AEAD takes its Poly1305 key from [`Fold::block0`] and XORs the
+/// message with [`Fold::apply`], after checking the tag when it opens.
+pub(crate) struct Fold {
+    stream: [u8; SHORT_MAX],
+    len: usize,
+}
+
+impl Fold {
+    /// The fold for a message of `len` bytes, or `None` past [`FOLD_MAX`].
+    pub(crate) fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], len: usize) -> Option<Fold> {
+        if len > FOLD_MAX {
+            return None;
+        }
+        // The short path over zeros, with the kernel writing straight into
+        // the fold's buffer.
+        let mut stream = [0u8; SHORT_MAX];
+        let mut state = initial_state(key, 0, nonce);
+        match short_kernel(BLOCK_LEN + len) {
+            Some((lanes, kernel)) => kernel.call(&mut state, &mut stream[..lanes * BLOCK_LEN]),
+            None => xor_scalar(&mut state, &mut stream[..BLOCK_LEN + len]),
+        }
+        Some(Fold { stream, len })
+    }
+
+    /// Keystream block 0.
+    pub(crate) fn block0(&self) -> &[u8; BLOCK_LEN] {
+        self.stream.first_chunk().expect("the fold holds block 0")
+    }
+
+    /// XORs the keystream from block 1 on into `data`, the message the
+    /// fold was made for.
+    pub(crate) fn apply(&self, data: &mut [u8]) {
+        assert_eq!(data.len(), self.len, "the fold's message length");
+        xor(data, &self.stream[BLOCK_LEN..]);
+    }
+}
+
+/// The short path: `data` goes through one padded pass of the lane
+/// kernel [`short_kernel`] picks, or through the scalar path where it
+/// picks none.
+fn xor_short(state: &mut [u32; 16], data: &mut [u8]) {
+    match short_kernel(data.len()) {
+        Some((lanes, kernel)) => {
+            let mut stream = [0u8; SHORT_MAX];
+            kernel.call(state, &mut stream[..lanes * BLOCK_LEN]);
+            xor(data, &stream);
+        }
+        None => xor_scalar(state, data),
+    }
+}
+
+/// XORs the front of `stream` into `data`.
+fn xor(data: &mut [u8], stream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(stream) {
+        *d ^= k;
+    }
+}
+
+/// The narrowest short-path kernel that holds `len` bytes in one pass
+/// with at most half its lanes idle, and its width, where this CPU has
+/// AVX-512VL; `None` for one block or less, and on any other CPU, whose
+/// short input stays on the scalar path (module docs).
+fn short_kernel<'s, 'd>(len: usize) -> Option<(usize, Detected<ChaCha20Kernel<'s, 'd>>)> {
+    let blocks = len.div_ceil(BLOCK_LEN);
+    let lanes = SHORT_LANES
+        .into_iter()
+        .find(|&lanes| blocks <= lanes && 2 * blocks >= lanes)?;
+    // The four-lane kernel is the AVX-512VL one: where it is missing, the
+    // eight-lane one would be the AVX2 build.
+    dispatch::chacha20(4)?;
+    Some((lanes, dispatch::chacha20(lanes)?))
 }
 
 /// The scalar path: XORs the keystream from `state`'s block counter on
@@ -225,23 +308,20 @@ fn xor_scalar(state: &mut [u32; 16], data: &mut [u8]) {
     }
 }
 
-/// The run-time dispatch: runs each lane kernel this CPU has, widest
-/// first, over the whole chunks of its size at the front of what is left
-/// of `data`, and returns how many bytes that covered (0 where there is no
-/// kernel for this CPU).
-#[allow(unsafe_code)]
+/// The wide path: runs each wide kernel this CPU has, widest first, over
+/// the whole chunks of its size at the front of what is left of `data`,
+/// and returns how many bytes that covered (0 where there is no kernel for
+/// this CPU).
 fn xor_wide(state: &mut [u32; 16], data: &mut [u8]) -> usize {
     let mut done = 0;
-    for (detected, lanes, kernel) in kernels() {
+    for lanes in WIDE_LANES {
+        let Some(kernel) = dispatch::chacha20(lanes) else {
+            continue;
+        };
         let rest = &mut data[done..];
         let whole = rest.len() - rest.len() % (lanes * BLOCK_LEN);
-        if detected && whole > 0 {
-            // SAFETY: every kernel in `kernels()` is a safe function whose
-            // only requirement is the CPU feature it was compiled for
-            // (`avx512f` or `avx2`), and `detected` is what
-            // `is_x86_feature_detected!` said about that very feature on
-            // this CPU.
-            unsafe { kernel(state, &mut rest[..whole]) };
+        if whole > 0 {
+            kernel.call(state, &mut rest[..whole]);
             done += whole;
         }
     }
@@ -558,10 +638,11 @@ mod multiblock_vectors {
 #[cfg(test)]
 mod lane_kernel {
     //! The dispatch, the scalar path and the lane kernel agree byte for
-    //! byte. `xor_lanes::<8>` and `::<16>` are called directly, as the
-    //! baseline builds of the very source `xor_lanes_avx2` and
-    //! `xor_lanes_avx512` instantiate, so these tests pin every path
-    //! whatever CPU runs them.
+    //! byte. `xor_lanes::<4>`, `::<8>` and `::<16>` are called directly,
+    //! as the baseline builds of the very source the `#[target_feature]`
+    //! instantiations compile, and arranged as each CPU the dispatch table
+    //! describes would run them, so these tests pin every path whatever
+    //! CPU runs them.
 
     use super::*;
 
@@ -583,41 +664,76 @@ mod lane_kernel {
         xor_scalar(&mut initial_state(&KEY, counter, &NONCE), data);
     }
 
-    /// What the dispatch does on a CPU with kernels of these widths (widest
-    /// first), from their baseline builds: each takes the whole chunks of
-    /// its size from what is left, the scalar path takes the tail, and one
-    /// block counter runs through all of them.
-    fn kernels_then_scalar(widths: &[usize], counter: u32, data: &mut [u8]) {
-        let mut state = initial_state(&KEY, counter, &NONCE);
-        let mut done = 0;
-        for &lanes in widths {
-            let rest = &mut data[done..];
-            let whole = rest.len() - rest.len() % (lanes * BLOCK_LEN);
-            match lanes {
-                1 => xor_lanes::<1>(&mut state, &mut rest[..whole]),
-                2 => xor_lanes::<2>(&mut state, &mut rest[..whole]),
-                4 => xor_lanes::<4>(&mut state, &mut rest[..whole]),
-                8 => xor_lanes::<8>(&mut state, &mut rest[..whole]),
-                16 => xor_lanes::<16>(&mut state, &mut rest[..whole]),
-                other => panic!("no test instantiation at {other} lanes"),
-            }
-            done += whole;
+    /// The baseline build of the kernel `lanes` wide.
+    fn lanes_kernel(lanes: usize, state: &mut [u32; 16], data: &mut [u8]) {
+        match lanes {
+            1 => xor_lanes::<1>(state, data),
+            2 => xor_lanes::<2>(state, data),
+            4 => xor_lanes::<4>(state, data),
+            8 => xor_lanes::<8>(state, data),
+            16 => xor_lanes::<16>(state, data),
+            other => panic!("no test instantiation at {other} lanes"),
         }
-        xor_scalar(&mut state, &mut data[done..]);
     }
 
-    /// Scalar only, AVX2 only, AVX-512 and AVX2, and whatever this CPU
-    /// dispatches to: one ciphertext.
+    /// The kernels a CPU has: the wide path's, widest first, and the short
+    /// path's, narrowest first.
+    type Cpu = (&'static [usize], &'static [usize]);
+
+    /// Every CPU the dispatch table can describe: none of the features,
+    /// AVX2 only, AVX-512F without VL (neither has a short path), and
+    /// AVX-512F with VL.
+    const CPUS: [Cpu; 4] = [
+        (&[], &[]),
+        (&[8], &[]),
+        (&[16, 8], &[]),
+        (&[16, 8], &[4, 8]),
+    ];
+
+    /// What the dispatch does on `cpu`, from the kernels' baseline builds:
+    /// each wide kernel takes the whole chunks of its size from what is
+    /// left, the rest goes through one padded pass of the narrowest short
+    /// kernel that holds it with at most half its lanes idle, or else
+    /// through the scalar path, and one block counter runs through all of
+    /// them.
+    fn as_on_cpu((wide, short): Cpu, counter: u32, data: &mut [u8]) {
+        let mut state = initial_state(&KEY, counter, &NONCE);
+        let mut done = 0;
+        for &lanes in wide {
+            let rest = &mut data[done..];
+            let whole = rest.len() - rest.len() % (lanes * BLOCK_LEN);
+            lanes_kernel(lanes, &mut state, &mut rest[..whole]);
+            done += whole;
+        }
+        let rest = &mut data[done..];
+        let blocks = rest.len().div_ceil(BLOCK_LEN);
+        match short
+            .iter()
+            .find(|&&lanes| blocks <= lanes && 2 * blocks >= lanes)
+        {
+            Some(&lanes) => {
+                let mut stream = vec![0u8; lanes * BLOCK_LEN];
+                lanes_kernel(lanes, &mut state, &mut stream);
+                for (d, k) in rest.iter_mut().zip(stream) {
+                    *d ^= k;
+                }
+            }
+            None => xor_scalar(&mut state, rest),
+        }
+    }
+
+    /// Every CPU's paths and whatever this CPU dispatches to: one
+    /// ciphertext.
     fn assert_every_path_agrees(counter: u32, len: usize) {
         let plain = message(len);
         let mut by_scalar = plain.clone();
         scalar(counter, &mut by_scalar);
-        for widths in [&[8][..], &[16, 8]] {
+        for cpu in CPUS {
             let mut by_kernels = plain.clone();
-            kernels_then_scalar(widths, counter, &mut by_kernels);
+            as_on_cpu(cpu, counter, &mut by_kernels);
             assert!(
                 by_kernels == by_scalar,
-                "lanes {widths:?} != scalar: counter={counter} len={len}"
+                "cpu {cpu:?} != scalar: counter={counter} len={len}"
             );
         }
         let mut dispatched = plain;
@@ -628,6 +744,9 @@ mod lane_kernel {
         );
     }
 
+    /// Every length up to 2 600 crosses each short-path width (0..=600 is
+    /// every short message and every tail), each hand-over to the wide
+    /// path, and both wide widths.
     #[test]
     fn dispatch_scalar_and_lanes_agree_at_every_length() {
         // 20 655 is the Welcome body of the benchmark's largest roster.
@@ -648,7 +767,7 @@ mod lane_kernel {
     /// first with a scalar tail, and the hand-over between kernels.
     #[test]
     fn chunk_boundaries() {
-        assert_eq!((WIDE_MIN, CHUNK), (512, 512));
+        assert_eq!((SHORT_MAX, CHUNK), (512, 512));
         for len in [511, 512, 513, 1023, 1024, 1025, 1535, 1536, 1537] {
             for counter in [0, 1, 7, u32::MAX - 24] {
                 assert_every_path_agrees(counter, len);
@@ -678,9 +797,28 @@ mod lane_kernel {
         scalar(3, &mut expected);
         for lanes in [1, 2, 4, 8, 16] {
             let mut data = message(2048 + 100);
-            kernels_then_scalar(&[lanes], 3, &mut data);
+            let whole = 2048;
+            let mut state = initial_state(&KEY, 3, &NONCE);
+            lanes_kernel(lanes, &mut state, &mut data[..whole]);
+            xor_scalar(&mut state, &mut data[whole..]);
             assert!(data == expected, "{lanes} lanes");
         }
+    }
+
+    /// A fold holds scalar block 0 and XORs the scalar keystream from
+    /// block 1 on, at every length it takes; past that it is refused.
+    #[test]
+    fn fold_is_block0_and_the_scalar_keystream_from_block1() {
+        for len in 0..=FOLD_MAX {
+            let fold = Fold::new(&KEY, &NONCE, len).expect("short enough to fold");
+            assert_eq!(*fold.block0(), block(&KEY, 0, &NONCE), "len={len}");
+            let mut folded = message(len);
+            fold.apply(&mut folded);
+            let mut expected = message(len);
+            scalar(1, &mut expected);
+            assert!(folded == expected, "len={len}");
+        }
+        assert!(Fold::new(&KEY, &NONCE, FOLD_MAX + 1).is_none());
     }
 
     #[test]

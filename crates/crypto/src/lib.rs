@@ -13,10 +13,10 @@
 //!   key `P_a` from a user password exactly as Enclaves does ("a key `P_a`
 //!   derived from A's password").
 //! * [`chacha20`] — RFC 8439 ChaCha20 stream cipher: a scalar path, and a
-//!   lane kernel run eight or sixteen blocks wide where the CPU is found
-//!   to have AVX2 or AVX-512F.
+//!   lane kernel run four, eight or sixteen blocks wide where the CPU is
+//!   found to have AVX2 or AVX-512.
 //! * [`poly1305`] — RFC 8439 Poly1305 one-time authenticator, four blocks
-//!   per reduction on long input.
+//!   per reduction on long input, or eight lanes of AVX-512 IFMA.
 //! * [`aead`] — RFC 8439 ChaCha20-Poly1305 authenticated encryption, the
 //!   concrete realization of the paper's `{X}_K` encryption-with-integrity.
 //! * [`keys`] — typed key material (`LongTermKey`, `SessionKey`, `GroupKey`)
@@ -53,9 +53,10 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: `chacha20::xor_wide` carries the workspace's one
-// `#[allow(unsafe_code)]`, around the call of a `#[target_feature]` kernel
-// behind the run-time detection of its feature. CI counts the blocks.
+// `deny`, not `forbid`: `dispatch::Detected::call` carries the workspace's
+// one `#[allow(unsafe_code)]`, around the call of a `#[target_feature]`
+// kernel behind the run-time detection of its features. CI counts the
+// blocks.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
@@ -75,6 +76,7 @@ pub mod sha256;
 pub mod treekdf;
 pub mod x25519;
 
+mod dispatch;
 mod error;
 
 pub use error::CryptoError;

@@ -1,27 +1,50 @@
 //! RFC 8439 Poly1305 one-time authenticator.
 //!
 //! The accumulator and the key `r` are held as three limbs of 44, 44 and
-//! 42 bits with 128-bit products (the "donna-64" layout), so one block is
-//! nine multiplications. From [`WIDE_MIN`] bytes up, an `update` absorbs
-//! four blocks per modular reduction by Horner's rule unrolled four times,
+//! 42 bits (the "donna-64" layout), `l[0] + l[1]·2^44 + l[2]·2^88`, on
+//! every path. An `update` takes one of three:
 //!
-//! ```text
-//! h = (h + m1)·r^4 + m2·r^3 + m3·r^2 + m4·r
-//! ```
+//! * **One block per reduction**, nine 128-bit products: short input, the
+//!   blocks the paths below leave over, and the final partial block.
+//! * **Four blocks per reduction**, from [`WIDE_MIN`] bytes of whole
+//!   blocks up where the CPU has no lane kernel: Horner's rule unrolled
+//!   four times, `h = (h + m1)·r^4 + m2·r^3 + m3·r^2 + m4·r`, whose four
+//!   products do not depend on one another.
+//! * **Eight lanes** of AVX-512 IFMA, for the whole 128-byte chunks of
+//!   [`WIDE_MIN`] bytes and more, where the CPU has it ([`ifma`]). Lane
+//!   `l` of a 512-bit vector absorbs the blocks whose index is `l` mod 8:
+//!   per chunk it adds its block and multiplies by `r^8`, except that its
+//!   multiplier for the last chunk is `r^(8-l)`. Over `k` blocks lane `l`
+//!   then holds `Σ_t m_(8t+l)·r^(k-8t-l)`, and the eight lanes sum to what
+//!   Horner's rule gives; the accumulator carried in rides in lane 0 with
+//!   the first block. Each limb is one vector of eight, every limb and
+//!   multiplier under 2^52, so `vpmadd52luq`/`vpmadd52huq` multiply them
+//!   whole: a column of products splits at bit 52 into a low half in
+//!   place and a high half 52 bits up (8 bits into the next limb, or from
+//!   the top column `2^140 ≡ 5·2^10` back into the bottom), and one carry
+//!   pass, [`carry`] lane by lane, brings the limbs back under 2^44 and
+//!   2^42. Message words are read with `u64::from_le_bytes` and placed
+//!   with `_mm512_set_epi64`, never loaded through a pointer.
 //!
-//! whose four products do not depend on one another; `r^2..r^4` are
-//! computed once per MAC, the first time an `update` is long enough to
-//! want them. Shorter input, the blocks left over after the last group of
-//! four, and the final partial block go one block per reduction.
+//! `r^2..r^4` are computed once per MAC, the first time a path needs
+//! them, and `r^5..r^8` once per run of the lane kernel. Which path runs
+//! depends only on the CPU and on the lengths an `update` is given, and
+//! every path gives the same tag: the tests hold them all to the
+//! 26-bit-limb implementation this module replaced.
 //!
 //! Everything that touches the key or the message is an addition, a
-//! shift, a mask or a multiplication: no branch and no memory index
-//! depends on secret data (the four-block path is chosen by the *length*
-//! of the input, which is public), and the final conditional subtraction
-//! of `2^130 - 5` is a mask select.
+//! shift, a mask or a multiplication, IFMA's 52-bit multiplies included,
+//! whose timing does not depend on their operands: no branch and no memory
+//! index depends on secret data (the paths are chosen by the *length* of
+//! the input, which is public), and the final conditional subtraction of
+//! `2^130 - 5` is a mask select. Off `x86_64` the lane kernel is compiled
+//! out, and there, as on a CPU without IFMA, long input takes the
+//! four-block path.
 //!
 //! Validated against the RFC 8439 §2.5.2 and A.3 vectors, and
 //! property-tested against the 26-bit-limb implementation it replaced.
+
+use crate::dispatch;
 
 /// The Poly1305 key length in bytes (`r || s`).
 pub const KEY_LEN: usize = 32;
@@ -31,9 +54,15 @@ pub const TAG_LEN: usize = 16;
 
 const BLOCK_LEN: usize = 16;
 
-/// The shortest run of whole blocks handed to the four-block path (which
-/// has to compute three powers of `r` the first time it runs).
+/// The shortest run of whole blocks handed to the four-block path or the
+/// lane kernel, which compute powers of `r` first (and the kernel sums its
+/// lanes after): at two 128-byte chunks the lane kernel beats the
+/// four-block path by 5–30 % (ten of ten runs), from three on by a
+/// quarter and more (EXPERIMENTS.md S27).
 const WIDE_MIN: usize = 256;
+
+/// The lane kernel's chunk: one block per lane.
+const CHUNK_LEN: usize = 8 * BLOCK_LEN;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
@@ -44,7 +73,7 @@ const HIBIT: u64 = 1 << 40;
 
 /// A value modulo `2^130 - 5` as `l[0] + l[1]·2^44 + l[2]·2^88`. After
 /// [`carry`] the limbs are below `2^44`, `2^44 + 2^16` and `2^42`.
-type Limbs = [u64; 3];
+pub(crate) type Limbs = [u64; 3];
 
 /// Incremental Poly1305 computation.
 ///
@@ -53,7 +82,7 @@ type Limbs = [u64; 3];
 #[derive(Clone)]
 pub struct Poly1305 {
     r: Limbs,
-    /// `r^2`, `r^3`, `r^4`, once the four-block path has needed them.
+    /// `r^2`, `r^3`, `r^4`, once a four-block or lane path has needed them.
     powers: Option<[Limbs; 3]>,
     s: [u64; 2],
     acc: Limbs,
@@ -139,19 +168,58 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
-        if self.buffer_len > 0 {
-            let take = (BLOCK_LEN - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len < BLOCK_LEN {
-                return;
-            }
-            let block = self.buffer;
-            self.absorb(&block, HIBIT);
-            self.buffer_len = 0;
+    pub fn update(&mut self, data: &[u8]) {
+        if let Some(data) = self.top_up(data) {
+            let data = self.absorb_lanes(data);
+            self.absorb_blocks(data);
         }
+    }
+
+    /// Completes a partly filled block from the front of `data` and absorbs
+    /// it once full. Returns the rest of `data`, or `None` while the block
+    /// is still partial (all of `data` went into it).
+    fn top_up<'a>(&mut self, data: &'a [u8]) -> Option<&'a [u8]> {
+        if self.buffer_len == 0 {
+            return Some(data);
+        }
+        let take = (BLOCK_LEN - self.buffer_len).min(data.len());
+        self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
+        self.buffer_len += take;
+        if self.buffer_len < BLOCK_LEN {
+            return None;
+        }
+        let block = self.buffer;
+        self.absorb(&block, HIBIT);
+        self.buffer_len = 0;
+        Some(&data[take..])
+    }
+
+    /// Hands the whole chunks at the front of `data` to the lane kernel,
+    /// where this CPU has one and `data` is long enough to pay for it, and
+    /// returns what is left.
+    fn absorb_lanes<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
+        if data.len() < WIDE_MIN {
+            return data;
+        }
+        let Some(kernel) = dispatch::poly1305() else {
+            return data;
+        };
+        let whole = data.len() - data.len() % CHUNK_LEN;
+        let (r, [r2, r3, r4]) = (self.r, self.powers());
+        let [r5, r6, r7, r8] = [r, r2, r3, r4].map(|rk| carry(mul(&r4, &rk)));
+        // The kernel gets a copy of the accumulator: a reference to `self`
+        // passed through a function pointer would pin the whole MAC to
+        // memory on every path, where the scalar one keeps it in registers.
+        let mut acc = self.acc;
+        kernel.call(&mut acc, (&[r, r2, r3, r4, r5, r6, r7, r8], &data[..whole]));
+        self.acc = acc;
+        &data[whole..]
+    }
+
+    /// The scalar path: groups of four blocks from [`WIDE_MIN`] bytes up,
+    /// then single blocks; a partial block left at the end is buffered.
+    /// The buffer must be empty.
+    fn absorb_blocks(&mut self, mut data: &[u8]) {
         if data.len() >= WIDE_MIN {
             data = self.absorb_fours(data);
         }
@@ -164,6 +232,15 @@ impl Poly1305 {
         self.buffer_len = rest.len();
     }
 
+    /// `r^2`, `r^3` and `r^4`, computed the first time they are needed.
+    fn powers(&mut self) -> [Limbs; 3] {
+        let r = self.r;
+        *self.powers.get_or_insert_with(|| {
+            let r2 = carry(mul(&r, &r));
+            [r2, carry(mul(&r2, &r)), carry(mul(&r2, &r2))]
+        })
+    }
+
     /// `acc = (acc + block) · r`.
     #[inline(always)]
     fn absorb(&mut self, block: &[u8], hibit: u64) {
@@ -173,11 +250,7 @@ impl Poly1305 {
     /// Absorbs the whole groups of four blocks at the front of `data`, one
     /// reduction per group, and returns what is left.
     fn absorb_fours<'a>(&mut self, data: &'a [u8]) -> &'a [u8] {
-        let r = self.r;
-        let [r2, r3, r4] = *self.powers.get_or_insert_with(|| {
-            let r2 = carry(mul(&r, &r));
-            [r2, carry(mul(&r2, &r)), carry(mul(&r2, &r2))]
-        });
+        let (r, [r2, r3, r4]) = (self.r, self.powers());
         let mut fours = data.chunks_exact(4 * BLOCK_LEN);
         for four in &mut fours {
             let first = add(&self.acc, &load(&four[..16], HIBIT));
@@ -255,6 +328,195 @@ impl Poly1305 {
         let mut p = Poly1305::new(key);
         p.update(message);
         p.finalize()
+    }
+}
+
+/// How many blocks this CPU's Poly1305 absorbs side by side on long
+/// input: 8 where AVX-512 IFMA is detected, 1 everywhere else (where long
+/// input takes four blocks per reduction, in one lane). It reads the table
+/// the dispatch reads and nothing else, so it is also what an operator is
+/// shown.
+#[must_use]
+pub fn lanes() -> usize {
+    if dispatch::poly1305().is_some() {
+        8
+    } else {
+        1
+    }
+}
+
+/// The eight-lane kernel (module docs), compiled for `x86_64` only and
+/// called only through [`crate::dispatch`], which runs it where
+/// `avx512f` and `avx512ifma` are detected.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod ifma {
+    use super::{carry, Limbs, CHUNK_LEN, HIBIT, MASK42, MASK44};
+    use std::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+        _mm512_or_si512, _mm512_reduce_add_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64,
+    };
+
+    /// Eight values modulo `2^130 - 5`, one per lane, as their limbs.
+    type Lanes = [__m512i; 3];
+
+    /// A multiplier per lane: its limbs, and 20 times the upper two (a
+    /// product that reaches `2^132` is 20 times itself at the bottom).
+    struct Multiplier {
+        r: Lanes,
+        s1: __m512i,
+        s2: __m512i,
+    }
+
+    /// Absorbs `data`, whole chunks, into `acc` under the key whose powers
+    /// are `p` (`p[k]` is `r^(k+1)`): the kernel
+    /// [`crate::dispatch::poly1305`] hands out.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(crate) fn absorb_chunks(acc: &mut Limbs, (p, data): (&[Limbs; 8], &[u8])) {
+        let (chunks, rest) = data.as_chunks::<CHUNK_LEN>();
+        assert!(rest.is_empty(), "whole chunks only");
+        let Some((last, body)) = chunks.split_last() else {
+            return;
+        };
+        // Every lane multiplies by r^8 for every chunk but the last ...
+        let all_r8 = multiplier([0, 1, 2].map(|i| splat(p[7][i])));
+        // ... and lane l by r^(8-l) for the last (the highest lane is the
+        // first argument).
+        let last_by_lane = multiplier([0, 1, 2].map(|i| {
+            let limb = |k: usize| p[k][i] as i64;
+            _mm512_set_epi64(
+                limb(0),
+                limb(1),
+                limb(2),
+                limb(3),
+                limb(4),
+                limb(5),
+                limb(6),
+                limb(7),
+            )
+        }));
+        let mut h: Lanes = [0, 1, 2].map(|i| _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0, acc[i] as i64));
+        for chunk in body {
+            h = absorb(h, chunk, &all_r8);
+        }
+        h = absorb(h, last, &last_by_lane);
+        // Each lane's limbs are carried, under 2^45, so the sums fit.
+        let sums = h.map(|limb| _mm512_reduce_add_epi64(limb) as u64);
+        *acc = carry(sums.map(u128::from));
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn splat(x: u64) -> __m512i {
+        _mm512_set1_epi64(x as i64)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn multiplier(r: Lanes) -> Multiplier {
+        // 20·x = 16·x + 4·x.
+        let times20 = |x| _mm512_add_epi64(_mm512_slli_epi64::<4>(x), _mm512_slli_epi64::<2>(x));
+        Multiplier {
+            r,
+            s1: times20(r[1]),
+            s2: times20(r[2]),
+        }
+    }
+
+    /// `(h + chunk) · by`, lane by lane: lane `l` adds block `l`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn absorb(h: Lanes, chunk: &[u8; CHUNK_LEN], by: &Multiplier) -> Lanes {
+        let word = |i: usize| i64::from_le_bytes(chunk[8 * i..8 * i + 8].try_into().expect("8"));
+        // Block l is words 2l (low) and 2l + 1 (high).
+        let lo = _mm512_set_epi64(
+            word(14),
+            word(12),
+            word(10),
+            word(8),
+            word(6),
+            word(4),
+            word(2),
+            word(0),
+        );
+        let hi = _mm512_set_epi64(
+            word(15),
+            word(13),
+            word(11),
+            word(9),
+            word(7),
+            word(5),
+            word(3),
+            word(1),
+        );
+        let mask44 = splat(MASK44);
+        let m = [
+            _mm512_and_si512(lo, mask44),
+            _mm512_and_si512(
+                _mm512_or_si512(_mm512_srli_epi64::<44>(lo), _mm512_slli_epi64::<20>(hi)),
+                mask44,
+            ),
+            _mm512_or_si512(_mm512_srli_epi64::<24>(hi), splat(HIBIT)),
+        ];
+        mul([0, 1, 2].map(|i| _mm512_add_epi64(h[i], m[i])), by)
+    }
+
+    /// `a · by`, carried. The three columns are the scalar `mul`'s. Limbs
+    /// of `a` are under 2^46 (a carried value plus a block), of `r` under
+    /// 2^45 and of `20·r` under 2^50, all under IFMA's 52 bits; a column's
+    /// low halves sum to under 2^54 and its high halves to under 2^42, so
+    /// nothing overflows 64 bits.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[inline]
+    fn mul(a: Lanes, by: &Multiplier) -> Lanes {
+        let [a0, a1, a2] = a;
+        let [r0, r1, r2] = by.r;
+        let (s1, s2) = (by.s1, by.s2);
+        let columns = [
+            [(a0, r0), (a1, s2), (a2, s1)],
+            [(a0, r1), (a1, r0), (a2, s2)],
+            [(a0, r2), (a1, r1), (a2, r0)],
+        ];
+        let zero = _mm512_setzero_si512();
+        let lo = columns.map(|column| {
+            column
+                .iter()
+                .fold(zero, |sum, &(x, y)| _mm512_madd52lo_epu64(sum, x, y))
+        });
+        let hi = columns.map(|column| {
+            column
+                .iter()
+                .fold(zero, |sum, &(x, y)| _mm512_madd52hi_epu64(sum, x, y))
+        });
+        // A high half sits 52 bits above its column: 8 bits into the next
+        // limb, and from the top column at 2^140 = 5·2^10 mod 2^130 - 5.
+        let wrapped = _mm512_add_epi64(
+            _mm512_slli_epi64::<12>(hi[2]),
+            _mm512_slli_epi64::<10>(hi[2]),
+        );
+        let d0 = _mm512_add_epi64(lo[0], wrapped);
+        let d1 = _mm512_add_epi64(lo[1], _mm512_slli_epi64::<8>(hi[0]));
+        let d2 = _mm512_add_epi64(lo[2], _mm512_slli_epi64::<8>(hi[1]));
+        carry_lanes([d0, d1, d2])
+    }
+
+    /// The scalar [`carry`], lane by lane.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn carry_lanes([d0, d1, d2]: Lanes) -> Lanes {
+        let (mask44, mask42) = (splat(MASK44), splat(MASK42));
+        let d1 = _mm512_add_epi64(d1, _mm512_srli_epi64::<44>(d0));
+        let d2 = _mm512_add_epi64(d2, _mm512_srli_epi64::<44>(d1));
+        let c = _mm512_srli_epi64::<42>(d2);
+        let h0 = _mm512_add_epi64(
+            _mm512_and_si512(d0, mask44),
+            _mm512_add_epi64(c, _mm512_slli_epi64::<2>(c)),
+        );
+        [
+            _mm512_and_si512(h0, mask44),
+            _mm512_add_epi64(_mm512_and_si512(d1, mask44), _mm512_srli_epi64::<44>(h0)),
+            _mm512_and_si512(d2, mask42),
+        ]
     }
 }
 
@@ -543,6 +805,104 @@ mod tests {
         // Empty message: tag is simply s.
         let tag = Poly1305::mac(&key, b"");
         assert_eq!(tag.to_vec(), key[16..32].to_vec());
+    }
+}
+
+#[cfg(test)]
+mod lane_kernel {
+    //! The dispatch (the lane kernel wherever this CPU has IFMA), the
+    //! scalar path called directly (so CPUs without it stay covered) and
+    //! the 26-bit reference give one tag, at every length a path boundary
+    //! can fall on and for input split across one, two and three
+    //! `update`s.
+
+    use super::{reference, Poly1305, BLOCK_LEN, KEY_LEN, TAG_LEN};
+
+    /// What `update` does on a CPU without the lane kernel.
+    fn update_scalar(mac: &mut Poly1305, data: &[u8]) {
+        if let Some(rest) = mac.top_up(data) {
+            mac.absorb_blocks(rest);
+        }
+    }
+
+    /// Two keys, and all ones: after the clamp the largest `r` there is.
+    const KEYS: [[u8; KEY_LEN]; 3] = {
+        let mut keys = [[0xff; KEY_LEN]; 3];
+        let mut i = 0;
+        while i < KEY_LEN {
+            keys[0][i] = (i * 29 + 7) as u8;
+            keys[1][i] = (i as u8).wrapping_mul(151) ^ 0xa5;
+            i += 1;
+        }
+        keys
+    };
+
+    /// Scrambled bytes with a third of the blocks all `0xff`: with the
+    /// `2^128` bit on top, the largest value a block can take.
+    fn message(len: usize) -> Vec<u8> {
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+            .collect();
+        for (i, block) in bytes.chunks_mut(BLOCK_LEN).enumerate() {
+            if i % 24 < 8 {
+                block.fill(0xff);
+            }
+        }
+        bytes
+    }
+
+    /// The tag of `msg` fed in pieces that end at `cuts`, then the rest.
+    fn tag_in_pieces(
+        key: &[u8; KEY_LEN],
+        msg: &[u8],
+        cuts: &[usize],
+        scalar: bool,
+    ) -> [u8; TAG_LEN] {
+        let mut mac = Poly1305::new(key);
+        let mut start = 0;
+        for &end in cuts.iter().chain([&msg.len()]) {
+            if scalar {
+                update_scalar(&mut mac, &msg[start..end]);
+            } else {
+                mac.update(&msg[start..end]);
+            }
+            start = end;
+        }
+        mac.finalize()
+    }
+
+    #[test]
+    fn dispatch_scalar_and_reference_agree_at_every_length() {
+        // 20 655 is the Welcome body of the benchmark's largest roster.
+        for len in (0..=2600usize).chain([4096, 10_240, 20_655]) {
+            let msg = message(len);
+            let cut_sets = [
+                vec![],
+                vec![len / 2],
+                vec![1.min(len), len - len / 7],
+                vec![len / 3, 2 * len / 3],
+            ];
+            for key in &KEYS {
+                let expected = reference::Poly1305::mac(key, &msg);
+                for cuts in &cut_sets {
+                    for scalar in [false, true] {
+                        assert_eq!(
+                            tag_in_pieces(key, &msg, cuts, scalar),
+                            expected,
+                            "len={len} cuts={cuts:?} scalar={scalar}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `lanes()` is what the dispatch table says about this CPU.
+    #[test]
+    fn lanes_is_eight_or_one() {
+        let lanes = super::lanes();
+        assert_eq!(lanes == 8, crate::dispatch::poly1305().is_some());
+        assert!([1, 8].contains(&lanes), "{lanes}");
     }
 }
 

@@ -43,7 +43,7 @@ use enclaves_obs::{Counter, Gauge, Histogram, Registry};
 use enclaves_wire::framing::MAX_FRAME_LEN;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -621,6 +621,8 @@ impl Listener for MuxEndpoint {
 fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfig) {
     let obs = shared.obs.clone();
     let mut entries: HashMap<MuxToken, Entry> = HashMap::new();
+    // The connections in graceful close, the only ones maintenance visits.
+    let mut closing: HashSet<MuxToken> = HashSet::new();
     let mut events: Vec<Event> = Vec::with_capacity(1024);
     let mut scratch = vec![0u8; SCRATCH_LEN];
 
@@ -629,7 +631,15 @@ fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfi
         // the sockets before the next wait.
         while shared.cmd_pending.swap(0, Ordering::AcqRel) > 0 {
             while let Ok(cmd) = cmd_rx.try_recv() {
-                if !apply_cmd(shared, &obs, &mut entries, &mut scratch, cmd, config) {
+                if !apply_cmd(
+                    shared,
+                    &obs,
+                    &mut entries,
+                    &mut closing,
+                    &mut scratch,
+                    cmd,
+                    config,
+                ) {
                     break 'outer;
                 }
             }
@@ -673,21 +683,23 @@ fn event_loop(shared: &Arc<MuxShared>, cmd_rx: &Receiver<Cmd>, config: &MuxConfi
         }
 
         // Maintenance: force-close connections whose graceful drain
-        // overstayed its grace period.
+        // overstayed its grace period. Only closing connections are
+        // visited, and those closed meanwhile leave the set here.
         let now = Instant::now();
-        let overdue: Vec<MuxToken> = entries
+        let overdue: Vec<MuxToken> = closing
             .iter()
-            .filter_map(|(t, e)| match e {
-                Entry::Conn(c) => c
+            .copied()
+            .filter(|token| match entries.get(token) {
+                Some(Entry::Conn(c)) => c
                     .closing_since
-                    .filter(|s| now.duration_since(*s) >= CLOSING_GRACE)
-                    .map(|_| *t),
-                Entry::Listener { .. } => None,
+                    .is_some_and(|since| now.duration_since(since) >= CLOSING_GRACE),
+                _ => false,
             })
             .collect();
         for token in overdue {
             close_entry(shared, &obs, &mut entries, token);
         }
+        closing.retain(|token| entries.contains_key(token));
     }
 
     // Shutdown: best-effort flush, then close everything (each
@@ -706,6 +718,7 @@ fn apply_cmd(
     shared: &Arc<MuxShared>,
     obs: &MuxObs,
     entries: &mut HashMap<MuxToken, Entry>,
+    closing: &mut HashSet<MuxToken>,
     scratch: &mut [u8],
     cmd: Cmd,
     config: &MuxConfig,
@@ -760,6 +773,7 @@ fn apply_cmd(
                 close_entry(shared, obs, entries, token);
             } else {
                 conn.closing_since = Some(Instant::now());
+                closing.insert(token);
             }
         }
         Cmd::Shutdown => return false,
@@ -1528,6 +1542,55 @@ mod tests {
         assert_eq!(snap.counter("net.loop.overflow_disconnects"), 0);
         // Still connected, so each of the eight later frames is shed too.
         assert!(snap.counter("net.loop.overflow_drops") >= 9);
+    }
+
+    /// A graceful close whose drain stalls, because the peer never reads,
+    /// is forced once `CLOSING_GRACE` has passed, and the connection's
+    /// consumer still gets its `Closed`: maintenance finds it in the
+    /// closing set although no readiness event ever names it again.
+    #[test]
+    fn a_stalled_drain_is_forced_closed_after_the_grace() {
+        let registry = Registry::new();
+        let net = MuxNet::spawn_with_registry(
+            MuxConfig {
+                max_outbound_bytes: 1 << 20,
+                overflow: MuxOverflow::DropNewest,
+                ..MuxConfig::default()
+            },
+            &registry,
+        );
+        let (addr, shard) = listen(&net);
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(&[0, 0, 0, 1, 0]).unwrap();
+        let token = tokens_by_hello(&shard, 1)[0];
+
+        // Fill the socket buffers until frames wait in the loop's queue.
+        let chunk: Frame = vec![0x5a; 64 * 1024].into();
+        let deadline = Instant::now() + TO;
+        while registry.snapshot().counter("net.loop.overflow_drops") == 0 {
+            assert!(Instant::now() < deadline, "the queue never filled");
+            net.send_to(token, Frame::clone(&chunk)).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let asked = Instant::now();
+        net.close(token);
+        loop {
+            match shard.recv_timeout(CLOSING_GRACE + TO) {
+                Ok(MuxEvent::Closed { token: closed }) => {
+                    assert_eq!(closed, token);
+                    break;
+                }
+                Ok(_) => {}
+                Err(e) => panic!("the stalled drain was never closed: {e:?}"),
+            }
+        }
+        assert!(
+            asked.elapsed() >= CLOSING_GRACE,
+            "closed after {:?}, inside the grace",
+            asked.elapsed()
+        );
+        drop(stalled);
+        net.shutdown();
     }
 
     /// A leader is dialled by its whole roster at once. At std's backlog

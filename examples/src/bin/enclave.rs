@@ -87,10 +87,11 @@ fn run_leader(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let net = MuxNet::spawn(MuxConfig::default());
     let endpoint = net.listen_events(listen.parse()?, 1)?;
     println!(
-        "leader listening on {} ({} registered users, chacha20 lanes: {})",
+        "leader listening on {} ({} registered users, chacha20 lanes: {}, poly1305 lanes: {})",
         endpoint.local_addr(),
         directory.len(),
-        enclaves_crypto::chacha20::lanes()
+        enclaves_crypto::chacha20::lanes(),
+        enclaves_crypto::poly1305::lanes()
     );
     let service = LeaderService::spawn_mux(endpoint, ServiceConfig::default());
     let leader = service.add_group(
