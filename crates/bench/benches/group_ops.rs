@@ -5,14 +5,17 @@
 //! Expected shapes:
 //! * admin broadcast and rekey scale linearly in member count (per-member
 //!   unicast under `K_a`);
-//! * group-data relay is cheaper per member (one seal, n-1 verbatim
-//!   relays) — the crossover justifying the two-channel design;
+//! * group-data relay is cheaper per member (one `K_a` open and one `K_g`
+//!   seal at the leader, one shared frame for the n-1 other members) —
+//!   the crossover justifying the two-channel design;
 //! * the improved protocol's rekey costs more than legacy's per member
 //!   (nonce chain + acknowledgments), the price of replay protection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enclaves_bench::{ImprovedGroup, LegacyGroup};
 use enclaves_core::config::RekeyPolicy;
+use enclaves_wire::codec::decode;
+use enclaves_wire::message::Envelope;
 use std::hint::black_box;
 
 const GROUP_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
@@ -91,14 +94,12 @@ fn bench_group_data_relay(c: &mut Criterion) {
                     .send_group_data(black_box(b"hello group"))
                     .unwrap();
                 let out = world.leader.handle(&env).unwrap();
-                for relay in out.outgoing {
-                    if let Some(idx) = relay
-                        .recipient
-                        .as_str()
-                        .strip_prefix('m')
-                        .and_then(|s| s.parse::<usize>().ok())
-                    {
-                        let _ = world.members[idx].handle(&relay);
+                for relay in &out.broadcasts {
+                    let frame: Envelope = decode(&relay.frame).unwrap();
+                    for target in relay.targets() {
+                        // Member ids are `m<i>`.
+                        let idx: usize = target[1..].parse().unwrap();
+                        let _ = world.members[idx].handle(&frame);
                     }
                 }
             });

@@ -198,7 +198,9 @@ fn spawn_forwarder(
                         member: name.clone(),
                         payload,
                     }),
-                    MemberEvent::Broadcast { epoch, seq, data } => Some(LiveEvent::DataDeliver {
+                    MemberEvent::Broadcast {
+                        epoch, seq, data, ..
+                    } => Some(LiveEvent::DataDeliver {
                         member: name.clone(),
                         epoch,
                         seq,

@@ -20,9 +20,9 @@ use enclaves_obs::{Counter, EventKind, EventStream, Histogram, Registry};
 use enclaves_wire::codec::{encode, encode_into};
 use enclaves_wire::journal::{EpochStamp, JournalOp, JournalPayload, JournalTransition};
 use enclaves_wire::message::{
-    group_broadcast_aad, group_data_aad, open, path_update_frame, seal, AdminPayload, AdminPlain,
-    AuthInitPlain, ClosePlain, Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain,
-    KeyDistPlain, MsgType, NonceAckPlain, PathSeal, PathUpdateHead,
+    group_broadcast_aad, open, path_update_frame, seal, AdminPayload, AdminPlain, AuthInitPlain,
+    ClosePlain, Envelope, GroupBroadcastWire, GroupDataPlain, HeartbeatPlain, KeyDistPlain,
+    MsgType, NonceAckPlain, PathSeal, PathUpdateHead,
 };
 use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
 use std::collections::{HashMap, VecDeque};
@@ -62,8 +62,9 @@ pub enum LeaderEvent {
 pub struct LeaderOutput {
     /// Envelopes to send (each addressed to its recipient).
     pub outgoing: Vec<Envelope>,
-    /// Sealed-once multicast frames (tree-rekey `PathUpdate`s): the
-    /// runtime fans the same refcounted bytes out to every recipient.
+    /// Sealed-once multicast frames (tree-rekey `PathUpdate`s and relayed
+    /// group data): the runtime fans the same refcounted bytes out to
+    /// every target.
     pub broadcasts: Vec<BroadcastFrame>,
     /// Events for the operator.
     pub events: Vec<LeaderEvent>,
@@ -144,21 +145,33 @@ impl LeaderObs {
     }
 }
 
-/// Output of [`LeaderCore::broadcast_group_data`]: one sealed, encoded
-/// `GroupBroadcast` envelope shared by every recipient. The runtime hands
-/// the same refcounted frame to each link — fan-out to N members costs N
-/// pointer clones, not N seals or N copies.
+/// Output of [`LeaderCore::broadcast_group_data`], of a relayed
+/// `GroupData` and of a tree rekey: one sealed, encoded envelope shared by
+/// every target. The runtime hands the same refcounted frame to each link
+/// — fan-out to N members costs N pointer clones, not N seals or N copies.
 #[derive(Clone, Debug)]
 pub struct BroadcastFrame {
     /// The encoded envelope, ready for any link.
     pub frame: Arc<[u8]>,
-    /// The members the frame must be delivered to: the roster snapshot
-    /// the frame was built against, shared, not copied.
+    /// The roster snapshot the frame was built against, shared, not
+    /// copied.
     pub recipients: Roster,
+    /// The member whose `GroupData` this frame relays (`None` for the
+    /// leader's own frames). It is in `recipients` but is not a target.
+    pub origin: Option<ActorId>,
     /// The group-key epoch the payload was sealed under.
     pub epoch: u64,
     /// The per-epoch broadcast sequence number.
     pub seq: u64,
+}
+
+impl BroadcastFrame {
+    /// The members the frame must be delivered to: `recipients` without
+    /// the origin.
+    pub fn targets(&self) -> impl Iterator<Item = &str> {
+        let origin = self.origin.as_ref().map(ActorId::as_str);
+        self.recipients.iter().filter(move |m| Some(*m) != origin)
+    }
 }
 
 /// A frame awaiting its acknowledgment — the handshake reply or one
@@ -222,6 +235,9 @@ struct Channel {
     /// Highest heartbeat ping sequence accepted; replays at or below it
     /// are rejected so a recorded ping cannot keep a dead member alive.
     hb_seq: u64,
+    /// Highest `GroupData` uplink sequence accepted, under the same rule:
+    /// a replayed uplink is neither relayed again nor proof of life.
+    data_seq: u64,
     /// Highest epoch a tree-mode `PathSync` has been queued for on this
     /// channel — dedup so a member whose heartbeats keep reporting a
     /// stale epoch gets one resync per epoch, not one per ping.
@@ -583,6 +599,7 @@ impl LeaderCore {
                 dropped_admin: 0,
                 last_heard: self.now,
                 hb_seq: 0,
+                data_seq: 0,
                 synced_epoch: 0,
             }),
         );
@@ -744,9 +761,8 @@ impl LeaderCore {
                 secret: &cs.path_secret,
             }
         });
-        // Multicast convention (see broadcast_group_data): identical bytes
-        // reach every member, so the frame is from and to the leader and
-        // members skip the recipient check for this type.
+        // Multicast convention (see seal_group_data): identical bytes
+        // reach every member, so the frame is from and to the leader.
         self.frame_buf = path_update_frame(
             std::mem::take(&mut self.frame_buf),
             &self.leader,
@@ -757,6 +773,7 @@ impl LeaderCore {
         Some(BroadcastFrame {
             frame: self.frame_buf.as_slice().into(),
             recipients,
+            origin: None,
             epoch,
             seq: 0,
         })
@@ -895,56 +912,36 @@ impl LeaderCore {
         Ok(out)
     }
 
+    /// A member's `GroupData` uplink, opened under its `K_a` and re-sealed
+    /// once under the group key as a `GroupBroadcast` from the member to
+    /// every other member: the leader is the only `K_g` sealer, so the
+    /// one per-epoch `seq` counter keeps every `(K_g, nonce)` pair unique.
     fn relay_group_data(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
         let user = env.sender.clone();
-        if !matches!(self.slots.get(&user), Some(Slot::Connected(_))) {
+        let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) else {
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
-        }
-        let wire: GroupDataWire = enclaves_wire::codec::decode(&env.body)
-            .map_err(|_| CoreError::Rejected(RejectReason::Malformed))?;
-        let Some(epoch) = self.group.current_epoch() else {
-            return Err(CoreError::Rejected(RejectReason::WrongEpoch));
         };
-        if wire.epoch != epoch.epoch {
-            return Err(CoreError::Rejected(RejectReason::WrongEpoch));
+        let plain: GroupDataPlain =
+            open(channel.session_key.as_bytes(), &env.header_aad(), &env.body)?;
+        if plain.user != user || plain.leader != self.leader {
+            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
-        // Verify the seal before relaying (the leader holds the group key),
-        // so tampered frames stop here rather than fanning out.
-        let aad = group_data_aad(&user, wire.epoch, self.enclave.as_ref());
-        let cipher = enclaves_crypto::aead::ChaCha20Poly1305::new(epoch.key.as_bytes());
-        let nonce = enclaves_crypto::nonce::AeadNonce::from_bytes(wire.sealed.nonce);
-        let data_len = cipher
-            .open(&nonce, &wire.sealed.ciphertext, &aad)
-            .map_err(|_| CoreError::Rejected(RejectReason::BadSeal))?
-            .len();
+        if plain.seq <= channel.data_seq {
+            return Err(CoreError::Rejected(RejectReason::StaleNonce));
+        }
+        channel.data_seq = plain.seq;
+        channel.last_heard = self.now;
 
-        // The seal verified under the current group key: authenticated
-        // traffic from this member is proof of life. (A forged frame
-        // errored out above without touching the slot.)
-        let now = self.now;
-        if let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) {
-            channel.last_heard = now;
-        }
-
-        let mut output = LeaderOutput::default();
-        let roster = self.group.roster();
-        for name in roster.iter().filter(|n| *n != user.as_str()) {
-            let Some(member) = self.slot_id(name) else {
-                continue;
-            };
-            output.outgoing.push(Envelope {
-                msg_type: MsgType::GroupData,
-                sender: user.clone(),
-                recipient: member,
-                group: self.enclave.clone(),
-                body: env.body.clone(),
-            });
-        }
+        let frame = self.seal_group_data(Some(user.clone()), &plain.data)?;
         self.obs.relayed.inc();
-        output.events.push(LeaderEvent::Relayed {
-            from: user,
-            len: data_len,
-        });
+        let mut output = LeaderOutput {
+            broadcasts: vec![frame],
+            events: vec![LeaderEvent::Relayed {
+                from: user,
+                len: plain.data.len(),
+            }],
+            ..LeaderOutput::default()
+        };
 
         // Traffic-based rekey policy.
         let count = self.group.count_traffic();
@@ -1285,6 +1282,19 @@ impl LeaderCore {
     /// [`CoreError::BadPhase`] if the group is empty (no key to seal
     /// under).
     pub fn broadcast_group_data(&mut self, data: &[u8]) -> Result<BroadcastFrame, CoreError> {
+        let frame = self.seal_group_data(None, data)?;
+        self.obs.broadcasts.inc();
+        Ok(frame)
+    }
+
+    /// The one `K_g` seal: `data` from `origin` (the leader when `None`)
+    /// under the next `(epoch, seq)`, with the origin as the envelope
+    /// sender and in the AAD, and a `DataSend` naming the targets.
+    fn seal_group_data(
+        &mut self,
+        origin: Option<ActorId>,
+        data: &[u8],
+    ) -> Result<BroadcastFrame, CoreError> {
         let recipients = self.group.roster();
         if recipients.is_empty() {
             return Err(CoreError::BadPhase {
@@ -1297,7 +1307,8 @@ impl LeaderCore {
             let e = self.group.current_epoch().expect("nonempty group has key");
             (e.epoch, e.key.clone(), e.iv)
         };
-        let aad = group_broadcast_aad(&self.leader, epoch, seq, self.enclave.as_ref());
+        let sender = origin.clone().unwrap_or_else(|| self.leader.clone());
+        let aad = group_broadcast_aad(&sender, epoch, seq, self.enclave.as_ref());
         let mut ciphertext = Vec::new();
         ChaCha20Poly1305::new(key.as_bytes()).seal_into(
             &broadcast_nonce(&iv, seq),
@@ -1309,10 +1320,10 @@ impl LeaderCore {
 
         let env = Envelope {
             msg_type: MsgType::GroupBroadcast,
-            sender: self.leader.clone(),
+            sender,
             // Multicast: identical bytes reach every member, so the
-            // recipient field names the group's leader and members skip
-            // the recipient check for this message type.
+            // recipient field names the group's leader, which is what
+            // members check for this message type.
             recipient: self.leader.clone(),
             group: self.enclave.clone(),
             body: enclaves_wire::codec::encode(&GroupBroadcastWire {
@@ -1322,19 +1333,20 @@ impl LeaderCore {
             }),
         };
         encode_into(&env, &mut self.frame_buf);
-        self.obs.broadcasts.inc();
+        let frame = BroadcastFrame {
+            frame: self.frame_buf.as_slice().into(),
+            recipients,
+            origin,
+            epoch,
+            seq,
+        };
         self.obs.emit(|| EventKind::DataSend {
             epoch,
             seq,
             payload: data.to_vec(),
-            recipients: recipients.iter().map(ToString::to_string).collect(),
+            recipients: frame.targets().map(str::to_string).collect(),
         });
-        Ok(BroadcastFrame {
-            frame: self.frame_buf.as_slice().into(),
-            recipients,
-            epoch,
-            seq,
-        })
+        Ok(frame)
     }
 
     /// Attaches a write-ahead journal writer. Every subsequent
@@ -1676,6 +1688,7 @@ mod tests {
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
     use enclaves_wire::message::{PathUpdateWire, SealedBody};
+    use std::collections::HashSet;
 
     /// The value of the leader's counter `name`.
     fn count(l: &LeaderCore, name: &str) -> u64 {
@@ -1933,41 +1946,28 @@ mod tests {
 
     #[test]
     fn group_data_is_relayed_to_others_only() {
-        let mut l = leader(&["alice", "bob"], RekeyPolicy::Manual);
-        let (mut alice, init_a) = member("alice", 50);
-        pump(&mut l, &mut alice, init_a);
-        let (mut bob, init_b) = member("bob", 51);
-        let out = l.handle(&init_b).unwrap();
-        let bob_out = bob.handle(out.outgoing.first().unwrap()).unwrap();
-        let out = l.handle(bob_out.reply.as_ref().unwrap()).unwrap();
-        let mut queue: VecDeque<Envelope> = out.outgoing.into();
-        while let Some(env) = queue.pop_front() {
-            let session = if env.recipient == id("alice") {
-                &mut alice
-            } else {
-                &mut bob
-            };
-            if let Ok(o) = session.handle(&env) {
-                if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
-                        queue.extend(lo.outgoing);
-                    }
-                }
-            }
+        let mut w = flat_world(&["alice", "bob", "carol"]);
+        let up = w.uplink("alice", b"hi all");
+        let out = w.l.handle(&up).unwrap();
+        assert!(out.outgoing.is_empty(), "no per-recipient envelopes");
+        let [relay] = &out.broadcasts[..] else {
+            panic!("one relay frame, got {}", out.broadcasts.len());
+        };
+        assert_eq!(relay.targets().collect::<Vec<_>>(), ["bob", "carol"]);
+        let env: Envelope = enclaves_wire::codec::decode(&relay.frame).unwrap();
+        assert_eq!(env.sender, id("alice"), "the origin is the envelope sender");
+        for user in ["bob", "carol"] {
+            let o = w.sessions.get_mut(&id(user)).unwrap().handle(&env).unwrap();
+            assert_eq!(
+                o.events,
+                vec![MemberEvent::Broadcast {
+                    from: id("alice"),
+                    epoch: relay.epoch,
+                    seq: relay.seq,
+                    data: b"hi all".to_vec()
+                }]
+            );
         }
-
-        let env = alice.send_group_data(b"hi all").unwrap();
-        let out = l.handle(&env).unwrap();
-        assert_eq!(out.outgoing.len(), 1, "only bob receives the relay");
-        assert_eq!(out.outgoing[0].recipient, id("bob"));
-        let bob_out = bob.handle(out.outgoing.first().unwrap()).unwrap();
-        assert_eq!(
-            bob_out.events,
-            vec![MemberEvent::GroupData {
-                from: id("alice"),
-                data: b"hi all".to_vec()
-            }]
-        );
     }
 
     #[test]
@@ -2217,6 +2217,7 @@ mod tests {
             assert_eq!(
                 out.events,
                 vec![MemberEvent::Broadcast {
+                    from: id("leader"),
                     epoch: bc.epoch,
                     seq: bc.seq,
                     data: b"fan out once".to_vec(),
@@ -2327,11 +2328,16 @@ mod tests {
             Err(CoreError::Rejected(RejectReason::BadSeal))
         ));
 
-        // Forging the envelope sender changes nothing: the member computes
-        // the AAD from its configured leader, not the header.
+        // The envelope sender is the origin and is bound into the AAD:
+        // relabelling the leader's frame as anyone else's breaks its seal.
         let mut forged: Envelope = enclaves_wire::codec::decode(&bc.frame).unwrap();
         forged.sender = id("mallory");
-        assert!(alice.handle(&forged).is_ok());
+        assert!(matches!(
+            alice.handle(&forged),
+            Err(CoreError::Rejected(RejectReason::BadSeal))
+        ));
+        let genuine: Envelope = enclaves_wire::codec::decode(&bc.frame).unwrap();
+        assert!(alice.handle(&genuine).is_ok());
     }
 
     #[test]
@@ -2566,7 +2572,7 @@ mod tests {
             }
             for b in out.broadcasts {
                 let env: Envelope = enclaves_wire::codec::decode(&b.frame).unwrap();
-                for r in b.recipients.iter() {
+                for r in b.targets() {
                     if let Some(s) = self.sessions.get_mut(r) {
                         if let Ok(o) = s.handle(&env) {
                             self.events
@@ -2596,6 +2602,198 @@ mod tests {
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("m{i}")).collect()
+    }
+
+    /// A flat-mode world with every one of `users` joined, under a policy
+    /// that never rekeys on its own.
+    fn flat_world(users: &[&str]) -> TreeWorld {
+        let config = LeaderConfig {
+            rekey_policy: RekeyPolicy::Manual,
+            ..LeaderConfig::default()
+        };
+        let mut w = TreeWorld::with_config(users, config);
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 700 + i as u64);
+        }
+        w
+    }
+
+    impl TreeWorld {
+        /// `user`'s `GroupData` uplink carrying `data`, not yet delivered.
+        fn uplink(&mut self, user: &str, data: &[u8]) -> Envelope {
+            let session = self.sessions.get_mut(&id(user)).unwrap();
+            session.send_group_data(data).unwrap()
+        }
+    }
+
+    /// Every frame sealed under the group key is one of the leader's
+    /// `GroupBroadcast`s, and their `seq`s come from one per-epoch
+    /// counter — so a member that leaves and rejoins inside an epoch, and
+    /// sends the same words in both sessions, never makes a `(K_g, nonce)`
+    /// pair repeat.
+    #[test]
+    fn same_epoch_leave_and_rejoin_never_repeats_a_group_key_nonce() {
+        let mut w = flat_world(&["alice", "bob"]);
+        let (epoch, iv) = {
+            let e = w.l.group.current_epoch().unwrap();
+            (e.epoch, e.iv)
+        };
+        let mut frames = Vec::new();
+        for session in 0..2u64 {
+            let up = w.uplink("alice", b"same words");
+            // The uplink is sealed under alice's session key, not `K_g`.
+            let Some(Slot::Connected(channel)) = w.l.slots.get(&id("alice")) else {
+                panic!("alice is connected");
+            };
+            let plain: GroupDataPlain =
+                open(channel.session_key.as_bytes(), &up.header_aad(), &up.body).unwrap();
+            assert_eq!(plain.seq, 1, "each session's uplinks count from 1");
+            let out = w.l.handle(&up).unwrap();
+            frames.extend(out.broadcasts.iter().map(|b| Arc::clone(&b.frame)));
+            w.settle(out);
+            frames.push(w.l.broadcast_group_data(b"leader").unwrap().frame);
+            if session == 0 {
+                w.leave("alice");
+                w.join("alice", 720);
+            }
+        }
+        assert_eq!(w.l.epoch(), Some(epoch), "the rejoin stayed in one epoch");
+        let nonces: HashSet<[u8; 12]> = frames
+            .iter()
+            .map(|frame| {
+                let env: Envelope = enclaves_wire::codec::decode(frame).unwrap();
+                assert_eq!(env.msg_type, MsgType::GroupBroadcast);
+                let wire: GroupBroadcastWire = enclaves_wire::codec::decode(&env.body).unwrap();
+                assert_eq!(wire.epoch, epoch);
+                *broadcast_nonce(&iv, wire.seq).as_bytes()
+            })
+            .collect();
+        assert_eq!(frames.len(), 4);
+        assert_eq!(nonces.len(), frames.len(), "a (K_g, nonce) pair repeated");
+    }
+
+    /// A replayed uplink arriving later, when alice would otherwise have
+    /// gone quiet, gives no output and moves nothing but
+    /// `leader.rejected`: no relay, no seal, no traffic count, no
+    /// liveness refresh.
+    #[test]
+    fn replayed_uplink_is_refused_without_output_or_state_change() {
+        let mut w = flat_world(&["alice", "bob"]);
+        let up = w.uplink("alice", b"once");
+        let out = w.l.handle_at(&up, Duration::from_secs(1)).unwrap();
+        assert_eq!(out.broadcasts.len(), 1);
+        let channel_state = |l: &LeaderCore| match l.slots.get(&id("alice")) {
+            Some(Slot::Connected(c)) => (c.last_heard, c.data_seq, c.hb_seq),
+            _ => panic!("alice is connected"),
+        };
+        let state = |l: &LeaderCore| {
+            // The group's Debug form spells out its traffic and sequence
+            // counters as well as the roster and epoch.
+            (channel_state(l), format!("{:?}", l.group))
+        };
+        let before = (state(&w.l), w.l.obs_registry().snapshot());
+
+        assert!(matches!(
+            w.l.handle_at(&up, Duration::from_secs(5)),
+            Err(CoreError::Rejected(RejectReason::StaleNonce))
+        ));
+
+        let mut expected = before.1.clone();
+        *expected.counters.get_mut("leader.rejected").unwrap() += 1;
+        assert_eq!(w.l.obs_registry().snapshot(), expected);
+        assert_eq!(state(&w.l), before.0);
+    }
+
+    /// The relay is one seal and one frame at any group size: no
+    /// per-recipient envelope, the shared roster snapshot as it stands,
+    /// and every member but the origin as a target.
+    #[test]
+    fn relay_is_one_seal_at_any_group_size() {
+        for n in [2, 16] {
+            let users = names(n);
+            let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+            let mut w = flat_world(&refs);
+            let up = w.uplink("m1", b"to everyone else");
+            let seals = count(&w.l, "leader.data_seals");
+            let out = w.l.handle(&up).unwrap();
+            assert!(out.outgoing.is_empty(), "n = {n}");
+            let [relay] = &out.broadcasts[..] else {
+                panic!("n = {n}: {} frames", out.broadcasts.len());
+            };
+            assert_eq!(count(&w.l, "leader.data_seals"), seals + 1, "n = {n}");
+            assert!(relay.recipients.ptr_eq(&w.l.roster()), "n = {n}");
+            assert_eq!(relay.origin, Some(id("m1")));
+            let targets: Vec<&str> = relay.targets().collect();
+            assert_eq!(targets.len(), n - 1, "n = {n}");
+            assert!(!targets.contains(&"m1"), "n = {n}");
+        }
+    }
+
+    /// A crashed member's captured uplink, replayed every heartbeat
+    /// interval, does not keep it alive: the replays are refused before
+    /// they reach `last_heard`, so the member is evicted at its liveness
+    /// timeout while a live member's heartbeats keep that one in.
+    #[test]
+    fn replayed_uplink_cannot_keep_a_crashed_member_alive() {
+        let heartbeat = Duration::from_secs(1);
+        let timeout = Duration::from_secs(5);
+        let config = LeaderConfig {
+            rekey_policy: RekeyPolicy::Manual,
+            liveness: LivenessConfig {
+                heartbeat_interval: Some(heartbeat),
+                liveness_timeout: Some(timeout),
+                ..LivenessConfig::default()
+            },
+            ..LeaderConfig::default()
+        };
+        let mut w = TreeWorld::with_config(&["alice", "bob"], config);
+        w.join("alice", 730);
+        w.join("bob", 731);
+        // Alice's last frame before she crashes, captured on the wire.
+        let captured = w.uplink("alice", b"last words");
+        assert_eq!(
+            w.l.handle_at(&captured, Duration::ZERO)
+                .unwrap()
+                .broadcasts
+                .len(),
+            1
+        );
+        w.sessions.remove(&id("alice"));
+
+        let mut now = Duration::ZERO;
+        while now <= timeout {
+            now += heartbeat;
+            let ping = w.sessions.get_mut(&id("bob")).unwrap().heartbeat().unwrap();
+            w.l.handle_at(&ping, now).unwrap();
+            assert!(matches!(
+                w.l.handle_at(&captured, now),
+                Err(CoreError::Rejected(RejectReason::StaleNonce))
+            ));
+            let evict = w.l.tick(now).evict;
+            if now > timeout {
+                assert_eq!(evict, vec![id("alice")], "at {now:?}");
+            } else {
+                assert!(evict.is_empty(), "at {now:?}: {evict:?}");
+            }
+        }
+    }
+
+    /// A relayed frame the network duplicates is delivered once.
+    #[test]
+    fn duplicated_relay_is_delivered_once() {
+        let mut w = flat_world(&["alice", "bob"]);
+        let up = w.uplink("alice", b"once only");
+        let out = w.l.handle(&up).unwrap();
+        let env: Envelope = enclaves_wire::codec::decode(&out.broadcasts[0].frame).unwrap();
+        let bob = w.sessions.get_mut(&id("bob")).unwrap();
+        assert!(matches!(
+            &bob.handle(&env).unwrap().events[..],
+            [MemberEvent::Broadcast { from, data, .. }] if *from == id("alice") && data == b"once only"
+        ));
+        assert!(matches!(
+            bob.handle(&env),
+            Err(CoreError::Rejected(RejectReason::StaleNonce))
+        ));
     }
 
     #[test]

@@ -4,18 +4,18 @@
 use crate::error::{CoreError, RejectReason};
 use crate::group::MemberGroupView;
 use crate::protocol::keytree::{level, update_secret_node, MemberTree, MAX_LEVELS};
-use crate::protocol::{broadcast_nonce, group_seq_prefix, SEQ_MEMBER};
+use crate::protocol::{broadcast_nonce, SEQ_MEMBER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::keys::{GroupKey, LongTermKey, SessionKey};
 use enclaves_crypto::nonce::{AeadNonce, NonceSequence, ProtocolNonce};
 use enclaves_crypto::rng::{CryptoRng, OsEntropyRng};
 use enclaves_crypto::treekdf::{self, SECRET_LEN};
 use enclaves_obs::{Counter, EventKind, EventStream, Registry};
-use enclaves_wire::codec::encode;
+use enclaves_wire::codec::Encode;
 use enclaves_wire::message::{
-    group_broadcast_aad, group_data_aad, open, seal, AdminPayload, AdminPlain, AuthInitPlain,
-    Envelope, GroupBroadcastWire, GroupDataWire, HeartbeatPlain, KeyDistPlain, MsgType,
-    NonceAckPlain, PathCipher, PathUpdateAad, PathUpdateView, SealedBody,
+    group_broadcast_aad, open, seal, AdminPayload, AdminPlain, AuthInitPlain, Envelope,
+    GroupBroadcastWire, GroupDataPlain, HeartbeatPlain, KeyDistPlain, MsgType, NonceAckPlain,
+    PathCipher, PathUpdateAad, PathUpdateView,
 };
 use enclaves_wire::{ActorId, GroupId, Roster};
 
@@ -54,16 +54,12 @@ pub enum MemberEvent {
     MemberLeft(ActorId),
     /// Application data delivered over the admin channel.
     AdminData(Vec<u8>),
-    /// Group data relayed by the leader.
-    GroupData {
-        /// The original sender.
-        from: ActorId,
-        /// Decrypted application bytes.
-        data: Vec<u8>,
-    },
-    /// Application data broadcast by the leader over the single-seal
-    /// group-key data plane.
+    /// Application data on the single-seal group-key data plane: the
+    /// leader's own broadcast, or another member's data the leader
+    /// relayed.
     Broadcast {
+        /// The origin: the leader, or the member whose data was relayed.
+        from: ActorId,
         /// The group-key epoch the frame was sealed under.
         epoch: u64,
         /// The per-epoch broadcast sequence number.
@@ -150,7 +146,6 @@ struct Connected {
     /// Same watermark for the previous epoch, so a cross-epoch replay of
     /// an already-delivered frame stays rejected after a rekey.
     bcast_seen_prev: Option<u64>,
-    group_seq: NonceSequence,
     /// This member's view of the roster: the snapshot decoded from the
     /// `Welcome`, replaced on each join and leave notice.
     roster: Roster,
@@ -162,6 +157,9 @@ struct Connected {
     /// can reject replayed pings (and we can reject forged pongs claiming
     /// a sequence we never sent).
     hb_seq: u64,
+    /// `GroupData` uplink sequence, pre-incremented per send the same way
+    /// so the leader can reject a replayed uplink.
+    data_seq: u64,
     /// Tree-rekey state: this member's direct path in the leader's key
     /// tree, seeded by an admin `PathSync` and advanced by `PathUpdate`
     /// broadcasts. `None` for flat-mode sessions.
@@ -169,6 +167,18 @@ struct Connected {
 }
 
 impl Connected {
+    /// `env` with `plain` as its body: sealed under the session key with
+    /// the next member-side nonce and bound to the header.
+    fn seal_up<T: Encode>(&mut self, mut env: Envelope, plain: &T) -> Result<Envelope, CoreError> {
+        env.body = seal(
+            self.session_key.as_bytes(),
+            self.send_seq.next()?,
+            &env.header_aad(),
+            plain,
+        );
+        Ok(env)
+    }
+
     /// Installs a strictly newer group epoch, keeping one epoch of grace
     /// for broadcast frames sealed before the rekey reached us — shared by
     /// the `NewGroupKey`, `PathSync`, and `PathUpdate` install paths.
@@ -452,6 +462,18 @@ impl MemberSession {
         self.handshake_pending.as_ref()
     }
 
+    /// An envelope of `msg_type` from this member to its leader, its body
+    /// still empty.
+    fn to_leader(&self, msg_type: MsgType) -> Envelope {
+        Envelope {
+            msg_type,
+            sender: self.user.clone(),
+            recipient: self.leader.clone(),
+            group: self.enclave.clone(),
+            body: Vec::new(),
+        }
+    }
+
     /// Handles an incoming envelope.
     ///
     /// # Errors
@@ -469,12 +491,13 @@ impl MemberSession {
 
     fn handle_inner(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
         // `GroupBroadcast` and `PathUpdate` are multicast: the identical
-        // frame reaches every member, so the envelope recipient is not
-        // this user and is not checked — authenticity comes from the inner
-        // seals, whose AAD binds the leader and epoch (plus sequence or
-        // tree position).
+        // frame reaches every member, so its recipient names the leader
+        // rather than this user — authenticity comes from the inner seals,
+        // whose AAD binds the origin and epoch (plus sequence or tree
+        // position).
         let multicast = matches!(env.msg_type, MsgType::GroupBroadcast | MsgType::PathUpdate);
-        if !multicast && env.recipient != self.user {
+        let addressee = if multicast { &self.leader } else { &self.user };
+        if env.recipient != *addressee {
             return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
         // Cross-enclave traffic is rejected before dispatch. The header
@@ -491,7 +514,6 @@ impl MemberSession {
                 self.accept_key_dist(env, n1)
             }
             (Phase::Connected(_), MsgType::AdminMsg) => self.accept_admin(env),
-            (Phase::Connected(_), MsgType::GroupData) => self.accept_group_data(env),
             (Phase::Connected(_), MsgType::GroupBroadcast) => self.accept_broadcast(env),
             (Phase::Connected(_), MsgType::PathUpdate) => self.accept_path_update(env),
             (Phase::Connected(_), MsgType::Heartbeat) => self.accept_heartbeat_pong(env),
@@ -511,44 +533,29 @@ impl MemberSession {
         if plain.user_nonce != n1 {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
-        let session_key = SessionKey::from_bytes(plain.session_key);
         let n3 = ProtocolNonce::generate(self.rng.as_mut());
-        let mut send_seq = NonceSequence::new(SEQ_MEMBER);
-
-        let mut reply = Envelope {
-            msg_type: MsgType::AuthAckKey,
-            sender: self.user.clone(),
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
+        let mut conn = Box::new(Connected {
+            session_key: SessionKey::from_bytes(plain.session_key),
+            my_nonce: n3,
+            send_seq: NonceSequence::new(SEQ_MEMBER),
+            group: None,
+            prev_group: None,
+            bcast_seen_cur: None,
+            bcast_seen_prev: None,
+            roster: Roster::new(),
+            last_ack: None,
+            hb_seq: 0,
+            data_seq: 0,
+            tree: None,
+        });
         let ack = NonceAckPlain {
             user: self.user.clone(),
             leader: self.leader.clone(),
             acked_nonce: plain.leader_nonce,
             next_nonce: n3,
         };
-        reply.body = seal(
-            session_key.as_bytes(),
-            send_seq.next()?,
-            &reply.header_aad(),
-            &ack,
-        );
-
-        self.phase = Phase::Connected(Box::new(Connected {
-            session_key,
-            my_nonce: n3,
-            send_seq,
-            group: None,
-            prev_group: None,
-            bcast_seen_cur: None,
-            bcast_seen_prev: None,
-            group_seq: NonceSequence::new(group_seq_prefix(&self.user)),
-            roster: Roster::new(),
-            last_ack: None,
-            hb_seq: 0,
-            tree: None,
-        }));
+        let reply = conn.seal_up(self.to_leader(MsgType::AuthAckKey), &ack)?;
+        self.phase = Phase::Connected(conn);
         self.handshake_pending = Some(reply.clone());
         self.obs.emit(|| EventKind::SessionEstablished {
             member: self.user.to_string(),
@@ -560,6 +567,7 @@ impl MemberSession {
     }
 
     fn accept_admin(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+        let up = self.to_leader(MsgType::Ack);
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
         };
@@ -585,25 +593,13 @@ impl MemberSession {
         }
 
         let next = ProtocolNonce::generate(self.rng.as_mut());
-        let mut reply = Envelope {
-            msg_type: MsgType::Ack,
-            sender: self.user.clone(),
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
         let ack = NonceAckPlain {
             user: self.user.clone(),
             leader: self.leader.clone(),
             acked_nonce: plain.leader_nonce,
             next_nonce: next,
         };
-        reply.body = seal(
-            conn.session_key.as_bytes(),
-            conn.send_seq.next()?,
-            &reply.header_aad(),
-            &ack,
-        );
+        let reply = conn.seal_up(up, &ack)?;
         conn.last_ack = Some((plain.leader_nonce, reply.clone()));
         conn.my_nonce = next;
         self.obs.admin_accepted.inc();
@@ -705,47 +701,26 @@ impl MemberSession {
         })
     }
 
-    fn accept_group_data(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
-        let Phase::Connected(conn) = &mut self.phase else {
-            unreachable!("checked by caller");
-        };
-        let Some(group) = &conn.group else {
-            return Err(CoreError::Rejected(RejectReason::WrongEpoch));
-        };
-        let wire: GroupDataWire = enclaves_wire::codec::decode(&env.body)
-            .map_err(|_| CoreError::Rejected(RejectReason::Malformed))?;
-        if wire.epoch != group.epoch {
-            return Err(CoreError::Rejected(RejectReason::WrongEpoch));
-        }
-        let aad = group_data_aad(&env.sender, wire.epoch, self.enclave.as_ref());
-        let cipher = enclaves_crypto::aead::ChaCha20Poly1305::new(group.key.as_bytes());
-        let nonce = enclaves_crypto::nonce::AeadNonce::from_bytes(wire.sealed.nonce);
-        let data = cipher
-            .open(&nonce, &wire.sealed.ciphertext, &aad)
-            .map_err(|_| CoreError::Rejected(RejectReason::BadSeal))?;
-        Ok(MemberOutput {
-            reply: None,
-            events: vec![MemberEvent::GroupData {
-                from: env.sender.clone(),
-                data,
-            }],
-        })
-    }
-
-    /// Accepts a single-seal leader broadcast.
+    /// Accepts a single-seal group-key frame: a leader broadcast, or a
+    /// member's data relayed by the leader.
     ///
-    /// The AAD is computed from the *configured* leader identity (not the
-    /// envelope sender, which is unauthenticated), so a frame sealed by
-    /// anyone but the leader fails verification. The nonce is re-derived
+    /// The envelope sender names the origin and is bound into the AAD, so
+    /// a frame re-labelled with another origin fails verification; this
+    /// member's own data never comes back to it. The nonce is re-derived
     /// from the epoch IV and on-wire sequence number. Frames sealed under
     /// the immediately previous epoch are still accepted (they may race a
     /// rekey in flight); each epoch keeps its own strictly-increasing
-    /// watermark, so no frame — including cross-epoch replays — is ever
-    /// delivered twice. No ack is sent: the data plane is fire-and-forget.
+    /// watermark over both kinds of frame (the leader draws their `seq`
+    /// from one counter), so no frame — including cross-epoch replays — is
+    /// ever delivered twice. No ack is sent: the data plane is
+    /// fire-and-forget.
     fn accept_broadcast(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
         };
+        if env.sender == self.user {
+            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
+        }
         let wire: GroupBroadcastWire = enclaves_wire::codec::decode(&env.body)
             .map_err(|_| CoreError::Rejected(RejectReason::Malformed))?;
         let is_current = matches!(&conn.group, Some(g) if g.epoch == wire.epoch);
@@ -764,7 +739,7 @@ impl MemberSession {
         if !self.broadcast_watermark_disabled && seen.is_some_and(|s| wire.seq <= s) {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
-        let aad = group_broadcast_aad(&self.leader, wire.epoch, wire.seq, self.enclave.as_ref());
+        let aad = group_broadcast_aad(&env.sender, wire.epoch, wire.seq, self.enclave.as_ref());
         let nonce = broadcast_nonce(&view.iv, wire.seq);
         let data = ChaCha20Poly1305::new(view.key.as_bytes())
             .open(&nonce, &wire.ciphertext, &aad)
@@ -783,6 +758,7 @@ impl MemberSession {
         Ok(MemberOutput {
             reply: None,
             events: vec![MemberEvent::Broadcast {
+                from: env.sender.clone(),
                 epoch: wire.epoch,
                 seq: wire.seq,
                 data,
@@ -917,6 +893,7 @@ impl MemberSession {
     ///
     /// [`CoreError::BadPhase`] if not connected.
     pub fn heartbeat(&mut self) -> Result<Envelope, CoreError> {
+        let up = self.to_leader(MsgType::Heartbeat);
         let Phase::Connected(conn) = &mut self.phase else {
             return Err(CoreError::BadPhase {
                 operation: "heartbeat",
@@ -924,27 +901,16 @@ impl MemberSession {
             });
         };
         conn.hb_seq += 1;
-        let mut env = Envelope {
-            msg_type: MsgType::Heartbeat,
-            sender: self.user.clone(),
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
+        let ping = HeartbeatPlain {
+            user: self.user.clone(),
+            leader: self.leader.clone(),
+            seq: conn.hb_seq,
+            // The authenticated epoch lets the leader detect a missed
+            // PathUpdate and push a resync — without giving forgers a way
+            // to request one.
+            epoch: conn.group.as_ref().map_or(0, |g| g.epoch),
         };
-        env.body = seal(
-            conn.session_key.as_bytes(),
-            conn.send_seq.next()?,
-            &env.header_aad(),
-            &HeartbeatPlain {
-                user: self.user.clone(),
-                leader: self.leader.clone(),
-                seq: conn.hb_seq,
-                // The authenticated epoch lets the leader detect a missed
-                // PathUpdate and push a resync — without giving forgers a
-                // way to request one.
-                epoch: conn.group.as_ref().map_or(0, |g| g.epoch),
-            },
-        );
+        let env = conn.seal_up(up, &ping)?;
         self.obs.heartbeats.inc();
         Ok(env)
     }
@@ -973,44 +939,36 @@ impl MemberSession {
         self.obs.rejoins.inc();
     }
 
-    /// Seals application data for the group and returns the `GroupData`
-    /// envelope to send to the leader for relay.
+    /// Seals application data for the group under the session key and
+    /// returns the `GroupData` uplink to send to the leader, which
+    /// re-seals it once under the group key for every other member.
     ///
     /// # Errors
     ///
     /// [`CoreError::BadPhase`] if not connected or not yet welcomed;
     /// [`CoreError::Crypto`] if the nonce sequence is exhausted.
     pub fn send_group_data(&mut self, data: &[u8]) -> Result<Envelope, CoreError> {
+        let up = self.to_leader(MsgType::GroupData);
         let Phase::Connected(conn) = &mut self.phase else {
             return Err(CoreError::BadPhase {
                 operation: "send group data",
                 phase: "not connected",
             });
         };
-        let Some(group) = &conn.group else {
+        if conn.group.is_none() {
             return Err(CoreError::BadPhase {
                 operation: "send group data",
                 phase: "awaiting welcome",
             });
+        }
+        conn.data_seq += 1;
+        let plain = GroupDataPlain {
+            user: self.user.clone(),
+            leader: self.leader.clone(),
+            seq: conn.data_seq,
+            data: data.to_vec(),
         };
-        let aad = group_data_aad(&self.user, group.epoch, self.enclave.as_ref());
-        let nonce = conn.group_seq.next()?;
-        let cipher = enclaves_crypto::aead::ChaCha20Poly1305::new(group.key.as_bytes());
-        let ciphertext = cipher.seal(&nonce, data, &aad);
-        let wire = GroupDataWire {
-            epoch: group.epoch,
-            sealed: SealedBody {
-                nonce: *nonce.as_bytes(),
-                ciphertext,
-            },
-        };
-        Ok(Envelope {
-            msg_type: MsgType::GroupData,
-            sender: self.user.clone(),
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: encode(&wire),
-        })
+        conn.seal_up(up, &plain)
     }
 
     /// Leaves the session: returns the `ReqClose` envelope and transitions
@@ -1020,29 +978,18 @@ impl MemberSession {
     ///
     /// [`CoreError::BadPhase`] if not connected.
     pub fn leave(&mut self) -> Result<Envelope, CoreError> {
+        let up = self.to_leader(MsgType::ReqClose);
         let Phase::Connected(conn) = &mut self.phase else {
             return Err(CoreError::BadPhase {
                 operation: "leave",
                 phase: "not connected",
             });
         };
-        let mut env = Envelope {
-            msg_type: MsgType::ReqClose,
-            sender: self.user.clone(),
-            recipient: self.leader.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
         let plain = enclaves_wire::message::ClosePlain {
             user: self.user.clone(),
             leader: self.leader.clone(),
         };
-        env.body = seal(
-            conn.session_key.as_bytes(),
-            conn.send_seq.next()?,
-            &env.header_aad(),
-            &plain,
-        );
+        let env = conn.seal_up(up, &plain)?;
         self.phase = Phase::Closed;
         self.handshake_pending = None;
         self.obs.emit(|| EventKind::CloseRequested {
@@ -1056,7 +1003,8 @@ impl MemberSession {
 mod tests {
     use super::*;
     use enclaves_crypto::rng::SeededRng;
-    use enclaves_wire::message::{path_update_aad, PathUpdateWire};
+    use enclaves_wire::codec::encode;
+    use enclaves_wire::message::{path_update_aad, PathUpdateWire, SealedBody};
     use proptest::prelude::*;
 
     fn id(s: &str) -> ActorId {
@@ -1330,134 +1278,64 @@ mod tests {
 
     #[test]
     fn group_data_roundtrip_between_members() {
-        // Two members sharing a group key exchange data via sealed
-        // GroupData envelopes (as relayed by the leader).
-        let (mut alice, sk_a, n3_a) = connect();
-        let welcome = AdminPayload::Welcome {
-            members: Roster::from_iter([id("alice"), id("bob")]),
-            epoch: 2,
-            group_key: [7; 32],
-            iv: [1; 12],
-        };
-        alice
-            .handle(&admin_env(
-                &sk_a,
-                n3_a,
-                ProtocolNonce::from_bytes([1; 16]),
-                welcome,
-            ))
+        // Up: alice's data travels under her session key with a strictly
+        // increasing sequence, never under the group key.
+        let (key, iv) = ([7; 32], [1; 12]);
+        let (mut alice, sk, _) = connect_welcomed(2, key, iv);
+        for seq in 1..=2 {
+            let env = alice.send_group_data(b"hello bob").unwrap();
+            assert_eq!(env.msg_type, MsgType::GroupData);
+            let plain: GroupDataPlain = open(&sk, &env.header_aad(), &env.body).unwrap();
+            assert_eq!((plain.seq, &plain.data[..]), (seq, &b"hello bob"[..]));
+        }
+
+        // Down: the leader's relay of bob's data names bob as the origin.
+        let out = alice
+            .handle(&frame_from("bob", 2, 0, &key, &iv, b"hello alice"))
             .unwrap();
-
-        let env = alice.send_group_data(b"hello bob").unwrap();
-        assert_eq!(env.msg_type, MsgType::GroupData);
-
-        // Bob's side: simulate with a second session sharing the key. We
-        // hand-install the group view by replaying the same welcome.
-        let key_b = LongTermKey::derive_from_password("pw", "bob").unwrap();
-        let (mut bob, init_b) = MemberSession::start_with_key(
-            id("bob"),
-            id("leader"),
-            key_b.clone(),
-            Box::new(SeededRng::from_seed(8)),
-        );
-        let plain: AuthInitPlain =
-            open(key_b.as_bytes(), &init_b.header_aad(), &init_b.body).unwrap();
-        let mut kd_env = Envelope {
-            msg_type: MsgType::AuthKeyDist,
-            sender: id("leader"),
-            recipient: id("bob"),
-            group: None,
-            body: Vec::new(),
-        };
-        let sk_b = [0x55u8; 32];
-        let kd = KeyDistPlain {
-            leader: id("leader"),
-            user: id("bob"),
-            user_nonce: plain.nonce,
-            leader_nonce: ProtocolNonce::from_bytes([2; 16]),
-            session_key: sk_b,
-        };
-        kd_env.body = seal(
-            key_b.as_bytes(),
-            enclaves_crypto::nonce::AeadNonce::from_bytes([0xEE; 12]),
-            &kd_env.header_aad(),
-            &kd,
-        );
-        let out = bob.handle(&kd_env).unwrap();
-        let ack: NonceAckPlain = open(
-            &sk_b,
-            &out.reply.as_ref().unwrap().header_aad(),
-            &out.reply.as_ref().unwrap().body,
-        )
-        .unwrap();
-        let mut w_env = Envelope {
-            msg_type: MsgType::AdminMsg,
-            sender: id("leader"),
-            recipient: id("bob"),
-            group: None,
-            body: Vec::new(),
-        };
-        let w_plain = AdminPlain {
-            leader: id("leader"),
-            user: id("bob"),
-            user_nonce: ack.next_nonce,
-            leader_nonce: ProtocolNonce::from_bytes([3; 16]),
-            payload: AdminPayload::Welcome {
-                members: Roster::from_iter([id("alice"), id("bob")]),
-                epoch: 2,
-                group_key: [7; 32],
-                iv: [1; 12],
-            },
-        };
-        w_env.body = seal(
-            &sk_b,
-            enclaves_crypto::nonce::AeadNonce::from_bytes([0xDC; 12]),
-            &w_env.header_aad(),
-            &w_plain,
-        );
-        bob.handle(&w_env).unwrap();
-
-        // The leader relays Alice's envelope to Bob (recipient rewritten).
-        let relayed = Envelope {
-            recipient: id("bob"),
-            ..env
-        };
-        let out = bob.handle(&relayed).unwrap();
         assert_eq!(
             out.events,
-            vec![MemberEvent::GroupData {
-                from: id("alice"),
-                data: b"hello bob".to_vec()
+            vec![MemberEvent::Broadcast {
+                from: id("bob"),
+                epoch: 2,
+                seq: 0,
+                data: b"hello alice".to_vec(),
             }]
         );
+        // A frame naming alice herself as its origin is never delivered to
+        // her, and relabelling a frame's origin breaks its seal.
+        assert!(matches!(
+            alice.handle(&frame_from("alice", 2, 1, &key, &iv, b"echo")),
+            Err(CoreError::Rejected(RejectReason::WrongIdentity))
+        ));
+        let relabelled = Envelope {
+            sender: id("carol"),
+            ..frame_from("bob", 2, 1, &key, &iv, b"hello alice")
+        };
+        assert!(matches!(
+            alice.handle(&relabelled),
+            Err(CoreError::Rejected(RejectReason::BadSeal))
+        ));
     }
 
     #[test]
     fn group_data_wrong_epoch_rejected() {
-        let (mut session, sk, n3) = connect();
-        session
-            .handle(&admin_env(
-                &sk,
-                n3,
-                ProtocolNonce::from_bytes([1; 16]),
-                AdminPayload::Welcome {
-                    members: Roster::from_iter([id("alice")]),
-                    epoch: 2,
-                    group_key: [7; 32],
-                    iv: [1; 12],
-                },
-            ))
-            .unwrap();
-        let mut env = session.send_group_data(b"x").unwrap();
-        // Tamper the epoch field.
-        let mut wire: GroupDataWire = enclaves_wire::codec::decode(&env.body).unwrap();
+        let (key, iv) = ([7; 32], [1; 12]);
+        let (mut session, _, _) = connect_welcomed(2, key, iv);
+        // A relayed frame whose epoch field was rewritten names an epoch
+        // the member does not hold.
+        let mut env = frame_from("bob", 2, 0, &key, &iv, b"x");
+        let mut wire: GroupBroadcastWire = enclaves_wire::codec::decode(&env.body).unwrap();
         wire.epoch = 1;
         env.body = encode(&wire);
-        env.recipient = id("alice");
         assert!(matches!(
             session.handle(&env),
             Err(CoreError::Rejected(RejectReason::WrongEpoch))
         ));
+        // The untampered frame still delivers: the rejection moved nothing.
+        assert!(session
+            .handle(&frame_from("bob", 2, 0, &key, &iv, b"x"))
+            .is_ok());
     }
 
     #[test]
@@ -1540,12 +1418,25 @@ mod tests {
     /// nonce derived from the epoch IV and `seq`, AAD binding leader
     /// identity, epoch, and `seq`.
     fn broadcast_env(epoch: u64, seq: u64, key: &[u8; 32], iv: &[u8; 12], data: &[u8]) -> Envelope {
-        let aad = group_broadcast_aad(&id("leader"), epoch, seq, None);
+        frame_from("leader", epoch, seq, key, iv, data)
+    }
+
+    /// [`broadcast_env`] with `origin` as the sender and in the AAD: the
+    /// leader's relay of `origin`'s `GroupData`.
+    fn frame_from(
+        origin: &str,
+        epoch: u64,
+        seq: u64,
+        key: &[u8; 32],
+        iv: &[u8; 12],
+        data: &[u8],
+    ) -> Envelope {
+        let aad = group_broadcast_aad(&id(origin), epoch, seq, None);
         let nonce = broadcast_nonce(iv, seq);
         let ciphertext = ChaCha20Poly1305::new(key).seal(&nonce, data, &aad);
         Envelope {
             msg_type: MsgType::GroupBroadcast,
-            sender: id("leader"),
+            sender: id(origin),
             recipient: id("leader"),
             group: None,
             body: encode(&GroupBroadcastWire {
@@ -1641,6 +1532,7 @@ mod tests {
                         prop_assert_eq!(
                             &out.events,
                             &vec![MemberEvent::Broadcast {
+                                from: id("leader"),
                                 epoch,
                                 seq,
                                 data: format!("e{epoch}-s{seq}").into_bytes(),
@@ -1852,6 +1744,7 @@ mod tests {
                         prop_assert_eq!(
                             &out.events,
                             &vec![MemberEvent::Broadcast {
+                                from: id("leader"),
                                 epoch,
                                 seq,
                                 data: format!("e{epoch}-s{seq}").into_bytes(),

@@ -22,27 +22,19 @@ pub use leader::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput, LeaderTi
 pub use member::{MemberEvent, MemberOutput, MemberSession, SessionPhase};
 
 use enclaves_crypto::nonce::AeadNonce;
-use enclaves_crypto::sha256::sha256;
-use enclaves_wire::ActorId;
 
 /// AEAD nonce-sequence prefix for leader → member traffic under `K_a`.
 pub(crate) const SEQ_LEADER: [u8; 4] = *b"ldr>";
 /// AEAD nonce-sequence prefix for member → leader traffic under `K_a`.
 pub(crate) const SEQ_MEMBER: [u8; 4] = *b"mbr>";
 
-/// Per-sender AEAD nonce-sequence prefix for group-data traffic under the
-/// shared `K_g` (derived from the sender identity so members sharing the
-/// key never collide).
-pub(crate) fn group_seq_prefix(sender: &ActorId) -> [u8; 4] {
-    let digest = sha256(format!("enclaves-group-data:{sender}").as_bytes());
-    [digest[0], digest[1], digest[2], digest[3]]
-}
-
 /// AEAD nonce for the leader's data-plane broadcast `seq` in an epoch:
 /// the epoch IV with its last 8 bytes XORed with the big-endian sequence
 /// number. Distinct sequence numbers give distinct nonces under one
 /// `(key, IV)` pair, and the member re-derives the same nonce from the
 /// `(epoch, seq)` pair on the wire — no nonce bytes are transmitted.
+/// The leader is the only party that seals under `K_g` and draws every
+/// `seq` from one per-epoch counter, so no `(K_g, nonce)` pair repeats.
 pub(crate) fn broadcast_nonce(iv: &[u8; 12], seq: u64) -> AeadNonce {
     let mut bytes = *iv;
     for (dst, src) in bytes[4..].iter_mut().zip(seq.to_be_bytes()) {
@@ -54,15 +46,6 @@ pub(crate) fn broadcast_nonce(iv: &[u8; 12], seq: u64) -> AeadNonce {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn group_prefixes_differ_per_sender() {
-        let a = group_seq_prefix(&ActorId::new("alice").unwrap());
-        let b = group_seq_prefix(&ActorId::new("bob").unwrap());
-        assert_ne!(a, b);
-        // Deterministic.
-        assert_eq!(a, group_seq_prefix(&ActorId::new("alice").unwrap()));
-    }
 
     #[test]
     fn directional_prefixes_differ() {

@@ -50,7 +50,7 @@ use crate::journal::{
     genesis_for, label_for, JournalDir, JournalError, ReadMode, StreamInfo, StreamScan,
 };
 use crate::liveness::{Clock, LivenessConfig, RealClock};
-use crate::protocol::{LeaderCore, LeaderEvent, LeaderOutput};
+use crate::protocol::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput};
 use crate::CoreError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_net::{Frame, Listener, MuxEndpoint, MuxEvent, MuxToken};
@@ -152,15 +152,15 @@ impl GroupEntry {
         }
     }
 
-    /// Fans one shared frame out to every routed recipient as one
+    /// Fans one shared frame out to every routed target as one
     /// multicast: no per-recipient encoding or copying, and on the
     /// readiness loop one command and at most one wakeup for the roster.
-    fn dispatch_shared(&self, frame: &Frame, recipients: &Roster) {
+    fn dispatch_shared(&self, broadcast: &BroadcastFrame) {
         let routes = self.routes.lock();
-        let mut tokens = Vec::with_capacity(recipients.len());
-        tokens.extend(recipients.iter().filter_map(|r| routes.get(r).copied()));
+        let mut tokens = Vec::with_capacity(broadcast.recipients.len());
+        tokens.extend(broadcast.targets().filter_map(|r| routes.get(r).copied()));
         if !tokens.is_empty() {
-            let _ = self.front.multicast(tokens, Frame::clone(frame));
+            let _ = self.front.multicast(tokens, Frame::clone(&broadcast.frame));
         }
     }
 
@@ -229,10 +229,10 @@ impl GroupEntry {
             }
             _ => self.dispatch(addressed(output.outgoing), reply.map(|r| r.token)),
         }
-        // A tree-rekey PathUpdate rides the same send-order window: one
-        // sealed frame, fanned out as refcount bumps.
+        // A tree-rekey PathUpdate or a relayed GroupData rides the same
+        // send-order window: one sealed frame, fanned out as refcount bumps.
         for b in &output.broadcasts {
-            self.dispatch_shared(&b.frame, &b.recipients);
+            self.dispatch_shared(b);
         }
         Ok(())
     }
@@ -913,8 +913,7 @@ impl GroupHandle {
     /// empty).
     pub fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
         let broadcast = self.entry.core.lock().broadcast_group_data(data)?;
-        self.entry
-            .dispatch_shared(&broadcast.frame, &broadcast.recipients);
+        self.entry.dispatch_shared(&broadcast);
         Ok(BroadcastReceipt {
             epoch: broadcast.epoch,
             seq: broadcast.seq,
@@ -1006,11 +1005,12 @@ impl ConnCtx {
         };
         // Bind this connection to the claimed identity only on messages
         // whose acceptance proves *freshness* (AuthAckKey/Ack echo a
-        // one-time nonce under the session key). Accepted-but-replayable
-        // messages (GroupData, duplicate AuthInitReq answered from the ARQ
-        // cache) must NOT bind, or an attacker replaying a captured frame
-        // from its own connection could capture the member's route — a
-        // denial of service.
+        // one-time nonce under the session key). An accepted-but-replayable
+        // message (a duplicate AuthInitReq answered from the ARQ cache)
+        // must NOT bind, or an attacker replaying a captured frame from its
+        // own connection could capture the member's route — a denial of
+        // service. (A replayed GroupData or Heartbeat is refused outright:
+        // both carry a strictly increasing sequence under the session key.)
         let proves_freshness = matches!(env.msg_type, MsgType::AuthAckKey | MsgType::Ack);
         let bound = self
             .bound

@@ -33,14 +33,16 @@ pub enum MsgType {
     Ack = 5,
     /// `A → L`: session close request.
     ReqClose = 6,
-    /// Member ↔ L: application data sealed under the group key; the leader
-    /// relays it to every other member (Figure 1's leader-mediated
-    /// multicast).
+    /// `A → L`: application data for the group, sealed under `K_a` with a
+    /// strictly increasing sequence ([`GroupDataPlain`]). The leader
+    /// re-seals it once as a `GroupBroadcast` from `A` to every other
+    /// member (Figure 1's leader-mediated multicast).
     GroupData = 7,
-    /// `L → *`: leader-originated group broadcast sealed **once** under the
-    /// group key and fanned out to the whole roster as the same frame. The
-    /// nonce is derived from the epoch IV and the `seq` counter, so the
-    /// body carries only `(epoch, seq, ciphertext)` — see
+    /// `L → *`: group data sealed **once** under the group key, by the
+    /// leader only, and fanned out as the same frame — the leader's own
+    /// broadcasts and its relays of members' `GroupData` alike. The nonce
+    /// is derived from the epoch IV and the `seq` counter, so the body
+    /// carries only `(epoch, seq, ciphertext)` — see
     /// [`GroupBroadcastWire`].
     GroupBroadcast = 8,
     /// Member ↔ L: liveness heartbeat (sealed under `K_a`). A member
@@ -614,37 +616,6 @@ impl Decode for AdminPlain {
     }
 }
 
-/// Wire form of a `GroupData` body: the epoch tag plus the sealed
-/// application payload.
-///
-/// Group data is sealed under the group key with
-/// [`group_data_aad`]-derived associated data (sender + epoch, *not* the
-/// recipient) so the leader can relay one sealed body to every member
-/// without re-encryption.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GroupDataWire {
-    /// The group-key epoch this data was sealed under.
-    pub epoch: u64,
-    /// The sealed application bytes.
-    pub sealed: SealedBody,
-}
-
-impl Encode for GroupDataWire {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.epoch);
-        self.sealed.encode(w);
-    }
-}
-
-impl Decode for GroupDataWire {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GroupDataWire {
-            epoch: r.take_u64()?,
-            sealed: SealedBody::decode(r)?,
-        })
-    }
-}
-
 /// Appends the multicast AAD group-binding suffix: a presence byte, then
 /// the group id when there is one. Multicast receivers derive the group
 /// from their *own* configuration (not from the attacker-controlled
@@ -660,28 +631,14 @@ fn put_group(w: &mut Writer, group: Option<&GroupId>) {
     }
 }
 
-/// Associated data for group-data seals: binds the original sender, the
-/// key epoch, and the enclave — but not the recipient (group data is
-/// multicast).
-#[must_use]
-pub fn group_data_aad(sender: &ActorId, epoch: u64, group: Option<&GroupId>) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(MsgType::GroupData as u8);
-    sender.encode(&mut w);
-    w.put_u64(epoch);
-    put_group(&mut w, group);
-    w.finish()
-}
-
 /// Wire form of a `GroupBroadcast` body: `(epoch, seq, ciphertext)`.
 ///
-/// Unlike [`GroupDataWire`] there is no explicit nonce on the wire: both
-/// sides derive it from the epoch IV and `seq` (see
-/// `broadcast_nonce` in the core crate), so the frame carries only the
-/// epoch tag, the per-epoch sequence number, and `ciphertext || tag`.
-/// The leader seals the payload once and fans the identical encoded
-/// frame out to the whole roster; `seq` doubles as the members'
-/// replay/reordering watermark.
+/// There is no explicit nonce on the wire: both sides derive it from the
+/// epoch IV and `seq` (see `broadcast_nonce` in the core crate), so the
+/// frame carries only the epoch tag, the per-epoch sequence number, and
+/// `ciphertext || tag`. The leader seals the payload once and fans the
+/// identical encoded frame out to the recipients; `seq` doubles as the
+/// members' replay/reordering watermark.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GroupBroadcastWire {
     /// The group-key epoch this broadcast was sealed under.
@@ -711,19 +668,20 @@ impl Decode for GroupBroadcastWire {
     }
 }
 
-/// Associated data for group-broadcast seals: binds the originating
-/// leader, the key epoch, the sequence number, and the enclave — but not
-/// the recipient, since the identical frame goes to every member.
+/// Associated data for group-broadcast seals: binds the origin (the
+/// leader for its own broadcasts, the member for a relayed `GroupData`),
+/// the key epoch, the sequence number, and the enclave — but not the
+/// recipient, since the identical frame goes to every member.
 #[must_use]
 pub fn group_broadcast_aad(
-    leader: &ActorId,
+    origin: &ActorId,
     epoch: u64,
     seq: u64,
     group: Option<&GroupId>,
 ) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u8(MsgType::GroupBroadcast as u8);
-    leader.encode(&mut w);
+    origin.encode(&mut w);
     w.put_u64(epoch);
     w.put_u64(seq);
     put_group(&mut w, group);
@@ -1075,6 +1033,44 @@ impl Decode for HeartbeatPlain {
     }
 }
 
+/// Plaintext of `GroupData`: `{A, L, seq, data}` (sealed under `K_a`).
+///
+/// `seq` strictly increases per session, as a heartbeat's does: the
+/// leader refuses a sequence at or below the last one it accepted before
+/// it touches any state, so a replayed uplink is neither relayed again
+/// nor counted as proof of life.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct GroupDataPlain {
+    /// The user.
+    pub user: ActorId,
+    /// The leader.
+    pub leader: ActorId,
+    /// Uplink sequence number.
+    pub seq: u64,
+    /// The application bytes.
+    pub data: Vec<u8>,
+}
+
+impl Encode for GroupDataPlain {
+    fn encode(&self, w: &mut Writer) {
+        self.user.encode(w);
+        self.leader.encode(w);
+        w.put_u64(self.seq);
+        w.put_bytes(&self.data);
+    }
+}
+
+impl Decode for GroupDataPlain {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(GroupDataPlain {
+            user: ActorId::decode(r)?,
+            leader: ActorId::decode(r)?,
+            seq: r.take_u64()?,
+            data: r.take_bytes()?.to_vec(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1200,14 +1196,6 @@ mod tests {
         let ops = ops();
         let eng = GroupId::new("eng").unwrap();
         assert_ne!(
-            group_data_aad(&alice(), 3, Some(&ops)),
-            group_data_aad(&alice(), 3, Some(&eng))
-        );
-        assert_ne!(
-            group_data_aad(&alice(), 3, Some(&ops)),
-            group_data_aad(&alice(), 3, None)
-        );
-        assert_ne!(
             group_broadcast_aad(&leader(), 3, 9, Some(&ops)),
             group_broadcast_aad(&leader(), 3, 9, Some(&eng))
         );
@@ -1308,6 +1296,15 @@ mod tests {
         };
         let body = seal(&key, n, aad, &hb);
         assert_eq!(open::<HeartbeatPlain>(&key, aad, &body).unwrap(), hb);
+
+        let data = GroupDataPlain {
+            user: alice(),
+            leader: leader(),
+            seq: 7,
+            data: b"for the group".to_vec(),
+        };
+        let body = seal(&key, n, aad, &data);
+        assert_eq!(open::<GroupDataPlain>(&key, aad, &body).unwrap(), data);
     }
 
     #[test]
@@ -1591,8 +1588,6 @@ mod tests {
         assert_ne!(base, group_broadcast_aad(&alice(), 3, 9, None));
         assert_ne!(base, group_broadcast_aad(&leader(), 4, 9, None));
         assert_ne!(base, group_broadcast_aad(&leader(), 3, 10, None));
-        // Distinct from the member-originated group-data AAD domain.
-        assert_ne!(base, group_data_aad(&leader(), 3, None));
     }
 
     /// The three-buffer composition `seal` used to be: encode the

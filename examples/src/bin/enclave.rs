@@ -195,7 +195,7 @@ fn run_member(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     std::thread::spawn(move || {
         while let Ok(event) = events.recv() {
             match event {
-                MemberEvent::GroupData { from, data } => {
+                MemberEvent::Broadcast { from, data, .. } if from.as_str() != "leader" => {
                     println!("<{from}> {}", String::from_utf8_lossy(&data));
                 }
                 MemberEvent::Broadcast { data, .. } => {

@@ -6,8 +6,10 @@
 //! handshake and admin frames), then pushes a traffic burst through
 //! duplicating, reordering wires. The protocol's replay defenses double
 //! as idempotence under network faults: duplicated admin messages are
-//! re-acknowledged from the ARQ cache rather than double-applied, and the
-//! stop-and-wait nonce chain serializes reordered admin traffic.
+//! re-acknowledged from the ARQ cache rather than double-applied, the
+//! stop-and-wait nonce chain serializes reordered admin traffic, and the
+//! group data the leader relays rides the broadcast watermark, so a
+//! duplicated or overtaken relay is dropped rather than delivered twice.
 //!
 //! ```text
 //! cargo run -p enclaves-examples --bin lossy_network
@@ -19,6 +21,7 @@ use enclaves_core::protocol::MemberEvent;
 use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
+use std::collections::HashSet;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -105,38 +108,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     members[0].send_group_data(b"flush")?;
     members[1].send_group_data(b"flush")?;
 
-    // Collect bob's view until everything arrived.
+    // Collect bob's view until every admin broadcast and alice's flush
+    // arrived.
     let mut admin_heard = 0;
-    let mut data_heard = 0;
+    let mut data = Vec::new();
     let deadline = std::time::Instant::now() + WAIT;
-    while (admin_heard < BURST + 1 || data_heard < BURST + 1)
+    while (admin_heard < BURST + 1 || !data.iter().any(|d| d == b"flush"))
         && std::time::Instant::now() < deadline
     {
         if let Ok(event) = members[1].events().recv_timeout(Duration::from_millis(100)) {
             match event {
                 MemberEvent::AdminData(_) => admin_heard += 1,
-                MemberEvent::GroupData { .. } => data_heard += 1,
+                MemberEvent::Broadcast { data: d, .. } => data.push(d),
                 _ => {}
             }
         }
     }
+    let distinct: HashSet<&Vec<u8>> = data.iter().collect();
 
     println!("network counters:\n{}", net.obs_registry().snapshot());
     println!(
         "bob applied {admin_heard}/{} admin broadcasts exactly once \
          (duplicates rejected as replays: {} rejections) and received \
-         {data_heard} group-data frames (duplicates visible to the app)",
+         {}/{} of alice's group-data payloads, each at most once",
         BURST + 1,
-        bob.snapshot().counter("member.rejected")
+        bob.snapshot().counter("member.rejected"),
+        data.len(),
+        BURST + 1
     );
     assert_eq!(
         admin_heard,
         BURST + 1,
         "every admin broadcast must be applied exactly once"
     );
+    assert_eq!(
+        distinct.len(),
+        data.len(),
+        "each group-data payload must arrive at most once"
+    );
     assert!(
-        data_heard > BURST,
-        "all group data must arrive (possibly duplicated)"
+        distinct.contains(&b"flush".to_vec()),
+        "the post-flush group-data payload must arrive"
     );
 
     for member in members {

@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::thread::sleep(Duration::from_millis(10));
     }
     members[0].send_group_data(b"hello from pk-auth")?;
-    let event = members[1].wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))?;
-    if let MemberEvent::GroupData { from, data } = event {
+    let event = members[1].wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))?;
+    if let MemberEvent::Broadcast { from, data, .. } = event {
         println!(
             "bob received {:?} from {from}",
             String::from_utf8_lossy(&data)

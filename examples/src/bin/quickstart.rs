@@ -84,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    sealed under the shared group key.
     members[0].send_group_data(b"hello, enclave!")?;
     for (user, member) in users.iter().zip(&members).skip(1) {
-        let event = member.wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))?;
-        if let MemberEvent::GroupData { from, data } = event {
+        let event = member.wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))?;
+        if let MemberEvent::Broadcast { from, data, .. } = event {
             println!(
                 "  {user:6} received {:?} from {from}",
                 String::from_utf8_lossy(&data)

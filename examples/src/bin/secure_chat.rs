@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if i == j {
                 continue;
             }
-            let event = other.wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))?;
-            if let MemberEvent::GroupData { data, .. } = event {
+            let event = other.wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))?;
+            if let MemberEvent::Broadcast { data, .. } = event {
                 if j == (i + 1) % users.len() {
                     println!("  {:6} heard: {}", users[j], String::from_utf8_lossy(&data));
                 }
@@ -105,8 +105,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Chat continues without dave.
     members[0].send_group_data(b"<alice> just us now")?;
-    let event = members[1].wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))?;
-    if let MemberEvent::GroupData { data, .. } = event {
+    let event = members[1].wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))?;
+    if let MemberEvent::Broadcast { data, .. } = event {
         println!("  bob    heard: {}", String::from_utf8_lossy(&data));
     }
 

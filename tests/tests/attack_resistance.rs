@@ -142,9 +142,9 @@ fn garbage_flood_does_not_break_sessions() {
     // Group communication still works in both directions.
     alice.send_group_data(b"still here").unwrap();
     let event = bob
-        .wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))
+        .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
         .unwrap();
-    assert!(matches!(event, MemberEvent::GroupData { data, .. } if data == b"still here"));
+    assert!(matches!(event, MemberEvent::Broadcast { data, .. } if data == b"still here"));
     world.leader.broadcast(b"all good").unwrap();
     alice
         .wait_event(WAIT, |e| matches!(e, MemberEvent::AdminData(_)))

@@ -133,10 +133,10 @@ fn group_data_fans_out_to_everyone_but_the_sender() {
             continue;
         }
         let event = member
-            .wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))
+            .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
             .unwrap();
         match event {
-            MemberEvent::GroupData { from, data } => {
+            MemberEvent::Broadcast { from, data, .. } => {
                 assert_eq!(from, id("b"));
                 assert_eq!(data, b"from b");
             }
@@ -147,7 +147,7 @@ fn group_data_fans_out_to_everyone_but_the_sender() {
     assert!(members[1]
         .wait_event(Duration::from_millis(100), |e| matches!(
             e,
-            MemberEvent::GroupData { .. }
+            MemberEvent::Broadcast { .. }
         ))
         .is_err());
     world.service.shutdown();

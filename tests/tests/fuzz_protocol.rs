@@ -6,9 +6,12 @@
 //! mutates state), which lets one shared world absorb every generated
 //! case.
 
-use enclaves_bench::{leader_id, member_id, FanoutGroup, ImprovedGroup};
-use enclaves_core::config::RekeyPolicy;
-use enclaves_core::protocol::MemberEvent;
+use enclaves_bench::{cheap_member_key, leader_id, member_id, pump, FanoutGroup, ImprovedGroup};
+use enclaves_core::config::{LeaderConfig, RekeyPolicy};
+use enclaves_core::directory::Directory;
+use enclaves_core::liveness::LivenessConfig;
+use enclaves_core::protocol::{LeaderCore, MemberEvent, MemberSession};
+use enclaves_crypto::rng::SeededRng;
 use enclaves_wire::codec::{decode, encode, Decode, Reader};
 use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, SealedBody};
 use enclaves_wire::{ActorId, Roster};
@@ -17,12 +20,14 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
-/// A joined 2-member world plus a captured valid AdminMsg and GroupData
-/// frame (as encoded bytes).
+/// A joined 2-member world plus a captured valid AdminMsg, `GroupData`
+/// uplink and relayed `GroupBroadcast` frame (as encoded bytes), none of
+/// them delivered.
 struct Fixture {
     world: ImprovedGroup,
     valid_admin: Vec<u8>,
     valid_group_data: Vec<u8>,
+    valid_relay: Vec<u8>,
 }
 
 fn fixture() -> &'static Mutex<Fixture> {
@@ -41,10 +46,15 @@ fn fixture() -> &'static Mutex<Fixture> {
         // Settle the rest so the world stays consistent.
         world.settle(out.outgoing);
         let valid_group_data = encode(&world.members[1].send_group_data(b"gd").unwrap());
+        // Member 0's data as the leader relays it to member 1.
+        let uplink = world.members[0].send_group_data(b"relayed").unwrap();
+        let relay = world.leader.handle(&uplink).unwrap();
+        let valid_relay = relay.broadcasts[0].frame.to_vec();
         Mutex::new(Fixture {
             world,
             valid_admin,
             valid_group_data,
+            valid_relay,
         })
     })
 }
@@ -82,29 +92,36 @@ proptest! {
         prop_assert_eq!(snapshot(&fx), before);
     }
 
-    /// Same for GroupData frames, at the leader (relay guard) and at a
-    /// member.
+    /// Same for member group data: a mutated uplink is never relayed by
+    /// the leader, and a mutated relay is never delivered by a member.
     #[test]
-    fn bitflipped_group_data_is_inert(byte_idx in 0usize..4096, bit in 0u8..8) {
+    fn bitflipped_group_data_is_inert(
+        byte_idx in 0usize..4096,
+        bit in 0u8..8,
+        relayed in any::<bool>(),
+    ) {
         let mut fx = fixture().lock().unwrap();
         let before = snapshot(&fx);
-        let mut frame = fx.valid_group_data.clone();
+        let mut frame = if relayed {
+            fx.valid_relay.clone()
+        } else {
+            fx.valid_group_data.clone()
+        };
         let idx = byte_idx % frame.len();
         frame[idx] ^= 1 << bit;
 
         if let Ok(env) = decode::<Envelope>(&frame) {
-            if env.recipient.as_str() == "leader" {
-                match fx.world.leader.handle(&env) {
-                    Ok(out) => {
-                        // Only the pristine frame relays; a mutation that
-                        // leaves the AEAD intact cannot exist.
-                        prop_assert!(
-                            frame == fx.valid_group_data || out.events.is_empty(),
-                            "mutated group data relayed"
-                        );
-                    }
-                    Err(e) => prop_assert!(e.is_rejection(), "unexpected error class: {e}"),
-                }
+            let effects = if relayed {
+                fx.world.members[1].handle(&env).map(|out| out.events.len())
+            } else {
+                fx.world
+                    .leader
+                    .handle(&env)
+                    .map(|out| out.events.len() + out.broadcasts.len() + out.outgoing.len())
+            };
+            match effects {
+                Ok(n) => prop_assert_eq!(n, 0, "mutated group data took effect"),
+                Err(e) => prop_assert!(e.is_rejection(), "unexpected error class: {e}"),
             }
         }
         prop_assert_eq!(snapshot(&fx), before);
@@ -203,6 +220,87 @@ fn truncated_frames_are_inert() {
         }
     }
     assert_eq!(snapshot(&fx), before);
+}
+
+/// Every single-bit flip of a `GroupData` uplink, then of its relay, on a
+/// fresh world: no flipped uplink is relayed or refreshes its sender's
+/// liveness anchor, no flipped relay is delivered, and afterwards the
+/// pristine frames still go through — so no flip moved the leader's
+/// uplink sequence or the receiver's broadcast watermark.
+#[test]
+fn every_bit_flip_of_group_data_leaves_sequence_and_watermark_alone() {
+    let mut directory = Directory::new();
+    for i in 0..2 {
+        directory.register_key(&member_id(i), cheap_member_key(i));
+    }
+    let config = LeaderConfig {
+        rekey_policy: RekeyPolicy::Manual,
+        liveness: LivenessConfig {
+            liveness_timeout: Some(Duration::from_secs(10)),
+            ..LivenessConfig::default()
+        },
+        ..LeaderConfig::default()
+    };
+    let mut leader = LeaderCore::with_rng(
+        leader_id(),
+        directory,
+        config,
+        Box::new(SeededRng::from_seed(5)),
+    );
+    let mut members = Vec::new();
+    for i in 0..2 {
+        let (session, init) = MemberSession::start_with_key(
+            member_id(i),
+            leader_id(),
+            cheap_member_key(i),
+            Box::new(SeededRng::from_seed(50 + i as u64)),
+        );
+        members.push(session);
+        pump(&mut leader, &mut members, init);
+    }
+    let flips = |frame: &[u8]| -> Vec<Envelope> {
+        (0..frame.len() * 8)
+            .filter_map(|i| {
+                let mut flipped = frame.to_vec();
+                flipped[i / 8] ^= 1 << (i % 8);
+                decode::<Envelope>(&flipped).ok()
+            })
+            .collect()
+    };
+
+    // Member 0 joined at t = 0 and is silent since. Flipped uplinks arrive
+    // at t = 5 s: had one refreshed its anchor, the tick at 12 s would not
+    // name it.
+    let uplink = members[0].send_group_data(b"flip me").unwrap();
+    for env in flips(&encode(&uplink)) {
+        match leader.handle_at(&env, Duration::from_secs(5)) {
+            Ok(out) => assert!(
+                out.events.is_empty() && out.broadcasts.is_empty() && out.outgoing.is_empty(),
+                "a flipped uplink took effect"
+            ),
+            Err(e) => assert!(e.is_rejection(), "unexpected error class: {e}"),
+        }
+    }
+    let now = Duration::from_secs(12);
+    assert!(leader.tick(now).evict.contains(&member_id(0)));
+    let out = leader
+        .handle_at(&uplink, now)
+        .expect("the pristine uplink relays");
+    let relay = out.broadcasts[0].frame.to_vec();
+
+    for env in flips(&relay) {
+        match members[1].handle(&env) {
+            Ok(out) => assert!(out.events.is_empty(), "a flipped relay was delivered"),
+            Err(e) => assert!(e.is_rejection(), "unexpected error class: {e}"),
+        }
+    }
+    let out = members[1]
+        .handle(&decode(&relay).unwrap())
+        .expect("the pristine relay delivers");
+    assert!(matches!(
+        &out.events[..],
+        [MemberEvent::Broadcast { from, data, .. }] if *from == member_id(0) && data == b"flip me"
+    ));
 }
 
 /// Header-swap: re-addressing or re-labeling the valid frame must break

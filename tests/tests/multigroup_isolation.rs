@@ -8,9 +8,10 @@
 //!
 //! For every generated pair, every kind of sealed frame group A can
 //! produce — stop-and-wait admin fan-out, fire-and-forget group-data
-//! broadcast, tree-rekey `PathUpdate` multicast, and both heartbeat
-//! directions — is fed verbatim to group B's members (and B's leader,
-//! for the member→leader direction). Each one must be rejected as
+//! broadcast, a member's group-data uplink and its relay, tree-rekey
+//! `PathUpdate` multicast, and both heartbeat directions — is fed
+//! verbatim to group B's members (and B's leader, for the member→leader
+//! direction). Each one must be rejected as
 //! [`RejectReason::WrongEnclave`] with zero state change and zero
 //! events.
 
@@ -46,7 +47,7 @@ fn drive(leader: &mut LeaderCore, members: &mut [MemberSession], first: Envelope
                 let benv: Envelope = decode(&b.frame).expect("own multicast");
                 for m in members
                     .iter_mut()
-                    .filter(|m| b.recipients.contains(m.user()))
+                    .filter(|m| b.targets().any(|t| t == m.user().as_str()))
                 {
                     if let Ok(mo) = m.handle(&benv) {
                         queue.extend(mo.reply);
@@ -114,23 +115,32 @@ fn assert_member_rejects(member: &mut MemberSession, env: &Envelope, what: &str)
     );
 }
 
-/// Asserts `env` is dead on arrival at `leader`.
+/// Asserts `env` is dead on arrival at `leader`: no roster or epoch
+/// movement, and no counter but `leader.rejected` moves.
 fn assert_leader_rejects(leader: &mut LeaderCore, env: &Envelope, what: &str) {
     let roster_before = leader.roster();
     let epoch_before = leader.epoch();
+    let mut counters = leader.obs_registry().snapshot().counters;
     match leader.handle(env) {
         Err(CoreError::Rejected(RejectReason::WrongEnclave)) => {}
         other => panic!("{what}: expected WrongEnclave rejection, got {other:?}"),
     }
     assert_eq!(leader.roster(), roster_before, "{what}: roster moved");
     assert_eq!(leader.epoch(), epoch_before, "{what}: epoch moved");
+    *counters.entry("leader.rejected".into()).or_default() += 1;
+    assert_eq!(
+        leader.obs_registry().snapshot().counters,
+        counters,
+        "{what}: counters moved"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every sealed frame group A emits — admin fan-out, group-data
-    /// broadcast, `PathUpdate`, heartbeat ping and pong — bounces off
+    /// broadcast, group-data uplink and relay, `PathUpdate`, heartbeat
+    /// ping and pong — bounces off
     /// every member of group B (and B's leader, for member→leader
     /// frames), even though B's cast is byte-identical to A's.
     #[test]
@@ -175,6 +185,17 @@ proptest! {
             assert_member_rejects(member, &data_env, "group-data broadcast");
         }
 
+        // Member group data: the uplink under the member's session key,
+        // then the leader's one-seal relay of it to the other members.
+        let uplink = a.members[0].send_group_data(&payload).expect("welcomed member");
+        assert_leader_rejects(&mut b.leader, &uplink, "group-data uplink");
+        let relayed = a.leader.handle(&uplink).expect("own uplink accepted");
+        let relay = relayed.broadcasts.first().expect("one relay frame");
+        let relay_env: Envelope = decode(&relay.frame).expect("self-produced frame");
+        for member in &mut b.members {
+            assert_member_rejects(member, &relay_env, "relayed group data");
+        }
+
         // Tree-rekey `PathUpdate` multicast.
         let rekey = a.leader.rekey_now().expect("manual rekey");
         let path = rekey
@@ -190,6 +211,8 @@ proptest! {
         // the rejections above prove isolation, not broken frames.
         let out = a.members[0].handle(&data_env).expect("own broadcast accepted");
         prop_assert!(!out.events.is_empty(), "own group-data must deliver");
+        let out = a.members[1].handle(&relay_env).expect("own relay accepted");
+        prop_assert!(!out.events.is_empty(), "own relayed data must deliver");
     }
 }
 

@@ -10,6 +10,7 @@
 //! * names — the README's metric glossary lists exactly the metrics the
 //!   leader, member and simulator registries declare.
 
+use enclaves_bench::FanoutGroup;
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderCore, LeaderEvent, MemberEvent, MemberSession};
@@ -20,7 +21,10 @@ use enclaves_model::system::{GlobalMove, Scenario, SystemState};
 use enclaves_model::user::UserMove;
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_obs::EventStream;
-use enclaves_verify::obs::model_event_kind;
+use enclaves_verify::live::{BroadcastUniquenessChecker, LiveChecker, LiveEvent};
+use enclaves_verify::obs::{model_event_kind, obs_trace};
+use enclaves_wire::codec::decode;
+use enclaves_wire::message::Envelope;
 use enclaves_wire::ActorId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -263,6 +267,58 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
     assert!(first_index("AdminSend") < first_index("AdminDeliver"));
     assert!(first_index("DataSend") < first_index("DataDeliver"));
     assert!(first_index("Rekeyed") < first_index("KeyChanged"));
+}
+
+/// Relayed member data is on the live oracle's books: the relay emits a
+/// `DataSend` naming every member but the origin and each relayed
+/// delivery a `DataDeliver`, so the data-plane checker passes an honest
+/// run in which the network duplicates the relay, and catches a receiver
+/// whose watermark is sabotaged into delivering it twice.
+#[test]
+fn relayed_member_data_reaches_the_live_oracle() {
+    for sabotage in [false, true] {
+        let mut world = FanoutGroup::new(3);
+        let stream = EventStream::new();
+        world.leader.set_event_stream(stream.clone());
+        for member in &mut world.members {
+            member.set_event_stream(stream.clone());
+        }
+        if sabotage {
+            world.members[1].disable_broadcast_watermark_for_tests();
+        }
+        let uplink = world.members[0].send_group_data(b"from m0").unwrap();
+        let out = world.leader.handle(&uplink).unwrap();
+        let relay = &out.broadcasts[0];
+        let env: Envelope = decode(&relay.frame).unwrap();
+        for member in &mut world.members[1..] {
+            for _ in 0..2 {
+                let _ = member.handle(&env);
+            }
+        }
+
+        let trace = obs_trace(&stream.events());
+        assert!(trace.contains(&LiveEvent::DataSend {
+            epoch: relay.epoch,
+            seq: relay.seq,
+            payload: b"from m0".to_vec(),
+            recipients: vec!["m1".into(), "m2".into()],
+        }));
+        let delivered = trace
+            .iter()
+            .filter(|e| matches!(e, LiveEvent::DataDeliver { .. }))
+            .count();
+        let violations = BroadcastUniquenessChecker.check(&trace);
+        if sabotage {
+            assert_eq!(delivered, 3);
+            assert!(
+                violations.iter().any(|v| v.detail.contains("twice")),
+                "{violations:?}"
+            );
+        } else {
+            assert_eq!(delivered, 2);
+            assert!(violations.is_empty(), "{violations:?}");
+        }
+    }
 }
 
 /// Every metric a fresh `LeaderCore`, `MemberSession` or `SimNet`

@@ -92,9 +92,9 @@ fn pk_authenticated_group_works_end_to_end() {
 
     alice.send_group_data(b"pk hello").unwrap();
     let event = bob
-        .wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))
+        .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
         .unwrap();
-    assert!(matches!(event, MemberEvent::GroupData { data, .. } if data == b"pk hello"));
+    assert!(matches!(event, MemberEvent::Broadcast { data, .. } if data == b"pk hello"));
 
     bob.leave().unwrap();
     alice

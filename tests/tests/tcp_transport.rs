@@ -133,15 +133,15 @@ fn group_over_loopback_readiness_loop() {
     // Bidirectional group data over TCP.
     alice.send_group_data(b"over tcp").unwrap();
     let event = bob
-        .wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))
+        .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
         .unwrap();
-    assert!(matches!(event, MemberEvent::GroupData { data, .. } if data == b"over tcp"));
+    assert!(matches!(event, MemberEvent::Broadcast { data, .. } if data == b"over tcp"));
 
     bob.send_group_data(b"ack over tcp").unwrap();
     let event = alice
-        .wait_event(WAIT, |e| matches!(e, MemberEvent::GroupData { .. }))
+        .wait_event(WAIT, |e| matches!(e, MemberEvent::Broadcast { .. }))
         .unwrap();
-    assert!(matches!(event, MemberEvent::GroupData { data, .. } if data == b"ack over tcp"));
+    assert!(matches!(event, MemberEvent::Broadcast { data, .. } if data == b"ack over tcp"));
 
     bob.leave().unwrap();
     alice
