@@ -4,10 +4,14 @@
 //! crate throws *live* threaded sessions into the weather the model never
 //! sees — seeded schedules of joins, leaves, expels, rekeys, broadcasts,
 //! partitions, heals, crashes, and reconnects over a fault-injecting
-//! network — while recording every application-level send and delivery
-//! into a [`enclaves_verify::live::LiveEvent`] trace. After the run, the
-//! network is healed, the system is driven to quiescence, and the trace is
-//! replayed through the same property predicates the model checker uses.
+//! network — with the leader and every member emitting onto one shared
+//! `enclaves_obs::EventStream`. After the run, the network is healed and
+//! the system driven to quiescence; the stream, projected onto the
+//! [`enclaves_verify::live::LiveEvent`] vocabulary with the driver's
+//! fault markers merged in, is replayed through the same property
+//! predicates the model checker uses. The driver records nothing the
+//! product can say itself: only the faults it injected and the
+//! end-of-run snapshot.
 //!
 //! The moving parts:
 //!
@@ -17,8 +21,9 @@
 //!   [`SimFabric`] (in-process simulator with partitions, kills, and every
 //!   probabilistic fault) and [`TcpProxyFabric`] (real TCP through an
 //!   adversarial proxy, for transport parity).
-//! * [`world`] — the driver: spawns leader + members, executes a schedule,
-//!   finalizes (heal → quiesce → probe), and returns the verdict.
+//! * [`world`] — the driver: spawns leader + members on one event stream,
+//!   executes a schedule, finalizes (heal → quiesce → probe), and returns
+//!   the verdict.
 //! * [`shrink`] — on failure, binary-searches the minimal failing schedule
 //!   prefix and prints the seed + schedule needed to reproduce it.
 //!

@@ -107,7 +107,6 @@ mod tests {
                 trace: Vec::new(),
                 snapshot: enclaves_obs::Snapshot::default(),
                 obs_events: Vec::new(),
-                obs_violations: Vec::new(),
             }
         }
     }
@@ -137,7 +136,6 @@ mod tests {
             trace: Vec::new(),
             snapshot: enclaves_obs::Snapshot::default(),
             obs_events: Vec::new(),
-            obs_violations: Vec::new(),
         })
         .is_none());
     }

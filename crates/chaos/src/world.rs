@@ -1,23 +1,21 @@
 //! The chaos driver: spawns a live leader and a cast of members on a
-//! [`Fabric`], executes a [`Schedule`], records every application-level
-//! send/delivery into a live trace, finalizes the run (calm → heal →
-//! quiesce → probe), and hands the trace to the §5.4 oracle.
+//! [`Fabric`] with one shared event stream, executes a [`Schedule`],
+//! finalizes the run (calm → heal → quiesce → probe), and hands the
+//! stream — plus the fault markers only the driver knows — to the §5.4
+//! oracle.
 
 use crate::fabric::{Fabric, SimFabric};
 use crate::schedule::{ChaosEvent, Schedule};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::liveness::{Clock, LivenessConfig, VirtualClock};
-use enclaves_core::protocol::{LeaderEvent, MemberEvent};
 use enclaves_core::runtime::{
     GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
-use enclaves_obs::{EventStream, ProtocolEvent, Registry, Snapshot};
+use enclaves_obs::{EventKind, EventStream, ProtocolEvent, Registry, Snapshot};
 use enclaves_verify::live::{check_trace, LiveEvent, Violation};
-use enclaves_verify::obs::obs_trace;
+use enclaves_verify::obs::live_event;
 use enclaves_wire::{ActorId, GroupId};
-use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -117,7 +115,9 @@ fn chaos_liveness(seed: u64) -> LivenessConfig {
 pub struct ChaosOutcome {
     /// Violations the oracle found (empty = the paper's properties held).
     pub violations: Vec<Violation>,
-    /// The full live trace.
+    /// The trace the oracle checked: [`ChaosOutcome::obs_events`]
+    /// projected onto the live vocabulary, with the driver's fault
+    /// markers and `Final` snapshot merged in where it recorded them.
     pub trace: Vec<LiveEvent>,
     /// Merged metrics from every component of the run: the fabric's
     /// `net.*` counters ([`Fabric::net_snapshot`], empty on a fabric that
@@ -127,19 +127,13 @@ pub struct ChaosOutcome {
     /// The run's own observability stream (leader + every member emit
     /// onto one shared, totally ordered stream).
     pub obs_events: Vec<ProtocolEvent>,
-    /// Violations found by replaying [`ChaosOutcome::obs_events`] through
-    /// the same §5.4 oracle — the second ingestion path. Divergence from
-    /// [`ChaosOutcome::violations`] on what it can observe is a bug in
-    /// the instrumentation, so this must agree with the driver trace.
-    pub obs_violations: Vec<Violation>,
 }
 
 impl ChaosOutcome {
-    /// Whether the run satisfied every checked property on both
-    /// ingestion paths (driver trace and observability stream).
+    /// Whether the run satisfied every checked property.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.violations.is_empty() && self.obs_violations.is_empty()
+        self.violations.is_empty()
     }
 }
 
@@ -157,112 +151,50 @@ struct MemberSlot {
     password: String,
     state: MemberState,
     runtime: Option<MemberRuntime>,
-    forwarder: Option<std::thread::JoinHandle<()>>,
     /// One registry per session segment (handles stay valid after the
     /// runtime is gone, so crashed sessions still contribute counters).
     registries: Vec<Registry>,
 }
 
-/// Shared, lock-ordered trace sink. `*Send` events are appended while the
-/// lock also covers the leader call that emits them, so no delivery can
-/// ever be recorded ahead of its send.
-type Sink = Arc<Mutex<Vec<LiveEvent>>>;
-
-fn record(sink: &Sink, event: LiveEvent) {
-    sink.lock().push(event);
+/// What a run records: the event stream the leader and every member
+/// emit onto, and the driver's own markers (`Crashed`, `Partitioned`,
+/// `Healed`, `Final`), which no component of the product can know. Each
+/// marker is stamped with the stream's length when the driver recorded
+/// it, after the fault had taken effect.
+struct Record {
+    stream: EventStream,
+    markers: Vec<(u64, LiveEvent)>,
 }
 
-/// Forwards one member's observed events into the trace. Exits when the
-/// member's runtime drops its observer sender.
-fn spawn_forwarder(
-    sink: &Sink,
-    name: &str,
-    rx: Receiver<MemberEvent>,
-) -> std::thread::JoinHandle<()> {
-    let sink = Arc::clone(sink);
-    let name = name.to_string();
-    std::thread::Builder::new()
-        .name(format!("chaos-obs-{name}"))
-        .spawn(move || {
-            while let Ok(event) = rx.recv() {
-                let live = match event {
-                    MemberEvent::Welcomed { epoch, .. } => Some(LiveEvent::Welcomed {
-                        member: name.clone(),
-                        epoch,
-                    }),
-                    MemberEvent::GroupKeyChanged { epoch } => Some(LiveEvent::KeyChanged {
-                        member: name.clone(),
-                        epoch,
-                    }),
-                    MemberEvent::AdminData(payload) => Some(LiveEvent::AdminDeliver {
-                        member: name.clone(),
-                        payload,
-                    }),
-                    MemberEvent::Broadcast {
-                        epoch, seq, data, ..
-                    } => Some(LiveEvent::DataDeliver {
-                        member: name.clone(),
-                        epoch,
-                        seq,
-                        payload: data,
-                    }),
-                    // An auto-rejoin is a fresh session: record the same
-                    // segment-reset marker the driver records for a
-                    // scripted join, so per-session properties (close-once,
-                    // FIFO) reset exactly where the member reset.
-                    MemberEvent::RejoinStarted => Some(LiveEvent::JoinStarted {
-                        member: name.clone(),
-                    }),
-                    _ => None,
-                };
-                if let Some(live) = live {
-                    record(&sink, live);
-                }
-            }
-        })
-        .expect("spawn chaos observer forwarder")
+impl Record {
+    fn new() -> Self {
+        Record {
+            stream: EventStream::new(),
+            markers: Vec::new(),
+        }
+    }
+
+    /// Records `marker` behind every stream event emitted so far.
+    fn mark(&mut self, marker: LiveEvent) {
+        self.markers.push((self.stream.len() as u64, marker));
+    }
 }
 
-/// Forwards leader-side membership events into the trace. Runs until
-/// `stop` is set and the channel drains.
-fn spawn_leader_collector(
-    sink: &Sink,
-    rx: Receiver<LeaderEvent>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    let sink = Arc::clone(sink);
-    std::thread::Builder::new()
-        .name("chaos-leader-collector".into())
-        .spawn(move || loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(LeaderEvent::MemberJoined(user)) => record(
-                    &sink,
-                    LiveEvent::MemberJoined {
-                        member: user.to_string(),
-                    },
-                ),
-                Ok(LeaderEvent::MemberLeft(user)) => record(
-                    &sink,
-                    LiveEvent::MemberClosed {
-                        member: user.to_string(),
-                    },
-                ),
-                Ok(LeaderEvent::MemberEvicted(user)) => record(
-                    &sink,
-                    LiveEvent::Evicted {
-                        member: user.to_string(),
-                    },
-                ),
-                Ok(_) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
-            }
-        })
-        .expect("spawn chaos leader collector")
+/// The oracle's one trace: `events` projected onto the live vocabulary,
+/// each marker merged in before the first event whose `seq` is at least
+/// its stamp. Markers are stamped in recording order, so their order is
+/// kept.
+fn merge(events: &[ProtocolEvent], markers: &[(u64, LiveEvent)]) -> Vec<LiveEvent> {
+    let mut markers = markers.iter().peekable();
+    let mut trace = Vec::with_capacity(events.len() + markers.len());
+    for event in events {
+        while let Some((_, marker)) = markers.next_if(|(at, _)| *at <= event.seq) {
+            trace.push(marker.clone());
+        }
+        trace.extend(live_event(event));
+    }
+    trace.extend(markers.map(|(_, marker)| marker.clone()));
+    trace
 }
 
 /// The cast `<prefix>0`, `<prefix>1`, … of `n` members, each registered
@@ -283,7 +215,6 @@ fn cast(prefix: &str, n: usize) -> (Directory, Vec<MemberSlot>) {
                 password,
                 state: MemberState::Absent,
                 runtime: None,
-                forwarder: None,
                 registries: Vec::new(),
             }
         })
@@ -328,14 +259,11 @@ fn spawn_time_pump(clock: &VirtualClock, stop: &Arc<AtomicBool>) -> std::thread:
         .expect("spawn chaos time pump")
 }
 
-/// Stops every member runtime without a `Close` and joins its forwarder.
+/// Stops every member runtime without a `Close`.
 fn abandon_all(members: &mut [MemberSlot]) {
     for slot in members {
         if let Some(rt) = slot.runtime.take() {
             rt.abandon();
-        }
-        if let Some(h) = slot.forwarder.take() {
-            let _ = h.join();
         }
     }
 }
@@ -343,19 +271,9 @@ fn abandon_all(members: &mut [MemberSlot]) {
 /// A finished run's verdict. `parts` (the fabric's and the leaders'
 /// snapshots) and every member session's registry merge into one
 /// run-level snapshot; all histograms use the shared default bounds, so
-/// merging cannot fail. Then both ingestion paths meet the same oracle:
-/// the recorded trace, and the run's own event stream projected onto the
-/// live vocabulary, which borrows the trace's end-of-run ground truth
-/// (only [`finalize`] records `Final`).
-fn outcome(
-    sink: Sink,
-    parts: Vec<Snapshot>,
-    members: &[MemberSlot],
-    obs_stream: &EventStream,
-) -> ChaosOutcome {
-    let trace = Arc::try_unwrap(sink)
-        .map(Mutex::into_inner)
-        .unwrap_or_default();
+/// merging cannot fail. The oracle checks the run's event stream with
+/// the driver's markers merged in.
+fn outcome(record: &Record, parts: Vec<Snapshot>, members: &[MemberSlot]) -> ChaosOutcome {
     let sessions = members
         .iter()
         .flat_map(|slot| &slot.registries)
@@ -366,14 +284,10 @@ fn outcome(
             .merge_from(&part)
             .expect("uniform histogram bounds");
     }
-    let obs_events = obs_stream.events();
-    let mut obs_live = obs_trace(&obs_events);
-    if let Some(last @ LiveEvent::Final { .. }) = trace.last() {
-        obs_live.push(last.clone());
-    }
+    let obs_events = record.stream.events();
+    let trace = merge(&obs_events, &record.markers);
     ChaosOutcome {
         violations: check_trace(&trace),
-        obs_violations: check_trace(&obs_live),
         trace,
         snapshot,
         obs_events,
@@ -381,7 +295,7 @@ fn outcome(
 }
 
 /// Executes `schedule` against a live leader + member cast on `fabric`,
-/// then replays the recorded trace through the §5.4 live oracle. The
+/// then replays the run's event stream through the §5.4 live oracle. The
 /// leader is a one-group service on the fabric's own front end
 /// ([`Fabric::spawn_service`]).
 #[must_use]
@@ -390,13 +304,12 @@ pub fn run_schedule(
     schedule: &Schedule,
     options: &ChaosOptions,
 ) -> ChaosOutcome {
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
     let leader_id = ActorId::new("leader").expect("static name");
 
     // One protocol-event stream shared by the leader and every member:
     // emissions interleave under a single buffer lock, so the stream order
     // is a happened-before order across the whole world.
-    let obs_stream = EventStream::new();
+    let mut record = Record::new();
     let (directory, mut members) = cast("m", schedule.members);
 
     let wiring = options.liveness.then(|| LivenessWiring {
@@ -411,9 +324,8 @@ pub fn run_schedule(
             leader_config(options, wiring.as_ref(), None),
         )
         .expect("fresh service");
-    leader.attach_event_stream(obs_stream.clone());
+    leader.attach_event_stream(record.stream.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let collector = spawn_leader_collector(&sink, leader.events().clone(), Arc::clone(&stop));
     let pump = wiring.as_ref().map(|w| spawn_time_pump(&w.clock, &stop));
 
     for event in &schedule.events {
@@ -422,15 +334,14 @@ pub fn run_schedule(
             &leader,
             &leader_id,
             &mut members,
-            &sink,
-            &obs_stream,
+            &mut record,
             options,
             wiring.as_ref(),
             event,
         );
     }
 
-    finalize(fabric, &leader, &mut members, &sink, wiring.is_some());
+    finalize(fabric, &leader, &mut members, &mut record, wiring.is_some());
 
     let leader_registry = leader.obs_registry();
 
@@ -438,16 +349,14 @@ pub fn run_schedule(
     service.shutdown();
     abandon_all(&mut members);
     stop.store(true, Ordering::Relaxed);
-    let _ = collector.join();
     if let Some(pump) = pump {
         let _ = pump.join();
     }
 
     outcome(
-        sink,
+        &record,
         vec![fabric.net_snapshot(), leader_registry.snapshot()],
         &members,
-        &obs_stream,
     )
 }
 
@@ -467,8 +376,8 @@ pub struct MultigroupOutcome {
 }
 
 impl MultigroupOutcome {
-    /// Whether every group's oracle passed on both ingestion paths and no
-    /// cross-group leakage was observed.
+    /// Whether every group's oracle passed and no cross-group leakage
+    /// was observed.
     #[must_use]
     pub fn passed(&self) -> bool {
         self.cross_group_violations.is_empty() && self.groups.iter().all(|(_, o)| o.passed())
@@ -502,10 +411,8 @@ struct GroupWorld {
     tag: String,
     cast_prefix: String,
     handle: GroupHandle,
-    sink: Sink,
-    obs_stream: EventStream,
+    record: Record,
     members: Vec<MemberSlot>,
-    collector: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Executes one schedule **per group** against a single multi-enclave
@@ -515,9 +422,9 @@ struct GroupWorld {
 /// in one enclave land while its neighbours carry live traffic — all on
 /// the service's one shared ticker.
 ///
-/// Each group's trace and observability stream feed the same §5.4 oracle
-/// as a single-group run; on top, the cross-group check asserts no
-/// group's record ever names another group's member.
+/// Each group's own event stream feeds the same §5.4 oracle as a
+/// single-group run; on top, the cross-group check asserts no group's
+/// record ever names another group's member.
 #[must_use]
 pub fn run_multigroup(
     fabric: &mut dyn Fabric,
@@ -532,7 +439,6 @@ pub fn run_multigroup(
     let service = fabric.spawn_service(service_config(wiring.as_ref()));
 
     let mut worlds: Vec<GroupWorld> = Vec::new();
-    let stop = Arc::new(AtomicBool::new(false));
     for (g, schedule) in schedules.iter().enumerate() {
         let tag = format!("g{g}");
         let cast_prefix = format!("{tag}m");
@@ -545,20 +451,17 @@ pub fn run_multigroup(
                 leader_config(options, wiring.as_ref(), Some(group)),
             )
             .expect("fresh tag");
-        let sink: Sink = Arc::new(Mutex::new(Vec::new()));
-        let obs_stream = EventStream::new();
-        handle.attach_event_stream(obs_stream.clone());
-        let collector = spawn_leader_collector(&sink, handle.events().clone(), Arc::clone(&stop));
+        let record = Record::new();
+        handle.attach_event_stream(record.stream.clone());
         worlds.push(GroupWorld {
             tag,
             cast_prefix,
             handle,
-            sink,
-            obs_stream,
+            record,
             members,
-            collector: Some(collector),
         });
     }
+    let stop = Arc::new(AtomicBool::new(false));
     let pump = wiring.as_ref().map(|w| spawn_time_pump(&w.clock, &stop));
 
     // Round-robin interleave: every group advances one event per round.
@@ -571,8 +474,7 @@ pub fn run_multigroup(
                     &world.handle,
                     &leader_id,
                     &mut world.members,
-                    &world.sink,
-                    &world.obs_stream,
+                    &mut world.record,
                     options,
                     wiring.as_ref(),
                     event,
@@ -586,7 +488,7 @@ pub fn run_multigroup(
             fabric,
             &world.handle,
             &mut world.members,
-            &world.sink,
+            &mut world.record,
             wiring.is_some(),
         );
     }
@@ -597,9 +499,6 @@ pub fn run_multigroup(
     stop.store(true, Ordering::Relaxed);
     for world in &mut worlds {
         abandon_all(&mut world.members);
-        if let Some(h) = world.collector.take() {
-            let _ = h.join();
-        }
     }
     if let Some(pump) = pump {
         let _ = pump.join();
@@ -609,10 +508,9 @@ pub fn run_multigroup(
     let mut groups = Vec::new();
     for (world, leader_registry) in worlds.into_iter().zip(leader_registries) {
         let outcome = outcome(
-            world.sink,
+            &world.record,
             vec![leader_registry.snapshot()],
             &world.members,
-            &world.obs_stream,
         );
         // Cross-group isolation: every member this group's record names
         // must belong to this group's cast.
@@ -672,8 +570,8 @@ pub struct CrashRestartOutcome {
 /// through the whole run: their liveness layer detects the dead wire and
 /// re-admits them through auto-rejoin once the restarted leader answers.
 ///
-/// The trace spans both generations and feeds the same §5.4 oracle (both
-/// ingestion paths), so convergence after the restart is checked by the
+/// The event stream spans both generations and feeds the same §5.4
+/// oracle, so convergence after the restart is checked by the
 /// same properties as any other run — plus the recovery facts in
 /// [`CrashRestartOutcome`].
 ///
@@ -699,9 +597,8 @@ pub fn run_crash_restart(
         "run_crash_restart needs the liveness layer: auto-rejoin is the \
          only path back into the group after the leader dies"
     );
-    let sink: Sink = Arc::new(Mutex::new(Vec::new()));
     let leader_id = ActorId::new("leader").expect("static name");
-    let obs_stream = EventStream::new();
+    let mut record = Record::new();
     let (directory, mut members) = cast("m", schedule.members);
     let wiring = LivenessWiring {
         clock: VirtualClock::new(),
@@ -723,14 +620,8 @@ pub fn run_crash_restart(
             leader_config(options, Some(&wiring), None),
         )
         .expect("fresh service");
-    handle.attach_event_stream(obs_stream.clone());
+    handle.attach_event_stream(record.stream.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let mut collectors = vec![spawn_leader_collector(
-        &sink,
-        handle.events().clone(),
-        Arc::clone(&stop),
-    )];
-
     let pump = spawn_time_pump(&wiring.clock, &stop);
 
     for event in &schedule.events {
@@ -739,8 +630,7 @@ pub fn run_crash_restart(
             &handle,
             &leader_id,
             &mut members,
-            &sink,
-            &obs_stream,
+            &mut record,
             options,
             Some(&wiring),
             event,
@@ -757,27 +647,24 @@ pub fn run_crash_restart(
     // loop's reconnector fails (nothing listens) and backs off until the
     // restarted service answers.
     //
-    // The kill is an injected fault that severs every member↔leader
-    // link at once: record the same per-member fault marker a scripted
-    // partition leaves, so the oracle can attribute any liveness
-    // eviction during the rejoin storm to the fault rather than flag a
-    // false judgment.
-    for slot in &members {
-        if slot.runtime.is_some() {
-            record(
-                &sink,
-                LiveEvent::Partitioned {
-                    member: slot.name.clone(),
-                },
-            );
-        }
-    }
     assert!(
         fabric.net.unlisten("leader"),
         "the leader listener must exist until the kill"
     );
     drop(handle);
     service.shutdown();
+    // The kill is an injected fault that severed every member↔leader
+    // link at once: record the same per-member fault marker a scripted
+    // partition leaves, so the oracle can attribute any liveness
+    // eviction during the rejoin storm to the fault rather than flag a
+    // false judgment.
+    for slot in &members {
+        if slot.runtime.is_some() {
+            record.mark(LiveEvent::Partitioned {
+                member: slot.name.clone(),
+            });
+        }
+    }
 
     // Generation 2: restart from the journal under the same virtual
     // clock. The replay rebuilds the roster and epoch and advances past
@@ -800,12 +687,7 @@ pub fn run_crash_restart(
     );
     let recovered = report.recovered.remove(0);
     let handle = recovered.handle;
-    handle.attach_event_stream(obs_stream.clone());
-    collectors.push(spawn_leader_collector(
-        &sink,
-        handle.events().clone(),
-        Arc::clone(&stop),
-    ));
+    handle.attach_event_stream(record.stream.clone());
 
     // Members the driver crashed before the kill are in the recovered
     // roster but have no process to rejoin from: expel them now (their
@@ -827,15 +709,14 @@ pub fn run_crash_restart(
             &handle,
             &leader_id,
             &mut members,
-            &sink,
-            &obs_stream,
+            &mut record,
             options,
             Some(&wiring),
             event,
         );
     }
 
-    finalize(fabric, &handle, &mut members, &sink, true);
+    finalize(fabric, &handle, &mut members, &mut record, true);
 
     let final_epoch = handle.epoch();
     // The restarted service's snapshot carries generation 2's `leader.*`
@@ -846,21 +727,17 @@ pub fn run_crash_restart(
     service.shutdown();
     stop.store(true, Ordering::Relaxed);
     abandon_all(&mut members);
-    for collector in collectors {
-        let _ = collector.join();
-    }
     let _ = pump.join();
 
     CrashRestartOutcome {
         outcome: outcome(
-            sink,
+            &record,
             vec![
                 fabric.net_snapshot(),
                 gen1_registry.snapshot(),
                 gen2_snapshot,
             ],
             &members,
-            &obs_stream,
         ),
         pre_crash_epoch,
         recovered_epoch: recovered.epoch,
@@ -872,34 +749,25 @@ pub fn run_crash_restart(
     }
 }
 
-/// Starts (or restarts) a member's session: records the segment reset,
-/// connects through the fabric, and waits (bounded) for the welcome.
-#[allow(clippy::too_many_arguments)]
+/// Starts (or restarts) a member's session on `stream` (the runtime
+/// emits the segment's `JoinStarted`), connects through the fabric, and
+/// waits (bounded) for the welcome.
 fn start_join(
     fabric: &mut dyn Fabric,
     leader_id: &ActorId,
     group: Option<&GroupId>,
     slot: &mut MemberSlot,
-    sink: &Sink,
-    obs_stream: &EventStream,
+    stream: &EventStream,
     options: &ChaosOptions,
     wiring: Option<&LivenessWiring>,
 ) {
-    record(
-        sink,
-        LiveEvent::JoinStarted {
-            member: slot.name.clone(),
-        },
-    );
     let Ok(link) = fabric.connect(&slot.name) else {
         slot.state = MemberState::Absent;
         return;
     };
-    let (obs_tx, obs_rx): (Sender<MemberEvent>, Receiver<MemberEvent>) = unbounded();
     let mut member_options = MemberOptions {
-        observer: Some(obs_tx),
         disable_broadcast_watermark: options.sabotage_watermark,
-        events: Some(obs_stream.clone()),
+        events: Some(stream.clone()),
         group: group.cloned(),
         ..MemberOptions::default()
     };
@@ -923,12 +791,6 @@ fn start_join(
     match runtime {
         Ok(rt) => {
             slot.registries.push(rt.obs_registry());
-            // The previous forwarder (if any) has already exited — its
-            // sender died with the previous runtime.
-            if let Some(h) = slot.forwarder.take() {
-                let _ = h.join();
-            }
-            slot.forwarder = Some(spawn_forwarder(sink, &slot.name, obs_rx));
             // Bounded wait: under faults the welcome may be late; the
             // session keeps trying either way (handshake ARQ).
             let _ = rt.wait_joined(JOIN_WAIT);
@@ -945,8 +807,7 @@ fn execute(
     leader: &GroupHandle,
     leader_id: &ActorId,
     members: &mut [MemberSlot],
-    sink: &Sink,
-    obs_stream: &EventStream,
+    record: &mut Record,
     options: &ChaosOptions,
     wiring: Option<&LivenessWiring>,
     event: &ChaosEvent,
@@ -970,8 +831,7 @@ fn execute(
                 leader_id,
                 leader.group_id(),
                 slot,
-                sink,
-                obs_stream,
+                &record.stream,
                 options,
                 wiring,
             );
@@ -1010,12 +870,9 @@ fn execute(
                 // slot by timeout: leave the fault marker that justifies
                 // the eviction to the oracle.
                 if wiring.is_some() {
-                    record(
-                        sink,
-                        LiveEvent::Crashed {
-                            member: slot.name.clone(),
-                        },
-                    );
+                    record.mark(LiveEvent::Crashed {
+                        member: slot.name.clone(),
+                    });
                 }
             }
         }
@@ -1030,12 +887,9 @@ fn execute(
             if wiring.is_some() {
                 // The runtime stays alive: its own liveness layer must
                 // detect the dead wire and drive the rejoin once healed.
-                record(
-                    sink,
-                    LiveEvent::Crashed {
-                        member: slot.name.clone(),
-                    },
-                );
+                record.mark(LiveEvent::Crashed {
+                    member: slot.name.clone(),
+                });
             } else if let Some(rt) = slot.runtime.take() {
                 // Without a liveness layer nobody would ever notice the
                 // dead wire: degrade to a plain crash so the run can
@@ -1044,37 +898,16 @@ fn execute(
                 slot.state = MemberState::Crashed;
             }
         }
+        // The leader emits the rekey's and the sends' events itself,
+        // under its core lock; an empty group simply refuses them.
         ChaosEvent::Rekey => {
-            // Hold the trace lock across the call so the rekey and any
-            // member-side KeyChanged land in a consistent order.
-            let mut trace = sink.lock();
-            if leader.rekey().is_ok() {
-                if let Some(epoch) = leader.epoch() {
-                    trace.push(LiveEvent::LeaderRekeyed { epoch });
-                }
-            }
+            let _ = leader.rekey();
         }
         ChaosEvent::AdminBroadcast(payload) => {
-            // The lock spans the send so no member's delivery can be
-            // recorded before the send itself.
-            let mut trace = sink.lock();
-            if let Ok(recipients) = leader.broadcast(payload) {
-                trace.push(LiveEvent::AdminSend {
-                    payload: payload.clone(),
-                    recipients: recipients.iter().map(ToString::to_string).collect(),
-                });
-            }
+            let _ = leader.broadcast(payload);
         }
         ChaosEvent::DataBroadcast(payload) => {
-            let mut trace = sink.lock();
-            if let Ok(receipt) = leader.broadcast_data(payload) {
-                trace.push(LiveEvent::DataSend {
-                    epoch: receipt.epoch,
-                    seq: receipt.seq,
-                    payload: payload.clone(),
-                    recipients: receipt.recipients.iter().map(ToString::to_string).collect(),
-                });
-            }
+            let _ = leader.broadcast_data(payload);
         }
         ChaosEvent::Partition {
             member,
@@ -1084,12 +917,9 @@ fn execute(
             if let Some(slot) = members.get(*member) {
                 fabric.partition(&slot.name, *to_leader, *to_member);
                 if wiring.is_some() {
-                    record(
-                        sink,
-                        LiveEvent::Partitioned {
-                            member: slot.name.clone(),
-                        },
-                    );
+                    record.mark(LiveEvent::Partitioned {
+                        member: slot.name.clone(),
+                    });
                 }
             }
         }
@@ -1097,12 +927,9 @@ fn execute(
             if let Some(slot) = members.get(*i) {
                 fabric.heal(&slot.name);
                 if wiring.is_some() {
-                    record(
-                        sink,
-                        LiveEvent::Healed {
-                            member: slot.name.clone(),
-                        },
-                    );
+                    record.mark(LiveEvent::Healed {
+                        member: slot.name.clone(),
+                    });
                 }
             }
         }
@@ -1118,7 +945,7 @@ fn finalize(
     fabric: &mut dyn Fabric,
     leader: &GroupHandle,
     members: &mut [MemberSlot],
-    sink: &Sink,
+    record: &mut Record,
     liveness: bool,
 ) {
     fabric.calm();
@@ -1190,47 +1017,30 @@ fn finalize(
     }
 
     // The probe: one data-plane broadcast every connected member must
-    // open (an AEAD proof of key agreement, not just epoch equality).
-    let probe = {
-        let mut trace = sink.lock();
-        match leader.broadcast_data(b"chaos-final-probe") {
-            Ok(receipt) => {
-                trace.push(LiveEvent::DataSend {
-                    epoch: receipt.epoch,
-                    seq: receipt.seq,
-                    payload: b"chaos-final-probe".to_vec(),
-                    recipients: receipt.recipients.iter().map(ToString::to_string).collect(),
-                });
-                Some(receipt)
-            }
-            Err(_) => None, // Empty group at rest: nothing to probe.
-        }
-    };
-
-    // Wait until every live member's delivery of the probe is in the
-    // trace (bounded; a member that never opens it is the oracle's
-    // problem to report, not ours to mask).
-    if let Some(receipt) = &probe {
-        let live: Vec<String> = members
+    // open (an AEAD proof of key agreement, not just epoch equality); an
+    // empty group at rest has nothing to probe. Wait until every live
+    // member's delivery of it is on the stream (bounded; a member that
+    // never opens it is the oracle's problem to report, not ours to mask).
+    if let Ok(receipt) = leader.broadcast_data(b"chaos-final-probe") {
+        let live: Vec<&str> = members
             .iter()
             .filter(|s| s.runtime.is_some())
-            .map(|s| s.name.clone())
+            .map(|s| s.name.as_str())
             .collect();
         let deadline = Instant::now() + PROBE_WAIT;
         loop {
-            let delivered = {
-                let trace = sink.lock();
-                live.iter()
-                    .filter(|name| {
-                        trace.iter().any(|e| {
-                            matches!(e, LiveEvent::DataDeliver { member, epoch, seq, .. }
-                                if member == *name
-                                    && *epoch == receipt.epoch
-                                    && *seq == receipt.seq)
-                        })
+            let events = record.stream.events();
+            let delivered = live
+                .iter()
+                .filter(|name| {
+                    events.iter().any(|e| {
+                        matches!(&e.kind, EventKind::DataDeliver { member, epoch, seq, .. }
+                            if member == *name
+                                && *epoch == receipt.epoch
+                                && *seq == receipt.seq)
                     })
-                    .count()
-            };
+                })
+                .count();
             if delivered == live.len() || Instant::now() >= deadline {
                 break;
             }
@@ -1248,11 +1058,62 @@ fn finalize(
             )
         })
         .collect();
-    record(
-        sink,
-        LiveEvent::Final {
-            leader_epoch: leader.epoch(),
-            members: final_members,
-        },
-    );
+    record.mark(LiveEvent::Final {
+        leader_epoch: leader.epoch(),
+        members: final_members,
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn m0() -> String {
+        "m0".into()
+    }
+
+    fn joined_then_evicted() -> EventStream {
+        let stream = EventStream::new();
+        stream.emit(EventKind::MemberJoined {
+            member: m0(),
+            epoch: 1,
+        });
+        stream.emit(EventKind::Evicted { member: m0() });
+        stream
+    }
+
+    /// How often `live-no-false-evict` fires on `[MemberJoined m0,
+    /// Evicted m0]` with `markers` merged in.
+    fn false_evictions(markers: &[(u64, LiveEvent)]) -> usize {
+        check_trace(&merge(&joined_then_evicted().events(), markers))
+            .iter()
+            .filter(|v| v.checker.starts_with("live-no-false-evict"))
+            .count()
+    }
+
+    #[test]
+    fn an_eviction_needs_a_fault_marker_stamped_before_it() {
+        let crashed = LiveEvent::Crashed { member: m0() };
+        assert_eq!(false_evictions(&[]), 1);
+        assert_eq!(false_evictions(&[(1, crashed.clone())]), 0);
+        assert_eq!(false_evictions(&[(2, crashed)]), 1);
+    }
+
+    #[test]
+    fn a_mark_lands_behind_every_event_emitted_before_it() {
+        let mut record = Record {
+            stream: joined_then_evicted(),
+            markers: vec![(0, LiveEvent::Crashed { member: m0() })],
+        };
+        record.mark(LiveEvent::Healed { member: m0() });
+        assert_eq!(
+            merge(&record.stream.events(), &record.markers),
+            vec![
+                LiveEvent::Crashed { member: m0() },
+                LiveEvent::MemberJoined { member: m0() },
+                LiveEvent::Evicted { member: m0() },
+                LiveEvent::Healed { member: m0() },
+            ]
+        );
+    }
 }

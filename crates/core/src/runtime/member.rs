@@ -22,16 +22,11 @@ use std::time::Duration;
 /// an `Err` means "not reachable yet, try again later".
 pub type Reconnector = Box<dyn Fn() -> Result<Box<dyn Link>, NetError> + Send>;
 
-/// Optional hooks for a [`MemberRuntime`], used by test harnesses that
-/// need to observe or sabotage a member without changing application
-/// behavior, plus the liveness knobs for the member's ARQ / heartbeat /
-/// rejoin machinery.
+/// Optional hooks for a [`MemberRuntime`]: the protocol event stream a
+/// harness audits the member through, a test-only sabotage switch, and
+/// the liveness knobs for the member's ARQ / heartbeat / rejoin
+/// machinery. The application's own view is [`MemberRuntime::events`].
 pub struct MemberOptions {
-    /// Every [`MemberEvent`] is cloned into this channel *before* it is
-    /// made available on [`MemberRuntime::events`]. Lets a harness record
-    /// the full delivery trace while the application still consumes its
-    /// own event stream (e.g. via [`MemberRuntime::wait_joined`]).
-    pub observer: Option<Sender<MemberEvent>>,
     /// Plants the test-only broadcast-watermark violation
     /// ([`MemberSession::disable_broadcast_watermark_for_tests`]).
     pub disable_broadcast_watermark: bool,
@@ -60,7 +55,6 @@ pub struct MemberOptions {
 impl Default for MemberOptions {
     fn default() -> Self {
         MemberOptions {
-            observer: None,
             disable_broadcast_watermark: false,
             events: None,
             liveness: LivenessConfig::member_default(),
@@ -74,7 +68,6 @@ impl Default for MemberOptions {
 impl std::fmt::Debug for MemberOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemberOptions")
-            .field("observer", &self.observer.is_some())
             .field(
                 "disable_broadcast_watermark",
                 &self.disable_broadcast_watermark,
@@ -190,7 +183,6 @@ impl MemberRuntime {
         options: MemberOptions,
     ) -> Result<Self, CoreError> {
         let MemberOptions {
-            observer,
             disable_broadcast_watermark: _,
             events: stream,
             liveness,
@@ -228,7 +220,6 @@ impl MemberRuntime {
         let worker = Worker {
             shared: Arc::clone(&shared),
             out_rx,
-            observer,
             events_tx,
             stream,
             clock: clock.unwrap_or_else(|| Arc::new(RealClock::new())),
@@ -363,7 +354,6 @@ impl MemberRuntime {
 struct Worker {
     shared: Arc<Shared>,
     out_rx: Receiver<Out>,
-    observer: Option<Sender<MemberEvent>>,
     events_tx: Sender<MemberEvent>,
     stream: Option<EventStream>,
     clock: Arc<dyn Clock>,
@@ -394,16 +384,6 @@ impl Worker {
                 }
             }
         }
-    }
-
-    /// Tees one event to the harness observer first, then the
-    /// application, so a recorded delivery is never missing from the
-    /// trace while the application has already reacted to it.
-    fn forward(&self, e: MemberEvent) {
-        if let Some(obs) = &self.observer {
-            let _ = obs.send(e.clone());
-        }
-        let _ = self.events_tx.send(e);
     }
 
     /// Pumps one session over one link until it stops, the link dies, or
@@ -495,7 +475,7 @@ impl Worker {
                             }
                         }
                         for e in output.events {
-                            self.forward(e);
+                            let _ = self.events_tx.send(e);
                         }
                     }
                     // Rejected traffic is dropped; the session's
@@ -521,7 +501,7 @@ impl Worker {
                 member: self.user.to_string(),
             });
         }
-        self.forward(MemberEvent::LeaderLost);
+        let _ = self.events_tx.send(MemberEvent::LeaderLost);
         let mut attempt: u32 = 0;
         while self.shared.running.load(Ordering::Relaxed) {
             // Keep servicing flush barriers while between links so a
@@ -552,7 +532,7 @@ impl Worker {
                 }
                 session.note_rejoin();
                 *self.shared.session.lock() = session;
-                self.forward(MemberEvent::RejoinStarted);
+                let _ = self.events_tx.send(MemberEvent::RejoinStarted);
                 if link.send(encode(&init).into()).is_ok() {
                     return Some(link);
                 }

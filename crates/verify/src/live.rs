@@ -1,9 +1,10 @@
-//! Live-trace adapters for the Section 5.4 properties: the chaos harness
-//! records every application-level send and delivery of a *threaded*
-//! leader/member run into a [`LiveEvent`] trace, and this module replays
-//! that trace through the same property predicates the model checker uses
-//! — so the paper's guarantees are asserted against real concurrent
-//! sessions over a faulty network, not just the abstract model.
+//! Live-trace adapters for the Section 5.4 properties: a *threaded*
+//! leader/member run's own event stream, projected onto the [`LiveEvent`]
+//! vocabulary ([`crate::obs::obs_trace`]) with the chaos driver's fault
+//! markers merged in, is replayed through the same property predicates
+//! the model checker uses — so the paper's guarantees are asserted
+//! against real concurrent sessions over a faulty network, not just the
+//! abstract model.
 //!
 //! The trace vocabulary is deliberately transport-free (`String` names,
 //! `Vec<u8>` payloads): this crate keeps its dependency surface at
@@ -47,14 +48,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One application-level observation from a live run.
 ///
-/// `*Send` events are recorded by the driver *before* it hands the payload
-/// to the leader runtime, so a concurrent delivery can never appear in the
-/// trace ahead of its send. `*Deliver` events are recorded from each
-/// member's observer tee the moment the session surfaces them.
+/// Every event but the driver's markers comes from the run's event
+/// stream, whose order is a happened-before order: a `*Send` is emitted
+/// under the leader's core lock before its frame reaches any wire, a
+/// `*Deliver` under the member's session lock when the session accepts
+/// the frame, so no delivery can appear ahead of its send.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LiveEvent {
-    /// The driver is about to (re)connect `member`; any previous session
-    /// segment for that member is finished and its bookkeeping resets.
+    /// `member` (re)started its handshake; any previous session segment
+    /// for that member is finished and its bookkeeping resets.
     JoinStarted {
         /// Member name.
         member: String,
@@ -133,7 +135,7 @@ pub enum LiveEvent {
     },
     /// Driver fault marker: `member`'s wire was severed without a close
     /// (crash-without-close). Only the chaos driver records these; they
-    /// never appear in the observability projection.
+    /// never appear in the event stream's projection.
     Crashed {
         /// Member name.
         member: String,
@@ -621,11 +623,11 @@ impl LiveChecker for EvictionLivenessChecker {
 /// No false evictions: the leader only evicts members the driver actually
 /// faulted. Formulated globally — an `Evicted` needs *some* earlier
 /// `Crashed`/`Partitioned` marker for that member anywhere in the trace —
-/// rather than per rejoin window, because the driver's fault markers and
-/// the leader collector's eviction records land in the shared sink from
-/// different threads and can interleave across a heal boundary. A
-/// responsive member under bounded delay has no fault marker at all, so
-/// any eviction of it is flagged.
+/// rather than per fault window, because an eviction may legitimately
+/// fire after the `Healed` marker: the liveness deadline that fires it
+/// was armed by the silence before the heal. A responsive member under
+/// bounded delay has no fault marker at all, so any eviction of it is
+/// flagged.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFalseEvictionChecker;
 
@@ -662,9 +664,9 @@ impl LiveChecker for NoFalseEvictionChecker {
 /// Post-eviction rejoins land in a strictly newer epoch: the eviction's
 /// policy rekey must have fenced off every key the departed session held,
 /// so the re-welcome's epoch exceeds the member's previous high-water
-/// mark. Vacuous for a member whose `Evicted` record was hidden by a
-/// cross-thread race (the monotonicity checker still bounds the epoch
-/// from below in that case).
+/// mark. The leader's `Evicted` and the member's `Welcomed` both come
+/// from the run's one event stream, in the order they happened, so an
+/// eviction is never missing from in front of the re-welcome after it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RejoinFreshEpochChecker;
 
@@ -1026,7 +1028,7 @@ mod tests {
         assert!(violations[0].detail.contains("false"));
         // A prior partition justifies it — and keeps justifying later
         // evictions of the same member (markers are global, heals do not
-        // reset them, tolerating cross-thread trace interleavings).
+        // reset them: a deadline armed before the heal may fire after it).
         let trace = vec![
             LiveEvent::Partitioned {
                 member: "alice".into(),

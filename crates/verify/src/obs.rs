@@ -4,10 +4,11 @@
 //! Two mappings live here:
 //!
 //! * [`obs_trace`] projects a [`ProtocolEvent`] stream onto the
-//!   [`LiveEvent`] vocabulary, giving [`crate::live::check_trace`] a
-//!   second ingestion path: the same property checkers that audit the
-//!   chaos driver's hand-recorded trace can audit the run's own metrics
-//!   stream. Divergence between the two paths is itself a test failure.
+//!   [`LiveEvent`] vocabulary [`crate::live::check_trace`] reads. The
+//!   stream is the oracle's one source of protocol events: the chaos
+//!   driver adds only what the product cannot know (its fault markers
+//!   and the end-of-run `Final` snapshot), merged in at the stream
+//!   positions it stamped them with.
 //! * [`model_event_kind`] names, for every honest move of the exhaustive
 //!   `enclaves-model` state machines, the [`EventKind`] variant the
 //!   implementation must emit when it performs the corresponding
@@ -21,91 +22,94 @@ use enclaves_model::system::GlobalMove;
 use enclaves_model::user::UserMove;
 use enclaves_obs::{EventKind, ProtocolEvent};
 
-/// Projects an observability stream onto the live-oracle vocabulary.
+/// Projects an observability stream onto the live-oracle vocabulary,
+/// one [`live_event`] per stream event.
+///
+/// The result has no fault markers and no [`LiveEvent::Final`] snapshot
+/// — only the driver knows that ground truth, so merge its markers in
+/// before handing the projection to [`crate::live::check_trace`].
+#[must_use]
+pub fn obs_trace(events: &[ProtocolEvent]) -> Vec<LiveEvent> {
+    events.iter().filter_map(live_event).collect()
+}
+
+/// The live-oracle event one stream event projects to.
 ///
 /// Operational events with no live-trace counterpart (`AuthAccepted`,
 /// `SessionEstablished`, `AdminAcked`, `CloseRequested`, `LeaderLost`,
-/// `Retransmit`, `SealBatch`) are skipped; `Expelled`, `Evicted`, and
-/// `MemberClosed` all project to [`LiveEvent::MemberClosed`] — the
-/// close-once and agreement checkers care that the leader observed the
-/// departure, while the eviction-specific checkers run on the driver
-/// trace, which alone records the fault markers that justify one.
-///
-/// The result has no [`LiveEvent::Final`] snapshot — only the driver
-/// knows the end-of-run ground truth, so append its `Final` event before
-/// handing the projection to [`crate::live::check_trace`].
+/// `Retransmit`, `SealBatch`) project to `None`. `Expelled` and
+/// `MemberClosed` both project to [`LiveEvent::MemberClosed`] (the
+/// oracle cares that the leader observed the departure, not who asked
+/// for it); `Evicted` stays [`LiveEvent::Evicted`], which the close-once
+/// checker counts as the session's departure and the eviction checkers
+/// hold against the driver's fault markers.
 #[must_use]
-pub fn obs_trace(events: &[ProtocolEvent]) -> Vec<LiveEvent> {
-    events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::JoinStarted { member } => Some(LiveEvent::JoinStarted {
+pub fn live_event(event: &ProtocolEvent) -> Option<LiveEvent> {
+    match &event.kind {
+        EventKind::JoinStarted { member } => Some(LiveEvent::JoinStarted {
+            member: member.clone(),
+        }),
+        EventKind::Welcomed { member, epoch } => Some(LiveEvent::Welcomed {
+            member: member.clone(),
+            epoch: *epoch,
+        }),
+        EventKind::KeyChanged { member, epoch } => Some(LiveEvent::KeyChanged {
+            member: member.clone(),
+            epoch: *epoch,
+        }),
+        EventKind::Rekeyed { epoch } => Some(LiveEvent::LeaderRekeyed { epoch: *epoch }),
+        EventKind::AdminSend {
+            payload,
+            recipients,
+        } => Some(LiveEvent::AdminSend {
+            payload: payload.clone(),
+            recipients: recipients.clone(),
+        }),
+        EventKind::AdminDeliver { member, payload } => Some(LiveEvent::AdminDeliver {
+            member: member.clone(),
+            payload: payload.clone(),
+        }),
+        EventKind::DataSend {
+            epoch,
+            seq,
+            payload,
+            recipients,
+        } => Some(LiveEvent::DataSend {
+            epoch: *epoch,
+            seq: *seq,
+            payload: payload.clone(),
+            recipients: recipients.clone(),
+        }),
+        EventKind::DataDeliver {
+            member,
+            epoch,
+            seq,
+            payload,
+        } => Some(LiveEvent::DataDeliver {
+            member: member.clone(),
+            epoch: *epoch,
+            seq: *seq,
+            payload: payload.clone(),
+        }),
+        EventKind::MemberJoined { member, .. } => Some(LiveEvent::MemberJoined {
+            member: member.clone(),
+        }),
+        EventKind::MemberClosed { member } | EventKind::Expelled { member } => {
+            Some(LiveEvent::MemberClosed {
                 member: member.clone(),
-            }),
-            EventKind::Welcomed { member, epoch } => Some(LiveEvent::Welcomed {
-                member: member.clone(),
-                epoch: *epoch,
-            }),
-            EventKind::KeyChanged { member, epoch } => Some(LiveEvent::KeyChanged {
-                member: member.clone(),
-                epoch: *epoch,
-            }),
-            EventKind::Rekeyed { epoch } => Some(LiveEvent::LeaderRekeyed { epoch: *epoch }),
-            EventKind::AdminSend {
-                payload,
-                recipients,
-            } => Some(LiveEvent::AdminSend {
-                payload: payload.clone(),
-                recipients: recipients.clone(),
-            }),
-            EventKind::AdminDeliver { member, payload } => Some(LiveEvent::AdminDeliver {
-                member: member.clone(),
-                payload: payload.clone(),
-            }),
-            EventKind::DataSend {
-                epoch,
-                seq,
-                payload,
-                recipients,
-            } => Some(LiveEvent::DataSend {
-                epoch: *epoch,
-                seq: *seq,
-                payload: payload.clone(),
-                recipients: recipients.clone(),
-            }),
-            EventKind::DataDeliver {
-                member,
-                epoch,
-                seq,
-                payload,
-            } => Some(LiveEvent::DataDeliver {
-                member: member.clone(),
-                epoch: *epoch,
-                seq: *seq,
-                payload: payload.clone(),
-            }),
-            EventKind::MemberJoined { member, .. } => Some(LiveEvent::MemberJoined {
-                member: member.clone(),
-            }),
-            // `Evicted` also projects to `MemberClosed`: the close-once
-            // and agreement checkers see the departure either way, while
-            // the eviction-specific checkers stay on the driver trace —
-            // only the driver records the fault markers (`Crashed`,
-            // `Partitioned`) that justify an eviction.
-            EventKind::MemberClosed { member }
-            | EventKind::Expelled { member }
-            | EventKind::Evicted { member } => Some(LiveEvent::MemberClosed {
-                member: member.clone(),
-            }),
-            EventKind::AuthAccepted { .. }
-            | EventKind::SessionEstablished { .. }
-            | EventKind::AdminAcked { .. }
-            | EventKind::CloseRequested { .. }
-            | EventKind::LeaderLost { .. }
-            | EventKind::Retransmit { .. }
-            | EventKind::SealBatch { .. } => None,
-        })
-        .collect()
+            })
+        }
+        EventKind::Evicted { member } => Some(LiveEvent::Evicted {
+            member: member.clone(),
+        }),
+        EventKind::AuthAccepted { .. }
+        | EventKind::SessionEstablished { .. }
+        | EventKind::AdminAcked { .. }
+        | EventKind::CloseRequested { .. }
+        | EventKind::LeaderLost { .. }
+        | EventKind::Retransmit { .. }
+        | EventKind::SealBatch { .. } => None,
+    }
 }
 
 /// The [`EventKind`] variant name the implementation must emit when it
@@ -225,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn expel_close_and_evict_all_project_to_member_closed() {
+    fn departures_project_to_member_closed_and_evictions_stay_evictions() {
         let stream = EventStream::new();
         stream.emit(EventKind::MemberClosed { member: "a".into() });
         stream.emit(EventKind::Expelled { member: "b".into() });
@@ -237,7 +241,7 @@ mod tests {
             vec![
                 LiveEvent::MemberClosed { member: "a".into() },
                 LiveEvent::MemberClosed { member: "b".into() },
-                LiveEvent::MemberClosed { member: "c".into() },
+                LiveEvent::Evicted { member: "c".into() },
             ]
         );
     }

@@ -1,7 +1,7 @@
 //! Crash-recovery acceptance battery: `kill -9` the leader mid-run,
 //! restart it from the sealed write-ahead journal, and prove — through
-//! the same §5.4 oracle as every other chaos run, on both ingestion
-//! paths — that the world re-converges: every surviving member rejoins
+//! the same §5.4 oracle as every other chaos run — that the world
+//! re-converges: every surviving member rejoins
 //! on its own, the group lands in a **strictly newer** epoch than
 //! anything the dead leader ever served, and the final AEAD probe opens
 //! for the whole cast. Plus the rewind defense: restoring a stale
@@ -91,7 +91,6 @@ fn crash_restart_converges(seed: u64) {
         .outcome
         .violations
         .iter()
-        .chain(&verdict.outcome.obs_violations)
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join("\n");

@@ -113,10 +113,9 @@ fn fixed_seed_storm_passes_the_oracle() {
 
     // Metric invariants on the merged snapshot. The registry-backed
     // counters are bumped in the same critical sections as the protocol
-    // state they describe, so they must agree exactly with the recorded
-    // trace.
-    // Under the Manual rekey policy every epoch advance comes from an
-    // explicit schedule Rekey, each of which the driver records.
+    // state they describe, so they must agree exactly with the trace:
+    // every rotation the leader makes counts one `leader.rekeys` and
+    // emits one `Rekeyed`.
     let trace_rekeys = outcome
         .trace
         .iter()
@@ -125,7 +124,7 @@ fn fixed_seed_storm_passes_the_oracle() {
     assert_eq!(
         snap.counter("leader.rekeys"),
         trace_rekeys,
-        "leader.rekeys must equal the admin-channel epochs the trace recorded"
+        "leader.rekeys must equal the rotations the trace recorded"
     );
     // Partitions strand in-flight admin exchanges; the 400ms ticker must
     // have re-sent something before the heal.
@@ -133,9 +132,7 @@ fn fixed_seed_storm_passes_the_oracle() {
         snap.counter("leader.retransmits") > 0,
         "a partition schedule with no leader retransmissions is not chaotic"
     );
-    // The run emitted a protocol event stream, and the obs-stream oracle
-    // path agreed with the driver-trace path (both clean — `passed()`
-    // already required it; this pins the stream was actually populated).
+    // The oracle read a populated protocol event stream.
     assert!(!outcome.obs_events.is_empty());
 
     // Dump the snapshot next to the build artifacts so CI can upload it.
@@ -280,16 +277,6 @@ fn planted_watermark_violation_is_caught_and_shrunk() {
             .any(|v| v.checker.starts_with("live-data")),
         "wrong checker fired: {:?}",
         outcome.violations
-    );
-    // The second ingestion path must catch the same planted violation
-    // from the run's own event stream, without the driver's bookkeeping.
-    assert!(
-        outcome
-            .obs_violations
-            .iter()
-            .any(|v| v.checker.starts_with("live-data")),
-        "the obs-stream oracle path missed the planted violation: {:?}",
-        outcome.obs_violations
     );
 
     // Shrink to the minimal failing prefix and print the recipe.

@@ -6,8 +6,8 @@
 //!
 //! Three layers of verdict:
 //!
-//! * every group's own §5.4 oracle (both ingestion paths: driver trace
-//!   and observability stream) stays green;
+//! * every group's own §5.4 oracle, run on that group's event stream
+//!   and fault markers, stays green;
 //! * the cross-group property — no event in group A's record ever names
 //!   a member of group B;
 //! * the service's merged snapshot labels each group's metrics under its
@@ -32,7 +32,7 @@ fn storm_options() -> ChaosOptions {
 fn all_violations(outcome: &MultigroupOutcome) -> String {
     let mut lines: Vec<String> = outcome.cross_group_violations.clone();
     for (tag, group) in &outcome.groups {
-        for v in group.violations.iter().chain(&group.obs_violations) {
+        for v in &group.violations {
             lines.push(format!("[{tag}] {v}"));
         }
     }
