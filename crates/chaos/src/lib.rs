@@ -6,12 +6,11 @@
 //! partitions, heals, crashes, and reconnects over a fault-injecting
 //! network — with the leader and every member emitting onto one shared
 //! `enclaves_obs::EventStream`. After the run, the network is healed and
-//! the system driven to quiescence; the stream, projected onto the
-//! [`enclaves_verify::live::LiveEvent`] vocabulary with the driver's
-//! fault markers merged in, is replayed through the same property
-//! predicates the model checker uses. The driver records nothing the
-//! product can say itself: only the faults it injected and the
-//! end-of-run snapshot.
+//! the system driven to quiescence; the stream, in the product's own
+//! `EventKind` vocabulary, is checked by the same property predicates the
+//! model checker uses ([`enclaves_verify::live`]). The driver records
+//! nothing the product can say itself: only the faults it injected and
+//! the end-of-run snapshot, each stamped with its position in the stream.
 //!
 //! The moving parts:
 //!

@@ -98,15 +98,16 @@ mod tests {
                 violations: if failed {
                     vec![Violation {
                         checker: "synthetic",
-                        index: poison_at,
+                        index: poison_at as u64,
                         detail: "poison".into(),
                     }]
                 } else {
                     Vec::new()
                 },
-                trace: Vec::new(),
                 snapshot: enclaves_obs::Snapshot::default(),
                 obs_events: Vec::new(),
+                faults: Vec::new(),
+                at_rest: None,
             }
         }
     }
@@ -133,9 +134,10 @@ mod tests {
         let schedule = schedule_of(10);
         assert!(shrink_failure(&schedule, |_| ChaosOutcome {
             violations: Vec::new(),
-            trace: Vec::new(),
             snapshot: enclaves_obs::Snapshot::default(),
             obs_events: Vec::new(),
+            faults: Vec::new(),
+            at_rest: None,
         })
         .is_none());
     }

@@ -1,8 +1,8 @@
 //! The chaos driver: spawns a live leader and a cast of members on a
 //! [`Fabric`] with one shared event stream, executes a [`Schedule`],
 //! finalizes the run (calm → heal → quiesce → probe), and hands the
-//! stream — plus the fault markers only the driver knows — to the §5.4
-//! oracle.
+//! stream — plus the faults it injected and its end-of-run snapshot,
+//! which only the driver knows — to the §5.4 oracle.
 
 use crate::fabric::{Fabric, SimFabric};
 use crate::schedule::{ChaosEvent, Schedule};
@@ -13,14 +13,15 @@ use enclaves_core::runtime::{
     GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
 use enclaves_obs::{EventKind, EventStream, ProtocolEvent, Registry, Snapshot};
-use enclaves_verify::live::{check_trace, LiveEvent, Violation};
-use enclaves_verify::obs::live_event;
+use enclaves_verify::live::{check_run, AtRest, Fault, FaultKind, Violation};
 use enclaves_wire::{ActorId, GroupId};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The name every driver-run leader takes.
+const LEADER: &str = "leader";
 /// How long a join may take before the driver stops waiting for the
 /// welcome (the join itself keeps running — a partition may deliver the
 /// welcome much later, which is part of the chaos).
@@ -44,7 +45,7 @@ pub struct ChaosOptions {
     /// with backoff and jitter, heartbeats, timeout-driven eviction, and
     /// member auto-rejoin through [`Fabric::reconnector`]. Fault
     /// injections ([`ChaosEvent::CrashWire`], [`ChaosEvent::Partition`])
-    /// additionally leave `Crashed`/`Partitioned` markers in the trace so
+    /// additionally leave `Crashed`/`Partitioned` faults in the outcome so
     /// the liveness oracle properties (`live-evict`, `live-no-false-evict`,
     /// `live-rejoin`) have ground truth to check against.
     pub liveness: bool,
@@ -115,10 +116,6 @@ fn chaos_liveness(seed: u64) -> LivenessConfig {
 pub struct ChaosOutcome {
     /// Violations the oracle found (empty = the paper's properties held).
     pub violations: Vec<Violation>,
-    /// The trace the oracle checked: [`ChaosOutcome::obs_events`]
-    /// projected onto the live vocabulary, with the driver's fault
-    /// markers and `Final` snapshot merged in where it recorded them.
-    pub trace: Vec<LiveEvent>,
     /// Merged metrics from every component of the run: the fabric's
     /// `net.*` counters ([`Fabric::net_snapshot`], empty on a fabric that
     /// keeps none), the leader's `leader.*` registry, and every member
@@ -127,6 +124,11 @@ pub struct ChaosOutcome {
     /// The run's own observability stream (leader + every member emit
     /// onto one shared, totally ordered stream).
     pub obs_events: Vec<ProtocolEvent>,
+    /// The faults the driver injected, in injection order (recorded only
+    /// with [`ChaosOptions::liveness`] armed).
+    pub faults: Vec<Fault>,
+    /// The end-of-run snapshot the oracle's agreement check reads.
+    pub at_rest: Option<AtRest>,
 }
 
 impl ChaosOutcome {
@@ -157,44 +159,27 @@ struct MemberSlot {
 }
 
 /// What a run records: the event stream the leader and every member
-/// emit onto, and the driver's own markers (`Crashed`, `Partitioned`,
-/// `Healed`, `Final`), which no component of the product can know. Each
-/// marker is stamped with the stream's length when the driver recorded
-/// it, after the fault had taken effect.
+/// emit onto, and what no component of the product can know — the faults
+/// the driver injected and its end-of-run snapshot. Each is stamped with
+/// the stream's length when the driver recorded it, after the fault had
+/// taken effect.
+#[derive(Default)]
 struct Record {
     stream: EventStream,
-    markers: Vec<(u64, LiveEvent)>,
+    faults: Vec<Fault>,
+    at_rest: Option<AtRest>,
 }
 
 impl Record {
-    fn new() -> Self {
-        Record {
-            stream: EventStream::new(),
-            markers: Vec::new(),
-        }
+    /// Records a `kind` fault on `member` behind every stream event
+    /// emitted so far.
+    fn fault(&mut self, member: &str, kind: FaultKind) {
+        self.faults.push(Fault {
+            at: self.stream.len() as u64,
+            member: member.to_owned(),
+            kind,
+        });
     }
-
-    /// Records `marker` behind every stream event emitted so far.
-    fn mark(&mut self, marker: LiveEvent) {
-        self.markers.push((self.stream.len() as u64, marker));
-    }
-}
-
-/// The oracle's one trace: `events` projected onto the live vocabulary,
-/// each marker merged in before the first event whose `seq` is at least
-/// its stamp. Markers are stamped in recording order, so their order is
-/// kept.
-fn merge(events: &[ProtocolEvent], markers: &[(u64, LiveEvent)]) -> Vec<LiveEvent> {
-    let mut markers = markers.iter().peekable();
-    let mut trace = Vec::with_capacity(events.len() + markers.len());
-    for event in events {
-        while let Some((_, marker)) = markers.next_if(|(at, _)| *at <= event.seq) {
-            trace.push(marker.clone());
-        }
-        trace.extend(live_event(event));
-    }
-    trace.extend(markers.map(|(_, marker)| marker.clone()));
-    trace
 }
 
 /// The cast `<prefix>0`, `<prefix>1`, … of `n` members, each registered
@@ -272,8 +257,8 @@ fn abandon_all(members: &mut [MemberSlot]) {
 /// snapshots) and every member session's registry merge into one
 /// run-level snapshot; all histograms use the shared default bounds, so
 /// merging cannot fail. The oracle checks the run's event stream with
-/// the driver's markers merged in.
-fn outcome(record: &Record, parts: Vec<Snapshot>, members: &[MemberSlot]) -> ChaosOutcome {
+/// the driver's faults and snapshot beside it.
+fn outcome(record: Record, parts: Vec<Snapshot>, members: &[MemberSlot]) -> ChaosOutcome {
     let sessions = members
         .iter()
         .flat_map(|slot| &slot.registries)
@@ -285,12 +270,12 @@ fn outcome(record: &Record, parts: Vec<Snapshot>, members: &[MemberSlot]) -> Cha
             .expect("uniform histogram bounds");
     }
     let obs_events = record.stream.events();
-    let trace = merge(&obs_events, &record.markers);
     ChaosOutcome {
-        violations: check_trace(&trace),
-        trace,
+        violations: check_run(&obs_events, &record.faults, record.at_rest.as_ref()),
         snapshot,
         obs_events,
+        faults: record.faults,
+        at_rest: record.at_rest,
     }
 }
 
@@ -304,12 +289,12 @@ pub fn run_schedule(
     schedule: &Schedule,
     options: &ChaosOptions,
 ) -> ChaosOutcome {
-    let leader_id = ActorId::new("leader").expect("static name");
+    let leader_id = ActorId::new(LEADER).expect("static name");
 
     // One protocol-event stream shared by the leader and every member:
     // emissions interleave under a single buffer lock, so the stream order
     // is a happened-before order across the whole world.
-    let mut record = Record::new();
+    let mut record = Record::default();
     let (directory, mut members) = cast("m", schedule.members);
 
     let wiring = options.liveness.then(|| LivenessWiring {
@@ -354,7 +339,7 @@ pub fn run_schedule(
     }
 
     outcome(
-        &record,
+        record,
         vec![fabric.net_snapshot(), leader_registry.snapshot()],
         &members,
     )
@@ -366,9 +351,8 @@ pub fn run_schedule(
 pub struct MultigroupOutcome {
     /// Per-group results, keyed by the group's enclave tag.
     pub groups: Vec<(String, ChaosOutcome)>,
-    /// Cross-group violations: any trace event in group A's record that
-    /// names a member of another group (isolation demands there are
-    /// none).
+    /// Cross-group violations: any event on group A's stream that names
+    /// a member of another group (isolation demands there are none).
     pub cross_group_violations: Vec<String>,
     /// The service's merged labeled snapshot (`group.<tag>.leader.*`),
     /// taken after finalization.
@@ -384,26 +368,51 @@ impl MultigroupOutcome {
     }
 }
 
-/// Member names an event refers to (used by the cross-group check).
-fn event_members(event: &LiveEvent) -> Vec<&str> {
-    match event {
-        LiveEvent::JoinStarted { member }
-        | LiveEvent::Welcomed { member, .. }
-        | LiveEvent::KeyChanged { member, .. }
-        | LiveEvent::AdminDeliver { member, .. }
-        | LiveEvent::DataDeliver { member, .. }
-        | LiveEvent::MemberJoined { member }
-        | LiveEvent::MemberClosed { member }
-        | LiveEvent::Evicted { member }
-        | LiveEvent::Crashed { member }
-        | LiveEvent::Partitioned { member }
-        | LiveEvent::Healed { member } => vec![member.as_str()],
-        LiveEvent::AdminSend { recipients, .. } | LiveEvent::DataSend { recipients, .. } => {
+/// Member names an event refers to (used by the cross-group check). The
+/// leader's own retransmissions name no member.
+fn event_members(kind: &EventKind) -> Vec<&str> {
+    match kind {
+        EventKind::JoinStarted { member }
+        | EventKind::AuthAccepted { member }
+        | EventKind::SessionEstablished { member }
+        | EventKind::MemberJoined { member, .. }
+        | EventKind::Welcomed { member, .. }
+        | EventKind::KeyChanged { member, .. }
+        | EventKind::AdminDeliver { member, .. }
+        | EventKind::AdminAcked { member }
+        | EventKind::DataDeliver { member, .. }
+        | EventKind::CloseRequested { member }
+        | EventKind::MemberClosed { member }
+        | EventKind::Expelled { member }
+        | EventKind::Evicted { member }
+        | EventKind::LeaderLost { member } => vec![member.as_str()],
+        EventKind::Retransmit { actor, .. } if actor != LEADER => vec![actor.as_str()],
+        EventKind::AdminSend { recipients, .. } | EventKind::DataSend { recipients, .. } => {
             recipients.iter().map(String::as_str).collect()
         }
-        LiveEvent::Final { members, .. } => members.iter().map(|(m, _)| m.as_str()).collect(),
-        LiveEvent::LeaderRekeyed { .. } => Vec::new(),
+        EventKind::Retransmit { .. } | EventKind::Rekeyed { .. } | EventKind::SealBatch { .. } => {
+            Vec::new()
+        }
     }
+}
+
+/// Cross-group isolation: one report per name on group `tag`'s stream
+/// that is not in its cast (`cast_prefix…`).
+fn foreign_names(tag: &str, cast_prefix: &str, events: &[ProtocolEvent]) -> Vec<String> {
+    events
+        .iter()
+        .flat_map(|event| {
+            event_members(&event.kind)
+                .into_iter()
+                .filter(|member| !member.starts_with(cast_prefix))
+                .map(move |member| {
+                    format!(
+                        "group {tag}: seq {} names foreign member {member}: {:?}",
+                        event.seq, event.kind
+                    )
+                })
+        })
+        .collect()
 }
 
 /// Per-group world state for [`run_multigroup`].
@@ -424,14 +433,14 @@ struct GroupWorld {
 ///
 /// Each group's own event stream feeds the same §5.4 oracle as a
 /// single-group run; on top, the cross-group check asserts no group's
-/// record ever names another group's member.
+/// stream ever names another group's member.
 #[must_use]
 pub fn run_multigroup(
     fabric: &mut dyn Fabric,
     schedules: &[Schedule],
     options: &ChaosOptions,
 ) -> MultigroupOutcome {
-    let leader_id = ActorId::new("leader").expect("static name");
+    let leader_id = ActorId::new(LEADER).expect("static name");
     let wiring = options.liveness.then(|| LivenessWiring {
         clock: VirtualClock::new(),
         seed: schedules.first().map_or(0, |s| s.seed),
@@ -451,7 +460,7 @@ pub fn run_multigroup(
                 leader_config(options, wiring.as_ref(), Some(group)),
             )
             .expect("fresh tag");
-        let record = Record::new();
+        let record = Record::default();
         handle.attach_event_stream(record.stream.clone());
         worlds.push(GroupWorld {
             tag,
@@ -508,22 +517,15 @@ pub fn run_multigroup(
     let mut groups = Vec::new();
     for (world, leader_registry) in worlds.into_iter().zip(leader_registries) {
         let outcome = outcome(
-            &world.record,
+            world.record,
             vec![leader_registry.snapshot()],
             &world.members,
         );
-        // Cross-group isolation: every member this group's record names
-        // must belong to this group's cast.
-        for (i, event) in outcome.trace.iter().enumerate() {
-            for member in event_members(event) {
-                if !member.starts_with(&world.cast_prefix) {
-                    cross_group_violations.push(format!(
-                        "group {}: trace[{i}] names foreign member {member}: {event:?}",
-                        world.tag
-                    ));
-                }
-            }
-        }
+        cross_group_violations.extend(foreign_names(
+            &world.tag,
+            &world.cast_prefix,
+            &outcome.obs_events,
+        ));
         groups.push((world.tag, outcome));
     }
 
@@ -535,11 +537,11 @@ pub fn run_multigroup(
 }
 
 /// The verdict of a kill-9 → restart-from-journal run: the usual chaos
-/// outcome computed over the whole two-generation trace, plus the
+/// outcome computed over the whole two-generation stream, plus the
 /// recovery facts the crash-recovery battery asserts on.
 #[derive(Debug)]
 pub struct CrashRestartOutcome {
-    /// Oracle verdict, trace, and merged metrics across both leader
+    /// Oracle verdict, event stream, and merged metrics across both leader
     /// generations (the snapshot includes the restarted service's
     /// `recovery.*` counters).
     pub outcome: ChaosOutcome,
@@ -597,8 +599,8 @@ pub fn run_crash_restart(
         "run_crash_restart needs the liveness layer: auto-rejoin is the \
          only path back into the group after the leader dies"
     );
-    let leader_id = ActorId::new("leader").expect("static name");
-    let mut record = Record::new();
+    let leader_id = ActorId::new(LEADER).expect("static name");
+    let mut record = Record::default();
     let (directory, mut members) = cast("m", schedule.members);
     let wiring = LivenessWiring {
         clock: VirtualClock::new(),
@@ -654,15 +656,13 @@ pub fn run_crash_restart(
     drop(handle);
     service.shutdown();
     // The kill is an injected fault that severed every member↔leader
-    // link at once: record the same per-member fault marker a scripted
+    // link at once: record the same per-member fault a scripted
     // partition leaves, so the oracle can attribute any liveness
     // eviction during the rejoin storm to the fault rather than flag a
     // false judgment.
     for slot in &members {
         if slot.runtime.is_some() {
-            record.mark(LiveEvent::Partitioned {
-                member: slot.name.clone(),
-            });
+            record.fault(&slot.name, FaultKind::Partitioned);
         }
     }
 
@@ -691,7 +691,7 @@ pub fn run_crash_restart(
 
     // Members the driver crashed before the kill are in the recovered
     // roster but have no process to rejoin from: expel them now (their
-    // `Crashed` markers justify the departure to the oracle) instead of
+    // `Crashed` faults justify the departure to the oracle) instead of
     // letting finalize wait out its whole convergence deadline on slots
     // that can never converge.
     for slot in members.iter_mut() {
@@ -731,7 +731,7 @@ pub fn run_crash_restart(
 
     CrashRestartOutcome {
         outcome: outcome(
-            &record,
+            record,
             vec![
                 fabric.net_snapshot(),
                 gen1_registry.snapshot(),
@@ -867,12 +867,10 @@ fn execute(
                 rt.abandon();
                 slot.state = MemberState::Crashed;
                 // With the liveness layer armed the leader will evict this
-                // slot by timeout: leave the fault marker that justifies
-                // the eviction to the oracle.
+                // slot by timeout: record the fault that justifies the
+                // eviction to the oracle.
                 if wiring.is_some() {
-                    record.mark(LiveEvent::Crashed {
-                        member: slot.name.clone(),
-                    });
+                    record.fault(&slot.name, FaultKind::Crashed);
                 }
             }
         }
@@ -887,9 +885,7 @@ fn execute(
             if wiring.is_some() {
                 // The runtime stays alive: its own liveness layer must
                 // detect the dead wire and drive the rejoin once healed.
-                record.mark(LiveEvent::Crashed {
-                    member: slot.name.clone(),
-                });
+                record.fault(&slot.name, FaultKind::Crashed);
             } else if let Some(rt) = slot.runtime.take() {
                 // Without a liveness layer nobody would ever notice the
                 // dead wire: degrade to a plain crash so the run can
@@ -917,20 +913,13 @@ fn execute(
             if let Some(slot) = members.get(*member) {
                 fabric.partition(&slot.name, *to_leader, *to_member);
                 if wiring.is_some() {
-                    record.mark(LiveEvent::Partitioned {
-                        member: slot.name.clone(),
-                    });
+                    record.fault(&slot.name, FaultKind::Partitioned);
                 }
             }
         }
         ChaosEvent::Heal(i) => {
             if let Some(slot) = members.get(*i) {
                 fabric.heal(&slot.name);
-                if wiring.is_some() {
-                    record.mark(LiveEvent::Healed {
-                        member: slot.name.clone(),
-                    });
-                }
             }
         }
         ChaosEvent::HealAll => fabric.heal_all(),
@@ -957,7 +946,7 @@ fn finalize(
     // slots and for every still-running member to rejoin and converge on
     // the leader's epoch, *before* the manual dead-slot sweep below runs
     // as a fallback. Expelling here too early would rob the oracle of the
-    // eviction it is owed for each `Crashed` marker.
+    // eviction it is owed for each `Crashed` fault.
     if liveness {
         let deadline = Instant::now() + QUIESCE_WAIT;
         while Instant::now() < deadline {
@@ -1058,7 +1047,8 @@ fn finalize(
             )
         })
         .collect();
-    record.mark(LiveEvent::Final {
+    record.at_rest = Some(AtRest {
+        at: record.stream.len() as u64,
         leader_epoch: leader.epoch(),
         members: final_members,
     });
@@ -1082,38 +1072,124 @@ mod tests {
         stream
     }
 
-    /// How often `live-no-false-evict` fires on `[MemberJoined m0,
-    /// Evicted m0]` with `markers` merged in.
-    fn false_evictions(markers: &[(u64, LiveEvent)]) -> usize {
-        check_trace(&merge(&joined_then_evicted().events(), markers))
-            .iter()
-            .filter(|v| v.checker.starts_with("live-no-false-evict"))
-            .count()
-    }
-
     #[test]
     fn an_eviction_needs_a_fault_marker_stamped_before_it() {
-        let crashed = LiveEvent::Crashed { member: m0() };
-        assert_eq!(false_evictions(&[]), 1);
-        assert_eq!(false_evictions(&[(1, crashed.clone())]), 0);
-        assert_eq!(false_evictions(&[(2, crashed)]), 1);
+        let events = joined_then_evicted().events();
+        // `live-no-false-evict` reports on `[MemberJoined m0, Evicted m0]`
+        // with a crash of m0 stamped at `at`, if any.
+        let false_evictions = |at: Option<u64>| -> Vec<Violation> {
+            let faults: Vec<Fault> = at
+                .map(|at| Fault {
+                    at,
+                    member: m0(),
+                    kind: FaultKind::Crashed,
+                })
+                .into_iter()
+                .collect();
+            check_run(&events, &faults, None)
+                .into_iter()
+                .filter(|v| v.checker.starts_with("live-no-false-evict"))
+                .collect()
+        };
+        let unjustified = false_evictions(None);
+        assert_eq!(unjustified.len(), 1);
+        assert_eq!(unjustified[0].index, events[1].seq);
+        assert!(false_evictions(Some(1)).is_empty());
+        assert_eq!(false_evictions(Some(2)).len(), 1);
     }
 
     #[test]
     fn a_mark_lands_behind_every_event_emitted_before_it() {
         let mut record = Record {
             stream: joined_then_evicted(),
-            markers: vec![(0, LiveEvent::Crashed { member: m0() })],
+            ..Record::default()
         };
-        record.mark(LiveEvent::Healed { member: m0() });
-        assert_eq!(
-            merge(&record.stream.events(), &record.markers),
-            vec![
-                LiveEvent::Crashed { member: m0() },
-                LiveEvent::MemberJoined { member: m0() },
-                LiveEvent::Evicted { member: m0() },
-                LiveEvent::Healed { member: m0() },
-            ]
-        );
+        record.fault("m0", FaultKind::Crashed);
+        // Stamped behind both events, ahead of the next one.
+        assert_eq!(record.faults[0].at, 2);
+        record.stream.emit(EventKind::Welcomed {
+            member: m0(),
+            epoch: 2,
+        });
+        assert_eq!(record.stream.events()[2].seq, record.faults[0].at);
+    }
+
+    #[test]
+    fn the_cross_group_check_reads_every_variant() {
+        let foreign = || "g1m0".to_string();
+        let recipients = || vec!["g0m0".to_string(), foreign()];
+        // Every variant that names a member, naming one of group g1's.
+        let naming = [
+            EventKind::JoinStarted { member: foreign() },
+            EventKind::AuthAccepted { member: foreign() },
+            EventKind::SessionEstablished { member: foreign() },
+            EventKind::MemberJoined {
+                member: foreign(),
+                epoch: 1,
+            },
+            EventKind::Welcomed {
+                member: foreign(),
+                epoch: 1,
+            },
+            EventKind::KeyChanged {
+                member: foreign(),
+                epoch: 2,
+            },
+            EventKind::AdminSend {
+                payload: vec![],
+                recipients: recipients(),
+            },
+            EventKind::AdminDeliver {
+                member: foreign(),
+                payload: vec![],
+            },
+            EventKind::AdminAcked { member: foreign() },
+            EventKind::DataSend {
+                epoch: 2,
+                seq: 1,
+                payload: vec![],
+                recipients: recipients(),
+            },
+            EventKind::DataDeliver {
+                member: foreign(),
+                epoch: 2,
+                seq: 1,
+                payload: vec![],
+            },
+            EventKind::CloseRequested { member: foreign() },
+            EventKind::MemberClosed { member: foreign() },
+            EventKind::Expelled { member: foreign() },
+            EventKind::Evicted { member: foreign() },
+            EventKind::LeaderLost { member: foreign() },
+            EventKind::Retransmit {
+                actor: foreign(),
+                frames: 1,
+            },
+        ];
+        // The variants that name no member, and the leader's own
+        // retransmissions.
+        let silent = [
+            EventKind::Rekeyed { epoch: 2 },
+            EventKind::SealBatch {
+                frames: 1,
+                elapsed_ns: 1,
+            },
+            EventKind::Retransmit {
+                actor: LEADER.into(),
+                frames: 1,
+            },
+        ];
+        let stream = EventStream::new();
+        for kind in naming.iter().chain(&silent) {
+            stream.emit(kind.clone());
+        }
+        let reports = foreign_names("g0", "g0m", &stream.events());
+        assert_eq!(reports.len(), naming.len(), "{reports:#?}");
+        for (report, kind) in reports.iter().zip(&naming) {
+            assert!(report.contains(kind.name()), "{report}");
+        }
+        let names: std::collections::BTreeSet<&str> =
+            naming.iter().chain(&silent).map(EventKind::name).collect();
+        assert_eq!(names.len(), 19, "every EventKind variant is covered");
     }
 }

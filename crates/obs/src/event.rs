@@ -7,9 +7,11 @@
 //! caused it, because sends are emitted while the sender still holds its
 //! state lock, before any frame reaches a wire.
 //!
-//! The vocabulary mirrors `enclaves-verify::live::LiveEvent` (plus the
-//! leader-internal `Retransmit`/`SealBatch` operational events), so the
-//! §5.4 oracle can check a run from its observability stream alone.
+//! The §5.4 oracle (`enclaves-verify::live`) reads this vocabulary as it
+//! is: there is no second trace format to keep in step with it. A chaos
+//! driver adds only what the product cannot know, the faults it injected
+//! and its end-of-run snapshot, each stamped with the stream's
+//! [`EventStream::len`] at the moment it was recorded.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -18,8 +20,8 @@ use std::time::Instant;
 /// What happened, in protocol vocabulary.
 ///
 /// Actor names are plain strings and payloads plain bytes, keeping the
-/// stream transport- and wire-format-free (same rationale as the live
-/// trace vocabulary in `enclaves-verify`).
+/// stream transport- and wire-format-free: any harness, over any
+/// transport, can check a run from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A member (re)started its authentication handshake.
@@ -251,7 +253,10 @@ impl EventStream {
         });
     }
 
-    /// Number of events currently buffered.
+    /// Number of events emitted so far, which is also the `seq` the next
+    /// event will get: events are never removed, so a record stamped with
+    /// `len()` precedes exactly the events whose `seq` is at least the
+    /// stamp.
     #[must_use]
     pub fn len(&self) -> usize {
         self.inner.buf.lock().expect("event stream lock").len()
@@ -267,13 +272,6 @@ impl EventStream {
     #[must_use]
     pub fn events(&self) -> Vec<ProtocolEvent> {
         self.inner.buf.lock().expect("event stream lock").clone()
-    }
-
-    /// Removes and returns every buffered event. Sequence numbers keep
-    /// counting, so a later drain can be concatenated with this one.
-    #[must_use]
-    pub fn drain(&self) -> Vec<ProtocolEvent> {
-        std::mem::take(&mut *self.inner.buf.lock().expect("event stream lock"))
     }
 }
 
@@ -293,18 +291,10 @@ mod tests {
             assert_eq!(e.seq, i as u64);
         }
         assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-    }
-
-    #[test]
-    fn drain_keeps_the_sequence_counter() {
-        let stream = EventStream::new();
-        stream.emit(EventKind::Rekeyed { epoch: 1 });
-        let first = stream.drain();
-        stream.emit(EventKind::Rekeyed { epoch: 2 });
-        let second = stream.drain();
-        assert_eq!(first[0].seq, 0);
-        assert_eq!(second[0].seq, 1);
-        assert!(stream.is_empty());
+        // The length is the next event's `seq`.
+        let stamp = stream.len() as u64;
+        stream.emit(EventKind::Rekeyed { epoch: 5 });
+        assert_eq!(stream.events().last().map(|e| e.seq), Some(stamp));
     }
 
     #[test]

@@ -19,11 +19,10 @@
 //! * [`EventStream`] — an ordered, timestamped stream of
 //!   [`ProtocolEvent`]s (join/auth/rekey/expel/retransmit/seal, each
 //!   carrying epoch, channel sequence numbers, and monotonic timestamps).
-//!   The vocabulary deliberately mirrors `enclaves-verify::live`'s
-//!   `LiveEvent`, so the §5.4 oracle can ingest an observability stream
-//!   directly — divergence between the metrics view and the trace view of
-//!   a run is itself a test failure. A component without an attached
-//!   stream pays one `Option` check per would-be event.
+//!   The §5.4 oracle in `enclaves-verify::live` checks a run from this
+//!   stream directly — divergence between the metrics view and the event
+//!   view of a run is itself a test failure. A component without an
+//!   attached stream pays one `Option` check per would-be event.
 //! * [`Snapshot`] — a point-in-time copy of a registry with a *stable*
 //!   JSON encoding (sorted keys, integers only — dashboards can depend on
 //!   the schema), a decoder, a merge operation (union of disjoint names,

@@ -21,9 +21,12 @@
 //!   post-expulsion `PathUpdate` seal and reaches no post-expulsion root.
 //! * [`runner`] — packaged verification suites and result tables used by
 //!   the benchmark report and `EXPERIMENTS.md`.
-//! * [`live`] — trace-level adapters that replay a recorded run of the
-//!   *threaded* runtimes through the same §5.4 predicates, so the chaos
-//!   harness asserts the paper's guarantees against live sessions.
+//! * [`live`] — the §5.4 predicates over a *threaded* run's own
+//!   `enclaves_obs` event stream, plus the faults a driver injected and
+//!   its end-of-run snapshot, so the chaos harness asserts the paper's
+//!   guarantees against live sessions.
+//! * [`obs`] — the model-to-event mapping: the event each honest model
+//!   move obliges the implementation to emit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,22 +1,23 @@
-//! Live-trace adapters for the Section 5.4 properties: a *threaded*
-//! leader/member run's own event stream, projected onto the [`LiveEvent`]
-//! vocabulary ([`crate::obs::obs_trace`]) with the chaos driver's fault
-//! markers merged in, is replayed through the same property predicates
-//! the model checker uses — so the paper's guarantees are asserted
-//! against real concurrent sessions over a faulty network, not just the
-//! abstract model.
+//! The §5.4 live oracle: a *threaded* leader/member run is checked from
+//! its own event stream — the [`ProtocolEvent`]s the leader and every
+//! member emit, in one happened-before order — by the same property
+//! predicates the model checker uses, so the paper's guarantees are
+//! asserted against real concurrent sessions over a faulty network, not
+//! just the abstract model.
 //!
-//! The trace vocabulary is deliberately transport-free (`String` names,
-//! `Vec<u8>` payloads): this crate keeps its dependency surface at
-//! `enclaves-model`, and any harness — sim, TCP, or a future transport —
-//! can produce the events.
+//! The checkers read the product's own [`EventKind`] vocabulary. Beside
+//! the stream they take the two things only a test driver can know: the
+//! [`Fault`]s it injected and the [`AtRest`] snapshot it took once the
+//! run had quiesced. Each carries `at`, the stream length when the driver
+//! recorded it, so it precedes exactly the events whose `seq` is at least
+//! `at`. A [`Violation`]'s `index` is a stream position too.
 //!
 //! Checkers:
 //!
 //! * [`AdminPrefixChecker`] — §5.4 P3 on the live admin channel. For each
 //!   member's session segment it interns admin payloads as model
 //!   [`Field`]s, builds a [`SystemState`] whose `snd_a`/`rcv_a` mirror the
-//!   live trace, and calls the *actual*
+//!   live stream, and calls the *actual*
 //!   [`AdminPrefixProperty`](crate::properties::AdminPrefixProperty) after
 //!   every delivery (incrementally, so transient violations cannot be
 //!   masked by later traffic).
@@ -44,131 +45,51 @@ use crate::properties::AdminPrefixProperty;
 use enclaves_model::explore::StateChecker;
 use enclaves_model::field::{Field, NonceId};
 use enclaves_model::system::{Scenario, SystemState};
+use enclaves_obs::{EventKind, ProtocolEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// One application-level observation from a live run.
-///
-/// Every event but the driver's markers comes from the run's event
-/// stream, whose order is a happened-before order: a `*Send` is emitted
-/// under the leader's core lock before its frame reaches any wire, a
-/// `*Deliver` under the member's session lock when the session accepts
-/// the frame, so no delivery can appear ahead of its send.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LiveEvent {
-    /// `member` (re)started its handshake; any previous session segment
-    /// for that member is finished and its bookkeeping resets.
-    JoinStarted {
-        /// Member name.
-        member: String,
-    },
-    /// `member` accepted the welcome (roster + group key) at `epoch`.
-    Welcomed {
-        /// Member name.
-        member: String,
-        /// Group-key epoch installed.
-        epoch: u64,
-    },
-    /// `member` installed a rotated group key.
-    KeyChanged {
-        /// Member name.
-        member: String,
-        /// The new epoch.
-        epoch: u64,
-    },
-    /// The leader rotated the group key.
-    LeaderRekeyed {
-        /// The new epoch.
-        epoch: u64,
-    },
-    /// The leader sent an admin-channel broadcast to `recipients` (the
-    /// roster captured under the core lock at send time).
-    AdminSend {
-        /// Application payload.
-        payload: Vec<u8>,
-        /// Exact recipient set.
-        recipients: Vec<String>,
-    },
-    /// `member` accepted an admin-channel broadcast.
-    AdminDeliver {
-        /// Member name.
-        member: String,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-    /// The leader sealed a data-plane broadcast into `(epoch, seq)`.
-    DataSend {
-        /// Group-key epoch sealed under.
-        epoch: u64,
-        /// Broadcast sequence number within the epoch.
-        seq: u64,
-        /// Application payload.
-        payload: Vec<u8>,
-        /// Exact recipient set.
-        recipients: Vec<String>,
-    },
-    /// `member` opened a data-plane broadcast.
-    DataDeliver {
-        /// Member name.
-        member: String,
-        /// Epoch the frame claimed.
-        epoch: u64,
-        /// Sequence number the frame claimed.
-        seq: u64,
-        /// Decrypted payload.
-        payload: Vec<u8>,
-    },
-    /// The leader accepted `member` into the group.
-    MemberJoined {
-        /// Member name.
-        member: String,
-    },
-    /// The leader observed `member` depart (voluntary close or expel).
-    MemberClosed {
-        /// Member name.
-        member: String,
-    },
-    /// The leader's liveness layer evicted `member` (ARQ budget exhausted
-    /// or heartbeat deadline missed) — the timeout-driven `Oops(Ka)` path.
-    Evicted {
-        /// Member name.
-        member: String,
-    },
-    /// Driver fault marker: `member`'s wire was severed without a close
-    /// (crash-without-close). Only the chaos driver records these; they
-    /// never appear in the event stream's projection.
-    Crashed {
-        /// Member name.
-        member: String,
-    },
-    /// Driver fault marker: `member` was partitioned from the leader.
-    Partitioned {
-        /// Member name.
-        member: String,
-    },
-    /// Driver fault marker: a partition or crash affecting `member` was
-    /// healed.
-    Healed {
-        /// Member name.
-        member: String,
-    },
-    /// End-of-run snapshot, recorded after the driver healed all
-    /// partitions and waited for quiescence.
-    Final {
-        /// The leader's group-key epoch.
-        leader_epoch: Option<u64>,
-        /// Every member the driver believes is still connected, with the
-        /// group-key epoch it holds.
-        members: Vec<(String, Option<u64>)>,
-    },
+/// What the driver did to a member's wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The wire was severed without a close (crash-without-close).
+    Crashed,
+    /// The member was partitioned from the leader.
+    Partitioned,
 }
 
-/// A property violation found in a live trace.
+/// A fault the driver injected: it precedes every stream event whose
+/// `seq` is at least `at`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Fault {
+    /// The stream length once the fault had taken effect.
+    pub at: u64,
+    /// The member whose wire was faulted.
+    pub member: String,
+    /// What was done to it.
+    pub kind: FaultKind,
+}
+
+/// End-of-run snapshot, taken after the driver healed all partitions and
+/// waited for quiescence.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AtRest {
+    /// The stream length when the snapshot was taken.
+    pub at: u64,
+    /// The leader's group-key epoch.
+    pub leader_epoch: Option<u64>,
+    /// Every member the driver believes is still connected, with the
+    /// group-key epoch it holds.
+    pub members: Vec<(String, Option<u64>)>,
+}
+
+/// A property violation found in a live run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// Which checker fired.
     pub checker: &'static str,
-    /// Index into the trace of the event that exposed the violation.
-    pub index: usize,
+    /// Stream `seq` of the event that exposed the violation, or the `at`
+    /// of the fault or snapshot that did.
+    pub index: u64,
     /// Human-readable description.
     pub detail: String,
 }
@@ -177,18 +98,24 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "[{}] at trace[{}]: {}",
+            "[{}] at seq {}: {}",
             self.checker, self.index, self.detail
         )
     }
 }
 
-/// A property predicate over a live trace.
+/// A property predicate over a live run.
 pub trait LiveChecker {
     /// Checker name (used in violation reports).
     fn name(&self) -> &'static str;
-    /// Scans the trace and returns every violation found.
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation>;
+    /// Scans the run's `events`, with the driver's `faults` and `at_rest`
+    /// snapshot, and returns every violation found.
+    fn check(
+        &self,
+        events: &[ProtocolEvent],
+        faults: &[Fault],
+        at_rest: Option<&AtRest>,
+    ) -> Vec<Violation>;
 }
 
 /// §5.4 P3 over the live admin channel, evaluated by the *model checker's
@@ -203,7 +130,7 @@ impl LiveChecker for AdminPrefixChecker {
         "live-P3: admin deliveries are a prefix of admin sends"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(&self, events: &[ProtocolEvent], _: &[Fault], _: Option<&AtRest>) -> Vec<Violation> {
         let mut violations = Vec::new();
         // Payloads are interned as model nonces: equal bytes, equal Field.
         let mut intern: HashMap<Vec<u8>, u32> = HashMap::new();
@@ -218,14 +145,14 @@ impl LiveChecker for AdminPrefixChecker {
         // would otherwise flag every subsequent delivery too.
         let mut reported: BTreeSet<String> = BTreeSet::new();
 
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::JoinStarted { member } => {
+        for event in events {
+            match &event.kind {
+                EventKind::JoinStarted { member } => {
                     snd.remove(member);
                     rcv.remove(member);
                     reported.remove(member);
                 }
-                LiveEvent::AdminSend {
+                EventKind::AdminSend {
                     payload,
                     recipients,
                 } => {
@@ -234,7 +161,7 @@ impl LiveChecker for AdminPrefixChecker {
                         snd.entry(member.clone()).or_default().push(field.clone());
                     }
                 }
-                LiveEvent::AdminDeliver { member, payload } => {
+                EventKind::AdminDeliver { member, payload } => {
                     let field = field_of(payload);
                     rcv.entry(member.clone()).or_default().push(field);
                     if reported.contains(member) {
@@ -249,7 +176,7 @@ impl LiveChecker for AdminPrefixChecker {
                         reported.insert(member.clone());
                         violations.push(Violation {
                             checker: self.name(),
-                            index,
+                            index: event.seq,
                             detail: format!("member {member}: {detail}"),
                         });
                     }
@@ -275,19 +202,19 @@ impl LiveChecker for BroadcastUniquenessChecker {
         "live-data: no duplicate, forged, or cross-epoch data delivery"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(&self, events: &[ProtocolEvent], _: &[Fault], _: Option<&AtRest>) -> Vec<Violation> {
         let mut violations = Vec::new();
         let mut sends: HashMap<(u64, u64), (Vec<u8>, Vec<String>)> = HashMap::new();
         let mut seen: BTreeMap<String, BTreeSet<(u64, u64)>> = BTreeMap::new();
         let mut high: BTreeMap<(String, u64), u64> = BTreeMap::new();
 
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::JoinStarted { member } => {
+        for event in events {
+            match &event.kind {
+                EventKind::JoinStarted { member } => {
                     seen.remove(member);
                     high.retain(|(m, _), _| m != member);
                 }
-                LiveEvent::DataSend {
+                EventKind::DataSend {
                     epoch,
                     seq,
                     payload,
@@ -298,14 +225,14 @@ impl LiveChecker for BroadcastUniquenessChecker {
                 {
                     violations.push(Violation {
                         checker: self.name(),
-                        index,
+                        index: event.seq,
                         detail: format!(
                             "leader sealed two different broadcasts into \
                                  (epoch {epoch}, seq {seq})"
                         ),
                     });
                 }
-                LiveEvent::DataDeliver {
+                EventKind::DataDeliver {
                     member,
                     epoch,
                     seq,
@@ -315,7 +242,7 @@ impl LiveChecker for BroadcastUniquenessChecker {
                     match sends.get(&slot) {
                         None => violations.push(Violation {
                             checker: self.name(),
-                            index,
+                            index: event.seq,
                             detail: format!(
                                 "member {member} delivered (epoch {epoch}, seq {seq}) \
                                  which the leader never sent"
@@ -325,7 +252,7 @@ impl LiveChecker for BroadcastUniquenessChecker {
                             if sent_payload != payload {
                                 violations.push(Violation {
                                     checker: self.name(),
-                                    index,
+                                    index: event.seq,
                                     detail: format!(
                                         "member {member} delivered a different payload \
                                          than was sealed into (epoch {epoch}, seq {seq})"
@@ -335,7 +262,7 @@ impl LiveChecker for BroadcastUniquenessChecker {
                             if !recipients.contains(member) {
                                 violations.push(Violation {
                                     checker: self.name(),
-                                    index,
+                                    index: event.seq,
                                     detail: format!(
                                         "member {member} delivered (epoch {epoch}, seq \
                                          {seq}) but was not among its recipients"
@@ -347,7 +274,7 @@ impl LiveChecker for BroadcastUniquenessChecker {
                     if !seen.entry(member.clone()).or_default().insert(slot) {
                         violations.push(Violation {
                             checker: self.name(),
-                            index,
+                            index: event.seq,
                             detail: format!(
                                 "member {member} delivered (epoch {epoch}, seq {seq}) twice"
                             ),
@@ -358,7 +285,7 @@ impl LiveChecker for BroadcastUniquenessChecker {
                         if *seq <= h {
                             violations.push(Violation {
                                 checker: self.name(),
-                                index,
+                                index: event.seq,
                                 detail: format!(
                                     "member {member} accepted seq {seq} after seq {h} \
                                      in epoch {epoch} (watermark rollback)"
@@ -388,13 +315,13 @@ impl LiveChecker for EpochMonotonicChecker {
         "live-epoch: group-key epochs never regress"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(&self, events: &[ProtocolEvent], _: &[Fault], _: Option<&AtRest>) -> Vec<Violation> {
         let mut violations = Vec::new();
         let mut leader_high: Option<u64> = None;
         let mut member_high: BTreeMap<String, u64> = BTreeMap::new();
         let mut observe = |violations: &mut Vec<Violation>,
                            name: &'static str,
-                           index: usize,
+                           index: u64,
                            member: &String,
                            epoch: u64,
                            strict: bool| {
@@ -413,13 +340,13 @@ impl LiveChecker for EpochMonotonicChecker {
             *entry = (*entry).max(epoch);
         };
 
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::LeaderRekeyed { epoch } => {
+        for event in events {
+            match &event.kind {
+                EventKind::Rekeyed { epoch } => {
                     if leader_high.is_some_and(|h| *epoch <= h) {
                         violations.push(Violation {
                             checker: self.name(),
-                            index,
+                            index: event.seq,
                             detail: format!(
                                 "leader rekeyed to epoch {epoch} after {}",
                                 leader_high.unwrap_or_default()
@@ -430,11 +357,25 @@ impl LiveChecker for EpochMonotonicChecker {
                 }
                 // A welcome may repeat the current epoch (rejoin without a
                 // rekey); a rotation must strictly advance.
-                LiveEvent::Welcomed { member, epoch } => {
-                    observe(&mut violations, self.name(), index, member, *epoch, false);
+                EventKind::Welcomed { member, epoch } => {
+                    observe(
+                        &mut violations,
+                        self.name(),
+                        event.seq,
+                        member,
+                        *epoch,
+                        false,
+                    );
                 }
-                LiveEvent::KeyChanged { member, epoch } => {
-                    observe(&mut violations, self.name(), index, member, *epoch, true);
+                EventKind::KeyChanged { member, epoch } => {
+                    observe(
+                        &mut violations,
+                        self.name(),
+                        event.seq,
+                        member,
+                        *epoch,
+                        true,
+                    );
                 }
                 _ => {}
             }
@@ -454,34 +395,34 @@ impl LiveChecker for CloseOnceChecker {
         "live-close: at most one departure per member session"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(&self, events: &[ProtocolEvent], _: &[Fault], _: Option<&AtRest>) -> Vec<Violation> {
         let mut violations = Vec::new();
         // None = never joined; Some(true) = in group; Some(false) = closed.
         let mut state: BTreeMap<String, bool> = BTreeMap::new();
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::MemberJoined { member } => {
+        for event in events {
+            match &event.kind {
+                EventKind::MemberJoined { member, .. } => {
                     state.insert(member.clone(), true);
                 }
                 // An eviction is a departure like any other: the same
                 // session must not also close voluntarily afterwards.
-                LiveEvent::MemberClosed { member } | LiveEvent::Evicted { member } => {
-                    match state.get(member) {
-                        Some(true) => {
-                            state.insert(member.clone(), false);
-                        }
-                        Some(false) => violations.push(Violation {
-                            checker: self.name(),
-                            index,
-                            detail: format!("member {member} departed twice in one session"),
-                        }),
-                        None => violations.push(Violation {
-                            checker: self.name(),
-                            index,
-                            detail: format!("member {member} departed but never joined"),
-                        }),
+                EventKind::MemberClosed { member }
+                | EventKind::Expelled { member }
+                | EventKind::Evicted { member } => match state.get(member) {
+                    Some(true) => {
+                        state.insert(member.clone(), false);
                     }
-                }
+                    Some(false) => violations.push(Violation {
+                        checker: self.name(),
+                        index: event.seq,
+                        detail: format!("member {member} departed twice in one session"),
+                    }),
+                    None => violations.push(Violation {
+                        checker: self.name(),
+                        index: event.seq,
+                        detail: format!("member {member} departed but never joined"),
+                    }),
+                },
                 _ => {}
             }
         }
@@ -502,16 +443,18 @@ impl LiveChecker for FinalAgreementChecker {
         "live-agreement: connected members agree on (epoch, K_g) at rest"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(
+        &self,
+        events: &[ProtocolEvent],
+        _: &[Fault],
+        at_rest: Option<&AtRest>,
+    ) -> Vec<Violation> {
         let mut violations = Vec::new();
-        let Some((final_index, (leader_epoch, members))) =
-            trace.iter().enumerate().rev().find_map(|(i, e)| match e {
-                LiveEvent::Final {
-                    leader_epoch,
-                    members,
-                } => Some((i, (leader_epoch, members))),
-                _ => None,
-            })
+        let Some(AtRest {
+            at,
+            leader_epoch,
+            members,
+        }) = at_rest
         else {
             return violations; // No snapshot: nothing to assert.
         };
@@ -521,7 +464,7 @@ impl LiveChecker for FinalAgreementChecker {
                 (Some(le), Some(me)) if le == me => {}
                 _ => violations.push(Violation {
                     checker: self.name(),
-                    index: final_index,
+                    index: *at,
                     detail: format!(
                         "member {member} holds epoch {epoch:?} but the leader \
                          is at {leader_epoch:?}"
@@ -531,17 +474,15 @@ impl LiveChecker for FinalAgreementChecker {
         }
 
         // The probe: the last data broadcast before the snapshot.
-        let Some((probe_index, (p_epoch, p_seq, p_recipients))) = trace[..final_index]
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(i, e)| match e {
-                LiveEvent::DataSend {
+        let before_rest = || events.iter().filter(|e| e.seq < *at);
+        let Some((probe_at, p_epoch, p_seq, p_recipients)) =
+            before_rest().rev().find_map(|e| match &e.kind {
+                EventKind::DataSend {
                     epoch,
                     seq,
                     recipients,
                     ..
-                } => Some((i, (*epoch, *seq, recipients))),
+                } => Some((e.seq, *epoch, *seq, recipients)),
                 _ => None,
             })
         else {
@@ -553,7 +494,7 @@ impl LiveChecker for FinalAgreementChecker {
         if connected != addressed {
             violations.push(Violation {
                 checker: self.name(),
-                index: final_index,
+                index: *at,
                 detail: format!(
                     "roster disagreement at rest: the probe was addressed to \
                      {addressed:?} but the connected members are {connected:?}"
@@ -561,14 +502,15 @@ impl LiveChecker for FinalAgreementChecker {
             });
         }
         for member in p_recipients {
-            let opened = trace[probe_index + 1..final_index].iter().any(|e| {
-                matches!(e, LiveEvent::DataDeliver { member: m, epoch, seq, .. }
-                    if m == member && *epoch == p_epoch && *seq == p_seq)
+            let opened = before_rest().any(|e| {
+                e.seq > probe_at
+                    && matches!(&e.kind, EventKind::DataDeliver { member: m, epoch, seq, .. }
+                        if m == member && *epoch == p_epoch && *seq == p_seq)
             });
             if !opened {
                 violations.push(Violation {
                     checker: self.name(),
-                    index: final_index,
+                    index: *at,
                     detail: format!(
                         "member {member} never opened the probe broadcast \
                          (epoch {p_epoch}, seq {p_seq}) — key disagreement or lost \
@@ -594,21 +536,27 @@ impl LiveChecker for EvictionLivenessChecker {
         "live-evict: a crashed member is eventually evicted or re-welcomed"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(
+        &self,
+        events: &[ProtocolEvent],
+        faults: &[Fault],
+        _: Option<&AtRest>,
+    ) -> Vec<Violation> {
         let mut violations = Vec::new();
-        for (index, event) in trace.iter().enumerate() {
-            let LiveEvent::Crashed { member } = event else {
+        for Fault { at, member, kind } in faults {
+            if *kind != FaultKind::Crashed {
                 continue;
-            };
-            let recovered = trace[index + 1..].iter().any(|e| {
-                matches!(e,
-                    LiveEvent::Evicted { member: m } | LiveEvent::Welcomed { member: m, .. }
-                        if m == member)
+            }
+            let recovered = events.iter().any(|e| {
+                e.seq >= *at
+                    && matches!(&e.kind,
+                        EventKind::Evicted { member: m } | EventKind::Welcomed { member: m, .. }
+                            if m == member)
             });
             if !recovered {
                 violations.push(Violation {
                     checker: self.name(),
-                    index,
+                    index: *at,
                     detail: format!(
                         "member {member} crashed but was never evicted or re-welcomed \
                          before the run ended"
@@ -621,13 +569,12 @@ impl LiveChecker for EvictionLivenessChecker {
 }
 
 /// No false evictions: the leader only evicts members the driver actually
-/// faulted. Formulated globally — an `Evicted` needs *some* earlier
-/// `Crashed`/`Partitioned` marker for that member anywhere in the trace —
-/// rather than per fault window, because an eviction may legitimately
-/// fire after the `Healed` marker: the liveness deadline that fires it
-/// was armed by the silence before the heal. A responsive member under
-/// bounded delay has no fault marker at all, so any eviction of it is
-/// flagged.
+/// faulted. Formulated globally — an `Evicted` needs *some* fault on that
+/// member stamped before it, crash or partition — rather than per fault
+/// window, because an eviction may legitimately fire after the heal: the
+/// liveness deadline that fires it was armed by the silence before the
+/// heal. A responsive member under bounded delay has no fault at all, so
+/// any eviction of it is flagged.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFalseEvictionChecker;
 
@@ -636,25 +583,29 @@ impl LiveChecker for NoFalseEvictionChecker {
         "live-no-false-evict: evictions only under injected faults"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(
+        &self,
+        events: &[ProtocolEvent],
+        faults: &[Fault],
+        _: Option<&AtRest>,
+    ) -> Vec<Violation> {
         let mut violations = Vec::new();
-        let mut faulted: BTreeSet<&String> = BTreeSet::new();
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::Crashed { member } | LiveEvent::Partitioned { member } => {
-                    faulted.insert(member);
-                }
-                LiveEvent::Evicted { member } if !faulted.contains(member) => {
-                    violations.push(Violation {
-                        checker: self.name(),
-                        index,
-                        detail: format!(
-                            "member {member} was evicted without any injected crash \
-                             or partition — a false liveness judgment"
-                        ),
-                    });
-                }
-                _ => {}
+        for event in events {
+            let EventKind::Evicted { member } = &event.kind else {
+                continue;
+            };
+            if !faults
+                .iter()
+                .any(|f| f.member == *member && f.at <= event.seq)
+            {
+                violations.push(Violation {
+                    checker: self.name(),
+                    index: event.seq,
+                    detail: format!(
+                        "member {member} was evicted without any injected crash \
+                         or partition — a false liveness judgment"
+                    ),
+                });
             }
         }
         violations
@@ -675,24 +626,24 @@ impl LiveChecker for RejoinFreshEpochChecker {
         "live-rejoin: a post-eviction rejoin lands in a strictly newer epoch"
     }
 
-    fn check(&self, trace: &[LiveEvent]) -> Vec<Violation> {
+    fn check(&self, events: &[ProtocolEvent], _: &[Fault], _: Option<&AtRest>) -> Vec<Violation> {
         let mut violations = Vec::new();
         // Highest epoch each member has ever held (across sessions).
         let mut high: BTreeMap<String, u64> = BTreeMap::new();
         // Members evicted since their last welcome.
         let mut evicted: BTreeSet<String> = BTreeSet::new();
-        for (index, event) in trace.iter().enumerate() {
-            match event {
-                LiveEvent::Evicted { member } => {
+        for event in events {
+            match &event.kind {
+                EventKind::Evicted { member } => {
                     evicted.insert(member.clone());
                 }
-                LiveEvent::Welcomed { member, epoch } => {
+                EventKind::Welcomed { member, epoch } => {
                     if evicted.remove(member) {
                         if let Some(&h) = high.get(member) {
                             if *epoch <= h {
                                 violations.push(Violation {
                                     checker: self.name(),
-                                    index,
+                                    index: event.seq,
                                     detail: format!(
                                         "member {member} rejoined after an eviction at \
                                          epoch {epoch}, but already held epoch {h} — the \
@@ -705,7 +656,7 @@ impl LiveChecker for RejoinFreshEpochChecker {
                     let entry = high.entry(member.clone()).or_insert(*epoch);
                     *entry = (*entry).max(*epoch);
                 }
-                LiveEvent::KeyChanged { member, epoch } => {
+                EventKind::KeyChanged { member, epoch } => {
                     let entry = high.entry(member.clone()).or_insert(*epoch);
                     *entry = (*entry).max(*epoch);
                 }
@@ -731,12 +682,17 @@ pub fn all_live_checkers() -> Vec<Box<dyn LiveChecker>> {
     ]
 }
 
-/// Runs every live checker over `trace` and collects all violations.
+/// Runs every live checker over a run's `events`, `faults` and `at_rest`
+/// snapshot, and collects all violations.
 #[must_use]
-pub fn check_trace(trace: &[LiveEvent]) -> Vec<Violation> {
+pub fn check_run(
+    events: &[ProtocolEvent],
+    faults: &[Fault],
+    at_rest: Option<&AtRest>,
+) -> Vec<Violation> {
     all_live_checkers()
         .iter()
-        .flat_map(|c| c.check(trace))
+        .flat_map(|c| c.check(events, faults, at_rest))
         .collect()
 }
 
@@ -744,105 +700,172 @@ pub fn check_trace(trace: &[LiveEvent]) -> Vec<Violation> {
 mod tests {
     use super::*;
 
-    fn join(m: &str) -> LiveEvent {
-        LiveEvent::JoinStarted { member: m.into() }
+    /// `kinds` as a stream: each event's `seq` is its position.
+    fn stream(kinds: Vec<EventKind>) -> Vec<ProtocolEvent> {
+        (0..)
+            .zip(kinds)
+            .map(|(seq, kind)| ProtocolEvent {
+                at_ns: seq,
+                seq,
+                kind,
+            })
+            .collect()
     }
-    fn welcomed(m: &str, epoch: u64) -> LiveEvent {
-        LiveEvent::Welcomed {
+    /// `checker`'s verdict on a stream with no faults and no snapshot.
+    fn check(checker: impl LiveChecker, kinds: Vec<EventKind>) -> Vec<Violation> {
+        checker.check(&stream(kinds), &[], None)
+    }
+
+    fn join(m: &str) -> EventKind {
+        EventKind::JoinStarted { member: m.into() }
+    }
+    fn joined(m: &str) -> EventKind {
+        EventKind::MemberJoined {
+            member: m.into(),
+            epoch: 1,
+        }
+    }
+    fn welcomed(m: &str, epoch: u64) -> EventKind {
+        EventKind::Welcomed {
             member: m.into(),
             epoch,
         }
     }
-    fn admin_send(p: &[u8], to: &[&str]) -> LiveEvent {
-        LiveEvent::AdminSend {
+    fn key_changed(m: &str, epoch: u64) -> EventKind {
+        EventKind::KeyChanged {
+            member: m.into(),
+            epoch,
+        }
+    }
+    fn admin_send(p: &[u8], to: &[&str]) -> EventKind {
+        EventKind::AdminSend {
             payload: p.to_vec(),
             recipients: to.iter().map(|s| (*s).into()).collect(),
         }
     }
-    fn admin_dlv(m: &str, p: &[u8]) -> LiveEvent {
-        LiveEvent::AdminDeliver {
+    fn admin_dlv(m: &str, p: &[u8]) -> EventKind {
+        EventKind::AdminDeliver {
             member: m.into(),
             payload: p.to_vec(),
         }
     }
-    fn data_send(epoch: u64, seq: u64, p: &[u8], to: &[&str]) -> LiveEvent {
-        LiveEvent::DataSend {
+    fn data_send(epoch: u64, seq: u64, p: &[u8], to: &[&str]) -> EventKind {
+        EventKind::DataSend {
             epoch,
             seq,
             payload: p.to_vec(),
             recipients: to.iter().map(|s| (*s).into()).collect(),
         }
     }
-    fn data_dlv(m: &str, epoch: u64, seq: u64, p: &[u8]) -> LiveEvent {
-        LiveEvent::DataDeliver {
+    fn data_dlv(m: &str, epoch: u64, seq: u64, p: &[u8]) -> EventKind {
+        EventKind::DataDeliver {
             member: m.into(),
             epoch,
             seq,
             payload: p.to_vec(),
+        }
+    }
+    fn closed(m: &str) -> EventKind {
+        EventKind::MemberClosed { member: m.into() }
+    }
+    fn expelled(m: &str) -> EventKind {
+        EventKind::Expelled { member: m.into() }
+    }
+    fn evicted(m: &str) -> EventKind {
+        EventKind::Evicted { member: m.into() }
+    }
+    fn fault(m: &str, at: u64, kind: FaultKind) -> Fault {
+        Fault {
+            at,
+            member: m.into(),
+            kind,
+        }
+    }
+    fn at_rest(at: u64, leader_epoch: u64, members: &[(&str, u64)]) -> AtRest {
+        AtRest {
+            at,
+            leader_epoch: Some(leader_epoch),
+            members: members
+                .iter()
+                .map(|(m, epoch)| ((*m).into(), Some(*epoch)))
+                .collect(),
         }
     }
 
     #[test]
     fn clean_trace_passes() {
-        let trace = vec![
+        // Operational events (auth, acks, retransmissions, seal batches,
+        // a close request) ride the same stream; no checker reads them.
+        let events = stream(vec![
             join("alice"),
-            LiveEvent::MemberJoined {
+            EventKind::AuthAccepted {
                 member: "alice".into(),
             },
+            EventKind::SessionEstablished {
+                member: "alice".into(),
+            },
+            joined("alice"),
             welcomed("alice", 1),
             admin_send(b"one", &["alice"]),
+            EventKind::SealBatch {
+                frames: 1,
+                elapsed_ns: 10,
+            },
             admin_dlv("alice", b"one"),
+            EventKind::AdminAcked {
+                member: "alice".into(),
+            },
             admin_send(b"two", &["alice"]),
+            EventKind::Retransmit {
+                actor: "leader".into(),
+                frames: 1,
+            },
             admin_dlv("alice", b"two"),
             data_send(1, 1, b"dp", &["alice"]),
             data_dlv("alice", 1, 1, b"dp"),
-            LiveEvent::LeaderRekeyed { epoch: 2 },
-            LiveEvent::KeyChanged {
-                member: "alice".into(),
-                epoch: 2,
-            },
+            EventKind::Rekeyed { epoch: 2 },
+            key_changed("alice", 2),
             data_send(2, 1, b"probe", &["alice"]),
             data_dlv("alice", 2, 1, b"probe"),
-            LiveEvent::Final {
-                leader_epoch: Some(2),
-                members: vec![("alice".into(), Some(2))],
-            },
-        ];
-        let violations = check_trace(&trace);
+        ]);
+        let rest = at_rest(events.len() as u64, 2, &[("alice", 2)]);
+        let violations = check_run(&events, &[], Some(&rest));
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn duplicate_admin_delivery_is_caught_by_the_model_property() {
-        let trace = vec![
-            admin_send(b"one", &["alice"]),
-            admin_dlv("alice", b"one"),
-            admin_dlv("alice", b"one"),
-        ];
-        let violations = AdminPrefixChecker.check(&trace);
+        let violations = check(
+            AdminPrefixChecker,
+            vec![
+                admin_send(b"one", &["alice"]),
+                admin_dlv("alice", b"one"),
+                admin_dlv("alice", b"one"),
+            ],
+        );
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].index, 2);
     }
 
     #[test]
     fn reordered_admin_delivery_is_caught() {
-        let trace = vec![
+        let events = vec![
             admin_send(b"one", &["alice"]),
             admin_send(b"two", &["alice"]),
             admin_dlv("alice", b"two"),
         ];
-        assert_eq!(AdminPrefixChecker.check(&trace).len(), 1);
+        assert_eq!(check(AdminPrefixChecker, events).len(), 1);
     }
 
     #[test]
     fn forged_admin_delivery_is_caught() {
-        let trace = vec![admin_dlv("alice", b"never sent")];
-        assert_eq!(AdminPrefixChecker.check(&trace).len(), 1);
+        let events = vec![admin_dlv("alice", b"never sent")];
+        assert_eq!(check(AdminPrefixChecker, events).len(), 1);
     }
 
     #[test]
     fn per_member_segments_reset_on_rejoin() {
-        let trace = vec![
+        let events = vec![
             join("alice"),
             admin_send(b"one", &["alice"]),
             // alice crashes without delivering; undelivered history must
@@ -851,29 +874,31 @@ mod tests {
             admin_send(b"two", &["alice"]),
             admin_dlv("alice", b"two"),
         ];
-        assert!(AdminPrefixChecker.check(&trace).is_empty());
+        assert!(check(AdminPrefixChecker, events).is_empty());
     }
 
     #[test]
     fn other_members_traffic_is_not_confused() {
-        let trace = vec![
+        let events = vec![
             admin_send(b"one", &["alice", "bob"]),
             admin_send(b"two", &["alice", "bob"]),
             admin_dlv("bob", b"one"),
             admin_dlv("alice", b"one"),
             admin_dlv("alice", b"two"),
         ];
-        assert!(AdminPrefixChecker.check(&trace).is_empty());
+        assert!(check(AdminPrefixChecker, events).is_empty());
     }
 
     #[test]
     fn duplicate_data_delivery_is_caught() {
-        let trace = vec![
-            data_send(1, 1, b"x", &["alice"]),
-            data_dlv("alice", 1, 1, b"x"),
-            data_dlv("alice", 1, 1, b"x"),
-        ];
-        let violations = BroadcastUniquenessChecker.check(&trace);
+        let violations = check(
+            BroadcastUniquenessChecker,
+            vec![
+                data_send(1, 1, b"x", &["alice"]),
+                data_dlv("alice", 1, 1, b"x"),
+                data_dlv("alice", 1, 1, b"x"),
+            ],
+        );
         assert!(
             violations.iter().any(|v| v.detail.contains("twice")),
             "{violations:?}"
@@ -882,13 +907,15 @@ mod tests {
 
     #[test]
     fn watermark_rollback_is_caught() {
-        let trace = vec![
-            data_send(1, 1, b"a", &["alice"]),
-            data_send(1, 2, b"b", &["alice"]),
-            data_dlv("alice", 1, 2, b"b"),
-            data_dlv("alice", 1, 1, b"a"),
-        ];
-        let violations = BroadcastUniquenessChecker.check(&trace);
+        let violations = check(
+            BroadcastUniquenessChecker,
+            vec![
+                data_send(1, 1, b"a", &["alice"]),
+                data_send(1, 2, b"b", &["alice"]),
+                data_dlv("alice", 1, 2, b"b"),
+                data_dlv("alice", 1, 1, b"a"),
+            ],
+        );
         assert!(
             violations.iter().any(|v| v.detail.contains("rollback")),
             "{violations:?}"
@@ -897,203 +924,166 @@ mod tests {
 
     #[test]
     fn forged_and_cross_epoch_data_delivery_is_caught() {
-        let trace = vec![
+        let events = vec![
             data_send(1, 1, b"x", &["alice"]),
             data_dlv("alice", 2, 1, b"x"), // epoch the leader never sealed
         ];
-        assert!(!BroadcastUniquenessChecker.check(&trace).is_empty());
-        let trace = vec![
+        assert!(!check(BroadcastUniquenessChecker, events).is_empty());
+        let events = vec![
             data_send(1, 1, b"x", &["alice"]),
             data_dlv("alice", 1, 1, b"y"), // payload mismatch
         ];
-        assert!(!BroadcastUniquenessChecker.check(&trace).is_empty());
+        assert!(!check(BroadcastUniquenessChecker, events).is_empty());
     }
 
     #[test]
     fn dropped_data_frames_are_legal() {
-        let trace = vec![
+        let events = vec![
             data_send(1, 1, b"a", &["alice"]),
             data_send(1, 2, b"b", &["alice"]),
             data_send(1, 3, b"c", &["alice"]),
             data_dlv("alice", 1, 1, b"a"),
             data_dlv("alice", 1, 3, b"c"), // seq 2 lost: fine
         ];
-        assert!(BroadcastUniquenessChecker.check(&trace).is_empty());
+        assert!(check(BroadcastUniquenessChecker, events).is_empty());
     }
 
     #[test]
     fn epoch_regression_is_caught() {
-        let trace = vec![
-            welcomed("alice", 3),
-            LiveEvent::KeyChanged {
-                member: "alice".into(),
-                epoch: 2,
-            },
+        let events = vec![welcomed("alice", 3), key_changed("alice", 2)];
+        assert!(!check(EpochMonotonicChecker, events).is_empty());
+        let events = vec![
+            EventKind::Rekeyed { epoch: 2 },
+            EventKind::Rekeyed { epoch: 2 },
         ];
-        assert!(!EpochMonotonicChecker.check(&trace).is_empty());
-        let trace = vec![
-            LiveEvent::LeaderRekeyed { epoch: 2 },
-            LiveEvent::LeaderRekeyed { epoch: 2 },
-        ];
-        assert!(!EpochMonotonicChecker.check(&trace).is_empty());
+        assert!(!check(EpochMonotonicChecker, events).is_empty());
     }
 
     #[test]
     fn double_close_is_caught() {
-        let trace = vec![
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            LiveEvent::MemberClosed {
-                member: "alice".into(),
-            },
-            LiveEvent::MemberClosed {
-                member: "alice".into(),
-            },
-        ];
-        let violations = CloseOnceChecker.check(&trace);
+        let events = vec![joined("alice"), closed("alice"), closed("alice")];
+        assert_eq!(check(CloseOnceChecker, events).len(), 1);
+        // An expel and a close are the same kind of departure: one of
+        // each in a session is a double departure.
+        let events = vec![joined("alice"), expelled("alice"), closed("alice")];
+        let violations = check(CloseOnceChecker, events);
         assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].index, 2);
         // A rejoin opens a fresh session with a fresh close budget.
-        let trace = vec![
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            LiveEvent::MemberClosed {
-                member: "alice".into(),
-            },
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            LiveEvent::MemberClosed {
-                member: "alice".into(),
-            },
+        let events = vec![
+            joined("alice"),
+            closed("alice"),
+            joined("alice"),
+            closed("alice"),
         ];
-        assert!(CloseOnceChecker.check(&trace).is_empty());
-    }
-
-    fn evicted(m: &str) -> LiveEvent {
-        LiveEvent::Evicted { member: m.into() }
-    }
-    fn crashed(m: &str) -> LiveEvent {
-        LiveEvent::Crashed { member: m.into() }
+        assert!(check(CloseOnceChecker, events).is_empty());
     }
 
     #[test]
     fn eviction_counts_as_the_sessions_one_departure() {
-        let trace = vec![
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            evicted("alice"),
-            LiveEvent::MemberClosed {
-                member: "alice".into(),
-            },
-        ];
-        let violations = CloseOnceChecker.check(&trace);
+        let violations = check(
+            CloseOnceChecker,
+            vec![joined("alice"), evicted("alice"), closed("alice")],
+        );
         assert_eq!(violations.len(), 1);
         assert!(violations[0].detail.contains("twice"));
+        // So does an expel, alone.
+        assert!(check(CloseOnceChecker, vec![joined("alice"), expelled("alice")]).is_empty());
     }
 
     #[test]
     fn crashed_member_must_be_evicted_or_rewelcomed() {
+        let crashed = |at| [fault("alice", at, FaultKind::Crashed)];
         // Unhandled crash: violation.
-        let trace = vec![
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            crashed("alice"),
-        ];
-        assert_eq!(EvictionLivenessChecker.check(&trace).len(), 1);
+        let events = stream(vec![joined("alice")]);
+        assert_eq!(
+            EvictionLivenessChecker
+                .check(&events, &crashed(1), None)
+                .len(),
+            1
+        );
         // Eviction resolves it.
-        let trace = vec![crashed("alice"), evicted("alice")];
-        assert!(EvictionLivenessChecker.check(&trace).is_empty());
+        let events = stream(vec![evicted("alice")]);
+        assert!(EvictionLivenessChecker
+            .check(&events, &crashed(0), None)
+            .is_empty());
         // So does a re-welcome (healed and rejoined before the deadline).
-        let trace = vec![crashed("alice"), welcomed("alice", 4)];
-        assert!(EvictionLivenessChecker.check(&trace).is_empty());
-        // Vacuous without fault markers.
-        assert!(EvictionLivenessChecker.check(&[]).is_empty());
+        let events = stream(vec![welcomed("alice", 4)]);
+        assert!(EvictionLivenessChecker
+            .check(&events, &crashed(0), None)
+            .is_empty());
+        // Vacuous without faults.
+        assert!(EvictionLivenessChecker.check(&[], &[], None).is_empty());
     }
 
     #[test]
     fn false_eviction_is_caught() {
         // No injected fault anywhere: the eviction is a false judgment.
-        let trace = vec![
-            LiveEvent::MemberJoined {
-                member: "alice".into(),
-            },
-            evicted("alice"),
-        ];
-        let violations = NoFalseEvictionChecker.check(&trace);
+        let violations = check(
+            NoFalseEvictionChecker,
+            vec![joined("alice"), evicted("alice")],
+        );
         assert_eq!(violations.len(), 1);
         assert!(violations[0].detail.contains("false"));
         // A prior partition justifies it — and keeps justifying later
-        // evictions of the same member (markers are global, heals do not
+        // evictions of the same member (faults are global, heals do not
         // reset them: a deadline armed before the heal may fire after it).
-        let trace = vec![
-            LiveEvent::Partitioned {
-                member: "alice".into(),
-            },
-            evicted("alice"),
-            LiveEvent::Healed {
-                member: "alice".into(),
-            },
-            evicted("alice"),
-        ];
-        assert!(NoFalseEvictionChecker.check(&trace).is_empty());
+        let events = stream(vec![evicted("alice"), evicted("alice")]);
+        let partitioned = [fault("alice", 0, FaultKind::Partitioned)];
+        assert!(NoFalseEvictionChecker
+            .check(&events, &partitioned, None)
+            .is_empty());
         // A fault on one member never justifies evicting another.
-        let trace = vec![crashed("bob"), evicted("alice")];
-        assert_eq!(NoFalseEvictionChecker.check(&trace).len(), 1);
+        let events = stream(vec![evicted("alice")]);
+        let crashed = [fault("bob", 0, FaultKind::Crashed)];
+        assert_eq!(
+            NoFalseEvictionChecker.check(&events, &crashed, None).len(),
+            1
+        );
     }
 
     #[test]
     fn post_eviction_rejoin_must_advance_the_epoch() {
         // Rejoin at the same epoch the member already held: violation.
-        let trace = vec![welcomed("alice", 2), evicted("alice"), welcomed("alice", 2)];
-        let violations = RejoinFreshEpochChecker.check(&trace);
+        let violations = check(
+            RejoinFreshEpochChecker,
+            vec![welcomed("alice", 2), evicted("alice"), welcomed("alice", 2)],
+        );
         assert_eq!(violations.len(), 1);
         assert!(violations[0].detail.contains("fence"));
         // A strictly newer epoch passes.
-        let trace = vec![welcomed("alice", 2), evicted("alice"), welcomed("alice", 3)];
-        assert!(RejoinFreshEpochChecker.check(&trace).is_empty());
+        let events = vec![welcomed("alice", 2), evicted("alice"), welcomed("alice", 3)];
+        assert!(check(RejoinFreshEpochChecker, events).is_empty());
         // The high-water mark includes rotations inside the old session.
-        let trace = vec![
+        let events = vec![
             welcomed("alice", 2),
-            LiveEvent::KeyChanged {
-                member: "alice".into(),
-                epoch: 5,
-            },
+            key_changed("alice", 5),
             evicted("alice"),
             welcomed("alice", 4),
         ];
-        assert_eq!(RejoinFreshEpochChecker.check(&trace).len(), 1);
+        assert_eq!(check(RejoinFreshEpochChecker, events).len(), 1);
         // A re-welcome without an eviction (voluntary leave + rejoin, no
         // rekey) is out of scope for this checker.
-        let trace = vec![welcomed("alice", 2), join("alice"), welcomed("alice", 2)];
-        assert!(RejoinFreshEpochChecker.check(&trace).is_empty());
+        let events = vec![welcomed("alice", 2), join("alice"), welcomed("alice", 2)];
+        assert!(check(RejoinFreshEpochChecker, events).is_empty());
     }
 
     #[test]
     fn final_epoch_disagreement_is_caught() {
-        let trace = vec![LiveEvent::Final {
-            leader_epoch: Some(3),
-            members: vec![("alice".into(), Some(3)), ("bob".into(), Some(2))],
-        }];
-        let violations = FinalAgreementChecker.check(&trace);
+        let rest = at_rest(0, 3, &[("alice", 3), ("bob", 2)]);
+        let violations = FinalAgreementChecker.check(&[], &[], Some(&rest));
         assert_eq!(violations.len(), 1);
         assert!(violations[0].detail.contains("bob"));
     }
 
     #[test]
     fn unopened_probe_is_caught() {
-        let trace = vec![
+        let events = stream(vec![
             data_send(1, 9, b"probe", &["alice", "bob"]),
             data_dlv("alice", 1, 9, b"probe"),
-            LiveEvent::Final {
-                leader_epoch: Some(1),
-                members: vec![("alice".into(), Some(1)), ("bob".into(), Some(1))],
-            },
-        ];
-        let violations = FinalAgreementChecker.check(&trace);
+        ]);
+        let rest = at_rest(2, 1, &[("alice", 1), ("bob", 1)]);
+        let violations = FinalAgreementChecker.check(&events, &[], Some(&rest));
         assert!(
             violations.iter().any(|v| v.detail.contains("bob")),
             "{violations:?}"
@@ -1102,15 +1092,12 @@ mod tests {
 
     #[test]
     fn roster_disagreement_at_rest_is_caught() {
-        let trace = vec![
+        let events = stream(vec![
             data_send(1, 9, b"probe", &["alice"]),
             data_dlv("alice", 1, 9, b"probe"),
-            LiveEvent::Final {
-                leader_epoch: Some(1),
-                members: vec![("alice".into(), Some(1)), ("ghost".into(), Some(1))],
-            },
-        ];
-        let violations = FinalAgreementChecker.check(&trace);
+        ]);
+        let rest = at_rest(2, 1, &[("alice", 1), ("ghost", 1)]);
+        let violations = FinalAgreementChecker.check(&events, &[], Some(&rest));
         assert!(
             violations
                 .iter()

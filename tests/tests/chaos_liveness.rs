@@ -2,7 +2,8 @@
 //! failure detector armed (virtual clock, bounded ARQ with backoff,
 //! heartbeats, timeout-driven eviction, auto-rejoin).
 //!
-//! Three claims, each provable from the trace + merged metrics:
+//! Three claims, each provable from the event stream, the injected
+//! faults and the merged metrics:
 //!
 //! * a member whose wire dies silently is evicted within the ARQ budget
 //!   and — once the fabric heals — rejoins on its own into a strictly
@@ -17,7 +18,7 @@
 use enclaves_chaos::{run_schedule, ChaosEvent, ChaosOptions, ChaosOutcome, Schedule, SimFabric};
 use enclaves_core::config::RekeyPolicy;
 use enclaves_obs::EventKind;
-use enclaves_verify::live::LiveEvent;
+use enclaves_verify::live::FaultKind;
 
 fn liveness_options() -> ChaosOptions {
     ChaosOptions {
@@ -41,10 +42,6 @@ fn violations(outcome: &ChaosOutcome) -> String {
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-fn count(outcome: &ChaosOutcome, pred: impl Fn(&LiveEvent) -> bool) -> u64 {
-    outcome.trace.iter().filter(|e| pred(e)).count() as u64
 }
 
 /// Evictions the leader emitted onto the run's event stream.
@@ -71,11 +68,15 @@ fn crash_storm_evicts_and_rejoins() {
     );
 
     // The faults actually happened and the detector actually detected:
-    // every injected wire crash shows up as a fault marker, every
-    // eviction the leader counted shows up on the stream, and each
-    // crashed member made it back in.
-    let crashed = count(&outcome, |e| matches!(e, LiveEvent::Crashed { .. }));
-    assert_eq!(crashed, 2, "both wire crashes must leave fault markers");
+    // every injected wire crash shows up as a fault, every eviction the
+    // leader counted shows up on the stream, and each crashed member
+    // made it back in.
+    let crashed = outcome
+        .faults
+        .iter()
+        .filter(|f| f.kind == FaultKind::Crashed)
+        .count();
+    assert_eq!(crashed, 2, "both wire crashes must leave faults");
     let evicted = stream_evictions(&outcome);
     assert!(
         evicted >= 2,
@@ -120,7 +121,7 @@ fn crash_storm_alternate_seed() {
     let outcome = run_sim(&schedule, &liveness_options());
     assert!(outcome.passed(), "violations:\n{}", violations(&outcome));
     assert!(
-        count(&outcome, |e| matches!(e, LiveEvent::Evicted { .. })) >= 2,
+        stream_evictions(&outcome) >= 2,
         "both silent crashes must end in timeout evictions"
     );
 }
@@ -155,7 +156,7 @@ fn bounded_delay_never_falsely_evicts() {
     let outcome = run_sim(&schedule, &liveness_options());
     assert!(outcome.passed(), "violations:\n{}", violations(&outcome));
     assert_eq!(
-        count(&outcome, |e| matches!(e, LiveEvent::Evicted { .. })),
+        stream_evictions(&outcome),
         0,
         "a responsive member was evicted"
     );
@@ -186,20 +187,16 @@ fn leader_blackhole_recovers() {
         violations(&outcome)
     );
     // Both darkened members made it back (their stale slots were evicted
-    // or closed, and the Final snapshot — checked by the oracle's
+    // or closed, and the at-rest snapshot — checked by the oracle's
     // agreement property — saw them at the leader's epoch).
     assert!(
         outcome.snapshot.counter("member.rejoins") >= 2,
         "darkened members must auto-rejoin"
     );
     let final_members = outcome
-        .trace
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            LiveEvent::Final { members, .. } => Some(members.len()),
-            _ => None,
-        })
+        .at_rest
+        .as_ref()
+        .map(|rest| rest.members.len())
         .expect("final snapshot");
     assert_eq!(final_members, 3, "the full cast must be back at rest");
 }

@@ -17,7 +17,7 @@ use enclaves_core::journal::{label_for, JournalDir};
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_net::{MuxConfig, MuxNet};
-use enclaves_verify::live::LiveEvent;
+use enclaves_obs::EventKind;
 use enclaves_wire::{ActorId, GroupId};
 use std::fs;
 use std::path::PathBuf;
@@ -83,8 +83,11 @@ fn crash_restart_converges(seed: u64) {
     let verdict = run_crash_restart(&mut fabric, &schedule, &post, &options, &dir.0);
 
     if std::env::var_os("CHAOS_RECOVERY_TRACE").is_some() {
-        for (i, event) in verdict.outcome.trace.iter().enumerate() {
-            eprintln!("trace[{i}]: {event:?}");
+        for event in &verdict.outcome.obs_events {
+            eprintln!("seq {}: {:?}", event.seq, event.kind);
+        }
+        for fault in &verdict.outcome.faults {
+            eprintln!("fault: {fault:?}");
         }
     }
     let violations = verdict
@@ -129,12 +132,12 @@ fn crash_restart_converges(seed: u64) {
     // No cross-epoch delivery: nothing sealed under a pre-crash epoch is
     // ever delivered once the restarted leader is serving.
     let mut post_restart = false;
-    for event in &verdict.outcome.trace {
-        match event {
-            LiveEvent::DataSend { epoch, .. } if *epoch >= recovered => post_restart = true,
-            LiveEvent::DataDeliver { epoch, .. } if post_restart => {
+    for event in &verdict.outcome.obs_events {
+        match event.kind {
+            EventKind::DataSend { epoch, .. } if epoch >= recovered => post_restart = true,
+            EventKind::DataDeliver { epoch, .. } if post_restart => {
                 assert!(
-                    *epoch >= recovered,
+                    epoch >= recovered,
                     "delivery at dead epoch {epoch} after the restart served {recovered}"
                 );
             }

@@ -1,5 +1,5 @@
 //! Chaos-harness acceptance tests: deterministic fault-injected scenarios
-//! whose live traces are replayed through the §5.4 property oracle
+//! whose event streams are checked by the §5.4 property oracle
 //! (`enclaves-verify::live`), a planted violation the oracle must catch
 //! and shrink, and an opt-in randomized soak.
 //!
@@ -15,7 +15,7 @@ use enclaves_chaos::{
     TcpProxyFabric,
 };
 use enclaves_net::sim::SimConfig;
-use enclaves_verify::live::LiveEvent;
+use enclaves_obs::EventKind;
 
 /// The tentpole scenario: joins, admin and data traffic, an asymmetric
 /// partition with traffic inside it, a heal, a crash, a reconnect, and
@@ -108,23 +108,23 @@ fn fixed_seed_storm_passes_the_oracle() {
         snap.counter("net.delivered") > 0,
         "nothing was delivered at all"
     );
-    // The trace recorded real protocol activity end to end.
-    assert!(!outcome.trace.is_empty());
+    // The stream recorded real protocol activity end to end.
+    assert!(!outcome.obs_events.is_empty());
 
     // Metric invariants on the merged snapshot. The registry-backed
     // counters are bumped in the same critical sections as the protocol
-    // state they describe, so they must agree exactly with the trace:
+    // state they describe, so they must agree exactly with the stream:
     // every rotation the leader makes counts one `leader.rekeys` and
     // emits one `Rekeyed`.
-    let trace_rekeys = outcome
-        .trace
+    let stream_rekeys = outcome
+        .obs_events
         .iter()
-        .filter(|e| matches!(e, LiveEvent::LeaderRekeyed { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Rekeyed { .. }))
         .count() as u64;
     assert_eq!(
         snap.counter("leader.rekeys"),
-        trace_rekeys,
-        "leader.rekeys must equal the rotations the trace recorded"
+        stream_rekeys,
+        "leader.rekeys must equal the rotations the stream recorded"
     );
     // Partitions strand in-flight admin exchanges; the 400ms ticker must
     // have re-sent something before the heal.
@@ -189,9 +189,9 @@ fn rekey_storm_passes_the_oracle() {
         snap.counter("net.delivered") > 0,
         "nothing was delivered at all"
     );
-    // Every burst's rekeys actually rotated the epoch: the trace records
+    // Every burst's rekeys actually rotated the epoch: the stream records
     // protocol activity end to end.
-    assert!(!outcome.trace.is_empty());
+    assert!(!outcome.obs_events.is_empty());
 }
 
 /// The storm over a different fault seed still passes — the control-plane
@@ -379,7 +379,7 @@ fn tcp_proxy_parity_passes_the_oracle() {
             .any(|n| n.starts_with("net.")),
         "TCP fabric has no sim counters"
     );
-    assert!(!outcome.trace.is_empty());
+    assert!(!outcome.obs_events.is_empty());
 }
 
 /// Randomized soak, run by the scheduled CI job (and by hand when

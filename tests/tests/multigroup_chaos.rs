@@ -7,17 +7,19 @@
 //! Three layers of verdict:
 //!
 //! * every group's own §5.4 oracle, run on that group's event stream
-//!   and fault markers, stays green;
-//! * the cross-group property — no event in group A's record ever names
+//!   and faults, stays green;
+//! * the cross-group property — no event on group A's stream ever names
 //!   a member of group B;
 //! * the service's merged snapshot labels each group's metrics under its
 //!   own `group.<tag>.` prefix, with per-group rejections staying local.
 //!
 //! [`LeaderService`]: enclaves_core::runtime::LeaderService
 
+use enclaves_chaos::ChaosOutcome;
 use enclaves_chaos::{run_multigroup, ChaosOptions, MultigroupOutcome, Schedule, SimFabric};
 use enclaves_core::config::RekeyPolicy;
-use enclaves_verify::live::LiveEvent;
+use enclaves_obs::EventKind;
+use enclaves_verify::live::FaultKind;
 
 fn storm_options() -> ChaosOptions {
     ChaosOptions {
@@ -27,6 +29,11 @@ fn storm_options() -> ChaosOptions {
         liveness: true,
         ..ChaosOptions::default()
     }
+}
+
+/// How many of `group`'s stream events `pred` accepts.
+fn count(group: &ChaosOutcome, pred: impl Fn(&EventKind) -> bool) -> usize {
+    group.obs_events.iter().filter(|e| pred(&e.kind)).count()
 }
 
 fn all_violations(outcome: &MultigroupOutcome) -> String {
@@ -64,36 +71,24 @@ fn multigroup_storm_keeps_every_group_green_and_isolated() {
 
         // Every group saw real traffic: its full cast joined and the
         // finalization probe reached everyone.
-        let welcomed = group
-            .trace
-            .iter()
-            .filter(|e| matches!(e, LiveEvent::Welcomed { .. }))
-            .count();
+        let welcomed = count(group, |e| matches!(e, EventKind::Welcomed { .. }));
         assert!(
             welcomed >= MEMBERS,
             "group {tag}: only {welcomed} welcomes for a cast of {MEMBERS}"
         );
-        let delivered = group
-            .trace
-            .iter()
-            .filter(|e| matches!(e, LiveEvent::DataDeliver { .. }))
-            .count();
+        let delivered = count(group, |e| matches!(e, EventKind::DataDeliver { .. }));
         assert!(delivered > 0, "group {tag}: no data deliveries at all");
 
         // The wire-crash weather class must actually have exercised the
         // shared ticker's failure detector.
         if g % 4 == 2 {
             let crashed = group
-                .trace
+                .faults
                 .iter()
-                .filter(|e| matches!(e, LiveEvent::Crashed { .. }))
+                .filter(|f| f.kind == FaultKind::Crashed)
                 .count();
-            assert!(crashed >= 1, "group {tag}: wire crash left no marker");
-            let evicted = group
-                .trace
-                .iter()
-                .filter(|e| matches!(e, LiveEvent::Evicted { .. }))
-                .count();
+            assert!(crashed >= 1, "group {tag}: wire crash left no fault");
+            let evicted = count(group, |e| matches!(e, EventKind::Evicted { .. }));
             assert!(
                 evicted >= 1,
                 "group {tag}: silent wire crash was never evicted by the shared ticker"
