@@ -17,6 +17,7 @@ use enclaves_core::config::RekeyPolicy;
 use enclaves_wire::codec::decode;
 use enclaves_wire::message::Envelope;
 use std::hint::black_box;
+use std::time::Duration;
 
 const GROUP_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
@@ -93,7 +94,7 @@ fn bench_group_data_relay(c: &mut Criterion) {
                 let env = world.members[0]
                     .send_group_data(black_box(b"hello group"))
                     .unwrap();
-                let out = world.leader.handle(&env).unwrap();
+                let out = world.leader.handle_at(&env, Duration::ZERO).unwrap();
                 for relay in &out.broadcasts {
                     let frame: Envelope = decode(&relay.frame).unwrap();
                     for target in relay.targets() {

@@ -18,6 +18,7 @@ use enclaves_crypto::keys::LongTermKey;
 use enclaves_crypto::rng::SeededRng;
 use enclaves_wire::message::Envelope;
 use enclaves_wire::{ActorId, GroupId};
+use std::time::Duration;
 
 /// Builds an actor id `m<i>`.
 ///
@@ -63,7 +64,7 @@ pub fn settle(leader: &mut LeaderCore, members: &mut [MemberSession], outgoing: 
     let mut queue = outgoing;
     while let Some(env) = queue.pop() {
         if env.recipient == *leader.leader_id() {
-            if let Ok(out) = leader.handle(&env) {
+            if let Ok(out) = leader.handle_at(&env, Duration::ZERO) {
                 queue.extend(out.outgoing);
             }
         } else if let Some(idx) = index_of(&env.recipient) {
@@ -100,11 +101,12 @@ impl ImprovedGroup {
         );
         let mut members = Vec::with_capacity(n);
         for i in 0..n {
-            let (session, init) = MemberSession::start_with_key(
+            let (session, init) = MemberSession::start_with_key_in_group(
                 member_id(i),
                 leader_id(),
                 member_key(i),
                 Box::new(SeededRng::from_seed(1000 + i as u64)),
+                None,
             );
             members.push(session);
             pump(&mut leader, &mut members, init);
@@ -299,7 +301,7 @@ pub fn pump(leader: &mut LeaderCore, members: &mut [MemberSession], first: Envel
     let mut queue = vec![first];
     while let Some(env) = queue.pop() {
         if env.recipient == *leader.leader_id() {
-            if let Ok(out) = leader.handle(&env) {
+            if let Ok(out) = leader.handle_at(&env, Duration::ZERO) {
                 queue.extend(out.outgoing);
             }
         } else if let Some(idx) = index_of(&env.recipient) {
@@ -381,11 +383,12 @@ pub fn improved_handshake_once(seed: u64) {
         },
         Box::new(SeededRng::from_seed(seed)),
     );
-    let (session, init) = MemberSession::start_with_key(
+    let (session, init) = MemberSession::start_with_key_in_group(
         member_id(0),
         leader_id(),
         member_key(0),
         Box::new(SeededRng::from_seed(seed + 1)),
+        None,
     );
     let mut members = vec![session];
     pump(&mut leader, &mut members, init);

@@ -9,6 +9,7 @@ use crate::schedule::{ChaosEvent, Schedule};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::liveness::{Clock, LivenessConfig, VirtualClock};
+use enclaves_core::protocol::MemberSession;
 use enclaves_core::runtime::{
     GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
@@ -765,10 +766,20 @@ fn start_join(
         slot.state = MemberState::Absent;
         return;
     };
+    let Ok((mut session, init)) = MemberSession::start_in_group(
+        slot.id.clone(),
+        leader_id.clone(),
+        &slot.password,
+        group.cloned(),
+    ) else {
+        slot.state = MemberState::Absent;
+        return;
+    };
+    if options.sabotage_watermark {
+        session.disable_broadcast_watermark_for_tests();
+    }
     let mut member_options = MemberOptions {
-        disable_broadcast_watermark: options.sabotage_watermark,
         events: Some(stream.clone()),
-        group: group.cloned(),
         ..MemberOptions::default()
     };
     if let Some(w) = wiring {
@@ -781,14 +792,7 @@ fn start_join(
         member_options.clock = Some(Arc::new(w.clock.clone()));
         member_options.reconnect = fabric.reconnector(&slot.name);
     }
-    let runtime = MemberRuntime::connect_with(
-        link,
-        slot.id.clone(),
-        leader_id.clone(),
-        &slot.password,
-        member_options,
-    );
-    match runtime {
+    match MemberRuntime::run(link, session, init, member_options) {
         Ok(rt) => {
             slot.registries.push(rt.obs_registry());
             // Bounded wait: under faults the welcome may be late; the

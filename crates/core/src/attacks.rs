@@ -26,6 +26,7 @@ use enclaves_crypto::rng::{CryptoRng, SeededRng};
 use enclaves_wire::legacy::{LegacyEnvelope, LegacyMemberNotice, LegacyMsgType};
 use enclaves_wire::message::{Envelope, MsgType};
 use enclaves_wire::ActorId;
+use std::time::Duration;
 
 /// Which protocol an attack ran against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -191,17 +192,19 @@ impl ImprovedWorld {
             },
             Box::new(SeededRng::from_seed(seed)),
         );
-        let (alice, init_a) = MemberSession::start_with_key(
+        let (alice, init_a) = MemberSession::start_with_key_in_group(
             id("alice"),
             id("leader"),
             key("alice"),
             Box::new(SeededRng::from_seed(seed + 1)),
+            None,
         );
-        let (brutus, init_b) = MemberSession::start_with_key(
+        let (brutus, init_b) = MemberSession::start_with_key_in_group(
             id("brutus"),
             id("leader"),
             key("brutus"),
             Box::new(SeededRng::from_seed(seed + 2)),
+            None,
         );
         let mut world = ImprovedWorld {
             leader,
@@ -219,7 +222,7 @@ impl ImprovedWorld {
         while let Some(env) = queue.pop() {
             self.tap.push(env.clone());
             if env.recipient == id("leader") {
-                if let Ok(out) = self.leader.handle(&env) {
+                if let Ok(out) = self.leader.handle_at(&env, Duration::ZERO) {
                     queue.extend(out.outgoing);
                 }
             } else if env.recipient == id("alice") {
@@ -279,20 +282,22 @@ pub fn forged_denial_legacy() -> AttackReport {
 #[must_use]
 pub fn forged_denial_improved() -> AttackReport {
     let leader = id("leader");
-    let (mut alice, _init) = MemberSession::start_with_key(
+    let (mut alice, _init) = MemberSession::start_with_key_in_group(
         id("alice"),
         leader.clone(),
         key("alice"),
         Box::new(SeededRng::from_seed(60)),
+        None,
     );
     // The attacker does not know P_a; it seals a "key dist" under a key of
     // its own choosing.
     let attacker_key = LongTermKey::derive_from_password("attacker", "alice").unwrap();
-    let (_, fake) = MemberSession::start_with_key(
+    let (_, fake) = MemberSession::start_with_key_in_group(
         id("alice"),
         leader,
         attacker_key,
         Box::new(SeededRng::from_seed(61)),
+        None,
     );
     let forged = Envelope {
         msg_type: MsgType::AuthKeyDist,
@@ -563,7 +568,10 @@ pub fn replay_improved() -> AttackReport {
         } else if env.recipient == id("brutus") {
             world.brutus.handle(env).map(|o| !o.events.is_empty())
         } else {
-            world.leader.handle(env).map(|o| !o.events.is_empty())
+            world
+                .leader
+                .handle_at(env, Duration::ZERO)
+                .map(|o| !o.events.is_empty())
         };
         if let Ok(true) = produced_events {
             effects.push(env.msg_type);
@@ -643,7 +651,7 @@ pub fn forged_close_improved() -> AttackReport {
         &forged.header_aad(),
         &plain,
     );
-    let result = world.leader.handle(&forged);
+    let result = world.leader.handle_at(&forged, Duration::ZERO);
     let blocked = result.is_err() && world.leader.roster().contains(&id("alice"));
     AttackReport {
         id: "A5",

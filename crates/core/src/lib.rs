@@ -13,12 +13,19 @@
 //!   [`protocol::MemberSession`] (Figure 2) and [`protocol::LeaderCore`]
 //!   (Figure 3, one slot per member). These are pure: they consume
 //!   envelopes and produce envelopes + events, so they are exhaustively
-//!   testable and transport-agnostic.
+//!   testable and transport-agnostic. Each has one way in: the leader's
+//!   [`protocol::LeaderCore::handle_at`] takes an envelope and the time,
+//!   and a session starts from a password
+//!   ([`protocol::MemberSession::start_in_group`]) or from a long-term key
+//!   ([`protocol::MemberSession::start_with_key_in_group`]).
 //! * [`legacy`] — the same, for the original protocol, vulnerabilities
 //!   faithfully included.
 //! * [`runtime`] — threaded leader/member event loops binding the protocol
 //!   cores to an `enclaves-net` transport: the leader service on the
-//!   readiness loop (real sockets) or on the simulator.
+//!   readiness loop (real sockets) or on the simulator, and the member
+//!   runtime, which runs the session it is handed
+//!   ([`runtime::MemberRuntime::run`]; [`runtime::MemberRuntime::connect`]
+//!   is the untagged password shorthand).
 //! * [`attacks`] — scripted Dolev-Yao attacks run through the
 //!   `enclaves-net` adversary tap: each returns whether it succeeded, so
 //!   the same script demonstrates the vulnerability on the legacy protocol
@@ -61,6 +68,37 @@
 //! leader.wait_member(&ActorId::new("alice")?, std::time::Duration::from_secs(2))?;
 //! alice.leave()?;
 //! service.shutdown();
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! The same handshake without a transport: the leader core's frames go
+//! straight to the session, and the session's replies straight back.
+//!
+//! ```
+//! use enclaves_core::config::LeaderConfig;
+//! use enclaves_core::directory::Directory;
+//! use enclaves_core::protocol::{LeaderCore, MemberSession, SessionPhase};
+//! use enclaves_crypto::rng::OsEntropyRng;
+//! use enclaves_wire::ActorId;
+//! use std::time::Duration;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let (alice, leader) = (ActorId::new("alice")?, ActorId::new("leader")?);
+//! let mut directory = Directory::new();
+//! directory.register_password(&alice, "alice-pw")?;
+//! let rng = Box::new(OsEntropyRng::new());
+//! let mut core = LeaderCore::with_rng(leader.clone(), directory, LeaderConfig::default(), rng);
+//!
+//! let (mut session, init) = MemberSession::start_in_group(alice, leader, "alice-pw", None)?;
+//! let mut to_leader = vec![init];
+//! while let Some(env) = to_leader.pop() {
+//!     for frame in core.handle_at(&env, Duration::ZERO)?.outgoing {
+//!         to_leader.extend(session.handle(&frame)?.reply);
+//!     }
+//! }
+//! assert_eq!(session.phase(), SessionPhase::Connected);
+//! assert_eq!(core.roster().len(), 1);
 //! # Ok(())
 //! # }
 //! ```

@@ -310,10 +310,9 @@ pub struct LeaderCore {
     /// Scratch buffer reused across data-plane broadcasts so a steady
     /// stream of them does not reallocate the envelope encoding each time.
     frame_buf: Vec<u8>,
-    /// The core's notion of "now" on the runtime's injected clock,
-    /// refreshed by [`LeaderCore::handle_at`] and [`LeaderCore::tick`].
-    /// Sans-I/O callers that never tick leave it at zero and the ARQ
-    /// deadlines are simply never due.
+    /// The core's notion of "now" on the runtime's injected clock: the
+    /// latest reading passed to [`LeaderCore::handle_at`] or
+    /// [`LeaderCore::tick`], so it never runs backwards.
     now: Duration,
 }
 
@@ -327,13 +326,8 @@ impl std::fmt::Debug for LeaderCore {
 }
 
 impl LeaderCore {
-    /// Creates a leader with OS entropy.
-    #[must_use]
-    pub fn new(leader: ActorId, directory: Directory, config: LeaderConfig) -> Self {
-        Self::with_rng(leader, directory, config, Box::new(OsEntropyRng::new()))
-    }
-
-    /// Creates a leader with an explicit RNG (deterministic in tests).
+    /// Creates a leader drawing its nonces and keys from `rng`: an
+    /// `OsEntropyRng` in production, a seeded one in tests.
     #[must_use]
     pub fn with_rng(
         leader: ActorId,
@@ -413,14 +407,20 @@ impl LeaderCore {
         self.obs.events = Some(events);
     }
 
-    /// Handles one incoming envelope (from any link).
+    /// Handles one incoming envelope (from any link) at `now` on the
+    /// runtime's injected [`crate::liveness::Clock`], read before the
+    /// core lock is taken, so ARQ deadlines and liveness anchors advance
+    /// on the same timeline as [`LeaderCore::tick`]. A reading behind the
+    /// core's clock leaves it where it is; a sans-I/O caller that keeps
+    /// no clock passes `Duration::ZERO`.
     ///
     /// # Errors
     ///
     /// [`CoreError::Rejected`] for inauthentic/malformed/stale messages
     /// (state unchanged); [`CoreError::UnknownUser`] for unregistered
     /// claimed senders.
-    pub fn handle(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
+    pub fn handle_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
+        self.now = self.now.max(now);
         let result = self.handle_inner(env);
         self.record_seal_batch();
         match &result {
@@ -428,19 +428,6 @@ impl LeaderCore {
             Err(_) => self.obs.rejected.inc(),
         }
         result
-    }
-
-    /// [`LeaderCore::handle`] with an explicit clock reading: the runtime
-    /// reads its injected [`crate::liveness::Clock`] before taking the
-    /// core lock and passes the value here, so ARQ deadlines and liveness
-    /// anchors advance on the same timeline as [`LeaderCore::tick`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LeaderCore::handle`].
-    pub fn handle_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
-        self.now = self.now.max(now);
-        self.handle(env)
     }
 
     fn handle_inner(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -1394,7 +1381,8 @@ impl LeaderCore {
     /// the rebuilt state cannot be trusted.
     pub fn recover(replay: &ReplayedStream) -> Result<LeaderCore, JournalError> {
         let (leader, directory, config) = config_from_genesis(&replay.genesis);
-        let mut core = LeaderCore::new(leader, directory, config);
+        let mut core =
+            LeaderCore::with_rng(leader, directory, config, Box::new(OsEntropyRng::new()));
         for (i, t) in replay.transitions.iter().enumerate() {
             let seq = i as u64 + 2; // record 1 is the genesis
             let mut player = TapePlayer::new(&t.tape);
@@ -1683,7 +1671,7 @@ fn stamp_of(group: &GroupState) -> EpochStamp {
 mod tests {
     use super::*;
     use crate::config::RekeyPolicy;
-    use crate::protocol::member::{MemberEvent, MemberSession};
+    use crate::protocol::member::{MemberEvent, MemberSession, SessionPhase};
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
@@ -1747,7 +1735,7 @@ mod tests {
         while !to_leader.is_empty() {
             let mut to_member = Vec::new();
             for env in to_leader.drain(..) {
-                if let Ok(out) = leader.handle(&env) {
+                if let Ok(out) = leader.handle_at(&env, Duration::ZERO) {
                     to_member.extend(out.outgoing);
                 }
             }
@@ -1781,7 +1769,10 @@ mod tests {
     fn unknown_user_rejected() {
         let mut l = leader(&["alice"], RekeyPolicy::Manual);
         let (_, init) = member("mallory", 11);
-        assert!(matches!(l.handle(&init), Err(CoreError::UnknownUser(_))));
+        assert!(matches!(
+            l.handle_at(&init, Duration::ZERO),
+            Err(CoreError::UnknownUser(_))
+        ));
         assert!(l.roster().is_empty());
     }
 
@@ -1791,15 +1782,16 @@ mod tests {
         // Mallory claims to be alice but seals with the wrong key.
         let (_, mut init) = member("alice", 12);
         let wrong_key = LongTermKey::derive_from_password("wrong", "alice").unwrap();
-        let (_, bad_init) = MemberSession::start_with_key(
+        let (_, bad_init) = MemberSession::start_with_key_in_group(
             id("alice"),
             id("leader"),
             wrong_key,
             Box::new(SeededRng::from_seed(13)),
+            None,
         );
         init.body = bad_init.body;
         assert!(matches!(
-            l.handle(&init),
+            l.handle_at(&init, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::BadSeal))
         ));
     }
@@ -1814,10 +1806,12 @@ mod tests {
         // Bob joins; policy rekeys; alice must receive MemberJoined +
         // NewGroupKey.
         let (mut bob, init_b) = member("bob", 21);
-        let out = l.handle(&init_b).unwrap();
+        let out = l.handle_at(&init_b, Duration::ZERO).unwrap();
         let kd = out.outgoing.into_iter().next().unwrap();
         let bob_out = bob.handle(&kd).unwrap();
-        let out = l.handle(bob_out.reply.as_ref().unwrap()).unwrap();
+        let out = l
+            .handle_at(bob_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
 
         // Envelopes now flow to both members; pump them manually.
         let mut alice_events = Vec::new();
@@ -1832,7 +1826,7 @@ mod tests {
             if let Ok(o) = session.handle(&env) {
                 events.extend(o.events);
                 if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
+                    if let Ok(lo) = l.handle_at(&reply, Duration::ZERO) {
                         queue.extend(lo.outgoing);
                     }
                 }
@@ -1860,7 +1854,7 @@ mod tests {
         pump(&mut l, &mut alice, init.clone());
         // Replay the original AuthInitReq.
         assert!(matches!(
-            l.handle(&init),
+            l.handle_at(&init, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
         assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
@@ -1877,9 +1871,9 @@ mod tests {
         let admin = out.outgoing.into_iter().next().unwrap();
         let alice_out = alice.handle(&admin).unwrap();
         let ack = alice_out.reply.unwrap();
-        assert!(l.handle(&ack).is_ok());
+        assert!(l.handle_at(&ack, Duration::ZERO).is_ok());
         assert!(matches!(
-            l.handle(&ack),
+            l.handle_at(&ack, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::StaleNonce))
         ));
     }
@@ -1891,9 +1885,11 @@ mod tests {
         pump(&mut l, &mut alice, init_a);
         let (mut bob, init_b) = member("bob", 41);
         // Drive bob's join, collecting all envelopes.
-        let out = l.handle(&init_b).unwrap();
+        let out = l.handle_at(&init_b, Duration::ZERO).unwrap();
         let bob_out = bob.handle(out.outgoing.first().unwrap()).unwrap();
-        let out = l.handle(bob_out.reply.as_ref().unwrap()).unwrap();
+        let out = l
+            .handle_at(bob_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         let mut queue: VecDeque<Envelope> = out.outgoing.into();
         while let Some(env) = queue.pop_front() {
             let session = if env.recipient == id("alice") {
@@ -1903,7 +1899,7 @@ mod tests {
             };
             if let Ok(o) = session.handle(&env) {
                 if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
+                    if let Ok(lo) = l.handle_at(&reply, Duration::ZERO) {
                         queue.extend(lo.outgoing);
                     }
                 }
@@ -1913,7 +1909,7 @@ mod tests {
 
         // Bob leaves.
         let close = bob.leave().unwrap();
-        let out = l.handle(&close).unwrap();
+        let out = l.handle_at(&close, Duration::ZERO).unwrap();
         assert!(out.events.contains(&LeaderEvent::MemberLeft(id("bob"))));
         assert_eq!(l.roster(), Roster::from_iter([id("alice")]));
         assert_eq!(l.epoch(), Some(epoch_before + 1), "rekey on leave");
@@ -1925,7 +1921,7 @@ mod tests {
             if let Ok(o) = alice.handle(&env) {
                 events.extend(o.events);
                 if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
+                    if let Ok(lo) = l.handle_at(&reply, Duration::ZERO) {
                         queue.extend(lo.outgoing);
                     }
                 }
@@ -1939,7 +1935,7 @@ mod tests {
 
         // A replayed close is rejected (slot is gone).
         assert!(matches!(
-            l.handle(&close),
+            l.handle_at(&close, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
     }
@@ -1948,7 +1944,7 @@ mod tests {
     fn group_data_is_relayed_to_others_only() {
         let mut w = flat_world(&["alice", "bob", "carol"]);
         let up = w.uplink("alice", b"hi all");
-        let out = w.l.handle(&up).unwrap();
+        let out = w.l.handle_at(&up, Duration::ZERO).unwrap();
         assert!(out.outgoing.is_empty(), "no per-recipient envelopes");
         let [relay] = &out.broadcasts[..] else {
             panic!("one relay frame, got {}", out.broadcasts.len());
@@ -1979,7 +1975,7 @@ mod tests {
         let last = env.body.len() - 1;
         env.body[last] ^= 1;
         assert!(matches!(
-            l.handle(&env),
+            l.handle_at(&env, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::BadSeal))
         ));
         assert_eq!(count(&l, "leader.relayed"), 0);
@@ -1999,7 +1995,9 @@ mod tests {
 
         // Acking the first releases the second.
         let a_out = alice.handle(out1.outgoing.first().unwrap()).unwrap();
-        let released = l.handle(a_out.reply.as_ref().unwrap()).unwrap();
+        let released = l
+            .handle_at(a_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         assert_eq!(released.outgoing.len(), 1);
         let a_out2 = alice.handle(released.outgoing.first().unwrap()).unwrap();
         assert_eq!(a_out2.events, vec![MemberEvent::AdminData(b"two".to_vec())]);
@@ -2011,9 +2009,11 @@ mod tests {
         let (mut alice, init_a) = member("alice", 80);
         pump(&mut l, &mut alice, init_a);
         let (mut bob, init_b) = member("bob", 81);
-        let out = l.handle(&init_b).unwrap();
+        let out = l.handle_at(&init_b, Duration::ZERO).unwrap();
         let bob_out = bob.handle(out.outgoing.first().unwrap()).unwrap();
-        let out = l.handle(bob_out.reply.as_ref().unwrap()).unwrap();
+        let out = l
+            .handle_at(bob_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         let mut queue: VecDeque<Envelope> = out.outgoing.into();
         while let Some(env) = queue.pop_front() {
             let session = if env.recipient == id("alice") {
@@ -2023,7 +2023,7 @@ mod tests {
             };
             if let Ok(o) = session.handle(&env) {
                 if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
+                    if let Ok(lo) = l.handle_at(&reply, Duration::ZERO) {
                         queue.extend(lo.outgoing);
                     }
                 }
@@ -2043,8 +2043,8 @@ mod tests {
     fn duplicate_auth_init_gets_cached_reply() {
         let mut l = leader(&["alice"], RekeyPolicy::Manual);
         let (_, init) = member("alice", 100);
-        let first = l.handle(&init).unwrap();
-        let second = l.handle(&init).unwrap();
+        let first = l.handle_at(&init, Duration::ZERO).unwrap();
+        let second = l.handle_at(&init, Duration::ZERO).unwrap();
         assert_eq!(
             first.outgoing, second.outgoing,
             "duplicate request must get the byte-identical cached reply"
@@ -2052,7 +2052,7 @@ mod tests {
         // But a *different* request while one is pending is ignored.
         let (_, other_init) = member("alice", 101);
         assert!(matches!(
-            l.handle(&other_init),
+            l.handle_at(&other_init, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
     }
@@ -2072,7 +2072,7 @@ mod tests {
         // Pending handshake → once its deadline passes, one frame due,
         // addressed to the joining user and byte-identical to the reply.
         let (mut alice, init) = member("alice", 110);
-        let out = l.handle(&init).unwrap();
+        let out = l.handle_at(&init, Duration::ZERO).unwrap();
         assert_eq!(l.outstanding_count(), 1);
         assert!(l.tick(base / 2).frames.is_empty(), "not due yet");
         let tick = l.tick(base);
@@ -2082,13 +2082,16 @@ mod tests {
         // Complete the join; the welcome admin message is now in flight,
         // on a deadline of its own.
         let alice_out = alice.handle(&out.outgoing[0]).unwrap();
-        let welcome_out = l.handle(alice_out.reply.as_ref().unwrap()).unwrap();
+        let welcome_out = l
+            .handle_at(alice_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         assert!(l.tick(base).frames.is_empty(), "not due yet");
         assert_eq!(due_envelopes(&l.tick(base * 2)), welcome_out.outgoing);
 
         // Acknowledge it: nothing left to retransmit, however late.
         let a_out = alice.handle(&welcome_out.outgoing[0]).unwrap();
-        l.handle(a_out.reply.as_ref().unwrap()).unwrap();
+        l.handle_at(a_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         assert!(l.tick(base * 8).frames.is_empty());
         assert_eq!(l.outstanding_count(), 0);
     }
@@ -2151,8 +2154,12 @@ mod tests {
         );
         // Either ack copy completes the exchange; the second is rejected
         // as stale (replay defense intact on the leader side).
-        assert!(l.handle(first.reply.as_ref().unwrap()).is_ok());
-        assert!(l.handle(second.reply.as_ref().unwrap()).is_err());
+        assert!(l
+            .handle_at(first.reply.as_ref().unwrap(), Duration::ZERO)
+            .is_ok());
+        assert!(l
+            .handle_at(second.reply.as_ref().unwrap(), Duration::ZERO)
+            .is_err());
     }
 
     /// Joins `user` to a leader that already has members, pumping all
@@ -2163,9 +2170,11 @@ mod tests {
         newcomer: &mut MemberSession,
         init: Envelope,
     ) {
-        let out = l.handle(&init).unwrap();
+        let out = l.handle_at(&init, Duration::ZERO).unwrap();
         let new_out = newcomer.handle(out.outgoing.first().unwrap()).unwrap();
-        let out = l.handle(new_out.reply.as_ref().unwrap()).unwrap();
+        let out = l
+            .handle_at(new_out.reply.as_ref().unwrap(), Duration::ZERO)
+            .unwrap();
         let mut queue: VecDeque<Envelope> = out.outgoing.into();
         while let Some(env) = queue.pop_front() {
             let session = if env.recipient == *newcomer.user() {
@@ -2185,7 +2194,7 @@ mod tests {
             };
             if let Ok(o) = session.handle(&env) {
                 if let Some(reply) = o.reply {
-                    if let Ok(lo) = l.handle(&reply) {
+                    if let Ok(lo) = l.handle_at(&reply, Duration::ZERO) {
                         queue.extend(lo.outgoing);
                     }
                 }
@@ -2268,7 +2277,7 @@ mod tests {
         for env in out.outgoing {
             if let Ok(o) = alice.handle(&env) {
                 if let Some(reply) = o.reply {
-                    let _ = l.handle(&reply);
+                    let _ = l.handle_at(&reply, Duration::ZERO);
                 }
             }
         }
@@ -2299,7 +2308,7 @@ mod tests {
         for env in out.outgoing {
             if let Ok(o) = alice.handle(&env) {
                 if let Some(reply) = o.reply {
-                    let _ = l.handle(&reply);
+                    let _ = l.handle_at(&reply, Duration::ZERO);
                 }
             }
         }
@@ -2404,7 +2413,7 @@ mod tests {
         let before = l.roster();
         let (_, init) = member("alice", 250);
         assert!(matches!(
-            l.handle(&init),
+            l.handle_at(&init, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
         assert!(l.roster().ptr_eq(&before), "roster moved");
@@ -2418,13 +2427,21 @@ mod tests {
         let (mut alice, init_a) = member("alice", 251);
         let (mut bob, init_b) = member("bob", 252);
         // One seat, and both requests arrive while it is still free.
-        let kd_a = l.handle(&init_a).unwrap().outgoing.remove(0);
-        let kd_b = l.handle(&init_b).unwrap().outgoing.remove(0);
+        let kd_a = l
+            .handle_at(&init_a, Duration::ZERO)
+            .unwrap()
+            .outgoing
+            .remove(0);
+        let kd_b = l
+            .handle_at(&init_b, Duration::ZERO)
+            .unwrap()
+            .outgoing
+            .remove(0);
         let ack_a = alice.handle(&kd_a).unwrap().reply.unwrap();
         let ack_b = bob.handle(&kd_b).unwrap().reply.unwrap();
 
         // Alice takes it, and her Welcome — a roster at the bound — opens.
-        let out = l.handle(&ack_a).unwrap();
+        let out = l.handle_at(&ack_a, Duration::ZERO).unwrap();
         let events = alice.handle(&out.outgoing[0]).unwrap().events;
         assert!(matches!(
             &events[..],
@@ -2435,7 +2452,7 @@ mod tests {
         // moves, and his half-open slot is freed.
         let (roster, epoch) = (l.roster(), l.epoch());
         assert!(matches!(
-            l.handle(&ack_b),
+            l.handle_at(&ack_b, Duration::ZERO),
             Err(CoreError::Rejected(RejectReason::UnexpectedType))
         ));
         assert!(l.roster().ptr_eq(&roster));
@@ -2458,7 +2475,7 @@ mod tests {
                 group: None,
                 body: vec![i; 40],
             };
-            assert!(l.handle(&env).is_err());
+            assert!(l.handle_at(&env, Duration::ZERO).is_err());
         }
         assert_eq!(l.roster(), roster);
         assert_eq!(l.epoch(), epoch);
@@ -2540,7 +2557,7 @@ mod tests {
             while !queue.is_empty() {
                 let mut next = Vec::new();
                 for env in queue.drain(..) {
-                    if let Ok(out) = self.l.handle(&env) {
+                    if let Ok(out) = self.l.handle_at(&env, Duration::ZERO) {
                         next.extend(self.deliver_collect(out));
                     }
                 }
@@ -2648,7 +2665,7 @@ mod tests {
             let plain: GroupDataPlain =
                 open(channel.session_key.as_bytes(), &up.header_aad(), &up.body).unwrap();
             assert_eq!(plain.seq, 1, "each session's uplinks count from 1");
-            let out = w.l.handle(&up).unwrap();
+            let out = w.l.handle_at(&up, Duration::ZERO).unwrap();
             frames.extend(out.broadcasts.iter().map(|b| Arc::clone(&b.frame)));
             w.settle(out);
             frames.push(w.l.broadcast_group_data(b"leader").unwrap().frame);
@@ -2715,7 +2732,7 @@ mod tests {
             let mut w = flat_world(&refs);
             let up = w.uplink("m1", b"to everyone else");
             let seals = count(&w.l, "leader.data_seals");
-            let out = w.l.handle(&up).unwrap();
+            let out = w.l.handle_at(&up, Duration::ZERO).unwrap();
             assert!(out.outgoing.is_empty(), "n = {n}");
             let [relay] = &out.broadcasts[..] else {
                 panic!("n = {n}: {} frames", out.broadcasts.len());
@@ -2778,12 +2795,59 @@ mod tests {
         }
     }
 
+    /// The core's clock never runs backwards: an envelope handled at a
+    /// reading older than the last `tick` is timed at the tick, so the
+    /// `AuthKeyDist` retransmit is scheduled from `t1`, and a heartbeat
+    /// read at `t0` cannot pull the member's liveness deadline behind
+    /// the core's now.
+    #[test]
+    fn handle_at_behind_tick_keeps_the_core_clock() {
+        let base = Duration::from_millis(400);
+        let timeout = Duration::from_secs(5);
+        let ms = Duration::from_millis(1);
+        let mut l = LeaderCore::with_rng(
+            id("leader"),
+            directory(&["alice"]),
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                liveness: LivenessConfig {
+                    retransmit_base: base,
+                    retransmit_max: base,
+                    liveness_timeout: Some(timeout),
+                    ..LivenessConfig::default()
+                },
+                ..LeaderConfig::default()
+            },
+            Box::new(SeededRng::from_seed(1)),
+        );
+        let (t0, t1) = (Duration::from_secs(1), Duration::from_secs(10));
+        assert!(l.tick(t1).frames.is_empty());
+        let (mut alice, init) = member("alice", 40);
+        let key_dist = l.handle_at(&init, t0).unwrap().outgoing;
+        assert_eq!(key_dist[0].msg_type, MsgType::AuthKeyDist);
+        assert!(l.tick(t1 + base - ms).frames.is_empty(), "timed from t1");
+        assert_eq!(l.tick(t1 + base).frames.len(), 1);
+
+        // Alice joins at t1 + base; half her liveness timeout passes.
+        let ack = alice.handle(&key_dist[0]).unwrap().reply.unwrap();
+        pump(&mut l, &mut alice, ack);
+        assert_eq!(alice.phase(), SessionPhase::Connected);
+        let t2 = t1 + base + timeout / 2;
+        assert!(l.tick(t2).evict.is_empty());
+
+        // A ping read at t0 anchors her deadline at t2, the core's now.
+        let ping = alice.heartbeat().unwrap();
+        l.handle_at(&ping, t0).unwrap();
+        assert!(l.tick(t2 + timeout).evict.is_empty());
+        assert_eq!(l.tick(t2 + timeout + ms).evict, vec![id("alice")]);
+    }
+
     /// A relayed frame the network duplicates is delivered once.
     #[test]
     fn duplicated_relay_is_delivered_once() {
         let mut w = flat_world(&["alice", "bob"]);
         let up = w.uplink("alice", b"once only");
-        let out = w.l.handle(&up).unwrap();
+        let out = w.l.handle_at(&up, Duration::ZERO).unwrap();
         let env: Envelope = enclaves_wire::codec::decode(&out.broadcasts[0].frame).unwrap();
         let bob = w.sessions.get_mut(&id("bob")).unwrap();
         assert!(matches!(
@@ -3225,7 +3289,7 @@ mod tests {
         join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init_b);
         l.rekey_now().unwrap();
         let env = alice.leave().unwrap();
-        l.handle(&env).unwrap();
+        l.handle_at(&env, Duration::ZERO).unwrap();
         assert!(count(&l, "leader.rekeys") >= 3);
 
         let replay = dir

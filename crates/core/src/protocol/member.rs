@@ -244,30 +244,8 @@ impl std::fmt::Debug for MemberSession {
 }
 
 impl MemberSession {
-    /// Starts a session from a password: derives `P_a`, generates `N1`,
-    /// and returns the session plus the `AuthInitReq` envelope to send.
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-derivation failures.
-    pub fn start(
-        user: ActorId,
-        leader: ActorId,
-        password: &str,
-    ) -> Result<(Self, Envelope), CoreError> {
-        let key = LongTermKey::derive_from_password(password, user.as_str())?;
-        Ok(Self::start_with_key(
-            user,
-            leader,
-            key,
-            Box::new(OsEntropyRng::new()),
-        ))
-    }
-
-    /// [`MemberSession::start`] for one enclave of a multi-enclave
-    /// service: the `AuthInitReq` (and every later envelope) carries the
-    /// group tag, AEAD-bound via the header, and the session rejects
-    /// frames tagged for any other enclave.
+    /// Starts a session from a password: derives `P_a` from it, then
+    /// runs [`MemberSession::start_with_key_in_group`] on OS entropy.
     ///
     /// # Errors
     ///
@@ -288,49 +266,13 @@ impl MemberSession {
         ))
     }
 
-    /// Starts a session authenticated by X25519 public keys instead of a
-    /// password (the paper's footnote-1 variant): `P_a` is derived from
-    /// the static-static Diffie-Hellman shared secret, bound to both
-    /// identities. The leader must have registered this user's public key
-    /// via [`crate::directory::Directory::register_public_key`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects low-order leader public keys.
-    pub fn start_with_static_keys(
-        user: ActorId,
-        leader: ActorId,
-        user_secret: &enclaves_crypto::x25519::StaticSecret,
-        leader_public: &enclaves_crypto::x25519::PublicKey,
-    ) -> Result<(Self, Envelope), CoreError> {
-        let key = enclaves_crypto::x25519::derive_long_term_key(
-            user_secret,
-            leader_public,
-            user.as_str(),
-            leader.as_str(),
-        )?;
-        Ok(Self::start_with_key(
-            user,
-            leader,
-            key,
-            Box::new(OsEntropyRng::new()),
-        ))
-    }
-
-    /// Starts a session with an explicit long-term key and RNG
-    /// (deterministic in tests).
-    #[must_use]
-    pub fn start_with_key(
-        user: ActorId,
-        leader: ActorId,
-        long_term: LongTermKey,
-        rng: Box<dyn CryptoRng>,
-    ) -> (Self, Envelope) {
-        Self::start_with_key_in_group(user, leader, long_term, rng, None)
-    }
-
-    /// [`MemberSession::start_with_key`] scoped to one enclave of a
-    /// multi-enclave service (`None` keeps the legacy single-group wire).
+    /// Starts a session from a long-term key `P_a` and `rng`: generates
+    /// `N1` and returns the session plus the `AuthInitReq` envelope to
+    /// send. `P_a` may come from a password or from X25519 public keys
+    /// (footnote 1: [`enclaves_crypto::x25519::derive_long_term_key`]);
+    /// nothing above it differs. With `group` set, every envelope carries
+    /// the enclave's tag, AEAD-bound via the header, and frames tagged for
+    /// another enclave are rejected; `None` keeps the single-group wire.
     #[must_use]
     pub fn start_with_key_in_group(
         user: ActorId,
@@ -1013,11 +955,12 @@ mod tests {
 
     fn start() -> (MemberSession, Envelope, LongTermKey) {
         let key = LongTermKey::derive_from_password("pw", "alice").unwrap();
-        let (session, env) = MemberSession::start_with_key(
+        let (session, env) = MemberSession::start_with_key_in_group(
             id("alice"),
             id("leader"),
             key.clone(),
             Box::new(SeededRng::from_seed(7)),
+            None,
         );
         (session, env, key)
     }

@@ -8,7 +8,9 @@
 //!
 //! # Intrusion tolerance contract
 //!
-//! `handle` returns `Err(CoreError::Rejected(_))` for any message that
+//! `MemberSession::handle` and `LeaderCore::handle_at`, the only way a
+//! message enters either core, return `Err(CoreError::Rejected(_))` for
+//! any message that
 //! fails authentication, parses badly, carries wrong identities, or
 //! presents a stale nonce. **Rejection never mutates session state**: a
 //! flood of forged traffic leaves an honest session exactly where it was.

@@ -23,13 +23,10 @@ use std::time::Duration;
 pub type Reconnector = Box<dyn Fn() -> Result<Box<dyn Link>, NetError> + Send>;
 
 /// Optional hooks for a [`MemberRuntime`]: the protocol event stream a
-/// harness audits the member through, a test-only sabotage switch, and
-/// the liveness knobs for the member's ARQ / heartbeat / rejoin
-/// machinery. The application's own view is [`MemberRuntime::events`].
+/// harness audits the member through, and the liveness knobs for the
+/// member's ARQ / heartbeat / rejoin machinery. The application's own
+/// view is [`MemberRuntime::events`].
 pub struct MemberOptions {
-    /// Plants the test-only broadcast-watermark violation
-    /// ([`MemberSession::disable_broadcast_watermark_for_tests`]).
-    pub disable_broadcast_watermark: bool,
     /// Shares a protocol event stream with the session: deliveries, key
     /// changes, handshake milestones, and ARQ retransmits are emitted onto
     /// it (typically the same stream the leader emits onto, giving one
@@ -45,22 +42,15 @@ pub struct MemberOptions {
     /// How to re-reach the leader after a presumed death. Auto-rejoin
     /// requires both this hook and [`LivenessConfig::auto_rejoin`].
     pub reconnect: Option<Reconnector>,
-    /// Enclave to join when the leader is a multi-enclave service: every
-    /// envelope carries (and is AEAD-bound to) this group id, and frames
-    /// tagged for other enclaves are rejected. `None` keeps the legacy
-    /// single-group wire format. Rejoin sessions inherit it.
-    pub group: Option<enclaves_wire::GroupId>,
 }
 
 impl Default for MemberOptions {
     fn default() -> Self {
         MemberOptions {
-            disable_broadcast_watermark: false,
             events: None,
             liveness: LivenessConfig::member_default(),
             clock: None,
             reconnect: None,
-            group: None,
         }
     }
 }
@@ -68,15 +58,10 @@ impl Default for MemberOptions {
 impl std::fmt::Debug for MemberOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemberOptions")
-            .field(
-                "disable_broadcast_watermark",
-                &self.disable_broadcast_watermark,
-            )
             .field("events", &self.events.is_some())
             .field("liveness", &self.liveness)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
             .field("reconnect", &self.reconnect.is_some())
-            .field("group", &self.group)
             .finish()
     }
 }
@@ -123,8 +108,8 @@ impl std::fmt::Debug for MemberRuntime {
 }
 
 impl MemberRuntime {
-    /// Connects over `link`, starting the authentication handshake
-    /// immediately.
+    /// Connects over `link` with a password, untagged and with default
+    /// options, starting the authentication handshake immediately.
     ///
     /// # Errors
     ///
@@ -135,60 +120,28 @@ impl MemberRuntime {
         leader: ActorId,
         password: &str,
     ) -> Result<Self, CoreError> {
-        Self::connect_with(link, user, leader, password, MemberOptions::default())
+        let (session, init) = MemberSession::start_in_group(user, leader, password, None)?;
+        Self::run(link, session, init, MemberOptions::default())
     }
 
-    /// Connects like [`MemberRuntime::connect`], with harness hooks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-derivation or transport failures.
-    pub fn connect_with(
-        link: Box<dyn Link>,
-        user: ActorId,
-        leader: ActorId,
-        password: &str,
-        options: MemberOptions,
-    ) -> Result<Self, CoreError> {
-        let (mut session, init) =
-            MemberSession::start_in_group(user, leader, password, options.group.clone())?;
-        if options.disable_broadcast_watermark {
-            session.disable_broadcast_watermark_for_tests();
-        }
-        Self::run_with(link, session, init, options)
-    }
-
-    /// Connects with a pre-built session (deterministic tests).
+    /// Runs the session it is handed: sends `init` (the session's
+    /// `AuthInitReq`) over `link` and starts the receive loop. A rejoin
+    /// mints its fresh session from this one's key and enclave.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     pub fn run(
         link: Box<dyn Link>,
-        session: MemberSession,
-        init: Envelope,
-    ) -> Result<Self, CoreError> {
-        Self::run_with(link, session, init, MemberOptions::default())
-    }
-
-    /// Connects with a pre-built session and harness hooks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn run_with(
-        link: Box<dyn Link>,
         mut session: MemberSession,
         init: Envelope,
         options: MemberOptions,
     ) -> Result<Self, CoreError> {
         let MemberOptions {
-            disable_broadcast_watermark: _,
             events: stream,
             liveness,
             clock,
             reconnect,
-            group: _,
         } = options;
         if let Some(events) = &stream {
             // Emit the join start before the init frame can reach any
@@ -202,9 +155,6 @@ impl MemberRuntime {
         // before the current one is consumed by the worker.
         let user = init.sender.clone();
         let leader = init.recipient.clone();
-        // The session's own enclave (not the option, which run_with
-        // callers bypass) so rejoin reproduces whatever the live session
-        // was actually scoped to.
         let group = session.group_id().cloned();
         let long_term = session.long_term_key();
         let registry = session.obs_registry();

@@ -53,6 +53,7 @@ use crate::liveness::{Clock, LivenessConfig, RealClock};
 use crate::protocol::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput};
 use crate::CoreError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use enclaves_crypto::rng::OsEntropyRng;
 use enclaves_net::{Frame, Listener, MuxEndpoint, MuxEvent, MuxToken};
 use enclaves_wire::codec::{decode, encode};
 use enclaves_wire::message::{Envelope, MsgType};
@@ -689,7 +690,7 @@ impl LeaderService {
         directory: Directory,
         config: LeaderConfig,
     ) -> Result<GroupHandle, CoreError> {
-        let core = if let Some(journal) = &self.shared.journal {
+        let writer = if let Some(journal) = &self.shared.journal {
             // Refuse the duplicate tag before touching the disk, so a
             // duplicate `add_group` does not leave an orphan stream.
             if self.shared.registry.read().contains_key(&config.group) {
@@ -699,13 +700,15 @@ impl LeaderService {
                 });
             }
             let genesis = genesis_for(&leader_id, &directory, &config);
-            let writer = journal.create_stream(&label_for(config.group.as_ref()), &genesis)?;
-            let mut core = LeaderCore::new(leader_id, directory, config);
-            core.attach_journal(writer);
-            core
+            Some(journal.create_stream(&label_for(config.group.as_ref()), &genesis)?)
         } else {
-            LeaderCore::new(leader_id, directory, config)
+            None
         };
+        let mut core =
+            LeaderCore::with_rng(leader_id, directory, config, Box::new(OsEntropyRng::new()));
+        if let Some(writer) = writer {
+            core.attach_journal(writer);
+        }
         Self::register_core(&self.shared, core)
     }
 
@@ -1090,7 +1093,7 @@ fn shard_loop(shared: &Arc<ServiceShared>, shard_rx: &Receiver<MuxEvent>) {
 mod tests {
     use super::*;
     use crate::config::{LeaderConfig, RekeyPolicy};
-    use crate::protocol::MemberEvent;
+    use crate::protocol::{MemberEvent, MemberSession};
     use crate::runtime::{MemberOptions, MemberRuntime};
     use enclaves_net::sim::{Direction, SimConfig, SimNet};
     use enclaves_net::Link;
@@ -1129,17 +1132,15 @@ mod tests {
         handle: &GroupHandle,
     ) -> MemberRuntime {
         let link = net.connect(conn, "svc").unwrap();
-        let member = MemberRuntime::connect_with(
-            Box::new(link),
+        let (session, init) = MemberSession::start_in_group(
             id(user),
             id("leader"),
             &format!("{user}-pw"),
-            MemberOptions {
-                group: Some(gid(group)),
-                ..MemberOptions::default()
-            },
+            Some(gid(group)),
         )
         .unwrap();
+        let member =
+            MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
         member.wait_joined(WAIT).unwrap();
         handle.wait_member(&id(user), WAIT).unwrap();
         member
@@ -1313,17 +1314,11 @@ mod tests {
 
         let deep = gid("g0937");
         let link = net.connect("a-deep", "svc").unwrap();
-        let member = MemberRuntime::connect_with(
-            Box::new(link),
-            id("alice"),
-            id("leader"),
-            "alice-pw",
-            MemberOptions {
-                group: Some(deep),
-                ..MemberOptions::default()
-            },
-        )
-        .unwrap();
+        let (session, init) =
+            MemberSession::start_in_group(id("alice"), id("leader"), "alice-pw", Some(deep))
+                .unwrap();
+        let member =
+            MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
         member.wait_joined(WAIT).unwrap();
         service.shutdown();
     }

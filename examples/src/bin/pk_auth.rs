@@ -5,8 +5,11 @@
 //! Instead of a pre-shared password, each participant holds a static
 //! X25519 key pair. The long-term key `P_a` is derived on both sides from
 //! the static-static Diffie-Hellman shared secret, bound to both
-//! identities — the protocol above that layer is byte-identical to the
-//! password variant, so every verified property carries over.
+//! identities: the leader's `Directory::register_public_key` and the
+//! member's `derive_long_term_key`. The member then starts the same
+//! session a password member does, `MemberSession::start_with_key_in_group`
+//! under that key, so the protocol above `P_a` is byte-identical to the
+//! password variant and every verified property carries over.
 //!
 //! ```text
 //! cargo run -p enclaves-examples --bin pk_auth
@@ -15,14 +18,39 @@
 use enclaves_core::config::LeaderConfig;
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
+use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_crypto::rng::OsEntropyRng;
-use enclaves_crypto::x25519::StaticSecret;
+use enclaves_crypto::x25519::{derive_long_term_key, PublicKey, StaticSecret};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
+
+/// Connects `user` holding `secret`: derives `P_a` against the leader's
+/// public key and runs the session that key starts.
+fn connect(
+    net: &SimNet,
+    user: &str,
+    secret: &StaticSecret,
+    leader_public: &PublicKey,
+) -> Result<MemberRuntime, Box<dyn std::error::Error>> {
+    let key = derive_long_term_key(secret, leader_public, user, "leader")?;
+    let (session, init) = MemberSession::start_with_key_in_group(
+        ActorId::new(user)?,
+        ActorId::new("leader")?,
+        key,
+        Box::new(OsEntropyRng::new()),
+        None,
+    );
+    let link = Box::new(net.connect(user, "leader")?);
+    Ok(MemberRuntime::run(
+        link,
+        session,
+        init,
+        MemberOptions::default(),
+    )?)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = OsEntropyRng::new();
@@ -56,18 +84,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = SimNet::new(SimConfig::default());
     let listener = net.listen("leader")?;
     let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
-    let leader = service.add_group(leader_id.clone(), directory, LeaderConfig::default())?;
+    let leader = service.add_group(leader_id, directory, LeaderConfig::default())?;
 
     // Members join with their key pairs — no password anywhere.
     let mut members = Vec::new();
     for (name, secret) in [("alice", &alice_secret), ("bob", &bob_secret)] {
-        let (session, init) = MemberSession::start_with_static_keys(
-            ActorId::new(name)?,
-            leader_id.clone(),
-            secret,
-            &leader_public,
-        )?;
-        let member = MemberRuntime::run(Box::new(net.connect(name, "leader")?), session, init)?;
+        let member = connect(&net, name, secret, &leader_public)?;
         member.wait_joined(WAIT)?;
         println!("{name} joined via X25519 static-static authentication");
         members.push(member);
@@ -104,13 +126,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ...and an impostor claiming to be alice, with a different key pair,
     // fails authentication (the seal under the derived P_a cannot verify).
     let mallory_secret = StaticSecret::generate(&mut rng);
-    let (session, init) = MemberSession::start_with_static_keys(
-        ActorId::new("alice")?, // claims to be alice
-        leader_id,
-        &mallory_secret, // but holds the wrong secret
-        &leader_public,
-    )?;
-    let impostor = MemberRuntime::run(Box::new(net.connect("alice", "leader")?), session, init)?;
+    // Claims to be alice, but holds the wrong secret.
+    let impostor = connect(&net, "alice", &mallory_secret, &leader_public)?;
     match impostor.wait_joined(Duration::from_millis(400)) {
         Err(_) => println!("\nimpostor with a different key pair was rejected, as expected"),
         Ok(()) => return Err("impostor joined?!".into()),

@@ -10,7 +10,7 @@ use enclaves_bench::{cheap_member_key, member_id};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderService, MemberRuntime, ServiceConfig};
+use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::ActorId;
@@ -48,14 +48,17 @@ fn broadcast_reaches_512_members_with_one_seal() {
 
     let members: Vec<MemberRuntime> = (0..N)
         .map(|i| {
-            let (session, init) = MemberSession::start_with_key(
+            let (session, init) = MemberSession::start_with_key_in_group(
                 member_id(i),
                 leader_id.clone(),
                 cheap_member_key(i),
                 Box::new(SeededRng::from_seed(9000 + i as u64)),
+                None,
             );
             let link = net.connect(member_id(i).as_str(), "leader").unwrap();
-            let member = MemberRuntime::run(Box::new(link), session, init).unwrap();
+            let member =
+                MemberRuntime::run(Box::new(link), session, init, MemberOptions::default())
+                    .unwrap();
             member.wait_joined(WAIT).unwrap();
             member
         })

@@ -14,6 +14,7 @@ use enclaves_chaos::{run_crash_restart, ChaosEvent, ChaosOptions, Schedule, SimF
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::journal::{label_for, JournalDir};
+use enclaves_core::protocol::MemberSession;
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_net::{MuxConfig, MuxNet};
@@ -196,14 +197,8 @@ fn stale_journal_restore_is_fenced_not_rewound() {
         .expect("fresh service");
 
     let link = net.connect("alice", "svc").expect("leader listening");
-    let rt = MemberRuntime::connect_with(
-        Box::new(link),
-        alice.clone(),
-        leader,
-        "alice-pw",
-        MemberOptions::default(),
-    )
-    .expect("handshake starts");
+    let rt = MemberRuntime::connect(Box::new(link), alice.clone(), leader, "alice-pw")
+        .expect("handshake starts");
     rt.wait_joined(wait).expect("welcome");
 
     // Two rotations, snapshot the stream, three more rotations: the
@@ -270,17 +265,16 @@ fn journaled_event_mode_service_restarts_from_its_directory() {
         .map(|i| ActorId::new(format!("m{i}")).expect("static name"))
         .collect();
     let admit = |net: &MuxNet, addr, user: &ActorId| {
-        let rt = MemberRuntime::connect_with(
-            Box::new(net.connect(addr).expect("leader listening")),
+        let (session, init) = MemberSession::start_in_group(
             user.clone(),
             leader.clone(),
             &format!("{user}-pw"),
-            MemberOptions {
-                group: Some(group.clone()),
-                ..MemberOptions::default()
-            },
+            Some(group.clone()),
         )
-        .expect("handshake starts");
+        .expect("password derives");
+        let link = Box::new(net.connect(addr).expect("leader listening"));
+        let rt = MemberRuntime::run(link, session, init, MemberOptions::default())
+            .expect("handshake starts");
         rt.wait_joined(wait).expect("welcome");
         rt
     };

@@ -48,7 +48,7 @@ fn fixture() -> &'static Mutex<Fixture> {
         let valid_group_data = encode(&world.members[1].send_group_data(b"gd").unwrap());
         // Member 0's data as the leader relays it to member 1.
         let uplink = world.members[0].send_group_data(b"relayed").unwrap();
-        let relay = world.leader.handle(&uplink).unwrap();
+        let relay = world.leader.handle_at(&uplink, Duration::ZERO).unwrap();
         let valid_relay = relay.broadcasts[0].frame.to_vec();
         Mutex::new(Fixture {
             world,
@@ -116,7 +116,7 @@ proptest! {
             } else {
                 fx.world
                     .leader
-                    .handle(&env)
+                    .handle_at(&env, Duration::ZERO)
                     .map(|out| out.events.len() + out.broadcasts.len() + out.outgoing.len())
             };
             match effects {
@@ -145,7 +145,7 @@ proptest! {
             body,
         };
         if to_leader {
-            let result = fx.world.leader.handle(&env);
+            let result = fx.world.leader.handle_at(&env, Duration::ZERO);
             prop_assert!(result.is_err(), "forged envelope accepted by leader");
         } else {
             let result = fx.world.members[0].handle(&env);
@@ -160,7 +160,7 @@ proptest! {
         let mut fx = fixture().lock().unwrap();
         let before = snapshot(&fx);
         if let Ok(env) = decode::<Envelope>(&bytes) {
-            let _ = fx.world.leader.handle(&env);
+            let _ = fx.world.leader.handle_at(&env, Duration::ZERO);
             let _ = fx.world.members[0].handle(&env);
             // Whatever happened, rejection paths must not mutate state —
             // garbage cannot authenticate.
@@ -249,11 +249,12 @@ fn every_bit_flip_of_group_data_leaves_sequence_and_watermark_alone() {
     );
     let mut members = Vec::new();
     for i in 0..2 {
-        let (session, init) = MemberSession::start_with_key(
+        let (session, init) = MemberSession::start_with_key_in_group(
             member_id(i),
             leader_id(),
             cheap_member_key(i),
             Box::new(SeededRng::from_seed(50 + i as u64)),
+            None,
         );
         members.push(session);
         pump(&mut leader, &mut members, init);
@@ -322,7 +323,7 @@ fn relabeled_and_readdressed_frames_rejected() {
         };
         let r0 = fx.world.members[0].handle(&relabeled);
         assert!(r0.is_err(), "relabeled frame accepted as {mt:?}");
-        let r1 = fx.world.leader.handle(&relabeled);
+        let r1 = fx.world.leader.handle_at(&relabeled, Duration::ZERO);
         assert!(r1.is_err(), "leader accepted relabeled {mt:?}");
     }
 

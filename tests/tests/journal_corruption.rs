@@ -79,11 +79,12 @@ fn fixture(tag: &str) -> Fixture {
     let mut members = Vec::new();
     let mut digests = vec![leader.durable_digest()];
     for i in 0..2 {
-        let (session, init) = MemberSession::start_with_key(
+        let (session, init) = MemberSession::start_with_key_in_group(
             member_id(i),
             leader_id(),
             member_key(i),
             Box::new(SeededRng::from_seed(100 + i as u64)),
+            None,
         );
         members.push(session);
         pump(&mut leader, &mut members, init);

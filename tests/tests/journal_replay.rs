@@ -131,11 +131,12 @@ fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
     // a `Join` replaces the slot with a fresh session and pumps its init.
     let mut members: Vec<MemberSession> = (0..CAST)
         .map(|i| {
-            MemberSession::start_with_key(
+            MemberSession::start_with_key_in_group(
                 member_id(i),
                 leader_id(),
                 member_key(i),
                 Box::new(SeededRng::from_seed(seed ^ (1000 + i as u64))),
+                None,
             )
             .0
         })
@@ -144,11 +145,12 @@ fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
     for (k, op) in ops.iter().enumerate() {
         match op {
             Op::Join(i) => {
-                let (session, init) = MemberSession::start_with_key(
+                let (session, init) = MemberSession::start_with_key_in_group(
                     member_id(*i),
                     leader_id(),
                     member_key(*i),
                     Box::new(SeededRng::from_seed(seed ^ (2000 + (k * CAST + i) as u64))),
+                    None,
                 );
                 members[*i] = session;
                 pump(&mut leader, &mut members, init);

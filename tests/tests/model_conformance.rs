@@ -13,6 +13,7 @@ use enclaves_model::leader::{LeaderMove, LeaderSlot};
 use enclaves_model::system::{GlobalMove, Scenario, SystemState};
 use enclaves_model::user::{UserMove, UserState};
 use enclaves_wire::ActorId;
+use std::time::Duration;
 
 fn id(s: &str) -> ActorId {
     ActorId::new(s).unwrap()
@@ -74,11 +75,12 @@ fn implementation_user_states() -> Vec<&'static str> {
         },
         Box::new(SeededRng::from_seed(1)),
     );
-    let (mut alice, init) = MemberSession::start_with_key(
+    let (mut alice, init) = MemberSession::start_with_key_in_group(
         id("alice"),
         id("leader"),
         LongTermKey::derive_from_password("pw", "alice").unwrap(),
         Box::new(SeededRng::from_seed(2)),
+        None,
     );
 
     let mut sequence = vec!["NotConnected", impl_phase(&alice)];
@@ -90,7 +92,7 @@ fn implementation_user_states() -> Vec<&'static str> {
         let mut queue = first;
         while let Some(env) = queue.pop() {
             if env.recipient == id("leader") {
-                if let Ok(out) = leader.handle(&env) {
+                if let Ok(out) = leader.handle_at(&env, Duration::ZERO) {
                     queue.extend(out.outgoing);
                 }
             } else if let Ok(out) = alice.handle(&env) {
@@ -100,7 +102,7 @@ fn implementation_user_states() -> Vec<&'static str> {
     };
 
     // Key distribution + welcome exchange.
-    let out = leader.handle(&init).unwrap();
+    let out = leader.handle_at(&init, Duration::ZERO).unwrap();
     let kd = out.outgoing.into_iter().next().unwrap();
     let alice_out = alice.handle(&kd).unwrap();
     sequence.push(impl_phase(&alice));
@@ -111,7 +113,7 @@ fn implementation_user_states() -> Vec<&'static str> {
     pump(&mut leader, &mut alice, out.outgoing);
     // Close.
     let close = alice.leave().unwrap();
-    leader.handle(&close).unwrap();
+    leader.handle_at(&close, Duration::ZERO).unwrap();
     sequence.push("NotConnected"); // Closed ≙ NotConnected in Figure 2
     sequence.dedup();
     sequence

@@ -25,6 +25,7 @@ use enclaves_wire::codec::decode;
 use enclaves_wire::message::Envelope;
 use enclaves_wire::GroupId;
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// A fully joined sans-I/O enclave with a group tag.
 struct Enclave {
@@ -39,7 +40,7 @@ fn drive(leader: &mut LeaderCore, members: &mut [MemberSession], first: Envelope
     let mut queue = vec![first];
     while let Some(env) = queue.pop() {
         if env.recipient == *leader.leader_id() {
-            let Ok(out) = leader.handle(&env) else {
+            let Ok(out) = leader.handle_at(&env, Duration::ZERO) else {
                 continue;
             };
             queue.extend(out.outgoing);
@@ -121,7 +122,7 @@ fn assert_leader_rejects(leader: &mut LeaderCore, env: &Envelope, what: &str) {
     let roster_before = leader.roster();
     let epoch_before = leader.epoch();
     let mut counters = leader.obs_registry().snapshot().counters;
-    match leader.handle(env) {
+    match leader.handle_at(env, Duration::ZERO) {
         Err(CoreError::Rejected(RejectReason::WrongEnclave)) => {}
         other => panic!("{what}: expected WrongEnclave rejection, got {other:?}"),
     }
@@ -159,7 +160,7 @@ proptest! {
         // Heartbeat ping (member→leader) and pong (leader→member).
         let ping = a.members[0].heartbeat().expect("connected member");
         assert_leader_rejects(&mut b.leader, &ping, "heartbeat ping");
-        let pong_out = a.leader.handle(&ping).expect("own ping accepted");
+        let pong_out = a.leader.handle_at(&ping, Duration::ZERO).expect("own ping accepted");
         let pong = pong_out.outgoing.first().expect("ping is answered").clone();
         // Addressed frames are checked against the B-member with the SAME
         // id (recipient mismatch would mask the enclave check otherwise).
@@ -189,7 +190,7 @@ proptest! {
         // then the leader's one-seal relay of it to the other members.
         let uplink = a.members[0].send_group_data(&payload).expect("welcomed member");
         assert_leader_rejects(&mut b.leader, &uplink, "group-data uplink");
-        let relayed = a.leader.handle(&uplink).expect("own uplink accepted");
+        let relayed = a.leader.handle_at(&uplink, Duration::ZERO).expect("own uplink accepted");
         let relay = relayed.broadcasts.first().expect("one relay frame");
         let relay_env: Envelope = decode(&relay.frame).expect("self-produced frame");
         for member in &mut b.members {
@@ -237,11 +238,12 @@ fn tagged_and_untagged_worlds_reject_each_other() {
         );
         let mut members = Vec::new();
         for i in 0..2 {
-            let (session, init) = MemberSession::start_with_key(
+            let (session, init) = MemberSession::start_with_key_in_group(
                 member_id(i),
                 leader_id(),
                 cheap_member_key(i),
                 Box::new(SeededRng::from_seed(1099 + i as u64)),
+                None,
             );
             members.push(session);
             drive(&mut leader, &mut members, init);

@@ -22,7 +22,7 @@
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::liveness::{Clock, LivenessConfig, VirtualClock};
-use enclaves_core::protocol::LeaderEvent;
+use enclaves_core::protocol::{LeaderEvent, MemberSession};
 use enclaves_core::runtime::{
     GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
 };
@@ -79,17 +79,15 @@ fn add_group(
 fn join(net: &SimNet, tag: &str, user: &str, handle: &GroupHandle) -> (MemberRuntime, usize) {
     let link = net.connect(&format!("{tag}-{user}"), "svc").unwrap();
     let conn = link.conn_id();
-    let member = MemberRuntime::connect_with(
-        Box::new(link),
+    let (session, init) = MemberSession::start_in_group(
         id(user),
         id("leader"),
         &format!("{user}-pw"),
-        MemberOptions {
-            group: Some(GroupId::new(tag).unwrap()),
-            ..MemberOptions::default()
-        },
+        Some(GroupId::new(tag).unwrap()),
     )
     .unwrap();
+    let member =
+        MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
     member.wait_joined(WAIT).unwrap();
     handle.wait_member(&id(user), WAIT).unwrap();
     (member, conn)

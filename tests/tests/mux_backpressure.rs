@@ -45,11 +45,12 @@ fn stall_key() -> LongTermKey {
 fn join_raw(addr: std::net::SocketAddr, user: &ActorId) -> (TcpStream, MemberSession) {
     let stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(WAIT)).unwrap();
-    let (mut session, init) = MemberSession::start_with_key(
+    let (mut session, init) = MemberSession::start_with_key_in_group(
         user.clone(),
         id("leader"),
         stall_key(),
         Box::new(OsEntropyRng::new()),
+        None,
     );
     write_frame(&stream, &encode(&init)).unwrap();
     for _ in 0..64 {

@@ -15,6 +15,7 @@ use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderCore, LeaderEvent, MemberEvent, MemberSession};
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
+use enclaves_crypto::rng::OsEntropyRng;
 use enclaves_model::explore::{Bounds, Explorer, TransitionChecker};
 use enclaves_model::leader::LeaderMove;
 use enclaves_model::system::{GlobalMove, Scenario, SystemState};
@@ -177,11 +178,12 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
     leader.attach_event_stream(stream.clone());
 
     let link = net.connect("alice", "leader").unwrap();
-    let alice = MemberRuntime::connect_with(
+    let (session, init) =
+        MemberSession::start_in_group(id("alice"), id("leader"), "alice-pw", None).unwrap();
+    let alice = MemberRuntime::run(
         Box::new(link),
-        id("alice"),
-        id("leader"),
-        "alice-pw",
+        session,
+        init,
         MemberOptions {
             events: Some(stream.clone()),
             ..MemberOptions::default()
@@ -287,7 +289,7 @@ fn relayed_member_data_reaches_the_live_oracle() {
             world.members[1].disable_broadcast_watermark_for_tests();
         }
         let uplink = world.members[0].send_group_data(b"from m0").unwrap();
-        let out = world.leader.handle(&uplink).unwrap();
+        let out = world.leader.handle_at(&uplink, Duration::ZERO).unwrap();
         let relay = &out.broadcasts[0];
         let env: Envelope = decode(&relay.frame).unwrap();
         for member in &mut world.members[1..] {
@@ -349,8 +351,14 @@ fn readme_glossary_names_exactly_the_registered_metrics() {
         .filter(|name| covered(name))
         .collect();
 
-    let (session, _) = MemberSession::start(id("m0"), id("leader"), "m0-pw").unwrap();
-    let leader = LeaderCore::new(id("leader"), Directory::new(), LeaderConfig::default());
+    let (session, _) =
+        MemberSession::start_in_group(id("m0"), id("leader"), "m0-pw", None).unwrap();
+    let leader = LeaderCore::with_rng(
+        id("leader"),
+        Directory::new(),
+        LeaderConfig::default(),
+        Box::new(OsEntropyRng::new()),
+    );
     let net = SimNet::new(SimConfig::default());
     let registered: BTreeSet<String> = [
         leader.obs_registry(),

@@ -4,9 +4,11 @@
 use enclaves_core::config::LeaderConfig;
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{GroupHandle, LeaderService, MemberRuntime, ServiceConfig};
-use enclaves_crypto::rng::SeededRng;
-use enclaves_crypto::x25519::StaticSecret;
+use enclaves_core::runtime::{
+    GroupHandle, LeaderService, MemberOptions, MemberRuntime, ServiceConfig,
+};
+use enclaves_crypto::rng::{OsEntropyRng, SeededRng};
+use enclaves_crypto::x25519::{derive_long_term_key, PublicKey, StaticSecret};
 use enclaves_net::sim::{SimConfig, SimNet};
 use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
@@ -21,7 +23,7 @@ struct PkWorld {
     net: SimNet,
     service: LeaderService,
     leader: GroupHandle,
-    leader_public: enclaves_crypto::x25519::PublicKey,
+    leader_public: PublicKey,
     secrets: Vec<(String, StaticSecret)>,
 }
 
@@ -58,6 +60,32 @@ fn world(users: &[&str], seed: u64) -> PkWorld {
     }
 }
 
+/// Runs `user`'s member over a fresh link, keyed by the `P_a` derived
+/// from its X25519 secret and the leader's public key; the session above
+/// that key is the password variant's.
+fn run_pk(
+    net: &SimNet,
+    user: &str,
+    secret: &StaticSecret,
+    leader_public: &PublicKey,
+) -> MemberRuntime {
+    let key = derive_long_term_key(secret, leader_public, user, "leader").unwrap();
+    let (session, init) = MemberSession::start_with_key_in_group(
+        id(user),
+        id("leader"),
+        key,
+        Box::new(OsEntropyRng::new()),
+        None,
+    );
+    MemberRuntime::run(
+        Box::new(net.connect(user, "leader").unwrap()),
+        session,
+        init,
+        MemberOptions::default(),
+    )
+    .unwrap()
+}
+
 fn join(world: &PkWorld, user: &str) -> MemberRuntime {
     let secret = &world
         .secrets
@@ -65,15 +93,7 @@ fn join(world: &PkWorld, user: &str) -> MemberRuntime {
         .find(|(name, _)| name == user)
         .unwrap()
         .1;
-    let (session, init) =
-        MemberSession::start_with_static_keys(id(user), id("leader"), secret, &world.leader_public)
-            .unwrap();
-    let member = MemberRuntime::run(
-        Box::new(world.net.connect(user, "leader").unwrap()),
-        session,
-        init,
-    )
-    .unwrap();
+    let member = run_pk(&world.net, user, secret, &world.leader_public);
     member.wait_joined(WAIT).unwrap();
     member
 }
@@ -109,19 +129,7 @@ fn wrong_keypair_impostor_rejected() {
     let world = world(&["alice"], 8);
     let mut rng = SeededRng::from_seed(999);
     let mallory = StaticSecret::generate(&mut rng);
-    let (session, init) = MemberSession::start_with_static_keys(
-        id("alice"),
-        id("leader"),
-        &mallory,
-        &world.leader_public,
-    )
-    .unwrap();
-    let impostor = MemberRuntime::run(
-        Box::new(world.net.connect("alice", "leader").unwrap()),
-        session,
-        init,
-    )
-    .unwrap();
+    let impostor = run_pk(&world.net, "alice", &mallory, &world.leader_public);
     assert!(impostor.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     impostor.abandon();
@@ -153,19 +161,7 @@ fn pk_and_password_members_coexist() {
         .add_group(id("leader"), directory, LeaderConfig::default())
         .unwrap();
 
-    let (session, init) = MemberSession::start_with_static_keys(
-        id("alice"),
-        id("leader"),
-        &alice_secret,
-        &leader_secret.public_key(),
-    )
-    .unwrap();
-    let alice = MemberRuntime::run(
-        Box::new(net.connect("alice", "leader").unwrap()),
-        session,
-        init,
-    )
-    .unwrap();
+    let alice = run_pk(&net, "alice", &alice_secret, &leader_secret.public_key());
     alice.wait_joined(WAIT).unwrap();
 
     let bob = MemberRuntime::connect(

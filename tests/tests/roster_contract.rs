@@ -31,6 +31,7 @@ use enclaves_wire::message::{
     NonceAckPlain,
 };
 use enclaves_wire::{ActorId, Roster, MAX_ROSTER_LEN};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Sharing
@@ -40,19 +41,24 @@ use enclaves_wire::{ActorId, Roster, MAX_ROSTER_LEN};
 /// the session, the leader output of the step that admitted it, and the
 /// `Welcomed` roster the member surfaced.
 fn join(leader: &mut LeaderCore, i: usize) -> (MemberSession, LeaderOutput, Roster) {
-    let (mut session, init) = MemberSession::start_with_key(
+    let (mut session, init) = MemberSession::start_with_key_in_group(
         member_id(i),
         leader_id(),
         cheap_member_key(i),
         Box::new(SeededRng::from_seed(9000 + i as u64)),
+        None,
     );
-    let key_dist = leader.handle(&init).expect("auth init accepted");
+    let key_dist = leader
+        .handle_at(&init, Duration::ZERO)
+        .expect("auth init accepted");
     let ack = session
         .handle(&key_dist.outgoing[0])
         .expect("key dist accepted")
         .reply
         .expect("key ack");
-    let admitted = leader.handle(&ack).expect("key ack accepted");
+    let admitted = leader
+        .handle_at(&ack, Duration::ZERO)
+        .expect("key ack accepted");
     let mut welcomed = None;
     let mut queue: Vec<Envelope> = admitted
         .outgoing
@@ -68,7 +74,12 @@ fn join(leader: &mut LeaderCore, i: usize) -> (MemberSession, LeaderOutput, Rost
             }
         }
         if let Some(reply) = out.reply {
-            queue.extend(leader.handle(&reply).expect("ack accepted").outgoing);
+            queue.extend(
+                leader
+                    .handle_at(&reply, Duration::ZERO)
+                    .expect("ack accepted")
+                    .outgoing,
+            );
         }
     }
     (
@@ -224,11 +235,12 @@ impl Puppeteer {
     fn new() -> Self {
         let user = member_id(0);
         let long_term = cheap_member_key(0);
-        let (mut session, init) = MemberSession::start_with_key(
+        let (mut session, init) = MemberSession::start_with_key_in_group(
             user.clone(),
             leader_id(),
             cheap_member_key(0),
             Box::new(SeededRng::from_seed(1)),
+            None,
         );
         let init_plain: AuthInitPlain =
             open(long_term.as_bytes(), &init.header_aad(), &init.body).unwrap();
