@@ -105,7 +105,6 @@ fn chaos_liveness(seed: u64) -> LivenessConfig {
         max_attempts: 6,
         heartbeat_interval: Some(Duration::from_millis(200)),
         liveness_timeout: Some(Duration::from_millis(2500)),
-        auto_rejoin: true,
         jitter_seed: seed,
         ..LivenessConfig::default()
     }
@@ -223,7 +222,6 @@ fn leader_config(
     };
     if let Some(w) = wiring {
         config.liveness = chaos_liveness(w.seed);
-        config.liveness.auto_rejoin = false; // member-side knob
     }
     config
 }

@@ -940,7 +940,9 @@ fn liveness_to_wire(l: &LivenessConfig) -> LivenessWire {
         max_attempts: l.max_attempts,
         heartbeat_interval_ns: l.heartbeat_interval.map(dur_ns),
         liveness_timeout_ns: l.liveness_timeout.map(dur_ns),
-        auto_rejoin: l.auto_rejoin,
+        // A retired field, always written false: the genesis bytes stay
+        // those older builds write and read.
+        auto_rejoin: false,
         jitter_seed: l.jitter_seed,
     }
 }
@@ -954,7 +956,6 @@ fn liveness_from_wire(w: &LivenessWire) -> LivenessConfig {
         max_attempts: w.max_attempts,
         heartbeat_interval: w.heartbeat_interval_ns.map(Duration::from_nanos),
         liveness_timeout: w.liveness_timeout_ns.map(Duration::from_nanos),
-        auto_rejoin: w.auto_rejoin,
         jitter_seed: w.jitter_seed,
     }
 }

@@ -1,5 +1,5 @@
 //! Liveness: injectable clocks and the bounded-ARQ / failure-detection
-//! policy shared by both runtimes.
+//! policy shared by both protocol cores.
 //!
 //! The paper's admin channel is stop-and-wait ARQ (§3) and its leader
 //! reacts to a dead member by driving the Fig. 3 `Oops(Ka)` close path —
@@ -12,9 +12,12 @@
 //!   multi-second eviction timeline replays in milliseconds of real time.
 //! * [`LivenessConfig`] — every timing knob in one place: poll cadence,
 //!   retransmit backoff (base, cap, seeded jitter, attempt budget),
-//!   heartbeat interval, liveness deadline, and auto-rejoin. The defaults
-//!   reproduce the historical fixed-cadence, retry-forever behaviour
-//!   exactly, so existing deployments see no change until they opt in.
+//!   heartbeat interval and liveness deadline. The defaults reproduce
+//!   the historical fixed-cadence, retry-forever behaviour exactly, so
+//!   existing deployments see no change until they opt in.
+//! * `Arq` — the one stop-and-wait retransmit timer, on which both cores'
+//!   `tick` ([`crate::protocol::LeaderCore::tick`],
+//!   [`crate::protocol::MemberSession::tick`]) resend and give up.
 //!
 //! The backoff schedule is *deterministic*: jitter is a pure hash of
 //! `(jitter_seed, attempt, channel)`, so a fixed-seed chaos run replays
@@ -119,8 +122,6 @@ pub struct LivenessConfig {
     /// A peer silent for longer than this is presumed dead. `None`
     /// disables silence-based failure detection.
     pub liveness_timeout: Option<Duration>,
-    /// Member-side: on leader loss, reconnect and rejoin automatically.
-    pub auto_rejoin: bool,
     /// Seed for the deterministic jitter hash.
     pub jitter_seed: u64,
 }
@@ -138,7 +139,6 @@ impl Default for LivenessConfig {
             max_attempts: 0,
             heartbeat_interval: None,
             liveness_timeout: None,
-            auto_rejoin: false,
             jitter_seed: 0,
         }
     }
@@ -201,6 +201,52 @@ impl LivenessConfig {
     #[must_use]
     pub fn exhausted(&self, attempts: u32) -> bool {
         self.max_attempts != 0 && attempts >= self.max_attempts
+    }
+}
+
+/// What an [`Arq`] timer says at one reading of the clock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ArqPoll {
+    /// Not due yet.
+    Wait,
+    /// Due, with budget left: send the frame again.
+    Resend,
+    /// The backoff after the last budgeted resend passed: the peer is dead.
+    GiveUp,
+}
+
+/// One stop-and-wait retransmit timer: attempts so far and the next
+/// deadline of a frame awaiting its acknowledgment. `tag` names the
+/// channel for [`LivenessConfig::jittered_delay`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Arq {
+    attempts: u32,
+    deadline: Duration,
+}
+
+impl Arq {
+    /// A timer for a frame first sent at `now`.
+    pub(crate) fn start(now: Duration, lv: &LivenessConfig, tag: u64) -> Self {
+        Arq {
+            attempts: 0,
+            deadline: now + lv.jittered_delay(0, tag),
+        }
+    }
+
+    /// Reads the timer at `now`. A resend counts against the budget and
+    /// reschedules with backoff; the give-up waits out the backoff after
+    /// the `max_attempts`-th resend, so the last resend gets as long to be
+    /// answered as every earlier one.
+    pub(crate) fn poll(&mut self, now: Duration, lv: &LivenessConfig, tag: u64) -> ArqPoll {
+        if now < self.deadline {
+            return ArqPoll::Wait;
+        }
+        if lv.exhausted(self.attempts) {
+            return ArqPoll::GiveUp;
+        }
+        self.attempts = self.attempts.saturating_add(1);
+        self.deadline = now + lv.jittered_delay(self.attempts, tag);
+        ArqPoll::Resend
     }
 }
 

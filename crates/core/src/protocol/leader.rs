@@ -8,7 +8,7 @@ use crate::group::GroupState;
 use crate::journal::{
     config_from_genesis, JournalError, JournalWriter, ReplayedStream, TapePlayer, TapeRecorder,
 };
-use crate::liveness::LivenessConfig;
+use crate::liveness::{Arq, ArqPoll};
 use crate::protocol::keytree::{KeyTree, NodeKey, PathUpdatePlan};
 use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
@@ -182,39 +182,7 @@ struct InFlight {
     /// The leader nonce the acknowledgment must echo.
     nonce: ProtocolNonce,
     frame: Arc<[u8]>,
-    /// Retransmits so far.
-    attempts: u32,
-    /// When the next retransmit is due, on the core clock.
-    retransmit_at: Duration,
-}
-
-impl InFlight {
-    /// A frame sent at `now`, its first retransmit one base interval out.
-    fn sent(
-        nonce: ProtocolNonce,
-        frame: Vec<u8>,
-        now: Duration,
-        liveness: &LivenessConfig,
-        tag: u64,
-    ) -> Self {
-        InFlight {
-            nonce,
-            frame: frame.into(),
-            attempts: 0,
-            retransmit_at: now + liveness.jittered_delay(0, tag),
-        }
-    }
-
-    /// The frame, if its retransmit deadline has passed — counted against
-    /// the ARQ budget and rescheduled with backoff.
-    fn due(&mut self, now: Duration, liveness: &LivenessConfig, tag: u64) -> Option<Arc<[u8]>> {
-        if now < self.retransmit_at {
-            return None;
-        }
-        self.attempts += 1;
-        self.retransmit_at = now + liveness.jittered_delay(self.attempts, tag);
-        Some(Arc::clone(&self.frame))
-    }
+    arq: Arq,
 }
 
 /// Per-member connection state.
@@ -526,13 +494,11 @@ impl LeaderCore {
         self.obs.emit(|| EventKind::AuthAccepted {
             member: user.to_string(),
         });
-        let in_flight = InFlight::sent(
-            leader_nonce,
-            encode(&reply),
-            self.now,
-            &self.config.liveness,
-            Self::channel_tag(&user),
-        );
+        let in_flight = InFlight {
+            nonce: leader_nonce,
+            frame: encode(&reply).into(),
+            arq: Arq::start(self.now, &self.config.liveness, Self::channel_tag(&user)),
+        };
         self.slots.insert(
             user,
             Slot::WaitingForKeyAck {
@@ -1042,13 +1008,11 @@ impl LeaderCore {
         let frame = env.seal_body(channel.session_key.as_bytes(), seq, &plain);
         self.batch_seal_ns += u64::try_from(sealing.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.batch_frames += 1;
-        channel.outstanding = Some(InFlight::sent(
+        channel.outstanding = Some(InFlight {
             nonce,
-            frame,
-            self.now,
-            &self.config.liveness,
-            Self::channel_tag(user),
-        ));
+            frame: frame.into(),
+            arq: Arq::start(self.now, &self.config.liveness, Self::channel_tag(user)),
+        });
         self.obs.admin_sent.inc();
         out.outgoing.push(env);
         Ok(())
@@ -1108,19 +1072,22 @@ impl LeaderCore {
             .count()
     }
 
-    /// Advances the liveness layer to `now`: collects the in-flight
-    /// frames whose (backoff-scheduled) retransmit deadline passed —
-    /// bumping each channel's attempt counter and rescheduling it — and
-    /// names the members whose ARQ budget is exhausted or whose liveness
-    /// deadline (no authenticated traffic for
-    /// [`LivenessConfig::liveness_timeout`]) was missed. The caller
-    /// transmits the frames and drives [`LeaderCore::evict`] for each
-    /// named member. Re-delivery is safe: recipients treat duplicates as
-    /// replays (admin) or re-acknowledge idempotently (handshake, last-ack
-    /// cache), so retransmission cannot violate the ordering properties.
+    /// Advances the liveness layer to `now`: polls each in-flight frame's
+    /// `Arq` timer, collecting the frames due for a resend, and names the
+    /// members whose timer gave up (the backoff after the last budgeted
+    /// resend passed) or whose liveness deadline (no authenticated
+    /// traffic for [`LivenessConfig::liveness_timeout`]) was missed. The
+    /// caller transmits the frames and drives [`LeaderCore::evict`] for
+    /// each named member. Re-delivery is safe: recipients treat
+    /// duplicates as replays (admin) or re-acknowledge idempotently
+    /// (handshake, last-ack cache), so retransmission cannot violate the
+    /// ordering properties.
     ///
     /// Under the default [`LivenessConfig`] this reproduces the historical
     /// behaviour: a flat retransmit cadence, no eviction ever.
+    ///
+    /// [`LivenessConfig`]: crate::liveness::LivenessConfig
+    /// [`LivenessConfig::liveness_timeout`]: crate::liveness::LivenessConfig::liveness_timeout
     pub fn tick(&mut self, now: Duration) -> LeaderTick {
         self.now = self.now.max(now);
         let now = self.now;
@@ -1136,15 +1103,14 @@ impl LeaderCore {
                         .is_some_and(|t| now > channel.last_heard + t),
                 ),
             };
-            let exhausted = in_flight
-                .as_ref()
-                .is_some_and(|m| liveness.exhausted(m.attempts));
-            if silent || exhausted {
-                tick.evict.push(user.clone());
-            } else if let Some(frame) =
-                in_flight.and_then(|m| m.due(now, liveness, Self::channel_tag(user)))
-            {
-                tick.frames.push((user.clone(), frame));
+            match in_flight {
+                _ if silent => tick.evict.push(user.clone()),
+                Some(m) => match m.arq.poll(now, liveness, Self::channel_tag(user)) {
+                    ArqPoll::Wait => {}
+                    ArqPoll::Resend => tick.frames.push((user.clone(), Arc::clone(&m.frame))),
+                    ArqPoll::GiveUp => tick.evict.push(user.clone()),
+                },
+                None => {}
             }
         }
         if !tick.frames.is_empty() {
@@ -1671,6 +1637,7 @@ fn stamp_of(group: &GroupState) -> EpochStamp {
 mod tests {
     use super::*;
     use crate::config::RekeyPolicy;
+    use crate::liveness::LivenessConfig;
     use crate::protocol::member::{MemberEvent, MemberSession, SessionPhase};
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
@@ -2840,6 +2807,41 @@ mod tests {
         l.handle_at(&ping, t0).unwrap();
         assert!(l.tick(t2 + timeout).evict.is_empty());
         assert_eq!(l.tick(t2 + timeout + ms).evict, vec![id("alice")]);
+    }
+
+    /// The ARQ give-up waits out the backoff after the last budgeted
+    /// resend: with one resend allowed, an unacked admin message is
+    /// resent at the 100 ms base and its member evicted only when the
+    /// 200 ms interval after that resend has passed.
+    #[test]
+    fn arq_give_up_waits_out_the_last_backoff() {
+        let ms = Duration::from_millis;
+        let mut l = LeaderCore::with_rng(
+            id("leader"),
+            directory(&["alice"]),
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                liveness: LivenessConfig {
+                    retransmit_base: ms(100),
+                    retransmit_max: ms(800),
+                    max_attempts: 1,
+                    ..LivenessConfig::default()
+                },
+                ..LeaderConfig::default()
+            },
+            Box::new(SeededRng::from_seed(1)),
+        );
+        let (mut alice, init) = member("alice", 112);
+        pump(&mut l, &mut alice, init);
+        assert_eq!(l.outstanding_count(), 0);
+        l.broadcast_admin_data(b"never acked").unwrap();
+        let resend = l.tick(ms(100));
+        assert_eq!((resend.frames.len(), resend.evict.len()), (1, 0));
+        for t in [101, 299] {
+            let tick = l.tick(ms(t));
+            assert!(tick.frames.is_empty() && tick.evict.is_empty(), "at {t} ms");
+        }
+        assert_eq!(l.tick(ms(300)).evict, vec![id("alice")]);
     }
 
     /// A relayed frame the network duplicates is delivered once.

@@ -3,6 +3,7 @@
 
 use crate::error::{CoreError, RejectReason};
 use crate::group::MemberGroupView;
+use crate::liveness::{Arq, ArqPoll, LivenessConfig};
 use crate::protocol::keytree::{level, update_secret_node, MemberTree, MAX_LEVELS};
 use crate::protocol::{broadcast_nonce, SEQ_MEMBER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
@@ -18,6 +19,7 @@ use enclaves_wire::message::{
     PathCipher, PathUpdateAad, PathUpdateView,
 };
 use enclaves_wire::{ActorId, GroupId, Roster};
+use std::time::Duration;
 
 /// The coarse phase of a member session (mirrors Figure 2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,9 +69,9 @@ pub enum MemberEvent {
         /// Decrypted application bytes.
         data: Vec<u8>,
     },
-    /// The runtime's liveness layer presumed the leader dead (heartbeat
-    /// silence or repeated send failures). If auto-rejoin is configured
-    /// the runtime reconnects next; otherwise this is terminal.
+    /// The runtime presumed the leader dead ([`MemberTick::leader_lost`]
+    /// or a failed link). If the runtime has a reconnect hook it
+    /// reconnects and rejoins next; otherwise this is terminal.
     LeaderLost,
     /// The runtime is rejoining as a fresh session after leader loss:
     /// everything the previous session held (key material, roster, group
@@ -84,6 +86,28 @@ pub struct MemberOutput {
     pub reply: Option<Envelope>,
     /// Events for the application.
     pub events: Vec<MemberEvent>,
+}
+
+/// Output of one [`MemberSession::tick`].
+#[derive(Debug, Default)]
+pub struct MemberTick {
+    /// Frames to send to the leader: handshake resends and heartbeat
+    /// pings, in that order.
+    pub frames: Vec<Envelope>,
+    /// The leader is presumed dead: the handshake ARQ gave up, or no
+    /// accepted frame arrived within [`LivenessConfig::liveness_timeout`].
+    pub leader_lost: bool,
+}
+
+/// The handshake ARQ's jitter tag ([`LivenessConfig::jittered_delay`]).
+const HANDSHAKE_TAG: u64 = 0;
+
+/// The member's deadlines, anchored by its first [`MemberSession::tick`].
+#[derive(Clone, Copy)]
+struct Timers {
+    handshake: Arq,
+    next_heartbeat: Duration,
+    last_heard: Duration,
 }
 
 /// Registry-backed member instrumentation: counters live in an
@@ -101,10 +125,6 @@ struct MemberObs {
 }
 
 impl MemberObs {
-    fn new() -> Self {
-        Self::on_registry(Registry::new())
-    }
-
     fn on_registry(registry: Registry) -> Self {
         MemberObs {
             accepted: registry.counter("member.accepted"),
@@ -226,6 +246,11 @@ pub struct MemberSession {
     /// the `AuthInitReq` while waiting for the key, then the `AuthAckKey`
     /// until the first admin message (the welcome) is accepted.
     handshake_pending: Option<Envelope>,
+    /// The deadlines [`MemberSession::tick`] keeps; `None` until it first
+    /// runs.
+    timers: Option<Timers>,
+    /// A frame was accepted since the last tick, which stamps it heard.
+    heard: bool,
     /// Test-only sabotage switch: when set, the broadcast watermark check
     /// is skipped, so replayed or reordered broadcast frames are delivered
     /// again. Exists solely so the chaos oracle can prove it detects the
@@ -313,8 +338,10 @@ impl MemberSession {
                 long_term,
                 rng,
                 phase: Phase::WaitingForKey { n1 },
-                obs: MemberObs::new(),
+                obs: MemberObs::on_registry(Registry::new()),
                 handshake_pending: Some(env.clone()),
+                timers: None,
+                heard: false,
                 broadcast_watermark_disabled: false,
             },
             env,
@@ -383,22 +410,8 @@ impl MemberSession {
         self.obs.events = Some(events);
     }
 
-    /// Records `frames` handshake retransmissions performed by the
-    /// runtime's ARQ timer on this session's behalf.
-    pub fn note_retransmit(&self, frames: u64) {
-        if frames == 0 {
-            return;
-        }
-        self.obs.retransmits.add(frames);
-        self.obs.emit(|| EventKind::Retransmit {
-            actor: self.user.to_string(),
-            frames,
-        });
-    }
-
-    /// The handshake message to retransmit, if the handshake has not
-    /// completed (used by the runtime's retransmission timer; re-delivery
-    /// is idempotent on the leader side).
+    /// The handshake message [`MemberSession::tick`] resends until the
+    /// handshake completes (re-delivery is idempotent on the leader side).
     #[must_use]
     pub fn handshake_pending(&self) -> Option<&Envelope> {
         self.handshake_pending.as_ref()
@@ -425,10 +438,83 @@ impl MemberSession {
     pub fn handle(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
         let result = self.handle_inner(env);
         match &result {
-            Ok(_) => self.obs.accepted.inc(),
+            Ok(_) => {
+                self.obs.accepted.inc();
+                // Only an accepted (authentic, fresh) frame is proof the
+                // leader lives: forged traffic must not keep it "alive".
+                self.heard = true;
+            }
             Err(_) => self.obs.rejected.inc(),
         }
         result
+    }
+
+    /// Advances the member's timers to `now`, in order: resends the
+    /// pending handshake message on `lv`'s backoff schedule; once
+    /// connected, pings the leader every `heartbeat_interval`; and reports
+    /// the leader lost when the handshake ARQ gives up or no frame was
+    /// accepted for longer than `liveness_timeout`. The timers anchor at
+    /// the first tick, and a frame accepted by [`MemberSession::handle`]
+    /// counts as heard at the next tick's reading. `member.retransmits`
+    /// counts the handshake resends returned.
+    pub fn tick(&mut self, now: Duration, lv: &LivenessConfig) -> MemberTick {
+        let mut timers = self.timers.unwrap_or(Timers {
+            handshake: Arq::start(now, lv, HANDSHAKE_TAG),
+            next_heartbeat: now + lv.heartbeat_interval.unwrap_or_default(),
+            last_heard: now,
+        });
+        if std::mem::take(&mut self.heard) {
+            timers.last_heard = now;
+        }
+        let mut tick = MemberTick::default();
+        if let Some(pending) = &self.handshake_pending {
+            match timers.handshake.poll(now, lv, HANDSHAKE_TAG) {
+                ArqPoll::Wait => {}
+                ArqPoll::Resend => {
+                    tick.frames.push(pending.clone());
+                    self.obs.retransmits.inc();
+                    self.obs.emit(|| EventKind::Retransmit {
+                        actor: self.user.to_string(),
+                        frames: 1,
+                    });
+                }
+                ArqPoll::GiveUp => tick.leader_lost = true,
+            }
+        }
+        if let Some(interval) = lv.heartbeat_interval {
+            if !tick.leader_lost && now >= timers.next_heartbeat {
+                timers.next_heartbeat = now + interval;
+                // No ping before the session is connected.
+                tick.frames.extend(self.heartbeat().ok());
+            }
+        }
+        tick.leader_lost |= lv
+            .liveness_timeout
+            .is_some_and(|t| now > timers.last_heard + t);
+        self.timers = Some(timers);
+        tick
+    }
+
+    /// A fresh session for the same user, leader, enclave and `P_a`, on
+    /// fresh OS entropy, recording into this session's registry and event
+    /// stream, plus the `AuthInitReq` to send: the rejoin after the leader
+    /// was presumed lost. Counts one `member.rejoins`. The sabotage switch
+    /// is not inherited.
+    #[must_use]
+    pub fn rejoin(&self) -> (MemberSession, Envelope) {
+        let (mut fresh, init) = Self::start_with_key_in_group(
+            self.user.clone(),
+            self.leader.clone(),
+            self.long_term.clone(),
+            Box::new(OsEntropyRng::new()),
+            self.enclave.clone(),
+        );
+        fresh.obs = MemberObs {
+            events: self.obs.events.clone(),
+            ..MemberObs::on_registry(self.obs.registry.clone())
+        };
+        fresh.obs.rejoins.inc();
+        (fresh, init)
     }
 
     fn handle_inner(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
@@ -855,30 +941,6 @@ impl MemberSession {
         let env = conn.seal_up(up, &ping)?;
         self.obs.heartbeats.inc();
         Ok(env)
-    }
-
-    /// The long-term key this session authenticated with — the runtime's
-    /// auto-rejoin starts the replacement session from it without
-    /// re-deriving from the password.
-    #[must_use]
-    pub(crate) fn long_term_key(&self) -> LongTermKey {
-        self.long_term.clone()
-    }
-
-    /// Re-homes this session's counters onto `registry` (preserving any
-    /// attached event stream): a rejoin session keeps recording into the
-    /// registry the observer captured when the runtime was spawned, so
-    /// `member.*` metrics accumulate across session generations.
-    pub(crate) fn adopt_registry(&mut self, registry: Registry) {
-        let events = self.obs.events.take();
-        self.obs = MemberObs::on_registry(registry);
-        self.obs.events = events;
-    }
-
-    /// Records one auto-rejoin (a fresh session spawned after leader
-    /// loss).
-    pub(crate) fn note_rejoin(&self) {
-        self.obs.rejoins.inc();
     }
 
     /// Seals application data for the group under the session key and
@@ -1414,6 +1476,190 @@ mod tests {
         let reply = out.reply.unwrap();
         let ack: NonceAckPlain = open(&sk, &reply.header_aad(), &reply.body).unwrap();
         (session, sk, ack.next_nonce)
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Timers with no resend for an hour, so only the timer under test
+    /// fires.
+    fn quiet_timers() -> LivenessConfig {
+        LivenessConfig {
+            retransmit_base: Duration::from_secs(3600),
+            retransmit_max: Duration::from_secs(3600),
+            ..LivenessConfig::default()
+        }
+    }
+
+    #[test]
+    fn tick_resends_the_handshake_on_the_backoff_then_gives_up() {
+        let lv = LivenessConfig {
+            retransmit_base: ms(100),
+            retransmit_max: ms(800),
+            max_attempts: 2,
+            ..LivenessConfig::default()
+        };
+        let (mut session, init, _) = start();
+        let mut sent = 0;
+        for (t, resends, lost) in [
+            (0, 0, false),
+            (99, 0, false),
+            (100, 1, false),
+            (299, 0, false),
+            (300, 1, false),
+            (699, 0, false),
+            (700, 0, true),
+        ] {
+            let tick = session.tick(ms(t), &lv);
+            assert_eq!(tick.frames.len(), resends, "at {t} ms");
+            assert!(tick.frames.iter().all(|f| f.body == init.body), "at {t} ms");
+            assert_eq!(tick.leader_lost, lost, "at {t} ms");
+            sent += resends;
+        }
+        let snap = session.obs_registry().snapshot();
+        assert_eq!(snap.counter("member.retransmits"), sent as u64);
+    }
+
+    #[test]
+    fn tick_pings_once_per_interval_only_once_connected() {
+        let lv = LivenessConfig {
+            heartbeat_interval: Some(ms(1000)),
+            ..quiet_timers()
+        };
+        let (mut session, init, key) = start();
+        assert!(session.tick(ms(0), &lv).frames.is_empty());
+        assert!(
+            session.tick(ms(1000), &lv).frames.is_empty(),
+            "waiting for key"
+        );
+        let kd = key_dist_for(&init, &key, [0x42; 32], ProtocolNonce::from_bytes([9; 16]));
+        session.handle(&kd).unwrap();
+        let mut pings = 0;
+        for t in (1500..=4000).step_by(250) {
+            let frames = session.tick(ms(t), &lv).frames;
+            assert_eq!(frames.len(), usize::from(t % 1000 == 0), "at {t} ms");
+            assert!(frames.iter().all(|f| f.msg_type == MsgType::Heartbeat));
+            pings += frames.len();
+        }
+        assert_eq!(pings, 3);
+        let snap = session.obs_registry().snapshot();
+        assert_eq!(snap.counter("member.heartbeats"), 3);
+    }
+
+    /// Mirrors the leader's `replayed_uplink_cannot_keep_a_crashed_member_alive`:
+    /// only an accepted frame moves the leader-silence deadline.
+    #[test]
+    fn tick_counts_only_accepted_frames_as_heard() {
+        let lv = LivenessConfig {
+            liveness_timeout: Some(ms(1000)),
+            ..quiet_timers()
+        };
+        let (key, iv) = ([7; 32], [1; 12]);
+        let (mut session, sk, _) = connect_welcomed(1, key, iv);
+        assert!(!session.tick(ms(0), &lv).leader_lost);
+        let pong = |seal_key: &[u8; 32]| {
+            let mut env = Envelope {
+                msg_type: MsgType::Heartbeat,
+                sender: id("leader"),
+                recipient: id("alice"),
+                group: None,
+                body: Vec::new(),
+            };
+            let plain = HeartbeatPlain {
+                user: id("alice"),
+                leader: id("leader"),
+                seq: 1,
+                epoch: 1,
+            };
+            env.body = seal(
+                seal_key,
+                AeadNonce::from_bytes([0xCC; 12]),
+                &env.header_aad(),
+                &plain,
+            );
+            env
+        };
+        let broadcast = broadcast_env(1, 0, &key, &iv, b"once");
+        session.heartbeat().unwrap();
+        session.handle(&broadcast).unwrap();
+        session.handle(&pong(&sk)).unwrap();
+        assert!(!session.tick(ms(800), &lv).leader_lost);
+        assert!(!session.tick(ms(1800), &lv).leader_lost, "heard at 800 ms");
+
+        let wrong_enclave = Envelope {
+            group: Some(GroupId::new("beta").unwrap()),
+            ..pong(&sk)
+        };
+        for rejected in [pong(&[0x13; 32]), broadcast, wrong_enclave] {
+            assert!(session.handle(&rejected).is_err());
+        }
+        assert!(session.tick(ms(1801), &lv).leader_lost);
+    }
+
+    #[test]
+    fn rejoin_is_a_fresh_session_on_the_same_identity_and_registry() {
+        use crate::config::LeaderConfig;
+        use crate::directory::Directory;
+        use crate::protocol::LeaderCore;
+
+        let lv = LivenessConfig {
+            retransmit_base: ms(100),
+            retransmit_max: ms(100),
+            ..LivenessConfig::default()
+        };
+        let alpha = GroupId::new("alpha").unwrap();
+        let key = LongTermKey::derive_from_password("pw", "alice").unwrap();
+        let (mut first, _) = MemberSession::start_with_key_in_group(
+            id("alice"),
+            id("leader"),
+            key.clone(),
+            Box::new(SeededRng::from_seed(7)),
+            Some(alpha.clone()),
+        );
+        let stream = EventStream::new();
+        first.set_event_stream(stream.clone());
+        first.tick(ms(0), &lv);
+        assert_eq!(first.tick(ms(100), &lv).frames.len(), 1);
+
+        let (second, _) = first.rejoin();
+        let (mut third, init) = second.rejoin();
+        assert_eq!(third.user(), &id("alice"));
+        assert_eq!(third.group_id(), Some(&alpha));
+        assert_eq!(third.phase(), SessionPhase::WaitingForKey);
+        assert_eq!(
+            (&init.msg_type, &init.sender, &init.recipient, &init.group),
+            (
+                &MsgType::AuthInitReq,
+                &id("alice"),
+                &id("leader"),
+                &Some(alpha.clone())
+            )
+        );
+        let snap = third.obs_registry().snapshot();
+        assert_eq!(snap.counter("member.retransmits"), 1);
+        assert_eq!(snap.counter("member.rejoins"), 2);
+        // Its timers start afresh at its own first tick.
+        assert!(third.tick(ms(5000), &lv).frames.is_empty());
+
+        let mut directory = Directory::new();
+        directory.register_key(&id("alice"), key);
+        let mut leader = LeaderCore::with_rng(
+            id("leader"),
+            directory,
+            LeaderConfig {
+                group: Some(alpha),
+                ..LeaderConfig::default()
+            },
+            Box::new(SeededRng::from_seed(1)),
+        );
+        let key_dist = leader.handle_at(&init, Duration::ZERO).unwrap().outgoing;
+        let out = third.handle(&key_dist[0]).unwrap();
+        assert_eq!(out.events, vec![MemberEvent::SessionEstablished]);
+        assert!(stream
+            .events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::SessionEstablished { .. })));
     }
 
     /// In-place Fisher–Yates under the test's own RNG (the vendored rand

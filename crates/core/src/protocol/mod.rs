@@ -21,7 +21,7 @@ pub mod leader;
 pub mod member;
 
 pub use leader::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput, LeaderTick};
-pub use member::{MemberEvent, MemberOutput, MemberSession, SessionPhase};
+pub use member::{MemberEvent, MemberOutput, MemberSession, MemberTick, SessionPhase};
 
 use enclaves_crypto::nonce::AeadNonce;
 

@@ -1,12 +1,15 @@
-//! The threaded member runtime.
+//! The threaded member runtime: the I/O around a [`MemberSession`]. The
+//! session owns every timing decision (handshake resends, heartbeats,
+//! leader-silence detection) through [`MemberSession::tick`] and mints
+//! its rejoin through [`MemberSession::rejoin`]; the worker thread reads
+//! the clock, moves frames between the link and the session, and
+//! reconnects with backoff when the leader is lost.
 
 use crate::liveness::{Clock, LivenessConfig, RealClock};
 use crate::protocol::{MemberEvent, MemberSession, SessionPhase};
 use crate::runtime::wait_for;
 use crate::CoreError;
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use enclaves_crypto::keys::LongTermKey;
-use enclaves_crypto::rng::OsEntropyRng;
 use enclaves_net::{Frame, Link, NetError};
 use enclaves_obs::{EventKind, EventStream, Registry};
 use enclaves_wire::codec::{decode, encode};
@@ -17,9 +20,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Builds a replacement [`Link`] to the leader. The auto-rejoin loop
-/// calls it (with backoff) after presuming the leader or the wire dead;
-/// an `Err` means "not reachable yet, try again later".
+/// Builds a replacement [`Link`] to the leader. The rejoin loop calls it
+/// (with backoff) after presuming the leader or the wire dead; an `Err`
+/// means "not reachable yet, try again later".
 pub type Reconnector = Box<dyn Fn() -> Result<Box<dyn Link>, NetError> + Send>;
 
 /// Optional hooks for a [`MemberRuntime`]: the protocol event stream a
@@ -32,15 +35,17 @@ pub struct MemberOptions {
     /// it (typically the same stream the leader emits onto, giving one
     /// totally ordered run record).
     pub events: Option<EventStream>,
-    /// ARQ / heartbeat / rejoin timing. The default
+    /// The timing the session's [`MemberSession::tick`] runs on, plus the
+    /// worker's poll cadence and reconnect backoff. The default
     /// ([`LivenessConfig::member_default`]) reproduces the historical
     /// fixed-cadence, retry-forever behavior.
     pub liveness: LivenessConfig,
     /// Clock driving every liveness deadline; `None` means real monotonic
     /// time. Chaos tests inject a [`crate::liveness::VirtualClock`].
     pub clock: Option<Arc<dyn Clock>>,
-    /// How to re-reach the leader after a presumed death. Auto-rejoin
-    /// requires both this hook and [`LivenessConfig::auto_rejoin`].
+    /// How to re-reach the leader after a presumed death. With this hook
+    /// the runtime reconnects and rejoins as a fresh session; without it
+    /// a lost leader ends the runtime.
     pub reconnect: Option<Reconnector>,
 }
 
@@ -86,11 +91,8 @@ struct Shared {
 enum LoopExit {
     /// `running` was cleared (leave/abandon/shutdown).
     Stopped,
-    /// The link failed on a send or receive.
-    LinkFailed,
-    /// The leader went silent past the liveness budget: the handshake ARQ
-    /// ran dry or the heartbeat deadline passed.
-    LeaderSilent,
+    /// The link failed, or the session's tick presumed the leader lost.
+    LeaderLost,
 }
 
 /// A running member: a receive loop around a
@@ -126,7 +128,7 @@ impl MemberRuntime {
 
     /// Runs the session it is handed: sends `init` (the session's
     /// `AuthInitReq`) over `link` and starts the receive loop. A rejoin
-    /// mints its fresh session from this one's key and enclave.
+    /// runs the session's own [`MemberSession::rejoin`].
     ///
     /// # Errors
     ///
@@ -151,13 +153,6 @@ impl MemberRuntime {
             });
             session.set_event_stream(events.clone());
         }
-        // Capture everything a rejoin needs to mint a fresh session
-        // before the current one is consumed by the worker.
-        let user = init.sender.clone();
-        let leader = init.recipient.clone();
-        let group = session.group_id().cloned();
-        let long_term = session.long_term_key();
-        let registry = session.obs_registry();
         link.send(encode(&init).into())?;
         let (events_tx, events_rx) = unbounded();
         let (out_tx, out_rx) = unbounded::<Out>();
@@ -175,11 +170,6 @@ impl MemberRuntime {
             clock: clock.unwrap_or_else(|| Arc::new(RealClock::new())),
             liveness,
             reconnect,
-            user,
-            leader,
-            group,
-            long_term,
-            registry,
         };
         let handle = std::thread::Builder::new()
             .name("enclaves-member".into())
@@ -300,7 +290,7 @@ impl MemberRuntime {
     }
 }
 
-/// The worker thread: session loops joined by the auto-rejoin loop.
+/// The worker thread: session loops joined by the rejoin loop.
 struct Worker {
     shared: Arc<Shared>,
     out_rx: Receiver<Out>,
@@ -309,42 +299,25 @@ struct Worker {
     clock: Arc<dyn Clock>,
     liveness: LivenessConfig,
     reconnect: Option<Reconnector>,
-    user: ActorId,
-    leader: ActorId,
-    group: Option<enclaves_wire::GroupId>,
-    long_term: LongTermKey,
-    registry: Registry,
 }
 
-/// Jitter-channel tags for the member's two backoff schedules, so their
-/// deterministic jitter streams do not collide.
-const ARQ_CHANNEL: u64 = 0;
+/// The reconnect backoff's jitter tag, distinct from the session's
+/// handshake ARQ tag (0) so their jitter streams do not collide.
 const RECONNECT_CHANNEL: u64 = 1;
 
 impl Worker {
-    fn run(mut self, mut link: Box<dyn Link>) {
-        loop {
-            match self.session_loop(link.as_ref()) {
-                LoopExit::Stopped => return,
-                LoopExit::LinkFailed | LoopExit::LeaderSilent => {
-                    let Some(next) = self.reconnect_and_rejoin() else {
-                        return;
-                    };
-                    link = next;
-                }
-            }
+    fn run(self, mut link: Box<dyn Link>) {
+        while let LoopExit::LeaderLost = self.session_loop(link.as_ref()) {
+            let Some(next) = self.reconnect_and_rejoin() else {
+                return;
+            };
+            link = next;
         }
     }
 
     /// Pumps one session over one link until it stops, the link dies, or
     /// the leader is presumed dead.
-    fn session_loop(&mut self, link: &dyn Link) -> LoopExit {
-        let lv = self.liveness.clone();
-        let started = self.clock.now();
-        let mut arq_attempts: u32 = 0;
-        let mut next_retransmit = started + lv.jittered_delay(0, ARQ_CHANNEL);
-        let mut next_heartbeat = lv.heartbeat_interval.map(|i| started + i);
-        let mut last_heard = started;
+    fn session_loop(&self, link: &dyn Link) -> LoopExit {
         while self.shared.running.load(Ordering::Relaxed) {
             // Write anything the application queued; a flush barrier acks
             // once the frames queued before it have been handed over.
@@ -352,7 +325,7 @@ impl Worker {
                 match out {
                     Out::Frame(frame) => {
                         if link.send(frame).is_err() {
-                            return LoopExit::LinkFailed;
+                            return LoopExit::LeaderLost;
                         }
                     }
                     Out::Flush(ack) => {
@@ -360,79 +333,40 @@ impl Worker {
                     }
                 }
             }
-            let now = self.clock.now();
-            // Handshake ARQ: until the welcome arrives, re-send the
-            // pending handshake message on the backoff schedule (the
-            // leader handles duplicates idempotently). A bounded budget
-            // running dry means the leader is presumed dead.
-            if now >= next_retransmit {
-                let pending = {
-                    let session = self.shared.session.lock();
-                    let pending = session.handshake_pending().map(encode);
-                    if pending.is_some() {
-                        session.note_retransmit(1);
-                    }
-                    pending
-                };
-                if let Some(frame) = pending {
-                    if lv.exhausted(arq_attempts) {
-                        return LoopExit::LeaderSilent;
-                    }
-                    if link.send(frame.into()).is_err() {
-                        return LoopExit::LinkFailed;
-                    }
-                    arq_attempts = arq_attempts.saturating_add(1);
-                } else {
-                    arq_attempts = 0;
-                }
-                next_retransmit = now + lv.jittered_delay(arq_attempts, ARQ_CHANNEL);
-            }
-            // Heartbeat ping (connected sessions only): proves this member
-            // alive to the leader and solicits the pong that proves the
-            // leader alive to us.
-            if let Some(at) = next_heartbeat {
-                if now >= at {
-                    if let Ok(env) = self.shared.session.lock().heartbeat() {
-                        if link.send(encode(&env).into()).is_err() {
-                            return LoopExit::LinkFailed;
-                        }
-                    }
-                    next_heartbeat =
-                        Some(now + lv.heartbeat_interval.unwrap_or(Duration::from_secs(1)));
+            let tick = self
+                .shared
+                .session
+                .lock()
+                .tick(self.clock.now(), &self.liveness);
+            for env in &tick.frames {
+                if link.send(encode(env).into()).is_err() {
+                    return LoopExit::LeaderLost;
                 }
             }
-            // Leader-loss detection: too long since the last authentic
-            // frame from the leader.
-            if let Some(timeout) = lv.liveness_timeout {
-                if now > last_heard + timeout {
-                    return LoopExit::LeaderSilent;
-                }
+            if tick.leader_lost {
+                return LoopExit::LeaderLost;
             }
-            match link.recv_timeout(lv.poll) {
+            match link.recv_timeout(self.liveness.poll) {
                 Ok(frame) => {
                     let Ok(env) = decode::<Envelope>(&frame) else {
                         continue;
                     };
-                    let result = self.shared.session.lock().handle(&env);
-                    if let Ok(output) = result {
-                        // Only an *accepted* (authenticated, fresh) frame
-                        // refreshes the liveness deadline: forged traffic
-                        // must not keep a dead leader "alive".
-                        last_heard = self.clock.now();
-                        if let Some(reply) = output.reply {
-                            if link.send(encode(&reply).into()).is_err() {
-                                return LoopExit::LinkFailed;
-                            }
-                        }
-                        for e in output.events {
-                            let _ = self.events_tx.send(e);
-                        }
-                    }
                     // Rejected traffic is dropped; the session's
                     // `member.rejected` counter records it.
+                    let Ok(output) = self.shared.session.lock().handle(&env) else {
+                        continue;
+                    };
+                    if let Some(reply) = output.reply {
+                        if link.send(encode(&reply).into()).is_err() {
+                            return LoopExit::LeaderLost;
+                        }
+                    }
+                    for e in output.events {
+                        let _ = self.events_tx.send(e);
+                    }
                 }
                 Err(NetError::Timeout) => continue,
-                Err(_) => return LoopExit::LinkFailed,
+                Err(_) => return LoopExit::LeaderLost,
             }
         }
         LoopExit::Stopped
@@ -440,15 +374,14 @@ impl Worker {
 
     /// After a presumed leader death: reconnect with backoff and start a
     /// *fresh* session (new handshake, new session key) in whatever epoch
-    /// the group is in now. Returns the new link, or `None` when rejoin
-    /// is disabled or the runtime stopped while waiting.
-    fn reconnect_and_rejoin(&mut self) -> Option<Box<dyn Link>> {
-        if !self.liveness.auto_rejoin || self.reconnect.is_none() {
-            return None;
-        }
+    /// the group is in now. Returns the new link, or `None` when there is
+    /// no reconnect hook or the runtime stopped while waiting.
+    fn reconnect_and_rejoin(&self) -> Option<Box<dyn Link>> {
+        let reconnect = self.reconnect.as_ref()?;
+        let user = self.shared.session.lock().user().to_string();
         if let Some(stream) = &self.stream {
             stream.emit(EventKind::LeaderLost {
-                member: self.user.to_string(),
+                member: user.clone(),
             });
         }
         let _ = self.events_tx.send(MemberEvent::LeaderLost);
@@ -461,26 +394,15 @@ impl Worker {
                     let _ = ack.send(());
                 }
             }
-            let reconnect = self.reconnect.as_ref()?;
             if let Ok(link) = reconnect() {
-                let (mut session, init) = MemberSession::start_with_key_in_group(
-                    self.user.clone(),
-                    self.leader.clone(),
-                    self.long_term.clone(),
-                    Box::new(OsEntropyRng::new()),
-                    self.group.clone(),
-                );
-                // The fresh session keeps recording into the registry the
-                // application captured at spawn time, and announces its
-                // join before the init frame can reach the wire.
-                session.adopt_registry(self.registry.clone());
+                let (session, init) = self.shared.session.lock().rejoin();
+                // Announce the join before the init frame can reach the
+                // wire.
                 if let Some(stream) = &self.stream {
                     stream.emit(EventKind::JoinStarted {
-                        member: self.user.to_string(),
+                        member: user.clone(),
                     });
-                    session.set_event_stream(stream.clone());
                 }
-                session.note_rejoin();
                 *self.shared.session.lock() = session;
                 let _ = self.events_tx.send(MemberEvent::RejoinStarted);
                 if link.send(encode(&init).into()).is_ok() {

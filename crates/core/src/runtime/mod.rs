@@ -15,7 +15,9 @@
 //!   it.
 //! * [`MemberRuntime`] — a receive loop thread around a
 //!   [`crate::protocol::MemberSession`], exposing an event channel and
-//!   blocking convenience waiters.
+//!   blocking convenience waiters. The session's own `tick` and `rejoin`
+//!   make every timing decision; the thread supplies the clock, the link
+//!   and the reconnect backoff.
 //!
 //! All runtimes drop (and count) rejected traffic instead of dying — the
 //! operational face of intrusion tolerance.

@@ -656,11 +656,6 @@ struct VMember {
     /// Cohort index (original member or churn slot), for self-healing.
     index: usize,
     churn: bool,
-    welcomed: bool,
-    /// Last handshake (re)send, so the sweep retransmits at most once
-    /// per `RETRANSMIT_AFTER` — not once per 5s sweep, which at storm
-    /// scale would amplify thousands of duplicate inits into the leader.
-    last_sent: Instant,
     /// t0 stamps of waves already counted, so leader re-sends (hole
     /// filling) are idempotent. At most `waves` entries.
     seen_waves: Vec<u64>,
@@ -853,12 +848,8 @@ fn shard_worker(
     ctl_rx: &Receiver<ShardCmd>,
     state: &Arc<SwarmState>,
 ) {
-    /// Handshakes older than this with no `Welcomed` yet get their init
-    /// frame re-sent (duplicates are ARQ-tolerated by the leader). Only
-    /// genuinely wedged members hit this — the join-storm tail is long,
-    /// so it errs generous.
-    const RETRANSMIT_AFTER: Duration = Duration::from_secs(30);
     const SWEEP_EVERY: Duration = Duration::from_secs(5);
+    let liveness = swarm_liveness();
 
     let (ev_tx, ev_rx) = unbounded::<MuxEvent>();
     let mut conns: HashMap<MuxToken, VMember> = HashMap::new();
@@ -871,11 +862,8 @@ fn shard_worker(
         if last_sweep.elapsed() >= SWEEP_EVERY {
             last_sweep = Instant::now();
             for (&token, vm) in &mut conns {
-                if !vm.welcomed && vm.last_sent.elapsed() >= RETRANSMIT_AFTER {
-                    if let Some(env) = vm.session.handshake_pending() {
-                        let _ = net.send_to(token, encode(env).into());
-                        vm.last_sent = Instant::now();
-                    }
+                for env in vm.session.tick(vm.started.elapsed(), &liveness).frames {
+                    let _ = net.send_to(token, encode(&env).into());
                 }
             }
         }
@@ -952,6 +940,18 @@ fn shard_worker(
     }
 }
 
+/// The swarm's member timers, on each member's own clock (time since its
+/// join): an unwelcomed handshake is re-sent every 30 s, which only
+/// wedged members hit, since duplicate inits from thousands of members
+/// would swamp the leader. No heartbeats, no timeout.
+fn swarm_liveness() -> LivenessConfig {
+    LivenessConfig {
+        retransmit_base: Duration::from_secs(30),
+        retransmit_max: Duration::from_secs(30),
+        ..LivenessConfig::default()
+    }
+}
+
 fn join_one(
     net: &MuxNet,
     addr: SocketAddr,
@@ -966,7 +966,7 @@ fn join_one(
     } else {
         (swarm_member_id(i), cheap_key(i))
     };
-    let (session, init) = MemberSession::start_with_key_in_group(
+    let (mut session, init) = MemberSession::start_with_key_in_group(
         user,
         leader_id(),
         key,
@@ -991,6 +991,8 @@ fn join_one(
         }
     };
     let _ = net.send_to(token, encode(&init).into());
+    // Anchor the session's handshake timer at the send.
+    session.tick(Duration::ZERO, &swarm_liveness());
     conns.insert(
         token,
         VMember {
@@ -998,8 +1000,6 @@ fn join_one(
             started: Instant::now(),
             index: i,
             churn,
-            welcomed: false,
-            last_sent: Instant::now(),
             seen_waves: Vec::new(),
         },
     );
@@ -1011,7 +1011,6 @@ fn join_one(
 fn record_event(state: &SwarmState, vm: &mut VMember, event: &MemberEvent) {
     match event {
         MemberEvent::Welcomed { .. } => {
-            vm.welcomed = true;
             let ns = u64::try_from(vm.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             if vm.churn {
                 state.rejoin_lat.lock().expect("lock").push(ns);

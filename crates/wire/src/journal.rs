@@ -254,7 +254,8 @@ pub struct LivenessWire {
     pub heartbeat_interval_ns: Option<u64>,
     /// Silence window before eviction, if timeout eviction is enabled.
     pub liveness_timeout_ns: Option<u64>,
-    /// Whether members should auto-rejoin after eviction.
+    /// Retired: written `false` and ignored on read, kept so the genesis
+    /// bytes stay the same.
     pub auto_rejoin: bool,
     /// Seed for deterministic retransmit jitter.
     pub jitter_seed: u64,
