@@ -515,16 +515,16 @@ fn run_load() {
         wall.as_secs_f64()
     );
 
-    // `>=`, not `==`: the swarm self-heals dropped connections by
-    // rejoining, and a healed member legitimately contributes an extra
-    // join (and, mid-rotation, an extra rekey) sample.
-    assert!(outcome.join.count >= cfg.members, "every member joined");
+    // A member's first welcome is its one join sample. `>=` for the
+    // rekey: a member that rejoins mid-rotation legitimately contributes
+    // an extra sample.
+    assert_eq!(outcome.join.count, cfg.members, "every member joined once");
     assert!(
         outcome.broadcast.count >= cfg.members * cfg.waves,
         "every broadcast delivered"
     );
     assert!(outcome.rekey.count >= cfg.members, "every member rekeyed");
-    assert!(outcome.rejoin.count >= cfg.churn, "churn cohort joined");
+    assert_eq!(outcome.rejoin.count, cfg.churn, "churn cohort joined once");
     assert!(
         outcome.leader_threads < LOAD_MAX_THREADS,
         "leader threads {} must stay under {LOAD_MAX_THREADS} regardless of member count",

@@ -6,9 +6,10 @@
 //! readiness loop every real-socket leader runs, not just the simulator).
 
 use crate::schedule::Schedule;
-use enclaves_core::runtime::{LeaderService, Reconnector, ServiceConfig};
+use crossbeam_channel::Sender;
+use enclaves_core::runtime::{LeaderService, ServiceConfig};
 use enclaves_net::sim::{Direction, SimConfig, SimNet};
-use enclaves_net::{Link, MuxConfig, MuxEndpoint, MuxNet, NetError};
+use enclaves_net::{Dialer, Frame, MuxConfig, MuxEndpoint, MuxEvent, MuxNet, MuxToken, NetError};
 use enclaves_obs::Snapshot;
 use enclaves_wire::framing::{read_frame, write_frame};
 use parking_lot::Mutex;
@@ -31,12 +32,12 @@ pub trait Fabric {
     /// Panics if the fabric already started one.
     fn spawn_service(&mut self, config: ServiceConfig) -> LeaderService;
 
-    /// Opens a fresh connection from `name` toward the leader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    fn connect(&mut self, name: &str) -> Result<Box<dyn Link>, NetError>;
+    /// `name`'s dialer toward the leader, made each time `name`'s member
+    /// starts. Each dial opens a fresh connection, which later faults on
+    /// `name` target. On the simulator a redial fails while `name` is
+    /// [`Fabric::kill`]ed and not yet healed: a crashed member stays
+    /// crashed until the schedule says otherwise.
+    fn dialer(&self, name: &str) -> Arc<dyn Dialer>;
 
     /// Partitions `name`'s *current* connection: block the member→leader
     /// direction, the leader→member direction, or both. No-op on fabrics
@@ -62,14 +63,11 @@ pub trait Fabric {
     /// Whether [`Fabric::partition`] does anything here.
     fn supports_partitions(&self) -> bool;
 
-    /// A closure `name`'s member runtime can use to re-reach the leader
-    /// after a presumed death ([`enclaves_core::runtime::Reconnector`]).
-    /// While `name` is [`Fabric::kill`]ed and not yet healed, the closure
-    /// fails with [`NetError::Disconnected`] — a crashed member stays
-    /// crashed until the schedule says otherwise. Default: this fabric
-    /// cannot mint reconnectors.
-    fn reconnector(&self, _name: &str) -> Option<Reconnector> {
-        None
+    /// Whether a member here redials its [`Fabric::dialer`] and rejoins
+    /// after a presumed leader death (under a liveness wiring). Default:
+    /// it does not.
+    fn rejoins(&self) -> bool {
+        false
     }
 
     /// The fabric's transport counters (`net.*` names). Default: the
@@ -84,13 +82,12 @@ pub struct SimFabric {
     /// The underlying network (exposed for adversary access in tests).
     pub net: SimNet,
     seed: u64,
-    /// Latest connection id per member name (a reconnect supersedes the
+    /// Latest connection id per member name (a redial supersedes the
     /// previous connection; partition/kill always target the latest).
-    /// Shared with reconnector closures so an auto-rejoin's fresh
-    /// connection becomes the one later faults target.
+    /// Shared with the members' dialers, which record each dial.
     conns: Arc<Mutex<HashMap<String, usize>>>,
-    /// Members whose wire was killed and not yet healed; their
-    /// reconnectors fail until the schedule heals them.
+    /// Members whose wire was killed and not yet healed; their redials
+    /// fail until the schedule heals them.
     downed: Arc<Mutex<HashSet<String>>>,
 }
 
@@ -121,10 +118,14 @@ impl Fabric for SimFabric {
         LeaderService::spawn(Box::new(listener), config)
     }
 
-    fn connect(&mut self, name: &str) -> Result<Box<dyn Link>, NetError> {
-        let link = self.net.connect(name, "leader")?;
-        self.conns.lock().insert(name.to_string(), link.conn_id());
-        Ok(Box::new(link))
+    fn dialer(&self, name: &str) -> Arc<dyn Dialer> {
+        Arc::new(SimMemberDialer {
+            inner: self.net.dialer("leader"),
+            name: name.to_string(),
+            conns: Arc::clone(&self.conns),
+            downed: Arc::clone(&self.downed),
+            dialled: AtomicBool::new(false),
+        })
     }
 
     fn partition(&mut self, name: &str, to_leader: bool, to_member: bool) {
@@ -173,23 +174,43 @@ impl Fabric for SimFabric {
         true
     }
 
-    fn reconnector(&self, name: &str) -> Option<Reconnector> {
-        let net = self.net.clone();
-        let conns = Arc::clone(&self.conns);
-        let downed = Arc::clone(&self.downed);
-        let name = name.to_string();
-        Some(Box::new(move || {
-            if downed.lock().contains(&name) {
-                return Err(NetError::Disconnected);
-            }
-            let link = net.connect(&name, "leader")?;
-            conns.lock().insert(name.clone(), link.conn_id());
-            Ok(Box::new(link) as Box<dyn Link>)
-        }))
+    fn rejoins(&self) -> bool {
+        true
     }
 
     fn net_snapshot(&self) -> Snapshot {
         self.net.obs_registry().snapshot()
+    }
+}
+
+/// A simulator member's dialer: records each connection as the one
+/// later faults on the member target. A member's first dial is its
+/// process starting, which an earlier kill does not prevent; a redial is
+/// refused while the member is killed.
+struct SimMemberDialer {
+    inner: Arc<dyn Dialer>,
+    name: String,
+    conns: Arc<Mutex<HashMap<String, usize>>>,
+    downed: Arc<Mutex<HashSet<String>>>,
+    dialled: AtomicBool,
+}
+
+impl Dialer for SimMemberDialer {
+    fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError> {
+        if self.dialled.swap(true, Ordering::Relaxed) && self.downed.lock().contains(&self.name) {
+            return Err(NetError::Disconnected);
+        }
+        let token = self.inner.dial(events)?;
+        self.conns.lock().insert(self.name.clone(), token);
+        Ok(token)
+    }
+
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError> {
+        self.inner.send_to(token, frame)
+    }
+
+    fn close(&self, token: MuxToken) {
+        self.inner.close(token);
     }
 }
 
@@ -399,10 +420,11 @@ impl Fabric for TcpProxyFabric {
         LeaderService::spawn_mux(endpoint, config)
     }
 
-    fn connect(&mut self, name: &str) -> Result<Box<dyn Link>, NetError> {
+    /// A proxy member never redials, so its one connection is named to
+    /// the proxy's acceptor here.
+    fn dialer(&self, name: &str) -> Arc<dyn Dialer> {
         self.shared.pending.lock().push_back(name.to_string());
-        let link = self.member_net.connect(self.proxy_addr)?;
-        Ok(Box::new(link))
+        self.member_net.dialer(self.proxy_addr)
     }
 
     fn partition(&mut self, _name: &str, _to_leader: bool, _to_member: bool) {}

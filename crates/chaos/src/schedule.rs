@@ -24,7 +24,7 @@ pub enum ChaosEvent {
     /// Member `i`'s *wire* crashes without a close, but — unlike
     /// [`ChaosEvent::Crash`] — its runtime stays alive: the liveness layer
     /// is expected to notice on both sides (leader eviction, member
-    /// auto-rejoin once a [`ChaosEvent::Heal`] lets its reconnector
+    /// auto-rejoin once a [`ChaosEvent::Heal`] lets its redial
     /// through). Only meaningful on liveness-enabled worlds; without
     /// liveness the member simply stays wedged until the end-of-run
     /// cleanup.

@@ -44,7 +44,7 @@ pub struct ChaosOptions {
     /// Runs the world with the liveness layer armed: a shared
     /// [`VirtualClock`] (pumped at roughly 5× real time), bounded ARQ
     /// with backoff and jitter, heartbeats, timeout-driven eviction, and
-    /// member auto-rejoin through [`Fabric::reconnector`]. Fault
+    /// member auto-rejoin through [`Fabric::dialer`]. Fault
     /// injections ([`ChaosEvent::CrashWire`], [`ChaosEvent::Partition`])
     /// additionally leave `Crashed`/`Partitioned` faults in the outcome so
     /// the liveness oracle properties (`live-evict`, `live-no-false-evict`,
@@ -644,9 +644,9 @@ pub fn run_crash_restart(
     // The kill: unbind the listener name first (no new connection can
     // reach a dying process), then tear the service down without a single
     // protocol frame — exactly what the members observe when the leader
-    // process is killed mid-flight. Their runtimes stay up; the rejoin
-    // loop's reconnector fails (nothing listens) and backs off until the
-    // restarted service answers.
+    // process is killed mid-flight. Their runtimes stay up; their redials
+    // fail (nothing listens) and back off until the restarted service
+    // answers.
     //
     assert!(
         fabric.net.unlisten("leader"),
@@ -760,10 +760,6 @@ fn start_join(
     options: &ChaosOptions,
     wiring: Option<&LivenessWiring>,
 ) {
-    let Ok(link) = fabric.connect(&slot.name) else {
-        slot.state = MemberState::Absent;
-        return;
-    };
     let Ok((mut session, init)) = MemberSession::start_in_group(
         slot.id.clone(),
         leader_id.clone(),
@@ -788,9 +784,9 @@ fn start_join(
         liveness.jitter_seed = w.seed.wrapping_mul(0x9e37_79b9).wrapping_add(name_tag);
         member_options.liveness = liveness;
         member_options.clock = Some(Arc::new(w.clock.clone()));
-        member_options.reconnect = fabric.reconnector(&slot.name);
+        member_options.rejoin = fabric.rejoins();
     }
-    match MemberRuntime::run(link, session, init, member_options) {
+    match MemberRuntime::run(fabric.dialer(&slot.name), session, init, member_options) {
         Ok(rt) => {
             slot.registries.push(rt.obs_registry());
             // Bounded wait: under faults the welcome may be late; the

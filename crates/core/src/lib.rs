@@ -23,9 +23,11 @@
 //! * [`runtime`] — threaded leader/member event loops binding the protocol
 //!   cores to an `enclaves-net` transport: the leader service on the
 //!   readiness loop (real sockets) or on the simulator, and the member
-//!   runtime, which runs the session it is handed
-//!   ([`runtime::MemberRuntime::run`]; [`runtime::MemberRuntime::connect`]
-//!   is the untagged password shorthand).
+//!   host, many sessions per shard loop behind one dialer
+//!   ([`runtime::MemberHost`]). [`runtime::MemberRuntime::run`] runs the
+//!   session it is handed on a private one-shard host;
+//!   [`runtime::MemberRuntime::connect`] is the untagged password
+//!   shorthand.
 //! * [`attacks`] — scripted Dolev-Yao attacks run through the
 //!   `enclaves-net` adversary tap: each returns whether it succeeded, so
 //!   the same script demonstrates the vulnerability on the legacy protocol
@@ -59,7 +61,7 @@
 //! let leader = service.add_group(ActorId::new("leader")?, directory, LeaderConfig::default())?;
 //!
 //! let alice = MemberRuntime::connect(
-//!     Box::new(net.connect("alice", "leader")?),
+//!     net.dialer("leader"),
 //!     ActorId::new("alice")?,
 //!     ActorId::new("leader")?,
 //!     "alice-pw",

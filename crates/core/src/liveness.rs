@@ -102,9 +102,10 @@ impl Clock for VirtualClock {
 /// exhausted after that many retransmits and the peer is presumed dead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LivenessConfig {
-    /// Event-loop poll cadence (how often timers are checked) of a
-    /// [`crate::runtime::MemberRuntime`]. A leader's timers are checked by
-    /// its service's ticker, at [`crate::runtime::ServiceConfig::poll`].
+    /// The longest a member host's shard sleeps between clock readings
+    /// ([`crate::runtime::MemberHost`]); it wakes sooner for a session's
+    /// next deadline. A leader's timers are checked by its service's
+    /// ticker, at [`crate::runtime::ServiceConfig::poll`].
     pub poll: Duration,
     /// First retransmit fires this long after the original send.
     pub retransmit_base: Duration,
@@ -221,7 +222,8 @@ pub(crate) enum ArqPoll {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Arq {
     attempts: u32,
-    deadline: Duration,
+    /// The instant at which [`Arq::poll`] next resends or gives up.
+    pub(crate) deadline: Duration,
 }
 
 impl Arq {

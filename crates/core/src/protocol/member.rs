@@ -69,9 +69,9 @@ pub enum MemberEvent {
         /// Decrypted application bytes.
         data: Vec<u8>,
     },
-    /// The runtime presumed the leader dead ([`MemberTick::leader_lost`]
-    /// or a failed link). If the runtime has a reconnect hook it
-    /// reconnects and rejoins next; otherwise this is terminal.
+    /// The host presumed the leader dead ([`MemberTick::leader_lost`] or
+    /// a closed connection). A session that rejoins redials and rejoins
+    /// next; otherwise this is terminal.
     LeaderLost,
     /// The runtime is rejoining as a fresh session after leader loss:
     /// everything the previous session held (key material, roster, group
@@ -493,6 +493,29 @@ impl MemberSession {
             .is_some_and(|t| now > timers.last_heard + t);
         self.timers = Some(timers);
         tick
+    }
+
+    /// The earliest instant at which [`MemberSession::tick`] under `lv`
+    /// would do anything: `Duration::ZERO` ("now") before the first tick
+    /// or once a frame was accepted since the last one (the tick stamps
+    /// it heard); otherwise the soonest of the handshake resend or
+    /// give-up, the next heartbeat, and the first instant past
+    /// `liveness_timeout` of silence. `None` when no timer is armed.
+    #[must_use]
+    pub fn next_deadline(&self, lv: &LivenessConfig) -> Option<Duration> {
+        let Some(timers) = self.timers.filter(|_| !self.heard) else {
+            return Some(Duration::ZERO);
+        };
+        let handshake = self
+            .handshake_pending
+            .as_ref()
+            .map(|_| timers.handshake.deadline);
+        let heartbeat = lv.heartbeat_interval.map(|_| timers.next_heartbeat);
+        // The tick presumes the leader lost strictly after the timeout.
+        let silence = lv
+            .liveness_timeout
+            .map(|t| timers.last_heard + t + Duration::from_nanos(1));
+        [handshake, heartbeat, silence].into_iter().flatten().min()
     }
 
     /// A fresh session for the same user, leader, enclave and `P_a`, on
@@ -1595,6 +1618,86 @@ mod tests {
             assert!(session.handle(&rejected).is_err());
         }
         assert!(session.tick(ms(1801), &lv).leader_lost);
+    }
+
+    /// The session's next deadline, after checking that a tick one
+    /// nanosecond before it does nothing and leaves it in place.
+    fn quiet_until_deadline(session: &mut MemberSession, lv: &LivenessConfig) -> Duration {
+        let due = session.next_deadline(lv).expect("a timer is armed");
+        let early = session.tick(due - Duration::from_nanos(1), lv);
+        assert!(early.frames.is_empty(), "a frame before {due:?}");
+        assert!(!early.leader_lost, "the leader lost before {due:?}");
+        assert_eq!(session.next_deadline(lv), Some(due));
+        due
+    }
+
+    #[test]
+    fn next_deadline_is_the_handshake_resend_while_it_is_pending() {
+        let lv = LivenessConfig {
+            retransmit_base: ms(100),
+            retransmit_max: ms(100),
+            ..LivenessConfig::default()
+        };
+        let (mut session, init, _) = start();
+        assert_eq!(session.next_deadline(&lv), Some(Duration::ZERO));
+        session.tick(ms(0), &lv);
+        let due = quiet_until_deadline(&mut session, &lv);
+        assert_eq!(due, ms(100));
+        let tick = session.tick(due, &lv);
+        assert_eq!(tick.frames.len(), 1);
+        assert_eq!(tick.frames[0].body, init.body);
+        assert_eq!(session.next_deadline(&lv), Some(ms(200)));
+    }
+
+    #[test]
+    fn next_deadline_is_the_heartbeat_once_connected() {
+        let lv = LivenessConfig {
+            heartbeat_interval: Some(ms(1000)),
+            ..quiet_timers()
+        };
+        let (mut session, _, _) = connect_welcomed(1, [7; 32], [1; 12]);
+        assert_eq!(session.next_deadline(&lv), Some(Duration::ZERO));
+        session.tick(ms(0), &lv);
+        let due = quiet_until_deadline(&mut session, &lv);
+        assert_eq!(due, ms(1000));
+        let frames = session.tick(due, &lv).frames;
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].msg_type, MsgType::Heartbeat);
+        assert_eq!(session.next_deadline(&lv), Some(ms(2000)));
+    }
+
+    #[test]
+    fn next_deadline_is_the_silence_timeout_and_only_accepted_frames_move_it() {
+        let lv = LivenessConfig {
+            liveness_timeout: Some(ms(1000)),
+            ..quiet_timers()
+        };
+        let (key, iv) = ([7; 32], [1; 12]);
+        let (mut session, _, _) = connect_welcomed(1, key, iv);
+        session.tick(ms(0), &lv);
+        let broadcast = broadcast_env(1, 0, &key, &iv, b"once");
+        session.handle(&broadcast).unwrap();
+        assert_eq!(session.next_deadline(&lv), Some(Duration::ZERO));
+        session.tick(ms(500), &lv);
+        let due = ms(1500) + Duration::from_nanos(1);
+        assert_eq!(session.next_deadline(&lv), Some(due));
+        assert!(session.handle(&broadcast).is_err(), "a replay is rejected");
+        assert_eq!(session.next_deadline(&lv), Some(due));
+        assert_eq!(quiet_until_deadline(&mut session, &lv), due);
+        assert!(session.tick(due, &lv).leader_lost);
+    }
+
+    /// Retransmits only, as the load rig's members run: once the welcome
+    /// ends the handshake, nothing is left to wake the session for.
+    #[test]
+    fn next_deadline_is_none_after_the_welcome_without_heartbeats_or_timeout() {
+        let lv = quiet_timers();
+        let (mut session, _, _) = start();
+        session.tick(ms(0), &lv);
+        assert_eq!(session.next_deadline(&lv), Some(Duration::from_secs(3600)));
+        let (mut session, _, _) = connect_welcomed(1, [7; 32], [1; 12]);
+        session.tick(ms(0), &lv);
+        assert_eq!(session.next_deadline(&lv), None);
     }
 
     #[test]

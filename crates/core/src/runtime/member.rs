@@ -1,52 +1,49 @@
-//! The threaded member runtime: the I/O around a [`MemberSession`]. The
-//! session owns every timing decision (handshake resends, heartbeats,
-//! leader-silence detection) through [`MemberSession::tick`] and mints
-//! its rejoin through [`MemberSession::rejoin`]; the worker thread reads
-//! the clock, moves frames between the link and the session, and
-//! reconnects with backoff when the leader is lost.
+//! The member host: the I/O around many [`MemberSession`]s. A session
+//! owns every timing decision through [`MemberSession::tick`] and
+//! [`MemberSession::next_deadline`], and mints its rejoin through
+//! [`MemberSession::rejoin`]. A [`MemberHost`] runs one thread per shard
+//! over a [`Dialer`]: it reads all its sessions' connections from one
+//! channel, ticks each session from a deadline heap, and redials a lost
+//! leader on a backoff scheduled in the same heap. A member costs a thread
+//! only when its caller asks for a private host ([`MemberRuntime`]).
 
 use crate::liveness::{Clock, LivenessConfig, RealClock};
 use crate::protocol::{MemberEvent, MemberSession, SessionPhase};
 use crate::runtime::wait_for;
 use crate::CoreError;
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use enclaves_net::{Frame, Link, NetError};
+use crossbeam_channel::{unbounded, Receiver, Sender, TryRecvError};
+use enclaves_net::{Dialer, Frame, MuxEvent, MuxToken};
 use enclaves_obs::{EventKind, EventStream, Registry};
 use enclaves_wire::codec::{decode, encode};
 use enclaves_wire::message::Envelope;
 use enclaves_wire::{ActorId, Roster};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Builds a replacement [`Link`] to the leader. The rejoin loop calls it
-/// (with backoff) after presuming the leader or the wire dead; an `Err`
-/// means "not reachable yet, try again later".
-pub type Reconnector = Box<dyn Fn() -> Result<Box<dyn Link>, NetError> + Send>;
-
-/// Optional hooks for a [`MemberRuntime`]: the protocol event stream a
-/// harness audits the member through, and the liveness knobs for the
-/// member's ARQ / heartbeat / rejoin machinery. The application's own
-/// view is [`MemberRuntime::events`].
+/// What a session brings to its host. The application's own view is the
+/// session's event sink.
 pub struct MemberOptions {
     /// Shares a protocol event stream with the session: deliveries, key
     /// changes, handshake milestones, and ARQ retransmits are emitted onto
     /// it (typically the same stream the leader emits onto, giving one
     /// totally ordered run record).
     pub events: Option<EventStream>,
-    /// The timing the session's [`MemberSession::tick`] runs on, plus the
-    /// worker's poll cadence and reconnect backoff. The default
-    /// ([`LivenessConfig::member_default`]) reproduces the historical
-    /// fixed-cadence, retry-forever behavior.
+    /// The timing of the session's [`MemberSession::tick`], its shard's
+    /// longest sleep, and its redial backoff. The default
+    /// ([`LivenessConfig::member_default`]) retries forever.
     pub liveness: LivenessConfig,
-    /// Clock driving every liveness deadline; `None` means real monotonic
-    /// time. Chaos tests inject a [`crate::liveness::VirtualClock`].
+    /// Clock of the private host [`MemberRuntime::run`] spawns (`None`:
+    /// real time); a session admitted to a [`MemberHost`] runs on its
+    /// host's clock.
     pub clock: Option<Arc<dyn Clock>>,
-    /// How to re-reach the leader after a presumed death. With this hook
-    /// the runtime reconnects and rejoins as a fresh session; without it
-    /// a lost leader ends the runtime.
-    pub reconnect: Option<Reconnector>,
+    /// After a presumed leader death, redial the same dialer and rejoin as
+    /// a fresh session; otherwise a lost leader ends the session.
+    pub rejoin: bool,
 }
 
 impl Default for MemberOptions {
@@ -55,7 +52,7 @@ impl Default for MemberOptions {
             events: None,
             liveness: LivenessConfig::member_default(),
             clock: None,
-            reconnect: None,
+            rejoin: false,
         }
     }
 }
@@ -66,41 +63,376 @@ impl std::fmt::Debug for MemberOptions {
             .field("events", &self.events.is_some())
             .field("liveness", &self.liveness)
             .field("clock", &self.clock.as_ref().map(|_| "<injected>"))
-            .field("reconnect", &self.reconnect.is_some())
+            .field("rejoin", &self.rejoin)
             .finish()
     }
 }
 
-/// What the application hands the worker to write.
-enum Out {
-    /// A frame for the current link.
-    Frame(Frame),
-    /// A write barrier: the worker acks once every frame queued before it
-    /// has been handed to the link (the queue is FIFO and the worker
-    /// writes it in order, so the ack proves the earlier frames left).
-    Flush(Sender<()>),
+/// The redial backoff's jitter tag, distinct from the session's handshake
+/// ARQ tag (0) so their jitter streams do not collide.
+const RECONNECT_CHANNEL: u64 = 1;
+
+/// The longest a shard with no armed timer sleeps.
+const IDLE_WAIT: Duration = Duration::from_secs(1);
+
+/// A dialer never delivers `Accepted` on a member's channel, so a shard's
+/// doorbell is one: read the admissions.
+const DOORBELL: MuxEvent = MuxEvent::Accepted { token: 0 };
+
+/// One hosted session, shared by its handle and its shard. The shard
+/// calls the sink under the lock, so a sink must not call back into its
+/// handle.
+struct Seat {
+    session: MemberSession,
+    /// `None` between a lost leader and the redial that replaces it.
+    token: Option<MuxToken>,
+    /// Cleared once the host stops driving the session: it left, was
+    /// abandoned, or lost its leader without rejoining.
+    hosted: bool,
+    liveness: LivenessConfig,
+    rejoin: bool,
+    stream: Option<EventStream>,
+    sink: Box<dyn FnMut(MemberEvent) + Send>,
+    /// Failed redials since the leader was lost.
+    attempt: u32,
+    /// The deadline of this session's live heap entry; others are stale.
+    due: Option<Duration>,
 }
 
-struct Shared {
-    session: Mutex<MemberSession>,
-    out_tx: Sender<Out>,
-    running: AtomicBool,
+/// Many member sessions on one thread per shard. A shard owns its
+/// sessions, the one channel its [`Dialer`] connections deliver to, and a
+/// heap of their deadlines. Dropping the host joins its threads; a session
+/// still admitted is no longer driven, and its handle closes its
+/// connection when dropped.
+pub struct MemberHost {
+    dialer: Arc<dyn Dialer>,
+    shards: Vec<(Sender<MuxEvent>, Sender<Admission>, JoinHandle<()>)>,
+    next: AtomicUsize,
 }
 
-/// Why one session loop ended.
-enum LoopExit {
-    /// `running` was cleared (leave/abandon/shutdown).
-    Stopped,
-    /// The link failed, or the session's tick presumed the leader lost.
-    LeaderLost,
+/// A session's first connection and its seat, from `admit` to the shard.
+type Admission = (MuxToken, Arc<Mutex<Seat>>);
+
+impl MemberHost {
+    /// Starts `shards` (at least one) threads named `enclaves-member`
+    /// that reach the leader through `dialer`, timed by `clock`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread cannot be spawned.
+    #[must_use]
+    pub fn spawn(dialer: Arc<dyn Dialer>, shards: usize, clock: Arc<dyn Clock>) -> Self {
+        let shards = (0..shards.max(1))
+            .map(|_| {
+                let (inbox_tx, inbox) = unbounded();
+                let (admit_tx, admits) = unbounded();
+                let shard = Shard {
+                    dialer: Arc::clone(&dialer),
+                    clock: Arc::clone(&clock),
+                    inbox_tx: inbox_tx.clone(),
+                    inbox,
+                    admits,
+                    seats: HashMap::new(),
+                    tokens: HashMap::new(),
+                    closed_early: HashSet::new(),
+                    heap: BinaryHeap::new(),
+                    cap: IDLE_WAIT,
+                };
+                let thread = std::thread::Builder::new()
+                    .name("enclaves-member".into())
+                    .spawn(move || shard.run())
+                    .expect("spawn member host shard");
+                (inbox_tx, admit_tx, thread)
+            })
+            .collect();
+        MemberHost {
+            dialer,
+            shards,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Dials a connection for `session` on the next shard, sends `init`
+    /// (its `AuthInitReq`) and drives the session from then on, handing
+    /// its [`MemberEvent`]s to `sink` on the shard's thread. With an event
+    /// stream, `JoinStarted` is emitted before the init leaves.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures.
+    pub fn admit(
+        &self,
+        mut session: MemberSession,
+        init: Envelope,
+        options: MemberOptions,
+        sink: impl FnMut(MemberEvent) + Send + 'static,
+    ) -> Result<HostedMember, CoreError> {
+        let (inbox, admits, _) =
+            &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
+        let token = self.dialer.dial(inbox)?;
+        if let Some(events) = &options.events {
+            events.emit(EventKind::JoinStarted {
+                member: init.sender.to_string(),
+            });
+            session.set_event_stream(events.clone());
+        }
+        let member = HostedMember {
+            seat: Arc::new(Mutex::new(Seat {
+                session,
+                token: Some(token),
+                hosted: true,
+                liveness: options.liveness,
+                rejoin: options.rejoin,
+                stream: options.events,
+                sink: Box::new(sink),
+                attempt: 0,
+                due: None,
+            })),
+            dialer: Arc::clone(&self.dialer),
+        };
+        // Admitted before the init leaves, so before any answer to it.
+        admits
+            .send((token, Arc::clone(&member.seat)))
+            .map_err(|_| CoreError::RuntimeGone)?;
+        let _ = inbox.send(DOORBELL);
+        self.dialer.send_to(token, wire(&init))?;
+        Ok(member)
+    }
 }
 
-/// A running member: a receive loop around a
-/// [`crate::protocol::MemberSession`].
+impl Drop for MemberHost {
+    fn drop(&mut self) {
+        for (inbox, admits, thread) in self.shards.drain(..) {
+            drop(admits);
+            let _ = inbox.send(DOORBELL);
+            let _ = thread.join();
+        }
+    }
+}
+
+fn wire(env: &Envelope) -> Frame {
+    encode(env).into()
+}
+
+/// Why a shard drives a session.
+enum Cause<'a> {
+    Admitted,
+    /// Its heap entry for this deadline came due (stale unless still live).
+    Due(Duration),
+    /// A frame on one of its connections (stale unless the current one).
+    Frame(MuxToken, &'a [u8]),
+    /// One of its connections closed (stale unless the current one).
+    Closed(MuxToken),
+}
+
+/// One shard's loop state.
+struct Shard {
+    dialer: Arc<dyn Dialer>,
+    clock: Arc<dyn Clock>,
+    inbox_tx: Sender<MuxEvent>,
+    inbox: Receiver<MuxEvent>,
+    admits: Receiver<Admission>,
+    /// Sessions by their first connection's token.
+    seats: HashMap<MuxToken, Arc<Mutex<Seat>>>,
+    /// Each connection's session, until the connection's `Closed`.
+    tokens: HashMap<MuxToken, MuxToken>,
+    /// Connections whose `Closed` came before their admission was read.
+    closed_early: HashSet<MuxToken>,
+    heap: BinaryHeap<Reverse<(Duration, MuxToken)>>,
+    /// The longest wait between clock readings: the smallest `poll` of the
+    /// sessions admitted, since a virtual clock advances independently of
+    /// real time.
+    cap: Duration,
+}
+
+impl Shard {
+    fn run(mut self) {
+        loop {
+            let now = self.clock.now();
+            while let Some(&Reverse((due, id))) = self.heap.peek().filter(|e| e.0 .0 <= now) {
+                self.heap.pop();
+                self.drive(id, Cause::Due(due));
+            }
+            let next = self.heap.peek().map(|e| e.0 .0.saturating_sub(now));
+            let event = self
+                .inbox
+                .recv_timeout(next.unwrap_or(IDLE_WAIT).min(self.cap));
+            // Admissions first: an event can only be for a session whose
+            // admission was queued before it.
+            loop {
+                match self.admits.try_recv() {
+                    Ok((token, seat)) => {
+                        self.cap = self.cap.min(seat.lock().liveness.poll);
+                        self.tokens.insert(token, token);
+                        self.seats.insert(token, seat);
+                        self.drive(token, Cause::Admitted);
+                        if self.closed_early.remove(&token) {
+                            self.tokens.remove(&token);
+                            self.drive(token, Cause::Closed(token));
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
+                }
+            }
+            match event {
+                Ok(MuxEvent::Frame { token, frame }) => {
+                    if let Some(&id) = self.tokens.get(&token) {
+                        self.drive(id, Cause::Frame(token, &frame));
+                    }
+                }
+                Ok(MuxEvent::Closed { token }) => match self.tokens.remove(&token) {
+                    Some(id) => self.drive(id, Cause::Closed(token)),
+                    None => {
+                        self.closed_early.insert(token);
+                    }
+                },
+                Ok(MuxEvent::Accepted { .. }) | Err(_) => {}
+            }
+        }
+    }
+
+    /// Drives session `id`: handles a frame and sends the reply, ticks the
+    /// session or redials its leader, and pushes its next deadline.
+    fn drive(&mut self, id: MuxToken, cause: Cause<'_>) {
+        let Some(seat) = self.seats.get(&id).cloned() else {
+            return;
+        };
+        let mut guard = seat.lock();
+        let s = &mut *guard;
+        if !s.hosted {
+            self.seats.remove(&id);
+            return;
+        }
+        match cause {
+            Cause::Due(due) if s.due != Some(due) => return,
+            Cause::Due(_) => s.due = None,
+            Cause::Frame(token, _) | Cause::Closed(token) if s.token != Some(token) => return,
+            Cause::Closed(_) => return self.lose(id, s),
+            Cause::Admitted | Cause::Frame(..) => {}
+        }
+        let Some(token) = s.token else {
+            return self.redial(id, s);
+        };
+        // Rejected traffic is dropped; `member.rejected` counts it.
+        if let Cause::Frame(_, frame) = cause {
+            let env = decode::<Envelope>(frame).ok();
+            if let Some(output) = env.and_then(|env| s.session.handle(&env).ok()) {
+                if let Some(reply) = output.reply {
+                    let _ = self.dialer.send_to(token, wire(&reply));
+                }
+                output.events.into_iter().for_each(&mut s.sink);
+            }
+        }
+        let tick = s.session.tick(self.clock.now(), &s.liveness);
+        for env in &tick.frames {
+            let _ = self.dialer.send_to(token, wire(env));
+        }
+        if tick.leader_lost {
+            self.lose(id, s);
+        } else {
+            self.push(id, s, s.session.next_deadline(&s.liveness));
+        }
+    }
+
+    /// Makes `due` the session's live heap entry, unless it already is.
+    fn push(&mut self, id: MuxToken, s: &mut Seat, due: Option<Duration>) {
+        if due != s.due {
+            s.due = due;
+            self.heap.extend(due.map(|d| Reverse((d, id))));
+        }
+    }
+
+    /// The session's connection closed, or its tick presumed the leader
+    /// dead: close the connection, then redial at once or let it go.
+    fn lose(&mut self, id: MuxToken, s: &mut Seat) {
+        if let Some(token) = s.token.take() {
+            self.dialer.close(token);
+        }
+        s.hosted &= s.rejoin;
+        if !s.hosted {
+            // The session's events end here: its sink goes now, not with
+            // its handle.
+            s.sink = Box::new(drop);
+            self.seats.remove(&id);
+            return;
+        }
+        if let Some(stream) = &s.stream {
+            stream.emit(EventKind::LeaderLost {
+                member: s.session.user().to_string(),
+            });
+        }
+        (s.sink)(MemberEvent::LeaderLost);
+        s.attempt = 0;
+        self.push(id, s, Some(Duration::ZERO));
+    }
+
+    /// Dials a new connection and rejoins on it as a fresh session, or
+    /// pushes the next try on the backoff.
+    fn redial(&mut self, id: MuxToken, s: &mut Seat) {
+        let Ok(token) = self.dialer.dial(&self.inbox_tx) else {
+            s.attempt = s.attempt.saturating_add(1);
+            let retry = self.clock.now() + s.liveness.jittered_delay(s.attempt, RECONNECT_CHANNEL);
+            return self.push(id, s, Some(retry));
+        };
+        let (session, init) = s.session.rejoin();
+        // Announce the join before the init frame can reach the wire.
+        if let Some(stream) = &s.stream {
+            stream.emit(EventKind::JoinStarted {
+                member: init.sender.to_string(),
+            });
+        }
+        s.session = session;
+        s.token = Some(token);
+        self.tokens.insert(token, id);
+        (s.sink)(MemberEvent::RejoinStarted);
+        let _ = self.dialer.send_to(token, wire(&init));
+        self.push(id, s, Some(Duration::ZERO));
+    }
+}
+
+/// The handle on one hosted session. Dropping it abandons the session:
+/// the host forgets it and closes its connection without a close frame.
+pub struct HostedMember {
+    seat: Arc<Mutex<Seat>>,
+    dialer: Arc<dyn Dialer>,
+}
+
+impl HostedMember {
+    /// Leaves the group: returns once the close frame was handed to the
+    /// transport, ahead of the connection's close.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadPhase`] if not connected.
+    pub fn leave(self) -> Result<(), CoreError> {
+        let mut s = self.seat.lock();
+        let env = s.session.leave()?;
+        if let Some(token) = s.token.filter(|_| s.hosted) {
+            let _ = self.dialer.send_to(token, wire(&env));
+        }
+        Ok(())
+    }
+}
+
+impl Drop for HostedMember {
+    fn drop(&mut self) {
+        let mut s = self.seat.lock();
+        s.hosted = false;
+        if let Some(token) = s.token.take() {
+            self.dialer.close(token);
+        }
+    }
+}
+
+/// One member on a private one-shard [`MemberHost`], with its events on a
+/// channel and blocking convenience waiters.
 pub struct MemberRuntime {
-    shared: Arc<Shared>,
+    member: HostedMember,
     events_rx: Receiver<MemberEvent>,
-    worker: Option<std::thread::JoinHandle<()>>,
+    /// Dropped after `member`: the session is abandoned, then the host's
+    /// thread exits.
+    _host: MemberHost,
 }
 
 impl std::fmt::Debug for MemberRuntime {
@@ -110,76 +442,48 @@ impl std::fmt::Debug for MemberRuntime {
 }
 
 impl MemberRuntime {
-    /// Connects over `link` with a password, untagged and with default
-    /// options, starting the authentication handshake immediately.
+    /// Connects through `dialer` with a password, untagged and with
+    /// default options, starting the authentication handshake immediately.
     ///
     /// # Errors
     ///
     /// Propagates key-derivation or transport failures.
     pub fn connect(
-        link: Box<dyn Link>,
+        dialer: Arc<dyn Dialer>,
         user: ActorId,
         leader: ActorId,
         password: &str,
     ) -> Result<Self, CoreError> {
         let (session, init) = MemberSession::start_in_group(user, leader, password, None)?;
-        Self::run(link, session, init, MemberOptions::default())
+        Self::run(dialer, session, init, MemberOptions::default())
     }
 
-    /// Runs the session it is handed: sends `init` (the session's
-    /// `AuthInitReq`) over `link` and starts the receive loop. A rejoin
-    /// runs the session's own [`MemberSession::rejoin`].
+    /// Runs the session it is handed on a private host: dials through
+    /// `dialer` and sends `init` (the session's `AuthInitReq`).
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
     pub fn run(
-        link: Box<dyn Link>,
-        mut session: MemberSession,
+        dialer: Arc<dyn Dialer>,
+        session: MemberSession,
         init: Envelope,
         options: MemberOptions,
     ) -> Result<Self, CoreError> {
-        let MemberOptions {
-            events: stream,
-            liveness,
-            clock,
-            reconnect,
-        } = options;
-        if let Some(events) = &stream {
-            // Emit the join start before the init frame can reach any
-            // wire, so the stream's order is a real happened-before order.
-            events.emit(EventKind::JoinStarted {
-                member: init.sender.to_string(),
-            });
-            session.set_event_stream(events.clone());
-        }
-        link.send(encode(&init).into())?;
+        let clock = options.clock.clone();
+        let host = MemberHost::spawn(
+            dialer,
+            1,
+            clock.unwrap_or_else(|| Arc::new(RealClock::new())),
+        );
         let (events_tx, events_rx) = unbounded();
-        let (out_tx, out_rx) = unbounded::<Out>();
-        let shared = Arc::new(Shared {
-            session: Mutex::new(session),
-            out_tx,
-            running: AtomicBool::new(true),
-        });
-
-        let worker = Worker {
-            shared: Arc::clone(&shared),
-            out_rx,
-            events_tx,
-            stream,
-            clock: clock.unwrap_or_else(|| Arc::new(RealClock::new())),
-            liveness,
-            reconnect,
-        };
-        let handle = std::thread::Builder::new()
-            .name("enclaves-member".into())
-            .spawn(move || worker.run(link))
-            .expect("spawn member worker");
-
+        let member = host.admit(session, init, options, move |e| {
+            let _ = events_tx.send(e);
+        })?;
         Ok(MemberRuntime {
-            shared,
+            member,
             events_rx,
-            worker: Some(handle),
+            _host: host,
         })
     }
 
@@ -192,19 +496,19 @@ impl MemberRuntime {
     /// Current session phase.
     #[must_use]
     pub fn phase(&self) -> SessionPhase {
-        self.shared.session.lock().phase()
+        self.member.seat.lock().session.phase()
     }
 
     /// The member's current roster view.
     #[must_use]
     pub fn roster(&self) -> Roster {
-        self.shared.session.lock().roster()
+        self.member.seat.lock().session.roster()
     }
 
     /// The group-key epoch currently held.
     #[must_use]
     pub fn group_epoch(&self) -> Option<u64> {
-        self.shared.session.lock().group_epoch()
+        self.member.seat.lock().session.group_epoch()
     }
 
     /// The session's metric registry (`member.*` names); snapshots taken
@@ -212,7 +516,7 @@ impl MemberRuntime {
     /// same registry, so the counters accumulate across generations.
     #[must_use]
     pub fn obs_registry(&self) -> Registry {
-        self.shared.session.lock().obs_registry()
+        self.member.seat.lock().session.obs_registry()
     }
 
     /// Blocks until an event matching `pred` arrives, returning it.
@@ -237,193 +541,124 @@ impl MemberRuntime {
     ///
     /// [`CoreError::Timeout`] if the deadline passes first.
     pub fn wait_joined(&self, timeout: Duration) -> Result<(), CoreError> {
-        wait_for(&self.events_rx, timeout, |e| {
-            matches!(e, MemberEvent::Welcomed { .. })
-        })
-        .map(|_| ())
-        .map_err(|()| CoreError::Timeout("welcome"))
+        self.wait_event(timeout, |e| matches!(e, MemberEvent::Welcomed { .. }))
+            .map(|_| ())
+            .map_err(|_| CoreError::Timeout("welcome"))
     }
 
-    /// Sends application data to the group (via the leader relay).
+    /// Sends application data to the group (via the leader relay). Between
+    /// a lost leader and the rejoin the frame has nowhere to go.
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadPhase`] before the welcome.
+    /// [`CoreError::BadPhase`] before the welcome, [`CoreError::RuntimeGone`]
+    /// once the host no longer drives the session.
     pub fn send_group_data(&self, data: &[u8]) -> Result<(), CoreError> {
-        let env = self.shared.session.lock().send_group_data(data)?;
-        self.shared
-            .out_tx
-            .send(Out::Frame(encode(&env).into()))
-            .map_err(|_| CoreError::RuntimeGone)?;
-        Ok(())
+        let mut s = self.member.seat.lock();
+        let env = s.session.send_group_data(data)?;
+        match (s.hosted, s.token) {
+            (false, _) => Err(CoreError::RuntimeGone),
+            (true, Some(token)) => Ok(self.member.dialer.send_to(token, wire(&env))?),
+            (true, None) => Ok(()),
+        }
     }
 
-    /// Leaves the group and stops the worker.
-    ///
-    /// The close frame is queued ahead of a flush barrier, and the stop
-    /// flag is only raised once the worker acknowledges the barrier — so
-    /// the close has actually been written to the link, not raced by the
-    /// shutdown.
+    /// Leaves the group and stops the host: returns once the close frame
+    /// was handed to the transport.
     ///
     /// # Errors
     ///
     /// [`CoreError::BadPhase`] if not connected.
-    pub fn leave(mut self) -> Result<(), CoreError> {
-        let env = self.shared.session.lock().leave()?;
-        let _ = self.shared.out_tx.send(Out::Frame(encode(&env).into()));
-        let (ack_tx, ack_rx) = unbounded();
-        let _ = self.shared.out_tx.send(Out::Flush(ack_tx));
-        let _ = ack_rx.recv_timeout(Duration::from_secs(2));
-        self.shared.running.store(false, Ordering::Relaxed);
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-        Ok(())
+    pub fn leave(self) -> Result<(), CoreError> {
+        self.member.leave()
     }
 
-    /// Stops the worker without sending a close (simulates a crash).
-    pub fn abandon(mut self) {
-        self.shared.running.store(false, Ordering::Relaxed);
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the host without sending a close (simulates a crash), as a
+    /// drop does.
+    pub fn abandon(self) {}
 }
 
-/// The worker thread: session loops joined by the rejoin loop.
-struct Worker {
-    shared: Arc<Shared>,
-    out_rx: Receiver<Out>,
-    events_tx: Sender<MemberEvent>,
-    stream: Option<EventStream>,
-    clock: Arc<dyn Clock>,
-    liveness: LivenessConfig,
-    reconnect: Option<Reconnector>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam_channel::RecvTimeoutError;
+    use enclaves_crypto::keys::LongTermKey;
+    use enclaves_crypto::rng::SeededRng;
+    use enclaves_net::NetError;
 
-/// The reconnect backoff's jitter tag, distinct from the session's
-/// handshake ARQ tag (0) so their jitter streams do not collide.
-const RECONNECT_CHANNEL: u64 = 1;
-
-impl Worker {
-    fn run(self, mut link: Box<dyn Link>) {
-        while let LoopExit::LeaderLost = self.session_loop(link.as_ref()) {
-            let Some(next) = self.reconnect_and_rejoin() else {
-                return;
-            };
-            link = next;
-        }
+    /// Numbers its connections from 0. Once armed with `(earlier, release)`,
+    /// its next dial closes the new connection and then `earlier` before
+    /// returning, and returns only when `release` fires.
+    #[derive(Default)]
+    struct ScriptedDialer {
+        next: AtomicUsize,
+        armed: Mutex<Option<(MuxToken, Receiver<()>)>>,
     }
 
-    /// Pumps one session over one link until it stops, the link dies, or
-    /// the leader is presumed dead.
-    fn session_loop(&self, link: &dyn Link) -> LoopExit {
-        while self.shared.running.load(Ordering::Relaxed) {
-            // Write anything the application queued; a flush barrier acks
-            // once the frames queued before it have been handed over.
-            while let Ok(out) = self.out_rx.try_recv() {
-                match out {
-                    Out::Frame(frame) => {
-                        if link.send(frame).is_err() {
-                            return LoopExit::LeaderLost;
-                        }
-                    }
-                    Out::Flush(ack) => {
-                        let _ = ack.send(());
-                    }
-                }
+    impl Dialer for ScriptedDialer {
+        fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError> {
+            let token = self.next.fetch_add(1, Ordering::Relaxed);
+            if let Some((earlier, release)) = self.armed.lock().take() {
+                let _ = events.send(MuxEvent::Closed { token });
+                let _ = events.send(MuxEvent::Closed { token: earlier });
+                let _ = release.recv();
             }
-            let tick = self
-                .shared
-                .session
-                .lock()
-                .tick(self.clock.now(), &self.liveness);
-            for env in &tick.frames {
-                if link.send(encode(env).into()).is_err() {
-                    return LoopExit::LeaderLost;
-                }
-            }
-            if tick.leader_lost {
-                return LoopExit::LeaderLost;
-            }
-            match link.recv_timeout(self.liveness.poll) {
-                Ok(frame) => {
-                    let Ok(env) = decode::<Envelope>(&frame) else {
-                        continue;
-                    };
-                    // Rejected traffic is dropped; the session's
-                    // `member.rejected` counter records it.
-                    let Ok(output) = self.shared.session.lock().handle(&env) else {
-                        continue;
-                    };
-                    if let Some(reply) = output.reply {
-                        if link.send(encode(&reply).into()).is_err() {
-                            return LoopExit::LeaderLost;
-                        }
-                    }
-                    for e in output.events {
-                        let _ = self.events_tx.send(e);
-                    }
-                }
-                Err(NetError::Timeout) => continue,
-                Err(_) => return LoopExit::LeaderLost,
-            }
+            Ok(token)
         }
-        LoopExit::Stopped
+
+        fn send_to(&self, _: MuxToken, _: Frame) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn close(&self, _: MuxToken) {}
     }
 
-    /// After a presumed leader death: reconnect with backoff and start a
-    /// *fresh* session (new handshake, new session key) in whatever epoch
-    /// the group is in now. Returns the new link, or `None` when there is
-    /// no reconnect hook or the runtime stopped while waiting.
-    fn reconnect_and_rejoin(&self) -> Option<Box<dyn Link>> {
-        let reconnect = self.reconnect.as_ref()?;
-        let user = self.shared.session.lock().user().to_string();
-        if let Some(stream) = &self.stream {
-            stream.emit(EventKind::LeaderLost {
-                member: user.clone(),
-            });
-        }
-        let _ = self.events_tx.send(MemberEvent::LeaderLost);
-        let mut attempt: u32 = 0;
-        while self.shared.running.load(Ordering::Relaxed) {
-            // Keep servicing flush barriers while between links so a
-            // concurrent `leave` cannot hang; frames have nowhere to go.
-            while let Ok(out) = self.out_rx.try_recv() {
-                if let Out::Flush(ack) = out {
-                    let _ = ack.send(());
-                }
-            }
-            if let Ok(link) = reconnect() {
-                let (session, init) = self.shared.session.lock().rejoin();
-                // Announce the join before the init frame can reach the
-                // wire.
-                if let Some(stream) = &self.stream {
-                    stream.emit(EventKind::JoinStarted {
-                        member: user.clone(),
-                    });
-                }
-                *self.shared.session.lock() = session;
-                let _ = self.events_tx.send(MemberEvent::RejoinStarted);
-                if link.send(encode(&init).into()).is_ok() {
-                    return Some(link);
-                }
-                // The new link died before the init left; fall through to
-                // the backoff and try again.
-            }
-            attempt = attempt.saturating_add(1);
-            self.backoff_wait(attempt);
-        }
-        None
+    /// Admits a session that does not rejoin; its events go to the
+    /// returned channel, which disconnects once the host lets it go.
+    fn admit(host: &MemberHost) -> (HostedMember, Receiver<MemberEvent>) {
+        let (session, init) = MemberSession::start_with_key_in_group(
+            ActorId::new("alice").unwrap(),
+            ActorId::new("leader").unwrap(),
+            LongTermKey::from_bytes([7; 32]),
+            Box::new(SeededRng::from_seed(1)),
+            None,
+        );
+        let (tx, rx) = unbounded();
+        let sink = move |e| {
+            let _ = tx.send(e);
+        };
+        let member = host.admit(session, init, MemberOptions::default(), sink);
+        (member.unwrap(), rx)
     }
 
-    /// Sleeps out one reconnect backoff step, staying responsive to the
-    /// stop flag and to virtual-clock time (which advances independently
-    /// of real time).
-    fn backoff_wait(&self, attempt: u32) {
-        let deadline = self.clock.now() + self.liveness.jittered_delay(attempt, RECONNECT_CHANNEL);
-        while self.shared.running.load(Ordering::Relaxed) && self.clock.now() < deadline {
-            std::thread::sleep(self.liveness.poll);
-        }
+    /// A connection can close before the shard reads the admission of its
+    /// session: here the shard handles the new connection's `Closed`, then
+    /// an earlier session's, while the admission is still being made. The
+    /// session must still lose its leader once admitted.
+    #[test]
+    fn a_connection_closed_before_its_admission_still_loses_the_leader() {
+        let dialer = Arc::new(ScriptedDialer::default());
+        let host = MemberHost::spawn(dialer.clone(), 1, Arc::new(RealClock::new()));
+        let wait = Duration::from_secs(5);
+        let (_first, first_events) = admit(&host);
+        let (release_tx, release) = unbounded();
+        *dialer.armed.lock() = Some((0, release));
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| admit(&host));
+            // The earlier session let go: its `Closed`, and so the new
+            // connection's before it, were handled with the admission
+            // still pending.
+            assert_eq!(
+                first_events.recv_timeout(wait),
+                Err(RecvTimeoutError::Disconnected)
+            );
+            release_tx.send(()).unwrap();
+            let (second, events) = second.join().unwrap();
+            assert_eq!(
+                events.recv_timeout(wait),
+                Err(RecvTimeoutError::Disconnected)
+            );
+            assert!(!second.seat.lock().hosted);
+        });
     }
 }

@@ -1,5 +1,6 @@
-//! Threaded runtimes binding the sans-I/O protocol cores to an
-//! `enclaves-net` transport.
+//! Runtimes binding the sans-I/O protocol cores to an `enclaves-net`
+//! transport, each on a fixed set of threads whatever its connection
+//! count.
 //!
 //! * [`LeaderService`] — the leader: one front end, one shared liveness
 //!   ticker, and a registry of per-group [`crate::protocol::LeaderCore`]s
@@ -13,11 +14,14 @@
 //!   connection currently bound to their recipient; a connection becomes
 //!   bound to an identity only after the improved protocol authenticates
 //!   it.
-//! * [`MemberRuntime`] — a receive loop thread around a
-//!   [`crate::protocol::MemberSession`], exposing an event channel and
-//!   blocking convenience waiters. The session's own `tick` and `rejoin`
-//!   make every timing decision; the thread supplies the clock, the link
-//!   and the reconnect backoff.
+//! * [`MemberHost`] — the member side: many
+//!   [`crate::protocol::MemberSession`]s on one loop per shard, reaching
+//!   the leader through an `enclaves-net` dialer. Each session is ticked
+//!   when its `next_deadline` comes due, from one deadline heap per shard;
+//!   the session's own `tick` and `rejoin` make every timing decision, and
+//!   the host supplies the clock, the connections and the redial backoff.
+//!   [`MemberRuntime`] is one member on a private one-shard host, with an
+//!   event channel and blocking convenience waiters.
 //!
 //! All runtimes drop (and count) rejected traffic instead of dying — the
 //! operational face of intrusion tolerance.
@@ -25,7 +29,7 @@
 mod member;
 mod service;
 
-pub use member::{MemberOptions, MemberRuntime, Reconnector};
+pub use member::{HostedMember, MemberHost, MemberOptions, MemberRuntime};
 pub use service::{
     BroadcastReceipt, FailedGroup, GroupHandle, LeaderService, RecoveredGroup, RecoveryReport,
     ServiceConfig,

@@ -1096,7 +1096,6 @@ mod tests {
     use crate::protocol::{MemberEvent, MemberSession};
     use crate::runtime::{MemberOptions, MemberRuntime};
     use enclaves_net::sim::{Direction, SimConfig, SimNet};
-    use enclaves_net::Link;
 
     const WAIT: Duration = Duration::from_secs(5);
 
@@ -1124,14 +1123,7 @@ mod tests {
         }
     }
 
-    fn join(
-        net: &SimNet,
-        conn: &str,
-        user: &str,
-        group: &str,
-        handle: &GroupHandle,
-    ) -> MemberRuntime {
-        let link = net.connect(conn, "svc").unwrap();
+    fn join(net: &SimNet, user: &str, group: &str, handle: &GroupHandle) -> MemberRuntime {
         let (session, init) = MemberSession::start_in_group(
             id(user),
             id("leader"),
@@ -1140,7 +1132,7 @@ mod tests {
         )
         .unwrap();
         let member =
-            MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
+            MemberRuntime::run(net.dialer("svc"), session, init, MemberOptions::default()).unwrap();
         member.wait_joined(WAIT).unwrap();
         handle.wait_member(&id(user), WAIT).unwrap();
         member
@@ -1165,8 +1157,8 @@ mod tests {
             .unwrap();
         assert_eq!(service.group_count(), 2);
 
-        let alice_red = join(&net, "a-red", "alice", "red", &red);
-        let alice_blue = join(&net, "a-blue", "alice", "blue", &blue);
+        let alice_red = join(&net, "alice", "red", &red);
+        let alice_blue = join(&net, "alice", "blue", &blue);
 
         red.broadcast(b"red only").unwrap();
         let event = alice_red
@@ -1236,7 +1228,7 @@ mod tests {
         let red = service
             .add_group(id("leader"), directory(&["alice"]), group_config("red"))
             .unwrap();
-        let alice = join(&net, "a-red", "alice", "red", &red);
+        let alice = join(&net, "alice", "red", &red);
         assert_eq!(service.snapshot().counter("service.unroutable_frames"), 0);
 
         let link = net.connect("ghost-conn", "svc").unwrap();
@@ -1313,12 +1305,11 @@ mod tests {
         }
 
         let deep = gid("g0937");
-        let link = net.connect("a-deep", "svc").unwrap();
         let (session, init) =
             MemberSession::start_in_group(id("alice"), id("leader"), "alice-pw", Some(deep))
                 .unwrap();
         let member =
-            MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
+            MemberRuntime::run(net.dialer("svc"), session, init, MemberOptions::default()).unwrap();
         member.wait_joined(WAIT).unwrap();
         service.shutdown();
     }
@@ -1407,8 +1398,7 @@ mod tests {
             let _stop = Stop(&done);
             users
                 .iter()
-                .enumerate()
-                .map(|(i, user)| join(&net, &format!("c{i}"), user, "red", &red))
+                .map(|user| join(&net, user, "red", &red))
                 .collect::<Vec<MemberRuntime>>()
         });
 
@@ -1463,7 +1453,7 @@ mod tests {
         service
             .add_group(id("leader"), directory(&["bob"]), group_config("blue"))
             .unwrap();
-        let _alice = join(&net, "a-red", "alice", "red", &red);
+        let _alice = join(&net, "alice", "red", &red);
         let epoch_before = red.epoch().unwrap();
         service.shutdown();
         assert!(net.unlisten("svc"), "crashed leader's name is reclaimed");
@@ -1538,8 +1528,8 @@ mod tests {
             let blue = service
                 .add_group(id("leader"), directory(&["bob"]), group_config("blue"))
                 .unwrap();
-            let _alice = join(&net, "a-red", "alice", "red", &red);
-            let _bob = join(&net, "b-blue", "bob", "blue", &blue);
+            let _alice = join(&net, "alice", "red", &red);
+            let _bob = join(&net, "bob", "blue", &blue);
             service.shutdown();
         }
 
@@ -1681,8 +1671,8 @@ mod tests {
                         },
                     )
                     .unwrap();
-                let _alice = join(&net, &format!("a-{tag}"), "alice", tag, &handle);
-                let _bob = join(&net, &format!("b-{tag}"), "bob", tag, &handle);
+                let _alice = join(&net, "alice", tag, &handle);
+                let _bob = join(&net, "bob", tag, &handle);
                 // Histories of different lengths, so a result filed under
                 // the wrong index would show.
                 for _ in 0..g % 4 {
@@ -1770,7 +1760,7 @@ mod tests {
                 let handle = service
                     .add_group(id("leader"), directory(&["alice"]), group_config(&tag))
                     .unwrap();
-                let _alice = join(&net, &format!("a-{tag}"), "alice", &tag, &handle);
+                let _alice = join(&net, "alice", &tag, &handle);
             }
             service.shutdown();
         }

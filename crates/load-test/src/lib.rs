@@ -4,15 +4,16 @@
 //! budget is shared with the other: a *leader* process hosting one
 //! [`LeaderService`] on the readiness-loop ([`MuxNet`]) backend, and a
 //! *swarm* process driving thousands of virtual members — each a real
-//! sans-io [`MemberSession`] on its own real TCP connection, multiplexed
-//! through the swarm's own readiness loop so the member count never shows
-//! up in the thread count.
+//! sans-io [`MemberSession`] on its own real TCP connection, all hosted by
+//! one [`MemberHost`] (a loop thread per shard, dialling through the
+//! swarm's readiness loop) so the member count never shows up in the
+//! thread count.
 //!
 //! The two processes speak a tiny line protocol over stdio (abstracted as
 //! [`Coordinator`] so the whole rig also runs in-process for tests):
 //!
 //! ```text
-//! L -> S   hello <addr> <members> <waves> <churn> <payload_len> <shards>
+//! L -> S   hello <addr> <members> <waves> <shards>
 //! S -> L   ready                      (all members joined)
 //! S -> L   wave done                  (once per broadcast wave, counted)
 //! L -> S   rekey <t0_unix_ns>
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -52,18 +52,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
-use enclaves_core::liveness::LivenessConfig;
+use enclaves_core::liveness::{LivenessConfig, RealClock};
 use enclaves_core::protocol::{MemberEvent, MemberSession};
-use enclaves_core::runtime::{LeaderService, ServiceConfig};
+use enclaves_core::runtime::{
+    HostedMember, LeaderService, MemberHost, MemberOptions, ServiceConfig,
+};
 use enclaves_crypto::keys::LongTermKey;
 use enclaves_crypto::rng::OsEntropyRng;
-use enclaves_net::{MuxConfig, MuxEvent, MuxNet, MuxOverflow, MuxToken};
+use enclaves_net::{MuxConfig, MuxNet, MuxOverflow};
 use enclaves_obs::Registry;
-use enclaves_wire::codec::{decode, encode};
-use enclaves_wire::message::Envelope;
 use enclaves_wire::ActorId;
 
 /// How long any single rig phase (join storm, wave, rekey, churn) may
@@ -379,7 +379,7 @@ pub struct LoadConfig {
     /// Broadcast payload length in bytes (min 8; the timestamp rides in
     /// the first 8).
     pub payload_len: usize,
-    /// Event shards on each side (leader service shards and swarm worker
+    /// Event shards on each side (leader service shards and swarm host
     /// threads).
     pub shards: usize,
 }
@@ -476,31 +476,13 @@ pub fn run_leader(
         .add_group(
             leader_id(),
             directory,
-            LeaderConfig {
-                rekey_policy: RekeyPolicy::Manual,
-                max_members: cfg.members + cfg.churn + 16,
-                membership_notices: false,
-                // The historical flat 400ms retry-forever cadence melts
-                // down at 10k: with thousands of un-acked Welcomes in
-                // flight, re-enqueueing every cached frame every 400ms is
-                // hundreds of MB/s of queue pressure. Exponential backoff
-                // (0.5s..16s, jittered) keeps the retransmit load
-                // proportional to what the swarm can actually drain.
-                liveness: LivenessConfig {
-                    retransmit_base: Duration::from_millis(500),
-                    retransmit_max: Duration::from_secs(16),
-                    jitter_pct: 20,
-                    jitter_seed: 0x10ad,
-                    ..LivenessConfig::default()
-                },
-                ..LeaderConfig::default()
-            },
+            leader_config(cfg.members + cfg.churn + 16),
         )
         .map_err(|e| bad("add group", e))?;
 
     coord.send_line(&format!(
-        "hello {addr} {} {} {} {} {}",
-        cfg.members, cfg.waves, cfg.churn, cfg.payload_len, cfg.shards
+        "hello {addr} {} {} {}",
+        cfg.members, cfg.waves, cfg.shards
     ))?;
     expect(coord, "ready")?;
 
@@ -617,6 +599,31 @@ pub fn run_leader(
     Ok(outcome)
 }
 
+/// The rig's leader: manual rekeys, no membership notices, room for
+/// `max_members`, and a retransmit backoff that holds at 10k members.
+#[must_use]
+pub fn leader_config(max_members: usize) -> LeaderConfig {
+    LeaderConfig {
+        rekey_policy: RekeyPolicy::Manual,
+        max_members,
+        membership_notices: false,
+        // The historical flat 400ms retry-forever cadence melts down at
+        // 10k: with thousands of un-acked Welcomes in flight,
+        // re-enqueueing every cached frame every 400ms is hundreds of MB/s
+        // of queue pressure. Exponential backoff (0.5s..16s, jittered)
+        // keeps the retransmit load proportional to what the swarm can
+        // actually drain.
+        liveness: LivenessConfig {
+            retransmit_base: Duration::from_millis(500),
+            retransmit_max: Duration::from_secs(16),
+            jitter_pct: 20,
+            jitter_seed: 0x10ad,
+            ..LivenessConfig::default()
+        },
+        ..LeaderConfig::default()
+    }
+}
+
 fn expect(coord: &mut dyn Coordinator, want: &str) -> io::Result<()> {
     let got = coord.recv_line()?;
     if got != want {
@@ -629,13 +636,9 @@ fn expect(coord: &mut dyn Coordinator, want: &str) -> io::Result<()> {
 // Swarm half
 // ---------------------------------------------------------------------------
 
-/// Counters and sample sinks shared by the swarm's shard workers.
+/// Counters and sample sinks shared by the swarm's member sinks.
 #[derive(Default)]
 struct SwarmState {
-    /// Total mux events processed by shard workers — a quiescence probe:
-    /// when this stops moving, the storm's backlog (duplicate
-    /// challenges, welcome retransmits) has fully drained.
-    events: AtomicUsize,
     joined: AtomicUsize,
     rejoined: AtomicUsize,
     broadcasts: AtomicUsize,
@@ -649,25 +652,16 @@ struct SwarmState {
     rekey_lat: Mutex<Vec<u64>>,
 }
 
-/// One virtual member: a sans-io session plus its measurement anchors.
-struct VMember {
-    session: MemberSession,
-    started: Instant,
-    /// Cohort index (original member or churn slot), for self-healing.
-    index: usize,
-    churn: bool,
-    /// t0 stamps of waves already counted, so leader re-sends (hole
-    /// filling) are idempotent. At most `waves` entries.
-    seen_waves: Vec<u64>,
-}
-
-/// Commands from the swarm control thread to a shard worker.
-enum ShardCmd {
-    /// Leave the given original-member indices (phase 1 of churn).
-    Leave(Vec<usize>),
-    /// Join the given churn-cohort indices (phase 2 of churn).
-    Join(Vec<usize>),
-    Stop,
+impl SwarmState {
+    /// Records a rekey propagation sample while a rekey is armed.
+    fn rekeyed(&self) {
+        let t0 = self.rekey_t0.load(Ordering::SeqCst);
+        if t0 != 0 {
+            let ns = unix_ns().saturating_sub(t0);
+            self.rekey_lat.lock().expect("lock").push(ns);
+            self.rekeys.fetch_add(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Runs the swarm half of the rig: reads the `hello` line from `coord`,
@@ -681,42 +675,18 @@ enum ShardCmd {
 pub fn run_swarm(coord: &mut dyn Coordinator) -> io::Result<()> {
     let hello = coord.recv_line()?;
     let fields: Vec<&str> = hello.split_whitespace().collect();
-    let [cmd, addr, members, waves, churn, payload_len, shards] = fields.as_slice() else {
+    let ["hello", addr, members, waves, shards] = fields.as_slice() else {
         return Err(bad("hello", format!("malformed: {hello}")));
     };
-    if *cmd != "hello" {
-        return Err(bad("hello", format!("expected hello, got {cmd}")));
-    }
     let addr: SocketAddr = addr.parse().map_err(|e| bad("hello addr", e))?;
     let parse = |s: &str| s.parse::<usize>().map_err(|e| bad("hello field", e));
-    let (members, waves, churn) = (parse(members)?, parse(waves)?, parse(churn)?);
-    let (_payload_len, shards) = (parse(payload_len)?, parse(shards)?.max(1));
+    let (members, waves, shards) = (parse(members)?, parse(waves)?, parse(shards)?);
 
-    let net = MuxNet::spawn(MuxConfig::default());
-    let state = Arc::new(SwarmState::default());
-    let mut workers = Vec::new();
-    let mut ctl_txs = Vec::new();
-    for s in 0..shards {
-        let (ctl_tx, ctl_rx) = unbounded();
-        let idx: Vec<usize> = (s..members).step_by(shards).collect();
-        let (w_net, w_state) = (net.clone(), Arc::clone(&state));
-        let handle = std::thread::Builder::new()
-            .name(format!("swarm-shard-{s}"))
-            .spawn(move || shard_worker(&w_net, addr, &idx, &ctl_rx, &w_state))
-            .map_err(|e| bad("spawn shard", e))?;
-        workers.push(handle);
-        ctl_txs.push(ctl_tx);
-    }
-
-    let _ = churn;
-    let result = drive_swarm(coord, &state, &ctl_txs, members, waves, shards);
-
-    for ctl in &ctl_txs {
-        let _ = ctl.send(ShardCmd::Stop);
-    }
-    for w in workers {
-        let _ = w.join();
-    }
+    let registry = Registry::new();
+    let net = MuxNet::spawn_with_registry(MuxConfig::default(), &registry);
+    let host = MemberHost::spawn(net.dialer(addr), shards, Arc::new(RealClock::new()));
+    let result = drive_swarm(coord, &host, &registry, members, waves);
+    drop(host);
     net.shutdown();
     result
 }
@@ -724,24 +694,28 @@ pub fn run_swarm(coord: &mut dyn Coordinator) -> io::Result<()> {
 /// The swarm control loop: phases in lockstep with [`run_leader`].
 fn drive_swarm(
     coord: &mut dyn Coordinator,
-    state: &SwarmState,
-    ctl_txs: &[Sender<ShardCmd>],
+    host: &MemberHost,
+    registry: &Registry,
     members: usize,
     waves: usize,
-    shards: usize,
 ) -> io::Result<()> {
+    let state = Arc::new(SwarmState::default());
     // Join storm.
-    wait_for(&state.joined, members, "join storm")?;
-    // Quiesce before declaring ready: the storm's tail leaves shard
+    let mut originals: Vec<Option<HostedMember>> = (0..members)
+        .map(|i| admit(host, &state, i, false).map(Some))
+        .collect::<io::Result<_>>()?;
+    wait_for(&state.joined, members, "join storm", || Ok(()))?;
+    // Quiesce before declaring ready: the storm's tail leaves the swarm's
     // channels full of duplicate challenges and welcome retransmits, and
     // a wave-1 frame queued behind that backlog would measure the
-    // storm's hangover, not broadcast delivery. Wait until the shard
-    // workers stop processing events for half a second.
+    // storm's hangover, not broadcast delivery. Wait until the swarm's
+    // loop receives no frame for half a second.
     let deadline = Instant::now() + PHASE_DEADLINE;
+    let frames_in = || registry.snapshot().counter("net.loop.frames_in");
     loop {
-        let seen = state.events.load(Ordering::SeqCst);
+        let seen = frames_in();
         std::thread::sleep(Duration::from_millis(500));
-        if state.events.load(Ordering::SeqCst) == seen {
+        if frames_in() == seen {
             break;
         }
         if Instant::now() > deadline {
@@ -752,30 +726,13 @@ fn drive_swarm(
 
     // Broadcast waves arrive unannounced; ack each one. Data-plane
     // frames have no ARQ, so a wave can wedge if a member misses its
-    // frame (shed under backpressure, or a self-healed rejoin mid-wave):
-    // after a stall, ask the leader to re-send the identical payload —
-    // members dedup counted waves by the in-band t0, so re-sends only
-    // ever fill holes.
+    // frame (shed under backpressure, or a rejoin mid-wave): after a
+    // stall, ask the leader to re-send the identical payload — members
+    // dedup counted waves by the in-band t0, so re-sends only ever fill
+    // holes.
     for w in 1..=waves {
-        let target = members * w;
-        let deadline = Instant::now() + PHASE_DEADLINE;
-        let mut last_ask = Instant::now();
-        while state.broadcasts.load(Ordering::SeqCst) < target {
-            if Instant::now() > deadline {
-                return Err(bad(
-                    "broadcast wave",
-                    format!(
-                        "deadline: {}/{target}",
-                        state.broadcasts.load(Ordering::SeqCst)
-                    ),
-                ));
-            }
-            if last_ask.elapsed() >= WAVE_RESEND_ASK {
-                coord.send_line("again")?;
-                last_ask = Instant::now();
-            }
-            std::thread::sleep(POLL);
-        }
+        let again = || coord.send_line("again");
+        wait_for(&state.broadcasts, members * w, "broadcast wave", again)?;
         coord.send_line("wave done")?;
     }
 
@@ -787,7 +744,7 @@ fn drive_swarm(
         .ok_or_else(|| bad("protocol", format!("expected rekey <t0>, got {line}")))?;
     state.rekey_t0.store(t0, Ordering::SeqCst);
     coord.send_line("armed")?;
-    wait_for(&state.rekeys, members, "rekey propagation")?;
+    wait_for(&state.rekeys, members, "rekey propagation", || Ok(()))?;
     state.rekey_t0.store(0, Ordering::SeqCst);
     coord.send_line("rekey done")?;
 
@@ -797,17 +754,15 @@ fn drive_swarm(
         .strip_prefix("churn ")
         .and_then(|t| t.parse::<usize>().ok())
         .ok_or_else(|| bad("protocol", format!("expected churn <k>, got {line}")))?;
-    for (s, ctl) in ctl_txs.iter().enumerate() {
-        let leave: Vec<usize> = (s..k).step_by(shards).collect();
-        let _ = ctl.send(ShardCmd::Leave(leave));
+    for member in originals.iter_mut().take(k).filter_map(Option::take) {
+        let _ = member.leave();
     }
     coord.send_line("left")?;
     expect(coord, "rejoin")?;
-    for (s, ctl) in ctl_txs.iter().enumerate() {
-        let join: Vec<usize> = (s..k).step_by(shards).collect();
-        let _ = ctl.send(ShardCmd::Join(join));
-    }
-    wait_for(&state.rejoined, k, "churn rejoin")?;
+    let _cohort = (0..k)
+        .map(|i| admit(host, &state, i, true))
+        .collect::<io::Result<Vec<_>>>()?;
+    wait_for(&state.rejoined, k, "churn rejoin", || Ok(()))?;
     coord.send_line("churn done")?;
 
     // Report.
@@ -824,8 +779,16 @@ fn drive_swarm(
     Ok(())
 }
 
-fn wait_for(counter: &AtomicUsize, target: usize, what: &str) -> io::Result<()> {
+/// Waits for `counter` to reach `target`, running `stalled` after each
+/// [`WAVE_RESEND_ASK`] without reaching it.
+fn wait_for(
+    counter: &AtomicUsize,
+    target: usize,
+    what: &str,
+    mut stalled: impl FnMut() -> io::Result<()>,
+) -> io::Result<()> {
     let deadline = Instant::now() + PHASE_DEADLINE;
+    let mut last_ask = Instant::now();
     while counter.load(Ordering::SeqCst) < target {
         if Instant::now() > deadline {
             return Err(bad(
@@ -833,229 +796,84 @@ fn wait_for(counter: &AtomicUsize, target: usize, what: &str) -> io::Result<()> 
                 format!("deadline: {}/{target}", counter.load(Ordering::SeqCst)),
             ));
         }
+        if last_ask.elapsed() >= WAVE_RESEND_ASK {
+            stalled()?;
+            last_ask = Instant::now();
+        }
         std::thread::sleep(POLL);
     }
     Ok(())
 }
 
-/// One swarm shard: owns its members' sessions, their mux connections
-/// (via `connect_routed` into this shard's event channel), and turns
-/// incoming frames into protocol events and latency samples.
-fn shard_worker(
-    net: &MuxNet,
-    addr: SocketAddr,
-    initial: &[usize],
-    ctl_rx: &Receiver<ShardCmd>,
-    state: &Arc<SwarmState>,
-) {
-    const SWEEP_EVERY: Duration = Duration::from_secs(5);
-    let liveness = swarm_liveness();
-
-    let (ev_tx, ev_rx) = unbounded::<MuxEvent>();
-    let mut conns: HashMap<MuxToken, VMember> = HashMap::new();
-    let mut by_index: HashMap<usize, MuxToken> = HashMap::new();
-    for &i in initial {
-        join_one(net, addr, &ev_tx, i, false, &mut conns, &mut by_index);
-    }
-    let mut last_sweep = Instant::now();
-    loop {
-        if last_sweep.elapsed() >= SWEEP_EVERY {
-            last_sweep = Instant::now();
-            for (&token, vm) in &mut conns {
-                for env in vm.session.tick(vm.started.elapsed(), &liveness).frames {
-                    let _ = net.send_to(token, encode(&env).into());
-                }
-            }
-        }
-        while let Ok(cmd) = ctl_rx.try_recv() {
-            match cmd {
-                ShardCmd::Leave(indices) => {
-                    for i in indices {
-                        let Some(token) = by_index.remove(&i) else {
-                            continue;
-                        };
-                        if let Some(mut vm) = conns.remove(&token) {
-                            if let Ok(env) = vm.session.leave() {
-                                let _ = net.send_to(token, encode(&env).into());
-                            }
-                            // Graceful close: the mux flushes the leave
-                            // envelope before the FIN.
-                            net.close(token);
-                        }
-                    }
-                }
-                ShardCmd::Join(indices) => {
-                    for i in indices {
-                        join_one(net, addr, &ev_tx, i, true, &mut conns, &mut by_index);
-                    }
-                }
-                ShardCmd::Stop => return,
-            }
-        }
-        match ev_rx.recv_timeout(POLL) {
-            Ok(MuxEvent::Frame { token, frame }) => {
-                state.events.fetch_add(1, Ordering::SeqCst);
-                let Some(vm) = conns.get_mut(&token) else {
-                    continue;
-                };
-                let Ok(env) = decode::<Envelope>(&frame) else {
-                    continue;
-                };
-                let Ok(output) = vm.session.handle(&env) else {
-                    continue;
-                };
-                if let Some(reply) = output.reply {
-                    let _ = net.send_to(token, encode(&reply).into());
-                }
-                for event in output.events {
-                    record_event(state, vm, &event);
-                }
-            }
-            Ok(MuxEvent::Closed { token }) => {
-                state.events.fetch_add(1, Ordering::SeqCst);
-                // Deliberate leavers were removed from the map before
-                // their close, so anything still here died unexpectedly
-                // (accept backlog overrun, slow-consumer policy, reset).
-                // Self-heal: rejoin as a fresh session.
-                if let Some(vm) = conns.remove(&token) {
-                    eprintln!(
-                        "swarm: member {} (churn={}) lost its connection, rejoining",
-                        vm.index, vm.churn
-                    );
-                    join_one(
-                        net,
-                        addr,
-                        &ev_tx,
-                        vm.index,
-                        vm.churn,
-                        &mut conns,
-                        &mut by_index,
-                    );
-                }
-            }
-            Ok(MuxEvent::Accepted { .. }) => {}
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// The swarm's member timers, on each member's own clock (time since its
-/// join): an unwelcomed handshake is re-sent every 30 s, which only
+/// Starts original member `i` (or churn-cohort member `i`) on `host`.
+/// Its timers: an unwelcomed handshake is re-sent every 30 s, which only
 /// wedged members hit, since duplicate inits from thousands of members
-/// would swamp the leader. No heartbeats, no timeout.
-fn swarm_liveness() -> LivenessConfig {
-    LivenessConfig {
-        retransmit_base: Duration::from_secs(30),
-        retransmit_max: Duration::from_secs(30),
-        ..LivenessConfig::default()
-    }
-}
-
-fn join_one(
-    net: &MuxNet,
-    addr: SocketAddr,
-    ev_tx: &Sender<MuxEvent>,
+/// would swamp the leader. No heartbeats and no timeout, so a welcomed
+/// member arms no timer; a member whose connection drops rejoins.
+fn admit(
+    host: &MemberHost,
+    state: &Arc<SwarmState>,
     i: usize,
     churn: bool,
-    conns: &mut HashMap<MuxToken, VMember>,
-    by_index: &mut HashMap<usize, MuxToken>,
-) {
+) -> io::Result<HostedMember> {
     let (user, key) = if churn {
         (churn_member_id(i), cheap_key(CHURN_KEY_BASE + i))
     } else {
         (swarm_member_id(i), cheap_key(i))
     };
-    let (mut session, init) = MemberSession::start_with_key_in_group(
-        user,
-        leader_id(),
-        key,
-        Box::new(OsEntropyRng::new()),
-        None,
-    );
-    // A 10k-connection storm can overrun the listener's accept backlog;
-    // transient connect failures are expected, so retry with backoff.
-    let mut attempts = 0;
-    let token = loop {
-        match net.connect_routed(addr, ev_tx) {
-            Ok(token) => break token,
-            Err(e) if attempts < 100 => {
-                attempts += 1;
-                std::thread::sleep(Duration::from_millis(100));
-                let _ = e;
-            }
-            Err(e) => {
-                eprintln!("swarm: giving up on member {i} (churn={churn}): {e}");
-                return;
-            }
-        }
+    let rng = Box::new(OsEntropyRng::new());
+    let (session, init) = MemberSession::start_with_key_in_group(user, leader_id(), key, rng, None);
+    let liveness = LivenessConfig {
+        retransmit_base: Duration::from_secs(30),
+        retransmit_max: Duration::from_secs(30),
+        ..LivenessConfig::default()
     };
-    let _ = net.send_to(token, encode(&init).into());
-    // Anchor the session's handshake timer at the send.
-    session.tick(Duration::ZERO, &swarm_liveness());
-    conns.insert(
-        token,
-        VMember {
-            session,
-            started: Instant::now(),
-            index: i,
-            churn,
-            seen_waves: Vec::new(),
-        },
-    );
-    if !churn {
-        by_index.insert(i, token);
-    }
+    let options = MemberOptions {
+        liveness,
+        rejoin: true,
+        ..MemberOptions::default()
+    };
+    let sink = member_sink(Arc::clone(state), churn);
+    host.admit(session, init, options, sink)
+        .map_err(|e| bad("admit member", e))
 }
 
-fn record_event(state: &SwarmState, vm: &mut VMember, event: &MemberEvent) {
-    match event {
+/// One member's measurements: its join latency, its waves (deduplicated
+/// by the in-band t0, since the leader re-sends to fill holes) and its
+/// rekey samples.
+fn member_sink(state: Arc<SwarmState>, churn: bool) -> impl FnMut(MemberEvent) + Send {
+    let started = Instant::now();
+    let mut welcomed = false;
+    let mut seen_waves: Vec<u64> = Vec::new();
+    move |event| match event {
         MemberEvent::Welcomed { .. } => {
-            let ns = u64::try_from(vm.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if vm.churn {
-                state.rejoin_lat.lock().expect("lock").push(ns);
-                state.rejoined.fetch_add(1, Ordering::SeqCst);
-            } else {
-                state.join_lat.lock().expect("lock").push(ns);
-                state.joined.fetch_add(1, Ordering::SeqCst);
+            // The first welcome is the join. A rejoin's welcome delivers
+            // the *current* group key: a member that rejoined mid-rotation
+            // got the new epoch here, not via GroupKeyChanged, and must
+            // still count toward propagation.
+            if !std::mem::replace(&mut welcomed, true) {
+                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let (lat, count) = if churn {
+                    (&state.rejoin_lat, &state.rejoined)
+                } else {
+                    (&state.join_lat, &state.joined)
+                };
+                lat.lock().expect("lock").push(ns);
+                count.fetch_add(1, Ordering::SeqCst);
             }
-            // A welcome delivers the *current* group key: a member that
-            // self-healed mid-rotation got the new epoch here, not via
-            // GroupKeyChanged, and must still count toward propagation.
-            let t0 = state.rekey_t0.load(Ordering::SeqCst);
-            if t0 != 0 {
-                state
-                    .rekey_lat
-                    .lock()
-                    .expect("lock")
-                    .push(unix_ns().saturating_sub(t0));
-                state.rekeys.fetch_add(1, Ordering::SeqCst);
-            }
+            state.rekeyed();
         }
+        MemberEvent::GroupKeyChanged { .. } => state.rekeyed(),
         MemberEvent::Broadcast { data, .. } => {
-            if data.len() >= 8 {
-                let mut t0_bytes = [0u8; 8];
-                t0_bytes.copy_from_slice(&data[..8]);
-                let t0 = u64::from_be_bytes(t0_bytes);
-                if vm.seen_waves.contains(&t0) {
-                    return; // leader re-send filling someone else's hole
+            if let Some(t0) = data.first_chunk::<8>().map(|b| u64::from_be_bytes(*b)) {
+                if seen_waves.contains(&t0) {
+                    return;
                 }
-                vm.seen_waves.push(t0);
+                seen_waves.push(t0);
                 let ns = unix_ns().saturating_sub(t0);
                 state.bcast_lat.lock().expect("lock").push(ns);
             }
             state.broadcasts.fetch_add(1, Ordering::SeqCst);
-        }
-        MemberEvent::GroupKeyChanged { .. } => {
-            let t0 = state.rekey_t0.load(Ordering::SeqCst);
-            if t0 != 0 {
-                state
-                    .rekey_lat
-                    .lock()
-                    .expect("lock")
-                    .push(unix_ns().saturating_sub(t0));
-                state.rekeys.fetch_add(1, Ordering::SeqCst);
-            }
         }
         _ => {}
     }
@@ -1097,6 +915,27 @@ mod tests {
         assert_eq!(fields[0], "stat");
         assert_eq!(fields[1], "join");
         assert_eq!(Summary::parse_fields(&fields[2..]).unwrap(), s);
+    }
+
+    /// A member's first welcome is its join; a rejoin's welcome counts
+    /// only toward rekey propagation, and only while a rekey is armed.
+    #[test]
+    fn a_member_joins_once_however_often_it_is_welcomed() {
+        let state = Arc::new(SwarmState::default());
+        let mut sink = member_sink(Arc::clone(&state), false);
+        let welcome = || MemberEvent::Welcomed {
+            roster: enclaves_wire::Roster::new(),
+            epoch: 1,
+        };
+        sink(welcome());
+        sink(welcome());
+        assert_eq!(state.joined.load(Ordering::SeqCst), 1);
+        assert_eq!(state.join_lat.lock().unwrap().len(), 1);
+        assert_eq!(state.rekeys.load(Ordering::SeqCst), 0);
+        state.rekey_t0.store(unix_ns(), Ordering::SeqCst);
+        sink(welcome());
+        assert_eq!(state.joined.load(Ordering::SeqCst), 1);
+        assert_eq!(state.rekeys.load(Ordering::SeqCst), 1);
     }
 
     /// End-to-end rig over real sockets, both halves in-process. Small

@@ -15,11 +15,14 @@
 //!   with an explicit slow-consumer policy. Every real-socket leader, the
 //!   CLI example and the 10k-member load rig run on it.
 //!
-//! Both present the same two faces. A member holds a [`link::Link`] (a
-//! simulated link, or a [`MuxLink`]). A leader holds a [`link::Listener`]
-//! (a simulated listener, or a readiness-loop [`MuxEndpoint`]): the
-//! loop's [`MuxEvent`]s on shard channels, sends by connection token. So
-//! one service loop serves every leader, simulated or not.
+//! Both present the same two faces, the loop's [`MuxEvent`]s on channels
+//! and sends by connection token. A member host holds a
+//! [`link::Dialer`] ([`sim::SimNet::dialer`] or [`MuxNet::dialer`]),
+//! which opens connections onto the host's own channels. A leader holds
+//! a [`link::Listener`] (a simulated listener, or a readiness-loop
+//! [`MuxEndpoint`]): every connection's events on shard channels. So one
+//! host serves every member and one service loop every leader, simulated
+//! or not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,5 +34,5 @@ pub mod sim;
 mod error;
 
 pub use error::NetError;
-pub use link::{Frame, Link, Listener};
-pub use mux::{MuxConfig, MuxEndpoint, MuxEvent, MuxLink, MuxNet, MuxOverflow, MuxToken};
+pub use link::{Dialer, Frame, Link, Listener};
+pub use mux::{MuxConfig, MuxEndpoint, MuxEvent, MuxNet, MuxOverflow, MuxToken};

@@ -1,17 +1,18 @@
-//! Transport abstraction: member links and the leader's front end.
+//! Transport abstraction: the member's dialer and the leader's front end.
 //!
 //! Enclaves uses a star topology (Figure 1): every member holds one
-//! bidirectional point-to-point link to the leader. A [`Link`] is the
-//! member's end of such a connection; a [`Listener`] is the leader's end
-//! of all of them at once, as the readiness loop presents them: every
-//! connection's [`MuxEvent`]s on a fixed set of shard channels, and
-//! sends addressed by connection token. The deterministic simulator
-//! ([`crate::sim`]) and the readiness-loop transport ([`crate::mux`])
-//! implement both, so the member runtime and the leader service are
-//! transport-agnostic.
+//! point-to-point link to the leader. Both ends see a connection as the
+//! readiness loop presents it: its [`MuxEvent`]s (frames, then one
+//! `Closed`) on a channel, and sends by connection token. A [`Dialer`]
+//! opens a member's connections onto a caller's channel; a [`Listener`]
+//! is every connection made to the leader, on shard channels. The
+//! simulator ([`crate::sim`]) and the readiness loop ([`crate::mux`])
+//! implement both. A [`Link`] is one dialled connection on a private
+//! channel, for code that holds a single connection (tests, raw-frame
+//! attacks).
 
 use crate::{MuxEvent, MuxToken, NetError};
-use crossbeam_channel::Receiver;
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,27 +23,100 @@ use std::time::Duration;
 /// hold-back queue) without one deep copy per recipient.
 pub type Frame = Arc<[u8]>;
 
-/// One end of a duplex, frame-oriented, *insecure* connection.
-///
-/// Frames are opaque shared byte buffers; the transport guarantees nothing
-/// about confidentiality, integrity, or even delivery — that is the
-/// protocol layer's job.
-pub trait Link: Send {
+/// The member-side front end: opens connections to one leader. A
+/// connection's frames, then one [`MuxEvent::Closed`] once it is gone,
+/// arrive on the channel it was dialled onto. Sends are by token and, as
+/// on any insecure transport, guaranteed nothing.
+pub trait Dialer: Send + Sync {
+    /// Opens a connection whose events are delivered on `events`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Io`] or [`NetError::UnknownPeer`] if the leader cannot
+    /// be reached, [`NetError::Disconnected`] if the transport has shut
+    /// down.
+    fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError>;
+
+    /// Sends one frame on connection `token`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] if the transport has shut down.
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError>;
+
+    /// Closes connection `token` once the frames already sent on it have
+    /// left; its `Closed` follows on its channel.
+    fn close(&self, token: MuxToken);
+}
+
+/// One dialled connection on a private channel; dropping it closes the
+/// connection.
+pub struct Link {
+    dialer: Arc<dyn Dialer>,
+    token: MuxToken,
+    incoming: Receiver<MuxEvent>,
+}
+
+impl std::fmt::Debug for Link {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Link").field("token", &self.token).finish()
+    }
+}
+
+impl Link {
+    /// Dials one connection through `dialer`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Dialer::dial`] returns.
+    pub fn dial(dialer: Arc<dyn Dialer>) -> Result<Link, NetError> {
+        let (tx, incoming) = unbounded();
+        let token = dialer.dial(&tx)?;
+        Ok(Link {
+            dialer,
+            token,
+            incoming,
+        })
+    }
+
+    /// The connection's token (on the simulator, the connection index the
+    /// adversary and the partition/kill calls use).
+    #[must_use]
+    pub fn token(&self) -> MuxToken {
+        self.token
+    }
+
     /// Sends one frame.
     ///
     /// # Errors
     ///
-    /// [`NetError::Disconnected`] if the peer is gone, [`NetError::Io`] on
-    /// transport failure.
-    fn send(&self, frame: Frame) -> Result<(), NetError>;
+    /// [`NetError::Disconnected`] if the transport has shut down.
+    pub fn send(&self, frame: Frame) -> Result<(), NetError> {
+        self.dialer.send_to(self.token, frame)
+    }
 
     /// Receives one frame, waiting up to `timeout`.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] if nothing arrived, [`NetError::Disconnected`]
-    /// if the peer is gone.
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError>;
+    /// once the connection is gone.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
+        match self.incoming.recv_timeout(timeout) {
+            Ok(MuxEvent::Frame { frame, .. }) => Ok(frame),
+            // The transport drops the channel's sender with the `Closed`,
+            // so every later call lands on `Disconnected` too.
+            Ok(MuxEvent::Closed { .. } | MuxEvent::Accepted { .. })
+            | Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+            Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+        }
+    }
+}
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.dialer.close(self.token);
+    }
 }
 
 /// The leader-side front end: every connection made to one listening
@@ -50,7 +124,7 @@ pub trait Link: Send {
 ///
 /// Each connection's events arrive on one shard, in order: `Accepted`,
 /// its frames, then at most one `Closed`. Outbound frames are addressed
-/// by the connection's token and, like a [`Link`]'s, guaranteed nothing:
+/// by the connection's token and, like a [`Dialer`]'s, guaranteed nothing:
 /// a frame to a closed connection is dropped.
 pub trait Listener: Send + Sync {
     /// Takes the shard receivers (once; later calls return none). A
@@ -71,14 +145,4 @@ pub trait Listener: Send + Sync {
     ///
     /// [`NetError::Disconnected`] if the transport has shut down.
     fn multicast(&self, tokens: Vec<MuxToken>, frame: Frame) -> Result<(), NetError>;
-}
-
-impl Link for Box<dyn Link> {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        (**self).send(frame)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        (**self).recv_timeout(timeout)
-    }
 }

@@ -29,15 +29,16 @@
 //! handlers and the load-test swarm stay at a bounded thread count
 //! regardless of connection count.
 //! [`MuxNet::connect_routed`] dials out onto a caller's channel, and
-//! [`MuxNet::connect`] wraps that in a [`MuxLink`]: the client adapter
-//! implementing the [`Link`] contract `MemberRuntime` consumes.
+//! [`MuxNet::dialer`] wraps that as the loop's [`Dialer`], the member
+//! host's transport; [`MuxNet::connect`] is one such connection as a
+//! [`Link`].
 //!
 //! Loop health is observable through `enclaves-obs` as `net.loop.*`:
 //! poll iterations, readiness events, wakeups, frames in/out, partial
 //! writes, multicasts and their fan-out time, queue depth, and the
 //! overflow counters backing the slow-consumer policy.
 
-use crate::{Frame, Link, Listener, NetError};
+use crate::{Dialer, Frame, Link, Listener, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use enclaves_obs::{Counter, Gauge, Histogram, Registry};
 use enclaves_wire::framing::MAX_FRAME_LEN;
@@ -374,28 +375,31 @@ impl MuxNet {
         Ok(stream)
     }
 
-    /// Connects to `addr` as a [`Link`]: the returned [`MuxLink`] is a
-    /// [`MuxNet::connect_routed`] connection on a private channel, with
-    /// the socket owned by the loop instead of a reader thread.
+    /// A [`Dialer`] to `addr`: each dial is a
+    /// [`MuxNet::connect_routed`] connection, with the socket owned by the
+    /// loop instead of a reader thread.
+    #[must_use]
+    pub fn dialer(&self, addr: SocketAddr) -> Arc<dyn Dialer> {
+        Arc::new(MuxDialer {
+            net: self.clone(),
+            addr,
+        })
+    }
+
+    /// Connects to `addr` as a [`Link`] on a private channel.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on connection failure, [`NetError::Disconnected`]
     /// if the loop has shut down.
-    pub fn connect(&self, addr: SocketAddr) -> Result<MuxLink, NetError> {
-        let (tx, rx) = unbounded();
-        let token = self.connect_routed(addr, &tx)?;
-        Ok(MuxLink {
-            net: self.clone(),
-            token,
-            incoming: rx,
-        })
+    pub fn connect(&self, addr: SocketAddr) -> Result<Link, NetError> {
+        Link::dial(self.dialer(addr))
     }
 
     /// Connects to `addr`: frames and the close arrive as [`MuxEvent`]s
     /// on `events`, outbound goes through [`MuxNet::send_to`]. Used by
     /// consumers multiplexing many connections onto few threads (the
-    /// load-test swarm).
+    /// member host, through [`MuxNet::dialer`]).
     ///
     /// # Errors
     ///
@@ -526,52 +530,23 @@ impl MuxNet {
     }
 }
 
-/// A duplex client link whose socket lives on the [`MuxNet`] event loop —
-/// no per-connection threads.
-pub struct MuxLink {
+/// [`MuxNet::dialer`]: connections to one address on this loop.
+struct MuxDialer {
     net: MuxNet,
-    token: MuxToken,
-    incoming: Receiver<MuxEvent>,
+    addr: SocketAddr,
 }
 
-impl std::fmt::Debug for MuxLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxLink")
-            .field("token", &self.token)
-            .finish()
-    }
-}
-
-impl MuxLink {
-    /// This link's loop token.
-    #[must_use]
-    pub fn token(&self) -> MuxToken {
-        self.token
-    }
-}
-
-impl Link for MuxLink {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        self.net.send_to(self.token, frame)
+impl Dialer for MuxDialer {
+    fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError> {
+        self.net.connect_routed(self.addr, events)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        match self.incoming.recv_timeout(timeout) {
-            Ok(MuxEvent::Frame { frame, .. }) => Ok(frame),
-            // The loop drops the channel's sender right after `Closed`,
-            // so every later call lands on `Disconnected` too.
-            Ok(MuxEvent::Closed { .. } | MuxEvent::Accepted { .. })
-            | Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
-        }
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError> {
+        self.net.send_to(token, frame)
     }
-}
 
-impl Drop for MuxLink {
-    fn drop(&mut self) {
-        // Dropping the handle closes the connection (after the loop
-        // drains anything already queued).
-        self.net.close(self.token);
+    fn close(&self, token: MuxToken) {
+        self.net.close(token);
     }
 }
 
@@ -1125,7 +1100,7 @@ mod tests {
     }
 
     /// One client link and the connection the listener accepted for it.
-    fn pair(net: &MuxNet) -> (MuxLink, Server) {
+    fn pair(net: &MuxNet) -> (Link, Server) {
         let mut endpoint = net.listen_events(loopback(), 1).unwrap();
         let client = net.connect(endpoint.local_addr()).unwrap();
         let rx = endpoint.take_shards().pop().unwrap();
@@ -1398,7 +1373,7 @@ mod tests {
 
     /// Links on `net` to `addr`, each having sent its index as a one-byte
     /// hello frame.
-    fn hello_links(net: &MuxNet, addr: SocketAddr, n: u8) -> Vec<MuxLink> {
+    fn hello_links(net: &MuxNet, addr: SocketAddr, n: u8) -> Vec<Link> {
         (0..n)
             .map(|i| {
                 let link = net.connect(addr).unwrap();

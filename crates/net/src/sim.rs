@@ -1,12 +1,12 @@
 //! Deterministic simulated network with fault injection and a Dolev-Yao
 //! adversary tap.
 //!
-//! A [`SimNet`] hosts named listeners. A member connects to one by name
-//! and holds a [`SimLink`]; the leader holds the [`SimListener`], which
-//! presents every connection the way the readiness loop does: an
-//! `Accepted` event, the connection's frames, and one `Closed` when it is
-//! killed, all on one shard, with sends addressed by connection token
-//! ([`crate::Listener`]). Each connection is two fault-injecting directed
+//! A [`SimNet`] hosts named listeners. A member dials one by name through
+//! [`SimNet::dialer`]; the leader holds the [`SimListener`]. Both see a
+//! connection as the readiness loop presents it: the leader `Accepted`,
+//! the frames and one `Closed` on its one shard, the member the frames
+//! and one `Closed` on the channel it dialled onto, with sends addressed
+//! by connection token. Each connection is two fault-injecting directed
 //! "wires". All frames (including dropped ones) are copied to the
 //! [`Adversary`], which can also inject arbitrary frames
 //! into either end of any connection — exactly the attacker of
@@ -22,8 +22,8 @@
 //!   direction of one connection until healed; frames sent into the
 //!   outage are observed on the tap but never delivered;
 //! * **endpoint kill** — [`SimNet::kill`] severs a connection: the member
-//!   sees [`NetError::Disconnected`] and the listener one `Closed`, each
-//!   after the frames already delivered; held frames are discarded, and
+//!   and the listener each see one `Closed`, after the frames already
+//!   delivered; held frames are discarded, and
 //!   nothing ever flows again (a crash mid-handshake or mid-session).
 //!
 //! Determinism: all fault decisions come from a single seeded RNG, and
@@ -34,19 +34,18 @@
 //! than wall-clock time, which keeps runs seed-reproducible.
 //!
 //! Held-back frames (reorder holdbacks and delayed frames) are flushed to
-//! their receiver when the sending end — the member's link or the
-//! leader's listener — is dropped, or when [`SimNet::flush_all`] is
+//! their receiver when the sending end — the member's connection or the
+//! leader's listener — is closed, or when [`SimNet::flush_all`] is
 //! called, so the tail frame of a burst is never stranded behind a fault
 //! that only releases on the next send.
 
-use crate::{Frame, Link, Listener, MuxEvent, MuxToken, NetError};
+use crate::{Dialer, Frame, Link, Listener, MuxEvent, MuxToken, NetError};
 use crossbeam_channel::{unbounded, Receiver, Sender, TrySendError};
 use enclaves_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Fault-injection configuration for every wire in a [`SimNet`].
 #[derive(Clone, Copy, Debug)]
@@ -184,7 +183,8 @@ impl NetObs {
 }
 
 struct Wire {
-    /// The receiving end's channel: the member's, or the listener's shard.
+    /// The receiving end's channel: the one the member dialled onto, or
+    /// the listener's shard.
     /// Every delivery is a [`MuxEvent::Frame`] naming the connection.
     tx: Sender<MuxEvent>,
     /// Held-back frame for pairwise reordering.
@@ -337,34 +337,28 @@ impl SimNet {
         self.inner.lock().listeners.remove(name).is_some()
     }
 
-    /// Connects to the listener `to_name`, returning the member-side link;
-    /// the listener sees `Accepted` with the connection index as token.
-    /// `_from_name` is the connector's name, untrusted and not kept.
+    /// A [`Dialer`] to the listener `to_name`: each dial is a new
+    /// connection, which the listener sees `Accepted` with the connection
+    /// index as token and whose leader-bound frames reach the dialler's
+    /// channel.
+    #[must_use]
+    pub fn dialer(&self, to_name: &str) -> Arc<dyn Dialer> {
+        Arc::new(SimDialer {
+            net: self.clone(),
+            to: to_name.to_string(),
+        })
+    }
+
+    /// Connects to the listener `to_name` as a [`Link`] on a private
+    /// channel. `_from_name` is the connector's name, untrusted and not
+    /// kept.
     ///
     /// # Errors
     ///
     /// [`NetError::UnknownPeer`] if no such listener exists,
     /// [`NetError::Disconnected`] if its front end has stopped reading.
-    pub fn connect(&self, _from_name: &str, to_name: &str) -> Result<SimLink, NetError> {
-        let mut inner = self.inner.lock();
-        let Some(listener) = inner.listeners.get(to_name).cloned() else {
-            return Err(NetError::UnknownPeer(to_name.to_string()));
-        };
-        let conn = inner.connections.len();
-        listener
-            .send(MuxEvent::Accepted { token: conn })
-            .map_err(|_| NetError::Disconnected)?;
-        let (to_connector_tx, to_connector_rx) = unbounded();
-        inner.connections.push(Connection {
-            to_listener: Wire::new(listener),
-            to_connector: Wire::new(to_connector_tx),
-            killed: false,
-        });
-        Ok(SimLink {
-            net: self.clone(),
-            conn,
-            rx: to_connector_rx,
-        })
+    pub fn connect(&self, _from_name: &str, to_name: &str) -> Result<Link, NetError> {
+        Link::dial(self.dialer(to_name))
     }
 
     /// Replaces the fault configuration at runtime (the RNG stream is
@@ -396,10 +390,9 @@ impl SimNet {
     }
 
     /// Severs connection `conn` permanently: once their receive queues
-    /// drain, the member observes [`NetError::Disconnected`] and the
-    /// listener one `Closed`; held frames are discarded, and all future
-    /// sends vanish. Models an endpoint crash or a connection reset
-    /// mid-handshake or mid-session.
+    /// drain, the member and the listener each observe one `Closed`; held
+    /// frames are discarded, and all future sends vanish. Models an
+    /// endpoint crash or a connection reset mid-handshake or mid-session.
     pub fn kill(&self, conn: usize) {
         let mut inner = self.inner.lock();
         let Some(connection) = inner.connections.get_mut(conn) else {
@@ -409,13 +402,11 @@ impl SimNet {
             return;
         }
         connection.killed = true;
-        let _ = connection
-            .to_listener
-            .tx
-            .send(MuxEvent::Closed { token: conn });
-        // Replace both senders with one whose receiver is already gone:
-        // the member's channel loses its last sender, so its receive loop
-        // sees Disconnected after draining.
+        for wire in [&connection.to_listener, &connection.to_connector] {
+            let _ = wire.tx.send(MuxEvent::Closed { token: conn });
+        }
+        // Replace both senders with one whose receiver is already gone, as
+        // the readiness loop drops a connection's sender with its `Closed`.
         let (dead_tx, _) = unbounded();
         let mut discarded = 0usize;
         for dir in [Direction::ToListener, Direction::ToConnector] {
@@ -607,55 +598,45 @@ impl SimNet {
     }
 }
 
-/// The member's end of a simulated connection.
-pub struct SimLink {
+/// [`SimNet::dialer`]: connections to one listener name.
+struct SimDialer {
     net: SimNet,
-    conn: usize,
-    rx: Receiver<MuxEvent>,
+    to: String,
 }
 
-impl std::fmt::Debug for SimLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimLink").field("conn", &self.conn).finish()
+impl Dialer for SimDialer {
+    fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError> {
+        let mut inner = self.net.inner.lock();
+        let Some(listener) = inner.listeners.get(&self.to).cloned() else {
+            return Err(NetError::UnknownPeer(self.to.clone()));
+        };
+        let conn = inner.connections.len();
+        listener
+            .send(MuxEvent::Accepted { token: conn })
+            .map_err(|_| NetError::Disconnected)?;
+        inner.connections.push(Connection {
+            to_listener: Wire::new(listener),
+            to_connector: Wire::new(events.clone()),
+            killed: false,
+        });
+        Ok(conn)
     }
-}
 
-impl SimLink {
-    /// The connection index this link belongs to (matches the adversary's
-    /// and the partition/kill APIs' numbering).
-    #[must_use]
-    pub fn conn_id(&self) -> usize {
-        self.conn
-    }
-}
-
-impl Drop for SimLink {
-    /// Closing a link flushes any frames this endpoint sent that a fault
-    /// was still holding (reorder holdback, virtual delay): the bytes were
-    /// committed to the wire before the close, so the network eventually
-    /// delivers them rather than stranding the tail of a burst.
-    fn drop(&mut self) {
+    fn send_to(&self, token: MuxToken, frame: Frame) -> Result<(), NetError> {
         self.net
-            .inner
-            .lock()
-            .flush_wire(self.conn, Direction::ToListener);
-    }
-}
-
-impl Link for SimLink {
-    fn send(&self, frame: Frame) -> Result<(), NetError> {
-        self.net
-            .transmit(self.conn, Direction::ToListener, frame, false);
+            .transmit(token, Direction::ToListener, frame, false);
         Ok(())
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<Frame, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(MuxEvent::Frame { frame, .. }) => Ok(frame),
-            // Only frames are sent here; a kill drops the last sender.
-            Ok(MuxEvent::Accepted { .. } | MuxEvent::Closed { .. })
-            | Err(crossbeam_channel::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
+    /// Flushes what this end sent that a fault still holds (the bytes were
+    /// committed before the close), then closes the member's side as the
+    /// readiness loop does. The listener is not told.
+    fn close(&self, token: MuxToken) {
+        let mut inner = self.net.inner.lock();
+        inner.flush_wire(token, Direction::ToListener);
+        if let Some(connection) = inner.connections.get_mut(token) {
+            let _ = connection.to_connector.tx.send(MuxEvent::Closed { token });
+            connection.to_connector.tx = unbounded().0;
         }
     }
 }
@@ -697,7 +678,7 @@ impl Listener for SimListener {
 
 impl Drop for SimListener {
     /// Closing the front end flushes the frames it sent that a fault was
-    /// still holding, as a member's [`SimLink`] does for its own.
+    /// still holding, as a member's [`Dialer::close`] does for its own.
     fn drop(&mut self) {
         let mut inner = self.net.inner.lock();
         for conn in 0..inner.connections.len() {
@@ -778,6 +759,7 @@ impl Adversary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     const TO: Duration = Duration::from_millis(200);
 
@@ -896,7 +878,7 @@ mod tests {
         member.send(b"b"[..].into()).unwrap();
         let registry = net.obs_registry();
         assert!(registry.snapshot().gauge("net.holdback_depth") > 0);
-        net.kill(member.conn_id());
+        net.kill(member.token());
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("net.holdback_depth"), 0);
         assert_eq!(snap.counter("net.killed"), 1);
@@ -1231,8 +1213,8 @@ mod tests {
         let _listener = net.listen("leader").unwrap();
         let a = net.connect("alice", "leader").unwrap();
         let b = net.connect("bob", "leader").unwrap();
-        assert_eq!(a.conn_id(), 0);
-        assert_eq!(b.conn_id(), 1);
+        assert_eq!(a.token(), 0);
+        assert_eq!(b.token(), 1);
     }
 
     /// A kill reaches the listener as exactly one `Closed`, behind the
@@ -1249,8 +1231,8 @@ mod tests {
             ..SimConfig::default()
         });
         member.send(b"held"[..].into()).unwrap();
-        net.kill(member.conn_id());
-        net.kill(member.conn_id());
+        net.kill(member.token());
+        net.kill(member.token());
         member.send(b"after"[..].into()).unwrap();
         drop(member);
 
@@ -1266,6 +1248,34 @@ mod tests {
             })
             .collect();
         assert_eq!(events, ["accepted 0", "0 one", "0 two", "closed 0"]);
+    }
+
+    /// A kill reaches a dialer's channel as one `Closed` naming the
+    /// connection, behind the frames already delivered, as a reset does
+    /// on the readiness loop; nothing follows it.
+    #[test]
+    fn kill_closes_the_dialer_side_once_after_delivered_frames() {
+        let net = reliable();
+        let leader = Leader::new(&net);
+        let (tx, rx) = unbounded();
+        let dialer = net.dialer("leader");
+        let token = dialer.dial(&tx).unwrap();
+        let leader_side = leader.accept();
+        leader_side.send(b"before"[..].into()).unwrap();
+        net.kill(token);
+        net.kill(token);
+        leader_side.send(b"after"[..].into()).unwrap();
+
+        let events: Vec<String> = rx
+            .try_iter()
+            .map(|e| match e {
+                MuxEvent::Frame { token, frame } => {
+                    format!("{token} {}", String::from_utf8_lossy(&frame))
+                }
+                other => format!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(events, ["0 before", "Closed { token: 0 }"]);
     }
 
     /// Closing the front end flushes what it sent that a fault still held.
@@ -1289,7 +1299,7 @@ mod tests {
     fn multicast_transmits_in_list_order() {
         let net = reliable();
         let leader = Leader::new(&net);
-        let members: Vec<SimLink> = ["a", "b", "c"]
+        let members: Vec<Link> = ["a", "b", "c"]
             .iter()
             .map(|name| net.connect(name, "leader").unwrap())
             .collect();
@@ -1312,7 +1322,7 @@ mod tests {
     fn multicast_skips_unknown_tokens() {
         let net = reliable();
         let leader = Leader::new(&net);
-        let members: Vec<SimLink> = ["a", "b"]
+        let members: Vec<Link> = ["a", "b"]
             .iter()
             .map(|name| net.connect(name, "leader").unwrap())
             .collect();

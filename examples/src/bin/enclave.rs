@@ -174,9 +174,8 @@ fn run_member(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let password = flag_value(args, "--password").ok_or("--password required")?;
 
     let net = MuxNet::spawn(MuxConfig::default());
-    let link = net.connect(connect.parse()?)?;
     let member = MemberRuntime::connect(
-        Box::new(link),
+        net.dialer(connect.parse()?),
         ActorId::new(user)?,
         ActorId::new("leader")?,
         password,

@@ -56,9 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut members = Vec::new();
     for user in users {
-        let link = net.connect(user, "leader")?;
         let member = MemberRuntime::connect(
-            Box::new(link),
+            net.dialer("leader"),
             ActorId::new(user)?,
             ActorId::new("leader")?,
             &format!("{user}-pw"),

@@ -43,9 +43,8 @@ fn connect(
         Box::new(OsEntropyRng::new()),
         None,
     );
-    let link = Box::new(net.connect(user, "leader")?);
     Ok(MemberRuntime::run(
-        link,
+        net.dialer("leader"),
         session,
         init,
         MemberOptions::default(),

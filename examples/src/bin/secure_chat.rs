@@ -48,9 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Everyone joins over TCP.
     let mut members = Vec::new();
     for user in users {
-        let link = client.connect(addr)?;
         let member = MemberRuntime::connect(
-            Box::new(link),
+            client.dialer(addr),
             ActorId::new(user)?,
             ActorId::new("leader")?,
             &format!("{user}-secret"),

@@ -9,7 +9,6 @@ use enclaves_core::directory::Directory;
 use enclaves_core::protocol::MemberEvent;
 use enclaves_core::runtime::{GroupHandle, LeaderService, MemberRuntime, ServiceConfig};
 use enclaves_net::sim::{Direction, SimConfig, SimNet};
-use enclaves_net::Link;
 use enclaves_wire::{ActorId, Roster};
 use std::time::Duration;
 
@@ -53,9 +52,8 @@ fn world(users: &[&str]) -> World {
 }
 
 fn join(world: &World, user: &str) -> MemberRuntime {
-    let link = world.net.connect(user, "leader").unwrap();
     let member = MemberRuntime::connect(
-        Box::new(link),
+        world.net.dialer("leader"),
         id(user),
         id("leader"),
         &format!("{user}-pw"),

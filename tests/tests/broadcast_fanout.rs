@@ -55,10 +55,13 @@ fn broadcast_reaches_512_members_with_one_seal() {
                 Box::new(SeededRng::from_seed(9000 + i as u64)),
                 None,
             );
-            let link = net.connect(member_id(i).as_str(), "leader").unwrap();
-            let member =
-                MemberRuntime::run(Box::new(link), session, init, MemberOptions::default())
-                    .unwrap();
+            let member = MemberRuntime::run(
+                net.dialer("leader"),
+                session,
+                init,
+                MemberOptions::default(),
+            )
+            .unwrap();
             member.wait_joined(WAIT).unwrap();
             member
         })

@@ -196,8 +196,7 @@ fn stale_journal_restore_is_fenced_not_rewound() {
         .add_group(leader.clone(), directory, LeaderConfig::default())
         .expect("fresh service");
 
-    let link = net.connect("alice", "svc").expect("leader listening");
-    let rt = MemberRuntime::connect(Box::new(link), alice.clone(), leader, "alice-pw")
+    let rt = MemberRuntime::connect(net.dialer("svc"), alice.clone(), leader, "alice-pw")
         .expect("handshake starts");
     rt.wait_joined(wait).expect("welcome");
 
@@ -272,8 +271,7 @@ fn journaled_event_mode_service_restarts_from_its_directory() {
             Some(group.clone()),
         )
         .expect("password derives");
-        let link = Box::new(net.connect(addr).expect("leader listening"));
-        let rt = MemberRuntime::run(link, session, init, MemberOptions::default())
+        let rt = MemberRuntime::run(net.dialer(addr), session, init, MemberOptions::default())
             .expect("handshake starts");
         rt.wait_joined(wait).expect("welcome");
         rt

@@ -50,9 +50,8 @@ fn world(users: &[&str], policy: RekeyPolicy) -> World {
 }
 
 fn join(world: &World, user: &str) -> MemberRuntime {
-    let link = world.net.connect(user, "leader").unwrap();
     let member = MemberRuntime::connect(
-        Box::new(link),
+        world.net.dialer("leader"),
         id(user),
         id("leader"),
         &format!("{user}-pw"),
@@ -271,9 +270,13 @@ fn leader_events_reflect_lifecycle() {
 #[test]
 fn unknown_user_cannot_join() {
     let world = world(&["alice"], RekeyPolicy::Manual);
-    let link = world.net.connect("mallory", "leader").unwrap();
-    let mallory =
-        MemberRuntime::connect(Box::new(link), id("mallory"), id("leader"), "mallory-pw").unwrap();
+    let mallory = MemberRuntime::connect(
+        world.net.dialer("leader"),
+        id("mallory"),
+        id("leader"),
+        "mallory-pw",
+    )
+    .unwrap();
     assert!(mallory.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     mallory.abandon();
@@ -283,10 +286,13 @@ fn unknown_user_cannot_join() {
 #[test]
 fn wrong_password_cannot_join() {
     let world = world(&["alice"], RekeyPolicy::Manual);
-    let link = world.net.connect("alice", "leader").unwrap();
-    let imposter =
-        MemberRuntime::connect(Box::new(link), id("alice"), id("leader"), "wrong-password")
-            .unwrap();
+    let imposter = MemberRuntime::connect(
+        world.net.dialer("leader"),
+        id("alice"),
+        id("leader"),
+        "wrong-password",
+    )
+    .unwrap();
     assert!(imposter.wait_joined(Duration::from_millis(300)).is_err());
     assert!(world.leader.roster().is_empty());
     imposter.abandon();

@@ -46,21 +46,11 @@ fn run_under_loss(drop_prob: f64, seed: u64) {
         .unwrap();
 
     // Joins complete despite losses (handshake ARQ).
-    let alice = MemberRuntime::connect(
-        Box::new(net.connect("alice", "leader").unwrap()),
-        id("alice"),
-        id("leader"),
-        "alice-pw",
-    )
-    .unwrap();
+    let alice = MemberRuntime::connect(net.dialer("leader"), id("alice"), id("leader"), "alice-pw")
+        .unwrap();
     alice.wait_joined(WAIT).expect("alice join under loss");
-    let bob = MemberRuntime::connect(
-        Box::new(net.connect("bob", "leader").unwrap()),
-        id("bob"),
-        id("leader"),
-        "bob-pw",
-    )
-    .unwrap();
+    let bob =
+        MemberRuntime::connect(net.dialer("leader"), id("bob"), id("leader"), "bob-pw").unwrap();
     bob.wait_joined(WAIT).expect("bob join under loss");
 
     // Admin broadcasts arrive exactly once each, in order, despite the
@@ -119,13 +109,8 @@ fn retransmission_does_not_weaken_replay_defense() {
     let leader = service
         .add_group(id("leader"), directory, LeaderConfig::default())
         .unwrap();
-    let alice = MemberRuntime::connect(
-        Box::new(net.connect("alice", "leader").unwrap()),
-        id("alice"),
-        id("leader"),
-        "alice-pw",
-    )
-    .unwrap();
+    let alice = MemberRuntime::connect(net.dialer("leader"), id("alice"), id("leader"), "alice-pw")
+        .unwrap();
     alice.wait_joined(WAIT).unwrap();
     leader.broadcast(b"one").unwrap();
     alice
@@ -190,7 +175,7 @@ fn member_chat_under_loss_is_delivered_at_most_once_in_order() {
         .into_iter()
         .map(|user| {
             let member = MemberRuntime::connect(
-                Box::new(net.connect(user, "leader").unwrap()),
+                net.dialer("leader"),
                 id(user),
                 id("leader"),
                 &format!("{user}-pw"),

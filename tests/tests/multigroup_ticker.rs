@@ -77,8 +77,8 @@ fn add_group(
 /// Joins `user` into `tag` and returns the runtime plus the sim conn id
 /// (for wire kills).
 fn join(net: &SimNet, tag: &str, user: &str, handle: &GroupHandle) -> (MemberRuntime, usize) {
-    let link = net.connect(&format!("{tag}-{user}"), "svc").unwrap();
-    let conn = link.conn_id();
+    // The member's dial opens the net's next connection.
+    let conn = net.adversary().connections();
     let (session, init) = MemberSession::start_in_group(
         id(user),
         id("leader"),
@@ -87,7 +87,7 @@ fn join(net: &SimNet, tag: &str, user: &str, handle: &GroupHandle) -> (MemberRun
     )
     .unwrap();
     let member =
-        MemberRuntime::run(Box::new(link), session, init, MemberOptions::default()).unwrap();
+        MemberRuntime::run(net.dialer("svc"), session, init, MemberOptions::default()).unwrap();
     member.wait_joined(WAIT).unwrap();
     handle.wait_member(&id(user), WAIT).unwrap();
     (member, conn)

@@ -110,7 +110,7 @@ fn slow_consumer_is_disconnected_not_obeyed() {
     // leader loop's cap and registry count only the leader's queues.
     let client = MuxNet::spawn(MuxConfig::default());
     let healthy = enclaves_core::runtime::MemberRuntime::connect(
-        Box::new(client.connect(addr).unwrap()),
+        client.dialer(addr),
         id("healthy"),
         id("leader"),
         "healthy-pw",
@@ -227,7 +227,7 @@ fn drop_newest_sheds_frames_but_keeps_the_connection() {
     // leader loop's cap and registry count only the leader's queues.
     let client = MuxNet::spawn(MuxConfig::default());
     let healthy = enclaves_core::runtime::MemberRuntime::connect(
-        Box::new(client.connect(addr).unwrap()),
+        client.dialer(addr),
         id("healthy"),
         id("leader"),
         "healthy-pw",

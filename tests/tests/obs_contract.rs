@@ -177,11 +177,10 @@ fn runtime_honest_flow_emits_every_mapped_kind() {
     let stream = EventStream::new();
     leader.attach_event_stream(stream.clone());
 
-    let link = net.connect("alice", "leader").unwrap();
     let (session, init) =
         MemberSession::start_in_group(id("alice"), id("leader"), "alice-pw", None).unwrap();
     let alice = MemberRuntime::run(
-        Box::new(link),
+        net.dialer("leader"),
         session,
         init,
         MemberOptions {

@@ -78,7 +78,7 @@ fn run_pk(
         None,
     );
     MemberRuntime::run(
-        Box::new(net.connect(user, "leader").unwrap()),
+        net.dialer("leader"),
         session,
         init,
         MemberOptions::default(),
@@ -164,13 +164,8 @@ fn pk_and_password_members_coexist() {
     let alice = run_pk(&net, "alice", &alice_secret, &leader_secret.public_key());
     alice.wait_joined(WAIT).unwrap();
 
-    let bob = MemberRuntime::connect(
-        Box::new(net.connect("bob", "leader").unwrap()),
-        id("bob"),
-        id("leader"),
-        "bob-pw",
-    )
-    .unwrap();
+    let bob =
+        MemberRuntime::connect(net.dialer("leader"), id("bob"), id("leader"), "bob-pw").unwrap();
     bob.wait_joined(WAIT).unwrap();
 
     assert_eq!(leader.roster(), Roster::from_iter([id("alice"), id("bob")]));

@@ -1,8 +1,8 @@
 //! The same protocol stack over real TCP: a leader service on the
 //! readiness loop ([`LeaderService::spawn_mux`]: event shards, no
 //! per-connection threads) and members dialing it from a second loop
-//! through the `MuxLink` client adapter — every socket on both sides
-//! owned by a `MuxNet` event-loop thread.
+//! through the loop's dialer, hosted by one-shard member hosts — every
+//! socket on both sides owned by a `MuxNet` event-loop thread.
 
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
@@ -54,9 +54,8 @@ impl Loopback {
     }
 
     fn join(&self, user: &str) -> MemberRuntime {
-        let link = self.client.connect(self.addr).unwrap();
         let member = MemberRuntime::connect(
-            Box::new(link),
+            self.client.dialer(self.addr),
             id(user),
             id("leader"),
             &format!("{user}-pw"),
