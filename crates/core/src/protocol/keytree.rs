@@ -373,7 +373,7 @@ impl KeyTree {
 
     /// Adds a member, reusing the first blank leaf or extending the tree,
     /// and refreshes the new leaf's path with a fresh leaf secret. The
-    /// joiner itself learns its path out of band (admin `PathSync`); the
+    /// joiner itself learns its path from its `TreeWelcome`; the
     /// returned plan's seals cover everyone else.
     ///
     /// # Panics
@@ -585,8 +585,8 @@ impl KeyTree {
 // ---------------------------------------------------------------------------
 
 /// A member's view of the tree: its leaf slot and the keys on its direct
-/// path, updated from admin `PathSync` payloads and broadcast path
-/// updates.
+/// path, installed from an admin `TreeWelcome` or `PathSync` and
+/// advanced by broadcast path updates.
 #[derive(Clone)]
 pub struct MemberTree {
     /// This member's leaf slot.
@@ -610,7 +610,8 @@ impl std::fmt::Debug for MemberTree {
 }
 
 impl MemberTree {
-    /// Installs a full direct path from an admin `PathSync`: `path_keys`
+    /// Installs a full direct path from an admin `TreeWelcome` or
+    /// `PathSync`: `path_keys`
     /// must hold exactly the leaf-to-root keys for `leaf_slot` in a
     /// `leaf_count`-leaf tree. Returns `None` on a malformed payload.
     #[must_use]

@@ -206,9 +206,10 @@ struct Channel {
     /// Highest `GroupData` uplink sequence accepted, under the same rule:
     /// a replayed uplink is neither relayed again nor proof of life.
     data_seq: u64,
-    /// Highest epoch a tree-mode `PathSync` has been queued for on this
-    /// channel — dedup so a member whose heartbeats keep reporting a
-    /// stale epoch gets one resync per epoch, not one per ping.
+    /// Highest epoch a tree-mode direct path has been queued for on this
+    /// channel, by its `Welcome` or a `PathSync` — dedup so a member whose
+    /// heartbeats keep reporting a stale epoch gets one resync per epoch,
+    /// not one per ping.
     synced_epoch: u64,
 }
 
@@ -560,9 +561,9 @@ impl LeaderCore {
     }
 
     /// Admits a freshly connected `user`: the roster/epoch transition,
-    /// then its fan-out — `Welcome` (and, in tree mode, the `PathSync`
-    /// riding behind it) to the joiner, the join notice and the new key
-    /// material to everyone else.
+    /// then its fan-out — one `Welcome` to the joiner (in tree mode a
+    /// `TreeWelcome` carrying its direct path), the join notice and the
+    /// new key material to everyone else.
     fn join(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
         let mut out = LeaderOutput {
             events: vec![LeaderEvent::MemberJoined(user.clone())],
@@ -591,26 +592,44 @@ impl LeaderCore {
         self.journal_commit(JournalOp::Join(user.clone()), tape)?;
 
         // The Welcome carries the roster and the (possibly fresh) group
-        // key, so the joiner is live on the data plane immediately.
+        // key, so the joiner is live on the data plane immediately. In
+        // tree mode it carries the joiner's direct path instead, whose
+        // root derives the key, so the joiner follows the very next
+        // PathUpdate.
         let e = self
             .group
             .current_epoch()
             .expect("group key exists after join");
         let epoch = e.epoch;
-        let welcome = AdminPayload::Welcome {
-            members: self.group.roster(),
-            epoch,
-            group_key: *e.key.as_bytes(),
-            iv: e.iv,
+        let members = self.group.roster();
+        let welcome = match &self.tree {
+            Some(tree) => {
+                let (leaf_index, path_keys) = tree
+                    .path_keys(user)
+                    .expect("a joined member's direct path is populated");
+                AdminPayload::TreeWelcome {
+                    members,
+                    epoch,
+                    leaf_index,
+                    leaf_count: tree.leaf_count(),
+                    path_keys,
+                }
+            }
+            None => AdminPayload::Welcome {
+                members,
+                epoch,
+                group_key: *e.key.as_bytes(),
+                iv: e.iv,
+            },
         };
         self.obs.emit(|| EventKind::MemberJoined {
             member: user.to_string(),
             epoch,
         });
+        if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
+            channel.synced_epoch = epoch;
+        }
         self.send_admin(&mut out, user, welcome)?;
-        // Tree mode: seeds the joiner's member tree for future PathUpdate
-        // broadcasts.
-        self.send_path_sync(&mut out, user)?;
 
         // Tell everyone else; distribute the new key if we rotated. Key
         // material always goes out; the join notice is skippable by
@@ -620,7 +639,7 @@ impl LeaderCore {
         }
         let rekeyed = match outcome {
             // The joiner holds none of the sealing node keys (its
-            // `PathSync` covers it), so the update goes to everyone else.
+            // Welcome covers it), so the update goes to everyone else.
             JoinOutcome::Tree { plan } => {
                 out.broadcasts
                     .extend(self.build_path_update_frame(&plan, epoch, others));
@@ -686,8 +705,8 @@ impl LeaderCore {
     /// Seals a path-refresh plan into a single `PathUpdate` multicast
     /// frame: one AEAD seal per copath resolution node (`O(log N)` on a
     /// dense tree), each bound by [`PathUpdateAad`](enclaves_wire::message::PathUpdateAad)
-    /// and written straight into the frame buffer. Returns `None` when
-    /// nobody would receive it.
+    /// and written straight into the frame buffer, all under one random
+    /// nonce base. Returns `None` when nobody would receive it.
     fn build_path_update_frame(
         &mut self,
         plan: &PathUpdatePlan,
@@ -704,15 +723,14 @@ impl LeaderCore {
             leaf_count: plan.leaf_count,
             updated_leaf: plan.updated_leaf,
         };
-        let seals = plan.seals.iter().map(|cs| {
-            let mut nonce = [0u8; 12];
-            self.rng.fill_bytes(&mut nonce);
-            PathSeal {
-                node: cs.node_index,
-                key: &cs.seal_key,
-                nonce,
-                secret: &cs.path_secret,
-            }
+        // One random nonce base per frame; each seal's nonce is the base
+        // with its node index folded in (`cipher_nonce`).
+        let mut nonce = [0u8; 12];
+        self.rng.fill_bytes(&mut nonce);
+        let seals = plan.seals.iter().map(|cs| PathSeal {
+            node: cs.node_index,
+            key: &cs.seal_key,
+            secret: &cs.path_secret,
         });
         // Multicast convention (see seal_group_data): identical bytes
         // reach every member, so the frame is from and to the leader.
@@ -721,6 +739,7 @@ impl LeaderCore {
             &self.leader,
             self.enclave.as_ref(),
             head,
+            nonce,
             seals,
         );
         Some(BroadcastFrame {
@@ -1642,7 +1661,7 @@ mod tests {
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
-    use enclaves_wire::message::{PathUpdateWire, SealedBody};
+    use enclaves_wire::message::{cipher_nonce, PathUpdateWire};
     use std::collections::HashSet;
 
     /// The value of the leader's counter `name`.
@@ -3036,6 +3055,182 @@ mod tests {
         w.assert_converged();
     }
 
+    /// The joiner's path rides in its Welcome, so the very next
+    /// `PathUpdate` is one it can follow — even while its Welcome's ack
+    /// is still on the way, with no `PathSync` between the two.
+    #[test]
+    fn tree_joiner_follows_a_path_update_right_after_its_welcome() {
+        let users = names(4);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        for (i, u) in users[..3].iter().enumerate() {
+            w.join(u, 1100 + i as u64);
+        }
+        let (mut m3, init) = member_in("m3", 1103, None);
+        let key_dist = w.l.handle_at(&init, Duration::ZERO).unwrap().outgoing;
+        let key_ack = m3.handle(&key_dist[0]).unwrap().reply.unwrap();
+        let joined = w.l.handle_at(&key_ack, Duration::ZERO).unwrap();
+        let (welcome, notices): (Vec<_>, Vec<_>) = joined
+            .outgoing
+            .into_iter()
+            .partition(|env| env.recipient == id("m3"));
+        // The Welcome lands; its ack is withheld.
+        let welcomed = m3.handle(&welcome[0]).unwrap();
+        assert!(matches!(
+            welcomed.events[..],
+            [MemberEvent::Welcomed { epoch, .. }] if Some(epoch) == w.l.epoch()
+        ));
+        w.settle(LeaderOutput {
+            outgoing: notices,
+            broadcasts: joined.broadcasts,
+            ..LeaderOutput::default()
+        });
+        let rekey = w.l.rekey_now().unwrap();
+        let update: Envelope = enclaves_wire::codec::decode(&rekey.broadcasts[0].frame).unwrap();
+        let followed = m3.handle(&update).unwrap();
+        assert_eq!(
+            followed.events,
+            vec![MemberEvent::GroupKeyChanged {
+                epoch: w.l.epoch().unwrap()
+            }]
+        );
+        assert_eq!(m3.group_epoch(), w.l.epoch());
+        w.settle(rekey);
+        w.sessions.insert(id("m3"), m3);
+        w.assert_converged();
+    }
+
+    /// A tree join is one admin message: the `TreeWelcome`, sealed once,
+    /// with no `PathSync` queued behind it. A resync still goes by
+    /// `PathSync`, one per missed epoch (see
+    /// `stale_heartbeat_epoch_triggers_one_path_sync`).
+    #[test]
+    fn tree_join_is_one_admin_message() {
+        let users = names(5);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let config = LeaderConfig {
+            rekey_policy: RekeyPolicy::Manual,
+            membership_notices: false,
+            tree_rekey: true,
+            ..LeaderConfig::default()
+        };
+        let mut w = TreeWorld::with_config(&refs, config);
+        for (i, u) in users.iter().enumerate() {
+            let before = w.l.obs_registry().snapshot();
+            w.join(u, 1200 + i as u64);
+            let after = w.l.obs_registry().snapshot();
+            for name in ["leader.admin_sent", "leader.admin_seals"] {
+                assert_eq!(after.counter(name) - before.counter(name), 1, "{u}: {name}");
+            }
+            assert_eq!(w.l.outstanding_count(), 0, "{u}: nothing queued");
+        }
+        w.assert_converged();
+    }
+
+    /// In tree mode the group key is the tree root's derivation at every
+    /// Welcome: after a plain join, after a reinit, and on a re-admission
+    /// after a journal recovery. A `TreeWelcome` therefore carries no key,
+    /// and the key each joiner derives opens the leader's next broadcast.
+    #[test]
+    fn tree_welcome_key_is_the_root_derivation_at_every_join() {
+        use crate::journal::{genesis_for, label_for, JournalDir, ReadMode};
+        fn tree_derived(l: &LeaderCore) {
+            let e = l.group.current_epoch().unwrap();
+            let root = l.tree.as_ref().unwrap().root_key().unwrap();
+            let (key, iv) = treekdf::derive_group(&root, e.epoch);
+            assert_eq!((*e.key.as_bytes(), e.iv), (key, iv), "epoch {}", e.epoch);
+        }
+        fn opens_the_next_broadcast(w: &mut TreeWorld, who: &str) {
+            let frame = w.l.broadcast_group_data(who.as_bytes()).unwrap().frame;
+            let env: Envelope = enclaves_wire::codec::decode(&frame).unwrap();
+            let out = w.sessions.get_mut(&id(who)).unwrap().handle(&env).unwrap();
+            assert!(
+                matches!(&out.events[..], [MemberEvent::Broadcast { data, .. }] if data == who.as_bytes()),
+                "{who}"
+            );
+        }
+        let tmp = TempJournal::new("tree-welcome-key");
+        let dir = JournalDir::open_or_init(&tmp.0).unwrap();
+        let users = names(12);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        let genesis = genesis_for(w.l.leader_id(), &w.l.directory, &w.l.config);
+        w.l.attach_journal(dir.create_stream(&label_for(None), &genesis).unwrap());
+        for (i, u) in users[..10].iter().enumerate() {
+            w.join(u, 1300 + i as u64);
+            tree_derived(&w.l);
+            opens_the_next_broadcast(&mut w, u);
+        }
+        // Six of ten leave: the tree is mostly blank and is rebuilt.
+        let epoch = w.l.epoch().unwrap();
+        for u in &users[..6] {
+            w.leave(u);
+        }
+        assert!(w.l.tree.as_ref().unwrap().leaf_count() <= 8, "reinit ran");
+        assert!(w.l.epoch().unwrap() > epoch);
+        w.assert_converged();
+        w.join("m10", 1310);
+        tree_derived(&w.l);
+        opens_the_next_broadcast(&mut w, "m10");
+        w.assert_converged();
+
+        // A restart: every session dies with the old core, and each
+        // survivor is re-admitted onto its recovered leaf.
+        let replay = dir
+            .replay_stream(&label_for(None), ReadMode::Strict)
+            .unwrap();
+        let mut recovered = LeaderCore::recover(&replay).unwrap();
+        recovered.recovery_advance(replay.fenced_epoch).unwrap();
+        tree_derived(&recovered);
+        w.l = recovered;
+        w.sessions.clear();
+        for (i, u) in users[6..11].iter().enumerate() {
+            w.join(u, 1400 + i as u64);
+            tree_derived(&w.l);
+            opens_the_next_broadcast(&mut w, u);
+        }
+        w.join("m11", 1411);
+        tree_derived(&w.l);
+        w.rekey();
+        w.assert_converged();
+    }
+
+    /// An honest `PathUpdate` frame is exactly its envelope header, the
+    /// 20-byte head, one 12-byte nonce base and 52 bytes per seal, and no
+    /// two of its ciphers share a nonce.
+    #[test]
+    fn tree_path_update_frame_is_at_its_wire_size_with_distinct_nonces() {
+        let users = names(13);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        for (i, u) in users.iter().enumerate() {
+            w.join(u, 1500 + i as u64);
+        }
+        w.leave("m5");
+        for _ in 0..3 {
+            let out = w.l.rekey_now().unwrap();
+            let frame = &out.broadcasts[0].frame;
+            let env: Envelope = enclaves_wire::codec::decode(frame).unwrap();
+            let wire: PathUpdateWire = enclaves_wire::codec::decode(&env.body).unwrap();
+            let header = encode(&Envelope {
+                body: Vec::new(),
+                ..env.clone()
+            })
+            .len();
+            let k = wire.ciphers.len();
+            assert!(k > 1, "a multi-seal update");
+            assert_eq!(frame.len(), header + 20 + 12 + 52 * k);
+            let nonces: std::collections::HashSet<_> = wire
+                .ciphers
+                .iter()
+                .map(|(node, _)| cipher_nonce(wire.nonce, *node))
+                .collect();
+            assert_eq!(nonces.len(), k, "a nonce repeated within one frame");
+            w.settle(out);
+            w.assert_converged();
+        }
+    }
+
     /// A forged `PathUpdate` with garbage seals addressed to nodes 0..5.
     fn forged_path_update(epoch: u64, leaf_count: u32, updated_leaf: u32) -> Envelope {
         Envelope {
@@ -3047,17 +3242,8 @@ mod tests {
                 epoch,
                 leaf_count,
                 updated_leaf,
-                ciphers: (0..5)
-                    .map(|i| {
-                        (
-                            i,
-                            SealedBody {
-                                nonce: [7; 12],
-                                ciphertext: vec![0x55; 48],
-                            },
-                        )
-                    })
-                    .collect(),
+                nonce: [7; 12],
+                ciphers: (0..5).map(|i| (i, vec![0x55; 48])).collect(),
             }),
         }
     }
@@ -3150,12 +3336,9 @@ mod tests {
             .collect();
         assert_eq!(mine.len(), 1);
         let (my_node, my_cipher) = mine[0].clone();
-        let garbage = SealedBody {
-            nonce: [7; 12],
-            ciphertext: vec![0x55; 48],
-        };
+        let garbage = vec![0x55; 48];
         let off_path = (0..).find(|n| !on_path(*n)).unwrap();
-        let with = |ciphers: Vec<(u32, SealedBody)>| {
+        let with = |ciphers: Vec<(u32, Vec<u8>)>| {
             encode(&PathUpdateWire {
                 ciphers,
                 ..honest.clone()
@@ -3436,9 +3619,13 @@ mod tests {
     /// `FLAT` was computed by this same test body at the commit before the
     /// stage/seal/commit pipeline was collapsed into `send_admin`: wire
     /// bytes, RNG draw order and retransmit-cache contents are what they
-    /// were. `TREE` was re-pinned once, when the tree key schedule became
-    /// one ChaCha20 block a level: same frames, same sizes, same draws,
-    /// different key material inside the seals (with the old schedule
+    /// were. `TREE` was re-pinned twice. First when the tree key schedule
+    /// became one ChaCha20 block a level: same frames, same sizes, same
+    /// draws, different key material inside the seals (with the old
+    /// schedule swapped back in, that commit's code still produced the old
+    /// digest). Then when a `PathUpdate` took one nonce base per frame and
+    /// a join's `PathSync` folded into a `TreeWelcome`: fewer bytes and
+    /// fewer draws (with the per-seal nonces and the two-message join
     /// swapped back in, that commit's code still produced the old digest).
     #[test]
     fn seeded_script_wire_bytes_are_pinned() {
@@ -3457,7 +3644,7 @@ mod tests {
         // The journal draws nothing from the leader's RNG, so it must not
         // move a byte either.
         const FLAT: &str = "ba35ce5dd1257f729a49cf99f02199f5d716ebcfc768b96ee4b29d270b07339e";
-        const TREE: &str = "ac813c87293bb4de4d50c7b112f8d0f30d736188c85764969591dc307e619cf1";
+        const TREE: &str = "8591d9134c77f0621ef4ce48babffc443509b8046d3d175785f167df1821fcf0";
         for (name, config, journal, digest) in [
             ("flat", flat, None, FLAT),
             ("tree", tree.clone(), None, TREE),

@@ -88,6 +88,17 @@ pub struct MemberOutput {
     pub events: Vec<MemberEvent>,
 }
 
+/// A frame [`MemberSession::handle`] did not reject.
+enum Handled {
+    /// Fresh, authenticated leader traffic: proof the leader lives.
+    Fresh(MemberOutput),
+    /// Accepted with no state change and no proof of life: a `PathUpdate`
+    /// for an epoch already held or for a member with no tree, a re-acked
+    /// admin retransmission, or a pong no newer than the last. Anyone can
+    /// replay these, so they neither count as accepted nor as heard.
+    Stale(MemberOutput),
+}
+
 /// Output of one [`MemberSession::tick`].
 #[derive(Debug, Default)]
 pub struct MemberTick {
@@ -177,12 +188,15 @@ struct Connected {
     /// can reject replayed pings (and we can reject forged pongs claiming
     /// a sequence we never sent).
     hb_seq: u64,
+    /// Highest ping sequence a pong has echoed: only a newer pong is
+    /// proof the leader lives, so a recorded one cannot keep it "alive".
+    pong_seq: u64,
     /// `GroupData` uplink sequence, pre-incremented per send the same way
     /// so the leader can reject a replayed uplink.
     data_seq: u64,
     /// Tree-rekey state: this member's direct path in the leader's key
-    /// tree, seeded by an admin `PathSync` and advanced by `PathUpdate`
-    /// broadcasts. `None` for flat-mode sessions.
+    /// tree, seeded by the `TreeWelcome` (reseeded by a `PathSync`) and
+    /// advanced by `PathUpdate` broadcasts. `None` for flat-mode sessions.
     tree: Option<MemberTree>,
 }
 
@@ -436,17 +450,21 @@ impl MemberSession {
     /// [`CoreError::Rejected`] if the message is inauthentic, malformed,
     /// stale, or unexpected; state is unchanged in that case.
     pub fn handle(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
-        let result = self.handle_inner(env);
-        match &result {
-            Ok(_) => {
+        match self.handle_inner(env) {
+            Ok(Handled::Fresh(out)) => {
                 self.obs.accepted.inc();
                 // Only an accepted (authentic, fresh) frame is proof the
-                // leader lives: forged traffic must not keep it "alive".
+                // leader lives: forged or replayed traffic must not keep
+                // it "alive".
                 self.heard = true;
+                Ok(out)
             }
-            Err(_) => self.obs.rejected.inc(),
+            Ok(Handled::Stale(out)) => Ok(out),
+            Err(e) => {
+                self.obs.rejected.inc();
+                Err(e)
+            }
         }
-        result
     }
 
     /// Advances the member's timers to `now`, in order: resends the
@@ -540,7 +558,7 @@ impl MemberSession {
         (fresh, init)
     }
 
-    fn handle_inner(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+    fn handle_inner(&mut self, env: &Envelope) -> Result<Handled, CoreError> {
         // `GroupBroadcast` and `PathUpdate` are multicast: the identical
         // frame reaches every member, so its recipient names the leader
         // rather than this user — authenticity comes from the inner seals,
@@ -562,10 +580,12 @@ impl MemberSession {
         match (&mut self.phase, env.msg_type) {
             (Phase::WaitingForKey { n1 }, MsgType::AuthKeyDist) => {
                 let n1 = *n1;
-                self.accept_key_dist(env, n1)
+                self.accept_key_dist(env, n1).map(Handled::Fresh)
             }
             (Phase::Connected(_), MsgType::AdminMsg) => self.accept_admin(env),
-            (Phase::Connected(_), MsgType::GroupBroadcast) => self.accept_broadcast(env),
+            (Phase::Connected(_), MsgType::GroupBroadcast) => {
+                self.accept_broadcast(env).map(Handled::Fresh)
+            }
             (Phase::Connected(_), MsgType::PathUpdate) => self.accept_path_update(env),
             (Phase::Connected(_), MsgType::Heartbeat) => self.accept_heartbeat_pong(env),
             _ => Err(CoreError::Rejected(RejectReason::UnexpectedType)),
@@ -596,6 +616,7 @@ impl MemberSession {
             roster: Roster::new(),
             last_ack: None,
             hb_seq: 0,
+            pong_seq: 0,
             data_seq: 0,
             tree: None,
         });
@@ -617,7 +638,7 @@ impl MemberSession {
         })
     }
 
-    fn accept_admin(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+    fn accept_admin(&mut self, env: &Envelope) -> Result<Handled, CoreError> {
         let up = self.to_leader(MsgType::Ack);
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
@@ -634,14 +655,35 @@ impl MemberSession {
             // with the cached ack — no state change, no event.
             if let Some((acked, cached)) = &conn.last_ack {
                 if *acked == plain.leader_nonce {
-                    return Ok(MemberOutput {
+                    return Ok(Handled::Stale(MemberOutput {
                         reply: Some(cached.clone()),
                         events: vec![],
-                    });
+                    }));
                 }
             }
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
+        // A direct path that does not fit its claimed tree is refused
+        // before any state changes.
+        let synced = match &plain.payload {
+            AdminPayload::TreeWelcome {
+                epoch,
+                leaf_index,
+                leaf_count,
+                path_keys,
+                ..
+            }
+            | AdminPayload::PathSync {
+                epoch,
+                leaf_index,
+                leaf_count,
+                path_keys,
+            } => Some(
+                synced_path(*leaf_index, *leaf_count, path_keys, *epoch)
+                    .ok_or(CoreError::Rejected(RejectReason::Malformed))?,
+            ),
+            _ => None,
+        };
 
         let next = ProtocolNonce::generate(self.rng.as_mut());
         let ack = NonceAckPlain {
@@ -666,25 +708,14 @@ impl MemberSession {
                 group_key,
                 iv,
             } => {
-                conn.roster = members.clone();
-                conn.group = Some(MemberGroupView {
-                    epoch,
-                    key: GroupKey::from_bytes(group_key),
-                    iv,
-                });
-                // A welcome starts broadcast history from scratch: no
-                // previous epoch, no accepted frames yet.
-                conn.prev_group = None;
-                conn.bcast_seen_cur = None;
-                conn.bcast_seen_prev = None;
-                self.obs.emit(|| EventKind::Welcomed {
-                    member: self.user.to_string(),
-                    epoch,
-                });
-                events.push(MemberEvent::Welcomed {
-                    roster: members,
-                    epoch,
-                });
+                let key = GroupKey::from_bytes(group_key);
+                let view = MemberGroupView { epoch, key, iv };
+                events.push(welcome(conn, &self.obs, &self.user, members, view));
+            }
+            AdminPayload::TreeWelcome { members, .. } => {
+                let (tree, view) = synced.expect("parsed above");
+                conn.tree = Some(tree);
+                events.push(welcome(conn, &self.obs, &self.user, members, view));
             }
             AdminPayload::NewGroupKey { epoch, key, iv } => {
                 // Keep one epoch of grace for broadcast frames that were
@@ -701,31 +732,21 @@ impl MemberSession {
                 // leader and unreachable for attackers (they cannot forge
                 // AdminMsg); ignoring it is defense in depth.
             }
-            AdminPayload::PathSync {
-                epoch,
-                leaf_index,
-                leaf_count,
-                path_keys,
-            } => {
-                // Authenticated full-path resync (join seed, reinit, or a
+            AdminPayload::PathSync { epoch, .. } => {
+                // Authenticated full-path resync (reinit, or a
                 // heartbeat-detected missed PathUpdate). A stale epoch is
                 // ignored wholesale: an old path must not roll the tree
                 // back any more than an old key may roll the epoch back.
                 let current = conn.group.as_ref().map_or(0, |g| g.epoch);
                 if epoch >= current {
-                    if let Some(tree) = MemberTree::from_sync(leaf_index, leaf_count, &path_keys) {
-                        let root = *tree.root_key().expect("from_sync paths reach the root");
-                        conn.tree = Some(tree);
-                        if epoch > current {
-                            let (key, iv) = treekdf::derive_group(&root, epoch);
-                            if conn.install_epoch(epoch, GroupKey::from_bytes(key), iv) {
-                                self.obs.emit(|| EventKind::KeyChanged {
-                                    member: self.user.to_string(),
-                                    epoch,
-                                });
-                                events.push(MemberEvent::GroupKeyChanged { epoch });
-                            }
-                        }
+                    let (tree, view) = synced.expect("parsed above");
+                    conn.tree = Some(tree);
+                    if epoch > current && conn.install_epoch(epoch, view.key, view.iv) {
+                        self.obs.emit(|| EventKind::KeyChanged {
+                            member: self.user.to_string(),
+                            epoch,
+                        });
+                        events.push(MemberEvent::GroupKeyChanged { epoch });
                     }
                 }
             }
@@ -746,10 +767,10 @@ impl MemberSession {
             }
         }
 
-        Ok(MemberOutput {
+        Ok(Handled::Fresh(MemberOutput {
             reply: Some(reply),
             events,
-        })
+        }))
     }
 
     /// Accepts a single-seal group-key frame: a leader broadcast, or a
@@ -839,7 +860,7 @@ impl MemberSession {
     /// once: a second cipher for a path node is `Malformed` before
     /// anything is opened, so a frame costs at most one AEAD open per
     /// node of our path however many ciphers it claims.
-    fn accept_path_update(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+    fn accept_path_update(&mut self, env: &Envelope) -> Result<Handled, CoreError> {
         const MALFORMED: CoreError = CoreError::Rejected(RejectReason::Malformed);
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
@@ -848,12 +869,12 @@ impl MemberSession {
         let head = wire.head;
         let current = conn.group.as_ref().map_or(0, |g| g.epoch);
         if head.epoch <= current {
-            return Ok(MemberOutput::default());
+            return Ok(Handled::Stale(MemberOutput::default()));
         }
         let Some(tree) = &mut conn.tree else {
-            // No tree yet (pre-PathSync): nothing to derive from. The
-            // leader notices our stale heartbeat epoch and resyncs us.
-            return Ok(MemberOutput::default());
+            // No tree (a flat-mode session, or one not yet welcomed):
+            // nothing to derive from.
+            return Ok(Handled::Stale(MemberOutput::default()));
         };
         if head.epoch != current + 1 {
             // We missed an epoch: our stored node keys cannot open this
@@ -872,7 +893,7 @@ impl MemberSession {
             return Err(MALFORMED);
         };
         let mut mine: [Option<PathCipher<'_>>; MAX_LEVELS] = [None; MAX_LEVELS];
-        while let Some(cipher) = wire.next_cipher().map_err(|_| MALFORMED)? {
+        while let Some(cipher) = wire.next_cipher() {
             if tree.on_path(cipher.node, head.leaf_count) {
                 let seen = &mut mine[level(cipher.node) as usize];
                 if seen.is_some() {
@@ -884,7 +905,7 @@ impl MemberSession {
         let mut aad = PathUpdateAad::new(&self.leader, head, self.enclave.as_ref());
         let opened = mine.iter().flatten().find_map(|cipher| {
             let key = tree.key_of(cipher.node)?;
-            let (sealed, tag) = cipher.sealed.split_at_checked(SECRET_LEN)?;
+            let (sealed, tag) = cipher.sealed.split_at(SECRET_LEN);
             let mut secret: [u8; SECRET_LEN] = sealed.try_into().expect("split at that length");
             ChaCha20Poly1305::new(key)
                 .open_in_place(
@@ -904,20 +925,18 @@ impl MemberSession {
         let root = tree.install_secret(target, &secret, head.leaf_count);
         let epoch = head.epoch;
         let (key, iv) = treekdf::derive_group(&root, epoch);
+        let mut out = MemberOutput::default();
         if conn.install_epoch(epoch, GroupKey::from_bytes(key), iv) {
             self.obs.emit(|| EventKind::KeyChanged {
                 member: self.user.to_string(),
                 epoch,
             });
-            return Ok(MemberOutput {
-                reply: None,
-                events: vec![MemberEvent::GroupKeyChanged { epoch }],
-            });
+            out.events.push(MemberEvent::GroupKeyChanged { epoch });
         }
-        Ok(MemberOutput::default())
+        Ok(Handled::Fresh(out))
     }
 
-    fn accept_heartbeat_pong(&mut self, env: &Envelope) -> Result<MemberOutput, CoreError> {
+    fn accept_heartbeat_pong(&mut self, env: &Envelope) -> Result<Handled, CoreError> {
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
         };
@@ -932,7 +951,13 @@ impl MemberSession {
         if plain.seq > conn.hb_seq {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
-        Ok(MemberOutput::default())
+        // An echo no newer than the last one proves nothing: it may be a
+        // recording.
+        if plain.seq <= conn.pong_seq {
+            return Ok(Handled::Stale(MemberOutput::default()));
+        }
+        conn.pong_seq = plain.seq;
+        Ok(Handled::Fresh(MemberOutput::default()))
     }
 
     /// Produces a heartbeat ping for the leader, sealed under the session
@@ -1026,12 +1051,54 @@ impl MemberSession {
     }
 }
 
+/// The tree a direct path from the leader (a `TreeWelcome` or a
+/// `PathSync`) installs, with the group key and IV its root derives for
+/// `epoch`; `None` for a path that does not fit its claimed tree.
+fn synced_path(
+    leaf_index: u32,
+    leaf_count: u32,
+    path_keys: &[[u8; 32]],
+    epoch: u64,
+) -> Option<(MemberTree, MemberGroupView)> {
+    let tree = MemberTree::from_sync(leaf_index, leaf_count, path_keys)?;
+    let root = tree.root_key().expect("from_sync paths reach the root");
+    let (key, iv) = treekdf::derive_group(root, epoch);
+    let key = GroupKey::from_bytes(key);
+    Some((tree, MemberGroupView { epoch, key, iv }))
+}
+
+/// Installs what a `Welcome` carries — the roster and the epoch's key —
+/// and starts broadcast history from scratch: no previous epoch, no
+/// accepted frames yet. Returns the event to surface.
+fn welcome(
+    conn: &mut Connected,
+    obs: &MemberObs,
+    user: &ActorId,
+    members: Roster,
+    view: MemberGroupView,
+) -> MemberEvent {
+    let epoch = view.epoch;
+    conn.roster = members.clone();
+    conn.group = Some(view);
+    conn.prev_group = None;
+    conn.bcast_seen_cur = None;
+    conn.bcast_seen_prev = None;
+    obs.emit(|| EventKind::Welcomed {
+        member: user.to_string(),
+        epoch,
+    });
+    MemberEvent::Welcomed {
+        roster: members,
+        epoch,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use enclaves_crypto::rng::SeededRng;
     use enclaves_wire::codec::encode;
-    use enclaves_wire::message::{path_update_aad, PathUpdateWire, SealedBody};
+    use enclaves_wire::message::{cipher_nonce, path_update_aad, PathUpdateWire};
     use proptest::prelude::*;
 
     fn id(s: &str) -> ActorId {
@@ -1620,6 +1687,119 @@ mod tests {
         assert!(session.tick(ms(1801), &lv).leader_lost);
     }
 
+    /// A leader that has gone silent under a 100 ms liveness timeout,
+    /// while `frame` reaches the member every 50 ms and is taken without
+    /// error: the tick at which the member reports the leader lost. Only
+    /// fresh leader traffic counts, so that is the timeout plus one tick.
+    fn lost_at_while_fed(
+        session: &mut MemberSession,
+        frame: impl Fn() -> Envelope,
+    ) -> Option<Duration> {
+        let lv = LivenessConfig {
+            liveness_timeout: Some(ms(100)),
+            ..quiet_timers()
+        };
+        assert!(!session.tick(ms(0), &lv).leader_lost);
+        let before = session_accepted(session);
+        for t in (50..=2000).step_by(50) {
+            session.handle(&frame()).expect("no error, no state change");
+            if session.tick(ms(t), &lv).leader_lost {
+                assert_eq!(session_accepted(session), before, "counted as accepted");
+                return Some(ms(t));
+            }
+        }
+        None
+    }
+
+    fn session_accepted(session: &MemberSession) -> u64 {
+        session.obs_registry().snapshot().counter("member.accepted")
+    }
+
+    /// A `PathUpdate` body with no ciphers: head, then a zero nonce base.
+    /// It needs no key to write.
+    fn keyless_path_update(epoch: u64) -> Envelope {
+        let mut body = Vec::new();
+        body.extend_from_slice(&epoch.to_be_bytes());
+        body.extend_from_slice(&1u32.to_be_bytes());
+        body.extend_from_slice(&0u32.to_be_bytes());
+        body.extend_from_slice(&0u32.to_be_bytes());
+        body.extend_from_slice(&[0; 12]);
+        Envelope {
+            msg_type: MsgType::PathUpdate,
+            sender: id("leader"),
+            recipient: id("leader"),
+            group: None,
+            body,
+        }
+    }
+
+    #[test]
+    fn a_path_update_for_a_held_epoch_does_not_keep_the_leader_alive() {
+        let (mut session, _, _) = connect_welcomed(1, [7; 32], [1; 12]);
+        let lost = lost_at_while_fed(&mut session, || keyless_path_update(0));
+        assert_eq!(lost, Some(ms(150)));
+    }
+
+    #[test]
+    fn a_path_update_without_a_tree_does_not_keep_the_leader_alive() {
+        // Welcomed by a flat `Welcome`: no tree to follow an update with.
+        let (mut session, _, _) = connect_welcomed(1, [7; 32], [1; 12]);
+        let lost = lost_at_while_fed(&mut session, || keyless_path_update(2));
+        assert_eq!(lost, Some(ms(150)));
+        assert_eq!(session.group_epoch(), Some(1));
+    }
+
+    #[test]
+    fn a_replayed_admin_retransmission_does_not_keep_the_leader_alive() {
+        let (mut session, sk, n3) = connect();
+        let welcome = admin_env(
+            &sk,
+            n3,
+            ProtocolNonce::from_bytes([0xA1; 16]),
+            AdminPayload::Welcome {
+                members: Roster::from_iter([id("alice")]),
+                epoch: 1,
+                group_key: [7; 32],
+                iv: [1; 12],
+            },
+        );
+        let ack = session.handle(&welcome).unwrap().reply.unwrap();
+        // Each replay is answered with the cached ack, and is no more.
+        let lost = lost_at_while_fed(&mut session, || welcome.clone());
+        assert_eq!(lost, Some(ms(150)));
+        assert_eq!(session.handle(&welcome).unwrap().reply.unwrap(), ack);
+    }
+
+    #[test]
+    fn a_replayed_pong_does_not_keep_the_leader_alive() {
+        let (mut session, sk, _) = connect_welcomed(1, [7; 32], [1; 12]);
+        session.heartbeat().unwrap();
+        let mut pong = Envelope {
+            msg_type: MsgType::Heartbeat,
+            sender: id("leader"),
+            recipient: id("alice"),
+            group: None,
+            body: Vec::new(),
+        };
+        pong.body = seal(
+            &sk,
+            AeadNonce::from_bytes([0xCC; 12]),
+            &pong.header_aad(),
+            &HeartbeatPlain {
+                user: id("alice"),
+                leader: id("leader"),
+                seq: 1,
+                epoch: 1,
+            },
+        );
+        // The first echo of ping 1 is fresh; a recording of it is not.
+        let accepted = session_accepted(&session);
+        session.handle(&pong).unwrap();
+        assert_eq!(session_accepted(&session), accepted + 1);
+        let lost = lost_at_while_fed(&mut session, || pong.clone());
+        assert_eq!(lost, Some(ms(150)));
+    }
+
     /// The session's next deadline, after checking that a tick one
     /// nanosecond before it does nothing and leaves it in place.
     fn quiet_until_deadline(session: &mut MemberSession, lv: &LivenessConfig) -> Duration {
@@ -1987,6 +2167,7 @@ mod tests {
                     epoch: 2,
                     leaf_count: plan.leaf_count,
                     updated_leaf: plan.updated_leaf,
+                    nonce: [0xC3; 12],
                     ciphers: plan
                         .seals
                         .iter()
@@ -1999,13 +2180,12 @@ mod tests {
                                 s.node_index,
                                 None,
                             );
-                            let nonce = [0xC3u8; 12];
                             let ciphertext = ChaCha20Poly1305::new(&s.seal_key).seal(
-                                &AeadNonce::from_bytes(nonce),
+                                &AeadNonce::from_bytes(cipher_nonce([0xC3; 12], s.node_index)),
                                 &s.path_secret,
                                 &aad,
                             );
-                            (s.node_index, SealedBody { nonce, ciphertext })
+                            (s.node_index, ciphertext)
                         })
                         .collect(),
                 }),

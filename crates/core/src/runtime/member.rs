@@ -93,7 +93,10 @@ struct Seat {
     rejoin: bool,
     stream: Option<EventStream>,
     sink: Box<dyn FnMut(MemberEvent) + Send>,
-    /// Failed redials since the leader was lost.
+    /// Dials since the session last accepted a frame, its admission's
+    /// own included. A loss redials at once only when this is 0, and
+    /// otherwise after the backoff for this count, so a peer that accepts
+    /// and resets every connection is not redialled as fast as it resets.
     attempt: u32,
     /// The deadline of this session's live heap entry; others are stale.
     due: Option<Duration>,
@@ -185,7 +188,7 @@ impl MemberHost {
                 rejoin: options.rejoin,
                 stream: options.events,
                 sink: Box::new(sink),
-                attempt: 0,
+                attempt: 1,
                 due: None,
             })),
             dialer: Arc::clone(&self.dialer),
@@ -318,6 +321,7 @@ impl Shard {
         if let Cause::Frame(_, frame) = cause {
             let env = decode::<Envelope>(frame).ok();
             if let Some(output) = env.and_then(|env| s.session.handle(&env).ok()) {
+                s.attempt = 0;
                 if let Some(reply) = output.reply {
                     let _ = self.dialer.send_to(token, wire(&reply));
                 }
@@ -344,7 +348,9 @@ impl Shard {
     }
 
     /// The session's connection closed, or its tick presumed the leader
-    /// dead: close the connection, then redial at once or let it go.
+    /// dead: close the connection, then redial — at once if the session
+    /// had accepted a frame since its last dial, else on the backoff — or
+    /// let it go.
     fn lose(&mut self, id: MuxToken, s: &mut Seat) {
         if let Some(token) = s.token.take() {
             self.dialer.close(token);
@@ -363,15 +369,18 @@ impl Shard {
             });
         }
         (s.sink)(MemberEvent::LeaderLost);
-        s.attempt = 0;
-        self.push(id, s, Some(Duration::ZERO));
+        let redial = match s.attempt {
+            0 => Duration::ZERO,
+            n => self.clock.now() + s.liveness.jittered_delay(n, RECONNECT_CHANNEL),
+        };
+        self.push(id, s, Some(redial));
     }
 
     /// Dials a new connection and rejoins on it as a fresh session, or
     /// pushes the next try on the backoff.
     fn redial(&mut self, id: MuxToken, s: &mut Seat) {
+        s.attempt = s.attempt.saturating_add(1);
         let Ok(token) = self.dialer.dial(&self.inbox_tx) else {
-            s.attempt = s.attempt.saturating_add(1);
             let retry = self.clock.now() + s.liveness.jittered_delay(s.attempt, RECONNECT_CHANNEL);
             return self.push(id, s, Some(retry));
         };
@@ -581,6 +590,7 @@ impl MemberRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::liveness::VirtualClock;
     use crossbeam_channel::RecvTimeoutError;
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
@@ -616,6 +626,13 @@ mod tests {
     /// Admits a session that does not rejoin; its events go to the
     /// returned channel, which disconnects once the host lets it go.
     fn admit(host: &MemberHost) -> (HostedMember, Receiver<MemberEvent>) {
+        admit_with(host, MemberOptions::default())
+    }
+
+    fn admit_with(
+        host: &MemberHost,
+        options: MemberOptions,
+    ) -> (HostedMember, Receiver<MemberEvent>) {
         let (session, init) = MemberSession::start_with_key_in_group(
             ActorId::new("alice").unwrap(),
             ActorId::new("leader").unwrap(),
@@ -627,8 +644,80 @@ mod tests {
         let sink = move |e| {
             let _ = tx.send(e);
         };
-        let member = host.admit(session, init, MemberOptions::default(), sink);
+        let member = host.admit(session, init, options, sink);
         (member.unwrap(), rx)
+    }
+
+    /// Accepts every dial and closes the new connection at once, the
+    /// first `resets` times; notes the clock's reading at each dial.
+    struct ResettingDialer {
+        clock: VirtualClock,
+        resets: usize,
+        dials: Mutex<Vec<Duration>>,
+    }
+
+    impl Dialer for ResettingDialer {
+        fn dial(&self, events: &Sender<MuxEvent>) -> Result<MuxToken, NetError> {
+            let mut dials = self.dials.lock();
+            dials.push(self.clock.now());
+            let token = dials.len();
+            if token <= self.resets {
+                let _ = events.send(MuxEvent::Closed { token });
+            }
+            Ok(token)
+        }
+
+        fn send_to(&self, _: MuxToken, _: Frame) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn close(&self, _: MuxToken) {}
+    }
+
+    /// A peer that accepts and resets every connection before a frame
+    /// crosses it: each redial waits out the backoff for the dials made
+    /// since the session last accepted a frame, rather than following
+    /// the reset at once.
+    #[test]
+    fn a_peer_that_resets_every_connection_is_redialled_on_the_backoff() {
+        const RESETS: usize = 4;
+        let clock = VirtualClock::new();
+        let dialer = Arc::new(ResettingDialer {
+            clock: clock.clone(),
+            resets: RESETS,
+            dials: Mutex::new(Vec::new()),
+        });
+        let host = MemberHost::spawn(dialer.clone(), 1, Arc::new(clock.clone()));
+        let liveness = LivenessConfig {
+            poll: Duration::from_millis(1),
+            retransmit_base: Duration::from_millis(100),
+            retransmit_max: Duration::from_millis(800),
+            jitter_pct: 100,
+            ..LivenessConfig::default()
+        };
+        let options = MemberOptions {
+            liveness: liveness.clone(),
+            rejoin: true,
+            ..MemberOptions::default()
+        };
+        let (_member, _events) = admit_with(&host, options);
+        let give_up = std::time::Instant::now() + Duration::from_secs(20);
+        while dialer.dials.lock().len() <= RESETS && std::time::Instant::now() < give_up {
+            clock.advance(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dials = dialer.dials.lock().clone();
+        assert_eq!(dials.len(), RESETS + 1, "dialled at {dials:?}");
+        for (n, pair) in dials.windows(2).enumerate() {
+            let attempt = u32::try_from(n + 1).unwrap();
+            let backoff = liveness.jittered_delay(attempt, RECONNECT_CHANNEL);
+            assert!(
+                pair[1] - pair[0] >= backoff,
+                "dial {} came {:?} after the last, before the {backoff:?} backoff ({dials:?})",
+                n + 1,
+                pair[1] - pair[0]
+            );
+        }
     }
 
     /// A connection can close before the shard reads the admission of its

@@ -32,8 +32,8 @@ pub struct KeyClosure {
 }
 
 impl KeyClosure {
-    /// Records a node key held directly (a `PathSync` the member received
-    /// while it was still legitimate).
+    /// Records a node key held directly (a `TreeWelcome` or `PathSync`
+    /// the member received while it was still legitimate).
     pub fn hold(&mut self, key: NodeKey) {
         self.keys.insert(key);
     }
@@ -87,7 +87,7 @@ fn tree_depth(leaf_count: u32) -> u32 {
 }
 
 /// Lets the member at `who` accumulate its current legitimate path keys
-/// (the `PathSync` view).
+/// (the view a `TreeWelcome` or `PathSync` installs).
 fn sync_member(tree: &KeyTree, who: &ActorId, closure: &mut KeyClosure) {
     let (_, keys) = tree.path_keys(who).expect("member path intact");
     for k in keys {

@@ -14,6 +14,7 @@ use crate::roster::{Roster, MAX_ROSTER_LEN};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::nonce::{AeadNonce, ProtocolNonce, AEAD_NONCE_LEN, PROTOCOL_NONCE_LEN};
 use enclaves_crypto::poly1305::TAG_LEN;
+use enclaves_crypto::treekdf::SECRET_LEN;
 use enclaves_crypto::CryptoError;
 use std::sync::Arc;
 
@@ -441,7 +442,8 @@ pub enum AdminPayload {
     MemberJoined(ActorId),
     /// A member left (or was expelled).
     MemberLeft(ActorId),
-    /// Initial roster sent to a fresh member, with the current group key.
+    /// The flat-mode `Welcome`: the initial roster sent to a fresh
+    /// member, with the current group key.
     Welcome {
         /// Current members, including the recipient: the leader's roster
         /// snapshot, copied to the wire as it stands.
@@ -458,14 +460,29 @@ pub enum AdminPayload {
     /// of one deep copy per member.
     AppData(Arc<[u8]>),
     /// Tree-rekey resync: the member's full direct path in the leader's
-    /// key tree, sealed under `K_a`. Sent to a joiner alongside its
-    /// `Welcome`, to a member whose heartbeat reveals a stale epoch
-    /// (a missed [`MsgType::PathUpdate`] broadcast), and to everyone on a
-    /// full-tree reinit.
+    /// key tree, sealed under `K_a`. Sent to a member whose heartbeat
+    /// reveals a stale epoch (a missed [`MsgType::PathUpdate`] broadcast),
+    /// and to everyone on a full-tree reinit.
     PathSync {
         /// The epoch the tree root currently derives.
         epoch: u64,
         /// The member's leaf slot.
+        leaf_index: u32,
+        /// Leaf slots in the tree (fixes the path shape).
+        leaf_count: u32,
+        /// Node keys leaf-first up to and including the root.
+        path_keys: Vec<[u8; 32]>,
+    },
+    /// The tree-mode `Welcome`: the roster and the joiner's direct path,
+    /// in one message. The group key is not sent: the joiner derives it
+    /// from the path's root and `epoch`, as after a `PathSync`.
+    TreeWelcome {
+        /// Current members, including the recipient: the leader's roster
+        /// snapshot, copied to the wire as it stands.
+        members: Roster,
+        /// The epoch the tree root currently derives.
+        epoch: u64,
+        /// The joiner's leaf slot.
         leaf_index: u32,
         /// Leaf slots in the tree (fixes the path shape).
         leaf_count: u32,
@@ -480,10 +497,36 @@ const TAG_MEMBER_LEFT: u8 = 3;
 const TAG_WELCOME: u8 = 4;
 const TAG_APP_DATA: u8 = 5;
 const TAG_PATH_SYNC: u8 = 6;
+const TAG_TREE_WELCOME: u8 = 7;
 
-/// Upper bound on the direct-path length in a `PathSync` (a tree with
-/// `u32` leaf indices is at most 32 levels deep, plus the leaf).
+/// Upper bound on the direct-path length in a `PathSync` or
+/// `TreeWelcome` (a tree with `u32` leaf indices is at most 32 levels
+/// deep, plus the leaf).
 const MAX_PATH_KEYS: usize = 33;
+
+/// Writes a direct path: leaf slot, leaf count, and the counted keys.
+fn put_path(w: &mut Writer, leaf_index: u32, leaf_count: u32, path_keys: &[[u8; 32]]) {
+    w.put_u32(leaf_index);
+    w.put_u32(leaf_count);
+    w.put_u32(path_keys.len() as u32);
+    for k in path_keys {
+        w.put_array(k);
+    }
+}
+
+/// Reads what [`put_path`] writes, the key count bounded by the tree depth.
+fn take_path(r: &mut Reader<'_>) -> Result<(u32, u32, Vec<[u8; 32]>), WireError> {
+    let leaf_index = r.take_u32()?;
+    let leaf_count = r.take_u32()?;
+    let n = r.take_u32()? as usize;
+    if n > MAX_PATH_KEYS {
+        return Err(WireError::LengthOverflow);
+    }
+    let path_keys = (0..n)
+        .map(|_| r.take_array::<32>())
+        .collect::<Result<_, _>>()?;
+    Ok((leaf_index, leaf_count, path_keys))
+}
 
 impl Encode for AdminPayload {
     fn encode(&self, w: &mut Writer) {
@@ -526,12 +569,19 @@ impl Encode for AdminPayload {
             } => {
                 w.put_u8(TAG_PATH_SYNC);
                 w.put_u64(*epoch);
-                w.put_u32(*leaf_index);
-                w.put_u32(*leaf_count);
-                w.put_u32(path_keys.len() as u32);
-                for k in path_keys {
-                    w.put_array(k);
-                }
+                put_path(w, *leaf_index, *leaf_count, path_keys);
+            }
+            AdminPayload::TreeWelcome {
+                members,
+                epoch,
+                leaf_index,
+                leaf_count,
+                path_keys,
+            } => {
+                w.put_u8(TAG_TREE_WELCOME);
+                members.encode(w);
+                w.put_u64(*epoch);
+                put_path(w, *leaf_index, *leaf_count, path_keys);
             }
         }
     }
@@ -556,17 +606,20 @@ impl Decode for AdminPayload {
             TAG_APP_DATA => AdminPayload::AppData(r.take_bytes()?.into()),
             TAG_PATH_SYNC => {
                 let epoch = r.take_u64()?;
-                let leaf_index = r.take_u32()?;
-                let leaf_count = r.take_u32()?;
-                let n = r.take_u32()? as usize;
-                if n > MAX_PATH_KEYS {
-                    return Err(WireError::LengthOverflow);
-                }
-                let mut path_keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    path_keys.push(r.take_array::<32>()?);
-                }
+                let (leaf_index, leaf_count, path_keys) = take_path(r)?;
                 AdminPayload::PathSync {
+                    epoch,
+                    leaf_index,
+                    leaf_count,
+                    path_keys,
+                }
+            }
+            TAG_TREE_WELCOME => {
+                let members = Roster::decode(r)?;
+                let epoch = r.take_u64()?;
+                let (leaf_index, leaf_count, path_keys) = take_path(r)?;
+                AdminPayload::TreeWelcome {
+                    members,
                     epoch,
                     leaf_index,
                     leaf_count,
@@ -700,6 +753,11 @@ pub fn group_broadcast_aad(
 /// Exactly one entry is decryptable by any given member (the one whose
 /// node lies on its direct path); from that secret the member derives
 /// every rewritten key up to the root.
+///
+/// The body is `head ‖ nonce ‖ count × (node ‖ sealed secret ‖ tag)`:
+/// one random nonce base per frame, from which the cipher for `node`
+/// takes [`cipher_nonce`]`(nonce, node)`, and no length prefix, since
+/// every cipher is [`SEALED_PATH_SECRET_LEN`] bytes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PathUpdateWire {
     /// The epoch the refreshed tree root derives (previous epoch + 1).
@@ -708,14 +766,44 @@ pub struct PathUpdateWire {
     pub leaf_count: u32,
     /// The leaf slot whose path was refreshed.
     pub updated_leaf: u32,
-    /// `(node_index, sealed path secret)` per copath resolution node.
-    pub ciphers: Vec<(u32, SealedBody)>,
+    /// The frame's nonce base.
+    pub nonce: [u8; AEAD_NONCE_LEN],
+    /// `(node_index, sealed path secret ‖ tag)` per copath resolution
+    /// node. Each is written as it stands and read back as
+    /// [`SEALED_PATH_SECRET_LEN`] bytes, so only ciphers of that length
+    /// round-trip.
+    pub ciphers: Vec<(u32, Vec<u8>)>,
 }
+
+/// Bytes of one sealed path secret: the secret, then its tag.
+pub const SEALED_PATH_SECRET_LEN: usize = SECRET_LEN + TAG_LEN;
+
+/// Bytes of one `PathUpdate` cipher on the wire: its node index, then
+/// the sealed path secret.
+const PATH_CIPHER_LEN: usize = 4 + SEALED_PATH_SECRET_LEN;
 
 /// Upper bound on copath ciphers in one path update: a blank-heavy tree
 /// can push resolutions past `log N`, but never past the leaf count the
 /// roster bound already allows.
-const MAX_PATH_CIPHERS: usize = MAX_ROSTER_LEN;
+pub const MAX_PATH_CIPHERS: usize = MAX_ROSTER_LEN;
+
+/// The AEAD nonce of the cipher addressed to `node` in a `PathUpdate`
+/// frame: the frame's nonce base with `node`'s big-endian index XORed
+/// into its last four bytes. The seals of one frame are under distinct
+/// node keys at distinct node indices, so no two share a nonce; across
+/// frames, two nonces under one key meet only if two random 96-bit bases
+/// collide.
+#[must_use]
+pub fn cipher_nonce(base: [u8; AEAD_NONCE_LEN], node: u32) -> [u8; AEAD_NONCE_LEN] {
+    let mut nonce = base;
+    for (n, b) in nonce[AEAD_NONCE_LEN - 4..]
+        .iter_mut()
+        .zip(node.to_be_bytes())
+    {
+        *n ^= b;
+    }
+    nonce
+}
 
 impl Encode for PathUpdateWire {
     fn encode(&self, w: &mut Writer) {
@@ -725,9 +813,10 @@ impl Encode for PathUpdateWire {
             updated_leaf: self.updated_leaf,
         };
         head.put(w, self.ciphers.len());
+        w.put_array(&self.nonce);
         for (node, sealed) in &self.ciphers {
             w.put_u32(*node);
-            sealed.encode(w);
+            w.put_array(sealed);
         }
     }
 }
@@ -735,19 +824,18 @@ impl Encode for PathUpdateWire {
 impl Decode for PathUpdateWire {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let (head, n) = PathUpdateHead::take(r)?;
+        let nonce = r.take_array()?;
         let mut ciphers = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let c = PathCipher::take(r)?;
-            let sealed = SealedBody {
-                nonce: c.nonce,
-                ciphertext: c.sealed.to_vec(),
-            };
-            ciphers.push((c.node, sealed));
+            let node = r.take_u32()?;
+            let sealed = r.take_array::<SEALED_PATH_SECRET_LEN>()?;
+            ciphers.push((node, sealed.to_vec()));
         }
         Ok(PathUpdateWire {
             epoch: head.epoch,
             leaf_count: head.leaf_count,
             updated_leaf: head.updated_leaf,
+            nonce,
             ciphers,
         })
     }
@@ -793,60 +881,61 @@ impl PathUpdateHead {
 pub struct PathCipher<'a> {
     /// The copath resolution node whose key sealed it.
     pub node: u32,
-    /// The AEAD nonce the leader used.
+    /// Its AEAD nonce, derived from the frame's base by [`cipher_nonce`].
     pub nonce: [u8; AEAD_NONCE_LEN],
-    /// `ciphertext || tag`.
-    pub sealed: &'a [u8],
+    /// `sealed secret || tag`.
+    pub sealed: &'a [u8; SEALED_PATH_SECRET_LEN],
 }
 
-impl<'a> PathCipher<'a> {
-    fn take(r: &mut Reader<'a>) -> Result<Self, WireError> {
-        Ok(PathCipher {
-            node: r.take_u32()?,
-            nonce: r.take_array()?,
-            sealed: r.take_bytes()?,
-        })
-    }
-}
-
-/// A [`PathUpdateWire`] read where it lies: the head decoded, the ciphers
-/// handed out one at a time as borrows of the body, nothing allocated. A
-/// member walks it before authenticating anything, so the walk costs a
-/// few loads per cipher and accepts exactly what the owning decoder does.
+/// A [`PathUpdateWire`] read where it lies: the head and nonce base
+/// decoded, the ciphers handed out one at a time as borrows of the body,
+/// nothing allocated. Every cipher has the same length, so the body's
+/// length is checked against the claimed count before any cipher is
+/// handed out. A member walks it before authenticating anything, so the
+/// walk costs a few loads per cipher and accepts exactly what the owning
+/// decoder does.
 #[derive(Debug)]
 pub struct PathUpdateView<'a> {
     /// The plaintext claims.
     pub head: PathUpdateHead,
-    remaining: usize,
-    r: Reader<'a>,
+    nonce: [u8; AEAD_NONCE_LEN],
+    ciphers: std::slice::ChunksExact<'a, u8>,
 }
 
 impl<'a> PathUpdateView<'a> {
-    /// Reads the head of a `PathUpdate` body.
+    /// Reads the head and nonce base of a `PathUpdate` body, and checks
+    /// that exactly the claimed number of ciphers follows them.
     ///
     /// # Errors
     ///
-    /// As `decode::<PathUpdateWire>`: a short head, or a claimed cipher
-    /// count past the cap.
+    /// As `decode::<PathUpdateWire>`: a short head or nonce base, a
+    /// claimed cipher count past the cap, fewer cipher bytes than the
+    /// count claims, or bytes after the last cipher.
     pub fn parse(body: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(body);
-        let (head, remaining) = PathUpdateHead::take(&mut r)?;
-        Ok(PathUpdateView { head, remaining, r })
+        let (head, n) = PathUpdateHead::take(&mut r)?;
+        let nonce = r.take_array()?;
+        let rest = r.rest();
+        match rest.len().cmp(&(n * PATH_CIPHER_LEN)) {
+            std::cmp::Ordering::Less => Err(WireError::UnexpectedEnd),
+            std::cmp::Ordering::Greater => Err(WireError::TrailingBytes),
+            std::cmp::Ordering::Equal => Ok(PathUpdateView {
+                head,
+                nonce,
+                ciphers: rest.chunks_exact(PATH_CIPHER_LEN),
+            }),
+        }
     }
 
-    /// The next cipher, or `None` once the claimed count has been read
-    /// and the body ends there.
-    ///
-    /// # Errors
-    ///
-    /// A cipher that runs past the body, or bytes after the last one.
-    pub fn next_cipher(&mut self) -> Result<Option<PathCipher<'a>>, WireError> {
-        if self.remaining == 0 {
-            self.r.expect_end()?;
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        PathCipher::take(&mut self.r).map(Some)
+    /// The next cipher, with its derived nonce, or `None` after the last.
+    pub fn next_cipher(&mut self) -> Option<PathCipher<'a>> {
+        let (node, sealed) = self.ciphers.next()?.split_first_chunk::<4>()?;
+        let node = u32::from_be_bytes(*node);
+        Some(PathCipher {
+            node,
+            nonce: cipher_nonce(self.nonce, node),
+            sealed: sealed.try_into().ok()?,
+        })
     }
 }
 
@@ -912,29 +1001,29 @@ pub fn path_update_aad(
 }
 
 /// One seal of a `PathUpdate` frame about to be written: `secret` sealed
-/// under `key` with `nonce`, addressed to `node`.
+/// under `key`, addressed to `node`.
 #[derive(Clone, Copy)]
 pub struct PathSeal<'a> {
     /// The copath resolution node whose key seals this cipher.
     pub node: u32,
     /// The key stored at `node`.
     pub key: &'a [u8; 32],
-    /// The AEAD nonce, drawn by the caller.
-    pub nonce: [u8; AEAD_NONCE_LEN],
     /// The path secret being conveyed.
-    pub secret: &'a [u8; 32],
+    pub secret: &'a [u8; SECRET_LEN],
 }
 
 /// Writes a whole `PathUpdate` multicast frame into `buf` (cleared first,
-/// its allocation reused): envelope header, body head, and each secret
-/// sealed where it lies. The bytes are those of an [`Envelope`] from and
-/// to `leader` (the multicast convention) whose body is the encoded
-/// [`PathUpdateWire`] of the same seals.
+/// its allocation reused): envelope header, body head, the nonce base
+/// `nonce`, and each secret sealed where it lies under
+/// [`cipher_nonce`]`(nonce, node)`. The bytes are those of an
+/// [`Envelope`] from and to `leader` (the multicast convention) whose
+/// body is the encoded [`PathUpdateWire`] of the same seals.
 pub fn path_update_frame<'a>(
     buf: Vec<u8>,
     leader: &ActorId,
     group: Option<&GroupId>,
     head: PathUpdateHead,
+    nonce: [u8; AEAD_NONCE_LEN],
     seals: impl ExactSizeIterator<Item = PathSeal<'a>>,
 ) -> Vec<u8> {
     let mut w = Writer::with_buffer(buf);
@@ -942,16 +1031,15 @@ pub fn path_update_frame<'a>(
     w.put_u32(0);
     let body_at = w.len();
     head.put(&mut w, seals.len());
+    w.put_array(&nonce);
     let mut aad = PathUpdateAad::new(leader, head, group);
     let mut frame = w.finish();
     for seal in seals {
         frame.extend_from_slice(&seal.node.to_be_bytes());
-        frame.extend_from_slice(&seal.nonce);
-        frame.extend_from_slice(&((seal.secret.len() + TAG_LEN) as u32).to_be_bytes());
         let secret_at = frame.len();
         frame.extend_from_slice(seal.secret);
         let tag = ChaCha20Poly1305::new(seal.key).seal_in_place(
-            &AeadNonce::from_bytes(seal.nonce),
+            &AeadNonce::from_bytes(cipher_nonce(nonce, seal.node)),
             aad.for_node(seal.node),
             &mut frame[secret_at..],
         );
@@ -1389,10 +1477,62 @@ mod tests {
                 leaf_count: 1,
                 path_keys: vec![[9; 32]],
             },
+            AdminPayload::TreeWelcome {
+                members: [alice(), leader()].into_iter().collect(),
+                epoch: 12,
+                leaf_index: 5,
+                leaf_count: 9,
+                path_keys: vec![[1; 32], [2; 32], [3; 32], [4; 32], [5; 32]],
+            },
+            AdminPayload::TreeWelcome {
+                members: Roster::new(),
+                epoch: 1,
+                leaf_index: 0,
+                leaf_count: 1,
+                path_keys: vec![[9; 32]],
+            },
         ];
         for p in payloads {
             let bytes = encode(&p);
             assert_eq!(decode::<AdminPayload>(&bytes).unwrap(), p);
+        }
+    }
+
+    // The tree Welcome took the next free tag; no existing tag moved.
+    #[test]
+    fn admin_payload_tags_are_stable() {
+        let path = || AdminPayload::PathSync {
+            epoch: 1,
+            leaf_index: 0,
+            leaf_count: 1,
+            path_keys: vec![[9; 32]],
+        };
+        for (payload, tag) in [
+            (
+                AdminPayload::NewGroupKey {
+                    epoch: 1,
+                    key: [0; 32],
+                    iv: [0; 12],
+                },
+                1,
+            ),
+            (AdminPayload::MemberJoined(alice()), 2),
+            (AdminPayload::MemberLeft(alice()), 3),
+            (welcome_plain(Roster::new()).payload, 4),
+            (AdminPayload::AppData([][..].into()), 5),
+            (path(), 6),
+            (
+                AdminPayload::TreeWelcome {
+                    members: Roster::new(),
+                    epoch: 1,
+                    leaf_index: 0,
+                    leaf_count: 1,
+                    path_keys: vec![[9; 32]],
+                },
+                7,
+            ),
+        ] {
+            assert_eq!(encode(&payload)[0], tag, "{payload:?}");
         }
     }
 
@@ -1417,6 +1557,18 @@ mod tests {
             decode::<AdminPayload>(&w.finish()),
             Err(WireError::LengthOverflow)
         ));
+        // So is a tree Welcome's.
+        let mut w = Writer::new();
+        w.put_u8(TAG_TREE_WELCOME);
+        Roster::new().encode(&mut w);
+        w.put_u64(1);
+        w.put_u32(0);
+        w.put_u32(1);
+        w.put_u32(1_000);
+        assert!(matches!(
+            decode::<AdminPayload>(&w.finish()),
+            Err(WireError::LengthOverflow)
+        ));
     }
 
     #[test]
@@ -1425,27 +1577,15 @@ mod tests {
             epoch: 8,
             leaf_count: 70,
             updated_leaf: 33,
-            ciphers: vec![
-                (
-                    66,
-                    SealedBody {
-                        nonce: [1; 12],
-                        ciphertext: vec![0xaa; 48],
-                    },
-                ),
-                (
-                    131,
-                    SealedBody {
-                        nonce: [2; 12],
-                        ciphertext: vec![0xbb; 48],
-                    },
-                ),
-            ],
+            nonce: [0x5a; 12],
+            ciphers: vec![(66, vec![0xaa; 48]), (131, vec![0xbb; 48])],
         };
         let bytes = encode(&wire);
+        assert_eq!(bytes.len(), 20 + 12 + 2 * 52);
         assert_eq!(decode::<PathUpdateWire>(&bytes).unwrap(), wire);
-        // The borrowed view reads the same body to the same fields, and
-        // refuses what the owning decoder refuses.
+        // The borrowed view reads the same body to the same fields, each
+        // cipher's nonce derived from the base and its node, and refuses
+        // what the owning decoder refuses.
         let mut view = PathUpdateView::parse(&bytes).unwrap();
         assert_eq!(
             (
@@ -1456,36 +1596,36 @@ mod tests {
             (8, 70, 33)
         );
         for (node, sealed) in &wire.ciphers {
-            let c = view.next_cipher().unwrap().unwrap();
+            let c = view.next_cipher().unwrap();
             assert_eq!(
-                (c.node, c.nonce, c.sealed),
-                (*node, sealed.nonce, &sealed.ciphertext[..])
+                (c.node, c.nonce, &c.sealed[..]),
+                (*node, cipher_nonce(wire.nonce, *node), &sealed[..])
             );
         }
-        assert_eq!(view.next_cipher().unwrap(), None);
+        assert_eq!(view.next_cipher(), None);
         for cut in 0..bytes.len() {
-            let walked = PathUpdateView::parse(&bytes[..cut]).and_then(|mut v| {
-                while v.next_cipher()?.is_some() {}
-                Ok(())
-            });
-            assert_eq!(
-                walked.is_err(),
+            assert!(PathUpdateView::parse(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
                 decode::<PathUpdateWire>(&bytes[..cut]).is_err(),
                 "cut {cut}"
             );
-            assert!(walked.is_err(), "cut {cut}");
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        let mut view = PathUpdateView::parse(&trailing).unwrap();
-        view.next_cipher().unwrap();
-        view.next_cipher().unwrap();
-        assert_eq!(view.next_cipher(), Err(WireError::TrailingBytes));
+        assert_eq!(
+            PathUpdateView::parse(&trailing).unwrap_err(),
+            WireError::TrailingBytes
+        );
+        assert_eq!(
+            decode::<PathUpdateWire>(&trailing).unwrap_err(),
+            WireError::TrailingBytes
+        );
         // Empty cipher list is legal (a one-member tree join).
         let empty = PathUpdateWire {
             epoch: 1,
             leaf_count: 1,
             updated_leaf: 0,
+            nonce: [0; 12],
             ciphers: vec![],
         };
         assert_eq!(decode::<PathUpdateWire>(&encode(&empty)).unwrap(), empty);
@@ -1495,6 +1635,7 @@ mod tests {
         w.put_u32(4096);
         w.put_u32(0);
         w.put_u32(1_000_000);
+        w.put_array(&[0; 12]);
         let capped = w.finish();
         assert!(matches!(
             decode::<PathUpdateWire>(&capped),
@@ -1504,11 +1645,34 @@ mod tests {
             PathUpdateView::parse(&capped),
             Err(WireError::LengthOverflow)
         ));
+        // A count the body cannot hold is refused by the view before it
+        // hands out a single cipher.
+        let mut overclaimed = bytes.clone();
+        overclaimed[19] = 3;
+        assert_eq!(
+            PathUpdateView::parse(&overclaimed).unwrap_err(),
+            WireError::UnexpectedEnd
+        );
+    }
+
+    #[test]
+    fn cipher_nonce_xors_the_node_into_the_last_four_bytes() {
+        let base = [0x10u8; 12];
+        assert_eq!(cipher_nonce(base, 0), base);
+        let mut expect = base;
+        expect[8..].copy_from_slice(&[0x10 ^ 0x01, 0x10 ^ 0x02, 0x10 ^ 0x03, 0x10 ^ 0x04]);
+        assert_eq!(cipher_nonce(base, 0x0102_0304), expect);
+        // Distinct nodes never share a nonce under one base.
+        let nonces: std::collections::HashSet<_> =
+            (0..4096).map(|node| cipher_nonce(base, node)).collect();
+        assert_eq!(nonces.len(), 4096);
     }
 
     // The frame the leader writes in one pass is the frame the layered
-    // encoders produce — `Envelope` around `PathUpdateWire` around
-    // `SealedBody`s sealed under `path_update_aad` — byte for byte.
+    // encoders produce — `Envelope` around `PathUpdateWire` around seals
+    // under `path_update_aad` and `cipher_nonce` — byte for byte, and it
+    // is exactly the envelope header, the 20-byte head, the 12-byte
+    // nonce base and 52 bytes per seal.
     #[test]
     fn path_update_frame_is_the_layered_encoding() {
         let ops = GroupId::new("ops").unwrap();
@@ -1517,29 +1681,37 @@ mod tests {
             leaf_count: 6,
             updated_leaf: 2,
         };
+        let base = [0x3cu8; 12];
         let keys = [[0x11u8; 32], [0x22; 32], [0x33; 32]];
         let secrets = [[0xa1u8; 32], [0xa1; 32], [0xb2; 32]];
         let nodes = [4u32, 1, 9];
         for group in [None, Some(&ops)] {
+            let header = encode(&Envelope {
+                msg_type: MsgType::PathUpdate,
+                sender: leader(),
+                recipient: leader(),
+                group: group.cloned(),
+                body: Vec::new(),
+            })
+            .len();
             for n in 0..=nodes.len() {
                 let seals = (0..n).map(|i| PathSeal {
                     node: nodes[i],
                     key: &keys[i],
-                    nonce: [i as u8 + 1; 12],
                     secret: &secrets[i],
                 });
                 // A dirty buffer is cleared, not appended to.
-                let frame = path_update_frame(vec![0xee; 7], &leader(), group, head, seals);
+                let frame = path_update_frame(vec![0xee; 7], &leader(), group, head, base, seals);
+                assert_eq!(frame.len(), header + 20 + 12 + 52 * n);
                 let ciphers = (0..n)
                     .map(|i| {
                         let aad = path_update_aad(&leader(), 9, 6, 2, nodes[i], group);
-                        let nonce = [i as u8 + 1; 12];
-                        let ciphertext = ChaCha20Poly1305::new(&keys[i]).seal(
-                            &AeadNonce::from_bytes(nonce),
+                        let sealed = ChaCha20Poly1305::new(&keys[i]).seal(
+                            &AeadNonce::from_bytes(cipher_nonce(base, nodes[i])),
                             &secrets[i],
                             &aad,
                         );
-                        (nodes[i], SealedBody { nonce, ciphertext })
+                        (nodes[i], sealed)
                     })
                     .collect();
                 let layered = Envelope {
@@ -1551,6 +1723,7 @@ mod tests {
                         epoch: 9,
                         leaf_count: 6,
                         updated_leaf: 2,
+                        nonce: base,
                         ciphers,
                     }),
                 };
@@ -1734,12 +1907,11 @@ mod proptests {
             let _ = decode::<Envelope>(&bytes);
             let _ = decode::<AdminPayload>(&bytes);
             let _ = decode::<SealedBody>(&bytes);
-            // The borrowed walk and the owning decoder agree on every input.
-            let walked = PathUpdateView::parse(&bytes).and_then(|mut v| {
-                while v.next_cipher()?.is_some() {}
-                Ok(())
-            });
-            prop_assert_eq!(walked.is_ok(), decode::<PathUpdateWire>(&bytes).is_ok());
+            // The borrowed view and the owning decoder agree on every input.
+            prop_assert_eq!(
+                PathUpdateView::parse(&bytes).is_ok(),
+                decode::<PathUpdateWire>(&bytes).is_ok()
+            );
         }
     }
 }

@@ -13,7 +13,7 @@ use enclaves_core::liveness::LivenessConfig;
 use enclaves_core::protocol::{LeaderCore, MemberEvent, MemberSession};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_wire::codec::{decode, encode, Decode, Reader};
-use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, SealedBody};
+use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, MAX_PATH_CIPHERS};
 use enclaves_wire::{ActorId, Roster};
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -369,10 +369,8 @@ proptest! {
                 epoch: epoch + epoch_delta,
                 leaf_count,
                 updated_leaf,
-                ciphers: nodes
-                    .into_iter()
-                    .map(|node| (node, SealedBody { nonce: [7; 12], ciphertext: vec![0x55; 48] }))
-                    .collect(),
+                nonce: [7; 12],
+                ciphers: nodes.into_iter().map(|node| (node, vec![0x55; 48])).collect(),
             }),
         };
         match world.members[2].handle(&forged) {
@@ -407,4 +405,73 @@ fn forged_path_updates_are_inert_and_bounded() {
             .join()
             .unwrap_or_else(|e| std::panic::resume_unwind(e)),
     }
+}
+
+/// Hostile byte-level edits of an honest `PathUpdate` body — a nonce base
+/// cut short, a cipher cut short, a cipher count past the cap, bytes after
+/// the last cipher — are each rejected, move no state, and leave the
+/// honest frame they were cut from as the next one the member takes.
+#[test]
+fn hostile_path_update_bytes_are_rejected_without_effect() {
+    let mut world = FanoutGroup::new_tree(3);
+    // The build routes no `PathUpdate` back, so each member holds the
+    // epoch it was welcomed at.
+    let epochs: Vec<_> = world
+        .members
+        .iter()
+        .map(MemberSession::group_epoch)
+        .collect();
+    let honest: Envelope = decode(&world.rekey_tree().frame).unwrap();
+    let body = &honest.body;
+    // Head (20 bytes), nonce base (12), then 52 bytes per cipher.
+    let ciphers = (body.len() - 32) / 52;
+    assert!(ciphers > 0 && body.len() == 32 + 52 * ciphers);
+    let with_count = |count: u32| {
+        let mut b = body.clone();
+        b[16..20].copy_from_slice(&count.to_be_bytes());
+        b
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = (20..32)
+        .map(|cut| {
+            (
+                format!("nonce base cut to {} bytes", cut - 20),
+                body[..cut].to_vec(),
+            )
+        })
+        .collect();
+    for short in [1, 16, 47, 51] {
+        cases.push((
+            format!("last cipher {short} bytes short"),
+            body[..body.len() - short].to_vec(),
+        ));
+    }
+    for count in [MAX_PATH_CIPHERS as u32 + 1, u32::MAX] {
+        cases.push((format!("count {count}"), with_count(count)));
+    }
+    cases.push((
+        "one cipher more claimed than sent".into(),
+        with_count(ciphers as u32 + 1),
+    ));
+    for extra in [1, 52] {
+        let mut b = body.clone();
+        b.extend(std::iter::repeat_n(0, extra));
+        cases.push((format!("{extra} trailing bytes"), b));
+    }
+    for (name, body) in cases {
+        let forged = Envelope {
+            body,
+            ..honest.clone()
+        };
+        for (m, epoch) in world.members.iter_mut().zip(&epochs) {
+            match m.handle(&forged) {
+                Ok(out) => panic!("{name}: accepted with {:?}", out.events),
+                Err(e) => assert!(e.is_rejection(), "{name}: unexpected error class: {e}"),
+            }
+            assert_eq!(m.group_epoch(), *epoch, "{name}: state moved");
+        }
+    }
+    world.members[2]
+        .handle(&honest)
+        .expect("the honest update still lands");
+    assert_eq!(world.members[2].group_epoch(), world.leader.epoch());
 }
