@@ -14,8 +14,11 @@
 //!   (Figure 3, one slot per member). These are pure: they consume
 //!   envelopes and produce envelopes + events, so they are exhaustively
 //!   testable and transport-agnostic. Each has one way in: the leader's
-//!   [`protocol::LeaderCore::handle_at`] takes an envelope and the time,
-//!   and a session starts from a password
+//!   [`protocol::LeaderCore::handle_at`] takes an envelope and the time
+//!   (the service splits it in two, staging a drain's frames with
+//!   [`protocol::LeaderCore::stage_at`] and committing their joins once
+//!   with [`protocol::LeaderCore::commit`]), and a session starts from a
+//!   password
 //!   ([`protocol::MemberSession::start_in_group`]) or from a long-term key
 //!   ([`protocol::MemberSession::start_with_key_in_group`]).
 //! * [`legacy`] — the same, for the original protocol, vulnerabilities

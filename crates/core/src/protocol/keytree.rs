@@ -26,6 +26,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use enclaves_crypto::rng::CryptoRng;
 use enclaves_crypto::treekdf::{derive_node_key, derive_step};
+use enclaves_wire::message::CommitLeaves;
 use enclaves_wire::ActorId;
 
 /// A 32-byte tree node key or path secret.
@@ -133,19 +134,6 @@ pub fn on_direct_path(x: u32, leaf_slot: u32, n: u32) -> bool {
     leaf_slot < n && in_tree(x, n) && x >> (level(x) + 1) == (2 * leaf_slot) >> (level(x) + 1)
 }
 
-/// The sibling of `child` under its parent `p` (the copath node at the
-/// step where a direct path crosses `p`). `parent` skips out-of-range
-/// ancestors, so a node whose parent is `p` is exactly `left(p)` or
-/// `right(p, n)`.
-fn sibling(p: u32, child: u32, n: u32) -> u32 {
-    if left(p) == child {
-        right(p, n)
-    } else {
-        debug_assert_eq!(right(p, n), child);
-        left(p)
-    }
-}
-
 /// Lowest common ancestor of two nodes, or `None` when either is not a
 /// node of a tree with `n` leaves.
 #[must_use]
@@ -210,16 +198,18 @@ impl std::fmt::Debug for CopathSeal {
     }
 }
 
-/// Everything a single path refresh produces: the copath seals to
-/// broadcast, plus the new root key the refreshed epoch derives from.
+/// Everything one commit produces: the copath seals to broadcast, plus
+/// the new root key the refreshed epoch derives from.
 #[derive(Debug, Clone)]
 pub struct PathUpdatePlan {
-    /// Leaf slot whose path was refreshed.
-    pub updated_leaf: u32,
+    /// Leaf slots whose direct paths were refreshed, ascending: one for a
+    /// single change, each joiner's for a batch commit.
+    pub leaves: CommitLeaves,
     /// Leaf slots in the tree after the refresh.
     pub leaf_count: u32,
-    /// One seal per copath resolution node — `O(log N)` of them on a
-    /// dense tree.
+    /// One seal per copath resolution node, plus one per merge node
+    /// whose right child was refreshed too — `O(log N)` for one leaf on
+    /// a dense tree.
     pub seals: Vec<CopathSeal>,
     /// The new root key (feeds `treekdf::derive_group`).
     pub root_key: NodeKey,
@@ -371,10 +361,38 @@ impl KeyTree {
         }
     }
 
-    /// Adds a member, reusing the first blank leaf or extending the tree,
-    /// and refreshes the new leaf's path with a fresh leaf secret. The
-    /// joiner itself learns its path from its `TreeWelcome`; the
-    /// returned plan's seals cover everyone else.
+    /// Admits every member of `joins` in one commit. A member already in
+    /// the tree — a re-admission: it survived in the recovered roster and
+    /// tree while its session died with the old leader — keeps its leaf
+    /// and draws a fresh leaf secret, retiring every key on its possibly
+    /// compromised old path; any other takes the lowest blank leaf or
+    /// extends the tree. One [`refresh`](Self::refresh) then rewrites the
+    /// union of their direct paths. The joiners learn their paths from
+    /// their `TreeWelcome`s; the plan's seals cover everyone else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joins` is empty or names a member twice.
+    pub fn commit<R: CryptoRng + ?Sized>(
+        &mut self,
+        joins: &[ActorId],
+        rng: &mut R,
+    ) -> PathUpdatePlan {
+        let mut committed = Vec::with_capacity(joins.len());
+        for member in joins {
+            let slot = match self.leaf_of(member) {
+                Some(slot) => slot,
+                None => self.seat(member.clone()),
+            };
+            let mut leaf_secret = [0u8; 32];
+            rng.fill_bytes(&mut leaf_secret);
+            committed.push((slot, Some(leaf_secret)));
+        }
+        self.refresh(&mut committed, rng)
+    }
+
+    /// Adds a member, reusing the first blank leaf or extending the tree:
+    /// a [`commit`](Self::commit) of one join.
     ///
     /// # Panics
     ///
@@ -384,6 +402,24 @@ impl KeyTree {
             !self.leaf_of.contains_key(&member),
             "member already in tree"
         );
+        self.commit(&[member], rng)
+    }
+
+    /// Re-draws an existing member's leaf secret and refreshes its path —
+    /// the crash-recovery re-admission, a [`commit`](Self::commit) of
+    /// one join. Returns `None` if the member is not in the tree.
+    pub fn refresh_member<R: CryptoRng + ?Sized>(
+        &mut self,
+        member: &ActorId,
+        rng: &mut R,
+    ) -> Option<PathUpdatePlan> {
+        self.leaf_of(member)?;
+        Some(self.commit(std::slice::from_ref(member), rng))
+    }
+
+    /// Seats `member` in the lowest blank leaf, or in a new leaf that
+    /// extends the tree, and returns the slot.
+    fn seat(&mut self, member: ActorId) -> u32 {
         let slot = match self.blanks.pop_first() {
             Some(blank) => blank,
             None => {
@@ -397,9 +433,7 @@ impl KeyTree {
         };
         self.occupants[slot as usize] = Some(member.clone());
         self.leaf_of.insert(member, slot);
-        let mut leaf_secret = [0u8; 32];
-        rng.fill_bytes(&mut leaf_secret);
-        self.refresh_path(slot, Some(leaf_secret), false, rng)
+        slot
     }
 
     /// Removes a member: blanks its leaf and rewrites its former direct
@@ -418,7 +452,7 @@ impl KeyTree {
             *self = KeyTree::new();
             return None;
         }
-        Some(self.refresh_path(slot, None, false, rng))
+        Some(self.refresh(&mut [(slot, None)], rng))
     }
 
     /// Refreshes the path of the next occupied leaf in rotation (manual
@@ -435,25 +469,7 @@ impl KeyTree {
             slot = (slot + 1) % self.leaf_count;
         }
         self.next_refresh = (slot + 1) % self.leaf_count;
-        self.refresh_path(slot, None, true, rng)
-    }
-
-    /// Re-draws an existing member's leaf secret and refreshes its path —
-    /// the crash-recovery re-admission step. After a leader restart the
-    /// member is still in the recovered roster and tree, but its leaf key
-    /// predates the crash; re-running the join-style refresh retires every
-    /// key on its old path before the member is handed the current tree
-    /// over its fresh session. Returns `None` if the member is not in the
-    /// tree.
-    pub fn refresh_member<R: CryptoRng + ?Sized>(
-        &mut self,
-        member: &ActorId,
-        rng: &mut R,
-    ) -> Option<PathUpdatePlan> {
-        let slot = self.leaf_of(member)?;
-        let mut leaf_secret = [0u8; 32];
-        rng.fill_bytes(&mut leaf_secret);
-        Some(self.refresh_path(slot, Some(leaf_secret), false, rng))
+        self.refresh(&mut [(slot, None)], rng)
     }
 
     /// Rebuilds a compact tree from scratch: blank leaves vanish, every
@@ -483,101 +499,156 @@ impl KeyTree {
         self.root_key()
     }
 
-    /// Core path refresh from leaf `slot`. With `leaf_secret` the leaf key
-    /// itself is rewritten (join) and the parent secret chains from it;
-    /// otherwise the first parent secret is drawn fresh (remove, traffic
-    /// rekey). With `seal_to_self` the refreshed leaf's current key also
-    /// receives a seal, so the member at that leaf can follow the refresh
-    /// from the broadcast alone.
-    fn refresh_path<R: CryptoRng + ?Sized>(
+    /// The one path refresh: rewrites every node on the union of the
+    /// committed leaves' direct paths, level by level from the leaves up,
+    /// left to right within a level. `committed` pairs each leaf slot
+    /// with its fresh leaf secret (a join: the leaf key is rewritten and
+    /// its parent's secret chains from it) or `None` (a departure's
+    /// blanked leaf, or a rotation, whose leaf key stays).
+    ///
+    /// Each rewritten node's secret chains from one refreshed child, the
+    /// left one where both were (a *merge* node); then:
+    /// - a child that was not refreshed gets one seal of the node's
+    ///   secret to its resolution, as on a single path;
+    /// - the right child of a merge node, when interior, gets the node's
+    ///   secret sealed under its own new key, so the members under it,
+    ///   who derive that key, can climb on (node keys only ever seal);
+    /// - a node with no refreshed child (a departed or rotated leaf's
+    ///   parent) draws a fresh secret and seals it to both children's
+    ///   resolutions, the committed leaf's first — to the rotated
+    ///   member's own leaf key, to nobody for a blank.
+    ///
+    /// One committed leaf is a single path, so a one-leaf commit draws
+    /// the same RNG bytes and emits the same seals in the same order as
+    /// a bottom-up walk of that path.
+    fn refresh<R: CryptoRng + ?Sized>(
         &mut self,
-        slot: u32,
-        leaf_secret: Option<NodeKey>,
-        seal_to_self: bool,
+        committed: &mut [(u32, Option<NodeKey>)],
         rng: &mut R,
     ) -> PathUpdatePlan {
+        committed.sort_unstable_by_key(|&(slot, _)| slot);
+        assert!(
+            committed.windows(2).all(|w| w[0].0 < w[1].0),
+            "a leaf committed twice"
+        );
         let n = self.leaf_count;
-        let leaf_node = 2 * slot;
+        let r = root(n);
         let mut seals = Vec::new();
         let mut path_depth = 0u32;
-
-        // Establish the secret for the first path node (the leaf's parent,
-        // or the leaf itself in a one-leaf tree).
-        let mut secret = match leaf_secret {
-            Some(s0) => {
-                let (leaf_key, parent_secret) = derive_step(&s0);
-                self.node_keys[leaf_node as usize] = Some(leaf_key);
+        // The secret each refreshed node hands up, until its parent takes
+        // it: one entry per chain still climbing, so a few at a time.
+        let mut offered: Vec<(u32, NodeKey)> = Vec::with_capacity(committed.len());
+        for &(slot, leaf_secret) in &*committed {
+            if let Some(s0) = leaf_secret {
+                let (leaf_key, up) = derive_step(&s0);
+                self.node_keys[(2 * slot) as usize] = Some(leaf_key);
+                offered.push((2 * slot, up));
                 path_depth += 1;
-                parent_secret
             }
-            None => {
-                let mut s = [0u8; 32];
-                rng.fill_bytes(&mut s);
-                s
-            }
+        }
+        let take = |offered: &mut Vec<(u32, NodeKey)>, x: u32| {
+            let i = offered.iter().position(|&(node, _)| node == x)?;
+            Some(offered.swap_remove(i).1)
+        };
+        let fresh = |rng: &mut R| {
+            let mut s = [0u8; 32];
+            rng.fill_bytes(&mut s);
+            s
         };
 
-        if leaf_node == root(n) {
+        if n == 1 {
             // One-leaf tree: the leaf is the root. A refresh without a new
-            // leaf secret rotates the leaf key in place, sealing the
-            // fresh secret under the old key so the occupant can follow.
-            if leaf_secret.is_none() {
-                if seal_to_self {
-                    if let Some(old) = self.node_keys[leaf_node as usize] {
-                        seals.push(CopathSeal {
-                            node_index: leaf_node,
-                            seal_key: old,
-                            path_secret: secret,
-                        });
-                    }
-                }
-                self.node_keys[leaf_node as usize] = Some(derive_node_key(&secret));
+            // leaf secret rotates the leaf key in place, sealing the fresh
+            // secret under the old key so the occupant can follow.
+            if committed[0].1.is_none() {
+                let secret = fresh(rng);
+                self.seal_to_resolution(r, &secret, &mut seals);
+                self.node_keys[r as usize] = Some(derive_node_key(&secret));
                 path_depth += 1;
             }
-            return PathUpdatePlan {
-                updated_leaf: slot,
-                leaf_count: n,
-                seals,
-                root_key: self.node_keys[leaf_node as usize].expect("root key just written"),
-                path_depth,
+        } else {
+            // The union of the direct paths, in the order it is rewritten.
+            let mut union: Vec<u32> = committed
+                .iter()
+                .flat_map(|&(slot, _)| direct_path(2 * slot, n))
+                .collect();
+            // One path is in that order already.
+            if committed.len() > 1 {
+                union.sort_unstable_by_key(|&x| (level(x), x));
+                union.dedup();
+            }
+            let is_committed = |x: u32| {
+                level(x) == 0
+                    && committed
+                        .binary_search_by_key(&(x / 2), |&(slot, _)| slot)
+                        .is_ok()
             };
-        }
-
-        if seal_to_self {
-            if let Some(leaf_key) = self.node_keys[leaf_node as usize] {
-                seals.push(CopathSeal {
-                    node_index: leaf_node,
-                    seal_key: leaf_key,
-                    path_secret: secret,
+            for p in union {
+                let (lc, rc) = (left(p), right(p, n));
+                let secret = match (take(&mut offered, lc), take(&mut offered, rc)) {
+                    (Some(secret), Some(_)) => {
+                        if level(rc) > 0 {
+                            seals.push(CopathSeal {
+                                node_index: rc,
+                                seal_key: self.node_keys[rc as usize]
+                                    .expect("a refreshed node is keyed"),
+                                path_secret: secret,
+                            });
+                        }
+                        secret
+                    }
+                    (Some(secret), None) => {
+                        self.seal_to_resolution(rc, &secret, &mut seals);
+                        secret
+                    }
+                    (None, Some(secret)) => {
+                        self.seal_to_resolution(lc, &secret, &mut seals);
+                        secret
+                    }
+                    (None, None) => {
+                        let secret = fresh(rng);
+                        let (first, second) = if is_committed(rc) && !is_committed(lc) {
+                            (rc, lc)
+                        } else {
+                            (lc, rc)
+                        };
+                        self.seal_to_resolution(first, &secret, &mut seals);
+                        self.seal_to_resolution(second, &secret, &mut seals);
+                        secret
+                    }
+                };
+                path_depth += 1;
+                // Nothing sits above the root, so its secret is not chained on.
+                self.node_keys[p as usize] = Some(if p == r {
+                    derive_node_key(&secret)
+                } else {
+                    let (key, up) = derive_step(&secret);
+                    offered.push((p, up));
+                    key
                 });
             }
         }
 
-        let r = root(n);
-        let mut below = leaf_node;
-        for p in direct_path(leaf_node, n) {
-            // Members under the copath child need this node's secret.
-            self.seal_to_resolution(sibling(p, below, n), &secret, &mut seals);
-            path_depth += 1;
-            // Nothing sits above the root, so its secret is not chained on.
-            self.node_keys[p as usize] = Some(if p == r {
-                derive_node_key(&secret)
-            } else {
-                let (key, parent_secret) = derive_step(&secret);
-                secret = parent_secret;
-                key
-            });
-            below = p;
-        }
-
         PathUpdatePlan {
-            updated_leaf: slot,
+            leaves: match *committed {
+                [(slot, _)] => CommitLeaves::One(slot),
+                _ => CommitLeaves::Many(committed.iter().map(|&(slot, _)| slot).collect()),
+            },
             leaf_count: n,
             seals,
             root_key: self.node_keys[r as usize].expect("root rewritten by refresh"),
             path_depth,
         }
     }
+}
+
+/// True when a leaf slot of `leaves` (ascending) lies under node `x`: a
+/// level-`k` node spans the leaf nodes within `2^k - 1` of its index.
+fn covers_any(x: u32, leaves: &[u32]) -> bool {
+    let span = (1u32 << level(x)) - 1;
+    let (lo, hi) = ((x - span) / 2, (x + span) / 2);
+    let i = leaves.partition_point(|&leaf| leaf < lo);
+    leaves.get(i).is_some_and(|&leaf| leaf <= hi)
 }
 
 // ---------------------------------------------------------------------------
@@ -639,16 +710,6 @@ impl MemberTree {
         on_direct_path(node, self.leaf_slot, leaf_count)
     }
 
-    /// The key this member holds for `node`, if any.
-    #[must_use]
-    pub fn key_of(&self, node: u32) -> Option<&NodeKey> {
-        if self.on_path(node, MAX_LEAVES) {
-            self.keys.get(level(node) as usize)?.as_ref()
-        } else {
-            None
-        }
-    }
-
     /// The root key under the current `leaf_count`.
     #[must_use]
     pub fn root_key(&self) -> Option<&NodeKey> {
@@ -657,36 +718,95 @@ impl MemberTree {
             .as_ref()
     }
 
-    /// Applies an unsealed path secret belonging to `node` (per
-    /// [`update_secret_node`], so on this member's path) after a path
-    /// update extended the tree to `leaf_count` leaves: derives and stores
-    /// every key from `node` up to the root, and returns the new root key.
-    pub fn install_secret(&mut self, node: u32, secret: &NodeKey, leaf_count: u32) -> NodeKey {
-        self.leaf_count = leaf_count;
+    /// The node whose fresh secret this member unseals from a commit that
+    /// refreshed the direct paths of `leaves` (ascending) in a tree of
+    /// `leaf_count` leaves: the lowest refreshed node of its own path
+    /// ([`update_secret_node`] against the nearest committed leaf).
+    /// `None` for a commit that cannot fit this member's tree: a shrunken
+    /// tree (a reinit travels by `PathSync`), no leaf, a leaf outside the
+    /// tree, a leaf listed twice or out of order, or this member's own
+    /// leaf in a commit of several (a batch commits only joiners, whose
+    /// paths travel in their Welcomes).
+    #[must_use]
+    pub fn commit_target(&self, leaves: &[u32], leaf_count: u32) -> Option<u32> {
+        if leaf_count < self.leaf_count
+            || leaves.windows(2).any(|w| w[0] >= w[1])
+            || (leaves.len() > 1 && leaves.binary_search(&self.leaf_slot).is_ok())
+        {
+            return None;
+        }
+        leaves.iter().try_fold(None, |lowest: Option<u32>, &leaf| {
+            let node = update_secret_node(self.leaf_slot, leaf, leaf_count)?;
+            Some(Some(match lowest {
+                Some(low) if level(low) <= level(node) => low,
+                _ => node,
+            }))
+        })?
+    }
+
+    /// Follows a commit of `leaves` (ascending) that grew the tree to
+    /// `leaf_count` leaves and whose lowest refreshed node on this
+    /// member's path is `target` (per [`commit_target`](Self::commit_target)).
+    ///
+    /// `open(node, key)` opens the commit's cipher addressed to `node`, a
+    /// node of this path, under `key`, and is called at most once per
+    /// level: first at each node below `target` whose key this member
+    /// holds, until one opens — the seal to this member's resolution
+    /// node, carrying `target`'s secret; in a one-leaf tree, the rotated
+    /// leaf's seal under its old key — then, climbing from `target`,
+    /// at each merge node's right child on this path under the key just
+    /// derived for it, since a merge node's secret chains from its left
+    /// child. Every other secret chains up by [`derive_step`].
+    ///
+    /// Returns the new root key with the path's keys rewritten, or `None`
+    /// with nothing changed if a cipher it needs does not open.
+    pub fn follow_commit(
+        &mut self,
+        target: u32,
+        leaves: &[u32],
+        leaf_count: u32,
+        mut open: impl FnMut(u32, &NodeKey) -> Option<NodeKey>,
+    ) -> Option<NodeKey> {
+        // The node of this path at level `k` is the one that agrees with
+        // its leaf above bit `k` (see `on_direct_path`); a level the path
+        // skips holds no key.
+        let leaf_node = 2 * self.leaf_slot;
+        let mut secret = (0..level(target).max(1)).find_map(|k| {
+            let node = (leaf_node >> (k + 1) << (k + 1)) | ((1 << k) - 1);
+            open(node, self.keys.get(k as usize)?.as_ref()?)
+        })?;
+        // Only a merge seal can still fail to open, and only a commit of
+        // several leaves has merges: the keys it rewrites are restored
+        // then.
+        let kept = (leaves.len() > 1).then(|| self.keys.clone());
         // A join that adds a level on top is the only time this grows.
         let levels = level(root(leaf_count)) as usize + 1;
         if self.keys.len() < levels {
             self.keys.resize(levels, None);
         }
-        let mut s = *secret;
-        let mut t = node;
-        loop {
-            let held = &mut self.keys[level(t) as usize];
-            match parent(t, leaf_count) {
-                Some(above) => {
-                    let (key, parent_secret) = derive_step(&s);
-                    *held = Some(key);
-                    s = parent_secret;
-                    t = above;
+        let mut t = target;
+        while let Some(p) = parent(t, leaf_count) {
+            let (key, up) = derive_step(&secret);
+            self.keys[level(t) as usize] = Some(key);
+            secret = if t != left(p) && covers_any(left(p), leaves) {
+                match open(t, &key) {
+                    Some(secret) => secret,
+                    None => {
+                        if let Some(kept) = kept {
+                            self.keys = kept;
+                        }
+                        return None;
+                    }
                 }
-                // The root: nothing above it needs a secret.
-                None => {
-                    let key = derive_node_key(&s);
-                    *held = Some(key);
-                    return key;
-                }
-            }
+            } else {
+                up
+            };
+            t = p;
         }
+        let root_key = derive_node_key(&secret);
+        self.keys[level(t) as usize] = Some(root_key);
+        self.leaf_count = leaf_count;
+        Some(root_key)
     }
 }
 
@@ -830,33 +950,24 @@ mod tests {
     }
 
     /// Replays a plan against every member view the way `MemberSession`
-    /// does: find the one seal on my path, install the secret, return the
-    /// root key each member derives.
+    /// does: find the lowest refreshed node of my path, open the seal to
+    /// my resolution below it, climb, opening again only at a merge
+    /// node's right child — never twice at one level — and land on the
+    /// leader's root.
     fn apply_plan(views: &mut HashMap<ActorId, MemberTree>, plan: &PathUpdatePlan) {
         for (who, view) in views.iter_mut() {
-            let mine: Vec<&CopathSeal> = plan
-                .seals
-                .iter()
-                .filter(|s| {
-                    view.on_path(s.node_index, plan.leaf_count)
-                        && view.key_of(s.node_index).is_some()
+            let target = view
+                .commit_target(&plan.leaves, plan.leaf_count)
+                .unwrap_or_else(|| panic!("{who}: the commit fits the member's tree"));
+            let mut levels = BTreeSet::new();
+            let root = view
+                .follow_commit(target, &plan.leaves, plan.leaf_count, |node, key| {
+                    assert!(levels.insert(level(node)), "{who}: two opens at one level");
+                    let seal = plan.seals.iter().find(|s| s.node_index == node)?;
+                    (seal.seal_key == *key).then_some(seal.path_secret)
                 })
-                .collect();
-            assert_eq!(
-                mine.len(),
-                1,
-                "{who}: expected exactly one decryptable seal, got {}",
-                mine.len()
-            );
-            let seal = mine[0];
-            assert_eq!(
-                view.key_of(seal.node_index),
-                Some(&seal.seal_key),
-                "{who}: seal key must match the member's stored node key"
-            );
-            let target = update_secret_node(view.leaf_slot, plan.updated_leaf, plan.leaf_count)
-                .expect("both leaves are in the tree");
-            view.install_secret(target, &seal.path_secret, plan.leaf_count);
+                .unwrap_or_else(|| panic!("{who}: no seal on the member's path opened"));
+            assert_eq!(root, plan.root_key, "{who} derived another root");
         }
     }
 
@@ -1027,7 +1138,7 @@ mod tests {
         assert_eq!(tree.occupied(), 5);
         // Rejoin lands in the blanked slot — the tree does not grow.
         let plan = tree.add(victim.clone(), &mut rng);
-        assert_eq!(plan.updated_leaf, 2);
+        assert_eq!(*plan.leaves, [2]);
         assert_eq!(tree.leaf_count(), 6);
         assert_eq!(tree.leaf_of(&victim), Some(2));
         // And the rejoined member's path is fully keyed.
@@ -1056,15 +1167,12 @@ mod tests {
                 expect,
                 "join {i}"
             );
-            assert_eq!(
-                tree.add(id(&format!("n{i}")), &mut rng).updated_leaf,
-                expect
-            );
+            assert_eq!(*tree.add(id(&format!("n{i}")), &mut rng).leaves, [expect]);
         }
         // A reinit compacts the blank away and leaves none behind.
         tree.remove(&members[0], &mut rng).unwrap();
         tree.reinit(&mut rng).unwrap();
-        assert_eq!(tree.add(id("late"), &mut rng).updated_leaf, 12);
+        assert_eq!(*tree.add(id("late"), &mut rng).leaves, [12]);
     }
 
     #[test]
@@ -1126,6 +1234,324 @@ mod tests {
         }
         // A member not in the tree yields no plan.
         assert!(tree.refresh_member(&id("ghost"), &mut rng).is_none());
+    }
+
+    /// The single-path walk every membership change ran before a commit
+    /// could cover several leaves, kept as the reference a one-leaf
+    /// commit must match draw for draw and seal for seal.
+    fn walk_one_path<R: CryptoRng + ?Sized>(
+        tree: &mut KeyTree,
+        slot: u32,
+        leaf_secret: Option<NodeKey>,
+        seal_to_self: bool,
+        rng: &mut R,
+    ) -> PathUpdatePlan {
+        let n = tree.leaf_count;
+        let leaf_node = 2 * slot;
+        let mut seals = Vec::new();
+        let mut path_depth = 0u32;
+        let mut secret = match leaf_secret {
+            Some(s0) => {
+                let (leaf_key, parent_secret) = derive_step(&s0);
+                tree.node_keys[leaf_node as usize] = Some(leaf_key);
+                path_depth += 1;
+                parent_secret
+            }
+            None => {
+                let mut s = [0u8; 32];
+                rng.fill_bytes(&mut s);
+                s
+            }
+        };
+        if leaf_node == root(n) {
+            if leaf_secret.is_none() {
+                if let (true, Some(old)) = (seal_to_self, tree.node_keys[leaf_node as usize]) {
+                    seals.push(CopathSeal {
+                        node_index: leaf_node,
+                        seal_key: old,
+                        path_secret: secret,
+                    });
+                }
+                tree.node_keys[leaf_node as usize] = Some(derive_node_key(&secret));
+                path_depth += 1;
+            }
+            let root_key = tree.node_keys[leaf_node as usize].unwrap();
+            return PathUpdatePlan {
+                leaves: CommitLeaves::One(slot),
+                leaf_count: n,
+                seals,
+                root_key,
+                path_depth,
+            };
+        }
+        if let (true, Some(leaf_key)) = (seal_to_self, tree.node_keys[leaf_node as usize]) {
+            seals.push(CopathSeal {
+                node_index: leaf_node,
+                seal_key: leaf_key,
+                path_secret: secret,
+            });
+        }
+        let r = root(n);
+        let mut below = leaf_node;
+        for p in direct_path(leaf_node, n) {
+            let sibling = if left(p) == below {
+                right(p, n)
+            } else {
+                left(p)
+            };
+            tree.seal_to_resolution(sibling, &secret, &mut seals);
+            path_depth += 1;
+            tree.node_keys[p as usize] = Some(if p == r {
+                derive_node_key(&secret)
+            } else {
+                let (key, parent_secret) = derive_step(&secret);
+                secret = parent_secret;
+                key
+            });
+            below = p;
+        }
+        PathUpdatePlan {
+            leaves: CommitLeaves::One(slot),
+            leaf_count: n,
+            seals,
+            root_key: tree.node_keys[r as usize].unwrap(),
+            path_depth,
+        }
+    }
+
+    fn plan_bytes(plan: &PathUpdatePlan) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &leaf in plan.leaves.iter() {
+            out.extend_from_slice(&leaf.to_be_bytes());
+        }
+        out.extend_from_slice(&plan.leaf_count.to_be_bytes());
+        out.extend_from_slice(&plan.path_depth.to_be_bytes());
+        out.extend_from_slice(&plan.root_key);
+        for seal in &plan.seals {
+            out.extend_from_slice(&seal.node_index.to_be_bytes());
+            out.extend_from_slice(&seal.seal_key);
+            out.extend_from_slice(&seal.path_secret);
+        }
+        out
+    }
+
+    // Every one-leaf change — a join into a blank or a new leaf, a
+    // re-admission, a departure, a rotation — is a commit of one leaf,
+    // and draws the same RNG bytes and emits the same seals, in the same
+    // order, as the single-path walk it replaced: so tapes, journals and
+    // wire bytes written before batch commits existed replay unchanged.
+    #[test]
+    fn a_one_leaf_commit_is_the_single_path_walk() {
+        let mut commits = KeyTree::new();
+        let mut walks = KeyTree::new();
+        let (mut rng_c, mut rng_w) = (SeededRng::from_seed(53), SeededRng::from_seed(53));
+        let mut pick = SeededRng::from_seed(54);
+        let mut members: Vec<ActorId> = Vec::new();
+        for step in 0..400u32 {
+            let roll = pick.next_u64() % 8;
+            let (plan_c, plan_w) = if members.len() < 2 || roll < 3 {
+                let m = id(&format!("n{step}"));
+                members.push(m.clone());
+                let plan_c = commits.add(m.clone(), &mut rng_c);
+                let slot = walks.seat(m);
+                let mut s0 = [0u8; 32];
+                rng_w.fill_bytes(&mut s0);
+                (
+                    plan_c,
+                    walk_one_path(&mut walks, slot, Some(s0), false, &mut rng_w),
+                )
+            } else {
+                let i = (pick.next_u64() % members.len() as u64) as usize;
+                match roll {
+                    3 | 4 => {
+                        let m = members.swap_remove(i);
+                        let plan_c = commits.remove(&m, &mut rng_c).unwrap();
+                        let slot = walks.leaf_of.remove(&m).unwrap();
+                        walks.occupants[slot as usize] = None;
+                        walks.blanks.insert(slot);
+                        walks.node_keys[(2 * slot) as usize] = None;
+                        (
+                            plan_c,
+                            walk_one_path(&mut walks, slot, None, false, &mut rng_w),
+                        )
+                    }
+                    5 => {
+                        let plan_c = commits.refresh_member(&members[i], &mut rng_c).unwrap();
+                        let slot = walks.leaf_of(&members[i]).unwrap();
+                        let mut s0 = [0u8; 32];
+                        rng_w.fill_bytes(&mut s0);
+                        (
+                            plan_c,
+                            walk_one_path(&mut walks, slot, Some(s0), false, &mut rng_w),
+                        )
+                    }
+                    _ => {
+                        let plan_c = commits.refresh_next(&mut rng_c);
+                        let mut slot = walks.next_refresh % walks.leaf_count;
+                        while walks.occupants[slot as usize].is_none() {
+                            slot = (slot + 1) % walks.leaf_count;
+                        }
+                        walks.next_refresh = (slot + 1) % walks.leaf_count;
+                        (
+                            plan_c,
+                            walk_one_path(&mut walks, slot, None, true, &mut rng_w),
+                        )
+                    }
+                }
+            };
+            assert_eq!(plan_bytes(&plan_c), plan_bytes(&plan_w), "step {step}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            commits.digest_into(&mut a);
+            walks.digest_into(&mut b);
+            assert_eq!(a, b, "step {step}");
+        }
+        assert_eq!(rng_c.next_u64(), rng_w.next_u64(), "the same bytes drawn");
+    }
+
+    /// The keys a member view holds, leaf to root, against the leader's
+    /// record of its path.
+    fn assert_views_match(tree: &KeyTree, views: &HashMap<ActorId, MemberTree>) {
+        for (who, view) in views {
+            let (slot, keys) = tree.path_keys(who).expect("path intact");
+            assert_eq!(view.leaf_slot, slot, "{who}");
+            assert_eq!(view.leaf_count, tree.leaf_count(), "{who}");
+            let held: Vec<NodeKey> = view.keys.iter().flatten().copied().collect();
+            assert_eq!(held, keys, "{who}'s tree differs from the leader's");
+        }
+    }
+
+    // A batch of joins — new leaves past the end, blanks refilled, and
+    // members re-admitted in place — is one plan over the union of the
+    // joiners' paths: every member already in follows it, opening at most
+    // once per level of its path, and holds exactly the leader's path
+    // afterwards; every joiner's synced path reaches the same root; and
+    // no seal is under a key a re-admitted leaf held before.
+    #[test]
+    fn a_batch_commit_is_followed_by_every_member_already_in() {
+        for (n, fresh, readmit, seed) in [
+            (64usize, 3usize, 2usize, 61u64),
+            (5, 4, 0, 62),
+            (1, 7, 0, 63),
+            (0, 6, 0, 64),
+            (33, 0, 5, 65),
+            (100, 27, 9, 66),
+        ] {
+            let mut rng = SeededRng::from_seed(seed);
+            let mut tree = KeyTree::new();
+            let members: Vec<ActorId> = (0..n).map(|i| id(&format!("m{i}"))).collect();
+            for m in &members {
+                tree.add(m.clone(), &mut rng);
+            }
+            // A few blanks for the batch to refill.
+            for m in members.iter().skip(7).step_by(11) {
+                tree.remove(m, &mut rng);
+            }
+            let staying: Vec<ActorId> = members
+                .iter()
+                .filter(|m| tree.leaf_of(m).is_some())
+                .cloned()
+                .collect();
+            let readmitted: Vec<ActorId> = staying.iter().take(readmit).cloned().collect();
+            let old_keys: Vec<NodeKey> = readmitted
+                .iter()
+                .flat_map(|m| tree.path_keys(m).unwrap().1)
+                .collect();
+            let mut joins: Vec<ActorId> = (0..fresh).map(|i| id(&format!("j{i}"))).collect();
+            joins.extend(readmitted.iter().cloned());
+            let followers: Vec<ActorId> = staying
+                .iter()
+                .filter(|m| !readmitted.contains(m))
+                .cloned()
+                .collect();
+            let mut views = member_views(&tree, &followers);
+            let plan = tree.commit(&joins, &mut rng);
+            let mut slots: Vec<u32> = joins.iter().map(|m| tree.leaf_of(m).unwrap()).collect();
+            slots.sort_unstable();
+            assert_eq!(*plan.leaves, slots, "n={n}");
+            apply_plan(&mut views, &plan);
+            for m in &joins {
+                let (slot, keys) = tree.path_keys(m).unwrap();
+                views.insert(
+                    m.clone(),
+                    MemberTree::from_sync(slot, tree.leaf_count(), &keys).unwrap(),
+                );
+            }
+            assert_views_match(&tree, &views);
+            for view in views.values() {
+                assert_eq!(view.root_key(), Some(&plan.root_key));
+            }
+            for seal in &plan.seals {
+                assert!(
+                    !old_keys.contains(&seal.seal_key),
+                    "n={n}: a seal under a re-admitted leaf's old key"
+                );
+            }
+            let nodes: BTreeSet<u32> = plan.seals.iter().map(|s| s.node_index).collect();
+            assert_eq!(
+                nodes.len(),
+                plan.seals.len(),
+                "n={n}: a node sealed to twice"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        // Interleaved batch commits (fresh joiners and re-admissions
+        // together), single departures and rotations keep every member's
+        // tree equal to the leader's record of its path.
+        #[test]
+        fn interleaved_commits_and_departures_keep_every_tree_equal(
+            ops in proptest::collection::vec(((0u8..4, 0usize..6), (0usize..3, 0u64..1 << 32)), 1..24),
+        ) {
+            let mut rng = SeededRng::from_seed(67);
+            let mut tree = KeyTree::new();
+            let mut views: HashMap<ActorId, MemberTree> = HashMap::new();
+            let mut next = 0usize;
+            for ((kind, fresh), (readmit, pick)) in ops {
+                match kind {
+                    0 | 1 => {
+                        let mut joins: Vec<ActorId> = (0..fresh.max(1))
+                            .map(|i| id(&format!("u{}", next + i)))
+                            .collect();
+                        next += joins.len();
+                        let mut present: Vec<ActorId> = views.keys().cloned().collect();
+                        present.sort();
+                        let readmitted: Vec<ActorId> = present
+                            .iter()
+                            .skip(pick as usize % present.len().max(1))
+                            .take(readmit)
+                            .cloned()
+                            .collect();
+                        for m in &readmitted {
+                            views.remove(m);
+                        }
+                        joins.extend(readmitted);
+                        let plan = tree.commit(&joins, &mut rng);
+                        apply_plan(&mut views, &plan);
+                        for m in joins {
+                            let (slot, keys) = tree.path_keys(&m).unwrap();
+                            views.insert(m, MemberTree::from_sync(slot, tree.leaf_count(), &keys).unwrap());
+                        }
+                    }
+                    2 if views.len() > 1 => {
+                        let mut present: Vec<ActorId> = views.keys().cloned().collect();
+                        present.sort();
+                        let gone = present[pick as usize % present.len()].clone();
+                        views.remove(&gone);
+                        let plan = tree.remove(&gone, &mut rng).unwrap();
+                        apply_plan(&mut views, &plan);
+                    }
+                    _ if !views.is_empty() => {
+                        let plan = tree.refresh_next(&mut rng);
+                        apply_plan(&mut views, &plan);
+                    }
+                    _ => {}
+                }
+                assert_views_match(&tree, &views);
+            }
+        }
     }
 
     #[test]

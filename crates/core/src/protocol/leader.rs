@@ -104,6 +104,7 @@ struct LeaderObs {
     seal_batch_ns: Histogram,
     lock_hold_batch_ns: Histogram,
     path_depth: Histogram,
+    commit_joins: Histogram,
     events: Option<EventStream>,
 }
 
@@ -131,6 +132,7 @@ impl LeaderObs {
             seal_batch_ns: registry.histogram("leader.seal_batch_ns"),
             lock_hold_batch_ns: registry.histogram("leader.lock_hold_batch_ns"),
             path_depth: registry.histogram("leader.path_depth"),
+            commit_joins: registry.histogram("leader.commit_joins"),
             events: None,
             registry,
         }
@@ -222,6 +224,10 @@ enum Slot {
         /// request and by the retransmission timer.
         reply: InFlight,
     },
+    /// The handshake completed and the join waits for the next
+    /// [`LeaderCore::commit`]: no member yet, so its frames are refused
+    /// as a non-member's (a close drops the session and the join).
+    Staged(Channel),
     Connected(Channel),
 }
 
@@ -265,6 +271,10 @@ pub struct LeaderCore {
     /// children (`treekdf::derive_step`), and the root feeds
     /// `treekdf::derive_group`.
     tree: Option<KeyTree>,
+    /// Joins staged by [`LeaderCore::stage_at`] for the next
+    /// [`LeaderCore::commit`], in arrival order; each holds a
+    /// [`Slot::Staged`].
+    staged: Vec<ActorId>,
     /// The attached write-ahead journal writer (`None` for an ephemeral
     /// core). When present, every membership/epoch transition is sealed
     /// into the journal *before* any of its frames is sealed or
@@ -315,6 +325,7 @@ impl LeaderCore {
             group: GroupState::new(),
             enclave,
             tree,
+            staged: Vec::new(),
             journal: None,
             obs: LeaderObs::new(),
             batch_frames: 0,
@@ -350,9 +361,15 @@ impl LeaderCore {
     }
 
     /// True when one more member would no longer fit the group: the
-    /// configured size, capped by what a `Welcome` can carry.
+    /// configured size, capped by what a `Welcome` can carry. A staged
+    /// join that is not a re-admission holds a seat already.
     fn roster_full(&self) -> bool {
-        self.group.len() >= self.config.max_members.min(MAX_ROSTER_LEN)
+        let staged = self
+            .staged
+            .iter()
+            .filter(|user| !self.group.is_member(user))
+            .count();
+        self.group.len() + staged >= self.config.max_members.min(MAX_ROSTER_LEN)
     }
 
     /// The current group-key epoch (None before the first join).
@@ -383,12 +400,32 @@ impl LeaderCore {
     /// core's clock leaves it where it is; a sans-I/O caller that keeps
     /// no clock passes `Duration::ZERO`.
     ///
+    /// This is [`LeaderCore::stage_at`] then [`LeaderCore::commit`]: a
+    /// completed handshake is admitted in an epoch of its own.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Rejected`] for inauthentic/malformed/stale messages
     /// (state unchanged); [`CoreError::UnknownUser`] for unregistered
     /// claimed senders.
     pub fn handle_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
+        let mut out = self.stage_at(env, now)?;
+        out.merge(self.commit()?);
+        Ok(out)
+    }
+
+    /// Handles one incoming envelope as [`LeaderCore::handle_at`] does,
+    /// except that the join a completed handshake (`AuthAckKey`) earns is
+    /// staged, not committed: it takes effect, with every other join
+    /// staged beside it, at the next [`LeaderCore::commit`]. Until then
+    /// the staged user holds a seat but is no member: its own frames are
+    /// handled as a non-member's. A caller stages the frames it holds and
+    /// commits once, under one lock, so no one else sees a staged join.
+    ///
+    /// # Errors
+    ///
+    /// As [`LeaderCore::handle_at`].
+    pub fn stage_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
         self.now = self.now.max(now);
         let result = self.handle_inner(env);
         self.record_seal_batch();
@@ -540,11 +577,12 @@ impl LeaderCore {
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
         }
 
-        // The user is now a member (paper: "L accepts A as a member when
-        // the system enters a state where lead_A(q) = Connected").
+        // The user becomes a member (paper: "L accepts A as a member when
+        // the system enters a state where lead_A(q) = Connected") at the
+        // next commit.
         self.slots.insert(
             user.clone(),
-            Slot::Connected(Channel {
+            Slot::Staged(Channel {
                 session_key,
                 user_nonce: plain.next_nonce,
                 send_seq: NonceSequence::new(SEQ_LEADER),
@@ -557,23 +595,55 @@ impl LeaderCore {
                 synced_epoch: 0,
             }),
         );
-        self.join(&user)
+        self.staged.push(user);
+        Ok(LeaderOutput::default())
     }
 
-    /// Admits a freshly connected `user`: the roster/epoch transition,
-    /// then its fan-out — one `Welcome` to the joiner (in tree mode a
-    /// `TreeWelcome` carrying its direct path), the join notice and the
-    /// new key material to everyone else.
-    fn join(&mut self, user: &ActorId) -> Result<LeaderOutput, CoreError> {
+    /// Commits every join staged since the last commit as one epoch: one
+    /// journal record, one `Welcome` per joiner, and for the members
+    /// already in one join notice per joiner and the new key material
+    /// once — in tree mode one `PathUpdate` over the union of the
+    /// joiners' paths, in flat mode at most one policy rekey. Nothing
+    /// staged, nothing done.
+    ///
+    /// # Errors
+    ///
+    /// Propagates journal and admin-send failures.
+    pub fn commit(&mut self) -> Result<LeaderOutput, CoreError> {
+        if self.staged.is_empty() {
+            return Ok(LeaderOutput::default());
+        }
+        let joins = std::mem::take(&mut self.staged);
+        let out = self.join(&joins);
+        self.record_seal_batch();
+        out
+    }
+
+    /// Admits the staged `users` (their handshakes complete) in one
+    /// roster/epoch transition, then its fan-out — one `Welcome` to each
+    /// joiner (in tree mode a `TreeWelcome` carrying its direct path), the
+    /// join notices and the new key material to everyone else.
+    fn join(&mut self, users: &[ActorId]) -> Result<LeaderOutput, CoreError> {
         let mut out = LeaderOutput {
-            events: vec![LeaderEvent::MemberJoined(user.clone())],
+            events: users
+                .iter()
+                .cloned()
+                .map(LeaderEvent::MemberJoined)
+                .collect(),
             ..LeaderOutput::default()
         };
 
-        // Everyone but the joiner: the snapshot from before the join (less
-        // the joiner itself on a re-admission, where the recovered roster
-        // already lists it).
-        let others = self.group.roster().without(user);
+        // Everyone but the joiners: the snapshot from before the commit
+        // (less a re-admitted joiner, whom the recovered roster already
+        // lists).
+        let others = users
+            .iter()
+            .fold(self.group.roster(), |roster, user| roster.without(user));
+        for user in users {
+            if let Some(Slot::Staged(channel)) = self.slots.remove(user) {
+                self.slots.insert(user.clone(), Slot::Connected(channel));
+            }
+        }
 
         // Apply the membership transition over a recorded RNG tape, then
         // commit it to the journal *before* any frame is sealed: a crash
@@ -581,15 +651,20 @@ impl LeaderCore {
         let mut tape = Vec::new();
         let outcome = {
             let mut rec = TapeRecorder::new(self.rng.as_mut(), &mut tape);
-            apply_join(
+            apply_joins(
                 &mut self.group,
                 &mut self.tree,
                 &self.config,
-                user,
+                users,
                 &mut rec,
             )
         };
-        self.journal_commit(JournalOp::Join(user.clone()), tape)?;
+        let op = match users {
+            [user] => JournalOp::Join(user.clone()),
+            _ => JournalOp::Joins(users.to_vec()),
+        };
+        self.journal_commit(op, tape)?;
+        self.obs.commit_joins.record(users.len() as u64);
 
         // The Welcome carries the roster and the (possibly fresh) group
         // key, so the joiner is live on the data plane immediately. In
@@ -600,42 +675,47 @@ impl LeaderCore {
             .group
             .current_epoch()
             .expect("group key exists after join");
-        let epoch = e.epoch;
+        let (epoch, group_key, iv) = (e.epoch, *e.key.as_bytes(), e.iv);
         let members = self.group.roster();
-        let welcome = match &self.tree {
-            Some(tree) => {
-                let (leaf_index, path_keys) = tree
-                    .path_keys(user)
-                    .expect("a joined member's direct path is populated");
-                AdminPayload::TreeWelcome {
-                    members,
-                    epoch,
-                    leaf_index,
-                    leaf_count: tree.leaf_count(),
-                    path_keys,
+        for user in users {
+            let welcome = match &self.tree {
+                Some(tree) => {
+                    let (leaf_index, path_keys) = tree
+                        .path_keys(user)
+                        .expect("a joined member's direct path is populated");
+                    AdminPayload::TreeWelcome {
+                        members: members.clone(),
+                        epoch,
+                        leaf_index,
+                        leaf_count: tree.leaf_count(),
+                        path_keys,
+                    }
                 }
-            }
-            None => AdminPayload::Welcome {
-                members,
+                None => AdminPayload::Welcome {
+                    members: members.clone(),
+                    epoch,
+                    group_key,
+                    iv,
+                },
+            };
+            self.obs.emit(|| EventKind::MemberJoined {
+                member: user.to_string(),
                 epoch,
-                group_key: *e.key.as_bytes(),
-                iv: e.iv,
-            },
-        };
-        self.obs.emit(|| EventKind::MemberJoined {
-            member: user.to_string(),
-            epoch,
-        });
-        if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
-            channel.synced_epoch = epoch;
+            });
+            if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
+                channel.synced_epoch = epoch;
+            }
+            self.send_admin(&mut out, user, welcome)?;
         }
-        self.send_admin(&mut out, user, welcome)?;
 
         // Tell everyone else; distribute the new key if we rotated. Key
-        // material always goes out; the join notice is skippable by
-        // configuration (large benchmark groups).
+        // material always goes out; the join notices are skippable by
+        // configuration (large benchmark groups). A joiner learns of the
+        // others admitted beside it from its Welcome's roster.
         if self.config.membership_notices {
-            self.send_admin_all(&mut out, &others, &AdminPayload::MemberJoined(user.clone()))?;
+            for user in users {
+                self.send_admin_all(&mut out, &others, &AdminPayload::MemberJoined(user.clone()))?;
+            }
         }
         let rekeyed = match outcome {
             // The joiner holds none of the sealing node keys (its
@@ -721,7 +801,7 @@ impl LeaderCore {
         let head = PathUpdateHead {
             epoch,
             leaf_count: plan.leaf_count,
-            updated_leaf: plan.updated_leaf,
+            leaves: plan.leaves.clone(),
         };
         // One random nonce base per frame; each seal's nonce is the base
         // with its node index folded in (`cipher_nonce`).
@@ -738,7 +818,7 @@ impl LeaderCore {
             std::mem::take(&mut self.frame_buf),
             &self.leader,
             self.enclave.as_ref(),
-            head,
+            &head,
             nonce,
             seals,
         );
@@ -786,14 +866,15 @@ impl LeaderCore {
         };
         let session_key = match slot {
             Slot::WaitingForKeyAck { session_key, .. } => session_key,
-            Slot::Connected(c) => &c.session_key,
+            Slot::Staged(c) | Slot::Connected(c) => &c.session_key,
         };
         let plain: ClosePlain = open(session_key.as_bytes(), &env.header_aad(), &env.body)?;
         if plain.user != user || plain.leader != self.leader {
             return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
-        // Close: discard the session key; no further messages to the user.
-        self.slots.remove(&user);
+        // Close: discard the session key (and a staged join with it); no
+        // further messages to the user.
+        self.drop_slot(&user);
         self.depart(&user, Departure::Close)
     }
 
@@ -1086,6 +1167,7 @@ impl LeaderCore {
             .values()
             .filter(|slot| match slot {
                 Slot::WaitingForKeyAck { .. } => true,
+                Slot::Staged(_) => false,
                 Slot::Connected(channel) => channel.outstanding.is_some(),
             })
             .count()
@@ -1115,6 +1197,7 @@ impl LeaderCore {
         for (user, slot) in &mut self.slots {
             let (in_flight, silent) = match slot {
                 Slot::WaitingForKeyAck { reply, .. } => (Some(reply), false),
+                Slot::Staged(_) => (None, false),
                 Slot::Connected(channel) => (
                     channel.outstanding.as_mut(),
                     liveness
@@ -1168,12 +1251,24 @@ impl LeaderCore {
     }
 
     fn drop_session(&mut self, user: &ActorId, kind: Departure) -> Result<LeaderOutput, CoreError> {
-        if self.slots.remove(user).is_none() {
+        if !self.drop_slot(user) {
             return Err(CoreError::UnknownUser(user.to_string()));
         }
         let out = self.depart(user, kind)?;
         self.record_seal_batch();
         Ok(out)
+    }
+
+    /// Drops `user`'s slot and any join staged with it; false when it had
+    /// none.
+    fn drop_slot(&mut self, user: &ActorId) -> bool {
+        match self.slots.remove(user) {
+            Some(Slot::Staged(_)) => {
+                self.staged.retain(|staged| staged != user);
+                true
+            }
+            slot => slot.is_some(),
+        }
     }
 
     /// Rotates the group key now and distributes it to every member: in
@@ -1372,12 +1467,12 @@ impl LeaderCore {
             let seq = i as u64 + 2; // record 1 is the genesis
             let mut player = TapePlayer::new(&t.tape);
             match &t.op {
-                JournalOp::Join(user) => {
-                    apply_join(
+                JournalOp::Join(_) | JournalOp::Joins(_) => {
+                    apply_joins(
                         &mut core.group,
                         &mut core.tree,
                         &core.config,
-                        user,
+                        t.op.joiners(),
                         &mut player,
                     );
                 }
@@ -1489,12 +1584,12 @@ impl LeaderCore {
     }
 }
 
-/// Outcome of the join transition ([`apply_join`]): mutations only, no
+/// Outcome of the join transition ([`apply_joins`]): mutations only, no
 /// fan-out.
 enum JoinOutcome {
     /// Flat mode; `rekeyed` per the join policy.
     Flat { rekeyed: bool },
-    /// Tree mode: the member holds a (fresh or refreshed) leaf and the
+    /// Tree mode: each joiner holds a (fresh or refreshed) leaf and the
     /// epoch advanced to the new root's derivation.
     Tree { plan: PathUpdatePlan },
 }
@@ -1531,39 +1626,42 @@ fn advance_tree_epoch(group: &mut GroupState, root_key: &NodeKey) -> u64 {
 }
 
 /// The join transition over explicit state — the *only* mutation path for
-/// a join, shared verbatim between live handling (under a [`TapeRecorder`])
-/// and journal replay (under a [`TapePlayer`]), which is what makes replay
-/// a pure function of the journal bytes.
-fn apply_join(
+/// a commit of joins, one or many, shared verbatim between live handling
+/// (under a [`TapeRecorder`]) and journal replay (under a [`TapePlayer`]),
+/// which is what makes replay a pure function of the journal bytes.
+fn apply_joins(
     group: &mut GroupState,
     tree: &mut Option<KeyTree>,
     config: &LeaderConfig,
-    user: &ActorId,
+    users: &[ActorId],
     rng: &mut dyn CryptoRng,
 ) -> JoinOutcome {
-    group.join(user, rng);
+    let before = group.roster();
+    for user in users {
+        group.join(user, rng);
+    }
     if let Some(tree) = tree.as_mut() {
         // A re-admission — the member survived in the recovered roster
         // and tree while its session died with the old leader — refreshes
         // the existing leaf instead of re-adding it, retiring every key
         // on its possibly compromised old path.
-        let plan = if tree.leaf_of(user).is_some() {
-            tree.refresh_member(user, rng)
-                .expect("member is in the tree")
-        } else {
-            tree.add(user.clone(), rng)
-        };
+        let plan = tree.commit(users, rng);
         advance_tree_epoch(group, &plan.root_key);
         return JoinOutcome::Tree { plan };
     }
-    let rekeyed = config.rekey_policy.rekey_on_join() && group.len() > 1;
+    // At most one policy rekey, and only when someone who held the old
+    // key stays.
+    let rekeyed = config.rekey_policy.rekey_on_join()
+        && before
+            .iter()
+            .any(|member| users.iter().all(|user| user.as_str() != member));
     if rekeyed {
         group.rekey(rng);
     }
     JoinOutcome::Flat { rekeyed }
 }
 
-/// The departure transition over explicit state; see [`apply_join`] for
+/// The departure transition over explicit state; see [`apply_joins`] for
 /// why this is a free function. In tree mode the departed member's leaf
 /// is blanked and its former path rewritten, so every key it held is
 /// retired; a mostly-blank tree is rebuilt outright.
@@ -1598,7 +1696,7 @@ fn apply_depart(
     DepartOutcome::Flat { rekeyed }
 }
 
-/// The explicit-rekey transition over explicit state; see [`apply_join`]
+/// The explicit-rekey transition over explicit state; see [`apply_joins`]
 /// for why this is a free function. The caller guarantees a non-empty
 /// group.
 fn apply_rekey(
@@ -3231,6 +3329,299 @@ mod tests {
         }
     }
 
+    // -----------------------------------------------------------------
+    // Batch commits: joins staged by `stage_at`, admitted by `commit`.
+    // -----------------------------------------------------------------
+
+    impl TreeWorld {
+        /// Runs `user`'s handshake up to its `AuthAckKey`, which it
+        /// returns unsent; the session joins the world.
+        fn handshake(&mut self, user: &str, seed: u64) -> Envelope {
+            let (mut session, init) = member_in(user, seed, self.l.group_id().cloned());
+            let kd = self.l.handle_at(&init, Duration::ZERO).unwrap().outgoing;
+            let ack = session.handle(&kd[0]).unwrap().reply.unwrap();
+            self.sessions.insert(id(user), session);
+            ack
+        }
+
+        /// Stages each handshake ack; every stage returns nothing.
+        fn stage(&mut self, acks: &[Envelope]) {
+            for ack in acks {
+                let out = self.l.stage_at(ack, Duration::ZERO).unwrap();
+                assert!(
+                    out.outgoing.is_empty() && out.broadcasts.is_empty() && out.events.is_empty()
+                );
+            }
+        }
+    }
+
+    // A commit of five joins over a 64-member tree — two of them members
+    // re-admitted after a leader restart, three new — is one journal
+    // record and one `PathUpdate`: every member already in follows that
+    // frame, which names at most one cipher per level of its path; each
+    // joiner's Welcome derives the leader's key; no joiner opens a
+    // broadcast sealed before the commit; and no cipher opens under a key
+    // a re-admitted leaf held before.
+    #[test]
+    fn a_batch_commit_admits_five_in_one_epoch_and_one_frame() {
+        use crate::journal::{genesis_for, label_for, JournalDir, ReadMode};
+        use crate::protocol::keytree::{level, on_direct_path};
+        use enclaves_crypto::nonce::AeadNonce;
+        use enclaves_wire::message::path_update_aad;
+        let tmp = TempJournal::new("batch");
+        let dir = JournalDir::open_or_init(&tmp.0).unwrap();
+        let users = names(67);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        let genesis = genesis_for(w.l.leader_id(), &w.l.directory, &w.l.config);
+        w.l.attach_journal(dir.create_stream(&label_for(None), &genesis).unwrap());
+        for (i, u) in users.iter().take(64).enumerate() {
+            w.join(u, 3000 + i as u64);
+        }
+        // The restart: the recovered core holds the 64-leaf tree and
+        // roster, and no session. Sixty-two come back one by one.
+        let replay = dir
+            .replay_stream(&label_for(None), ReadMode::Strict)
+            .unwrap();
+        w.l = LeaderCore::recover(&replay).unwrap();
+        w.l.attach_journal(dir.open_writer(&label_for(None), &replay).unwrap());
+        w.sessions.clear();
+        for (i, u) in users.iter().take(62).enumerate() {
+            w.join(u, 4000 + i as u64);
+        }
+        w.assert_converged();
+        let tree = w.l.tree.as_ref().unwrap();
+        assert_eq!(tree.leaf_count(), 64);
+        let old_keys: Vec<NodeKey> = ["m62", "m63"]
+            .iter()
+            .flat_map(|u| tree.path_keys(&id(u)).unwrap().1)
+            .collect();
+        let before: Envelope =
+            enclaves_wire::codec::decode(&w.l.broadcast_group_data(b"before").unwrap().frame)
+                .unwrap();
+        let epoch = w.l.epoch().unwrap();
+        let appends = count(&w.l, "leader.journal.appends");
+
+        let joiners = ["m62", "m63", "m64", "m65", "m66"];
+        let acks: Vec<Envelope> = joiners
+            .iter()
+            .enumerate()
+            .map(|(i, u)| w.handshake(u, 5000 + i as u64))
+            .collect();
+        w.stage(&acks);
+        assert_eq!(w.l.epoch(), Some(epoch), "staging moves nothing");
+        let out = w.l.commit().unwrap();
+        assert_eq!(w.l.epoch(), Some(epoch + 1), "one epoch for five joins");
+        assert_eq!(count(&w.l, "leader.journal.appends"), appends + 1);
+        // The recovered core's registry counts the 62 re-admissions and
+        // the batch: 63 commits of 67 joins.
+        let batches = w.l.obs_registry().snapshot();
+        let joins = &batches.histograms["leader.commit_joins"];
+        assert_eq!((joins.count, joins.sum), (63, 67));
+        let welcomes = out
+            .outgoing
+            .iter()
+            .filter(|e| joiners.contains(&e.recipient.as_str()))
+            .count();
+        assert_eq!(welcomes, 5, "one Welcome per joiner, nothing else to them");
+        assert_eq!(out.broadcasts.len(), 1, "one PathUpdate for the batch");
+        assert_eq!(
+            out.events
+                .iter()
+                .filter(|e| matches!(e, LeaderEvent::Rekeyed(_)))
+                .count(),
+            1
+        );
+
+        let update: Envelope = enclaves_wire::codec::decode(&out.broadcasts[0].frame).unwrap();
+        let wire: PathUpdateWire = enclaves_wire::codec::decode(&update.body).unwrap();
+        let tree = w.l.tree.as_ref().unwrap();
+        let mut slots: Vec<u32> = joiners
+            .iter()
+            .map(|u| tree.leaf_of(&id(u)).unwrap())
+            .collect();
+        slots.sort_unstable();
+        assert_eq!(wire.leaves, slots);
+        assert_eq!(wire.leaf_count, 67);
+        for u in users.iter().take(62) {
+            let slot = tree.leaf_of(&id(u)).unwrap();
+            let mut levels = HashSet::new();
+            for (node, _) in &wire.ciphers {
+                if on_direct_path(*node, slot, wire.leaf_count) {
+                    assert!(levels.insert(level(*node)), "{u}: two ciphers at one level");
+                }
+            }
+        }
+        for (node, sealed) in &wire.ciphers {
+            let aad = path_update_aad(
+                &id("leader"),
+                wire.epoch,
+                wire.leaf_count,
+                &wire.leaves,
+                *node,
+                None,
+            );
+            let nonce = AeadNonce::from_bytes(cipher_nonce(wire.nonce, *node));
+            for key in &old_keys {
+                assert!(
+                    ChaCha20Poly1305::new(key)
+                        .open(&nonce, sealed, &aad)
+                        .is_err(),
+                    "a cipher at node {node} opens under a re-admitted leaf's old key"
+                );
+            }
+        }
+
+        w.settle(out);
+        w.assert_converged();
+        for u in joiners {
+            let s = w.sessions.get_mut(&id(u)).unwrap();
+            assert_eq!(
+                s.handle(&before).unwrap_err(),
+                CoreError::Rejected(RejectReason::WrongEpoch),
+                "{u} opened a broadcast sealed before its commit"
+            );
+        }
+        let after: Envelope =
+            enclaves_wire::codec::decode(&w.l.broadcast_group_data(b"after").unwrap().frame)
+                .unwrap();
+        for (who, s) in &mut w.sessions {
+            let events = s.handle(&after).unwrap().events;
+            assert!(
+                matches!(&events[..], [MemberEvent::Broadcast { data, .. }] if data == b"after"),
+                "{who} cannot open the first broadcast after the commit"
+            );
+        }
+        // The batch replays, as one record, to the live state.
+        let replay = dir
+            .replay_stream(&label_for(None), ReadMode::Strict)
+            .unwrap();
+        assert_eq!(
+            LeaderCore::recover(&replay).unwrap().durable_digest(),
+            w.l.durable_digest()
+        );
+    }
+
+    // Admission control counts a staged join: it holds its seat, so a
+    // handshake that finds the room full is refused at `AuthInitReq`, and
+    // one already past it at its ack.
+    #[test]
+    fn staged_joins_hold_their_seats() {
+        let users = names(5);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::with_config(
+            &refs,
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                tree_rekey: true,
+                max_members: 3,
+                ..LeaderConfig::default()
+            },
+        );
+        w.join("m0", 60);
+        let ack1 = w.handshake("m1", 61);
+        let ack2 = w.handshake("m2", 62);
+        let ack3 = w.handshake("m3", 63);
+        w.stage(&[ack1, ack2]);
+        assert_eq!(
+            w.l.stage_at(&ack3, Duration::ZERO).unwrap_err(),
+            CoreError::Rejected(RejectReason::UnexpectedType),
+            "the third seat went to a staged join"
+        );
+        let (_, init4) = member("m4", 64);
+        assert_eq!(
+            w.l.stage_at(&init4, Duration::ZERO).unwrap_err(),
+            CoreError::Rejected(RejectReason::UnexpectedType)
+        );
+        assert_eq!(w.l.roster().len(), 1);
+        let out = w.l.commit().unwrap();
+        w.sessions.remove(&id("m3"));
+        w.settle(out);
+        assert_eq!(w.l.roster().len(), 3);
+        w.assert_converged();
+    }
+
+    // A staged user is no member until its commit: its heartbeat and a
+    // second copy of its ack are refused as a non-member's, with nothing
+    // sent and nothing moved; its close drops the session and the join,
+    // so the commit after it admits nobody; and it can start over.
+    #[test]
+    fn a_staged_members_own_frames_are_a_non_members() {
+        let users = names(3);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let mut w = TreeWorld::new(&refs);
+        w.join("m0", 70);
+        w.join("m1", 71);
+        let ack = w.handshake("m2", 72);
+        w.stage(std::slice::from_ref(&ack));
+        let (digest, epoch) = (w.l.durable_digest(), w.l.epoch());
+        let s = w.sessions.get_mut(&id("m2")).unwrap();
+        let ping = s.heartbeat().unwrap();
+        assert!(s.send_group_data(b"early").is_err(), "no Welcome, no data");
+        let close = s.leave().unwrap();
+        for env in [&ping, &ack] {
+            assert_eq!(
+                w.l.stage_at(env, Duration::ZERO).unwrap_err(),
+                CoreError::Rejected(RejectReason::UnexpectedType)
+            );
+            assert_eq!((w.l.durable_digest(), w.l.epoch()), (digest, epoch));
+        }
+        let out = w.l.stage_at(&close, Duration::ZERO).unwrap();
+        assert!(out.outgoing.is_empty() && out.broadcasts.is_empty() && out.events.is_empty());
+        let out = w.l.commit().unwrap();
+        assert!(out.outgoing.is_empty() && out.broadcasts.is_empty() && out.events.is_empty());
+        assert_eq!((w.l.durable_digest(), w.l.epoch()), (digest, epoch));
+        assert!(!w.l.slots.contains_key(&id("m2")));
+        w.sessions.remove(&id("m2"));
+        w.join("m2", 73);
+        assert_eq!(w.l.roster().len(), 3);
+        w.assert_converged();
+    }
+
+    // In flat mode a batch is its joins plus at most one policy rekey:
+    // the members already in get one `NewGroupKey` each, the joiners a
+    // Welcome under the new key; a batch into an empty group, where
+    // nobody held an old key, rekeys nothing.
+    #[test]
+    fn a_flat_batch_rekeys_at_most_once() {
+        let users = names(5);
+        let refs: Vec<&str> = users.iter().map(String::as_str).collect();
+        let config = LeaderConfig {
+            rekey_policy: RekeyPolicy::OnJoinAndLeave,
+            ..LeaderConfig::default()
+        };
+        let mut w = TreeWorld::with_config(&refs, config.clone());
+        let acks = [w.handshake("m0", 80), w.handshake("m1", 81)];
+        w.stage(&acks);
+        let out = w.l.commit().unwrap();
+        assert!(!out
+            .events
+            .iter()
+            .any(|e| matches!(e, LeaderEvent::Rekeyed(_))));
+        w.settle(out);
+        assert_eq!(w.l.epoch(), Some(1));
+        let acks = [
+            w.handshake("m2", 82),
+            w.handshake("m3", 83),
+            w.handshake("m4", 84),
+        ];
+        w.stage(&acks);
+        let rekeys = count(&w.l, "leader.rekeys");
+        let out = w.l.commit().unwrap();
+        assert_eq!(count(&w.l, "leader.rekeys"), rekeys + 1);
+        assert_eq!(w.l.epoch(), Some(2));
+        let new_keys = out
+            .outgoing
+            .iter()
+            .filter(|e| ["m0", "m1"].contains(&e.recipient.as_str()))
+            .count();
+        // Each of m0 and m1 has one admin frame in flight, the first of
+        // its three notices; the key and the rest queue behind it.
+        assert_eq!(new_keys, 2);
+        w.settle(out);
+        w.assert_converged();
+    }
+
     /// A forged `PathUpdate` with garbage seals addressed to nodes 0..5.
     fn forged_path_update(epoch: u64, leaf_count: u32, updated_leaf: u32) -> Envelope {
         Envelope {
@@ -3241,7 +3632,7 @@ mod tests {
             body: encode(&PathUpdateWire {
                 epoch,
                 leaf_count,
-                updated_leaf,
+                leaves: vec![updated_leaf],
                 nonce: [7; 12],
                 ciphers: (0..5).map(|i| (i, vec![0x55; 48])).collect(),
             }),

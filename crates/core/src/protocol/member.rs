@@ -4,7 +4,7 @@
 use crate::error::{CoreError, RejectReason};
 use crate::group::MemberGroupView;
 use crate::liveness::{Arq, ArqPoll, LivenessConfig};
-use crate::protocol::keytree::{level, update_secret_node, MemberTree, MAX_LEVELS};
+use crate::protocol::keytree::{level, MemberTree, MAX_LEVELS};
 use crate::protocol::{broadcast_nonce, SEQ_MEMBER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::keys::{GroupKey, LongTermKey, SessionKey};
@@ -838,14 +838,18 @@ impl MemberSession {
         })
     }
 
-    /// Accepts a tree-rekey `PathUpdate` multicast.
+    /// Accepts a tree-rekey `PathUpdate` multicast: one leaf's path
+    /// refresh or a batch commit's union of paths, through one routine,
+    /// [`MemberTree::follow_commit`].
     ///
-    /// Exactly one of its ciphers is addressed to a node on this member's
-    /// direct path; opening it (under the stored key for that node, with
-    /// the AAD binding leader, epoch, tree shape, and node) yields the
-    /// path secret for the lowest rewritten node above us. Deriving up
-    /// from there rewrites our stored keys to the root, and
-    /// `derive_group(root, epoch)` is the new group key — installed with
+    /// The member finds the lowest node of its direct path the commit
+    /// refreshed; the one cipher addressed to its resolution below that
+    /// node (opened under the stored key, with the AAD binding leader,
+    /// epoch, tree shape, committed leaves and node) yields that node's
+    /// secret. Deriving up from there rewrites our stored keys to the
+    /// root — at a batch merge node we climb into from the right, the
+    /// parent's secret arrives sealed under the key just derived — and
+    /// `derive_group(root, epoch)` is the new group key, installed with
     /// the same one-epoch broadcast grace as a flat `NewGroupKey`.
     ///
     /// The outer frame is plaintext, so every claim in it is verified
@@ -859,16 +863,15 @@ impl MemberSession {
     /// noted by tree level on the stack, and an honest plan names a node
     /// once: a second cipher for a path node is `Malformed` before
     /// anything is opened, so a frame costs at most one AEAD open per
-    /// node of our path however many ciphers it claims.
+    /// level of our path however many ciphers or leaves it claims.
     fn accept_path_update(&mut self, env: &Envelope) -> Result<Handled, CoreError> {
         const MALFORMED: CoreError = CoreError::Rejected(RejectReason::Malformed);
         let Phase::Connected(conn) = &mut self.phase else {
             unreachable!("checked by caller");
         };
         let mut wire = PathUpdateView::parse(&env.body).map_err(|_| MALFORMED)?;
-        let head = wire.head;
         let current = conn.group.as_ref().map_or(0, |g| g.epoch);
-        if head.epoch <= current {
+        if wire.head.epoch <= current {
             return Ok(Handled::Stale(MemberOutput::default()));
         }
         let Some(tree) = &mut conn.tree else {
@@ -876,25 +879,20 @@ impl MemberSession {
             // nothing to derive from.
             return Ok(Handled::Stale(MemberOutput::default()));
         };
-        if head.epoch != current + 1 {
+        if wire.head.epoch != current + 1 {
             // We missed an epoch: our stored node keys cannot open this
             // update. Leader-driven resync recovers us.
             return Err(CoreError::Rejected(RejectReason::WrongEpoch));
         }
-        // The frame is still unauthenticated here: bound its tree shape
-        // before any tree math runs on it. Honest updates never shrink
-        // the tree (a reinit travels by `PathSync`), and both leaf slots
-        // must lie inside it.
-        if head.leaf_count < tree.leaf_count {
-            return Err(MALFORMED);
-        }
-        let Some(target) = update_secret_node(tree.leaf_slot, head.updated_leaf, head.leaf_count)
-        else {
-            return Err(MALFORMED);
-        };
+        // The frame is still unauthenticated here: its tree shape and
+        // leaves are bounded before any tree math runs on them.
+        let leaf_count = wire.head.leaf_count;
+        let target = tree
+            .commit_target(&wire.head.leaves, leaf_count)
+            .ok_or(MALFORMED)?;
         let mut mine: [Option<PathCipher<'_>>; MAX_LEVELS] = [None; MAX_LEVELS];
         while let Some(cipher) = wire.next_cipher() {
-            if tree.on_path(cipher.node, head.leaf_count) {
+            if tree.on_path(cipher.node, leaf_count) {
                 let seen = &mut mine[level(cipher.node) as usize];
                 if seen.is_some() {
                     return Err(MALFORMED);
@@ -902,27 +900,27 @@ impl MemberSession {
                 *seen = Some(cipher);
             }
         }
+        let head = &wire.head;
         let mut aad = PathUpdateAad::new(&self.leader, head, self.enclave.as_ref());
-        let opened = mine.iter().flatten().find_map(|cipher| {
-            let key = tree.key_of(cipher.node)?;
+        let open = |node: u32, key: &[u8; 32]| {
+            let cipher = mine[level(node) as usize].filter(|c| c.node == node)?;
             let (sealed, tag) = cipher.sealed.split_at(SECRET_LEN);
             let mut secret: [u8; SECRET_LEN] = sealed.try_into().expect("split at that length");
             ChaCha20Poly1305::new(key)
                 .open_in_place(
                     &AeadNonce::from_bytes(cipher.nonce),
-                    aad.for_node(cipher.node),
+                    aad.for_node(node),
                     &mut secret,
                     tag,
                 )
                 .ok()
                 .map(|()| secret)
-        });
-        let Some(secret) = opened else {
-            // Nothing on our path opened: a forgery, a corrupt frame, or a
-            // desynced tree. Reject without touching state.
-            return Err(CoreError::Rejected(RejectReason::BadSeal));
         };
-        let root = tree.install_secret(target, &secret, head.leaf_count);
+        // Nothing opened: a forgery, a corrupt frame, or a desynced tree.
+        // Rejected without touching state.
+        let root = tree
+            .follow_commit(target, &head.leaves, leaf_count, open)
+            .ok_or(CoreError::Rejected(RejectReason::BadSeal))?;
         let epoch = head.epoch;
         let (key, iv) = treekdf::derive_group(&root, epoch);
         let mut out = MemberOutput::default();
@@ -2166,7 +2164,7 @@ mod tests {
                 body: encode(&PathUpdateWire {
                     epoch: 2,
                     leaf_count: plan.leaf_count,
-                    updated_leaf: plan.updated_leaf,
+                    leaves: plan.leaves.to_vec(),
                     nonce: [0xC3; 12],
                     ciphers: plan
                         .seals
@@ -2176,7 +2174,7 @@ mod tests {
                                 &id("leader"),
                                 2,
                                 plan.leaf_count,
-                                plan.updated_leaf,
+                                &plan.leaves,
                                 s.node_index,
                                 None,
                             );

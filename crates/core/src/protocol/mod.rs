@@ -8,7 +8,9 @@
 //!
 //! # Intrusion tolerance contract
 //!
-//! `MemberSession::handle` and `LeaderCore::handle_at`, the only way a
+//! `MemberSession::handle` and `LeaderCore::handle_at` (or its first
+//! half, `LeaderCore::stage_at`, which a caller follows with one
+//! `LeaderCore::commit` for everything it staged), the only way a
 //! message enters either core, return `Err(CoreError::Rejected(_))` for
 //! any message that
 //! fails authentication, parses badly, carries wrong identities, or

@@ -19,15 +19,21 @@
 //! token of the connection that proved it, and a broadcast is one
 //! multicast of one sealed frame to its recipients' tokens.
 //!
-//! Whoever drives a group's core — the service loop with a member's
-//! frame, an operator through a [`GroupHandle`], the ticker with an
-//! eviction — goes through one function, `GroupEntry::fan_out`, which
-//! does the same three things under the group's send-order lock: call the
-//! core under its lock (which seals whatever it sends, where it stands),
-//! then emit the events, then route the frames. Admin frames are small
-//! and a production (tree-rekey) operation seals a handful, so no second
-//! path seals them anywhere else, and none has to be kept in step with
-//! this one.
+//! Whoever drives a group's core — the service loop with a drain of
+//! member frames, an operator through a [`GroupHandle`], the ticker with
+//! an eviction — does the same three things under the group's send-order
+//! lock: call the core under its lock (which seals whatever it sends,
+//! where it stands), then emit the events, then route the frames, the
+//! last two in `GroupEntry::send`. Admin frames are small and a
+//! production (tree-rekey) operation seals a handful, so no second path
+//! seals them anywhere else, and none has to be kept in step with this
+//! one.
+//!
+//! One commit per drain: after each blocking receive the service loop
+//! takes what its event channel already holds, and each group it touched
+//! stages that drain's frames and commits once (`GroupEntry::drain`), so
+//! every join the drain completed lands in one epoch — one journal
+//! record, one `PathUpdate` — and the backlog alone sets the batch size.
 //!
 //! Incoming frames are demultiplexed by the envelope's group tag
 //! ([`enclaves_wire::message::Envelope::group`]): each frame is routed to
@@ -183,18 +189,13 @@ impl GroupEntry {
         }
     }
 
-    /// One drive of the core, whoever drives it — the service loop with a
-    /// member's frame (`reply`), an operator, the ticker with an eviction.
-    /// Under this group's send-order lock it runs `op` on the core, binds
-    /// `reply`'s route, severs the route of every member the output
-    /// removes (so none receives a post-departure frame), emits the events
-    /// *before* dispatching any frame (so no observer can record a
-    /// delivery before its send), then dispatches. So one group's frames
-    /// reach the front end in the order its core made them: a join's
-    /// `PathUpdate` cannot fall behind a concurrent rekey's.
+    /// One drive of the core by an operator or the ticker: under this
+    /// group's send-order lock it runs `op` on the core, then
+    /// [`GroupEntry::send`]s the output. So one group's frames reach the
+    /// front end in the order its core made them: a join's `PathUpdate`
+    /// cannot fall behind a concurrent rekey's.
     fn fan_out(
         &self,
-        reply: Option<&Reply>,
         op: impl FnOnce(&mut LeaderCore) -> Result<LeaderOutput, CoreError>,
     ) -> Result<(), CoreError> {
         let _order = self.send_order.lock();
@@ -205,6 +206,69 @@ impl GroupEntry {
             core.note_lock_hold(elapsed_ns(locked));
             output?
         };
+        self.send(None, output);
+        Ok(())
+    }
+
+    /// One drain's frames for this group, in arrival order, each with
+    /// what it decides about its connection. Under the send-order lock
+    /// and one hold of the core lock, every frame is staged and then
+    /// every join they completed is committed once; then each frame's
+    /// output, and the commit's last, is sent ([`GroupEntry::send`]) in
+    /// that order, a refused frame's as a `Rejected` event. Nobody else
+    /// can lock the core between the stages and the commit, so no other
+    /// caller ever sees a staged join. Returns which frames the core
+    /// accepted.
+    fn drain(&self, frames: &[Inbound], now: Duration) -> Vec<bool> {
+        let _order = self.send_order.lock();
+        let (staged, committed) = {
+            let locked = Instant::now();
+            let mut core = self.core.lock();
+            let staged: Vec<_> = frames
+                .iter()
+                .map(|(env, _)| core.stage_at(env, now))
+                .collect();
+            let committed = core.commit();
+            core.note_lock_hold(elapsed_ns(locked));
+            (staged, committed)
+        };
+        let rejected = |from: &ActorId, e: &CoreError| LeaderEvent::Rejected {
+            from: from.clone(),
+            reason: match e {
+                CoreError::Rejected(r) => *r,
+                _ => crate::error::RejectReason::Malformed,
+            },
+        };
+        let mut accepted = Vec::with_capacity(frames.len());
+        for ((env, reply), result) in frames.iter().zip(staged) {
+            accepted.push(result.is_ok());
+            match result {
+                Ok(output) => self.send(Some(reply), output),
+                Err(e) => self.emit(vec![rejected(&env.sender, &e)]),
+            }
+        }
+        match committed {
+            Ok(output) => self.send(None, output),
+            // The joins the commit failed to admit: one per accepted
+            // handshake ack, each of which staged one.
+            Err(e) => self.emit(
+                frames
+                    .iter()
+                    .zip(&accepted)
+                    .filter(|((env, _), ok)| **ok && env.msg_type == MsgType::AuthAckKey)
+                    .map(|((env, _), _)| rejected(&env.sender, &e))
+                    .collect(),
+            ),
+        }
+        accepted
+    }
+
+    /// Sends one core output, the send-order lock held: binds `reply`'s
+    /// route, severs the route of every member the output removes (so
+    /// none receives a post-departure frame), emits the events *before*
+    /// dispatching any frame (so no observer can record a delivery before
+    /// its send), then dispatches.
+    fn send(&self, reply: Option<&Reply>, output: LeaderOutput) {
         {
             let mut routes = self.routes.lock();
             if let Some(Reply {
@@ -235,7 +299,6 @@ impl GroupEntry {
         for b in &output.broadcasts {
             self.dispatch_shared(b);
         }
-        Ok(())
     }
 }
 
@@ -665,7 +728,7 @@ impl LeaderService {
                         // An error means the member departed on its own
                         // between the tick and this call.
                         for user in &tick.evict {
-                            let _ = entry.fan_out(None, |core| core.evict(user));
+                            let _ = entry.fan_out(|core| core.evict(user));
                         }
                     }
                 }
@@ -884,7 +947,7 @@ impl GroupHandle {
     ///
     /// Propagates protocol errors.
     pub fn rekey(&self) -> Result<(), CoreError> {
-        self.entry.fan_out(None, LeaderCore::rekey_now)
+        self.entry.fan_out(LeaderCore::rekey_now)
     }
 
     /// Broadcasts application data over the authenticated admin channel,
@@ -897,7 +960,7 @@ impl GroupHandle {
     /// Propagates protocol errors.
     pub fn broadcast(&self, data: &[u8]) -> Result<Roster, CoreError> {
         let mut recipients = Roster::default();
-        self.entry.fan_out(None, |core| {
+        self.entry.fan_out(|core| {
             recipients = core.roster();
             core.broadcast_admin_data(data)
         })?;
@@ -939,7 +1002,7 @@ impl GroupHandle {
     ///
     /// [`CoreError::UnknownUser`] if not connected.
     pub fn expel(&self, user: &ActorId) -> Result<(), CoreError> {
-        self.entry.fan_out(None, |core| core.expel(user))
+        self.entry.fan_out(|core| core.expel(user))
     }
 
     /// Waits until `user` appears in the roster.
@@ -987,13 +1050,39 @@ impl ConnCtx {
         }
     }
 
-    /// Ingests one inbound frame: decodes it, demultiplexes to the entry
-    /// registered under the envelope's group tag, and drives that group's
-    /// core with it through [`GroupEntry::fan_out`], like any other
-    /// driver. One connection can in principle carry traffic for several
-    /// groups (each binding its own route), though honest members speak
-    /// for one.
-    fn handle_frame(&mut self, shared: &ServiceShared, frame: &Frame) {
+    /// Unbinds every route this connection held, unless a newer
+    /// connection has already rebound it: the member may have
+    /// reconnected, and a late cleanup of the dead connection must not
+    /// sever the fresh route. A vanished connection does not remove the
+    /// member from the group — the member may reconnect, or the
+    /// application may expel it; the protocol state is authoritative.
+    fn cleanup(&self) {
+        for (entry, user) in &self.bound {
+            let mut routes = entry.routes.lock();
+            if routes.get(user) == Some(&self.token) {
+                routes.remove(user);
+            }
+        }
+    }
+}
+
+/// One member frame, decoded, with what it decides about its connection.
+type Inbound = (Envelope, Reply);
+
+/// What one drain of a shard's events holds: each touched group's
+/// frames, in arrival order, and the connections that closed.
+#[derive(Default)]
+struct Drain {
+    groups: Vec<(Arc<GroupEntry>, Vec<Inbound>)>,
+    closed: Vec<MuxToken>,
+}
+
+impl Drain {
+    /// Takes in one inbound frame from `conn`: decodes it and files it
+    /// under the entry registered for the envelope's group tag. One
+    /// connection can in principle carry traffic for several groups
+    /// (each binding its own route), though honest members speak for one.
+    fn push(&mut self, shared: &ServiceShared, conn: &ConnCtx, frame: &Frame) {
         let Ok(env) = decode::<Envelope>(frame) else {
             return; // malformed frame: drop
         };
@@ -1015,45 +1104,46 @@ impl ConnCtx {
         // service. (A replayed GroupData or Heartbeat is refused outright:
         // both carry a strictly increasing sequence under the session key.)
         let proves_freshness = matches!(env.msg_type, MsgType::AuthAckKey | MsgType::Ack);
-        let bound = self
+        let bound = conn
             .bound
             .iter()
             .any(|(e, u)| Arc::ptr_eq(e, &entry) && u == &env.sender);
         let reply = Reply {
-            token: self.token,
+            token: conn.token,
             bind: (proves_freshness && !bound).then(|| env.sender.clone()),
             handshake: env.msg_type == MsgType::AuthInitReq,
         };
-        // Read the clock before taking any lock so the liveness
-        // bookkeeping sees arrival time, not lock-grant time.
-        let now = shared.clock.now();
-        match entry.fan_out(Some(&reply), |core| core.handle_at(&env, now)) {
-            Ok(()) => {
-                if let Some(user) = reply.bind {
-                    self.bound.push((entry, user));
-                }
-            }
-            Err(e) => entry.emit(vec![LeaderEvent::Rejected {
-                from: env.sender,
-                reason: match e {
-                    CoreError::Rejected(r) => r,
-                    _ => crate::error::RejectReason::Malformed,
-                },
-            }]),
+        match self.groups.iter_mut().find(|(e, _)| Arc::ptr_eq(e, &entry)) {
+            Some((_, frames)) => frames.push((env, reply)),
+            None => self.groups.push((entry, vec![(env, reply)])),
         }
     }
 
-    /// Unbinds every route this connection held, unless a newer
-    /// connection has already rebound it: the member may have
-    /// reconnected, and a late cleanup of the dead connection must not
-    /// sever the fresh route. A vanished connection does not remove the
-    /// member from the group — the member may reconnect, or the
-    /// application may expel it; the protocol state is authoritative.
-    fn cleanup(&self) {
-        for (entry, user) in &self.bound {
-            let mut routes = entry.routes.lock();
-            if routes.get(user) == Some(&self.token) {
-                routes.remove(user);
+    /// Drives every touched group with its frames, one commit each
+    /// ([`GroupEntry::drain`]); records the routes the accepted frames
+    /// bound on their connections; then cleans up the closed
+    /// connections, whose frames all came before their close (a front
+    /// end never reuses a token).
+    fn run(self, now: Duration, conns: &mut HashMap<MuxToken, ConnCtx>) {
+        for (entry, frames) in self.groups {
+            let accepted = entry.drain(&frames, now);
+            for ((_, reply), ok) in frames.into_iter().zip(accepted) {
+                let (Some(user), true) = (reply.bind, ok) else {
+                    continue;
+                };
+                let conn = conns.get_mut(&reply.token).expect("a frame's connection");
+                if !conn
+                    .bound
+                    .iter()
+                    .any(|(e, u)| Arc::ptr_eq(e, &entry) && *u == user)
+                {
+                    conn.bound.push((Arc::clone(&entry), user));
+                }
+            }
+        }
+        for token in self.closed {
+            if let Some(ctx) = conns.remove(&token) {
+                ctx.cleanup();
             }
         }
     }
@@ -1063,26 +1153,35 @@ impl ConnCtx {
 /// keeping a [`ConnCtx`] per connection pinned to it. The transport owns
 /// the connections; this thread only runs protocol work, so the
 /// service's thread count is `shards`, not `connections`.
+///
+/// Each blocking receive starts a drain: the event it returned plus
+/// whatever the channel already held behind it, no more, so a steady
+/// stream cannot keep one drain open. A drain commits each group it
+/// touched once, so a join storm's backlog sets its batch size.
 fn shard_loop(shared: &Arc<ServiceShared>, shard_rx: &Receiver<MuxEvent>) {
     let mut conns: HashMap<MuxToken, ConnCtx> = HashMap::new();
     while shared.running.load(Ordering::Relaxed) {
-        match shard_rx.recv_timeout(shared.poll) {
-            // A connection's context starts with its first frame.
-            Ok(MuxEvent::Accepted { .. }) => {}
-            Ok(MuxEvent::Frame { token, frame }) => {
-                conns
-                    .entry(token)
-                    .or_insert_with(|| ConnCtx::new(token))
-                    .handle_frame(shared, &frame);
-            }
-            Ok(MuxEvent::Closed { token }) => {
-                if let Some(ctx) = conns.remove(&token) {
-                    ctx.cleanup();
-                }
-            }
+        let first = match shard_rx.recv_timeout(shared.poll) {
+            Ok(event) => event,
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
             Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
+        };
+        let held = shard_rx.len();
+        let mut drain = Drain::default();
+        for event in std::iter::once(first).chain(shard_rx.try_iter().take(held)) {
+            match event {
+                // A connection's context starts with its first frame.
+                MuxEvent::Accepted { .. } => {}
+                MuxEvent::Frame { token, frame } => {
+                    let conn = conns.entry(token).or_insert_with(|| ConnCtx::new(token));
+                    drain.push(shared, conn, &frame);
+                }
+                MuxEvent::Closed { token } => drain.closed.push(token),
+            }
         }
+        // Read the clock before taking any lock so the liveness
+        // bookkeeping sees arrival time, not lock-grant time.
+        drain.run(shared.clock.now(), &mut conns);
     }
     for ctx in conns.values() {
         ctx.cleanup();

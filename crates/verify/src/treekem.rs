@@ -12,9 +12,16 @@
 //! [`enclaves_core::protocol::keytree::KeyTree`]: the expelled member is
 //! modelled as an adversary holding the derivation closure of every key it
 //! ever legitimately held, eavesdropping on every later `PathUpdate` plan
-//! and greedily extending its closure with anything it can unseal. The
-//! audit fails if any post-expulsion seal is addressed to a key in the
-//! closure, or any post-expulsion root key lands in it.
+//! — single changes and batch commits of several joins alike — and
+//! greedily extending its closure with anything it can unseal, to a
+//! fixpoint, since a batch's merge seals are under keys derived from
+//! other seals of the same plan. The audit fails if any post-expulsion
+//! seal is addressed to a key in the closure, or any post-expulsion root
+//! key lands in it.
+//!
+//! Its mirror image is backward secrecy for a batch joiner: its Welcome's
+//! path plus every seal of the commit that admitted it must derive no key
+//! the tree held before that commit.
 
 use crate::runner::VerificationResult;
 use enclaves_core::protocol::keytree::{KeyTree, NodeKey, PathUpdatePlan};
@@ -57,22 +64,23 @@ impl KeyClosure {
 
     /// Plays one eavesdropped [`PathUpdatePlan`] against the closure the
     /// way the member-side protocol would: any seal addressed to a held
-    /// key is opened and its secret absorbed. Returns the node indices of
-    /// the seals that opened — for a correctly expelled member this must
-    /// be empty.
+    /// key is opened and its secret absorbed, again and again until no
+    /// further seal opens. Returns the node indices of the seals that
+    /// opened — for a correctly expelled member this must be empty.
     pub fn eavesdrop(&mut self, plan: &PathUpdatePlan, depth: u32) -> Vec<u32> {
-        let openable: Vec<(u32, NodeKey)> = plan
-            .seals
-            .iter()
-            .filter(|s| self.contains(&s.seal_key))
-            .map(|s| (s.node_index, s.path_secret))
-            .collect();
-        let mut opened = Vec::new();
-        for (node, secret) in openable {
-            self.absorb_secret(&secret, depth);
-            opened.push(node);
+        let mut opened: Vec<usize> = Vec::new();
+        loop {
+            let openable: Vec<usize> = (0..plan.seals.len())
+                .filter(|i| !opened.contains(i) && self.contains(&plan.seals[*i].seal_key))
+                .collect();
+            if openable.is_empty() {
+                return opened.iter().map(|&i| plan.seals[i].node_index).collect();
+            }
+            for i in openable {
+                self.absorb_secret(&plan.seals[i].path_secret, depth);
+                opened.push(i);
+            }
         }
-        opened
     }
 }
 
@@ -151,9 +159,22 @@ pub fn audit_expel_closure(group: usize, churn: usize, seed: u64) -> Result<usiz
     audited += 1;
 
     for round in 0..churn {
-        let plan = match round % 4 {
+        let plan = match round % 5 {
             // A newcomer joins (fresh leaf or blank reuse).
             0 => tree.add(actor(group + round), &mut rng),
+            // A batch of newcomers joins in one commit, beside a
+            // bystander's re-admission.
+            4 => {
+                let mut joins: Vec<ActorId> = (0..=round % 3 + 1)
+                    .map(|k| ActorId::new(format!("b{round}-{k}")).expect("valid id"))
+                    .collect();
+                joins.extend(
+                    (1..group + round)
+                        .map(actor)
+                        .find(|m| tree.leaf_of(m).is_some()),
+                );
+                tree.commit(&joins, &mut rng)
+            }
             // A bystander leaves.
             1 => {
                 let bystander = (1..group + round)
@@ -169,6 +190,94 @@ pub fn audit_expel_closure(group: usize, churn: usize, seed: u64) -> Result<usiz
         audited += 1;
     }
     Ok(audited)
+}
+
+/// Audits batch-join backward secrecy over one seeded scenario: `group`
+/// members join one by one, then `batches` commits each admit a batch of
+/// newcomers (beside one re-admitted member every other commit). Each
+/// batch joiner starts from exactly its Welcome — its path after the
+/// commit — and eavesdrops on the commit's seals; no key it can reach may
+/// be one the tree held before the commit (any member's path, any earlier
+/// root). Returns the number of joiners audited, or the first violation.
+///
+/// # Errors
+///
+/// Returns a description of the first violated obligation.
+pub fn audit_batch_join_closure(group: usize, batches: usize, seed: u64) -> Result<usize, String> {
+    let mut rng = SeededRng::from_seed(seed);
+    let mut tree = KeyTree::new();
+    let mut past: HashSet<NodeKey> = HashSet::new();
+    let mut members: Vec<ActorId> = Vec::new();
+    let record = |tree: &KeyTree, members: &[ActorId], past: &mut HashSet<NodeKey>| {
+        for m in members {
+            let (_, keys) = tree.path_keys(m).expect("member path intact");
+            past.extend(keys);
+        }
+    };
+    for i in 0..group {
+        members.push(actor(i));
+        tree.add(actor(i), &mut rng);
+        record(&tree, &members, &mut past);
+    }
+    let mut audited = 0usize;
+    for b in 0..batches {
+        let mut joins: Vec<ActorId> = (0..2 + b % 4)
+            .map(|k| ActorId::new(format!("j{b}-{k}")).expect("valid id"))
+            .collect();
+        if b % 2 == 1 && !members.is_empty() {
+            joins.push(members[b % members.len()].clone());
+        }
+        let plan = tree.commit(&joins, &mut rng);
+        let depth = tree_depth(plan.leaf_count);
+        for joiner in &joins {
+            let mut closure = KeyClosure::default();
+            sync_member(&tree, joiner, &mut closure);
+            closure.eavesdrop(&plan, depth);
+            if !closure.contains(&plan.root_key) {
+                return Err(format!(
+                    "batch {b}: joiner {joiner} cannot reach its own root (vacuity check)"
+                ));
+            }
+            if past.iter().any(|k| closure.contains(k)) {
+                return Err(format!(
+                    "batch {b}: joiner {joiner} reaches a key from before its commit"
+                ));
+            }
+            audited += 1;
+        }
+        for joiner in joins {
+            if !members.contains(&joiner) {
+                members.push(joiner);
+            }
+        }
+        record(&tree, &members, &mut past);
+    }
+    Ok(audited)
+}
+
+/// Packaged suite entry: batch-join backward secrecy over a sweep of group
+/// sizes and batch schedules.
+#[must_use]
+pub fn verify_tree_batch_join_secrecy() -> VerificationResult {
+    let cases: &[(usize, usize, u64)] = &[(0, 4, 11), (1, 6, 12), (8, 8, 13), (64, 6, 14)];
+    let mut audited = 0usize;
+    let mut failure = None;
+    for &(group, batches, seed) in cases {
+        match audit_batch_join_closure(group, batches, seed) {
+            Ok(n) => audited += n,
+            Err(e) => {
+                failure = Some(format!("group={group} batches={batches} seed={seed}: {e}"));
+                break;
+            }
+        }
+    }
+    VerificationResult {
+        name: "tree rekey, batch joiner's closure vs pre-commit keys (§5.2 ext)".into(),
+        passed: failure.is_none(),
+        states: audited,
+        transitions: audited,
+        detail: failure.unwrap_or_else(|| "no pre-commit key reachable by a batch joiner".into()),
+    }
 }
 
 /// Packaged suite entry: the §5.2-extended expulsion audit over a sweep of
@@ -206,6 +315,13 @@ mod tests {
         let r = verify_tree_expel_secrecy();
         assert!(r.passed, "{r}");
         assert!(r.states > 50, "sweep must audit a real amount of churn");
+    }
+
+    #[test]
+    fn batch_joiners_never_reach_a_pre_commit_key() {
+        let r = verify_tree_batch_join_secrecy();
+        assert!(r.passed, "{r}");
+        assert!(r.states > 50, "sweep must audit a real number of joiners");
     }
 
     #[test]
@@ -259,7 +375,7 @@ mod tests {
         }
         // Rejoin reuses the blanked leaf with an entirely fresh path.
         let plan = tree.add(victim.clone(), &mut rng);
-        assert_eq!(plan.updated_leaf, 2, "blanked leaf reused");
+        assert_eq!(*plan.leaves, [2], "blanked leaf reused");
         let (_, fresh) = tree.path_keys(&victim).unwrap();
         for k in &fresh {
             assert!(

@@ -18,6 +18,7 @@
 use crate::actor::ActorId;
 use crate::codec::{Decode, Encode, Reader, WireError, Writer};
 use crate::group::GroupId;
+use crate::roster::MAX_ROSTER_LEN;
 
 /// Magic bytes identifying a journal record envelope ("Enclaves Journal
 /// Record v1"). Bound into every record's AAD.
@@ -58,6 +59,10 @@ fn take_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, WireError> {
 pub enum JournalOp {
     /// A member completed the join handshake and entered the roster.
     Join(ActorId),
+    /// Several members, each having completed the join handshake,
+    /// entered the roster in one commit, in this order. A commit of one
+    /// is always written as [`JournalOp::Join`].
+    Joins(Vec<ActorId>),
     /// A member departed voluntarily (Close).
     Leave(ActorId),
     /// The leader expelled a member administratively.
@@ -72,6 +77,20 @@ pub enum JournalOp {
         /// The epoch the recovered core installed.
         target_epoch: u64,
     },
+}
+
+impl JournalOp {
+    /// The members a join record admits, in commit order: one for a
+    /// [`JournalOp::Join`], several for a [`JournalOp::Joins`], none for
+    /// any other record.
+    #[must_use]
+    pub fn joiners(&self) -> &[ActorId] {
+        match self {
+            JournalOp::Join(user) => std::slice::from_ref(user),
+            JournalOp::Joins(users) => users,
+            _ => &[],
+        }
+    }
 }
 
 impl Encode for JournalOp {
@@ -98,6 +117,13 @@ impl Encode for JournalOp {
                 w.put_u8(6);
                 w.put_u64(*target_epoch);
             }
+            JournalOp::Joins(users) => {
+                w.put_u8(7);
+                w.put_u32(users.len() as u32);
+                for user in users {
+                    user.encode(w);
+                }
+            }
         }
     }
 }
@@ -113,6 +139,18 @@ impl Decode for JournalOp {
             6 => Ok(JournalOp::Recover {
                 target_epoch: r.take_u64()?,
             }),
+            7 => {
+                let n = r.take_u32()? as usize;
+                // Each name takes at least five bytes: its length, then
+                // one byte or more.
+                if !(2..=MAX_ROSTER_LEN).contains(&n) || r.remaining() < 5 * n {
+                    return Err(WireError::LengthOverflow);
+                }
+                let users = (0..n)
+                    .map(|_| ActorId::decode(r))
+                    .collect::<Result<_, _>>()?;
+                Ok(JournalOp::Joins(users))
+            }
             tag => Err(WireError::UnknownTag { tag }),
         }
     }
@@ -473,6 +511,7 @@ mod tests {
             JournalOp::Evict(id("dave")),
             JournalOp::Rekey,
             JournalOp::Recover { target_epoch: 99 },
+            JournalOp::Joins(vec![id("erin"), id("frank"), id("alice")]),
         ];
         for op in ops {
             assert_eq!(decode::<JournalOp>(&encode(&op)).unwrap(), op);

@@ -741,8 +741,9 @@ pub fn group_broadcast_aad(
     w.finish()
 }
 
-/// Wire form of a `PathUpdate` body: one rekey-tree path refresh, fanned
-/// out to the whole roster as a single frame.
+/// Wire form of a `PathUpdate` body: one rekey-tree commit — one leaf's
+/// path refresh, or a batch of joins' union of paths — fanned out to the
+/// whole roster as a single frame.
 ///
 /// The outer structure is plaintext — an expelled member already knows
 /// the retiring group key, so an outer seal under it would add nothing.
@@ -750,11 +751,16 @@ pub fn group_broadcast_aad(
 /// per copath resolution node, under that node's key, with
 /// [`path_update_aad`] binding the leader, epoch, tree shape, and target
 /// node so no field can be flipped without breaking authentication.
-/// Exactly one entry is decryptable by any given member (the one whose
-/// node lies on its direct path); from that secret the member derives
-/// every rewritten key up to the root.
+/// Exactly one entry carries a given member its entry secret (the one
+/// addressed to its resolution node below the lowest refreshed node of
+/// its path); from that secret the member derives every rewritten key up
+/// to the root, opening one more entry at each batch merge node it climbs
+/// into from the right.
 ///
-/// The body is `head ‖ nonce ‖ count × (node ‖ sealed secret ‖ tag)`:
+/// The body is `head ‖ nonce ‖ count × (node ‖ sealed secret ‖ tag)`,
+/// where the head is `epoch ‖ leaf_count ‖ leaf ‖ count` for one committed
+/// leaf and `epoch ‖ leaf_count ‖ FFFF_FFFF ‖ k ‖ k × leaf ‖ count` for
+/// `k ≥ 2`:
 /// one random nonce base per frame, from which the cipher for `node`
 /// takes [`cipher_nonce`]`(nonce, node)`, and no length prefix, since
 /// every cipher is [`SEALED_PATH_SECRET_LEN`] bytes.
@@ -764,8 +770,8 @@ pub struct PathUpdateWire {
     pub epoch: u64,
     /// Leaf slots in the tree after the refresh.
     pub leaf_count: u32,
-    /// The leaf slot whose path was refreshed.
-    pub updated_leaf: u32,
+    /// The committed leaf slots whose paths were refreshed, ascending.
+    pub leaves: Vec<u32>,
     /// The frame's nonce base.
     pub nonce: [u8; AEAD_NONCE_LEN],
     /// `(node_index, sealed path secret ‖ tag)` per copath resolution
@@ -786,6 +792,15 @@ const PATH_CIPHER_LEN: usize = 4 + SEALED_PATH_SECRET_LEN;
 /// can push resolutions past `log N`, but never past the leaf count the
 /// roster bound already allows.
 pub const MAX_PATH_CIPHERS: usize = MAX_ROSTER_LEN;
+
+/// Upper bound on the leaves one commit lists: no batch admits more
+/// joiners than a roster holds.
+pub const MAX_COMMIT_LEAVES: usize = MAX_ROSTER_LEN;
+
+/// Stands in a `PathUpdate` head where a single commit's one leaf would,
+/// and announces the count and list of a batch commit's leaves. No leaf
+/// slot reaches it: the tree math stops at 2^30 leaves.
+const COMMIT_LEAVES: u32 = u32::MAX;
 
 /// The AEAD nonce of the cipher addressed to `node` in a `PathUpdate`
 /// frame: the frame's nonce base with `node`'s big-endian index XORed
@@ -810,7 +825,7 @@ impl Encode for PathUpdateWire {
         let head = PathUpdateHead {
             epoch: self.epoch,
             leaf_count: self.leaf_count,
-            updated_leaf: self.updated_leaf,
+            leaves: self.leaves[..].into(),
         };
         head.put(w, self.ciphers.len());
         w.put_array(&self.nonce);
@@ -834,7 +849,7 @@ impl Decode for PathUpdateWire {
         Ok(PathUpdateWire {
             epoch: head.epoch,
             leaf_count: head.leaf_count,
-            updated_leaf: head.updated_leaf,
+            leaves: head.leaves.to_vec(),
             nonce,
             ciphers,
         })
@@ -842,31 +857,96 @@ impl Decode for PathUpdateWire {
 }
 
 /// The plaintext claims at the front of a `PathUpdate` body.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PathUpdateHead {
     /// The epoch the refreshed tree root derives (previous epoch + 1).
     pub epoch: u64,
     /// Leaf slots in the tree after the refresh.
     pub leaf_count: u32,
-    /// The leaf slot whose path was refreshed.
-    pub updated_leaf: u32,
+    /// The committed leaf slots whose paths were refreshed, ascending:
+    /// one for a single change, each joiner's for a batch commit.
+    pub leaves: CommitLeaves,
+}
+
+/// The committed leaf slots a `PathUpdate` head names, ascending: a
+/// single change's one leaf, held inline, or a batch commit's list. It
+/// reads as the slice of them.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum CommitLeaves {
+    /// A single change's leaf.
+    One(u32),
+    /// A batch commit's leaves.
+    Many(Vec<u32>),
+}
+
+impl std::ops::Deref for CommitLeaves {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            CommitLeaves::One(leaf) => std::slice::from_ref(leaf),
+            CommitLeaves::Many(leaves) => leaves,
+        }
+    }
+}
+
+impl From<&[u32]> for CommitLeaves {
+    fn from(leaves: &[u32]) -> Self {
+        match leaves {
+            [leaf] => CommitLeaves::One(*leaf),
+            _ => CommitLeaves::Many(leaves.to_vec()),
+        }
+    }
 }
 
 impl PathUpdateHead {
-    /// Writes the head and the cipher count that follows it.
-    fn put(&self, w: &mut Writer, ciphers: usize) {
+    /// Writes the claims: the epoch, the tree size and the committed
+    /// leaves, one leaf as it stands and several behind the
+    /// [`COMMIT_LEAVES`] marker and their count. The frame and the AAD
+    /// of its seals both carry exactly these bytes.
+    fn put_claims(&self, w: &mut Writer) {
         w.put_u64(self.epoch);
         w.put_u32(self.leaf_count);
-        w.put_u32(self.updated_leaf);
+        if let [leaf] = self.leaves[..] {
+            w.put_u32(leaf);
+        } else {
+            w.put_u32(COMMIT_LEAVES);
+            w.put_u32(self.leaves.len() as u32);
+            for &leaf in self.leaves.iter() {
+                w.put_u32(leaf);
+            }
+        }
+    }
+
+    /// Writes the head and the cipher count that follows it.
+    fn put(&self, w: &mut Writer, ciphers: usize) {
+        self.put_claims(w);
         w.put_u32(ciphers as u32);
     }
 
-    /// Reads the head and the bounded cipher count that follows it.
+    /// Reads the head and the bounded cipher count that follows it. A
+    /// listed commit must name between two and [`MAX_COMMIT_LEAVES`]
+    /// leaves: one leaf has only the short form.
     fn take(r: &mut Reader<'_>) -> Result<(Self, usize), WireError> {
+        let epoch = r.take_u64()?;
+        let leaf_count = r.take_u32()?;
+        let leaves = match r.take_u32()? {
+            COMMIT_LEAVES => {
+                let k = r.take_u32()? as usize;
+                if !(2..=MAX_COMMIT_LEAVES).contains(&k) {
+                    return Err(WireError::LengthOverflow);
+                }
+                if r.remaining() < 4 * k {
+                    return Err(WireError::UnexpectedEnd);
+                }
+                CommitLeaves::Many((0..k).map(|_| r.take_u32()).collect::<Result<_, _>>()?)
+            }
+            leaf => CommitLeaves::One(leaf),
+        };
         let head = PathUpdateHead {
-            epoch: r.take_u64()?,
-            leaf_count: r.take_u32()?,
-            updated_leaf: r.take_u32()?,
+            epoch,
+            leaf_count,
+            leaves,
         };
         let n = r.take_u32()? as usize;
         if n > MAX_PATH_CIPHERS {
@@ -941,10 +1021,10 @@ impl<'a> PathUpdateView<'a> {
 
 /// Associated data for the per-node seals inside a [`PathUpdateWire`]:
 /// binds the originating leader, the new epoch, the tree shape, the
-/// refreshed leaf, and the target node. Tampering with `leaf_count` or
-/// `updated_leaf` would silently change the member's derive-up walk, so
-/// both are authenticated here rather than trusted from the plaintext
-/// outer frame. The enclave is bound last, like the other multicast AADs.
+/// committed leaves, and the target node. Tampering with `leaf_count` or
+/// `leaves` would silently change the member's derive-up walk, so both
+/// are authenticated here rather than trusted from the plaintext outer
+/// frame. The enclave is bound last, like the other multicast AADs.
 ///
 /// Only the node index differs between the seals of one update, so the
 /// bytes are built once per update and the index patched per seal.
@@ -957,13 +1037,11 @@ pub struct PathUpdateAad {
 impl PathUpdateAad {
     /// The AAD of one update's seals, its node index still to be set.
     #[must_use]
-    pub fn new(leader: &ActorId, head: PathUpdateHead, group: Option<&GroupId>) -> Self {
+    pub fn new(leader: &ActorId, head: &PathUpdateHead, group: Option<&GroupId>) -> Self {
         let mut w = Writer::new();
         w.put_u8(MsgType::PathUpdate as u8);
         leader.encode(&mut w);
-        w.put_u64(head.epoch);
-        w.put_u32(head.leaf_count);
-        w.put_u32(head.updated_leaf);
+        head.put_claims(&mut w);
         let node_at = w.len();
         w.put_u32(0);
         put_group(&mut w, group);
@@ -986,16 +1064,16 @@ pub fn path_update_aad(
     leader: &ActorId,
     epoch: u64,
     leaf_count: u32,
-    updated_leaf: u32,
+    leaves: &[u32],
     node_index: u32,
     group: Option<&GroupId>,
 ) -> Vec<u8> {
     let head = PathUpdateHead {
         epoch,
         leaf_count,
-        updated_leaf,
+        leaves: leaves.into(),
     };
-    let mut aad = PathUpdateAad::new(leader, head, group);
+    let mut aad = PathUpdateAad::new(leader, &head, group);
     aad.for_node(node_index);
     aad.bytes
 }
@@ -1022,7 +1100,7 @@ pub fn path_update_frame<'a>(
     buf: Vec<u8>,
     leader: &ActorId,
     group: Option<&GroupId>,
-    head: PathUpdateHead,
+    head: &PathUpdateHead,
     nonce: [u8; AEAD_NONCE_LEN],
     seals: impl ExactSizeIterator<Item = PathSeal<'a>>,
 ) -> Vec<u8> {
@@ -1292,12 +1370,12 @@ mod tests {
             group_broadcast_aad(&leader(), 3, 9, None)
         );
         assert_ne!(
-            path_update_aad(&leader(), 5, 8, 3, 9, Some(&ops)),
-            path_update_aad(&leader(), 5, 8, 3, 9, Some(&eng))
+            path_update_aad(&leader(), 5, 8, &[3], 9, Some(&ops)),
+            path_update_aad(&leader(), 5, 8, &[3], 9, Some(&eng))
         );
         assert_ne!(
-            path_update_aad(&leader(), 5, 8, 3, 9, Some(&ops)),
-            path_update_aad(&leader(), 5, 8, 3, 9, None)
+            path_update_aad(&leader(), 5, 8, &[3], 9, Some(&ops)),
+            path_update_aad(&leader(), 5, 8, &[3], 9, None)
         );
     }
 
@@ -1576,7 +1654,7 @@ mod tests {
         let wire = PathUpdateWire {
             epoch: 8,
             leaf_count: 70,
-            updated_leaf: 33,
+            leaves: vec![33],
             nonce: [0x5a; 12],
             ciphers: vec![(66, vec![0xaa; 48]), (131, vec![0xbb; 48])],
         };
@@ -1588,12 +1666,8 @@ mod tests {
         // what the owning decoder refuses.
         let mut view = PathUpdateView::parse(&bytes).unwrap();
         assert_eq!(
-            (
-                view.head.epoch,
-                view.head.leaf_count,
-                view.head.updated_leaf
-            ),
-            (8, 70, 33)
+            (view.head.epoch, view.head.leaf_count, &view.head.leaves[..]),
+            (8, 70, &[33][..])
         );
         for (node, sealed) in &wire.ciphers {
             let c = view.next_cipher().unwrap();
@@ -1624,7 +1698,7 @@ mod tests {
         let empty = PathUpdateWire {
             epoch: 1,
             leaf_count: 1,
-            updated_leaf: 0,
+            leaves: vec![0],
             nonce: [0; 12],
             ciphers: vec![],
         };
@@ -1655,6 +1729,61 @@ mod tests {
         );
     }
 
+    // A batch commit's head lists its leaves behind the marker and their
+    // count: 4 bytes more than one leaf's head, for the count, plus 4 per
+    // leaf,
+    // read back by both readers, every cut refused, and a listed count of
+    // fewer than two leaves or past the cap refused before any leaf is
+    // read.
+    #[test]
+    fn path_update_batch_head_roundtrips_and_is_bounded() {
+        let wire = PathUpdateWire {
+            epoch: 8,
+            leaf_count: 70,
+            leaves: vec![3, 33, 69],
+            nonce: [0x5a; 12],
+            ciphers: vec![(66, vec![0xaa; 48])],
+        };
+        let bytes = encode(&wire);
+        assert_eq!(bytes.len(), 20 + 4 + 4 * 3 + 12 + 52);
+        assert_eq!(&bytes[12..20], &[0xff, 0xff, 0xff, 0xff, 0, 0, 0, 3]);
+        assert_eq!(decode::<PathUpdateWire>(&bytes).unwrap(), wire);
+        let mut view = PathUpdateView::parse(&bytes).unwrap();
+        assert_eq!(view.head.leaves, CommitLeaves::Many(vec![3, 33, 69]));
+        assert_eq!(view.next_cipher().map(|c| c.node), Some(66));
+        for cut in 0..bytes.len() {
+            assert!(PathUpdateView::parse(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                decode::<PathUpdateWire>(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        for k in [0u32, 1, MAX_COMMIT_LEAVES as u32 + 1, u32::MAX] {
+            let mut w = Writer::new();
+            w.put_u64(8);
+            w.put_u32(70);
+            w.put_u32(COMMIT_LEAVES);
+            w.put_u32(k);
+            w.put_array(&[0; 64]);
+            let listed = w.finish();
+            assert_eq!(
+                PathUpdateView::parse(&listed).unwrap_err(),
+                WireError::LengthOverflow,
+                "k={k}"
+            );
+        }
+        // A count the body cannot hold is refused before any allocation.
+        let mut w = Writer::new();
+        w.put_u64(8);
+        w.put_u32(70);
+        w.put_u32(COMMIT_LEAVES);
+        w.put_u32(MAX_COMMIT_LEAVES as u32);
+        assert_eq!(
+            decode::<PathUpdateWire>(&w.finish()).unwrap_err(),
+            WireError::UnexpectedEnd
+        );
+    }
+
     #[test]
     fn cipher_nonce_xors_the_node_into_the_last_four_bytes() {
         let base = [0x10u8; 12];
@@ -1679,7 +1808,7 @@ mod tests {
         let head = PathUpdateHead {
             epoch: 9,
             leaf_count: 6,
-            updated_leaf: 2,
+            leaves: CommitLeaves::One(2),
         };
         let base = [0x3cu8; 12];
         let keys = [[0x11u8; 32], [0x22; 32], [0x33; 32]];
@@ -1701,11 +1830,11 @@ mod tests {
                     secret: &secrets[i],
                 });
                 // A dirty buffer is cleared, not appended to.
-                let frame = path_update_frame(vec![0xee; 7], &leader(), group, head, base, seals);
+                let frame = path_update_frame(vec![0xee; 7], &leader(), group, &head, base, seals);
                 assert_eq!(frame.len(), header + 20 + 12 + 52 * n);
                 let ciphers = (0..n)
                     .map(|i| {
-                        let aad = path_update_aad(&leader(), 9, 6, 2, nodes[i], group);
+                        let aad = path_update_aad(&leader(), 9, 6, &[2], nodes[i], group);
                         let sealed = ChaCha20Poly1305::new(&keys[i]).seal(
                             &AeadNonce::from_bytes(cipher_nonce(base, nodes[i])),
                             &secrets[i],
@@ -1722,7 +1851,7 @@ mod tests {
                     body: encode(&PathUpdateWire {
                         epoch: 9,
                         leaf_count: 6,
-                        updated_leaf: 2,
+                        leaves: vec![2],
                         nonce: base,
                         ciphers,
                     }),
@@ -1734,12 +1863,17 @@ mod tests {
 
     #[test]
     fn path_update_aad_binds_every_field() {
-        let base = path_update_aad(&leader(), 5, 8, 3, 9, None);
-        assert_ne!(base, path_update_aad(&alice(), 5, 8, 3, 9, None));
-        assert_ne!(base, path_update_aad(&leader(), 6, 8, 3, 9, None));
-        assert_ne!(base, path_update_aad(&leader(), 5, 9, 3, 9, None));
-        assert_ne!(base, path_update_aad(&leader(), 5, 8, 4, 9, None));
-        assert_ne!(base, path_update_aad(&leader(), 5, 8, 3, 10, None));
+        let base = path_update_aad(&leader(), 5, 8, &[3], 9, None);
+        assert_ne!(base, path_update_aad(&alice(), 5, 8, &[3], 9, None));
+        assert_ne!(base, path_update_aad(&leader(), 6, 8, &[3], 9, None));
+        assert_ne!(base, path_update_aad(&leader(), 5, 9, &[3], 9, None));
+        assert_ne!(base, path_update_aad(&leader(), 5, 8, &[4], 9, None));
+        assert_ne!(base, path_update_aad(&leader(), 5, 8, &[3], 10, None));
+        // A batch's leaves are bound too, each one and their number.
+        let batch = path_update_aad(&leader(), 5, 8, &[3, 6], 9, None);
+        assert_ne!(base, batch);
+        assert_ne!(batch, path_update_aad(&leader(), 5, 8, &[3, 7], 9, None));
+        assert_ne!(batch, path_update_aad(&leader(), 5, 8, &[3, 6, 7], 9, None));
         // Distinct domain from the broadcast AAD.
         assert_ne!(base, group_broadcast_aad(&leader(), 5, 9, None));
     }

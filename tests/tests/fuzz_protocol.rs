@@ -13,7 +13,9 @@ use enclaves_core::liveness::LivenessConfig;
 use enclaves_core::protocol::{LeaderCore, MemberEvent, MemberSession};
 use enclaves_crypto::rng::SeededRng;
 use enclaves_wire::codec::{decode, encode, Decode, Reader};
-use enclaves_wire::message::{Envelope, MsgType, PathUpdateWire, MAX_PATH_CIPHERS};
+use enclaves_wire::message::{
+    Envelope, MsgType, PathUpdateWire, MAX_COMMIT_LEAVES, MAX_PATH_CIPHERS,
+};
 use enclaves_wire::{ActorId, Roster};
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -368,7 +370,7 @@ proptest! {
             body: encode(&PathUpdateWire {
                 epoch: epoch + epoch_delta,
                 leaf_count,
-                updated_leaf,
+                leaves: vec![updated_leaf],
                 nonce: [7; 12],
                 ciphers: nodes.into_iter().map(|node| (node, vec![0x55; 48])).collect(),
             }),
@@ -474,4 +476,159 @@ fn hostile_path_update_bytes_are_rejected_without_effect() {
         .handle(&honest)
         .expect("the honest update still lands");
     assert_eq!(world.members[2].group_epoch(), world.leader.epoch());
+}
+
+/// Hands one leader output to the sessions — admin envelopes to their
+/// recipient, multicast frames to every target — and queues the replies.
+fn route(
+    out: enclaves_core::protocol::LeaderOutput,
+    members: &mut [MemberSession],
+    replies: &mut Vec<Envelope>,
+) {
+    let index = |name: &str| name.strip_prefix('m')?.parse::<usize>().ok();
+    for env in out.outgoing {
+        if let Some(m) = index(env.recipient.as_str()).and_then(|i| members.get_mut(i)) {
+            replies.extend(m.handle(&env).ok().and_then(|o| o.reply));
+        }
+    }
+    for b in out.broadcasts {
+        let env: Envelope = decode(&b.frame).unwrap();
+        for t in b.targets() {
+            if let Some(m) = index(t).and_then(|i| members.get_mut(i)) {
+                replies.extend(m.handle(&env).ok().and_then(|o| o.reply));
+            }
+        }
+    }
+}
+
+/// A tree world of three members joined one by one, three more staged
+/// and committed together, and that commit's honest `PathUpdate` (leaves
+/// 3, 4 and 5 of six) not yet delivered to the three already in.
+fn batch_commit_world() -> (LeaderCore, Vec<MemberSession>, Envelope) {
+    let mut directory = Directory::new();
+    for i in 0..6 {
+        directory.register_key(&member_id(i), cheap_member_key(i));
+    }
+    let config = LeaderConfig {
+        rekey_policy: RekeyPolicy::Manual,
+        tree_rekey: true,
+        ..LeaderConfig::default()
+    };
+    let mut leader = LeaderCore::with_rng(
+        leader_id(),
+        directory,
+        config,
+        Box::new(SeededRng::from_seed(9)),
+    );
+    let (mut members, inits): (Vec<MemberSession>, Vec<Envelope>) = (0..6)
+        .map(|i| {
+            MemberSession::start_with_key_in_group(
+                member_id(i),
+                leader_id(),
+                cheap_member_key(i),
+                Box::new(SeededRng::from_seed(700 + i as u64)),
+                None,
+            )
+        })
+        .unzip();
+    for init in inits.iter().take(3) {
+        let mut queue = vec![init.clone()];
+        while let Some(env) = queue.pop() {
+            if let Ok(out) = leader.handle_at(&env, Duration::ZERO) {
+                route(out, &mut members, &mut queue);
+            }
+        }
+    }
+    // Every handshake first: `handle_at` would commit a staged join.
+    let acks: Vec<Envelope> = (3..6)
+        .map(|i| {
+            let kd = leader
+                .handle_at(&inits[i], Duration::ZERO)
+                .unwrap()
+                .outgoing;
+            members[i].handle(&kd[0]).unwrap().reply.unwrap()
+        })
+        .collect();
+    for ack in &acks {
+        leader.stage_at(ack, Duration::ZERO).unwrap();
+    }
+    let mut out = leader.commit().unwrap();
+    let honest: Envelope = decode(&out.broadcasts.remove(0).frame).unwrap();
+    let mut acks = Vec::new();
+    route(out, &mut members, &mut acks);
+    for ack in acks {
+        leader.handle_at(&ack, Duration::ZERO).unwrap();
+    }
+    (leader, members, honest)
+}
+
+/// Hostile edits of a batch commit's `PathUpdate` — a leaf list longer
+/// than the tree, a leaf listed twice or out of order, a listed count
+/// past the cap or under two, leaves that disagree with the ciphers, and
+/// every cut of the body — are each refused by every member already in,
+/// with no epoch moved, and the honest frame they were cut from still
+/// lands afterwards.
+#[test]
+fn hostile_batch_path_updates_are_refused_without_effect() {
+    let (leader, mut members, honest) = batch_commit_world();
+    let epoch = leader.epoch().unwrap();
+    let wire: PathUpdateWire = decode(&honest.body).unwrap();
+    assert_eq!(
+        (wire.leaves.as_slice(), wire.leaf_count),
+        (&[3, 4, 5][..], 6)
+    );
+    for m in &members[..3] {
+        assert_eq!(m.group_epoch(), Some(epoch - 1));
+    }
+    let with_leaves = |leaves: Vec<u32>| {
+        encode(&PathUpdateWire {
+            leaves,
+            ..wire.clone()
+        })
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = vec![
+        (
+            "a leaf list longer than the tree".into(),
+            with_leaves((0..=6).collect()),
+        ),
+        (
+            "every leaf, the member's own too".into(),
+            with_leaves((0..6).collect()),
+        ),
+        ("a duplicated leaf".into(), with_leaves(vec![3, 3, 5])),
+        (
+            "a leaf listed twice at the end".into(),
+            with_leaves(vec![3, 5, 5]),
+        ),
+        ("leaves out of order".into(), with_leaves(vec![5, 4, 3])),
+        ("a leaf outside the tree".into(), with_leaves(vec![3, 4, 6])),
+        ("one leaf dropped".into(), with_leaves(vec![3, 4])),
+        ("another leaf named".into(), with_leaves(vec![2, 4, 5])),
+        ("the single-leaf form".into(), with_leaves(vec![4])),
+    ];
+    for k in [0u32, 1, MAX_COMMIT_LEAVES as u32 + 1, u32::MAX] {
+        let mut b = honest.body.clone();
+        b[16..20].copy_from_slice(&k.to_be_bytes());
+        cases.push((format!("a listed count of {k}"), b));
+    }
+    for cut in 0..honest.body.len() {
+        cases.push((format!("cut to {cut} bytes"), honest.body[..cut].to_vec()));
+    }
+    for (name, body) in cases {
+        let forged = Envelope {
+            body,
+            ..honest.clone()
+        };
+        for m in &mut members[..3] {
+            match m.handle(&forged) {
+                Ok(out) => panic!("{name}: accepted with {:?}", out.events),
+                Err(e) => assert!(e.is_rejection(), "{name}: unexpected error class: {e}"),
+            }
+            assert_eq!(m.group_epoch(), Some(epoch - 1), "{name}: state moved");
+        }
+    }
+    for m in &mut members {
+        m.handle(&honest).expect("the honest update still lands");
+        assert_eq!(m.group_epoch(), Some(epoch));
+    }
 }

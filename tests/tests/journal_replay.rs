@@ -6,6 +6,10 @@
 //! torn tail a `kill -9` leaves behind) recovers to exactly the state
 //! after the last *complete* record, never to anything in between.
 //!
+//! A batch commit — several joins staged and committed as one epoch — is
+//! one record, replayed through the same transition as a single join, and
+//! a history of single joins writes exactly the records it always did.
+//!
 //! And the epoch fence is a leased upper bound that is on disk before the
 //! record that needs it: whatever prefix of a history survives, recovery
 //! restarts strictly past every epoch any record ever committed.
@@ -16,10 +20,14 @@ use enclaves_core::directory::Directory;
 use enclaves_core::journal::{genesis_for, label_for, JournalDir, ReadMode, FENCE_LEASE};
 use enclaves_core::protocol::{LeaderCore, MemberSession};
 use enclaves_crypto::rng::SeededRng;
+use enclaves_crypto::sha256::Sha256;
+use enclaves_wire::codec::encode;
+use enclaves_wire::journal::{JournalOp, JournalPayload};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Self-cleaning unique temp directory (no tempfile crate in-tree).
 struct TempDir(PathBuf);
@@ -48,6 +56,9 @@ impl Drop for TempDir {
 #[derive(Clone, Debug)]
 enum Op {
     Join(usize),
+    /// The cast members the mask names, staged together and committed
+    /// once.
+    Batch(u8),
     Leave(usize),
     Expel(usize),
     Rekey,
@@ -59,6 +70,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..CAST).prop_map(Op::Join),
         (0..CAST).prop_map(Op::Join),
+        (1u8..16).prop_map(Op::Batch),
         (0..CAST).prop_map(Op::Leave),
         (0..CAST).prop_map(Op::Expel),
         Just(Op::Rekey),
@@ -154,6 +166,31 @@ fn drive(ops: &[Op], tree: bool, seed: u64) -> Driven {
                 );
                 members[*i] = session;
                 pump(&mut leader, &mut members, init);
+            }
+            Op::Batch(mask) => {
+                let acks: Vec<_> = (0..CAST)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .filter_map(|i| {
+                        let (session, init) = MemberSession::start_with_key_in_group(
+                            member_id(i),
+                            leader_id(),
+                            member_key(i),
+                            Box::new(SeededRng::from_seed(seed ^ (3000 + (k * CAST + i) as u64))),
+                            None,
+                        );
+                        let kd = leader.handle_at(&init, Duration::ZERO).ok()?.outgoing;
+                        members[i] = session;
+                        members[i].handle(kd.first()?).ok()?.reply
+                    })
+                    .collect();
+                for ack in &acks {
+                    let out = leader
+                        .stage_at(ack, Duration::ZERO)
+                        .expect("a fresh ack stages");
+                    assert!(out.outgoing.is_empty());
+                }
+                let out = leader.commit().expect("the batch commits");
+                settle(&mut leader, &mut members, out.outgoing);
             }
             Op::Leave(i) => {
                 if let Ok(close) = members[*i].leave() {
@@ -349,5 +386,88 @@ proptest! {
         cut in any::<u64>(),
     ) {
         check_replay(&ops, true, seed, cut);
+    }
+}
+
+/// A live world of `CAST` members, the first `solo` joined one by one and
+/// the rest staged together and committed once, journaled.
+fn batch_world(tree: bool, solo: usize) -> (TempDir, JournalDir, LeaderCore) {
+    let ops: Vec<Op> = (0..solo)
+        .map(Op::Join)
+        .chain([Op::Batch(((1u8 << CAST) - 1) & !((1u8 << solo) - 1))])
+        .collect();
+    let driven = drive(&ops, tree, 0xBA7C);
+    (driven.dir, driven.journal, driven.leader)
+}
+
+/// A batch commit is one `Joins` record, and replaying the stream lands
+/// on the live core's durable digest in both modes, a batch into an empty
+/// group included.
+#[test]
+fn a_batch_commit_is_one_record_and_replays_to_the_live_digest() {
+    for tree in [false, true] {
+        for solo in [0, 1, 2] {
+            let (dir, journal, leader) = batch_world(tree, solo);
+            let replay = journal
+                .replay_stream(&label_for(None), ReadMode::Strict)
+                .expect("the stream replays");
+            assert_eq!(
+                replay.transitions.len(),
+                solo + 1,
+                "tree={tree} solo={solo}"
+            );
+            let batch: Vec<_> = (solo..CAST).map(member_id).collect();
+            assert_eq!(
+                replay.transitions.last().map(|t| &t.op),
+                Some(&JournalOp::Joins(batch)),
+                "tree={tree} solo={solo}"
+            );
+            let recovered = LeaderCore::recover(&replay).expect("replay rebuilds");
+            assert_eq!(recovered.durable_digest(), leader.durable_digest());
+            assert_eq!(recovered.roster().len(), CAST);
+            drop(dir);
+        }
+    }
+}
+
+/// A history of one-by-one joins, leaves, expels and rekeys writes the
+/// same transition records, byte for byte, as it did before batch commits
+/// existed — the pinned digests were produced by that code — so streams
+/// it wrote recover here unchanged.
+#[test]
+fn single_change_records_are_the_pre_batch_records() {
+    let ops = [
+        Op::Join(0),
+        Op::Join(1),
+        Op::Join(2),
+        Op::Rekey,
+        Op::Leave(1),
+        Op::Join(3),
+        Op::Expel(0),
+        Op::Join(1),
+    ];
+    for (tree, pinned) in [
+        (
+            false,
+            "83e3cd4209bccd3d8f13aee8b0d03c382d5c3175a317517df39c838f96972b8f",
+        ),
+        (
+            true,
+            "5d1b88070ff06b6253b6299ce84a04ec5e7716c323cc2081adf0382513f2d939",
+        ),
+    ] {
+        let driven = drive(&ops, tree, 0x5EED);
+        let replay = driven
+            .journal
+            .replay_stream(&driven.label, ReadMode::Strict)
+            .expect("the stream replays");
+        let mut h = Sha256::new();
+        for t in &replay.transitions {
+            h.update(&encode(&JournalPayload::Transition(t.clone())));
+        }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned, "tree={tree}");
+        let recovered = LeaderCore::recover(&replay).expect("replay rebuilds");
+        assert_eq!(recovered.durable_digest(), driven.leader.durable_digest());
     }
 }

@@ -8,14 +8,17 @@
 //!   every event kind the model mapping names, in a stream order
 //!   consistent with causality;
 //! * names — the README's metric glossary lists exactly the metrics the
-//!   leader, member and simulator registries declare.
+//!   leader, member and simulator registries declare, and
+//!   `leader.commit_joins` says from the snapshot alone how many joins
+//!   each commit admitted.
 
 use enclaves_bench::FanoutGroup;
 use enclaves_core::config::{LeaderConfig, RekeyPolicy};
 use enclaves_core::directory::Directory;
 use enclaves_core::protocol::{LeaderCore, LeaderEvent, MemberEvent, MemberSession};
 use enclaves_core::runtime::{LeaderService, MemberOptions, MemberRuntime, ServiceConfig};
-use enclaves_crypto::rng::OsEntropyRng;
+use enclaves_crypto::keys::LongTermKey;
+use enclaves_crypto::rng::{OsEntropyRng, SeededRng};
 use enclaves_model::explore::{Bounds, Explorer, TransitionChecker};
 use enclaves_model::leader::LeaderMove;
 use enclaves_model::system::{GlobalMove, Scenario, SystemState};
@@ -390,4 +393,54 @@ fn readme_glossary_names_exactly_the_registered_metrics() {
         unregistered.is_empty(),
         "README glossary rows naming no registered metric: {unregistered:?}"
     );
+}
+
+/// `leader.commit_joins` is a histogram of joins per commit: a storm the
+/// service batched reads fewer records than joins, a one-by-one history
+/// one join per record. Three joins staged together and one handled
+/// alone are two records of four joins.
+#[test]
+fn commit_joins_counts_joins_per_commit() {
+    let users = ["a", "b", "c", "d"];
+    let mut directory = Directory::new();
+    let key = |u: &str| LongTermKey::derive_from_password(&format!("pw-{u}"), u).unwrap();
+    for u in users {
+        directory.register_key(&id(u), key(u));
+    }
+    let config = LeaderConfig {
+        rekey_policy: RekeyPolicy::Manual,
+        tree_rekey: true,
+        ..LeaderConfig::default()
+    };
+    let mut leader = LeaderCore::with_rng(
+        id("leader"),
+        directory,
+        config,
+        Box::new(SeededRng::from_seed(4)),
+    );
+    let acks: Vec<Envelope> = users
+        .iter()
+        .enumerate()
+        .map(|(i, u)| {
+            let (mut session, init) = MemberSession::start_with_key_in_group(
+                id(u),
+                id("leader"),
+                key(u),
+                Box::new(SeededRng::from_seed(i as u64)),
+                None,
+            );
+            let kd = leader.handle_at(&init, Duration::ZERO).unwrap().outgoing;
+            session.handle(&kd[0]).unwrap().reply.unwrap()
+        })
+        .collect();
+    for ack in &acks[..3] {
+        leader.stage_at(ack, Duration::ZERO).unwrap();
+    }
+    leader.commit().unwrap();
+    let batched = leader.epoch().unwrap();
+    leader.handle_at(&acks[3], Duration::ZERO).unwrap();
+    let snapshot = leader.obs_registry().snapshot();
+    let joins = &snapshot.histograms["leader.commit_joins"];
+    assert_eq!((joins.count, joins.sum), (2, 4));
+    assert_eq!(leader.epoch(), Some(batched + 1), "one epoch per commit");
 }
