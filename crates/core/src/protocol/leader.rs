@@ -1,33 +1,35 @@
 //! The leader side of the improved protocol — Figure 3, one slot per
 //! member — with group state, rekey policy, and leader-mediated multicast.
+//! Every membership change is one [`transition`]: one `apply` shared with
+//! journal replay, journaled before any of its frames is sealed, and one
+//! key fan-out.
 
 use crate::config::LeaderConfig;
 use crate::directory::Directory;
 use crate::error::{CoreError, RejectReason};
 use crate::group::GroupState;
-use crate::journal::{
-    config_from_genesis, JournalError, JournalWriter, ReplayedStream, TapePlayer, TapeRecorder,
-};
+use crate::journal::JournalWriter;
 use crate::liveness::{Arq, ArqPoll};
-use crate::protocol::keytree::{KeyTree, NodeKey, PathUpdatePlan};
+use crate::protocol::keytree::KeyTree;
 use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
-use enclaves_crypto::keys::{GroupKey, SessionKey};
+use enclaves_crypto::keys::SessionKey;
 use enclaves_crypto::nonce::{NonceSequence, ProtocolNonce};
-use enclaves_crypto::rng::{CryptoRng, OsEntropyRng};
-use enclaves_crypto::treekdf;
+use enclaves_crypto::rng::CryptoRng;
 use enclaves_obs::{Counter, EventKind, EventStream, Histogram, Registry};
 use enclaves_wire::codec::{encode, encode_into};
-use enclaves_wire::journal::{EpochStamp, JournalOp, JournalPayload, JournalTransition};
+use enclaves_wire::journal::{EpochStamp, JournalOp};
 use enclaves_wire::message::{
-    group_broadcast_aad, open, path_update_frame, seal, AdminPayload, AdminPlain, AuthInitPlain,
-    ClosePlain, Envelope, GroupBroadcastWire, GroupDataPlain, HeartbeatPlain, KeyDistPlain,
-    MsgType, NonceAckPlain, PathSeal, PathUpdateHead,
+    group_broadcast_aad, open, seal, AdminPayload, AdminPlain, AuthInitPlain, ClosePlain, Envelope,
+    GroupBroadcastWire, GroupDataPlain, HeartbeatPlain, KeyDistPlain, MsgType, NonceAckPlain,
 };
 use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod transition;
+use transition::stamp_of;
 
 /// Events surfaced by the leader core.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -86,6 +88,7 @@ struct LeaderObs {
     registry: Registry,
     accepted: Counter,
     rejected: Counter,
+    duplicate_acks: Counter,
     admin_sent: Counter,
     relayed: Counter,
     rekeys: Counter,
@@ -114,6 +117,7 @@ impl LeaderObs {
         LeaderObs {
             accepted: registry.counter("leader.accepted"),
             rejected: registry.counter("leader.rejected"),
+            duplicate_acks: registry.counter("leader.duplicate_acks"),
             admin_sent: registry.counter("leader.admin_sent"),
             relayed: registry.counter("leader.relayed"),
             rekeys: registry.counter("leader.rekeys"),
@@ -195,6 +199,9 @@ struct Channel {
     send_seq: NonceSequence,
     /// The in-flight admin message, if any.
     outstanding: Option<InFlight>,
+    /// The nonce of the admin message acknowledged last: a second ack of
+    /// it is the re-ack of a resend that crossed the first, not a forgery.
+    acked: Option<ProtocolNonce>,
     /// Queued payloads awaiting the acknowledgment of the in-flight one.
     pending: VecDeque<AdminPayload>,
     /// Payloads dropped due to queue overflow.
@@ -231,7 +238,8 @@ enum Slot {
     Connected(Channel),
 }
 
-/// How a member's departure was triggered — flavours the events only.
+/// How a member's departure was triggered — flavours its journal record
+/// and its events only.
 #[derive(Clone, Copy, Debug)]
 enum Departure {
     /// The member asked to close (`ReqClose`).
@@ -275,11 +283,8 @@ pub struct LeaderCore {
     /// [`LeaderCore::commit`], in arrival order; each holds a
     /// [`Slot::Staged`].
     staged: Vec<ActorId>,
-    /// The attached write-ahead journal writer (`None` for an ephemeral
-    /// core). When present, every membership/epoch transition is sealed
-    /// into the journal *before* any of its frames is sealed or
-    /// dispatched, so a crash never loses a transition members may have
-    /// observed.
+    /// The attached write-ahead journal (`None` for an ephemeral core),
+    /// written by every [`transition`] before any of its frames is sealed.
     journal: Option<JournalWriter>,
     obs: LeaderObs,
     /// Admin frames sealed, and the time that took, since the last
@@ -293,6 +298,8 @@ pub struct LeaderCore {
     /// latest reading passed to [`LeaderCore::handle_at`] or
     /// [`LeaderCore::tick`], so it never runs backwards.
     now: Duration,
+    /// The frame staged last was refused as a duplicate ack.
+    duplicate_ack: bool,
 }
 
 impl std::fmt::Debug for LeaderCore {
@@ -332,6 +339,7 @@ impl LeaderCore {
             batch_seal_ns: 0,
             frame_buf: Vec::new(),
             now: Duration::ZERO,
+            duplicate_ack: false,
         }
     }
 
@@ -427,13 +435,21 @@ impl LeaderCore {
     /// As [`LeaderCore::handle_at`].
     pub fn stage_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
         self.now = self.now.max(now);
+        self.duplicate_ack = false;
         let result = self.handle_inner(env);
         self.record_seal_batch();
         match &result {
             Ok(_) => self.obs.accepted.inc(),
+            Err(_) if self.duplicate_ack => self.obs.duplicate_acks.inc(),
             Err(_) => self.obs.rejected.inc(),
         }
         result
+    }
+
+    /// True when [`LeaderCore::stage_at`] refused its frame only as a
+    /// duplicate ack, counted in `leader.duplicate_acks`, not as rejected.
+    pub(crate) fn refused_duplicate_ack(&self) -> bool {
+        self.duplicate_ack
     }
 
     fn handle_inner(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -587,6 +603,7 @@ impl LeaderCore {
                 user_nonce: plain.next_nonce,
                 send_seq: NonceSequence::new(SEQ_LEADER),
                 outstanding: None,
+                acked: None,
                 pending: VecDeque::new(),
                 dropped_admin: 0,
                 last_heard: self.now,
@@ -636,34 +653,19 @@ impl LeaderCore {
         // Everyone but the joiners: the snapshot from before the commit
         // (less a re-admitted joiner, whom the recovered roster already
         // lists).
-        let others = users
-            .iter()
-            .fold(self.group.roster(), |roster, user| roster.without(user));
+        let mut others = self.group.roster();
         for user in users {
+            others = others.without(user);
             if let Some(Slot::Staged(channel)) = self.slots.remove(user) {
                 self.slots.insert(user.clone(), Slot::Connected(channel));
             }
         }
 
-        // Apply the membership transition over a recorded RNG tape, then
-        // commit it to the journal *before* any frame is sealed: a crash
-        // after this point replays to exactly this state.
-        let mut tape = Vec::new();
-        let outcome = {
-            let mut rec = TapeRecorder::new(self.rng.as_mut(), &mut tape);
-            apply_joins(
-                &mut self.group,
-                &mut self.tree,
-                &self.config,
-                users,
-                &mut rec,
-            )
-        };
         let op = match users {
             [user] => JournalOp::Join(user.clone()),
             _ => JournalOp::Joins(users.to_vec()),
         };
-        self.journal_commit(op, tape)?;
+        let rotation = self.transition(op)?.expect("a join is a transition");
         self.obs.commit_joins.record(users.len() as u64);
 
         // The Welcome carries the roster and the (possibly fresh) group
@@ -671,11 +673,7 @@ impl LeaderCore {
         // tree mode it carries the joiner's direct path instead, whose
         // root derives the key, so the joiner follows the very next
         // PathUpdate.
-        let e = self
-            .group
-            .current_epoch()
-            .expect("group key exists after join");
-        let (epoch, group_key, iv) = (e.epoch, *e.key.as_bytes(), e.iv);
+        let EpochStamp { epoch, key, iv } = stamp_of(&self.group);
         let members = self.group.roster();
         for user in users {
             let welcome = match &self.tree {
@@ -694,7 +692,7 @@ impl LeaderCore {
                 None => AdminPayload::Welcome {
                     members: members.clone(),
                     epoch,
-                    group_key,
+                    group_key: key,
                     iv,
                 },
             };
@@ -717,118 +715,10 @@ impl LeaderCore {
                 self.send_admin_all(&mut out, &others, &AdminPayload::MemberJoined(user.clone()))?;
             }
         }
-        let rekeyed = match outcome {
-            // The joiner holds none of the sealing node keys (its
-            // Welcome covers it), so the update goes to everyone else.
-            JoinOutcome::Tree { plan } => {
-                out.broadcasts
-                    .extend(self.build_path_update_frame(&plan, epoch, others));
-                true
-            }
-            JoinOutcome::Flat { rekeyed } => {
-                if rekeyed {
-                    let (_, new_key) = self.new_key_payload();
-                    self.send_admin_all(&mut out, &others, &new_key)?;
-                }
-                rekeyed
-            }
-        };
-        if rekeyed {
-            self.rekeyed(&mut out, epoch);
-        }
+        // A joiner holds none of the sealing node keys (its Welcome
+        // covers it), so the new key material goes to everyone else.
+        self.distribute(&mut out, rotation, others)?;
         Ok(out)
-    }
-
-    /// The current epoch and its key material as an admin payload. The
-    /// caller guarantees a non-empty group.
-    fn new_key_payload(&self) -> (u64, AdminPayload) {
-        let e = self.group.current_epoch().expect("nonempty group has key");
-        let payload = AdminPayload::NewGroupKey {
-            epoch: e.epoch,
-            key: *e.key.as_bytes(),
-            iv: e.iv,
-        };
-        (e.epoch, payload)
-    }
-
-    /// Accounts for a completed rotation to `epoch`.
-    fn rekeyed(&mut self, out: &mut LeaderOutput, epoch: u64) {
-        self.obs.rekeys.inc();
-        self.obs.emit(|| EventKind::Rekeyed { epoch });
-        out.events.push(LeaderEvent::Rekeyed(epoch));
-    }
-
-    /// Sends `user` its current direct path over its reliable admin
-    /// channel, recording the epoch on the channel so heartbeat-driven
-    /// resyncs do not repeat it. Nothing to send outside tree mode or to a
-    /// member without a tree leaf.
-    fn send_path_sync(&mut self, out: &mut LeaderOutput, user: &ActorId) -> Result<(), CoreError> {
-        let Some(tree) = self.tree.as_ref() else {
-            return Ok(());
-        };
-        let Some((leaf_index, path_keys)) = tree.path_keys(user) else {
-            return Ok(());
-        };
-        let epoch = self.group.current_epoch().map_or(0, |e| e.epoch);
-        let payload = AdminPayload::PathSync {
-            epoch,
-            leaf_index,
-            leaf_count: tree.leaf_count(),
-            path_keys,
-        };
-        if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
-            channel.synced_epoch = channel.synced_epoch.max(epoch);
-        }
-        self.send_admin(out, user, payload)
-    }
-
-    /// Seals a path-refresh plan into a single `PathUpdate` multicast
-    /// frame: one AEAD seal per copath resolution node (`O(log N)` on a
-    /// dense tree), each bound by [`PathUpdateAad`](enclaves_wire::message::PathUpdateAad)
-    /// and written straight into the frame buffer, all under one random
-    /// nonce base. Returns `None` when nobody would receive it.
-    fn build_path_update_frame(
-        &mut self,
-        plan: &PathUpdatePlan,
-        epoch: u64,
-        recipients: Roster,
-    ) -> Option<BroadcastFrame> {
-        if recipients.is_empty() {
-            return None;
-        }
-        self.obs.rekey_seals.add(plan.seals.len() as u64);
-        self.obs.path_depth.record(u64::from(plan.path_depth));
-        let head = PathUpdateHead {
-            epoch,
-            leaf_count: plan.leaf_count,
-            leaves: plan.leaves.clone(),
-        };
-        // One random nonce base per frame; each seal's nonce is the base
-        // with its node index folded in (`cipher_nonce`).
-        let mut nonce = [0u8; 12];
-        self.rng.fill_bytes(&mut nonce);
-        let seals = plan.seals.iter().map(|cs| PathSeal {
-            node: cs.node_index,
-            key: &cs.seal_key,
-            secret: &cs.path_secret,
-        });
-        // Multicast convention (see seal_group_data): identical bytes
-        // reach every member, so the frame is from and to the leader.
-        self.frame_buf = path_update_frame(
-            std::mem::take(&mut self.frame_buf),
-            &self.leader,
-            self.enclave.as_ref(),
-            &head,
-            nonce,
-            seals,
-        );
-        Some(BroadcastFrame {
-            frame: self.frame_buf.as_slice().into(),
-            recipients,
-            origin: None,
-            epoch,
-            seq: 0,
-        })
     }
 
     fn accept_ack(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -842,9 +732,10 @@ impl LeaderCore {
             return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
         if channel.outstanding.as_ref().map(|m| m.nonce) != Some(plain.acked_nonce) {
+            self.duplicate_ack = channel.acked == Some(plain.acked_nonce);
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
-        channel.outstanding = None;
+        channel.acked = channel.outstanding.take().map(|m| m.nonce);
         channel.user_nonce = plain.next_nonce;
         channel.last_heard = self.now;
         self.obs.emit(|| EventKind::AdminAcked {
@@ -886,30 +777,16 @@ impl LeaderCore {
     /// for all three (the paper's `Oops(Ka)` close is one transition
     /// however it was triggered).
     fn depart(&mut self, user: &ActorId, kind: Departure) -> Result<LeaderOutput, CoreError> {
-        let mut out = LeaderOutput::default();
-        // Apply the transition over a recorded RNG tape; journal it before
-        // sealing a single frame. A non-member is not a transition and is
-        // not journaled.
-        let mut tape = Vec::new();
-        let outcome = {
-            let mut rec = TapeRecorder::new(self.rng.as_mut(), &mut tape);
-            apply_depart(
-                &mut self.group,
-                &mut self.tree,
-                &self.config,
-                user,
-                &mut rec,
-            )
-        };
-        if matches!(outcome, DepartOutcome::NotMember) {
-            return Ok(out);
-        }
         let op = match kind {
             Departure::Close => JournalOp::Leave(user.clone()),
             Departure::Expel => JournalOp::Expel(user.clone()),
             Departure::Evict => JournalOp::Evict(user.clone()),
         };
-        self.journal_commit(op, tape)?;
+        let mut out = LeaderOutput::default();
+        // A non-member's departure is no transition and is not journaled.
+        let Some(rotation) = self.transition(op)? else {
+            return Ok(out);
+        };
         out.events.push(match kind {
             Departure::Close | Departure::Expel => LeaderEvent::MemberLeft(user.clone()),
             Departure::Evict => LeaderEvent::MemberEvicted(user.clone()),
@@ -936,32 +813,7 @@ impl LeaderCore {
                 &AdminPayload::MemberLeft(user.clone()),
             )?;
         }
-        match outcome {
-            DepartOutcome::NotMember => unreachable!("handled above"),
-            // Nobody left to rekey, or no rekey on a leave by policy.
-            DepartOutcome::TreeEmpty | DepartOutcome::Flat { rekeyed: false } => {}
-            DepartOutcome::Tree { plan, epoch } => {
-                out.broadcasts
-                    .extend(self.build_path_update_frame(&plan, epoch, remaining));
-                self.rekeyed(&mut out, epoch);
-            }
-            // A full tree reinit: resync every member's direct path over
-            // its reliable admin channel — `O(N)` admin seals once,
-            // restoring the `O(log N)` bound for every later path update.
-            DepartOutcome::TreeReinit { epoch } => {
-                for name in remaining.iter() {
-                    if let Some(member) = self.slot_id(name) {
-                        self.send_path_sync(&mut out, &member)?;
-                    }
-                }
-                self.rekeyed(&mut out, epoch);
-            }
-            DepartOutcome::Flat { rekeyed: true } => {
-                let (epoch, new_key) = self.new_key_payload();
-                self.send_admin_all(&mut out, &remaining, &new_key)?;
-                self.rekeyed(&mut out, epoch);
-            }
-        }
+        self.distribute(&mut out, rotation, remaining)?;
         Ok(out)
     }
 
@@ -1006,15 +858,12 @@ impl LeaderCore {
 
     fn accept_heartbeat(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
         let user = env.sender.clone();
-        let leader = self.leader.clone();
-        let enclave = self.enclave.clone();
-        let now = self.now;
         let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) else {
             return Err(CoreError::Rejected(RejectReason::UnexpectedType));
         };
         let plain: HeartbeatPlain =
             open(channel.session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != leader {
+        if plain.user != user || plain.leader != self.leader {
             return Err(CoreError::Rejected(RejectReason::WrongIdentity));
         }
         // Pings carry a strictly increasing sequence: a replayed ping must
@@ -1023,7 +872,7 @@ impl LeaderCore {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
         channel.hb_seq = plain.seq;
-        channel.last_heard = now;
+        channel.last_heard = self.now;
         let leader_epoch = self.group.current_epoch().map_or(0, |e| e.epoch);
         // A lagging epoch in an authenticated ping is evidence of a missed
         // PathUpdate broadcast. Resync stays leader-driven — the member
@@ -1034,9 +883,9 @@ impl LeaderCore {
         // Pong: echo the ping's sequence, sealed under the session key.
         let mut reply = Envelope {
             msg_type: MsgType::Heartbeat,
-            sender: leader.clone(),
+            sender: self.leader.clone(),
             recipient: user.clone(),
-            group: enclave,
+            group: self.enclave.clone(),
             body: Vec::new(),
         };
         let seq = channel.send_seq.next()?;
@@ -1046,7 +895,7 @@ impl LeaderCore {
             &reply.header_aad(),
             &HeartbeatPlain {
                 user: user.clone(),
-                leader,
+                leader: self.leader.clone(),
                 seq: plain.seq,
                 epoch: leader_epoch,
             },
@@ -1281,32 +1130,13 @@ impl LeaderCore {
     /// Propagates journal and admin-send failures.
     pub fn rekey_now(&mut self) -> Result<LeaderOutput, CoreError> {
         let mut out = LeaderOutput::default();
-        if self.group.is_empty() {
+        let Some(rotation) = self.transition(JournalOp::Rekey)? else {
             return Ok(out);
-        }
-        let mut tape = Vec::new();
-        let outcome = {
-            let mut rec = TapeRecorder::new(self.rng.as_mut(), &mut tape);
-            apply_rekey(&mut self.group, &mut self.tree, &mut rec)
         };
-        self.journal_commit(JournalOp::Rekey, tape)?;
-        let roster = self.group.roster();
-        let epoch = match outcome {
-            // One leaf-to-root path was refreshed (rotating over the
-            // roster). The refreshed member follows from the broadcast
-            // too: its first seal targets its own leaf key.
-            RekeyOutcome::Tree { plan, epoch } => {
-                out.broadcasts
-                    .extend(self.build_path_update_frame(&plan, epoch, roster));
-                epoch
-            }
-            RekeyOutcome::Flat => {
-                let (epoch, new_key) = self.new_key_payload();
-                self.send_admin_all(&mut out, &roster, &new_key)?;
-                epoch
-            }
-        };
-        self.rekeyed(&mut out, epoch);
+        // In tree mode one leaf-to-root path was refreshed (rotating over
+        // the roster), and the refreshed member follows from the
+        // broadcast too: its first seal targets its own leaf key.
+        self.distribute(&mut out, rotation, self.group.roster())?;
         self.record_seal_batch();
         Ok(out)
     }
@@ -1415,339 +1245,6 @@ impl LeaderCore {
         });
         Ok(frame)
     }
-
-    /// Attaches a write-ahead journal writer. Every subsequent
-    /// membership/epoch transition is sealed into the journal *before*
-    /// any of its frames is sealed or dispatched.
-    pub fn attach_journal(&mut self, writer: JournalWriter) {
-        self.journal = Some(writer);
-    }
-
-    /// Seals one transition record — the operation, its RNG tape, and the
-    /// resulting epoch stamp — into the attached journal. A no-op for an
-    /// ephemeral core. On error the transition was *not* durably
-    /// committed; the caller must propagate rather than dispatch frames.
-    fn journal_commit(&mut self, op: JournalOp, tape: Vec<u8>) -> Result<(), CoreError> {
-        let Some(writer) = self.journal.as_mut() else {
-            return Ok(());
-        };
-        let transition = JournalTransition {
-            op,
-            tape,
-            stamp: stamp_of(&self.group),
-        };
-        let fence_writes = writer.fence_writes();
-        let (_, bytes) = writer.append(&JournalPayload::Transition(transition))?;
-        self.obs.journal_appends.inc();
-        self.obs.journal_bytes.add(bytes);
-        self.obs
-            .journal_fence_writes
-            .add(writer.fence_writes() - fence_writes);
-        Ok(())
-    }
-
-    /// Rebuilds a core from a replayed journal stream: the genesis
-    /// configuration plus a deterministic re-execution of every recorded
-    /// transition over its RNG tape. The rebuilt core carries the
-    /// recorded roster, epoch, and key tree — byte-identical to the
-    /// crashed core's durable state — but no live sessions: members
-    /// re-authenticate through the auto-rejoin path.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::ReplayDivergence`] if re-execution does not land
-    /// exactly on a record's stamp (wrong epoch or key material, or an
-    /// RNG-tape length mismatch): the journal and the code disagree and
-    /// the rebuilt state cannot be trusted.
-    pub fn recover(replay: &ReplayedStream) -> Result<LeaderCore, JournalError> {
-        let (leader, directory, config) = config_from_genesis(&replay.genesis);
-        let mut core =
-            LeaderCore::with_rng(leader, directory, config, Box::new(OsEntropyRng::new()));
-        for (i, t) in replay.transitions.iter().enumerate() {
-            let seq = i as u64 + 2; // record 1 is the genesis
-            let mut player = TapePlayer::new(&t.tape);
-            match &t.op {
-                JournalOp::Join(_) | JournalOp::Joins(_) => {
-                    apply_joins(
-                        &mut core.group,
-                        &mut core.tree,
-                        &core.config,
-                        t.op.joiners(),
-                        &mut player,
-                    );
-                }
-                JournalOp::Leave(user) | JournalOp::Expel(user) | JournalOp::Evict(user) => {
-                    apply_depart(
-                        &mut core.group,
-                        &mut core.tree,
-                        &core.config,
-                        user,
-                        &mut player,
-                    );
-                }
-                JournalOp::Rekey => {
-                    if core.group.is_empty() {
-                        return Err(JournalError::ReplayDivergence {
-                            seq,
-                            detail: "rekey recorded for an empty group".into(),
-                        });
-                    }
-                    apply_rekey(&mut core.group, &mut core.tree, &mut player);
-                }
-                JournalOp::Recover { target_epoch } => {
-                    apply_recover(&mut core.group, &mut core.tree, *target_epoch, &mut player);
-                }
-            }
-            let stamp = stamp_of(&core.group);
-            if stamp.epoch != t.stamp.epoch {
-                return Err(JournalError::ReplayDivergence {
-                    seq,
-                    detail: format!("epoch {} != recorded {}", stamp.epoch, t.stamp.epoch),
-                });
-            }
-            if stamp != t.stamp {
-                return Err(JournalError::ReplayDivergence {
-                    seq,
-                    detail: "regenerated key material differs from the stamp".into(),
-                });
-            }
-            if player.underrun() || player.leftover() > 0 {
-                return Err(JournalError::ReplayDivergence {
-                    seq,
-                    detail: format!(
-                        "rng tape mismatch (underrun: {}, leftover: {} bytes)",
-                        player.underrun(),
-                        player.leftover()
-                    ),
-                });
-            }
-        }
-        Ok(core)
-    }
-
-    /// Advances a recovered core into a fresh epoch strictly past both
-    /// the replayed epoch and the journal fence, and journals the jump.
-    /// Members of the old epoch cannot be rewound onto it, and a stale
-    /// journal restore (the rewind attack) can never re-issue an epoch
-    /// members have already seen — the fence file outlives the stream.
-    /// Returns the new epoch number, or `None` for a group that never
-    /// established one (nothing to fence).
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal append failures.
-    pub fn recovery_advance(&mut self, fence: Option<u64>) -> Result<Option<u64>, CoreError> {
-        if self.group.current_epoch().is_none() && fence.is_none() {
-            return Ok(None);
-        }
-        let target = self
-            .group
-            .next_epoch_number()
-            .max(fence.unwrap_or(0).saturating_add(1));
-        let mut tape = Vec::new();
-        {
-            let mut rec = TapeRecorder::new(self.rng.as_mut(), &mut tape);
-            apply_recover(&mut self.group, &mut self.tree, target, &mut rec);
-        }
-        self.obs.rekeys.inc();
-        self.journal_commit(
-            JournalOp::Recover {
-                target_epoch: target,
-            },
-            tape,
-        )?;
-        Ok(Some(target))
-    }
-
-    /// A digest of this core's durable state — roster, epoch stamp, and
-    /// key tree. The byte-identity probe for journal-replay tests: a
-    /// recovered core must produce exactly the live core's digest.
-    #[must_use]
-    pub fn durable_digest(&self) -> [u8; 32] {
-        let mut bytes = Vec::new();
-        for name in self.group.roster().iter() {
-            bytes.extend_from_slice(name.as_bytes());
-            bytes.push(0);
-        }
-        let stamp = stamp_of(&self.group);
-        bytes.extend_from_slice(&stamp.epoch.to_be_bytes());
-        bytes.extend_from_slice(&stamp.key);
-        bytes.extend_from_slice(&stamp.iv);
-        match &self.tree {
-            Some(tree) => {
-                bytes.push(1);
-                tree.digest_into(&mut bytes);
-            }
-            None => bytes.push(0),
-        }
-        enclaves_crypto::sha256::sha256(&bytes)
-    }
-}
-
-/// Outcome of the join transition ([`apply_joins`]): mutations only, no
-/// fan-out.
-enum JoinOutcome {
-    /// Flat mode; `rekeyed` per the join policy.
-    Flat { rekeyed: bool },
-    /// Tree mode: each joiner holds a (fresh or refreshed) leaf and the
-    /// epoch advanced to the new root's derivation.
-    Tree { plan: PathUpdatePlan },
-}
-
-/// Outcome of the departure transition ([`apply_depart`]).
-enum DepartOutcome {
-    /// The user was not a member; nothing changed (and nothing was
-    /// journaled).
-    NotMember,
-    /// Flat mode; `rekeyed` per the leave policy.
-    Flat { rekeyed: bool },
-    /// Tree mode and the group is now empty: no epoch advance.
-    TreeEmpty,
-    /// Tree mode: the departed path was rewritten.
-    Tree { plan: PathUpdatePlan, epoch: u64 },
-    /// Tree mode: churn left the tree pathological and it was rebuilt
-    /// from scratch — every member needs an admin path resync.
-    TreeReinit { epoch: u64 },
-}
-
-/// Outcome of the explicit-rekey transition ([`apply_rekey`]).
-enum RekeyOutcome {
-    Flat,
-    Tree { plan: PathUpdatePlan, epoch: u64 },
-}
-
-/// Derives the next epoch's group key from a fresh tree root and commits
-/// it. `derive_group` binds the epoch number into the KDF, so distinct
-/// epochs always yield distinct keys and IVs.
-fn advance_tree_epoch(group: &mut GroupState, root_key: &NodeKey) -> u64 {
-    let epoch = group.next_epoch_number();
-    let (key, iv) = treekdf::derive_group(root_key, epoch);
-    group.advance_epoch_with(GroupKey::from_bytes(key), iv)
-}
-
-/// The join transition over explicit state — the *only* mutation path for
-/// a commit of joins, one or many, shared verbatim between live handling
-/// (under a [`TapeRecorder`]) and journal replay (under a [`TapePlayer`]),
-/// which is what makes replay a pure function of the journal bytes.
-fn apply_joins(
-    group: &mut GroupState,
-    tree: &mut Option<KeyTree>,
-    config: &LeaderConfig,
-    users: &[ActorId],
-    rng: &mut dyn CryptoRng,
-) -> JoinOutcome {
-    let before = group.roster();
-    for user in users {
-        group.join(user, rng);
-    }
-    if let Some(tree) = tree.as_mut() {
-        // A re-admission — the member survived in the recovered roster
-        // and tree while its session died with the old leader — refreshes
-        // the existing leaf instead of re-adding it, retiring every key
-        // on its possibly compromised old path.
-        let plan = tree.commit(users, rng);
-        advance_tree_epoch(group, &plan.root_key);
-        return JoinOutcome::Tree { plan };
-    }
-    // At most one policy rekey, and only when someone who held the old
-    // key stays.
-    let rekeyed = config.rekey_policy.rekey_on_join()
-        && before
-            .iter()
-            .any(|member| users.iter().all(|user| user.as_str() != member));
-    if rekeyed {
-        group.rekey(rng);
-    }
-    JoinOutcome::Flat { rekeyed }
-}
-
-/// The departure transition over explicit state; see [`apply_joins`] for
-/// why this is a free function. In tree mode the departed member's leaf
-/// is blanked and its former path rewritten, so every key it held is
-/// retired; a mostly-blank tree is rebuilt outright.
-fn apply_depart(
-    group: &mut GroupState,
-    tree: &mut Option<KeyTree>,
-    config: &LeaderConfig,
-    user: &ActorId,
-    rng: &mut dyn CryptoRng,
-) -> DepartOutcome {
-    if !group.leave(user) {
-        return DepartOutcome::NotMember;
-    }
-    if let Some(t) = tree.as_mut() {
-        let Some(plan) = t.remove(user, rng) else {
-            return DepartOutcome::TreeEmpty;
-        };
-        if t.is_pathological() {
-            let Some(root) = t.reinit(rng) else {
-                return DepartOutcome::TreeEmpty;
-            };
-            let epoch = advance_tree_epoch(group, &root);
-            return DepartOutcome::TreeReinit { epoch };
-        }
-        let epoch = advance_tree_epoch(group, &plan.root_key);
-        return DepartOutcome::Tree { plan, epoch };
-    }
-    let rekeyed = config.rekey_policy.rekey_on_leave() && !group.is_empty();
-    if rekeyed {
-        group.rekey(rng);
-    }
-    DepartOutcome::Flat { rekeyed }
-}
-
-/// The explicit-rekey transition over explicit state; see [`apply_joins`]
-/// for why this is a free function. The caller guarantees a non-empty
-/// group.
-fn apply_rekey(
-    group: &mut GroupState,
-    tree: &mut Option<KeyTree>,
-    rng: &mut dyn CryptoRng,
-) -> RekeyOutcome {
-    if let Some(t) = tree.as_mut() {
-        let plan = t.refresh_next(rng);
-        let epoch = advance_tree_epoch(group, &plan.root_key);
-        return RekeyOutcome::Tree { plan, epoch };
-    }
-    group.rekey(rng);
-    RekeyOutcome::Flat
-}
-
-/// The recovery-epoch transition: installs a caller-chosen epoch number
-/// (strictly past everything replayed *and* fenced) with fresh key
-/// material — from a refreshed tree root when a populated tree survived
-/// replay, from the RNG otherwise.
-fn apply_recover(
-    group: &mut GroupState,
-    tree: &mut Option<KeyTree>,
-    target_epoch: u64,
-    rng: &mut dyn CryptoRng,
-) {
-    match tree.as_mut() {
-        Some(t) if t.occupied() > 0 => {
-            let plan = t.refresh_next(rng);
-            let (key, iv) = treekdf::derive_group(&plan.root_key, target_epoch);
-            group.install_epoch(target_epoch, GroupKey::from_bytes(key), iv);
-        }
-        _ => group.install_fresh_epoch(target_epoch, rng),
-    }
-}
-
-/// The current epoch as a journal [`EpochStamp`] (epoch 0 and zeroed
-/// material before the first key is established).
-fn stamp_of(group: &GroupState) -> EpochStamp {
-    match group.current_epoch() {
-        Some(e) => EpochStamp {
-            epoch: e.epoch,
-            key: *e.key.as_bytes(),
-            iv: e.iv,
-        },
-        None => EpochStamp {
-            epoch: 0,
-            key: [0; 32],
-            iv: [0; 12],
-        },
-    }
 }
 
 #[cfg(test)]
@@ -1755,10 +1252,12 @@ mod tests {
     use super::*;
     use crate::config::RekeyPolicy;
     use crate::liveness::LivenessConfig;
+    use crate::protocol::keytree::NodeKey;
     use crate::protocol::member::{MemberEvent, MemberSession, SessionPhase};
     use enclaves_crypto::keys::LongTermKey;
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
+    use enclaves_crypto::treekdf;
     use enclaves_wire::message::{cipher_nonce, PathUpdateWire};
     use std::collections::HashSet;
 
@@ -2178,6 +1677,44 @@ mod tests {
             .unwrap();
         assert!(l.tick(base * 8).frames.is_empty());
         assert_eq!(l.outstanding_count(), 0);
+    }
+
+    /// A resend that crosses a slow ack draws the member's cached re-ack.
+    /// The leader refuses it as a stale ack — it moves nothing — but
+    /// counts it as a duplicate ack, not as a rejection; an ack older
+    /// than the last is still a rejection.
+    #[test]
+    fn a_slow_acks_re_ack_is_a_duplicate_not_a_rejection() {
+        let mut l = leader(&["alice"], RekeyPolicy::Manual);
+        let base = l.config.liveness.retransmit_base;
+        let (mut alice, init) = member("alice", 112);
+        pump(&mut l, &mut alice, init);
+        let slow = l.broadcast_admin_data(b"slow").unwrap().outgoing;
+        let ack = alice.handle(&slow[0]).unwrap().reply.unwrap();
+        let resend = due_envelopes(&l.tick(base));
+        assert_eq!(resend, slow);
+        let re_ack = alice.handle(&resend[0]).unwrap().reply.unwrap();
+        assert_eq!(re_ack, ack, "the member re-acks from its cache");
+        l.handle_at(&ack, base).unwrap();
+        let next = l.broadcast_admin_data(b"next").unwrap().outgoing;
+
+        let rejected = count(&l, "leader.rejected");
+        assert!(matches!(
+            l.handle_at(&re_ack, base),
+            Err(CoreError::Rejected(RejectReason::StaleNonce))
+        ));
+        assert_eq!(count(&l, "leader.duplicate_acks"), 1);
+        assert_eq!(count(&l, "leader.rejected"), rejected);
+        assert_eq!(l.outstanding_count(), 1, "the next message stays in flight");
+
+        let next_ack = alice.handle(&next[0]).unwrap().reply.unwrap();
+        l.handle_at(&next_ack, base).unwrap();
+        assert!(matches!(
+            l.handle_at(&ack, base),
+            Err(CoreError::Rejected(RejectReason::StaleNonce))
+        ));
+        assert_eq!(count(&l, "leader.duplicate_acks"), 1);
+        assert_eq!(count(&l, "leader.rejected"), rejected + 1);
     }
 
     #[test]

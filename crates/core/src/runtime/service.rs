@@ -224,9 +224,14 @@ impl GroupEntry {
         let (staged, committed) = {
             let locked = Instant::now();
             let mut core = self.core.lock();
+            // A duplicate ack is refused as any stale frame, but it is the
+            // ARQ's own pace, not a rejection to report.
             let staged: Vec<_> = frames
                 .iter()
-                .map(|(env, _)| core.stage_at(env, now))
+                .map(|(env, _)| {
+                    let result = core.stage_at(env, now);
+                    (result, core.refused_duplicate_ack())
+                })
                 .collect();
             let committed = core.commit();
             core.note_lock_hold(elapsed_ns(locked));
@@ -240,10 +245,11 @@ impl GroupEntry {
             },
         };
         let mut accepted = Vec::with_capacity(frames.len());
-        for ((env, reply), result) in frames.iter().zip(staged) {
+        for ((env, reply), (result, duplicate_ack)) in frames.iter().zip(staged) {
             accepted.push(result.is_ok());
             match result {
                 Ok(output) => self.send(Some(reply), output),
+                Err(_) if duplicate_ack => {}
                 Err(e) => self.emit(vec![rejected(&env.sender, &e)]),
             }
         }
