@@ -117,7 +117,7 @@ impl Schedule {
         let payload = |tag: &str, burst: usize| format!("storm-{tag}-{burst}").into_bytes();
 
         // Burst 1: m1 goes half-dark toward the leader — its acks are
-        // lost, so the leader's retransmit ticker replays cached frames
+        // lost, so the leader's retransmit timer replays cached frames
         // while three rekeys stack up behind the unacknowledged first key.
         events.extend([
             Partition {
@@ -316,7 +316,7 @@ impl Schedule {
                         Settle(400),
                     ]),
                     // Wire-crash weather: m1's wire dies silently; the
-                    // shared ticker must time it out and evict, and after
+                    // leader's tick must time it out and evict, and after
                     // the heal the member rejoins on its own.
                     2 => events.extend([
                         AdminBroadcast(payload("admin", 1)),

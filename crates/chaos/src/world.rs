@@ -428,7 +428,7 @@ struct GroupWorld {
 /// cast `g<g>m0..`, schedules interleave round-robin (event `k` of every
 /// group before event `k+1` of any), so partitions, crashes, and rekeys
 /// in one enclave land while its neighbours carry live traffic — all on
-/// the service's one shared ticker.
+/// the service's one shard loop, which ticks every group's timers.
 ///
 /// Each group's own event stream feeds the same §5.4 oracle as a
 /// single-group run; on top, the cross-group check asserts no group's

@@ -104,8 +104,10 @@ impl Clock for VirtualClock {
 pub struct LivenessConfig {
     /// The longest a member host's shard sleeps between clock readings
     /// ([`crate::runtime::MemberHost`]); it wakes sooner for a session's
-    /// next deadline. A leader's timers are checked by its service's
-    /// ticker, at [`crate::runtime::ServiceConfig::poll`].
+    /// next deadline. A leader's timers are checked by the service shard
+    /// its group is homed on, at most once per
+    /// [`crate::runtime::ServiceConfig::poll`]: a leader's own `poll` is
+    /// journaled with its config but never read.
     pub poll: Duration,
     /// First retransmit fires this long after the original send.
     pub retransmit_base: Duration,
@@ -196,6 +198,15 @@ impl LivenessConfig {
         let permille = h % (u64::from(self.jitter_pct) + 1);
         let stretched = base.as_nanos().saturating_mul(u128::from(1000 + permille)) / 1000;
         Duration::from_nanos(u64::try_from(stretched).unwrap_or(u64::MAX))
+    }
+
+    /// The first instant at which a peer last heard from at `last_heard`
+    /// is presumed dead: strictly after `liveness_timeout` of silence.
+    /// `None` when silence is never fatal.
+    #[must_use]
+    pub(crate) fn silence_deadline(&self, last_heard: Duration) -> Option<Duration> {
+        self.liveness_timeout
+            .map(|t| last_heard + t + Duration::from_nanos(1))
     }
 
     /// Whether `attempts` retransmits have exhausted the ARQ budget.

@@ -9,7 +9,7 @@ use crate::directory::Directory;
 use crate::error::{CoreError, RejectReason};
 use crate::group::GroupState;
 use crate::journal::JournalWriter;
-use crate::liveness::{Arq, ArqPoll};
+use crate::liveness::Arq;
 use crate::protocol::keytree::KeyTree;
 use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
@@ -28,6 +28,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod timers;
 mod transition;
 use transition::stamp_of;
 
@@ -99,6 +100,7 @@ struct LeaderObs {
     admin_seal_ns: Counter,
     lock_hold_ns: Counter,
     retransmits: Counter,
+    ticks: Counter,
     evictions: Counter,
     heartbeats: Counter,
     journal_appends: Counter,
@@ -128,6 +130,7 @@ impl LeaderObs {
             admin_seal_ns: registry.counter("leader.admin_seal_ns"),
             lock_hold_ns: registry.counter("leader.lock_hold_ns"),
             retransmits: registry.counter("leader.retransmits"),
+            ticks: registry.counter("leader.ticks"),
             evictions: registry.counter("leader.evictions"),
             heartbeats: registry.counter("leader.heartbeats"),
             journal_appends: registry.counter("leader.journal.appends"),
@@ -298,6 +301,9 @@ pub struct LeaderCore {
     /// latest reading passed to [`LeaderCore::handle_at`] or
     /// [`LeaderCore::tick`], so it never runs backwards.
     now: Duration,
+    /// [`LeaderCore::next_deadline`]: lowered as timers are armed, made
+    /// exact by [`LeaderCore::tick`].
+    deadline: Option<Duration>,
     /// The frame staged last was refused as a duplicate ack.
     duplicate_ack: bool,
 }
@@ -339,6 +345,7 @@ impl LeaderCore {
             batch_seal_ns: 0,
             frame_buf: Vec::new(),
             now: Duration::ZERO,
+            deadline: None,
             duplicate_ack: false,
         }
     }
@@ -434,7 +441,7 @@ impl LeaderCore {
     ///
     /// As [`LeaderCore::handle_at`].
     pub fn stage_at(&mut self, env: &Envelope, now: Duration) -> Result<LeaderOutput, CoreError> {
-        self.now = self.now.max(now);
+        self.advance_clock(now);
         self.duplicate_ack = false;
         let result = self.handle_inner(env);
         self.record_seal_batch();
@@ -553,6 +560,7 @@ impl LeaderCore {
             frame: encode(&reply).into(),
             arq: Arq::start(self.now, &self.config.liveness, Self::channel_tag(&user)),
         };
+        self.arm(Some(in_flight.arq.deadline));
         self.slots.insert(
             user,
             Slot::WaitingForKeyAck {
@@ -657,6 +665,7 @@ impl LeaderCore {
         for user in users {
             others = others.without(user);
             if let Some(Slot::Staged(channel)) = self.slots.remove(user) {
+                self.arm(self.config.liveness.silence_deadline(channel.last_heard));
                 self.slots.insert(user.clone(), Slot::Connected(channel));
             }
         }
@@ -957,11 +966,13 @@ impl LeaderCore {
         let frame = env.seal_body(channel.session_key.as_bytes(), seq, &plain);
         self.batch_seal_ns += u64::try_from(sealing.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.batch_frames += 1;
+        let arq = Arq::start(self.now, &self.config.liveness, Self::channel_tag(user));
         channel.outstanding = Some(InFlight {
             nonce,
             frame: frame.into(),
-            arq: Arq::start(self.now, &self.config.liveness, Self::channel_tag(user)),
+            arq,
         });
+        self.arm(Some(arq.deadline));
         self.obs.admin_sent.inc();
         out.outgoing.push(env);
         Ok(())
@@ -1001,77 +1012,12 @@ impl LeaderCore {
     }
 
     /// Records nanoseconds the runtime spent holding its core lock for
-    /// one operator- or ticker-driven fan-out, so lock pressure is
-    /// observable next to the `leader.admin_seal_ns` counter.
+    /// one drain of member frames, one operator call, or one tick or
+    /// eviction, so lock pressure is observable next to the
+    /// `leader.admin_seal_ns` counter.
     pub fn note_lock_hold(&mut self, ns: u64) {
         self.obs.lock_hold_ns.add(ns);
         self.obs.lock_hold_batch_ns.record(ns);
-    }
-
-    /// Number of in-flight messages (pending handshakes plus
-    /// unacknowledged admin messages).
-    #[must_use]
-    pub fn outstanding_count(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|slot| match slot {
-                Slot::WaitingForKeyAck { .. } => true,
-                Slot::Staged(_) => false,
-                Slot::Connected(channel) => channel.outstanding.is_some(),
-            })
-            .count()
-    }
-
-    /// Advances the liveness layer to `now`: polls each in-flight frame's
-    /// `Arq` timer, collecting the frames due for a resend, and names the
-    /// members whose timer gave up (the backoff after the last budgeted
-    /// resend passed) or whose liveness deadline (no authenticated
-    /// traffic for [`LivenessConfig::liveness_timeout`]) was missed. The
-    /// caller transmits the frames and drives [`LeaderCore::evict`] for
-    /// each named member. Re-delivery is safe: recipients treat
-    /// duplicates as replays (admin) or re-acknowledge idempotently
-    /// (handshake, last-ack cache), so retransmission cannot violate the
-    /// ordering properties.
-    ///
-    /// Under the default [`LivenessConfig`] this reproduces the historical
-    /// behaviour: a flat retransmit cadence, no eviction ever.
-    ///
-    /// [`LivenessConfig`]: crate::liveness::LivenessConfig
-    /// [`LivenessConfig::liveness_timeout`]: crate::liveness::LivenessConfig::liveness_timeout
-    pub fn tick(&mut self, now: Duration) -> LeaderTick {
-        self.now = self.now.max(now);
-        let now = self.now;
-        let liveness = &self.config.liveness;
-        let mut tick = LeaderTick::default();
-        for (user, slot) in &mut self.slots {
-            let (in_flight, silent) = match slot {
-                Slot::WaitingForKeyAck { reply, .. } => (Some(reply), false),
-                Slot::Staged(_) => (None, false),
-                Slot::Connected(channel) => (
-                    channel.outstanding.as_mut(),
-                    liveness
-                        .liveness_timeout
-                        .is_some_and(|t| now > channel.last_heard + t),
-                ),
-            };
-            match in_flight {
-                _ if silent => tick.evict.push(user.clone()),
-                Some(m) => match m.arq.poll(now, liveness, Self::channel_tag(user)) {
-                    ArqPoll::Wait => {}
-                    ArqPoll::Resend => tick.frames.push((user.clone(), Arc::clone(&m.frame))),
-                    ArqPoll::GiveUp => tick.evict.push(user.clone()),
-                },
-                None => {}
-            }
-        }
-        if !tick.frames.is_empty() {
-            self.obs.retransmits.add(tick.frames.len() as u64);
-            self.obs.emit(|| EventKind::Retransmit {
-                actor: self.leader.to_string(),
-                frames: tick.frames.len() as u64,
-            });
-        }
-        tick
     }
 
     /// Evicts a member the liveness layer presumed dead: drops its
@@ -3591,5 +3537,286 @@ mod tests {
         // stream), the core still jumps past the fence.
         assert_eq!(l.recovery_advance(Some(9)).unwrap(), Some(10));
         assert_eq!(l.epoch(), Some(10));
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A leader for alice, bob and carol whose timers run on `liveness`.
+    fn timed_leader(liveness: LivenessConfig) -> LeaderCore {
+        thread_local! {
+            static USERS: Directory = directory(&["alice", "bob", "carol"]);
+        }
+        LeaderCore::with_rng(
+            id("leader"),
+            USERS.with(Clone::clone),
+            LeaderConfig {
+                rekey_policy: RekeyPolicy::Manual,
+                liveness,
+                ..LeaderConfig::default()
+            },
+            Box::new(SeededRng::from_seed(5)),
+        )
+    }
+
+    /// Retransmits every 100 ms, flat, with no silence deadline.
+    fn flat_100ms() -> LivenessConfig {
+        LivenessConfig {
+            retransmit_base: ms(100),
+            retransmit_max: ms(100),
+            ..LivenessConfig::default()
+        }
+    }
+
+    /// The core's next deadline, after checking that a tick one
+    /// nanosecond before it does nothing and leaves it in place.
+    fn leader_quiet_until_deadline(l: &mut LeaderCore) -> Duration {
+        let due = l.next_deadline().expect("a timer is armed");
+        let early = l.tick(due - Duration::from_nanos(1));
+        assert!(early.frames.is_empty(), "a frame before {due:?}");
+        assert!(early.evict.is_empty(), "an eviction before {due:?}");
+        assert_eq!(l.next_deadline(), Some(due));
+        due
+    }
+
+    #[test]
+    fn leader_next_deadline_is_none_with_nothing_armed() {
+        let mut l = timed_leader(flat_100ms());
+        assert_eq!(l.next_deadline(), None);
+        let (mut alice, init) = member("alice", 60);
+        pump(&mut l, &mut alice, init);
+        l.tick(ms(0));
+        assert_eq!(l.next_deadline(), None, "joined, acked, no timeout");
+        assert_eq!(count(&l, "leader.ticks"), 1);
+    }
+
+    #[test]
+    fn leader_next_deadline_is_the_handshake_replys_resend() {
+        let mut l = timed_leader(flat_100ms());
+        let (_alice, init) = member("alice", 61);
+        let reply = l.handle_at(&init, ms(40)).unwrap().outgoing;
+        assert_eq!(l.next_deadline(), Some(ms(140)));
+        let due = leader_quiet_until_deadline(&mut l);
+        assert_eq!(due_envelopes(&l.tick(due)), reply);
+        assert_eq!(l.next_deadline(), Some(ms(240)));
+    }
+
+    #[test]
+    fn leader_next_deadline_is_an_admin_frames_resend() {
+        let mut l = timed_leader(flat_100ms());
+        let (mut alice, init) = member("alice", 62);
+        pump(&mut l, &mut alice, init);
+        l.tick(ms(1000));
+        assert_eq!(l.next_deadline(), None);
+        let sent = l.broadcast_admin_data(b"armed").unwrap().outgoing;
+        assert_eq!(l.next_deadline(), Some(ms(1100)));
+        let due = leader_quiet_until_deadline(&mut l);
+        assert_eq!(due_envelopes(&l.tick(due)), sent);
+        assert_eq!(l.next_deadline(), Some(ms(1200)));
+    }
+
+    /// A new member's silence deadline counts from the moment it joins,
+    /// even before its Welcome's resend would wake the core.
+    #[test]
+    fn leader_next_deadline_is_the_silence_timeout_plus_one_nanosecond() {
+        let mut l = timed_leader(LivenessConfig {
+            liveness_timeout: Some(ms(50)),
+            ..flat_100ms()
+        });
+        let (mut alice, init) = member("alice", 63);
+        let key_dist = l.handle_at(&init, ms(0)).unwrap().outgoing;
+        let ack = alice.handle(&key_dist[0]).unwrap().reply.unwrap();
+        l.handle_at(&ack, ms(30)).unwrap();
+        let due = ms(80) + Duration::from_nanos(1);
+        assert_eq!(l.next_deadline(), Some(due), "sooner than the Welcome's");
+        assert_eq!(leader_quiet_until_deadline(&mut l), due);
+        assert_eq!(l.tick(due).evict, vec![id("alice")]);
+    }
+
+    /// A join staged for the next commit has no timer: its handshake
+    /// reply was answered, and it is no member yet, so it has no silence
+    /// deadline either.
+    #[test]
+    fn leader_next_deadline_a_staged_slot_arms_nothing() {
+        let mut l = timed_leader(LivenessConfig {
+            liveness_timeout: Some(ms(1000)),
+            ..flat_100ms()
+        });
+        let (mut alice, init) = member("alice", 64);
+        let key_dist = l.handle_at(&init, ms(0)).unwrap().outgoing;
+        let ack = alice.handle(&key_dist[0]).unwrap().reply.unwrap();
+        l.stage_at(&ack, ms(10)).unwrap();
+        assert_eq!(l.next_deadline(), Some(ms(100)), "a stale lower bound");
+        let tick = l.tick(ms(20));
+        assert!(tick.frames.is_empty() && tick.evict.is_empty());
+        assert_eq!(l.next_deadline(), None);
+        l.commit().unwrap();
+        assert_eq!(l.next_deadline(), Some(ms(120)), "the Welcome's resend");
+    }
+
+    /// The stored bound runs early once a timer it counted is disarmed;
+    /// the next tick puts it back on the timers that remain.
+    #[test]
+    fn leader_next_deadline_is_exact_after_a_tick() {
+        let mut l = timed_leader(flat_100ms());
+        let (mut alice, init) = member("alice", 65);
+        pump(&mut l, &mut alice, init);
+        let (mut bob, init) = member("bob", 66);
+        join_second(&mut l, &mut [("alice", &mut alice)], &mut bob, init);
+        l.tick(ms(0));
+        assert_eq!(l.next_deadline(), None);
+        let sent = l.broadcast_admin_data(b"one").unwrap().outgoing;
+        l.tick(ms(50));
+        let bobs = sent.iter().find(|e| e.recipient == id("bob")).unwrap();
+        let late = l.broadcast_admin_data(b"two").unwrap().outgoing;
+        assert!(late.is_empty(), "queued behind the first");
+        let ack = bob.handle(bobs).unwrap().reply.unwrap();
+        let next = l.handle_at(&ack, ms(50)).unwrap().outgoing;
+        assert_eq!(next.len(), 1, "bob's second message, sent at 50 ms");
+        assert_eq!(l.next_deadline(), Some(ms(100)), "still alice's first");
+        let alices = sent.iter().find(|e| e.recipient == id("alice")).unwrap();
+        let ack = alice.handle(alices).unwrap().reply.unwrap();
+        l.handle_at(&ack, ms(60)).unwrap();
+        assert_eq!(l.next_deadline(), Some(ms(100)), "a stale lower bound");
+        l.tick(ms(60));
+        assert_eq!(l.next_deadline(), Some(ms(150)), "bob's second");
+    }
+
+    /// One step of a random leader history for the deadline proptest.
+    #[derive(Clone, Debug)]
+    enum TimerStep {
+        /// The user's member starts a handshake (when it has no slot).
+        Start(usize),
+        /// The oldest frame to the user arrives; its reply reaches the
+        /// leader.
+        Deliver(usize),
+        /// The oldest frame to the user is lost.
+        Lose(usize),
+        /// An admin broadcast to the roster.
+        Broadcast,
+        /// Time passes.
+        Advance(u64),
+        /// A tick at the current time; its evictions run.
+        Tick,
+        /// A tick at a point before the deadline, given in 255ths of the
+        /// way there, which must do nothing.
+        Probe(u8),
+    }
+
+    fn timer_step() -> impl proptest::prelude::Strategy<Value = TimerStep> {
+        use proptest::prelude::{any, Just, Strategy};
+        // Deliveries and probes come up twice as often as the rest.
+        proptest::prop_oneof![
+            (0..3usize).prop_map(TimerStep::Start),
+            (0..3usize).prop_map(TimerStep::Deliver),
+            (0..3usize).prop_map(TimerStep::Deliver),
+            (0..3usize).prop_map(TimerStep::Lose),
+            Just(TimerStep::Broadcast),
+            (0..700u64).prop_map(TimerStep::Advance),
+            Just(TimerStep::Tick),
+            any::<u8>().prop_map(TimerStep::Probe),
+            any::<u8>().prop_map(TimerStep::Probe),
+        ]
+    }
+
+    fn timer_liveness() -> impl proptest::prelude::Strategy<Value = LivenessConfig> {
+        use proptest::prelude::Strategy;
+        (
+            (20..300u64, 1..4u32, (0..500u32, 0..4u32)),
+            // Below 50: no silence deadline.
+            0..1000u64,
+        )
+            .prop_map(|((base, stretch, (jitter_pct, max_attempts)), timeout)| {
+                LivenessConfig {
+                    retransmit_base: ms(base),
+                    retransmit_max: ms(base) * stretch,
+                    jitter_pct,
+                    max_attempts,
+                    liveness_timeout: (timeout >= 50).then(|| ms(timeout)),
+                    jitter_seed: base,
+                    ..LivenessConfig::default()
+                }
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `next_deadline` is never late: over random handshakes, acks,
+        /// losses, admin sends, ticks and evictions, a tick at any
+        /// instant before it returns no frame and no eviction.
+        #[test]
+        fn leader_next_deadline_is_never_late(
+            liveness in timer_liveness(),
+            steps in proptest::collection::vec(timer_step(), 1..80),
+        ) {
+            let users = ["alice", "bob", "carol"];
+            thread_local! {
+                static KEYS: [LongTermKey; 3] = ["alice", "bob", "carol"]
+                    .map(|u| LongTermKey::derive_from_password(&format!("pw-{u}"), u).unwrap());
+            }
+            let keys = KEYS.with(Clone::clone);
+            let mut l = timed_leader(liveness);
+            let mut sessions: Vec<Option<MemberSession>> = vec![None, None, None];
+            let mut inbox: Vec<VecDeque<Envelope>> = vec![VecDeque::new(); 3];
+            let mut now = Duration::ZERO;
+            let route = |inbox: &mut Vec<VecDeque<Envelope>>, out: Result<LeaderOutput, CoreError>| {
+                for env in out.map(|o| o.outgoing).unwrap_or_default() {
+                    let i = users.iter().position(|u| env.recipient == id(u)).unwrap();
+                    inbox[i].push_back(env);
+                }
+            };
+            for (n, step) in steps.into_iter().enumerate() {
+                match step {
+                    TimerStep::Start(i) if !l.slots.contains_key(&id(users[i])) => {
+                        let (session, init) = MemberSession::start_with_key_in_group(
+                            id(users[i]),
+                            id("leader"),
+                            keys[i].clone(),
+                            Box::new(SeededRng::from_seed(600 + n as u64)),
+                            None,
+                        );
+                        sessions[i] = Some(session);
+                        inbox[i].clear();
+                        route(&mut inbox, l.handle_at(&init, now));
+                    }
+                    TimerStep::Start(_) => {}
+                    TimerStep::Deliver(i) => {
+                        let (Some(env), Some(session)) = (inbox[i].pop_front(), &mut sessions[i]) else {
+                            continue;
+                        };
+                        if let Some(reply) = session.handle(&env).ok().and_then(|o| o.reply) {
+                            route(&mut inbox, l.handle_at(&reply, now));
+                        }
+                    }
+                    TimerStep::Lose(i) => {
+                        inbox[i].pop_front();
+                    }
+                    TimerStep::Broadcast => route(&mut inbox, l.broadcast_admin_data(b"step")),
+                    TimerStep::Advance(step) => now += ms(step),
+                    TimerStep::Tick => {
+                        let tick = l.tick(now);
+                        for env in due_envelopes(&tick) {
+                            route(&mut inbox, Ok(LeaderOutput { outgoing: vec![env], ..LeaderOutput::default() }));
+                        }
+                        for user in &tick.evict {
+                            route(&mut inbox, l.evict(user));
+                        }
+                    }
+                    TimerStep::Probe(share) => {
+                        let Some(due) = l.next_deadline().filter(|due| *due > now) else {
+                            continue;
+                        };
+                        let span = (due - now - Duration::from_nanos(1)).as_nanos();
+                        let at = now + Duration::from_nanos(u64::try_from(span * u128::from(share) / 255).unwrap());
+                        let tick = l.tick(at);
+                        proptest::prop_assert!(tick.frames.is_empty(), "a resend at {:?} before {:?}", at, due);
+                        proptest::prop_assert!(tick.evict.is_empty(), "an eviction at {:?} before {:?}", at, due);
+                        now = at;
+                    }
+                }
+            }
+        }
     }
 }

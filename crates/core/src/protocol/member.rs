@@ -507,8 +507,8 @@ impl MemberSession {
             }
         }
         tick.leader_lost |= lv
-            .liveness_timeout
-            .is_some_and(|t| now > timers.last_heard + t);
+            .silence_deadline(timers.last_heard)
+            .is_some_and(|due| now >= due);
         self.timers = Some(timers);
         tick
     }
@@ -529,10 +529,7 @@ impl MemberSession {
             .as_ref()
             .map(|_| timers.handshake.deadline);
         let heartbeat = lv.heartbeat_interval.map(|_| timers.next_heartbeat);
-        // The tick presumes the leader lost strictly after the timeout.
-        let silence = lv
-            .liveness_timeout
-            .map(|t| timers.last_heard + t + Duration::from_nanos(1));
+        let silence = lv.silence_deadline(timers.last_heard);
         [handshake, heartbeat, silence].into_iter().flatten().min()
     }
 

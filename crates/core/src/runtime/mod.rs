@@ -2,9 +2,10 @@
 //! transport, each on a fixed set of threads whatever its connection
 //! count.
 //!
-//! * [`LeaderService`] — the leader: one front end, one shared liveness
-//!   ticker, and a registry of per-group [`crate::protocol::LeaderCore`]s
-//!   keyed by enclave tag. Real sockets go through
+//! * [`LeaderService`] — the leader: one front end and a registry of
+//!   per-group [`crate::protocol::LeaderCore`]s keyed by enclave tag, on
+//!   one service loop per shard, which also ticks the groups homed on it
+//!   when their `next_deadline` comes due. Real sockets go through
 //!   [`LeaderService::spawn_mux`] (the readiness loop); the simulator's
 //!   listener through [`LeaderService::spawn`]; both run the same service
 //!   loop. Either way a group is added with [`LeaderService::add_group`]

@@ -8,11 +8,10 @@
 //! complement grows with neither the group count nor the connection
 //! count:
 //!
-//! - one handler thread per event shard of the front end, running
-//!   `shard_loop`, the one service loop: it keeps a small context per
-//!   connection and hands each frame to the group its tag names;
-//! - one shared liveness ticker driving every group's ARQ retransmits,
-//!   heartbeat deadlines, and timeout evictions.
+//! one handler thread per event shard of the front end, running
+//! `shard_loop`, the one service loop. It keeps a small context per
+//! connection, hands each frame to the group its tag names, and ticks
+//! the groups homed on it whose [`LeaderCore::next_deadline`] has passed.
 //!
 //! Every frame a group sends leaves through that front end, addressed by
 //! connection token: a route binds an authenticated identity to the
@@ -20,8 +19,8 @@
 //! multicast of one sealed frame to its recipients' tokens.
 //!
 //! Whoever drives a group's core — the service loop with a drain of
-//! member frames, an operator through a [`GroupHandle`], the ticker with
-//! an eviction — does the same three things under the group's send-order
+//! member frames, an operator through a [`GroupHandle`], a tick with an
+//! eviction — does the same three things under the group's send-order
 //! lock: call the core under its lock (which seals whatever it sends,
 //! where it stands), then emit the events, then route the frames, the
 //! last two in `GroupEntry::send`. Admin frames are small and a
@@ -67,7 +66,7 @@ use enclaves_wire::{ActorId, GroupId, Roster};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,8 +83,8 @@ fn recovery_workers(parallelism: usize, streams: usize) -> usize {
     parallelism.min(streams.div_ceil(STREAMS_PER_WORKER))
 }
 
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// What a [`GroupHandle::broadcast_data`] call actually put on the wire:
@@ -124,6 +123,12 @@ struct GroupEntry {
     /// last dispatch. Per group: fan-outs in different enclaves never
     /// contend.
     send_order: Mutex<()>,
+    /// The core's [`LeaderCore::next_deadline`] in nanoseconds on `clock`
+    /// (`u64::MAX`: none), read by the `home` shard without the lock.
+    deadline: AtomicU64,
+    home: usize,
+    /// The service clock, read before an operator's call.
+    clock: Arc<dyn Clock>,
 }
 
 /// What a member's frame, accepted on one connection, decides about that
@@ -189,8 +194,21 @@ impl GroupEntry {
         }
     }
 
-    /// One drive of the core by an operator or the ticker: under this
-    /// group's send-order lock it runs `op` on the core, then
+    /// One hold of the core lock: runs `op`, records the hold, and
+    /// publishes the core's next deadline before the lock is released.
+    fn with_core<R>(&self, op: impl FnOnce(&mut LeaderCore) -> R) -> R {
+        let locked = Instant::now();
+        let mut core = self.core.lock();
+        let out = op(&mut core);
+        core.note_lock_hold(nanos(locked.elapsed()));
+        let due = core.next_deadline().map_or(u64::MAX, nanos);
+        self.deadline.store(due, Ordering::Relaxed);
+        out
+    }
+
+    /// One drive of the core by an operator or a tick's eviction: under
+    /// this group's send-order lock it brings the core's clock up to the
+    /// service clock (an idle group's lags), runs `op` on the core, then
     /// [`GroupEntry::send`]s the output. So one group's frames reach the
     /// front end in the order its core made them: a join's `PathUpdate`
     /// cannot fall behind a concurrent rekey's.
@@ -199,15 +217,25 @@ impl GroupEntry {
         op: impl FnOnce(&mut LeaderCore) -> Result<LeaderOutput, CoreError>,
     ) -> Result<(), CoreError> {
         let _order = self.send_order.lock();
-        let output = {
-            let locked = Instant::now();
-            let mut core = self.core.lock();
-            let output = op(&mut core);
-            core.note_lock_hold(elapsed_ns(locked));
-            output?
-        };
+        let now = self.clock.now();
+        let output = self.with_core(|core| {
+            core.advance_clock(now);
+            op(core)
+        })?;
         self.send(None, output);
         Ok(())
+    }
+
+    /// Resends the frames the core's tick found due and evicts each member
+    /// it presumed dead: the timeout-driven `Oops(Ka)` path (Figure 3).
+    fn tick(&self, now: Duration) {
+        let tick = self.with_core(|core| core.tick(now));
+        self.dispatch(tick.frames, None);
+        // An error means the member departed on its own between the tick
+        // and this call.
+        for user in &tick.evict {
+            let _ = self.fan_out(|core| core.evict(user));
+        }
     }
 
     /// One drain's frames for this group, in arrival order, each with
@@ -221,9 +249,7 @@ impl GroupEntry {
     /// accepted.
     fn drain(&self, frames: &[Inbound], now: Duration) -> Vec<bool> {
         let _order = self.send_order.lock();
-        let (staged, committed) = {
-            let locked = Instant::now();
-            let mut core = self.core.lock();
+        let (staged, committed) = self.with_core(|core| {
             // A duplicate ack is refused as any stale frame, but it is the
             // ARQ's own pace, not a rejection to report.
             let staged: Vec<_> = frames
@@ -233,10 +259,8 @@ impl GroupEntry {
                     (result, core.refused_duplicate_ack())
                 })
                 .collect();
-            let committed = core.commit();
-            core.note_lock_hold(elapsed_ns(locked));
-            (staged, committed)
-        };
+            (staged, core.commit())
+        });
         let rejected = |from: &ActorId, e: &CoreError| LeaderEvent::Rejected {
             from: from.clone(),
             reason: match e {
@@ -329,8 +353,11 @@ struct ServiceShared {
     /// The liveness clock shared by every group: real time by default,
     /// virtual under test.
     clock: Arc<dyn Clock>,
-    /// Shard-handler and ticker poll cadence.
+    /// The longest a shard waits between ticks.
     poll: Duration,
+    /// A group's home shard is its registration count modulo `shards`.
+    shards: usize,
+    registered: AtomicUsize,
     running: AtomicBool,
     /// The write-ahead journal directory, when this service is durable:
     /// every `add_group` creates a sealed stream and every hosted core
@@ -351,8 +378,9 @@ struct ServiceShared {
 pub struct ServiceConfig {
     /// Liveness clock driving every hosted group. `None` = real time.
     pub clock: Option<Arc<dyn Clock>>,
-    /// Ticker and shard-handler poll cadence: how often the ticker sweeps,
-    /// and how soon the handlers notice a shutdown.
+    /// The longest a shard handler waits between clock readings: how late
+    /// it may notice a group's passed deadline (a virtual clock is read
+    /// only then), and how soon it notices a shutdown.
     pub poll: Duration,
 }
 
@@ -417,13 +445,12 @@ pub struct FailedGroup {
     pub error: JournalError,
 }
 
-/// A multi-enclave leader service: one front end, one ticker, any number
-/// of groups. See the module docs for the threading model.
+/// A multi-enclave leader service: one front end, any number of groups.
+/// See the module docs for the threading model.
 pub struct LeaderService {
     shared: Arc<ServiceShared>,
     /// One handler per shard of the front end.
     shards: Vec<std::thread::JoinHandle<()>>,
-    ticker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for LeaderService {
@@ -438,9 +465,9 @@ impl LeaderService {
     /// Spawns the service on a front end — a simulated network's
     /// [`enclaves_net::sim::SimListener`] or a readiness-loop
     /// [`MuxEndpoint`]: one handler thread per event shard drains the
-    /// accepted/frame/closed events of the connections pinned to it, and
-    /// one shared liveness ticker runs beside them, however many members
-    /// connect. Groups are added with [`LeaderService::add_group`].
+    /// accepted/frame/closed events of the connections pinned to it and
+    /// ticks the groups homed on it, however many members connect. Groups
+    /// are added with [`LeaderService::add_group`].
     #[must_use]
     pub fn spawn(listener: Box<dyn Listener>, config: ServiceConfig) -> Self {
         Self::start(listener, &config, None)
@@ -448,7 +475,7 @@ impl LeaderService {
 
     /// [`LeaderService::spawn`] on a [`MuxEndpoint`] (from
     /// [`enclaves_net::MuxNet::listen_events`]): the whole service runs at
-    /// `shards + 2` threads, the loop's own and the ticker included.
+    /// `shards + 1` threads, the loop's own included.
     ///
     /// The caller keeps the endpoint's `MuxNet` alive and shuts it down
     /// *after* [`LeaderService::shutdown`].
@@ -596,7 +623,7 @@ impl LeaderService {
             .add(report.failed.len() as u64);
         report.elapsed = start.elapsed();
         obs.histogram("recovery.replay_ns")
-            .record(elapsed_ns(start));
+            .record(nanos(start.elapsed()));
         report
     }
 
@@ -613,11 +640,11 @@ impl LeaderService {
         let stage = Instant::now();
         let replay = journal.replay_stream(&info.label, ReadMode::Recover)?;
         obs.histogram("recovery.decode_ns")
-            .record(elapsed_ns(stage));
+            .record(nanos(stage.elapsed()));
         let stage = Instant::now();
         let mut core = LeaderCore::recover(&replay)?;
         obs.histogram("recovery.rebuild_ns")
-            .record(elapsed_ns(stage));
+            .record(nanos(stage.elapsed()));
         if label_for(core.group_id()) != info.label {
             return Err(JournalError::ReplayDivergence {
                 seq: 1,
@@ -636,7 +663,7 @@ impl LeaderService {
                 },
             })?;
         obs.histogram("recovery.advance_ns")
-            .record(elapsed_ns(stage));
+            .record(nanos(stage.elapsed()));
         let members = core.roster().len();
         let group = core.group_id().cloned();
         let handle =
@@ -655,8 +682,8 @@ impl LeaderService {
         })
     }
 
-    /// The one constructor: shared state, a handler thread per shard of
-    /// the front end, the ticker.
+    /// The one constructor: shared state and a handler thread per shard of
+    /// the front end.
     fn start(
         mut front: Box<dyn Listener>,
         config: &ServiceConfig,
@@ -683,6 +710,8 @@ impl LeaderService {
                 .clone()
                 .unwrap_or_else(|| Arc::new(RealClock::new())),
             poll: config.poll,
+            shards: shards.len(),
+            registered: AtomicUsize::new(0),
             running: AtomicBool::new(true),
             journal,
             unroutable: service_obs.counter("service.unroutable_frames"),
@@ -695,51 +724,11 @@ impl LeaderService {
                 let shard_shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("enclaves-svc-shard-{i}"))
-                    .spawn(move || shard_loop(&shard_shared, &shard_rx))
+                    .spawn(move || shard_loop(&shard_shared, i, &shard_rx))
                     .expect("spawn service shard handler")
             })
             .collect();
-        let ticker = Self::spawn_ticker(&shared);
-        LeaderService {
-            shared,
-            shards,
-            ticker: Some(ticker),
-        }
-    }
-
-    /// One liveness timer for the whole service: every poll interval it
-    /// sweeps the registry and asks each group's core which ARQ frames
-    /// are due and which members have exhausted their budget or missed
-    /// their heartbeat deadline. Each group's deadlines come from its
-    /// own core state against the shared clock, so one group's load
-    /// cannot stretch another's timeouts (the tick-fairness test pins
-    /// this).
-    fn spawn_ticker(shared: &Arc<ServiceShared>) -> std::thread::JoinHandle<()> {
-        let tick_shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("enclaves-svc-ticker".into())
-            .spawn(move || {
-                while tick_shared.running.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick_shared.poll);
-                    let now = tick_shared.clock.now();
-                    // Snapshot the entries, then drop the registry lock
-                    // before touching any group's core (lock order:
-                    // registry strictly precedes the per-group locks).
-                    let entries: Vec<Arc<GroupEntry>> =
-                        tick_shared.registry.read().values().cloned().collect();
-                    for entry in entries {
-                        let tick = entry.core.lock().tick(now);
-                        entry.dispatch(tick.frames, None);
-                        // The timeout-driven `Oops(Ka)` path (Figure 3).
-                        // An error means the member departed on its own
-                        // between the tick and this call.
-                        for user in &tick.evict {
-                            let _ = entry.fan_out(|core| core.evict(user));
-                        }
-                    }
-                }
-            })
-            .expect("spawn service ticker")
+        LeaderService { shared, shards }
     }
 
     /// Registers a group under the tag in `config.group` (`None` = the
@@ -789,6 +778,7 @@ impl LeaderService {
         let key = core.group_id().cloned();
         let (events_tx, events_rx) = unbounded();
         let entry = Arc::new(GroupEntry {
+            deadline: AtomicU64::new(core.next_deadline().map_or(u64::MAX, nanos)),
             core: Mutex::new(core),
             routes: Mutex::new(HashMap::new()),
             front: Arc::clone(&shared.front),
@@ -796,6 +786,8 @@ impl LeaderService {
             roster_gen: Mutex::new(0),
             roster_cv: Condvar::new(),
             send_order: Mutex::new(()),
+            home: shared.registered.fetch_add(1, Ordering::Relaxed) % shared.shards.max(1),
+            clock: Arc::clone(&shared.clock),
         });
         let mut registry = shared.registry.write();
         if registry.contains_key(&key) {
@@ -814,7 +806,7 @@ impl LeaderService {
     }
 
     /// Deregisters a group: subsequent frames tagged for it are dropped
-    /// and the shared ticker stops driving it. Existing [`GroupHandle`]s
+    /// and its home shard never ticks it again. Existing [`GroupHandle`]s
     /// keep their (now unreachable) core alive. Returns whether the tag
     /// was registered.
     pub fn remove_group(&self, group: Option<&GroupId>) -> bool {
@@ -873,13 +865,10 @@ impl LeaderService {
         merged
     }
 
-    /// Stops the shard handlers and the ticker.
-    pub fn shutdown(mut self) {
+    /// Stops the shard handlers.
+    pub fn shutdown(self) {
         self.shared.running.store(false, Ordering::Relaxed);
-        for h in self.shards.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.ticker.take() {
+        for h in self.shards {
             let _ = h.join();
         }
     }
@@ -1164,10 +1153,28 @@ impl Drain {
 /// whatever the channel already held behind it, no more, so a steady
 /// stream cannot keep one drain open. A drain commits each group it
 /// touched once, so a join storm's backlog sets its batch size.
-fn shard_loop(shared: &Arc<ServiceShared>, shard_rx: &Receiver<MuxEvent>) {
+///
+/// At most once per `poll` the loop reads the clock and ticks each group
+/// homed on it whose published deadline has passed, and no receive waits
+/// past the next such reading.
+fn shard_loop(shared: &Arc<ServiceShared>, shard: usize, shard_rx: &Receiver<MuxEvent>) {
     let mut conns: HashMap<MuxToken, ConnCtx> = HashMap::new();
+    let mut next_tick = Instant::now();
     while shared.running.load(Ordering::Relaxed) {
-        let first = match shard_rx.recv_timeout(shared.poll) {
+        if Instant::now() >= next_tick {
+            let now = shared.clock.now();
+            // Collect, then drop the registry lock before any core lock.
+            let due: Vec<Arc<GroupEntry>> = (shared.registry.read().values())
+                .filter(|e| e.home == shard && e.deadline.load(Ordering::Relaxed) <= nanos(now))
+                .cloned()
+                .collect();
+            for entry in due {
+                entry.tick(now);
+            }
+            next_tick = Instant::now() + shared.poll;
+        }
+        let wait = next_tick.saturating_duration_since(Instant::now());
+        let first = match shard_rx.recv_timeout(wait) {
             Ok(event) => event,
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
             Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
@@ -1198,6 +1205,7 @@ fn shard_loop(shared: &Arc<ServiceShared>, shard_rx: &Receiver<MuxEvent>) {
 mod tests {
     use super::*;
     use crate::config::{LeaderConfig, RekeyPolicy};
+    use crate::liveness::VirtualClock;
     use crate::protocol::{MemberEvent, MemberSession};
     use crate::runtime::{MemberOptions, MemberRuntime};
     use enclaves_net::sim::{Direction, SimConfig, SimNet};
@@ -1377,13 +1385,21 @@ mod tests {
     }
 
     /// One process hosts a thousand registered groups with a bounded
-    /// thread complement (shard handler + ticker, not one thread per group),
-    /// and a group deep in the registry still serves members.
+    /// thread complement (the shard handler, not one thread per group),
+    /// an idle second ticks none of them, and a group deep in the
+    /// registry still serves members.
     #[test]
     fn thousand_groups_bounded_threads() {
         let net = SimNet::new(SimConfig::default());
         let listener = net.listen("svc").unwrap();
         let service = LeaderService::spawn(Box::new(listener), ServiceConfig::default());
+        // Beside them, one group whose member's wire died with an admin
+        // frame outstanding: its resends are due every 400 ms.
+        let dead = service
+            .add_group(id("leader"), directory(&["bob"]), group_config("dead"))
+            .unwrap();
+        let _bob = join_then_cut(&net, "bob", "dead", &dead);
+        dead.broadcast(b"unanswered").unwrap();
         for i in 0..1000 {
             let tag = format!("g{i:04}");
             let dir = if i == 937 {
@@ -1395,10 +1411,24 @@ mod tests {
             config.group = Some(gid(&tag));
             service.add_group(id("leader"), dir, config).unwrap();
         }
-        assert_eq!(service.group_count(), 1000);
+        assert_eq!(service.group_count(), 1001);
 
-        // Let the shared ticker sweep the full registry a few times.
-        std::thread::sleep(Duration::from_millis(100));
+        let idle_ticks = |snap: &enclaves_obs::Snapshot| -> u64 {
+            (snap.counters.iter())
+                .filter(|(name, _)| name.starts_with("group.g") && name.ends_with(".leader.ticks"))
+                .map(|(_, ticks)| ticks)
+                .sum()
+        };
+        let before = service.snapshot();
+        std::thread::sleep(Duration::from_secs(1));
+        let after = service.snapshot();
+        assert_eq!(
+            idle_ticks(&after),
+            idle_ticks(&before),
+            "idle groups ticked"
+        );
+        assert!(after.counter("group.dead.leader.ticks") > 0);
+        assert!(after.counter("group.dead.leader.retransmits") > 0);
 
         #[cfg(target_os = "linux")]
         {
@@ -1416,6 +1446,140 @@ mod tests {
         let member =
             MemberRuntime::run(net.dialer("svc"), session, init, MemberOptions::default()).unwrap();
         member.wait_joined(WAIT).unwrap();
+        service.shutdown();
+    }
+
+    /// Joins `user` and, once the leader holds no frame unanswered, kills
+    /// the member's wire: the leader still counts it a member, but nothing
+    /// it sends arrives.
+    fn join_then_cut(net: &SimNet, user: &str, group: &str, handle: &GroupHandle) -> MemberRuntime {
+        let conn = net.adversary().connections();
+        let member = join(net, user, group, handle);
+        wait_until(|| handle.quiesced(), "the join's exchanges were acked");
+        net.kill(conn);
+        member
+    }
+
+    fn wait_until(mut done: impl FnMut() -> bool, what: &str) {
+        let deadline = Instant::now() + WAIT;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn counter(handle: &GroupHandle, name: &str) -> u64 {
+        handle.obs_registry().snapshot().counter(name)
+    }
+
+    const POLL: Duration = Duration::from_millis(5);
+
+    /// A service on a virtual clock that its shard reads every 5 ms, and
+    /// the network it listens on.
+    fn virtual_service(clock: &VirtualClock) -> (SimNet, LeaderService) {
+        let net = SimNet::new(SimConfig::default());
+        let listener = net.listen("svc").unwrap();
+        let config = ServiceConfig {
+            clock: Some(Arc::new(clock.clone())),
+            poll: POLL,
+        };
+        (net, LeaderService::spawn(Box::new(listener), config))
+    }
+
+    /// A group whose admin frames are resent every 100 ms, flat.
+    fn resending_group(service: &LeaderService, tag: &str, user: &str) -> GroupHandle {
+        let config = LeaderConfig {
+            liveness: LivenessConfig {
+                retransmit_base: Duration::from_millis(100),
+                retransmit_max: Duration::from_millis(100),
+                ..LivenessConfig::default()
+            },
+            ..group_config(tag)
+        };
+        service
+            .add_group(id("leader"), directory(&[user]), config)
+            .unwrap()
+    }
+
+    /// An operator's send times its resend from the service clock, not
+    /// from the last reading the group's core saw: a group that nobody
+    /// ticked for ten virtual seconds resends 100 ms after the call, not
+    /// at once.
+    #[test]
+    fn an_operator_send_is_timed_from_the_service_clock() {
+        let clock = VirtualClock::new();
+        let (net, service) = virtual_service(&clock);
+        let red = resending_group(&service, "red", "alice");
+        let _alice = join_then_cut(&net, "alice", "red", &red);
+        // The join's timers come due, and the tick that finds them
+        // answered leaves nothing armed.
+        clock.advance(Duration::from_millis(200));
+        wait_until(
+            || counter(&red, "leader.ticks") > 0,
+            "the join's timers ran",
+        );
+        std::thread::sleep(POLL * 4);
+        let ticks = counter(&red, "leader.ticks");
+        clock.advance(Duration::from_secs(10));
+        std::thread::sleep(POLL * 4);
+        assert_eq!(counter(&red, "leader.ticks"), ticks, "nothing was armed");
+
+        red.broadcast(b"late").unwrap();
+        std::thread::sleep(POLL * 4);
+        assert_eq!(counter(&red, "leader.retransmits"), 0, "resent at once");
+        clock.advance(Duration::from_millis(99));
+        std::thread::sleep(POLL * 4);
+        assert_eq!(counter(&red, "leader.retransmits"), 0, "resent early");
+        clock.advance(Duration::from_millis(1));
+        wait_until(|| counter(&red, "leader.retransmits") == 1, "the resend");
+        service.shutdown();
+    }
+
+    /// A removed group holding a frame its member will never answer is
+    /// never ticked again, while a registered twin keeps resending.
+    #[test]
+    fn a_removed_group_is_never_ticked_again() {
+        let clock = VirtualClock::new();
+        let (net, service) = virtual_service(&clock);
+        let red = resending_group(&service, "red", "alice");
+        let blue = resending_group(&service, "blue", "alice");
+        let _alice_red = join_then_cut(&net, "alice", "red", &red);
+        let _alice_blue = join_then_cut(&net, "alice", "blue", &blue);
+        red.broadcast(b"never answered").unwrap();
+        blue.broadcast(b"never answered").unwrap();
+        assert!(service.remove_group(Some(&gid("red"))));
+        let ticks = counter(&red, "leader.ticks");
+        for _ in 0..20 {
+            clock.advance(Duration::from_millis(50));
+            std::thread::sleep(POLL * 2);
+        }
+        wait_until(|| counter(&blue, "leader.retransmits") > 0, "blue resent");
+        assert_eq!(counter(&red, "leader.ticks"), ticks);
+        assert_eq!(counter(&red, "leader.retransmits"), 0);
+        service.shutdown();
+    }
+
+    /// The shard loops are the service's only threads: none is named
+    /// for a ticker (`comm` holds the first 15 bytes of a name). A new
+    /// thread names itself once it runs, so the names are read after the
+    /// shard's has shown up and every other thread has had time to.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_ticker_thread_runs_beside_the_shards() {
+        let names = || -> Vec<String> {
+            (std::fs::read_dir("/proc/self/task").unwrap())
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .map(|name| name.trim_end().to_string())
+                .collect()
+        };
+        let service = quiet_service(None);
+        wait_until(
+            || names().iter().any(|n| n == "enclaves-svc-sh"),
+            "the shard thread is named",
+        );
+        std::thread::sleep(Duration::from_millis(100));
+        let names = names();
+        assert!(!names.iter().any(|n| n == "enclaves-svc-ti"), "{names:?}");
         service.shutdown();
     }
 
