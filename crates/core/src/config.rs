@@ -50,8 +50,9 @@ pub struct LeaderConfig {
     pub rekey_policy: RekeyPolicy,
     /// Maximum number of concurrently connected members.
     pub max_members: usize,
-    /// Maximum queued admin payloads per member before the oldest are
-    /// coalesced (a slow member must not exhaust leader memory).
+    /// Maximum queued admin payloads per member: past it, the oldest
+    /// queued payload is dropped and counted in `leader.admin_dropped` (a
+    /// slow member must not exhaust leader memory).
     pub max_pending_admin: usize,
     /// Whether join/leave notices (`MemberJoined` / `MemberLeft`) are sent
     /// to the rest of the group over the admin channel. Production groups

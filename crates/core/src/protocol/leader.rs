@@ -1,8 +1,11 @@
 //! The leader side of the improved protocol — Figure 3, one slot per
 //! member — with group state, rekey policy, and leader-mediated multicast.
-//! Every membership change is one [`transition`]: one `apply` shared with
-//! journal replay, journaled before any of its frames is sealed, and one
-//! key fan-out.
+//! Every frame sealed or opened under a member's `K_a` — the §3.2 admin
+//! channel, its acks, heartbeats and every uplink's check — is in
+//! [`channel`]. Every membership change is one [`transition`]: one `apply`
+//! shared with journal replay, journaled before any of its frames is
+//! sealed, and one key fan-out. The [`timers`] resend what is due and
+//! name whom to evict.
 
 use crate::config::LeaderConfig;
 use crate::directory::Directory;
@@ -10,26 +13,28 @@ use crate::error::{CoreError, RejectReason};
 use crate::group::GroupState;
 use crate::journal::JournalWriter;
 use crate::liveness::Arq;
+use crate::protocol::broadcast_nonce;
 use crate::protocol::keytree::KeyTree;
-use crate::protocol::{broadcast_nonce, SEQ_LEADER};
 use enclaves_crypto::aead::ChaCha20Poly1305;
 use enclaves_crypto::keys::SessionKey;
-use enclaves_crypto::nonce::{NonceSequence, ProtocolNonce};
+use enclaves_crypto::nonce::{AeadNonce, ProtocolNonce};
 use enclaves_crypto::rng::CryptoRng;
 use enclaves_obs::{Counter, EventKind, EventStream, Histogram, Registry};
-use enclaves_wire::codec::{encode, encode_into};
+use enclaves_wire::codec::encode_into;
 use enclaves_wire::journal::{EpochStamp, JournalOp};
 use enclaves_wire::message::{
-    group_broadcast_aad, open, seal, AdminPayload, AdminPlain, AuthInitPlain, ClosePlain, Envelope,
-    GroupBroadcastWire, GroupDataPlain, HeartbeatPlain, KeyDistPlain, MsgType, NonceAckPlain,
+    group_broadcast_aad, AdminPayload, AuthInitPlain, ClosePlain, Envelope, GroupBroadcastWire,
+    GroupDataPlain, KeyDistPlain, MsgType, NonceAckPlain,
 };
 use enclaves_wire::{ActorId, GroupId, Roster, MAX_ROSTER_LEN};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+mod channel;
 mod timers;
 mod transition;
+use channel::{channel_tag, open_under, open_uplink, to_member, Channel, InFlight};
 use transition::stamp_of;
 
 /// Events surfaced by the leader core.
@@ -91,6 +96,7 @@ struct LeaderObs {
     rejected: Counter,
     duplicate_acks: Counter,
     admin_sent: Counter,
+    admin_dropped: Counter,
     relayed: Counter,
     rekeys: Counter,
     broadcasts: Counter,
@@ -121,6 +127,7 @@ impl LeaderObs {
             rejected: registry.counter("leader.rejected"),
             duplicate_acks: registry.counter("leader.duplicate_acks"),
             admin_sent: registry.counter("leader.admin_sent"),
+            admin_dropped: registry.counter("leader.admin_dropped"),
             relayed: registry.counter("leader.relayed"),
             rekeys: registry.counter("leader.rekeys"),
             broadcasts: registry.counter("leader.broadcasts"),
@@ -183,48 +190,6 @@ impl BroadcastFrame {
     }
 }
 
-/// A frame awaiting its acknowledgment — the handshake reply or one
-/// member's admin message (stop-and-wait, as the paper's state machine
-/// prescribes). Sealed and encoded exactly once; [`LeaderCore::tick`]
-/// redelivers the same refcounted bytes until the nonce comes back.
-struct InFlight {
-    /// The leader nonce the acknowledgment must echo.
-    nonce: ProtocolNonce,
-    frame: Arc<[u8]>,
-    arq: Arq,
-}
-
-/// Per-member connection state.
-struct Channel {
-    session_key: SessionKey,
-    /// Latest nonce received from the member (`N_{2i+1}`).
-    user_nonce: ProtocolNonce,
-    send_seq: NonceSequence,
-    /// The in-flight admin message, if any.
-    outstanding: Option<InFlight>,
-    /// The nonce of the admin message acknowledged last: a second ack of
-    /// it is the re-ack of a resend that crossed the first, not a forgery.
-    acked: Option<ProtocolNonce>,
-    /// Queued payloads awaiting the acknowledgment of the in-flight one.
-    pending: VecDeque<AdminPayload>,
-    /// Payloads dropped due to queue overflow.
-    dropped_admin: u64,
-    /// Last time an authenticated message arrived from this member (ack,
-    /// heartbeat, close, or relayed data) — the liveness deadline anchor.
-    last_heard: Duration,
-    /// Highest heartbeat ping sequence accepted; replays at or below it
-    /// are rejected so a recorded ping cannot keep a dead member alive.
-    hb_seq: u64,
-    /// Highest `GroupData` uplink sequence accepted, under the same rule:
-    /// a replayed uplink is neither relayed again nor proof of life.
-    data_seq: u64,
-    /// Highest epoch a tree-mode direct path has been queued for on this
-    /// channel, by its `Welcome` or a `PathSync` — dedup so a member whose
-    /// heartbeats keep reporting a stale epoch gets one resync per epoch,
-    /// not one per ping.
-    synced_epoch: u64,
-}
-
 enum Slot {
     WaitingForKeyAck {
         session_key: SessionKey,
@@ -272,11 +237,6 @@ pub struct LeaderCore {
     rng: Box<dyn CryptoRng>,
     slots: HashMap<ActorId, Slot>,
     group: GroupState,
-    /// The enclave this core serves inside a multi-enclave service
-    /// (`config.group`). When set, outgoing envelopes carry the group tag
-    /// (AEAD-bound via the header) and incoming envelopes tagged for any
-    /// other enclave — or untagged — are rejected before dispatch.
-    enclave: Option<GroupId>,
     /// The MLS-style rekey tree (`Some` iff `config.tree_rekey`): leaves
     /// hold per-member channel secrets, interior keys are derived from
     /// children (`treekdf::derive_step`), and the root feeds
@@ -328,7 +288,6 @@ impl LeaderCore {
         rng: Box<dyn CryptoRng>,
     ) -> Self {
         let tree = config.tree_rekey.then(KeyTree::new);
-        let enclave = config.group.clone();
         LeaderCore {
             leader,
             directory,
@@ -336,7 +295,6 @@ impl LeaderCore {
             rng,
             slots: HashMap::new(),
             group: GroupState::new(),
-            enclave,
             tree,
             staged: Vec::new(),
             journal: None,
@@ -359,7 +317,7 @@ impl LeaderCore {
     /// The enclave this core serves, when part of a multi-enclave service.
     #[must_use]
     pub fn group_id(&self) -> Option<&GroupId> {
-        self.enclave.as_ref()
+        self.config.group.as_ref()
     }
 
     /// Current members: the shared snapshot, `O(1)` to take.
@@ -467,8 +425,10 @@ impl LeaderCore {
         // from opening here when the same user+password (hence the same
         // derived P_a) exists in both enclaves: the AAD in the frame and
         // the AAD we would compute from its header agree. The enclave tag
-        // must match this core's own configured identity.
-        if env.group != self.enclave {
+        // must match this core's own configured identity: when set, the
+        // leader's frames carry it (AEAD-bound via the header) and frames
+        // tagged for any other enclave, or untagged, are refused here.
+        if env.group != self.config.group {
             return Err(CoreError::Rejected(RejectReason::WrongEnclave));
         }
         match env.msg_type {
@@ -480,17 +440,6 @@ impl LeaderCore {
             MsgType::Heartbeat => self.accept_heartbeat(env),
             _ => Err(CoreError::Rejected(RejectReason::UnexpectedType)),
         }
-    }
-
-    /// A stable per-member discriminator for the deterministic jitter
-    /// hash (FNV-1a over the name bytes — cheap, pure, no allocation).
-    fn channel_tag(user: &ActorId) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in user.as_str().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 
     fn accept_auth_init(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
@@ -522,20 +471,11 @@ impl LeaderCore {
         let Some(long_term) = self.directory.lookup(&user) else {
             return Err(CoreError::UnknownUser(user.to_string()));
         };
-        let plain: AuthInitPlain = open(long_term.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
+        let plain: AuthInitPlain = open_under(long_term.as_bytes(), env, &self.leader)?;
 
         let session_key = SessionKey::generate(self.rng.as_mut());
         let leader_nonce = ProtocolNonce::generate(self.rng.as_mut());
-        let mut reply = Envelope {
-            msg_type: MsgType::AuthKeyDist,
-            sender: self.leader.clone(),
-            recipient: user.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
+        let mut reply = to_member(MsgType::AuthKeyDist, &self.leader, &user, &self.config);
         let kd = KeyDistPlain {
             leader: self.leader.clone(),
             user: user.clone(),
@@ -545,20 +485,15 @@ impl LeaderCore {
         };
         let mut aead_nonce = [0u8; 12];
         self.rng.fill_bytes(&mut aead_nonce);
-        reply.body = seal(
-            long_term.as_bytes(),
-            enclaves_crypto::nonce::AeadNonce::from_bytes(aead_nonce),
-            &reply.header_aad(),
-            &kd,
-        );
+        let frame = reply.seal_body(long_term.as_bytes(), AeadNonce::from_bytes(aead_nonce), &kd);
 
         self.obs.emit(|| EventKind::AuthAccepted {
             member: user.to_string(),
         });
         let in_flight = InFlight {
             nonce: leader_nonce,
-            frame: encode(&reply).into(),
-            arq: Arq::start(self.now, &self.config.liveness, Self::channel_tag(&user)),
+            frame: frame.into(),
+            arq: Arq::start(self.now, &self.config.liveness, channel_tag(&user)),
         };
         self.arm(Some(in_flight.arq.deadline));
         self.slots.insert(
@@ -576,23 +511,18 @@ impl LeaderCore {
     }
 
     fn accept_key_ack(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
-        let user = env.sender.clone();
-        let Some(Slot::WaitingForKeyAck {
+        let (slot, plain) = open_uplink::<NonceAckPlain>(&mut self.slots, &self.leader, env)?;
+        let Slot::WaitingForKeyAck {
             session_key, reply, ..
-        }) = self.slots.get(&user)
+        } = slot
         else {
-            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
+            unreachable!("a key ack opens on a waiting handshake only");
         };
-        let session_key = session_key.clone();
-        let expected = reply.nonce;
-
-        let plain: NonceAckPlain = open(session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
-        if plain.acked_nonce != expected {
+        if plain.acked_nonce != reply.nonce {
             return Err(CoreError::Rejected(RejectReason::StaleNonce));
         }
+        let session_key = session_key.clone();
+        let user = env.sender.clone();
         // Handshakes admitted while there was still room can outnumber
         // the room: the late one is turned away here, before any state
         // it could never be welcomed into.
@@ -604,22 +534,8 @@ impl LeaderCore {
         // The user becomes a member (paper: "L accepts A as a member when
         // the system enters a state where lead_A(q) = Connected") at the
         // next commit.
-        self.slots.insert(
-            user.clone(),
-            Slot::Staged(Channel {
-                session_key,
-                user_nonce: plain.next_nonce,
-                send_seq: NonceSequence::new(SEQ_LEADER),
-                outstanding: None,
-                acked: None,
-                pending: VecDeque::new(),
-                dropped_admin: 0,
-                last_heard: self.now,
-                hb_seq: 0,
-                data_seq: 0,
-                synced_epoch: 0,
-            }),
-        );
+        let channel = Channel::new(session_key, plain.next_nonce, self.now);
+        self.slots.insert(user.clone(), Slot::Staged(channel));
         self.staged.push(user);
         Ok(LeaderOutput::default())
     }
@@ -709,9 +625,6 @@ impl LeaderCore {
                 member: user.to_string(),
                 epoch,
             });
-            if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
-                channel.synced_epoch = epoch;
-            }
             self.send_admin(&mut out, user, welcome)?;
         }
 
@@ -730,52 +643,12 @@ impl LeaderCore {
         Ok(out)
     }
 
-    fn accept_ack(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
-        let user = env.sender.clone();
-        let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) else {
-            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
-        };
-        let plain: NonceAckPlain =
-            open(channel.session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
-        if channel.outstanding.as_ref().map(|m| m.nonce) != Some(plain.acked_nonce) {
-            self.duplicate_ack = channel.acked == Some(plain.acked_nonce);
-            return Err(CoreError::Rejected(RejectReason::StaleNonce));
-        }
-        channel.acked = channel.outstanding.take().map(|m| m.nonce);
-        channel.user_nonce = plain.next_nonce;
-        channel.last_heard = self.now;
-        self.obs.emit(|| EventKind::AdminAcked {
-            member: user.to_string(),
-        });
-
-        // Drain the next pending payload, if any.
-        let mut out = LeaderOutput::default();
-        if let Some(next) = channel.pending.pop_front() {
-            self.send_admin(&mut out, &user, next)?;
-        }
-        Ok(out)
-    }
-
     fn accept_close(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
-        let user = env.sender.clone();
-        let Some(slot) = self.slots.get(&user) else {
-            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
-        };
-        let session_key = match slot {
-            Slot::WaitingForKeyAck { session_key, .. } => session_key,
-            Slot::Staged(c) | Slot::Connected(c) => &c.session_key,
-        };
-        let plain: ClosePlain = open(session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
+        open_uplink::<ClosePlain>(&mut self.slots, &self.leader, env)?;
         // Close: discard the session key (and a staged join with it); no
         // further messages to the user.
-        self.drop_slot(&user);
-        self.depart(&user, Departure::Close)
+        self.drop_slot(&env.sender);
+        self.depart(&env.sender, Departure::Close)
     }
 
     /// A member's departure — voluntary close, expulsion or timeout
@@ -831,20 +704,12 @@ impl LeaderCore {
     /// every other member: the leader is the only `K_g` sealer, so the
     /// one per-epoch `seq` counter keeps every `(K_g, nonce)` pair unique.
     fn relay_group_data(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
-        let user = env.sender.clone();
-        let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) else {
-            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
+        let (slot, plain) = open_uplink::<GroupDataPlain>(&mut self.slots, &self.leader, env)?;
+        let Slot::Connected(channel) = slot else {
+            unreachable!("data opens on a connected channel only");
         };
-        let plain: GroupDataPlain =
-            open(channel.session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
-        if plain.seq <= channel.data_seq {
-            return Err(CoreError::Rejected(RejectReason::StaleNonce));
-        }
-        channel.data_seq = plain.seq;
-        channel.last_heard = self.now;
+        channel.hear(plain.seq, |c| &mut c.data_seq, self.now)?;
+        let user = env.sender.clone();
 
         let frame = self.seal_group_data(Some(user.clone()), &plain.data)?;
         self.obs.relayed.inc();
@@ -863,152 +728,6 @@ impl LeaderCore {
             output.merge(self.rekey_now()?);
         }
         Ok(output)
-    }
-
-    fn accept_heartbeat(&mut self, env: &Envelope) -> Result<LeaderOutput, CoreError> {
-        let user = env.sender.clone();
-        let Some(Slot::Connected(channel)) = self.slots.get_mut(&user) else {
-            return Err(CoreError::Rejected(RejectReason::UnexpectedType));
-        };
-        let plain: HeartbeatPlain =
-            open(channel.session_key.as_bytes(), &env.header_aad(), &env.body)?;
-        if plain.user != user || plain.leader != self.leader {
-            return Err(CoreError::Rejected(RejectReason::WrongIdentity));
-        }
-        // Pings carry a strictly increasing sequence: a replayed ping must
-        // not refresh a dead member's liveness deadline.
-        if plain.seq <= channel.hb_seq {
-            return Err(CoreError::Rejected(RejectReason::StaleNonce));
-        }
-        channel.hb_seq = plain.seq;
-        channel.last_heard = self.now;
-        let leader_epoch = self.group.current_epoch().map_or(0, |e| e.epoch);
-        // A lagging epoch in an authenticated ping is evidence of a missed
-        // PathUpdate broadcast. Resync stays leader-driven — the member
-        // cannot request one, so forged traffic elicits no state change —
-        // and is deduped per epoch via the channel marker.
-        let missed_update = plain.epoch < leader_epoch && channel.synced_epoch < leader_epoch;
-
-        // Pong: echo the ping's sequence, sealed under the session key.
-        let mut reply = Envelope {
-            msg_type: MsgType::Heartbeat,
-            sender: self.leader.clone(),
-            recipient: user.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
-        let seq = channel.send_seq.next()?;
-        reply.body = seal(
-            channel.session_key.as_bytes(),
-            seq,
-            &reply.header_aad(),
-            &HeartbeatPlain {
-                user: user.clone(),
-                leader: self.leader.clone(),
-                seq: plain.seq,
-                epoch: leader_epoch,
-            },
-        );
-        self.obs.heartbeats.inc();
-        let mut output = LeaderOutput {
-            outgoing: vec![reply],
-            ..LeaderOutput::default()
-        };
-        if missed_update {
-            self.send_path_sync(&mut output, &user)?;
-        }
-        Ok(output)
-    }
-
-    /// The one admin send path (§3.2: one stop-and-wait exchange per
-    /// member under `K_a`). In one step, under whatever lock guards the
-    /// core: queue `payload` behind an in-flight message, or draw the
-    /// leader nonce and the AEAD sequence number, seal, and cache the
-    /// encoded frame for retransmission. A roster member with no
-    /// connected channel is skipped: after a journal recovery the whole
-    /// roster is sessionless until each member re-authenticates, and each
-    /// learns the current roster and key material from its own
-    /// re-admission `Welcome`.
-    fn send_admin(
-        &mut self,
-        out: &mut LeaderOutput,
-        user: &ActorId,
-        payload: AdminPayload,
-    ) -> Result<(), CoreError> {
-        let Some(Slot::Connected(channel)) = self.slots.get_mut(user) else {
-            return Ok(());
-        };
-        if channel.outstanding.is_some() {
-            if channel.pending.len() >= self.config.max_pending_admin {
-                channel.pending.pop_front();
-                channel.dropped_admin += 1;
-            }
-            channel.pending.push_back(payload);
-            return Ok(());
-        }
-        let nonce = ProtocolNonce::generate(self.rng.as_mut());
-        let seq = channel.send_seq.next()?;
-        let plain = AdminPlain {
-            leader: self.leader.clone(),
-            user: user.clone(),
-            user_nonce: channel.user_nonce,
-            leader_nonce: nonce,
-            payload,
-        };
-        let mut env = Envelope {
-            msg_type: MsgType::AdminMsg,
-            sender: self.leader.clone(),
-            recipient: user.clone(),
-            group: self.enclave.clone(),
-            body: Vec::new(),
-        };
-        let sealing = Instant::now();
-        let frame = env.seal_body(channel.session_key.as_bytes(), seq, &plain);
-        self.batch_seal_ns += u64::try_from(sealing.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.batch_frames += 1;
-        let arq = Arq::start(self.now, &self.config.liveness, Self::channel_tag(user));
-        channel.outstanding = Some(InFlight {
-            nonce,
-            frame: frame.into(),
-            arq,
-        });
-        self.arm(Some(arq.deadline));
-        self.obs.admin_sent.inc();
-        out.outgoing.push(env);
-        Ok(())
-    }
-
-    /// [`LeaderCore::send_admin`] of one payload to every member of
-    /// `recipients`, in roster order.
-    fn send_admin_all(
-        &mut self,
-        out: &mut LeaderOutput,
-        recipients: &Roster,
-        payload: &AdminPayload,
-    ) -> Result<(), CoreError> {
-        for name in recipients.iter() {
-            if let Some(member) = self.slot_id(name) {
-                self.send_admin(out, &member, payload.clone())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Accounts for the admin frames sealed since the last call as one
-    /// batch: every entry point that can send ends with this, so a batch
-    /// is one join, departure, rekey or broadcast. (An entry point that
-    /// bails out part-way leaves its frames to the next batch.)
-    fn record_seal_batch(&mut self) {
-        let (frames, elapsed_ns) = (self.batch_frames, self.batch_seal_ns);
-        if frames == 0 {
-            return;
-        }
-        (self.batch_frames, self.batch_seal_ns) = (0, 0);
-        self.obs.admin_seals.add(frames);
-        self.obs.admin_seal_ns.add(elapsed_ns);
-        self.obs.seal_batch_ns.record(elapsed_ns);
-        self.obs
-            .emit(|| EventKind::SealBatch { frames, elapsed_ns });
     }
 
     /// Records nanoseconds the runtime spent holding its core lock for
@@ -1151,7 +870,7 @@ impl LeaderCore {
             (e.epoch, e.key.clone(), e.iv)
         };
         let sender = origin.clone().unwrap_or_else(|| self.leader.clone());
-        let aad = group_broadcast_aad(&sender, epoch, seq, self.enclave.as_ref());
+        let aad = group_broadcast_aad(&sender, epoch, seq, self.config.group.as_ref());
         let mut ciphertext = Vec::new();
         ChaCha20Poly1305::new(key.as_bytes()).seal_into(
             &broadcast_nonce(&iv, seq),
@@ -1168,7 +887,7 @@ impl LeaderCore {
             // recipient field names the group's leader, which is what
             // members check for this message type.
             recipient: self.leader.clone(),
-            group: self.enclave.clone(),
+            group: self.config.group.clone(),
             body: enclaves_wire::codec::encode(&GroupBroadcastWire {
                 epoch,
                 seq,
@@ -1204,8 +923,9 @@ mod tests {
     use enclaves_crypto::rng::SeededRng;
     use enclaves_crypto::sha256::Sha256;
     use enclaves_crypto::treekdf;
-    use enclaves_wire::message::{cipher_nonce, PathUpdateWire};
-    use std::collections::HashSet;
+    use enclaves_wire::codec::encode;
+    use enclaves_wire::message::{cipher_nonce, open, PathUpdateWire};
+    use std::collections::{HashSet, VecDeque};
 
     /// The value of the leader's counter `name`.
     fn count(l: &LeaderCore, name: &str) -> u64 {

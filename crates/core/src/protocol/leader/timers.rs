@@ -2,7 +2,7 @@
 //! names whom to evict, and [`LeaderCore::next_deadline`] says when it
 //! next has anything to do, so a runtime ticks a group only then.
 
-use super::{LeaderCore, LeaderTick, Slot};
+use super::{channel_tag, LeaderCore, LeaderTick, Slot};
 use crate::liveness::ArqPoll;
 use enclaves_obs::EventKind;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ impl LeaderCore {
             .filter(|slot| match slot {
                 Slot::WaitingForKeyAck { .. } => true,
                 Slot::Staged(_) => false,
-                Slot::Connected(channel) => channel.outstanding.is_some(),
+                Slot::Connected(channel) => channel.awaiting_ack(),
             })
             .count()
     }
@@ -71,14 +71,14 @@ impl LeaderCore {
             let (mut in_flight, silence) = match slot {
                 Slot::WaitingForKeyAck { reply, .. } => (Some(reply), None),
                 Slot::Staged(_) => (None, None),
-                Slot::Connected(channel) => (
-                    channel.outstanding.as_mut(),
-                    liveness.silence_deadline(channel.last_heard),
-                ),
+                Slot::Connected(channel) => {
+                    let silence = liveness.silence_deadline(channel.last_heard);
+                    (channel.in_flight(), silence)
+                }
             };
             match in_flight.as_deref_mut() {
                 _ if silence.is_some_and(|due| now >= due) => tick.evict.push(user.clone()),
-                Some(m) => match m.arq.poll(now, liveness, Self::channel_tag(user)) {
+                Some(m) => match m.arq.poll(now, liveness, channel_tag(user)) {
                     ArqPoll::Wait => {}
                     ArqPoll::Resend => tick.frames.push((user.clone(), Arc::clone(&m.frame))),
                     ArqPoll::GiveUp => tick.evict.push(user.clone()),

@@ -10,7 +10,7 @@
 //! leaves the members to learn is a [`Rotation`], and
 //! [`LeaderCore::distribute`] is its one fan-out.
 
-use super::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput, Slot};
+use super::{BroadcastFrame, LeaderCore, LeaderEvent, LeaderOutput};
 use crate::config::LeaderConfig;
 use crate::error::CoreError;
 use crate::group::GroupState;
@@ -208,9 +208,9 @@ impl LeaderCore {
     }
 
     /// Sends `user` its current direct path over its reliable admin
-    /// channel, recording the epoch on the channel so heartbeat-driven
-    /// resyncs do not repeat it. Nothing to send outside tree mode or to a
-    /// member without a tree leaf.
+    /// channel, which records the epoch so heartbeat-driven resyncs do not
+    /// repeat it. Nothing to send outside tree mode or to a member without
+    /// a tree leaf.
     pub(super) fn send_path_sync(
         &mut self,
         out: &mut LeaderOutput,
@@ -229,9 +229,6 @@ impl LeaderCore {
             leaf_count: tree.leaf_count(),
             path_keys,
         };
-        if let Some(Slot::Connected(channel)) = self.slots.get_mut(user) {
-            channel.synced_epoch = channel.synced_epoch.max(epoch);
-        }
         self.send_admin(out, user, payload)
     }
 
@@ -270,7 +267,7 @@ impl LeaderCore {
         self.frame_buf = path_update_frame(
             std::mem::take(&mut self.frame_buf),
             &self.leader,
-            self.enclave.as_ref(),
+            self.config.group.as_ref(),
             &head,
             nonce,
             seals,

@@ -973,7 +973,9 @@ impl GroupHandle {
     /// Propagates protocol errors ([`CoreError::BadPhase`] if the group is
     /// empty).
     pub fn broadcast_data(&self, data: &[u8]) -> Result<BroadcastReceipt, CoreError> {
-        let broadcast = self.entry.core.lock().broadcast_group_data(data)?;
+        let broadcast = self
+            .entry
+            .with_core(|core| core.broadcast_group_data(data))?;
         self.entry.dispatch_shared(&broadcast);
         Ok(BroadcastReceipt {
             epoch: broadcast.epoch,
@@ -1532,6 +1534,25 @@ mod tests {
         assert_eq!(counter(&red, "leader.retransmits"), 0, "resent early");
         clock.advance(Duration::from_millis(1));
         wait_until(|| counter(&red, "leader.retransmits") == 1, "the resend");
+        service.shutdown();
+    }
+
+    /// A data-plane broadcast holds the core lock like any operator call,
+    /// and the hold counts in `leader.lock_hold_ns`. The virtual clock
+    /// never reaches the join's timers and the member's link is cut, so
+    /// nothing else can move the counter.
+    #[test]
+    fn a_data_broadcast_records_its_lock_hold() {
+        let clock = VirtualClock::new();
+        let (net, service) = virtual_service(&clock);
+        let red = resending_group(&service, "red", "alice");
+        let _alice = join_then_cut(&net, "alice", "red", &red);
+        let held = counter(&red, "leader.lock_hold_ns");
+        std::thread::sleep(POLL * 4);
+        assert_eq!(counter(&red, "leader.lock_hold_ns"), held, "idle");
+        red.broadcast_data(b"cast").unwrap();
+        assert!(counter(&red, "leader.lock_hold_ns") > held);
+        assert_eq!(counter(&red, "leader.ticks"), 0);
         service.shutdown();
     }
 
